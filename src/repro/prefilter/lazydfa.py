@@ -25,6 +25,17 @@ within a position.  Acceptance mid-input is therefore a property of the
 transitions encode "match fires at this position" as a distinct
 sentinel rather than a successor state.
 
+Building a transition is itself lowered one step further.  What a work
+instruction contributes to the successor state on a given byte class is
+a static property of the program — ``MATCH``/``MATCH_ANY`` contribute
+their precomputed successor closure or nothing, ``NOT_MATCH`` whatever
+its own successors contribute on that byte, ``ACCEPT_PARTIAL`` "match
+fires", ``ACCEPT`` nothing — so it is worked out once per
+(PC, byte class), on first use, and kept in a step table
+(:class:`_StepColumn`).  A transition is then the C-level union of the
+state's column entries; no instruction is interpreted twice for the
+same class.
+
 The construction is strictly bounded: interning a state beyond
 ``max_states`` raises :class:`LazyDFABlowup`, and
 :class:`LazyDFAMatcher` then falls back — permanently, for that
@@ -43,14 +54,28 @@ from ..isa.program import Program
 from ..vm.thompson import MatchResult, ThompsonVM, _as_bytes
 
 #: Default cap on interned DFA states (also the `Budget.max_dfa_states`
-#: default).  64 states/row × a few hundred rows is a few MB at most;
-#: real-world literal-ish patterns determinize in well under 100 states.
+#: default).  A state costs its frozenset of work PCs, one interning
+#: dict entry and one transition row of ``num_classes`` ints (distinct
+#: operand bytes + 1, not 256): about 2 KB for the ~30-PC, 21-class
+#: states of the protomata ×4 rules, so a pattern that runs into the
+#: cap holds about 20 MB; literal-ish patterns determinize in well under
+#: 100 states.
 DEFAULT_MAX_DFA_STATES = 10_000
 
 # Transition-row sentinels (all < 0 so real state ids stay >= 0).
 _UNBUILT = -3
 _MATCHED = -2
 _DEAD = -1
+
+#: Member of a step-table entry meaning "``ACCEPT_PARTIAL`` is reached:
+#: the match fires on this transition" (real PCs are >= 0).
+_FIRES = -1
+
+_MATCH = int(Opcode.MATCH)
+_MATCH_ANY = int(Opcode.MATCH_ANY)
+_NOT_MATCH = int(Opcode.NOT_MATCH)
+_ACCEPT = int(Opcode.ACCEPT)
+_ACCEPT_PARTIAL = int(Opcode.ACCEPT_PARTIAL)
 
 
 class LazyDFABlowup(Exception):
@@ -68,6 +93,64 @@ class LazyDFABlowup(Exception):
             f"lazy DFA exceeded max_dfa_states={max_states}"
             + (f" for pattern {pattern!r}" if pattern else "")
         )
+
+
+class _StepColumn(dict):
+    """One byte class of the step table: ``pc -> frozenset`` of the PCs
+    that work instruction contributes to the successor state.
+
+    Entries are computed on first lookup, per PC, so a cold one-shot
+    match on a large program pays only for the PCs its states actually
+    hold.  Most entries repeat — a ``MATCH`` contributes the same
+    closure on its byte's class and nothing on every other — so equal
+    sets are shared through ``interned`` (one dict for all the columns
+    of a DFA) and an entry costs a dict slot, not a set.  Holds the VM's
+    instruction arrays rather than the DFA, so a dropped DFA is freed by
+    reference count, not by the cycle collector.
+    """
+
+    __slots__ = ("_char", "_opcodes", "_operands", "_successors", "_interned")
+
+    def __init__(
+        self, char: int, vm: ThompsonVM, interned: Dict[frozenset, frozenset]
+    ):
+        super().__init__()
+        self._char = char
+        self._opcodes = vm._opcodes
+        self._operands = vm._operands
+        self._successors = vm._successors
+        self._interned = interned
+
+    def __missing__(self, pc: int) -> frozenset:
+        char = self._char
+        opcodes = self._opcodes
+        operands = self._operands
+        successors = self._successors
+        contributed: set = set()
+        # A NOT_MATCH that lets this byte through continues, within the
+        # position, at its own successors; ε-loops through NOT_MATCH end
+        # at the visited set, as in the VM's per-position loop.
+        visited = set()
+        worklist = [pc]
+        while worklist:
+            current = worklist.pop()
+            if current in visited:
+                continue
+            visited.add(current)
+            opcode = opcodes[current]
+            if opcode == _NOT_MATCH:
+                if char != operands[current]:
+                    worklist.extend(successors[current])
+            elif opcode == _MATCH_ANY or (
+                opcode == _MATCH and char == operands[current]
+            ):
+                contributed.update(successors[current])
+            elif opcode == _ACCEPT_PARTIAL:
+                contributed.add(_FIRES)
+            # ACCEPT needs end-of-input; with a byte in hand it is dead.
+        step = frozenset(contributed)
+        step = self[pc] = self._interned.setdefault(step, step)
+        return step
 
 
 class LazyDFA:
@@ -91,29 +174,36 @@ class LazyDFA:
         self._vm = vm if vm is not None else ThompsonVM(program)
         self._opcodes = self._vm._opcodes
         self._operands = self._vm._operands
-        self._successors = self._vm._successors
         self._build_byte_classes()
-        accept = int(Opcode.ACCEPT)
-        accept_partial = int(Opcode.ACCEPT_PARTIAL)
-        self._accept_opcodes = (accept, accept_partial)
+        interned: Dict[frozenset, frozenset] = {}
+        self._steps = [
+            _StepColumn(char, self._vm, interned)
+            for char in self._representatives
+        ]
+        self._accept_pcs = frozenset(
+            pc
+            for pc, opcode in enumerate(self._opcodes)
+            if opcode in (_ACCEPT, _ACCEPT_PARTIAL)
+        )
         # State interning: id 0 is always the entry state.
         self._ids: Dict[frozenset, int] = {}
         self._states: List[frozenset] = []
         self._rows: List[List[int]] = []
         self._accept_end: List[bool] = []
-        self._intern(frozenset(self._vm._entry))
+        # ``max_states <= 0`` cannot hold even that: the DFA stays empty
+        # and every :meth:`run` reports the blowup.
+        if max_states is None or max_states > 0:
+            self._intern(frozenset(self._vm._entry))
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def _build_byte_classes(self) -> None:
-        match_op = int(Opcode.MATCH)
-        not_match = int(Opcode.NOT_MATCH)
         operand_bytes = sorted(
             {
                 self._operands[pc]
                 for pc, opcode in enumerate(self._opcodes)
-                if opcode in (match_op, not_match)
+                if opcode in (_MATCH, _NOT_MATCH)
             }
         )
         class_of = [len(operand_bytes)] * 256  # residual class by default
@@ -143,52 +233,19 @@ class LazyDFA:
         self._ids[state] = state_id
         self._states.append(state)
         self._rows.append([_UNBUILT] * self.num_classes)
-        opcodes = self._opcodes
-        accepts = self._accept_opcodes
-        self._accept_end.append(any(opcodes[pc] in accepts for pc in state))
+        self._accept_end.append(not self._accept_pcs.isdisjoint(state))
         return state_id
 
     def _build_transition(self, state_id: int, byte_class: int) -> int:
         """One VM position, specialized to ``byte_class``'s bytes."""
-        char = self._representatives[byte_class]
-        opcodes = self._opcodes
-        operands = self._operands
-        successors = self._successors
-        accept_partial = int(Opcode.ACCEPT_PARTIAL)
-        match_any = int(Opcode.MATCH_ANY)
-        not_match = int(Opcode.NOT_MATCH)
-        match_op = int(Opcode.MATCH)
-
-        visited = set()
-        next_roots = []
-        worklist = list(self._states[state_id])
-        result = _DEAD
-        while worklist:
-            pc = worklist.pop()
-            if pc in visited:
-                continue
-            visited.add(pc)
-            opcode = opcodes[pc]
-            if opcode == not_match:
-                if char != operands[pc]:
-                    worklist.extend(successors[pc])
-            elif opcode == match_any:
-                next_roots.append(pc)
-            elif opcode == accept_partial:
-                result = _MATCHED
-                break
-            elif opcode == match_op:
-                if char == operands[pc]:
-                    next_roots.append(pc)
-            # ACCEPT needs end-of-input; with a byte in hand it is dead.
-        if result != _MATCHED:
-            next_state = frozenset(
-                pc
-                for root in next_roots
-                for pc in successors[root]
-            )
-            if next_state:
-                result = self._intern(next_state)
+        step = self._steps[byte_class].__getitem__
+        next_state = frozenset().union(*map(step, self._states[state_id]))
+        if _FIRES in next_state:
+            result = _MATCHED
+        elif next_state:
+            result = self._intern(next_state)
+        else:
+            result = _DEAD
         self._rows[state_id][byte_class] = result
         return result
 
@@ -213,6 +270,8 @@ class LazyDFA:
         data = text if isinstance(text, bytes) else _as_bytes(text)
         translated = data.translate(self._class_table)
         rows = self._rows
+        if not rows:
+            raise LazyDFABlowup(self.max_states, self.program.source_pattern)
         state_id = 0
         row = rows[0]
         build = self._build_transition
@@ -271,15 +330,21 @@ class LazyDFAMatcher:
                 "repro_lazydfa_states",
                 help_text="DFA states interned for the current pattern",
             )
+        if not self.dfa.state_count:  # the cap cannot hold the entry state
+            self._fall_back()
+
+    def _fall_back(self) -> None:
+        self.blown = True
+        if self._fallbacks is not None:
+            self._fallbacks.inc()
+            self._states_gauge.set(self.dfa.state_count)
 
     def match(self, text: Union[str, bytes]) -> MatchResult:
         if not self.blown:
             try:
                 result = self.dfa.run(text)
             except LazyDFABlowup:
-                self.blown = True
-                if self._fallbacks is not None:
-                    self._fallbacks.inc()
+                self._fall_back()
             else:
                 if self._runs is not None:
                     self._runs.inc()

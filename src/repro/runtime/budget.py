@@ -57,7 +57,8 @@ class Budget:
     #: abandons determinization and degrades to the NFA VM (a silent
     #: performance event counted by ``repro_lazydfa_fallback_total``,
     #: never an error).  ``None`` lets the subset construction grow
-    #: without bound.
+    #: without bound; ``<= 0`` always trips (the matcher starts on the
+    #: VM).
     max_dfa_states: Optional[int] = 10_000
     #: Maximum cycles of one simulator run; ``None`` uses the
     #: simulator's adaptive per-run formula (input × program sized).

@@ -117,6 +117,11 @@ class StreamingMatcher:
                     ),
                     vm=self.vm,
                 )
+            if not self._dfa.state_count:
+                # The cap cannot hold even the entry state: start on the
+                # VM, as a mid-stream blowup would continue on it.
+                self.dfa_fallbacks += 1
+                self._dfa = None
 
     # ------------------------------------------------------------------
     # State inspection

@@ -8,6 +8,7 @@ from repro.backends import BACKENDS
 from repro.compiler import CompileOptions
 from repro.engine import Engine
 from repro.engine.core import resolve_jobs
+from repro.observability import MetricsRegistry
 from repro.runtime.budget import Budget, DEFAULT_BUDGET
 from repro.runtime.errors import InputEncodingError, VMStepBudgetError
 
@@ -51,6 +52,15 @@ class TestMatch:
         )
         with pytest.raises(VMStepBudgetError):
             engine.match("(a|aa)*b", "a" * 200 + "c")
+
+    def test_dfa_state_cap_below_one_degrades_to_the_vm(self):
+        # ``<= 0`` always trips (budget.py); tripping is a performance
+        # event, so the verdict is the VM's and nothing is raised.
+        registry = MetricsRegistry()
+        engine = Engine(budget=Budget(max_dfa_states=0), metrics=registry)
+        assert engine.match("ab+c", "xxabbc")
+        assert not engine.match("ab+c", "xxabbd")
+        assert registry.value("repro_lazydfa_fallback_total") == 1
 
 
 class TestMatchMany:

@@ -110,6 +110,36 @@ class TestMatcherFallback:
         assert not matcher.match("zzz").matched
         assert matcher.blown
 
+    @pytest.mark.parametrize("max_states", [0, -1])
+    def test_cap_below_one_starts_blown(self, max_states):
+        # budget.py: ``<= 0`` always trips.  The entry state already
+        # exceeds the cap, so the matcher is born in VM mode — one
+        # fallback, VM verdicts, nothing raised.
+        registry = MetricsRegistry()
+        program = compile_regex("ab+c").program
+        matcher = LazyDFAMatcher(program, max_states=max_states, metrics=registry)
+        assert matcher.blown
+        assert matcher.dfa.state_count == 0
+        vm = ThompsonVM(program)
+        for text in ["xxabbc", "abc", "ab", ""]:
+            assert matcher.match(text) == vm.run(text), text
+        assert registry.value("repro_lazydfa_fallback_total") == 1
+        assert registry.value("repro_lazydfa_runs_total") == 0
+        assert registry.value("repro_lazydfa_states") == 0
+        with pytest.raises(LazyDFABlowup):
+            matcher.dfa.run("abc")
+
+    def test_states_gauge_follows_the_dfa_into_the_fallback(self):
+        registry = MetricsRegistry()
+        matcher = LazyDFAMatcher(
+            _pathological_program(), max_states=4, metrics=registry
+        )
+        matcher.match("b")  # a good run: far fewer than 4 states
+        assert registry.value("repro_lazydfa_states") == matcher.dfa.state_count < 4
+        matcher.match("a" * 40)
+        assert matcher.blown
+        assert registry.value("repro_lazydfa_states") == matcher.dfa.state_count == 4
+
     def test_healthy_pattern_counts_runs_and_states(self):
         registry = MetricsRegistry()
         program = compile_regex("abc").program

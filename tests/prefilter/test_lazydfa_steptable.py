@@ -1,0 +1,203 @@
+"""The lazy DFA's memoized step table against the interpreter it replaced.
+
+``reference_transition`` is the worklist loop ``LazyDFA._build_transition``
+used to run for every transition: one VM position over a state's PCs,
+instruction by instruction.  It is kept here as the oracle — every
+transition the step table produces must equal it, on every state and
+every byte class, and what a DFA state *is* (its PC set, hence the
+state count) must not move.
+"""
+
+import random
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.arch.simulator import split_chunks
+from repro.compiler import CompileOptions, compile_regex
+from repro.fuzz.generators import RegexGenerator, derive_inputs
+from repro.isa.instructions import (
+    Opcode,
+    accept,
+    accept_partial,
+    jmp,
+    match,
+    match_any,
+    not_match,
+    split,
+)
+from repro.isa.program import Program
+from repro.prefilter.lazydfa import (
+    _DEAD,
+    _MATCHED,
+    LazyDFA,
+    LazyDFABlowup,
+    LazyDFAMatcher,
+)
+from repro.runtime.errors import ReproError
+from repro.vm.thompson import ThompsonVM
+from repro.workloads import protomata, sample_and_alternate
+
+FIRES = "fires"
+
+
+def reference_transition(dfa, state, byte_class):
+    """``FIRES`` or the successor PC set of ``state`` on ``byte_class``."""
+    char = dfa._representatives[byte_class]
+    opcodes = dfa._vm._opcodes
+    operands = dfa._vm._operands
+    successors = dfa._vm._successors
+    visited = set()
+    next_roots = []
+    worklist = list(state)
+    while worklist:
+        pc = worklist.pop()
+        if pc in visited:
+            continue
+        visited.add(pc)
+        opcode = opcodes[pc]
+        if opcode == Opcode.NOT_MATCH:
+            if char != operands[pc]:
+                worklist.extend(successors[pc])
+        elif opcode == Opcode.MATCH_ANY:
+            next_roots.append(pc)
+        elif opcode == Opcode.ACCEPT_PARTIAL:
+            return FIRES
+        elif opcode == Opcode.MATCH:
+            if char == operands[pc]:
+                next_roots.append(pc)
+        # ACCEPT needs end-of-input; with a byte in hand it is dead.
+    return frozenset(pc for root in next_roots for pc in successors[root])
+
+
+def built_transition(dfa, state_id, byte_class):
+    """The DFA's own answer, in ``reference_transition``'s terms."""
+    result = dfa._build_transition(state_id, byte_class)
+    assert dfa._rows[state_id][byte_class] == result
+    if result == _MATCHED:
+        return FIRES
+    if result == _DEAD:
+        return frozenset()
+    return dfa._states[result]
+
+
+def assert_transitions_equal_reference(dfa):
+    """Every (interned state, byte class) pair; under a state cap, a
+    blowup is right exactly when the successor is a state the cap has no
+    room for."""
+    for state_id in range(dfa.state_count):
+        state = dfa._states[state_id]
+        for byte_class in range(dfa.num_classes):
+            expected = reference_transition(dfa, state, byte_class)
+            try:
+                got = built_transition(dfa, state_id, byte_class)
+            except LazyDFABlowup:
+                assert dfa.state_count == dfa.max_states
+                assert expected != FIRES and expected
+                assert expected not in dfa._ids
+            else:
+                assert got == expected, (sorted(state), byte_class)
+
+
+def _dfa_after(program, texts, max_states=None):
+    matcher = LazyDFAMatcher(program, max_states=max_states)
+    for text in texts:
+        matcher.match(text)
+    return matcher.dfa
+
+
+class TestHandBuiltPrograms:
+    def test_not_match_chain(self):
+        # [^ab] lowers to NOT_MATCH a; NOT_MATCH b; MATCH_ANY.
+        program = Program(
+            [not_match("a"), not_match("b"), match_any(), match("x"),
+             accept_partial()]
+        )
+        dfa = _dfa_after(program, ["cx", "ax", "bx", "ccx"])
+        assert_transitions_equal_reference(dfa)
+        assert dfa.run("cx").position == 2
+        assert not dfa.run("ax")
+
+    def test_not_match_reaches_accept_partial_within_the_position(self):
+        program = Program([not_match("a"), accept_partial()])
+        dfa = _dfa_after(program, ["b", "a"])
+        assert_transitions_equal_reference(dfa)
+        assert dfa.run("b").position == 0
+        assert not dfa.run("a")
+
+    def test_epsilon_loop_through_not_match(self):
+        # 1 -> (2: jmp 0) -> split -> 1 again within one position.
+        program = Program(
+            [split(3), not_match("a"), jmp(0), match("b"), accept_partial()]
+        )
+        dfa = _dfa_after(program, ["xb", "ab", "a", "xxxa"])
+        assert_transitions_equal_reference(dfa)
+        vm = ThompsonVM(program)
+        for text in ["xb", "ab", "a", "xxxa", "b", ""]:
+            assert dfa.run(text) == vm.run_reference(text), text
+
+    def test_accept_is_dead_with_a_byte_in_hand(self):
+        program = Program([split(3), match("a"), accept(), accept()])
+        dfa = _dfa_after(program, ["a", "aa", ""])
+        assert_transitions_equal_reference(dfa)
+        assert dfa.run("").matched and dfa.run("a").matched
+        assert not dfa.run("aa")
+
+
+@pytest.mark.parametrize("max_states", [None, 2])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), optimize=st.booleans())
+def test_step_table_equals_reference_on_fuzz_programs(max_states, seed, optimize):
+    pattern = RegexGenerator(seed).generate()
+    options = CompileOptions() if optimize else CompileOptions.none()
+    try:
+        program = compile_regex(pattern.text, options).program
+    except ReproError:
+        # A typed rejection (e.g. factorization moving ``$`` into a nested
+        # branch) is the compiler's business: no program, nothing to check.
+        assume(False)
+    texts = derive_inputs(pattern, random.Random(seed))
+    assert_transitions_equal_reference(_dfa_after(program, texts, max_states))
+
+
+def _protomata4_rules(count):
+    pool = protomata.generate_patterns(800, 2025)
+    return sample_and_alternate(pool, 200, seed=2025)[:count]
+
+
+def test_state_count_is_pinned_on_protomata4():
+    # What a state is — the frozenset of work PCs after each byte — is
+    # part of the contract (StreamingMatcher seeds the VM frontier from
+    # it); a faster construction may not intern different states.
+    rules = _protomata4_rules(6)
+    chunks = split_chunks(protomata.generate_input(rules, 5000, seed=101), 500)
+    counts = []
+    for rule in rules:
+        program = compile_regex(rule).program
+        vm = ThompsonVM(program)
+        matcher = LazyDFAMatcher(program, vm=vm)
+        for chunk in chunks:
+            assert matcher.match(chunk) == vm.run(chunk)
+        assert not matcher.blown
+        counts.append(matcher.dfa.state_count)
+    assert counts == [708, 1725, 2493, 1222, 355, 196]
+
+
+def test_step_entries_are_filled_only_for_pcs_in_interned_states():
+    program = compile_regex("|".join(_protomata4_rules(3))).program
+    assert len(program) >= 1000
+    dfa = LazyDFA(program)
+    text = b"MKVLAAGIVGLCA"
+    dfa.run(text)
+    classes_seen = set(text.translate(dfa._class_table))
+    pcs_in_states = set().union(*dfa._states)
+    for byte_class, column in enumerate(dfa._steps):
+        if byte_class in classes_seen:
+            assert set(column) <= pcs_in_states
+        else:
+            assert not column
+    entries = sum(len(column) for column in dfa._steps)
+    assert 0 < entries <= sum(map(len, dfa._states)) * len(classes_seen)
+    # Far from a whole-program sweep.
+    assert entries < len(program)

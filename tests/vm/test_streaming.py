@@ -178,6 +178,22 @@ def test_dfa_blowup_mid_stream_falls_back_to_vm():
         assert not matcher.accelerated or matcher.dfa_fallbacks == 0
 
 
+def test_dfa_cap_below_one_starts_on_the_vm():
+    # ``max_dfa_states <= 0`` always trips: not even the entry state
+    # fits, so the matcher starts degraded instead of raising.
+    program = _program("ab+c")
+    matcher = StreamingMatcher(program, use_dfa=True, max_dfa_states=0)
+    assert not matcher.accelerated
+    assert matcher.dfa_fallbacks == 1
+    for text in INPUTS + ["xxabbc"]:
+        expected = ThompsonVM(program).run_reference(text)
+        for chunks in _splits(text):
+            got = _stream(program, chunks, use_dfa=True, max_dfa_states=0)
+            assert (got.matched, got.position) == (
+                expected.matched, expected.position
+            ), (text, chunks)
+
+
 def test_shared_vm_reuses_dispatch_tables():
     program = _program("ab+c")
     vm = ThompsonVM(program)
