@@ -49,13 +49,9 @@ class InstructionCache:
         self._ways_tags: List[List[int]] = [[] for _ in range(self.sets)]
         self.stats = CacheStatistics()
 
-    def line_of(self, pc: int) -> int:
-        """The memory line number holding ``pc``."""
-        return pc // self.line_words
-
     def lookup(self, pc: int) -> bool:
         """Access the cache; returns hit/miss and updates statistics."""
-        line = self.line_of(pc)
+        line = pc // self.line_words
         tags = self._ways_tags[line % self.sets]
         if line in tags:
             self.stats.hits += 1
@@ -68,7 +64,7 @@ class InstructionCache:
 
     def fill(self, pc: int) -> None:
         """Install the line containing ``pc``, evicting the LRU way."""
-        line = self.line_of(pc)
+        line = pc // self.line_words
         tags = self._ways_tags[line % self.sets]
         if line in tags:
             return

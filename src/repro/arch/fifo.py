@@ -33,11 +33,18 @@ class ThreadFifo:
         self.high_watermark = 0
         self.total_pushed = 0
 
+    def reset(self) -> None:
+        """Empty the queue and restart its per-run counters."""
+        self.entries.clear()
+        self.high_watermark = 0
+        self.total_pushed = 0
+
     def push(self, pc: int, cc: int, ready_cycle: int) -> None:
-        self.entries.append((pc, cc, ready_cycle))
+        entries = self.entries
+        entries.append((pc, cc, ready_cycle))
         self.total_pushed += 1
-        if len(self.entries) > self.high_watermark:
-            self.high_watermark = len(self.entries)
+        if len(entries) > self.high_watermark:
+            self.high_watermark = len(entries)
 
     def pop_ready(self, cycle: int) -> Optional[ThreadEntry]:
         """Pop the head entry if it is ready at ``cycle``."""

@@ -116,17 +116,22 @@ class SimulationResult:
         return self.matched
 
 
+#: Wake cycle of a core with nothing to do: its FIFOs are empty, so only
+#: a push can give it work.  Larger than any cycle budget.
+_NEVER = 1 << 62
+
+
 class _Core:
-    __slots__ = ("cache", "waiting_pc", "waiting_cc", "resume_cycle", "instructions")
+    """One core's persistent state: its instruction cache.  What a core
+    is doing *within* a run (a stalled fetch, when it can next act)
+    lives in :meth:`CiceroSystem.run`'s wake-cycle tables."""
+
+    __slots__ = ("cache",)
 
     def __init__(self, config: ArchConfig):
         self.cache = InstructionCache(
             config.icache_lines, config.icache_line_words, config.icache_ways
         )
-        self.waiting_pc: Optional[int] = None
-        self.waiting_cc = 0
-        self.resume_cycle = 0
-        self.instructions = 0
 
 
 class _Engine:
@@ -173,10 +178,7 @@ class CiceroSystem:
         for engine in self._engines:
             engine.parked.clear()
             for fifo in engine.fifos:
-                fifo.entries.clear()
-            for core in engine.cores:
-                core.waiting_pc = None
-                core.resume_cycle = 0
+                fifo.reset()
 
     # ------------------------------------------------------------------
     def run(
@@ -204,6 +206,17 @@ class CiceroSystem:
         hits/misses (split exactly as ``stats.instructions`` /
         ``stats.cache_*`` total them) plus per-cycle core-occupancy and
         FIFO-depth histograms (``sum(occupancy.values()) == cycles``).
+
+        The loop only visits what can change state.  Each core has a
+        *wake cycle* — a lower bound on the next cycle it can act: the
+        fill completion while it is stalled on a miss, else the ready
+        cycle of the head of the FIFO(s) it serves — and is skipped
+        until then; a cycle on which nothing retired jumps straight to
+        the earliest wake cycle (or pending window slide).  Nothing the
+        model counts can move during a skipped stretch, so every
+        statistic, trace event and profile bucket is what stepping each
+        core on each cycle would produce (``tests/arch`` keeps that
+        loop as the oracle).
         """
         data = as_input_bytes(text, what="input chunk")
         config = self.config
@@ -212,23 +225,44 @@ class CiceroSystem:
         engines = self._engines
         num_engines = config.num_engines
         new_org = config.is_new_organization
+        multi_engine = num_engines > 1
+        controller_latency = self._controller_latency
         port = self._port
         port.reset()
-        stats = SimulationStatistics()
-        cache_hits_before = sum(
-            core.cache.stats.hits for engine in engines for core in engine.cores
-        )
-        cache_misses_before = sum(
-            core.cache.stats.misses for engine in engines for core in engine.cores
-        )
+
+        # Flat views, engine-major.  Bound methods are taken from the
+        # live objects on every run: fault injection swaps FIFOs and
+        # caches for instrumented subclasses between construction and
+        # run, and their ``push``/``lookup`` overrides must be honoured.
+        caches = [core.cache for engine in engines for core in engine.cores]
+        lookups = [cache.lookup for cache in caches]
+        fills = [cache.fill for cache in caches]
+        fifos = [fifo for engine in engines for fifo in engine.fifos]
+        queues = [fifo.entries for fifo in fifos]
+        pushes = [fifo.push for fifo in fifos]
+        parked = [engine.parked for engine in engines]
+        num_cores = len(caches)
+        num_fifos = len(fifos)
+        # FIFO f is served by core ``f >> server_shift``: its own core in
+        # the new organization, its engine's only core in the old one.
+        server_shift = 0 if new_org else config.cc_id_bits
+        #: homes[k]: the first FIFO of core k's engine.
+        homes = [
+            k // config.cores_per_engine * window for k in range(num_cores)
+        ]
+        cache_hits_before = sum(cache.stats.hits for cache in caches)
+        cache_misses_before = sum(cache.stats.misses for cache in caches)
 
         opcodes = self._opcodes
         operands = self._operands
         length = len(data)
-        pipe = config.pipeline_latency
         split_extra = config.split_extra_latency
         transfer = config.transfer_latency
-        balancer = config.balancer_latency
+        # Old organization: the balancer / FIFO-distribution stage sits
+        # between the core and every FIFO.
+        produce_latency = config.pipeline_latency
+        if not new_org:
+            produce_latency += config.balancer_latency
         thread_cap = config.max_threads_per_position
 
         if max_cycles is None:
@@ -237,8 +271,22 @@ class CiceroSystem:
         counts: Dict[int, int] = defaultdict(int)
         counts[0] = 1
         total_alive = 1
-        stats.threads_spawned = 1
-        engines[0].fifos[0].push(0, 0, 0)
+        instructions = 0
+        threads_spawned = 1
+        threads_killed = 0
+        cross_engine_transfers = 0
+        window_slides = 0
+        peak_threads = 0
+        active_cycles = 0
+
+        #: wake[k] <= the earliest cycle core k can act.  A push into a
+        #: FIFO the core serves lowers it; a poll that finds nothing to
+        #: do sets it exactly.
+        wake = [_NEVER] * num_cores
+        #: stalled[k]: the (pc, cc, fill completion) core k waits on.
+        stalled: List[Optional[tuple]] = [None] * num_cores
+        pushes[0](0, 0, 0)
+        wake[0] = 0
 
         window_base = 0
         slide_ready: Optional[int] = None
@@ -248,47 +296,6 @@ class CiceroSystem:
         done = False
         cycle = 0
 
-        # --------------------------------------------------------------
-        # Thread routing
-        # --------------------------------------------------------------
-        def route(engine_idx: int, core_idx: int, pc: int, cc: int,
-                  ready: int, advanced: bool) -> None:
-            nonlocal window_base
-            slot = cc % window
-            target = engine_idx
-            if not new_org:
-                # Old organization: the balancer / FIFO-distribution
-                # stage sits between the core and every FIFO.
-                ready += balancer
-            if num_engines > 1:
-                if not new_org:
-                    # Old organization: the distributed balancer may
-                    # offload any produced thread to the ring neighbour.
-                    neighbour = (engine_idx + 1) % num_engines
-                    if len(engines[neighbour].fifos[slot]) < len(
-                        engines[engine_idx].fifos[slot]
-                    ):
-                        target = neighbour
-                        ready += transfer
-                        stats.cross_engine_transfers += 1
-                elif advanced and core_idx == window - 1:
-                    # New organization: only the last core feeds the
-                    # cross-engine balancer (§4).
-                    neighbour = (engine_idx + 1) % num_engines
-                    if len(engines[neighbour].fifos[slot]) < len(
-                        engines[engine_idx].fifos[slot]
-                    ):
-                        target = neighbour
-                        ready += transfer
-                        stats.cross_engine_transfers += 1
-            if cc >= window_base + window:
-                engines[target].parked[cc].append((pc, ready, slot))
-            else:
-                engines[target].fifos[slot].push(pc, cc, ready)
-
-        # --------------------------------------------------------------
-        # Instruction execution (the thread is already popped/held).
-        # --------------------------------------------------------------
         def trace_outcome(pc: int, cc: int):
             opcode = opcodes[pc]
             if opcode == _SPLIT or opcode == _JMP:
@@ -306,132 +313,7 @@ class CiceroSystem:
             )
             return ("advance", pc + 1) if hit else ("kill", None)
 
-        def execute(engine_idx: int, core_idx: int, pc: int, cc: int) -> None:
-            nonlocal total_alive, matched_at, done
-            stats.instructions += 1
-            if profile is not None:
-                profile.pc_counts[pc] += 1
-            if trace is not None:
-                outcome, target = trace_outcome(pc, cc)
-                trace.record(
-                    cycle=cycle, engine=engine_idx, core=core_idx,
-                    pc=pc, cc=cc, opcode=Opcode(opcodes[pc]),
-                    outcome=outcome, target=target,
-                )
-            opcode = opcodes[pc]
-            if opcode == _SPLIT:
-                route(engine_idx, core_idx, pc + 1, cc, cycle + pipe, False)
-                route(engine_idx, core_idx, operands[pc], cc,
-                      cycle + pipe + split_extra, False)
-                counts[cc] += 1
-                total_alive += 1
-                stats.threads_spawned += 1
-                if counts[cc] > thread_cap:
-                    raise ThreadBudgetError(
-                        f"thread blow-up: {counts[cc]} live threads at "
-                        f"position {cc} (pattern {self.program.source_pattern!r})",
-                        limit=thread_cap,
-                        spent=counts[cc],
-                    )
-                if counts[cc] > stats.peak_threads:
-                    stats.peak_threads = counts[cc]
-            elif opcode == _JMP:
-                route(engine_idx, core_idx, operands[pc], cc, cycle + pipe, False)
-            elif opcode == _ACCEPT_PARTIAL:
-                if collect_matches:
-                    matched_ids.add(operands[pc])
-                    counts[cc] -= 1
-                    total_alive -= 1
-                    stats.threads_killed += 1
-                    done = matched_ids >= all_ids
-                else:
-                    matched_at = cc
-            elif opcode == _ACCEPT:
-                if cc == length:
-                    if collect_matches:
-                        matched_ids.add(operands[pc])
-                        counts[cc] -= 1
-                        total_alive -= 1
-                        stats.threads_killed += 1
-                        done = matched_ids >= all_ids
-                    else:
-                        matched_at = cc
-                else:
-                    counts[cc] -= 1
-                    total_alive -= 1
-                    stats.threads_killed += 1
-            elif opcode == _NOT_MATCH:
-                if cc < length and data[cc] != operands[pc]:
-                    route(engine_idx, core_idx, pc + 1, cc, cycle + pipe, False)
-                else:
-                    counts[cc] -= 1
-                    total_alive -= 1
-                    stats.threads_killed += 1
-            else:  # MATCH / MATCH_ANY
-                hit = cc < length and (
-                    opcode == _MATCH_ANY or data[cc] == operands[pc]
-                )
-                if hit:
-                    counts[cc] -= 1
-                    counts[cc + 1] += 1
-                    route(engine_idx, core_idx, pc + 1, cc + 1,
-                          cycle + pipe, True)
-                else:
-                    counts[cc] -= 1
-                    total_alive -= 1
-                    stats.threads_killed += 1
-
-        # --------------------------------------------------------------
-        # One core step: resume a stalled fetch or pop-and-execute.
-        # --------------------------------------------------------------
-        def step_core(engine_idx: int, core_idx: int) -> bool:
-            engine = engines[engine_idx]
-            core = engine.cores[core_idx]
-            if core.waiting_pc is not None:
-                if cycle < core.resume_cycle:
-                    return False
-                pc, cc = core.waiting_pc, core.waiting_cc
-                core.waiting_pc = None
-                core.instructions += 1
-                execute(engine_idx, core_idx, pc, cc)
-                return True
-            if new_org:
-                entry = engine.fifos[core_idx].pop_ready(cycle)
-            else:
-                # Old organization: the single time-multiplexed core
-                # serves one thread per cycle across all window FIFOs,
-                # oldest character first (lockstep flows "over a
-                # character at a time", §2.2).
-                entry = None
-                for offset in range(window):
-                    slot = (window_base + offset) % window
-                    entry = engine.fifos[slot].pop_ready(cycle)
-                    if entry is not None:
-                        break
-            if entry is None:
-                return False
-            pc, cc, _ready = entry
-            if not core.cache.lookup(pc):
-                if profile is not None:
-                    profile.cache_misses_by_pc[pc] += 1
-                completion = port.request_fill(cycle)
-                core.cache.fill(pc)
-                core.waiting_pc = pc
-                core.waiting_cc = cc
-                core.resume_cycle = completion
-                return False
-            if profile is not None:
-                profile.cache_hits_by_pc[pc] += 1
-            core.instructions += 1
-            execute(engine_idx, core_idx, pc, cc)
-            return True
-
-        # --------------------------------------------------------------
-        # Main loop
-        # --------------------------------------------------------------
-        while True:
-            if total_alive == 0 or matched_at is not None or done:
-                break
+        while total_alive and matched_at is None and not done:
             if cycle > max_cycles:
                 raise SimulationCycleBudgetError(
                     f"no termination after {max_cycles} cycles "
@@ -441,22 +323,172 @@ class CiceroSystem:
                     spent=cycle,
                 )
             active_cores = 0
-            for engine_idx in range(num_engines):
-                engine = engines[engine_idx]
-                for core_idx in range(len(engine.cores)):
-                    if step_core(engine_idx, core_idx):
-                        active_cores += 1
+            for k in range(num_cores):
+                if wake[k] > cycle:
+                    continue
+                # ------------------------------------------------------
+                # Fetch: resume a stalled fetch or pop a ready thread.
+                # ------------------------------------------------------
+                thread = stalled[k]
+                if thread is not None:
+                    pc, cc, resume = thread
+                    if cycle < resume:
+                        # Woken by a push; the fill is still in flight.
+                        wake[k] = resume
+                        continue
+                    stalled[k] = None
+                else:
+                    if new_org:
+                        queue = queues[k]
+                        if not queue or queue[0][2] > cycle:
+                            wake[k] = queue[0][2] if queue else _NEVER
+                            continue
+                    else:
+                        # Old organization: the single time-multiplexed
+                        # core serves one thread per cycle across all
+                        # window FIFOs, oldest character first (lockstep
+                        # flows "over a character at a time", §2.2).
+                        base = k * window
+                        earliest = _NEVER
+                        for offset in range(window):
+                            queue = queues[base + (window_base + offset) % window]
+                            if queue:
+                                head_ready = queue[0][2]
+                                if head_ready <= cycle:
+                                    break
+                                if head_ready < earliest:
+                                    earliest = head_ready
+                        else:
+                            wake[k] = earliest
+                            continue
+                    pc, cc, _ready = queue.popleft()
+                    if not lookups[k](pc):
+                        if profile is not None:
+                            profile.cache_misses_by_pc[pc] += 1
+                        resume = port.request_fill(cycle)
+                        fills[k](pc)
+                        stalled[k] = (pc, cc, resume)
+                        wake[k] = resume
+                        continue
+                    if profile is not None:
+                        profile.cache_hits_by_pc[pc] += 1
+
+                # ------------------------------------------------------
+                # Execute: retire the instruction, name what it produces.
+                # ------------------------------------------------------
+                active_cores += 1
+                instructions += 1
+                if profile is not None:
+                    profile.pc_counts[pc] += 1
+                if trace is not None:
+                    outcome, goes_to = trace_outcome(pc, cc)
+                    trace.record(
+                        cycle=cycle,
+                        engine=k // config.cores_per_engine,
+                        core=k % config.cores_per_engine,
+                        pc=pc, cc=cc, opcode=Opcode(opcodes[pc]),
+                        outcome=outcome, target=goes_to,
+                    )
+                opcode = opcodes[pc]
+                ready = cycle + produce_latency
+                advanced = False
+                if opcode == _MATCH or opcode == _MATCH_ANY:
+                    counts[cc] -= 1
+                    if cc < length and (
+                        opcode == _MATCH_ANY or data[cc] == operands[pc]
+                    ):
+                        cc += 1
+                        counts[cc] += 1
+                        advanced = True
+                        produced = ((pc + 1, ready),)
+                    else:
+                        total_alive -= 1
+                        threads_killed += 1
+                        produced = ()
+                elif opcode == _SPLIT:
+                    counts[cc] += 1
+                    total_alive += 1
+                    threads_spawned += 1
+                    if counts[cc] > thread_cap:
+                        raise ThreadBudgetError(
+                            f"thread blow-up: {counts[cc]} live threads at "
+                            f"position {cc} (pattern {self.program.source_pattern!r})",
+                            limit=thread_cap,
+                            spent=counts[cc],
+                        )
+                    if counts[cc] > peak_threads:
+                        peak_threads = counts[cc]
+                    # The second thread is born in S3, a cycle later.
+                    produced = (
+                        (pc + 1, ready),
+                        (operands[pc], ready + split_extra),
+                    )
+                elif opcode == _JMP:
+                    produced = ((operands[pc], ready),)
+                elif opcode == _NOT_MATCH:
+                    if cc < length and data[cc] != operands[pc]:
+                        produced = ((pc + 1, ready),)
+                    else:
+                        counts[cc] -= 1
+                        total_alive -= 1
+                        threads_killed += 1
+                        produced = ()
+                elif opcode == _ACCEPT_PARTIAL or cc == length:  # acceptance
+                    if collect_matches:
+                        matched_ids.add(operands[pc])
+                        counts[cc] -= 1
+                        total_alive -= 1
+                        threads_killed += 1
+                        done = matched_ids >= all_ids
+                    else:
+                        matched_at = cc
+                    produced = ()
+                else:  # ACCEPT before the end of the chunk
+                    counts[cc] -= 1
+                    total_alive -= 1
+                    threads_killed += 1
+                    produced = ()
+
+                # ------------------------------------------------------
+                # Route each produced thread to a FIFO (or park it).
+                # ------------------------------------------------------
+                for new_pc, ready in produced:
+                    slot = cc % window
+                    home = homes[k]
+                    dest = home + slot
+                    # Cross-engine balancing.  Old organization: the
+                    # distributed balancer may offload any produced
+                    # thread to the ring neighbour.  New organization:
+                    # only the last core's advanced threads may (§4).
+                    if multi_engine and (
+                        not new_org or (advanced and k - home == window - 1)
+                    ):
+                        neighbour = (home + window) % num_fifos + slot
+                        if len(queues[neighbour]) < len(queues[dest]):
+                            dest = neighbour
+                            ready += transfer
+                            cross_engine_transfers += 1
+                    if cc >= window_base + window:
+                        parked[dest // window][cc].append((new_pc, ready, slot))
+                    else:
+                        pushes[dest](new_pc, cc, ready)
+                        server = dest >> server_shift
+                        if ready < wake[server]:
+                            wake[server] = ready
+
+                # The core can act again as soon as its next head is
+                # ready.  (Old organization: leave that to the next
+                # poll, which walks the window FIFOs anyway.)
+                if new_org:
+                    queue = queues[k]
+                    wake[k] = queue[0][2] if queue else _NEVER
+                else:
+                    wake[k] = cycle + 1
+
             if active_cores:
-                stats.active_cycles += 1
+                active_cycles += 1
             if profile is not None:
-                profile.record_cycle(
-                    active_cores,
-                    sum(
-                        len(fifo)
-                        for engine in engines
-                        for fifo in engine.fifos
-                    ),
-                )
+                profile.record_cycle(active_cores, sum(map(len, queues)))
 
             # Window sliding (possibly several positions per check when
             # the controller latency is zero).
@@ -466,41 +498,67 @@ class CiceroSystem:
                 and not done
                 and counts[window_base] == 0
             ):
-                if self._controller_latency == 0:
+                if controller_latency == 0:
                     pass  # slide immediately
                 elif slide_ready is None:
-                    slide_ready = cycle + self._controller_latency
+                    slide_ready = cycle + controller_latency
                     break
                 elif cycle < slide_ready:
                     break
                 slide_ready = None
                 counts.pop(window_base, None)
                 window_base += 1
-                stats.window_slides += 1
+                window_slides += 1
                 unblocked = window_base + window - 1
-                for engine in engines:
-                    parked = engine.parked.pop(unblocked, None)
-                    if parked:
-                        for pc, ready, slot in parked:
-                            engine.fifos[slot].push(
-                                pc, unblocked, max(ready, cycle)
-                            )
+                for engine_idx in range(num_engines):
+                    released = parked[engine_idx].pop(unblocked, None)
+                    if released:
+                        for pc, ready, slot in released:
+                            if ready < cycle:
+                                ready = cycle
+                            dest = engine_idx * window + slot
+                            pushes[dest](pc, unblocked, ready)
+                            server = dest >> server_shift
+                            if ready < wake[server]:
+                                wake[server] = ready
+
             cycle += 1
+            if not active_cores:
+                # Nothing retired, so nothing can until a core wakes or
+                # a pending slide falls due: go straight there.  The
+                # watchdog sees a drained-but-alive system (a dropped
+                # FIFO entry) at ``max_cycles + 1``, as it always did.
+                next_event = min(wake)
+                if slide_ready is not None and slide_ready < next_event:
+                    next_event = slide_ready
+                if next_event > max_cycles:
+                    next_event = max_cycles + 1
+                if next_event > cycle:
+                    if profile is not None:
+                        profile.record_cycle(
+                            0, sum(map(len, queues)), next_event - cycle
+                        )
+                    cycle = next_event
 
         # --------------------------------------------------------------
         # Statistics roll-up
         # --------------------------------------------------------------
-        stats.cycles = cycle
-        stats.memory_fills = port.fills
-        for engine in engines:
-            for core in engine.cores:
-                stats.cache_hits += core.cache.stats.hits
-                stats.cache_misses += core.cache.stats.misses
-            for fifo in engine.fifos:
-                if fifo.high_watermark > stats.fifo_high_watermark:
-                    stats.fifo_high_watermark = fifo.high_watermark
-        stats.cache_hits -= cache_hits_before
-        stats.cache_misses -= cache_misses_before
+        stats = SimulationStatistics(
+            cycles=cycle,
+            instructions=instructions,
+            cache_hits=sum(cache.stats.hits for cache in caches)
+            - cache_hits_before,
+            cache_misses=sum(cache.stats.misses for cache in caches)
+            - cache_misses_before,
+            memory_fills=port.fills,
+            threads_spawned=threads_spawned,
+            threads_killed=threads_killed,
+            cross_engine_transfers=cross_engine_transfers,
+            window_slides=window_slides,
+            peak_threads=peak_threads,
+            fifo_high_watermark=max(fifo.high_watermark for fifo in fifos),
+            active_cycles=active_cycles,
+        )
         if profile is not None:
             profile.runs += 1
             profile.cycles += cycle

@@ -11,6 +11,12 @@ The rewrite groups branches whose *first piece* is structurally equal
 group, and wraps the remainders in a fresh ``regex.sub_regex``.  Since
 the Cicero ISA has no capture groups or match priorities, regrouping
 branches preserves the recognized language.
+
+A branch that ends in ``$`` is never factored: the end anchor is only
+expressible at the end of a *top-level* branch (it lowers to the
+exact-end ``ACCEPT``), so moving ``gb$`` of ``ga|gb$`` into ``g(a|b$)``
+would turn a valid pattern into a lowering error.  Such a branch stays
+where it is and the rest of its group is factored without it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import List, Sequence
 
 from ....ir.operation import Operation
 from ....ir.rewriter import RewritePattern
-from ..ops import ConcatenationOp, PieceOp, RootOp, SubRegexOp
+from ..ops import ConcatenationOp, DollarOp, PieceOp, RootOp, SubRegexOp
 
 
 def _common_prefix_length(branches: Sequence[Operation]) -> int:
@@ -84,19 +90,15 @@ class FactorizeCommonPrefix(RewritePattern):
         if len(branches) < 2:
             return False
 
-        # Group branches by their first piece, preserving first-seen order.
+        # Group branches by their first piece, preserving first-seen
+        # order.  Empty and '$'-terminated branches join no group.
         groups: List[List[Operation]] = []
         for branch in branches:
-            if not branch.pieces:
-                groups.append([branch])
+            pieces = branch.pieces
+            if not pieces or isinstance(pieces[-1].atom, DollarOp):
                 continue
-            first_piece = branch.pieces[0]
             for group in groups:
-                anchor = group[0]
-                if (
-                    anchor.pieces
-                    and anchor.pieces[0].is_structurally_equal(first_piece)
-                ):
+                if group[0].pieces[0].is_structurally_equal(pieces[0]):
                     group.append(branch)
                     break
             else:

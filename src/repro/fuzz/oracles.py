@@ -127,7 +127,7 @@ class Disagreement:
     #: oracle name → verdict for input-level kinds; check name → detail
     #: for program-level kinds.
     verdicts: Dict[str, Verdict]
-    kind: str = "input"  # "input" | "equivalence" | "validation"
+    kind: str = "input"  # "input" | "equivalence" | "validation" | "compile"
     detail: str = ""
 
     def to_dict(self) -> Dict[str, object]:
@@ -236,6 +236,16 @@ def _constant(verdict: Verdict) -> Callable[[str], Verdict]:
     return lambda _text: verdict
 
 
+class OptimizedCompileRejected(Exception):
+    """The optimizing pipeline rejected a pattern the unoptimized one
+    compiles: a pass turned a valid pattern into a compile error.
+    ``error`` is the typed rejection."""
+
+    def __init__(self, error: ReproError):
+        super().__init__(str(error))
+        self.error = error
+
+
 class CompiledOracles:
     """All oracles for one pattern, compiled once, probed per input."""
 
@@ -286,6 +296,11 @@ class CompiledOracles:
         self._python_re_text = emit_python_re(root)
         self._body_text = emit_pattern(root)
 
+        program_noopt = program_from_regex_module(
+            pristine.clone(), pattern, CompileOptions.none()
+        )
+        self.program_noopt = program_noopt
+
         opt_module = pristine.clone()
         effective = self.options.effective()
         pipeline = PassManager(verify_each=False)
@@ -295,15 +310,16 @@ class CompiledOracles:
             enable_boundary_quantifier=effective.boundary_quantifier,
         ):
             pipeline.add(transform)
-        pipeline.run(opt_module)
-
-        program_opt = program_from_regex_module(
-            opt_module, pattern, self.options
-        )
-        program_noopt = program_from_regex_module(
-            pristine.clone(), pattern, CompileOptions.none()
-        )
-        self.program_noopt = program_noopt
+        try:
+            pipeline.run(opt_module)
+            program_opt = program_from_regex_module(
+                opt_module, pattern, self.options
+            )
+        except BudgetExceeded:
+            raise  # a capacity limit, not a verdict
+        except ReproError as error:
+            # The unoptimized compile above accepted the same module.
+            raise OptimizedCompileRejected(error) from error
 
         # -- optional planted corruption --------------------------------
         # ``fault`` may be a concrete InstructionFault or a *planter*
@@ -571,7 +587,9 @@ def run_case(
 
     Frontend rejections make an *agreeing* case (``error`` set): every
     oracle shares the frontend, so a structured rejection cannot be a
-    differential signal.  Budget trips skip the case the same way.
+    differential signal.  Budget trips skip the case the same way.  A
+    typed rejection by the *optimizing* pipeline alone — the unoptimized
+    compile accepts — is a ``compile`` disagreement.
     """
     result = CaseResult(pattern=pattern, oracles=tuple(oracles))
     try:
@@ -592,6 +610,22 @@ def run_case(
         return result
     except ReproError as error:
         result.error = error.code
+        return result
+    except OptimizedCompileRejected as rejection:
+        result.error = rejection.error.code
+        result.disagreements.append(
+            Disagreement(
+                pattern=pattern,
+                input=None,
+                verdicts={
+                    "opt": ("error", rejection.error.code),
+                    "noopt": ("ok", True),
+                },
+                kind="compile",
+                detail="optimized compile rejected a pattern the "
+                f"unoptimized compile accepts: {rejection.error}",
+            )
+        )
         return result
     result.skips.update(compiled.skips)
     result.disagreements.extend(compiled.structural)

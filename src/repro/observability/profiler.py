@@ -217,10 +217,16 @@ class SimProfile(ProgramProfile):
     def total_instructions(self) -> int:
         return self.total
 
-    def record_cycle(self, active_cores: int, fifo_depth: int) -> None:
-        """Account one simulated cycle (called from the system loop)."""
-        self.occupancy[active_cores] = self.occupancy.get(active_cores, 0) + 1
-        self.fifo_depth[fifo_depth] = self.fifo_depth.get(fifo_depth, 0) + 1
+    def record_cycle(
+        self, active_cores: int, fifo_depth: int, cycles: int = 1
+    ) -> None:
+        """Account ``cycles`` simulated cycles spent at one occupancy and
+        FIFO depth (called from the system loop: once per stepped cycle,
+        and once for each idle stretch it skips over)."""
+        self.occupancy[active_cores] = (
+            self.occupancy.get(active_cores, 0) + cycles
+        )
+        self.fifo_depth[fifo_depth] = self.fifo_depth.get(fifo_depth, 0) + cycles
 
     def cache_hit_rate(self) -> Optional[float]:
         hits = sum(self.cache_hits_by_pc)

@@ -68,6 +68,19 @@ class TestStatistics:
         assert second.stats.cache_misses <= first.stats.cache_misses
         assert second.stats.cache_misses >= 0
 
+    def test_fifo_high_watermark_is_per_run(self):
+        """A reused system reported the deepest FIFO over *all* chunks so
+        far: the per-chunk reset drained the FIFOs but kept their
+        watermark."""
+        program = compile_regex("(aa|ab|ba|bb)+x|[ab]{3,6}y").program
+        for config in (ArchConfig.new(16), ArchConfig.old(9)):
+            system = CiceroSystem(program, config)
+            busy = system.run("abba" * 40).stats.fifo_high_watermark
+            reused = system.run("").stats.fifo_high_watermark
+            fresh = CiceroSystem(program, config).run("").stats.fifo_high_watermark
+            assert fresh < busy
+            assert reused == fresh
+
     def test_window_slides_cover_input(self):
         result = simulate("ab", "z" * 40, ArchConfig.new(8))
         assert result.stats.window_slides >= 30

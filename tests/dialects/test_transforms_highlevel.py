@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+from repro.api import compile_pattern, match
 from repro.dialects.regex.emit_pattern import emit_pattern
 from repro.dialects.regex.from_ast import regex_to_module
 from repro.dialects.regex.transforms.pipeline import (
@@ -100,6 +101,22 @@ class TestFactorizeAlternations:
         # ab|abc: remainder of the first branch is epsilon.
         result = factorize("ab|abc")
         assert result == "ab(|c)"
+
+    def test_end_anchored_branch_stays_top_level(self):
+        # '$' is only expressible at the end of a top-level branch, so
+        # a branch ending in it joins no factored group; the rest of
+        # its group still factors.
+        assert factorize("ga|gb$") == "ga|gb$"
+        assert factorize("ab|ac$|d") == "ab|ac$|d"
+        assert factorize("ga|gb$|gc") == "g(a|c)|gb$"
+        assert factorize("gb$|ga|gc") == "gb$|g(a|c)"
+
+    @pytest.mark.parametrize("pattern", ["ga|gb$", "ab|ac$|d"])
+    def test_end_anchored_branch_compiles_and_matches(self, pattern):
+        # Raised LoweringError with default options before the fix.
+        compile_pattern(pattern)
+        for text in ("ga", "gb", "gbx", "xgb", "ac", "acx", "d"):
+            assert bool(match(pattern, text)) == bool(re.search(pattern, text)), text
 
     def test_semantics_preserved(self):
         pattern = "this|that|those|the|such"

@@ -13,7 +13,7 @@ from repro.fuzz import (
 )
 from repro.fuzz.oracles import _guarded
 from repro.frontend.parser import parse_regex
-from repro.ir.diagnostics import BudgetExceeded
+from repro.ir.diagnostics import BudgetExceeded, LoweringError
 from repro.runtime.budget import DEFAULT_BUDGET
 from repro.runtime.errors import InputEncodingError
 from repro.runtime.faults import InstructionFault
@@ -51,6 +51,41 @@ def test_budget_rejection_is_agreement_not_disagreement():
     )
     assert result.ok
     assert result.error == "REPRO-BUDGET-NESTING"
+
+
+def test_rejection_by_the_optimizer_alone_is_a_disagreement(monkeypatch):
+    """A typed, non-budget rejection that only the optimizing pipeline
+    raises means a pass broke a valid pattern (the ``ga|gb$``
+    factorization bug was waved through as ok=True,
+    error="REPRO-LOWERING")."""
+    from repro.fuzz import oracles
+
+    real = oracles.program_from_regex_module
+
+    def reject_when_optimizing(module, pattern, options):
+        if options.effective().factorize_alternations:
+            raise LoweringError("'$' is only supported at ...")
+        return real(module, pattern, options)
+
+    monkeypatch.setattr(
+        oracles, "program_from_regex_module", reject_when_optimizing
+    )
+    result = run_case("ga|gb", ["ga", "gb"])
+    assert not result.ok
+    assert result.error == "REPRO-LOWERING"
+    (disagreement,) = result.disagreements
+    assert disagreement.kind == "compile"
+    assert disagreement.verdicts == {
+        "opt": ("error", "REPRO-LOWERING"),
+        "noopt": ("ok", True),
+    }
+
+
+def test_rejection_by_both_pipelines_is_agreement():
+    # '$' inside a group is unsupported with or without optimization.
+    result = run_case("(a$|b)", ["a"])
+    assert result.ok
+    assert result.error == "REPRO-LOWERING"
 
 
 def test_dfa_blowup_is_a_skip():
