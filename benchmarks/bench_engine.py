@@ -36,7 +36,7 @@ so future PRs have a perf trajectory:
   (hard gate: ``STREAMING_FLOOR``, streaming keeps ≥ 0.8x of one-shot
   throughput).
 * **service-throughput** — ``/match`` requests through the full
-  ``repro serve`` HTTP stack (admission gate, dispatch, executor hop)
+  ``repro serve`` HTTP stack (admission gate, dispatch, JSON)
   vs calling the same warmed engine directly; the ratio tracks what
   the service wrapper costs per request.
 * **tuned-vs-default** — the shipped fingerprint-keyed tuned profiles
@@ -474,7 +474,8 @@ def bench_service_throughput(requests: int, concurrency: int = 4) -> Dict:
     ``concurrency`` keep-alive connections each pumping sequential
     requests; the same (pattern, text) then runs through a warmed
     engine without the service wrapper.  The ratio is the per-request
-    price of HTTP parsing, admission control, and the executor hop.
+    price of HTTP parsing, admission control and JSON (the match itself
+    runs on the event loop: resident pattern, short text).
     """
     import asyncio
 

@@ -227,6 +227,19 @@ class Engine:
             key, lambda: self._build_entry(pattern, backend)
         )
 
+    def is_cached(self, pattern: str, backend: Optional[str] = None) -> bool:
+        """Whether ``pattern``'s entry is resident right now.
+
+        A read-only probe (no LRU touch, no hit/miss count) under the
+        cache lock, keyed exactly like :meth:`_entry`.  Another thread
+        may evict the entry before the caller acts on the answer; a
+        caller that then matches simply compiles, as on any miss.
+        """
+        backend = backend if backend is not None else self.backend
+        return (
+            pattern, backend, self._options_key, self._budget_key
+        ) in self._cache
+
     def _build_entry(self, pattern: str, backend: str) -> "_CacheEntry":
         options = self.options
         if options.budget is None:

@@ -8,10 +8,16 @@ Life of a request::
          draining?        → 503 ServiceDrainingError
          inflight full?   → 429 + Retry-After, ServiceOverloadError
          admitted         → handler under the per-request deadline
-                            (Budget.max_wall_seconds), CPU-bound work
-                            on the executor, parallel scans behind the
-                            PR 4 supervisor → exactly one JSON verdict
+                            (Budget.max_wall_seconds); a short
+                            ``/match`` on a resident pattern runs on
+                            the event loop, everything that can take
+                            milliseconds (compile, long texts, scans
+                            behind the PR 4 supervisor, stream feeds)
+                            on the executor → exactly one JSON verdict
                             or one typed REPRO-* error
+      reply               → written once; the connection carries a
+                            next request only if this one's body is
+                            out of the stream
 
 Drain (SIGTERM): stop accepting, flip ``/readyz`` to 503, give
 in-flight work ``drain_seconds`` to settle, cancel the rest (each
@@ -23,6 +29,9 @@ Every admitted or shed request increments
 ``repro_service_requests_total{endpoint,status}`` exactly once, at the
 single point where its response bytes are written — the invariant the
 chaos suite reconciles against.
+
+No step of this path creates a Task, and each phase (idle wait, head,
+body read, handler) runs under one deadline (``http.within``).
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import signal
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Set, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Set, Tuple
 
 from ..compiler import CompileOptions
 from ..engine import Engine
@@ -53,12 +62,33 @@ from .http import (
     Request,
     read_request,
     render_response,
+    within,
 )
 from .tenants import TenantRegistry
 
 #: Endpoints exempt from admission control — probes and scrapers must
 #: keep answering while the service sheds matching work.
 EXEMPT_PATHS = ("/healthz", "/readyz", "/metrics")
+WORK_PATHS = ("/compile", "/match", "/scan", "/stream")
+#: The values the ``endpoint`` metric label takes besides ``"other"``
+#: (any other path) and ``"protocol"`` (no request could be parsed).
+ROUTES = frozenset(EXEMPT_PATHS + WORK_PATHS)
+
+#: A ``/match`` whose pattern is resident in the cache and whose text
+#: is at most this long is answered on the event loop.  Over the first
+#: 40 REs of each of the four suites such a match, once its lazy DFA has
+#: seen the text, takes 0.058 ms median and 0.114 ms at worst — less
+#: than the executor round trip (≈ 0.2 ms) it replaces.  It is bounded
+#: (text length × program size, ``Budget.max_vm_steps``), not
+#: pre-emptible; docs/service.md, *What runs where*, has the cold-DFA
+#: figures.  Longer texts and cold patterns (a compile is milliseconds)
+#: go to the executor.
+INLINE_MATCH_BYTES = 1024
+
+#: The most unread request body the connection loop reads and drops to
+#: keep a connection alive past a reply that did not need the body (a
+#: shed 429, a typed error); a longer one gets ``Connection: close``.
+DISCARD_BODY_BYTES = 64 * 1024
 
 _STATUS_BY_CODE = {
     "REPRO-SERVICE-OVERLOAD": 429,
@@ -70,6 +100,35 @@ _STATUS_BY_CODE = {
 
 def _status_for(error: ReproError) -> int:
     return _STATUS_BY_CODE.get(error.code, 422)
+
+
+class _Reply(NamedTuple):
+    """What a handler settled on; the connection loop writes it."""
+
+    status: int
+    body: bytes
+    keep_alive: bool = True
+    content_type: str = "application/json"
+    extra_headers: Tuple[Tuple[str, str], ...] = ()
+
+
+def _http_error(error: HttpProtocolError) -> _Reply:
+    body = json.dumps(
+        {"error": {"code": "HTTP", "message": error.detail}}
+    ).encode()
+    return _Reply(error.status, body, keep_alive=False)
+
+
+def _typed_error(
+    error: ReproError,
+    *,
+    keep_alive: bool = True,
+    extra_headers: Tuple[Tuple[str, str], ...] = (),
+) -> _Reply:
+    body = json.dumps({"error": error.to_dict()}, sort_keys=True).encode()
+    return _Reply(
+        _status_for(error), body, keep_alive, extra_headers=extra_headers
+    )
 
 
 class MatchService:
@@ -110,12 +169,11 @@ class MatchService:
         self._drained = asyncio.Event()
         self._connections: Set[asyncio.Task] = set()
         self._request_tasks: Set[asyncio.Task] = set()
-        # Pre-resolved instruments (the engine does the same).
-        self._requests_total = lambda endpoint, status: metrics.counter(
-            "repro_service_requests_total",
-            labels={"endpoint": endpoint, "status": str(status)},
-            help_text="service responses by endpoint and HTTP status",
-        )
+        # Instruments are resolved once (the engine does the same); the
+        # per-(endpoint, status) response counters on first use — the
+        # label set is bounded: nine endpoint values, the statuses of
+        # http.STATUS_PHRASES.
+        self._request_counters: Dict[Tuple[str, int], Any] = {}
         self._shed_total = metrics.counter(
             "repro_service_shed_total",
             help_text="requests shed 429 at the admission gate",
@@ -165,8 +223,8 @@ class MatchService:
         else:
             self._drained.clear()
             try:
-                await asyncio.wait_for(
-                    self._drained.wait(), self.config.drain_seconds
+                await within(
+                    self.config.drain_seconds, self._drained.wait()
                 )
             except asyncio.TimeoutError:
                 # Deadline: cancel stragglers; each writes its typed
@@ -237,24 +295,36 @@ class MatchService:
                     max_body_bytes=config.max_body_bytes,
                 )
             except HttpProtocolError as error:
-                self._write(
-                    writer,
-                    "protocol",
-                    error.status,
-                    json.dumps({"error": {"code": "HTTP", "message":
-                                          error.detail}}).encode(),
-                    keep_alive=False,
-                )
+                self._write(writer, "protocol", _http_error(error), False)
                 await writer.drain()
                 return
             if request is None:
                 return
-            keep_alive = await self._dispatch(request, writer)
+            reply = await self._dispatch(request, writer)
+            # One rule for every reply: the connection carries a next
+            # request only if this one's body is out of the stream —
+            # read already, or short enough to read and drop below.
+            unread = request.unread_body()
+            keep_alive = (
+                reply.keep_alive
+                and request.keep_alive
+                and not self._draining
+                and unread is not None
+                and unread <= DISCARD_BODY_BYTES
+            )
+            self._write(
+                writer,
+                request.path if request.path in ROUTES else "other",
+                reply,
+                keep_alive,
+            )
             try:
                 await writer.drain()
             except ConnectionError:
                 return
-            if not keep_alive:
+            if not keep_alive or (
+                unread and not await request.discard_body()
+            ):
                 return
 
     # ------------------------------------------------------------------
@@ -264,82 +334,63 @@ class MatchService:
         self,
         writer: asyncio.StreamWriter,
         endpoint: str,
-        status: int,
-        body: bytes,
-        *,
-        keep_alive: bool = True,
-        content_type: str = "application/json",
-        extra_headers: Tuple[Tuple[str, str], ...] = (),
+        reply: _Reply,
+        keep_alive: bool,
     ) -> None:
         """The single response-writing point: one call, one count."""
-        self._requests_total(endpoint, status).inc()
+        key = (endpoint, reply.status)
+        counter = self._request_counters.get(key)
+        if counter is None:
+            counter = self._request_counters[key] = self.metrics.counter(
+                "repro_service_requests_total",
+                labels={"endpoint": endpoint, "status": str(reply.status)},
+                help_text="service responses by endpoint and HTTP status",
+            )
+        counter.inc()
         try:
             writer.write(
                 render_response(
-                    status,
-                    body,
-                    content_type=content_type,
-                    extra_headers=extra_headers,
+                    reply.status,
+                    reply.body,
+                    content_type=reply.content_type,
+                    extra_headers=reply.extra_headers,
                     keep_alive=keep_alive,
                 )
             )
         except ConnectionError:
             pass
 
-    def _error_body(self, error: ReproError) -> bytes:
-        return json.dumps({"error": error.to_dict()},
-                          sort_keys=True).encode()
-
     async def _dispatch(
         self, request: Request, writer: asyncio.StreamWriter
-    ) -> bool:
+    ) -> _Reply:
         endpoint = request.path
-        keep_alive = request.keep_alive and not self._draining
-
         if endpoint in EXEMPT_PATHS:
             if request.method != "GET":
-                self._write(writer, endpoint, 405,
-                            b'{"error": {"message": "GET only"}}',
-                            keep_alive=keep_alive)
-                return keep_alive
-            await request.drain_body()
-            self._handle_exempt(request, writer, endpoint, keep_alive)
-            return keep_alive
-
-        if endpoint not in ("/compile", "/match", "/scan", "/stream"):
-            await request.drain_body()
-            self._write(writer, endpoint, 404,
-                        b'{"error": {"message": "unknown endpoint"}}',
-                        keep_alive=keep_alive)
-            return keep_alive
+                return _Reply(405, b'{"error": {"message": "GET only"}}')
+            return self._handle_exempt(endpoint)
+        if endpoint not in WORK_PATHS:
+            return _Reply(404, b'{"error": {"message": "unknown endpoint"}}')
         if request.method != "POST":
-            await request.drain_body()
-            self._write(writer, endpoint, 405,
-                        b'{"error": {"message": "POST only"}}',
-                        keep_alive=keep_alive)
-            return keep_alive
+            return _Reply(405, b'{"error": {"message": "POST only"}}')
 
         # --- admission gate -------------------------------------------
         if self._draining:
-            error = ServiceDrainingError("rejected at admission")
-            self._write(writer, endpoint, 503, self._error_body(error),
-                        keep_alive=False)
-            return False
-        if self._inflight >= self.config.max_inflight:
-            error = ServiceOverloadError(
-                self._inflight,
-                self.config.max_inflight,
-                self.config.retry_after,
+            return _typed_error(
+                ServiceDrainingError("rejected at admission"),
+                keep_alive=False,
             )
+        if self._inflight >= self.config.max_inflight:
             self._shed_total.inc()
-            self._write(
-                writer, endpoint, 429, self._error_body(error),
-                keep_alive=keep_alive,
+            return _typed_error(
+                ServiceOverloadError(
+                    self._inflight,
+                    self.config.max_inflight,
+                    self.config.retry_after,
+                ),
                 extra_headers=(
                     ("Retry-After", f"{self.config.retry_after:g}"),
                 ),
             )
-            return keep_alive
 
         self._inflight += 1
         self._inflight_gauge.set(self._inflight)
@@ -347,8 +398,7 @@ class MatchService:
         if task is not None:
             self._request_tasks.add(task)
         try:
-            return await self._run_admitted(request, writer, endpoint,
-                                            keep_alive)
+            return await self._run_admitted(request, writer, endpoint)
         finally:
             if task is not None:
                 self._request_tasks.discard(task)
@@ -362,8 +412,7 @@ class MatchService:
         request: Request,
         writer: asyncio.StreamWriter,
         endpoint: str,
-        keep_alive: bool,
-    ) -> bool:
+    ) -> _Reply:
         deadline = self.config.effective_request_seconds()
         requested = request.headers.get("x-repro-deadline")
         if requested is not None:
@@ -373,72 +422,58 @@ class MatchService:
                 pass
         started = time.monotonic()
         try:
-            status, body = await asyncio.wait_for(
-                self._route(request, endpoint), deadline
+            status, body = await within(
+                deadline, self._route(request, endpoint)
             )
         except asyncio.TimeoutError:
-            error = RequestDeadlineError(
-                endpoint, time.monotonic() - started, deadline
+            return _typed_error(
+                RequestDeadlineError(
+                    endpoint, time.monotonic() - started, deadline
+                ),
+                keep_alive=False,
             )
-            self._write(writer, endpoint, 504, self._error_body(error),
-                        keep_alive=False)
-            return False
         except asyncio.CancelledError:
             # Drain-deadline cancellation: settle with a typed error
-            # before the connection closes — never a silent drop.
-            error = ServiceDrainingError("cancelled at drain deadline")
-            self._write(writer, endpoint, 503, self._error_body(error),
-                        keep_alive=False)
+            # before the connection closes — never a silent drop.  The
+            # cancellation goes on up, so the reply is written here.
+            reply = _typed_error(
+                ServiceDrainingError("cancelled at drain deadline"),
+                keep_alive=False,
+            )
+            self._write(writer, endpoint, reply, False)
             try:
                 await writer.drain()
             except (ConnectionError, asyncio.CancelledError):
                 pass
             raise
         except HttpProtocolError as error:
-            self._write(
-                writer, endpoint, error.status,
-                json.dumps({"error": {"code": "HTTP",
-                                      "message": error.detail}}).encode(),
-                keep_alive=False,
-            )
-            return False
+            return _http_error(error)
         except ReproError as error:
-            self._write(writer, endpoint, _status_for(error),
-                        self._error_body(error), keep_alive=keep_alive)
-            return keep_alive
+            return _typed_error(error)
         except Exception as error:  # defensive: never a hung client
             print(f"handler error on {endpoint}: {error!r}", file=self._log)
             body = json.dumps(
                 {"error": {"code": "REPRO-INTERNAL",
                            "message": repr(error)}}
             ).encode()
-            self._write(writer, endpoint, 500, body, keep_alive=False)
-            return False
-        self._write(writer, endpoint, status, body, keep_alive=keep_alive)
-        return keep_alive
+            return _Reply(500, body, keep_alive=False)
+        return _Reply(status, body)
 
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-    def _handle_exempt(
-        self,
-        request: Request,
-        writer: asyncio.StreamWriter,
-        endpoint: str,
-        keep_alive: bool,
-    ) -> None:
+    def _handle_exempt(self, endpoint: str) -> _Reply:
         if endpoint == "/metrics":
-            text = self.metrics.render_prometheus()
-            self._write(writer, endpoint, 200, text.encode(),
-                        content_type="text/plain; version=0.0.4",
-                        keep_alive=keep_alive)
-            return
+            return _Reply(
+                200,
+                self.metrics.render_prometheus().encode(),
+                content_type="text/plain; version=0.0.4",
+            )
         if endpoint == "/readyz":
-            status = 503 if self._draining else 200
-            body = json.dumps({"ready": not self._draining}).encode()
-            self._write(writer, endpoint, status, body,
-                        keep_alive=keep_alive)
-            return
+            return _Reply(
+                503 if self._draining else 200,
+                json.dumps({"ready": not self._draining}).encode(),
+            )
         stats = self.engine.cache_stats()
         body = json.dumps(
             {
@@ -455,7 +490,7 @@ class MatchService:
             },
             sort_keys=True,
         ).encode()
-        self._write(writer, endpoint, 200, body, keep_alive=keep_alive)
+        return _Reply(200, body)
 
     async def _json_body(self, request: Request) -> dict:
         raw = await request.body()
@@ -532,7 +567,11 @@ class MatchService:
         text = payload.get("text")
         if not isinstance(text, str):
             raise HttpProtocolError(422, "'text' (string) is required")
-        matched = await self._in_executor(self.engine.match, pattern, text)
+        engine = self.engine
+        if len(text) <= INLINE_MATCH_BYTES and engine.is_cached(pattern):
+            matched = engine.match(pattern, text)
+        else:
+            matched = await self._in_executor(engine.match, pattern, text)
         return 200, json.dumps({"matched": bool(matched)}).encode()
 
     async def _handle_scan(self, payload: dict) -> Tuple[int, bytes]:

@@ -2,19 +2,22 @@
 
 The service speaks just enough HTTP for its JSON endpoints and the
 chunk-at-a-time ``/stream`` body: request line + headers bounded in
-size and read under a slow-loris deadline, bodies by ``Content-Length``
-or ``chunked`` transfer coding, keep-alive by default.  This is *not*
-a general server — it is the narrow, testable waist the chaos suite
-beats on (oversized heads, trickled bytes, half-closed sockets all
-settle with one well-formed response or a clean close, never a hang).
+size and read under one slow-loris deadline for the whole head, bodies
+by ``Content-Length`` or ``chunked`` transfer coding, keep-alive by
+default.  This is *not* a general server — it is the narrow, testable
+waist the chaos suite beats on (oversized heads, trickled bytes,
+half-closed sockets all settle with one well-formed response or a clean
+close, never a hang).
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import AsyncIterator, Dict, Optional, Tuple
+from typing import AsyncIterator, Awaitable, Dict, Optional, Tuple, TypeVar
 from urllib.parse import parse_qsl, urlsplit
+
+T = TypeVar("T")
 
 #: Bound on the request head (request line + headers).  Oversized heads
 #: are a classic memory-DoS vector; 16 KiB fits every legitimate client.
@@ -33,6 +36,37 @@ STATUS_PHRASES = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+
+_STATUS_LINES = {
+    status: f"HTTP/1.1 {status} {phrase}\r\n".encode("latin-1")
+    for status, phrase in STATUS_PHRASES.items()
+}
+_JSON_TYPE = b"Content-Type: application/json\r\nContent-Length: "
+_KEEP_ALIVE = b"\r\nConnection: keep-alive\r\n"
+_CLOSE = b"\r\nConnection: close\r\n"
+
+
+if hasattr(asyncio, "timeout"):
+
+    async def within(seconds: Optional[float], awaitable: Awaitable[T]) -> T:
+        """``await awaitable``, or ``asyncio.TimeoutError`` after ``seconds``.
+
+        The deadline is a timer on the calling task — no Task is
+        created — and :func:`asyncio.timeout` keeps its own expiry
+        apart from a cancellation that arrives from outside (the drain
+        path cancels request tasks): the first surfaces as
+        ``TimeoutError``, the second stays ``CancelledError``.
+        """
+        if seconds is None:
+            return await awaitable
+        async with asyncio.timeout(seconds):
+            return await awaitable
+
+else:  # Python < 3.11 has no asyncio.timeout; wait_for wraps a Task.
+
+    async def within(seconds: Optional[float], awaitable: Awaitable[T]) -> T:
+        return await asyncio.wait_for(awaitable, seconds)
 
 
 class HttpProtocolError(Exception):
@@ -56,7 +90,8 @@ class Request:
     body_timeout: Optional[float] = None
     max_body_bytes: int = 64 * 1024 * 1024
     _body: Optional[bytes] = field(default=None, repr=False)
-    _consumed: bool = field(default=False, repr=False)
+    _started: bool = field(default=False, repr=False)
+    _done: bool = field(default=False, repr=False)
 
     @property
     def keep_alive(self) -> bool:
@@ -84,8 +119,8 @@ class Request:
 
     async def _read_exactly(self, count: int) -> bytes:
         try:
-            return await asyncio.wait_for(
-                self.reader.readexactly(count), self.body_timeout
+            return await within(
+                self.body_timeout, self.reader.readexactly(count)
             )
         except asyncio.IncompleteReadError:
             raise HttpProtocolError(400, "connection closed mid-body")
@@ -94,9 +129,7 @@ class Request:
 
     async def _read_line(self) -> bytes:
         try:
-            line = await asyncio.wait_for(
-                self.reader.readline(), self.body_timeout
-            )
+            line = await within(self.body_timeout, self.reader.readline())
         except asyncio.TimeoutError:
             raise HttpProtocolError(408, "timed out reading request body")
         if not line.endswith(b"\n"):
@@ -113,7 +146,7 @@ class Request:
         are yielded as read, so a matcher downstream sees data with
         exactly the chunk boundaries the network produced.
         """
-        self._consumed = True
+        self._started = True
         total = 0
         if self.chunked:
             while True:
@@ -126,6 +159,7 @@ class Request:
                     raise HttpProtocolError(400, "bad chunk size")
                 if size == 0:
                     await self._read_line()  # trailing CRLF (no trailers)
+                    self._done = True
                     return
                 total += size
                 if total > self.max_body_bytes:
@@ -141,6 +175,7 @@ class Request:
             return
         length = self.content_length()
         if length is None or length == 0:
+            self._done = True
             return
         if length > self.max_body_bytes:
             raise HttpProtocolError(413, "request body too large")
@@ -149,6 +184,7 @@ class Request:
             piece = await self._read_exactly(min(remaining, chunk_bytes))
             remaining -= len(piece)
             yield piece
+        self._done = True
 
     async def body(self) -> bytes:
         """The whole body (cached; JSON endpoints use this)."""
@@ -159,12 +195,55 @@ class Request:
             self._body = b"".join(parts)
         return self._body
 
-    async def drain_body(self) -> None:
-        """Consume an unread body so keep-alive framing stays aligned."""
-        if self._consumed:
-            return
-        async for _ in self.iter_body():
-            pass
+    def unread_body(self) -> Optional[int]:
+        """Body bytes a reply written now would leave in the stream.
+
+        ``0`` once the body was read to its end (or none was declared),
+        the declared length before any read, ``None`` when the count
+        cannot be known: ``chunked`` coding, a body abandoned part-way,
+        a malformed ``Content-Length``.
+        """
+        if self._done:
+            return 0
+        if self._started or self.chunked:
+            return None
+        try:
+            return self.content_length() or 0
+        except HttpProtocolError:
+            return None
+
+    async def discard_body(self) -> bool:
+        """Read an unread body and drop it; ``False`` when the client
+        stalled, hung up or overran ``max_body_bytes`` first — the
+        stream is then not at a request boundary."""
+        try:
+            async for _ in self.iter_body():
+                pass
+        except HttpProtocolError:
+            return False
+        return True
+
+
+async def _read_headers(
+    reader: asyncio.StreamReader, head_bytes: int
+) -> Dict[str, str]:
+    """Header lines up to the blank line; ``head_bytes`` counts the
+    request line already read against :data:`MAX_HEAD_BYTES`."""
+    headers: Dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if not line.endswith(b"\n"):
+            raise HttpProtocolError(400, "connection closed mid-head")
+        head_bytes += len(line)
+        if head_bytes > MAX_HEAD_BYTES:
+            raise HttpProtocolError(400, "request head too large")
+        if line in (b"\r\n", b"\n"):
+            return headers
+        try:
+            name, value = line.decode("latin-1").split(":", 1)
+        except ValueError:
+            raise HttpProtocolError(400, f"bad header line {line!r}")
+        headers[name.strip().lower()] = value.strip()
 
 
 async def read_request(
@@ -177,13 +256,13 @@ async def read_request(
 ) -> Optional[Request]:
     """Parse one request head; ``None`` on clean connection close.
 
-    ``idle_timeout`` bounds the wait for the *first* byte (keep-alive
-    idling); ``head_timeout`` bounds the read of the rest of the head
-    — a slow-loris client trickling header bytes gets a 408, not a
-    held socket.
+    ``idle_timeout`` bounds the wait for the request line (keep-alive
+    idling); ``head_timeout`` bounds the read of the *whole* rest of
+    the head, however many lines it is cut into — a slow-loris client
+    trickling header bytes gets a 408, not a held socket.
     """
     try:
-        first = await asyncio.wait_for(reader.readline(), idle_timeout)
+        first = await within(idle_timeout, reader.readline())
     except asyncio.TimeoutError:
         return None  # idle keep-alive connection: just close it
     if not first:
@@ -193,15 +272,6 @@ async def read_request(
             raise HttpProtocolError(400, "request line too long")
         return None  # closed mid-line
 
-    async def _head_line() -> bytes:
-        try:
-            line = await asyncio.wait_for(reader.readline(), head_timeout)
-        except asyncio.TimeoutError:
-            raise HttpProtocolError(408, "timed out reading request head")
-        if not line.endswith(b"\n"):
-            raise HttpProtocolError(400, "connection closed mid-head")
-        return line
-
     try:
         method, target, version = first.decode("latin-1").split()
     except ValueError:
@@ -209,23 +279,19 @@ async def read_request(
     if not version.startswith("HTTP/1."):
         raise HttpProtocolError(400, f"unsupported version {version!r}")
 
-    headers: Dict[str, str] = {}
-    head_bytes = len(first)
-    while True:
-        line = await _head_line()
-        head_bytes += len(line)
-        if head_bytes > MAX_HEAD_BYTES:
-            raise HttpProtocolError(400, "request head too large")
-        if line in (b"\r\n", b"\n"):
-            break
-        try:
-            name, value = line.decode("latin-1").split(":", 1)
-        except ValueError:
-            raise HttpProtocolError(400, f"bad header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+    try:
+        headers = await within(
+            head_timeout, _read_headers(reader, len(first))
+        )
+    except asyncio.TimeoutError:
+        raise HttpProtocolError(408, "timed out reading request head")
 
     parts = urlsplit(target)
-    query = dict(parse_qsl(parts.query, keep_blank_values=True))
+    query = (
+        dict(parse_qsl(parts.query, keep_blank_values=True))
+        if parts.query
+        else {}
+    )
     return Request(
         method=method.upper(),
         path=parts.path,
@@ -245,17 +311,22 @@ def render_response(
     extra_headers: Tuple[Tuple[str, str], ...] = (),
     keep_alive: bool = True,
 ) -> bytes:
-    phrase = STATUS_PHRASES.get(status, "Unknown")
-    lines = [
-        f"HTTP/1.1 {status} {phrase}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
+    parts = [
+        _STATUS_LINES.get(status)
+        or f"HTTP/1.1 {status} Unknown\r\n".encode("latin-1"),
+        _JSON_TYPE
+        if content_type == "application/json"
+        else f"Content-Type: {content_type}\r\nContent-Length: ".encode(
+            "latin-1"
+        ),
+        b"%d" % len(body),
+        _KEEP_ALIVE if keep_alive else _CLOSE,
     ]
     for name, value in extra_headers:
-        lines.append(f"{name}: {value}")
-    head = "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
-    return head + body
+        parts.append(f"{name}: {value}\r\n".encode("latin-1"))
+    parts.append(b"\r\n")
+    parts.append(body)
+    return b"".join(parts)
 
 
 __all__ = [
@@ -264,4 +335,5 @@ __all__ = [
     "Request",
     "read_request",
     "render_response",
+    "within",
 ]

@@ -66,6 +66,47 @@ def test_slow_loris_head_gets_408_not_a_held_socket():
     run(scenario())
 
 
+def test_slow_loris_trickled_head_is_bounded_as_a_whole():
+    async def scenario():
+        service = MatchService(ServiceConfig(port=0, header_seconds=0.3))
+        await service.start()
+        try:
+            conn = await RawConnection(service.host, service.port).open()
+            await conn.send(b"POST /match HTTP/1.1\r\n")
+            started = time.monotonic()
+
+            async def trickle():
+                # Each line arrives well inside header_seconds (and none
+                # at the instant it expires); the head never completes.
+                for index in range(40):
+                    await asyncio.sleep(0.12)
+                    await conn.send(f"X-Pad-{index}: x\r\n".encode())
+
+            trickler = asyncio.ensure_future(trickle())
+            try:
+                response = await conn.read_response(timeout=3.0)
+                elapsed = time.monotonic() - started
+                assert response is not None and response[0] == 408
+                assert elapsed < 1.5
+                # ...and the connection is closed: end of stream, or a
+                # reset if a trickled line crossed the close.
+                try:
+                    assert await conn.reader.read(64) == b""
+                except ConnectionResetError:
+                    pass
+            finally:
+                trickler.cancel()
+                try:
+                    await trickler
+                except (asyncio.CancelledError, ConnectionError):
+                    pass
+            await conn.close()
+        finally:
+            await service.drain("test")
+
+    run(scenario())
+
+
 def test_slow_loris_body_gets_408_and_releases_the_slot():
     async def scenario():
         service = MatchService(

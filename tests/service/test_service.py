@@ -340,3 +340,103 @@ def test_tenant_namespace_limit_is_typed():
             await service.drain("test")
 
     run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Keep-alive framing: a reply written before the body was read must not
+# leave that body to be parsed as the next request.
+# ----------------------------------------------------------------------
+def test_shed_429_keeps_the_connection_usable_for_the_retry():
+    async def scenario():
+        service = await started(max_inflight=1, retry_after=0.25)
+        try:
+            host, port = service.host, service.port
+            held = await HeldStream(host, port).start()
+            await wait_for(lambda: service.inflight == 1)
+            conn = await RawConnection(host, port).open()
+            payload = json.dumps({"pattern": "ab+c", "text": "zabbbc"}).encode()
+
+            status, headers, _ = await conn.request("POST", "/match", payload)
+            assert status == 429
+            assert headers["connection"] == "keep-alive"
+            assert (await held.release())[0] == 200
+            await wait_for(lambda: service.inflight == 0)
+
+            # The retry that Retry-After invites, on the same connection.
+            status, _, body = await conn.request("POST", "/match", payload)
+            assert (status, json.loads(body)) == (200, {"matched": True})
+            await conn.close()
+        finally:
+            await service.drain("test")
+
+    run(scenario())
+
+
+def test_typed_stream_errors_keep_the_connection_aligned():
+    async def scenario():
+        service = await started()
+        try:
+            conn = await RawConnection(service.host, service.port).open()
+            good = json.dumps({"pattern": "ab+c", "text": "zabbbc"}).encode()
+            for headers, expected in (
+                ([("X-Repro-Name", "ghost")], 404),   # unknown name
+                ([("X-Repro-Pattern", "a(((")], 422),  # does not compile
+            ):
+                status, reply_headers, _ = await conn.request(
+                    "POST", "/stream", b"abcdefgh", headers=headers)
+                assert status == expected
+                assert reply_headers["connection"] == "keep-alive"
+                status, _, body = await conn.request("POST", "/match", good)
+                assert (status, json.loads(body)) == (200, {"matched": True})
+            await conn.close()
+        finally:
+            await service.drain("test")
+
+    run(scenario())
+
+
+def test_reply_before_a_long_body_closes_instead_of_reading_it():
+    async def scenario():
+        service = await started(max_inflight=1)
+        try:
+            host, port = service.host, service.port
+            held = await HeldStream(host, port).start()
+            await wait_for(lambda: service.inflight == 1)
+            conn = await RawConnection(host, port).open()
+            # 1 MB declared, none sent: shedding must not wait for it.
+            await conn.send_head("POST", "/match", content_length=1 << 20)
+            status, headers, _ = await conn.read_response(timeout=5.0)
+            assert status == 429
+            assert headers["connection"] == "close"
+            assert await conn.reader.read(64) == b""
+            await conn.close()
+            await held.release()
+        finally:
+            await service.drain("test")
+
+    run(scenario())
+
+
+def test_unknown_paths_share_one_metric_series():
+    async def scenario():
+        service = await started()
+        try:
+            host, port = service.host, service.port
+            conn = await RawConnection(host, port).open()
+            for index in range(100):
+                status, _, _ = await conn.request("GET", f"/probe-{index}")
+                assert status == 404
+            await conn.close()
+            _, _, body = await fetch(host, port, "GET", "/metrics")
+            assert b"probe" not in body
+            samples = parse_metrics(body.decode())
+            series = [name for name in samples
+                      if name.startswith("repro_service_requests_total")]
+            assert series == [
+                'repro_service_requests_total'
+                '{endpoint="other",status="404"}']
+            assert samples[series[0]] == 100.0
+        finally:
+            await service.drain("test")
+
+    run(scenario())
