@@ -199,8 +199,8 @@ class Engine:
         self._instruments = _EngineInstruments.create(self.metrics)
         # Opt-in: parallel workers record VM/simulator counters locally
         # and ship per-shard deltas home; ``_scan`` folds them into this
-        # registry.  Off by default so worker hot loops stay on their
-        # uninstrumented copies (the gated bench ceiling).
+        # registry.  Off by default so worker VM runs attach no observer
+        # (the gated bench ceiling).
         self.collect_worker_metrics = bool(
             collect_worker_metrics and self.metrics.enabled
         )

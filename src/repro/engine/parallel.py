@@ -80,8 +80,8 @@ class WorkerPayload:
     #: Ask supervised workers to record VM/simulator counters into a
     #: worker-local registry and ship per-shard deltas back with each
     #: :class:`~repro.engine.supervisor.ShardOutcome` (the engine merges
-    #: them into the parent registry).  Off by default: worker hot loops
-    #: stay on their uninstrumented copies.
+    #: them into the parent registry).  Off by default: worker VM runs
+    #: attach no observer.
     collect_vm_metrics: bool = False
     #: Prefilter mode for rebuilt ``cicero`` matchers (``off`` /
     #: ``literal`` / ``auto``).  The compile-time analysis itself rides

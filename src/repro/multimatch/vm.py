@@ -9,12 +9,13 @@ stops early once all identifiers have been seen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Set, Union
 
 from ..isa.instructions import Opcode
 from ..runtime.encoding import as_input_bytes
 from ..runtime.errors import VMStepBudgetError
+from ..vm.kernel import DispatchTables, run_once
 from .compiler import MultiProgram
 
 
@@ -39,50 +40,30 @@ class MultiMatchResult:
 class MultiMatchVM:
     """Breadth-first executor collecting every matching identifier.
 
-    Mirrors :class:`~repro.vm.thompson.ThompsonVM`'s two paths: the
-    default :meth:`run` dispatches over precomputed ε-closure successor
-    tables (``SPLIT``/``JMP`` chains folded away at program load) while
+    The default :meth:`run` is the shared matching kernel
+    (:class:`~repro.vm.kernel.Enumeration`) in collecting mode — the
+    same loop :class:`~repro.vm.thompson.ThompsonVM` runs, with the set
+    of target ids as its only extra parameter — while
     :meth:`run_reference` keeps the original interpreter as the golden
     model the fast path is property-tested against.
     """
 
     def __init__(self, multi_program: MultiProgram):
         self.multi_program = multi_program
-        program = multi_program.program
-        self._opcodes = [int(instruction.opcode) for instruction in program]
-        self._operands = [instruction.operand for instruction in program]
+        self.tables = DispatchTables(multi_program.program)
         self._all_ids = frozenset(multi_program.patterns)
-        self._build_dispatch_tables()
 
-    def _closure_of(self, root: int) -> tuple:
-        opcodes, operands = self._opcodes, self._operands
-        split, jmp = int(Opcode.SPLIT), int(Opcode.JMP)
-        seen: Set[int] = set()
-        work: List[int] = []
-        stack = [root]
-        while stack:
-            pc = stack.pop()
-            if pc in seen:
-                continue
-            seen.add(pc)
-            opcode = opcodes[pc]
-            if opcode == split:
-                stack.append(pc + 1)
-                stack.append(operands[pc])
-            elif opcode == jmp:
-                stack.append(operands[pc])
-            else:
-                work.append(pc)
-        return tuple(work)
+    def targets(self, candidates: Optional[FrozenSet[int]]) -> FrozenSet[int]:
+        """The ids whose sighting ends the enumeration early."""
+        if candidates is None:
+            return self._all_ids
+        return frozenset(candidates) & self._all_ids
 
-    def _build_dispatch_tables(self) -> None:
-        opcodes = self._opcodes
-        consumers = (int(Opcode.MATCH), int(Opcode.MATCH_ANY), int(Opcode.NOT_MATCH))
-        self._successors = [None] * len(opcodes)
-        for pc, opcode in enumerate(opcodes):
-            if opcode in consumers:
-                self._successors[pc] = self._closure_of(pc + 1)
-        self._entry = self._closure_of(0)
+    def result(self, matched) -> MultiMatchResult:
+        return MultiMatchResult(
+            matched_ids=frozenset(matched),
+            patterns=dict(self.multi_program.patterns),
+        )
 
     def run(
         self,
@@ -101,199 +82,20 @@ class MultiMatchVM:
         has been seen instead of waiting for *all* ids — the pruning is
         the caller's responsibility, the VM's verdicts stay exact for
         every id it reports.
+
+        ``tracer``/``metrics``/``profile`` behave as in
+        :meth:`ThompsonVM.run <repro.vm.thompson.ThompsonVM.run>`; the
+        span is named ``multimatch.run``.
         """
         data = text if isinstance(text, bytes) else as_input_bytes(
             text, what="input text"
         )
-        if tracer is not None or metrics is not None or profile is not None:
-            if (
-                profile is not None
-                or (tracer is not None and tracer.enabled)
-                or (metrics is not None and metrics.enabled)
-            ):
-                return self._run_instrumented(
-                    data, max_steps, tracer, metrics, profile, candidates
-                )
-        opcodes = self._opcodes
-        operands = self._operands
-        successors = self._successors
-        length = len(data)
-
-        ACCEPT = int(Opcode.ACCEPT)
-        ACCEPT_PARTIAL = int(Opcode.ACCEPT_PARTIAL)
-        MATCH_ANY = int(Opcode.MATCH_ANY)
-        NOT_MATCH = int(Opcode.NOT_MATCH)
-
-        matched: Set[int] = set()
-        targets = (
-            self._all_ids
-            if candidates is None
-            else frozenset(candidates) & self._all_ids
+        state = run_once(
+            self.tables, data, max_steps, self.targets(candidates),
+            "multimatch.run", tracer, metrics, profile,
+            patterns=len(self._all_ids),
         )
-        frontier: List[int] = list(self._entry)
-        executed = 0
-        for position in range(length + 1):
-            if not frontier or matched >= targets:
-                break
-            has_char = position < length
-            char = data[position] if has_char else -1
-            visited: Set[int] = set()
-            next_roots: Set[int] = set()
-            worklist = frontier
-            while worklist:
-                pc = worklist.pop()
-                if pc in visited:
-                    continue
-                visited.add(pc)
-                opcode = opcodes[pc]
-                if opcode == NOT_MATCH:
-                    if has_char and char != operands[pc]:
-                        worklist.extend(successors[pc])
-                elif opcode == MATCH_ANY:
-                    if has_char:
-                        next_roots.add(pc)
-                elif opcode == ACCEPT_PARTIAL:
-                    matched.add(operands[pc])
-                elif opcode == ACCEPT:
-                    if not has_char:
-                        matched.add(operands[pc])
-                else:  # MATCH
-                    if has_char and char == operands[pc]:
-                        next_roots.add(pc)
-            if max_steps is not None:
-                executed += len(visited)
-                if executed > max_steps:
-                    raise VMStepBudgetError(executed, max_steps)
-            frontier = []
-            for root in next_roots:
-                frontier.extend(successors[root])
-        return MultiMatchResult(
-            matched_ids=frozenset(matched),
-            patterns=dict(self.multi_program.patterns),
-        )
-
-    def _run_instrumented(
-        self,
-        data: bytes,
-        max_steps: Optional[int],
-        tracer,
-        metrics,
-        profile=None,
-        candidates: Optional[FrozenSet[int]] = None,
-    ) -> MultiMatchResult:
-        """The fast path plus telemetry (see ``ThompsonVM``'s twin).
-
-        Kept as a separate copy of the loop so the uninstrumented
-        :meth:`run` stays branch-free; records steps, dedup
-        suppressions and ε-closure table hits on a ``multimatch.run``
-        span and the shared ``repro_vm_*`` counters.  ``profile``
-        additionally splits the steps by PC with the same exact
-        conservation as the single-match VM.
-        """
-        from ..observability import as_tracer
-
-        active_tracer = as_tracer(tracer)
-        pc_counts = profile.pc_counts if profile is not None else None
-        opcodes = self._opcodes
-        operands = self._operands
-        successors = self._successors
-        length = len(data)
-
-        ACCEPT = int(Opcode.ACCEPT)
-        ACCEPT_PARTIAL = int(Opcode.ACCEPT_PARTIAL)
-        MATCH_ANY = int(Opcode.MATCH_ANY)
-        NOT_MATCH = int(Opcode.NOT_MATCH)
-
-        steps = 0
-        dedup_suppressed = 0
-        closure_hits = 0
-        matched: Set[int] = set()
-        all_ids = self._all_ids
-        targets = (
-            all_ids if candidates is None else frozenset(candidates) & all_ids
-        )
-        with active_tracer.span(
-            "multimatch.run",
-            program_size=len(opcodes),
-            input_bytes=length,
-            patterns=len(all_ids),
-        ) as span:
-            try:
-                frontier: List[int] = list(self._entry)
-                executed = 0
-                for position in range(length + 1):
-                    if not frontier or matched >= targets:
-                        break
-                    has_char = position < length
-                    char = data[position] if has_char else -1
-                    visited: Set[int] = set()
-                    next_roots: Set[int] = set()
-                    worklist = frontier
-                    while worklist:
-                        pc = worklist.pop()
-                        if pc in visited:
-                            dedup_suppressed += 1
-                            continue
-                        visited.add(pc)
-                        if pc_counts is not None:
-                            pc_counts[pc] += 1
-                        opcode = opcodes[pc]
-                        if opcode == NOT_MATCH:
-                            if has_char and char != operands[pc]:
-                                closure_hits += 1
-                                worklist.extend(successors[pc])
-                        elif opcode == MATCH_ANY:
-                            if has_char:
-                                next_roots.add(pc)
-                        elif opcode == ACCEPT_PARTIAL:
-                            matched.add(operands[pc])
-                        elif opcode == ACCEPT:
-                            if not has_char:
-                                matched.add(operands[pc])
-                        else:  # MATCH
-                            if has_char and char == operands[pc]:
-                                next_roots.add(pc)
-                    steps += len(visited)
-                    if max_steps is not None:
-                        executed += len(visited)
-                        if executed > max_steps:
-                            raise VMStepBudgetError(executed, max_steps)
-                    frontier = []
-                    for root in next_roots:
-                        closure_hits += 1
-                        frontier.extend(successors[root])
-                return MultiMatchResult(
-                    matched_ids=frozenset(matched),
-                    patterns=dict(self.multi_program.patterns),
-                )
-            finally:
-                span.set(
-                    steps=steps,
-                    dedup_suppressed=dedup_suppressed,
-                    closure_hits=closure_hits,
-                    matched_ids=sorted(matched),
-                )
-                if profile is not None:
-                    profile.runs += 1
-                    if matched:
-                        profile.matches += 1
-                if metrics is not None and metrics.enabled:
-                    metrics.counter(
-                        "repro_vm_runs_total",
-                        help_text="ThompsonVM fast-path executions",
-                    ).inc()
-                    metrics.counter(
-                        "repro_vm_steps_total",
-                        help_text="work instructions executed by the VM",
-                    ).inc(steps)
-                    metrics.counter(
-                        "repro_vm_dedup_suppressed_total",
-                        help_text="threads killed by per-position dedup",
-                    ).inc(dedup_suppressed)
-                    metrics.counter(
-                        "repro_vm_closure_hits_total",
-                        help_text="precomputed ε-closure table expansions",
-                    ).inc(closure_hits)
+        return self.result(state.matched)
 
     def run_reference(
         self, text: Union[str, bytes], max_steps: Optional[int] = None
@@ -301,8 +103,8 @@ class MultiMatchVM:
         """The pre-optimization interpreter (golden reference)."""
         data = as_input_bytes(text, what="input text")
         executed = 0
-        opcodes = self._opcodes
-        operands = self._operands
+        opcodes = self.tables.opcodes
+        operands = self.tables.operands
         length = len(data)
 
         ACCEPT = int(Opcode.ACCEPT)
@@ -350,12 +152,12 @@ class MultiMatchVM:
             if max_steps is not None:
                 executed += len(visited)
                 if executed > max_steps:
-                    raise VMStepBudgetError(executed, max_steps)
+                    raise VMStepBudgetError(
+                        executed, max_steps,
+                        self.multi_program.program.source_pattern,
+                    )
             frontier = next_frontier
-        return MultiMatchResult(
-            matched_ids=frozenset(matched),
-            patterns=dict(self.multi_program.patterns),
-        )
+        return self.result(matched)
 
 
 def run_multimatch(

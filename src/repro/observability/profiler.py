@@ -1,13 +1,13 @@
 """Per-PC execution profiles with source-regex attribution.
 
-The profiler answers *where the cycles went*.  Both VM fast paths and
-the cycle-level simulator accept an optional profile object; when one
-is supplied they count, per program counter, exactly the work their
+The profiler answers *where the cycles went*.  Both VMs and the
+cycle-level simulator accept an optional profile object; when one is
+supplied they count, per program counter, exactly the work their
 existing aggregate counters already total:
 
-* :class:`VMProfile` — one slot per instruction, incremented at the
-  same point the instrumented loops account a step into
-  ``repro_vm_steps_total``.  The conservation law
+* :class:`VMProfile` — one slot per instruction, incremented by the
+  matching kernel's per-position observer from the same visited set it
+  adds to ``repro_vm_steps_total``.  The conservation law
   ``sum(profile.pc_counts) == steps`` is exact (property-tested), so
   the profile is a lossless decomposition of the step counter.
 * :class:`SimProfile` — per-PC instruction retires and icache
@@ -23,9 +23,9 @@ codegen.  A report can therefore say "70% of steps burned in
 auto-tuning consume.
 
 Disabled-path discipline matches the rest of the layer: callers pass
-``profile=None`` (the default) and the hot loops stay on their
-uninstrumented copies; the profiled path shares the instrumented loop
-with tracing/metrics.
+``profile=None`` (the default) and no observer is attached — the VM
+loop then pays one ``is not None`` per input position; a profiled run
+shares its observer with tracing/metrics.
 """
 
 from __future__ import annotations
@@ -152,14 +152,15 @@ class ProgramProfile:
 
 
 class VMProfile(ProgramProfile):
-    """Exact per-PC step profile for the breadth-first VM fast paths.
+    """Exact per-PC step profile for the breadth-first VMs.
 
-    ``pc_counts[pc]`` is the number of times the instrumented loops
-    executed the work instruction at ``pc`` — counted at the
-    ``visited.add(pc)`` site, the same event the aggregate ``steps``
-    local (and thus ``repro_vm_steps_total``) totals.  The invariant
-    ``profile.total == steps`` holds on every exit path, including
-    early accept returns and step-budget aborts.
+    ``pc_counts[pc]`` is the number of times the matching kernel
+    executed the work instruction at ``pc``: its observer
+    (:class:`repro.vm.kernel.Observer`) bumps one slot per member of
+    each position's visited set, the same set whose size it adds to
+    ``steps`` (and thus ``repro_vm_steps_total``).  The invariant
+    ``profile.total == steps`` therefore holds on every exit path,
+    including early accept returns and step-budget aborts.
     """
 
     def __init__(self, program: "Program") -> None:

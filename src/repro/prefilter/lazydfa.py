@@ -51,6 +51,7 @@ from typing import Dict, List, Optional, Union
 
 from ..isa.instructions import Opcode
 from ..isa.program import Program
+from ..vm.kernel import DispatchTables
 from ..vm.thompson import MatchResult, ThompsonVM, _as_bytes
 
 #: Default cap on interned DFA states (also the `Budget.max_dfa_states`
@@ -104,28 +105,29 @@ class _StepColumn(dict):
     hold.  Most entries repeat — a ``MATCH`` contributes the same
     closure on its byte's class and nothing on every other — so equal
     sets are shared through ``interned`` (one dict for all the columns
-    of a DFA) and an entry costs a dict slot, not a set.  Holds the VM's
-    instruction arrays rather than the DFA, so a dropped DFA is freed by
-    reference count, not by the cycle collector.
+    of a DFA) and an entry costs a dict slot, not a set.  Holds the
+    shared dispatch tables rather than the DFA, so a dropped DFA is
+    freed by reference count, not by the cycle collector.
     """
 
-    __slots__ = ("_char", "_opcodes", "_operands", "_successors", "_interned")
+    __slots__ = ("_char", "_tables", "_interned")
 
     def __init__(
-        self, char: int, vm: ThompsonVM, interned: Dict[frozenset, frozenset]
+        self,
+        char: int,
+        tables: DispatchTables,
+        interned: Dict[frozenset, frozenset],
     ):
         super().__init__()
         self._char = char
-        self._opcodes = vm._opcodes
-        self._operands = vm._operands
-        self._successors = vm._successors
+        self._tables = tables
         self._interned = interned
 
     def __missing__(self, pc: int) -> frozenset:
         char = self._char
-        opcodes = self._opcodes
-        operands = self._operands
-        successors = self._successors
+        opcodes = self._tables.opcodes
+        operands = self._tables.operands
+        successors = self._tables.successors
         contributed: set = set()
         # A NOT_MATCH that lets this byte through continues, within the
         # position, at its own successors; ε-loops through NOT_MATCH end
@@ -172,17 +174,16 @@ class LazyDFA:
         #: ``None`` disables the cap (Budget.unlimited() semantics).
         self.max_states = max_states
         self._vm = vm if vm is not None else ThompsonVM(program)
-        self._opcodes = self._vm._opcodes
-        self._operands = self._vm._operands
+        self._tables = self._vm.tables
         self._build_byte_classes()
         interned: Dict[frozenset, frozenset] = {}
         self._steps = [
-            _StepColumn(char, self._vm, interned)
+            _StepColumn(char, self._tables, interned)
             for char in self._representatives
         ]
         self._accept_pcs = frozenset(
             pc
-            for pc, opcode in enumerate(self._opcodes)
+            for pc, opcode in enumerate(self._tables.opcodes)
             if opcode in (_ACCEPT, _ACCEPT_PARTIAL)
         )
         # State interning: id 0 is always the entry state.
@@ -193,7 +194,7 @@ class LazyDFA:
         # ``max_states <= 0`` cannot hold even that: the DFA stays empty
         # and every :meth:`run` reports the blowup.
         if max_states is None or max_states > 0:
-            self._intern(frozenset(self._vm._entry))
+            self._intern(frozenset(self._tables.entry))
 
     # ------------------------------------------------------------------
     # Construction
@@ -201,8 +202,8 @@ class LazyDFA:
     def _build_byte_classes(self) -> None:
         operand_bytes = sorted(
             {
-                self._operands[pc]
-                for pc, opcode in enumerate(self._opcodes)
+                self._tables.operands[pc]
+                for pc, opcode in enumerate(self._tables.opcodes)
                 if opcode in (_MATCH, _NOT_MATCH)
             }
         )

@@ -3,21 +3,18 @@
 The breadth-first VM's entire between-position state is its *frontier*
 — the deduplicated set of work-instruction PCs that survived the last
 consumed byte — plus the executed-step count the budget accounting
-carries.  That makes true streaming a state-carry refactor rather than
-a new machine: :class:`StreamingMatcher.feed` runs the exact
-:meth:`~repro.vm.thompson.ThompsonVM._run_fast` inner loop over one
-chunk with ``has_char=True`` for every byte, and :meth:`finish` runs
-the single end-of-input position (``has_char=False``) where ``ACCEPT``
-fires.  The concatenation of any chunk split therefore performs the
-same per-position transitions, in the same order, with the same
-per-position budget checks, as one-shot execution over the joined
-input (property-tested against ``run_reference`` for arbitrary
-splits, including 1-byte chunks).
+carries.  That state *is* a :class:`~repro.vm.kernel.Enumeration`:
+one-shot ``run`` feeds it the whole input and finishes it, the matchers
+here feed it one chunk at a time.  The concatenation of any chunk split
+therefore performs the same per-position transitions, in the same
+order, with the same per-position budget checks, as one-shot execution
+over the joined input (property-tested against ``run_reference`` for
+arbitrary splits, including 1-byte chunks).
 
-Early settlement mirrors the one-shot loop: ``ACCEPT_PARTIAL`` settles
-``True`` at its absolute position mid-chunk; an empty frontier settles
-``False`` immediately (no suffix can revive a dead enumeration).  Once
-settled, further ``feed`` calls are no-ops returning the verdict.
+Early settlement is the kernel's: ``ACCEPT_PARTIAL`` settles ``True``
+at its absolute position mid-chunk; an empty frontier settles ``False``
+immediately (no suffix can revive a dead enumeration).  Once settled,
+further ``feed`` calls are no-ops returning the verdict.
 
 Lazy-DFA acceleration (PR 8) streams the same way: a
 :class:`~repro.prefilter.lazydfa.LazyDFA` state *is* the frozenset of
@@ -38,11 +35,10 @@ a fallback the VM budget applies from the fallback point onward.
 from __future__ import annotations
 
 import re
-from typing import FrozenSet, List, Optional, Set, Union
+from typing import FrozenSet, Optional, Union
 
-from ..isa.instructions import Opcode
 from ..isa.program import Program
-from ..runtime.errors import VMStepBudgetError
+from .kernel import Enumeration
 from .thompson import MatchResult, ThompsonVM, _as_bytes
 
 __all__ = ["StreamingMatcher", "StreamingMultiMatcher"]
@@ -86,14 +82,9 @@ class StreamingMatcher:
         self.program = program
         self.vm = vm if vm is not None else ThompsonVM(program)
         self.max_steps = max_steps
-        self._opcodes = self.vm._opcodes
-        self._operands = self.vm._operands
-        self._successors = self.vm._successors
-        self._frontier: List[int] = list(self.vm._entry)
-        self._executed = 0
-        self._consumed = 0
-        self._result: Optional[MatchResult] = None
-        self._error: Optional[BaseException] = None
+        #: The VM-path state; while the DFA front runs, only its
+        #: ``consumed`` offset moves.
+        self.state = Enumeration(self.vm.tables, max_steps)
         self._finished = False
         self.dfa_fallbacks = 0
 
@@ -105,18 +96,11 @@ class StreamingMatcher:
         if use_dfa:
             from ..prefilter.lazydfa import DEFAULT_MAX_DFA_STATES, LazyDFA
 
-            if dfa is not None:
-                self._dfa = dfa
-            else:
-                self._dfa = LazyDFA(
-                    program,
-                    max_states=(
-                        max_dfa_states
-                        if max_dfa_states is not None
-                        else DEFAULT_MAX_DFA_STATES
-                    ),
-                    vm=self.vm,
-                )
+            if max_dfa_states is None:
+                max_dfa_states = DEFAULT_MAX_DFA_STATES
+            self._dfa = dfa if dfa is not None else LazyDFA(
+                program, max_states=max_dfa_states, vm=self.vm
+            )
             if not self._dfa.state_count:
                 # The cap cannot hold even the entry state: start on the
                 # VM, as a mid-stream blowup would continue on it.
@@ -129,29 +113,23 @@ class StreamingMatcher:
     @property
     def settled(self) -> bool:
         """True once the verdict can no longer change."""
-        return self._result is not None or self._error is not None
+        return self.state.settled or self.state.error is not None
 
     @property
     def result(self) -> Optional[MatchResult]:
         """The settled verdict, or ``None`` while still open."""
-        return self._result
+        if not self.state.settled:
+            return None
+        return MatchResult(self.state.position is not None, self.state.position)
 
     @property
     def bytes_consumed(self) -> int:
-        return self._consumed
+        return self.state.consumed
 
     @property
     def accelerated(self) -> bool:
         """True while chunks are walking the lazy DFA."""
         return self._dfa is not None
-
-    def _settle(self, result: MatchResult) -> MatchResult:
-        self._result = result
-        return result
-
-    def _raise_settled_error(self) -> None:
-        if self._error is not None:
-            raise self._error
 
     # ------------------------------------------------------------------
     # Feeding
@@ -160,113 +138,25 @@ class StreamingMatcher:
         """Consume one chunk; returns the verdict iff it settled."""
         if self._finished:
             raise RuntimeError("feed() after finish() on StreamingMatcher")
-        self._raise_settled_error()
-        if self._result is not None:
-            return self._result
-        data = chunk if isinstance(chunk, bytes) else _as_bytes(chunk)
-        if not data:
-            return None
-        if self._dfa is not None:
-            return self._feed_dfa(data)
-        return self._feed_vm(data, 0)
+        state = self.state
+        if state.error is not None:
+            raise state.error
+        if not state.settled:
+            data = chunk if isinstance(chunk, bytes) else _as_bytes(chunk)
+            if self._dfa is None:
+                state.feed(data)
+            elif data:
+                self._feed_dfa(data)
+        return self.result
 
     def finish(self) -> MatchResult:
         """Process the end-of-input position and return the verdict."""
-        self._raise_settled_error()
-        if self._result is not None:
-            self._finished = True
-            return self._result
+        state = self.state
+        if self._dfa is not None and not state.settled:
+            state.settle(self._dfa._accept_end[self._dfa_state])
+        state.finish()  # re-raises a tripped budget; no-op once settled
         self._finished = True
-        if self._dfa is not None:
-            if self._dfa._accept_end[self._dfa_state]:
-                return self._settle(MatchResult(True, self._consumed))
-            return self._settle(MatchResult(False, None))
-
-        opcodes = self._opcodes
-        ACCEPT = int(Opcode.ACCEPT)
-        ACCEPT_PARTIAL = int(Opcode.ACCEPT_PARTIAL)
-        visited: Set[int] = set()
-        for pc in self._frontier:
-            if pc in visited:
-                continue
-            visited.add(pc)
-            opcode = opcodes[pc]
-            if opcode == ACCEPT_PARTIAL or opcode == ACCEPT:
-                return self._settle(MatchResult(True, self._consumed))
-            # NOT_MATCH / MATCH / MATCH_ANY all require a character.
-        self._frontier = []
-        if self.max_steps is not None:
-            self._executed += len(visited)
-            if self._executed > self.max_steps:
-                return self._budget_error()
-        return self._settle(MatchResult(False, None))
-
-    # ------------------------------------------------------------------
-    # VM path
-    # ------------------------------------------------------------------
-    def _budget_error(self):
-        error = VMStepBudgetError(
-            self._executed, self.max_steps, self.program.source_pattern
-        )
-        self._error = error
-        raise error
-
-    def _feed_vm(self, data: bytes, start: int) -> Optional[MatchResult]:
-        opcodes = self._opcodes
-        operands = self._operands
-        successors = self._successors
-        max_steps = self.max_steps
-
-        ACCEPT = int(Opcode.ACCEPT)
-        ACCEPT_PARTIAL = int(Opcode.ACCEPT_PARTIAL)
-        MATCH_ANY = int(Opcode.MATCH_ANY)
-        NOT_MATCH = int(Opcode.NOT_MATCH)
-
-        frontier = self._frontier
-        base = self._consumed - start
-        for index in range(start, len(data)):
-            if not frontier:
-                self._frontier = frontier
-                self._consumed = base + len(data)
-                return self._settle(MatchResult(False, None))
-            char = data[index]
-            visited: Set[int] = set()
-            next_roots: Set[int] = set()
-            worklist = frontier
-            while worklist:
-                pc = worklist.pop()
-                if pc in visited:
-                    continue
-                visited.add(pc)
-                opcode = opcodes[pc]
-                if opcode == NOT_MATCH:
-                    if char != operands[pc]:
-                        worklist.extend(successors[pc])
-                elif opcode == MATCH_ANY:
-                    next_roots.add(pc)
-                elif opcode == ACCEPT_PARTIAL:
-                    self._frontier = []
-                    self._consumed = base + index
-                    return self._settle(MatchResult(True, base + index))
-                elif opcode == ACCEPT:
-                    pass  # needs end-of-input; dead with a byte in hand
-                else:  # MATCH
-                    if char == operands[pc]:
-                        next_roots.add(pc)
-            if max_steps is not None:
-                self._executed += len(visited)
-                if self._executed > max_steps:
-                    self._frontier = []
-                    self._consumed = base + index + 1
-                    return self._budget_error()
-            frontier = []
-            for root in next_roots:
-                frontier.extend(successors[root])
-        self._frontier = frontier
-        self._consumed = base + len(data)
-        if not frontier:
-            return self._settle(MatchResult(False, None))
-        return None
+        return self.result
 
     # ------------------------------------------------------------------
     # Lazy-DFA path
@@ -303,10 +193,11 @@ class StreamingMatcher:
             b"[" + b"".join(re.escape(bytes([b])) for b in stop_bytes) + b"]"
         )
 
-    def _feed_dfa(self, data: bytes) -> Optional[MatchResult]:
+    def _feed_dfa(self, data: bytes) -> None:
         from ..prefilter.lazydfa import LazyDFABlowup
 
         dfa = self._dfa
+        state = self.state
         state_id = self._dfa_state
         index = 0
         try:
@@ -333,28 +224,24 @@ class StreamingMatcher:
                     if next_id == -3:  # _UNBUILT
                         next_id = build(state_id, byte_class)
                     if next_id == -2:  # _MATCHED
-                        position = self._consumed + index
-                        self._consumed = position
-                        self._dfa_state = state_id
-                        return self._settle(MatchResult(True, position))
+                        state.consumed += index
+                        return state.settle(True)
                     if next_id == -1:  # _DEAD
-                        self._consumed += length
-                        return self._settle(MatchResult(False, None))
+                        state.consumed += length
+                        return state.settle(False)
                 state_id = next_id
                 index += 1
             self._dfa_state = state_id
-            self._consumed += length
-            return None
+            state.consumed += length
         except LazyDFABlowup:
             # Permanent degradation: the DFA state's PC set is exactly
             # the VM frontier at this position — resume byte-for-byte
             # from the chunk byte whose transition blew the budget.
             self.dfa_fallbacks += 1
-            self._frontier = list(dfa._states[state_id])
+            state.frontier = list(dfa._states[state_id])
             self._dfa = None
-            self._dfa_state = 0
-            self._consumed += index
-            return self._feed_vm(data, index)
+            state.consumed += index
+            state.feed(data, index)
 
 
 class StreamingMultiMatcher:
@@ -380,143 +267,35 @@ class StreamingMultiMatcher:
         self.multi_program = multi_program
         self.vm = vm if vm is not None else MultiMatchVM(multi_program)
         self.max_steps = max_steps
-        self._opcodes = self.vm._opcodes
-        self._operands = self.vm._operands
-        self._successors = self.vm._successors
-        self._targets = (
-            self.vm._all_ids
-            if candidates is None
-            else frozenset(candidates) & self.vm._all_ids
+        self.state = Enumeration(
+            self.vm.tables, max_steps, self.vm.targets(candidates)
         )
-        self._matched: Set[int] = set()
-        self._frontier: List[int] = list(self.vm._entry)
-        self._executed = 0
-        self._consumed = 0
-        self._settled = False
-        self._error: Optional[BaseException] = None
         self._finished = False
 
     @property
     def settled(self) -> bool:
-        return self._settled
+        return self.state.settled
 
     @property
     def bytes_consumed(self) -> int:
-        return self._consumed
+        return self.state.consumed
 
     @property
     def matched_ids(self) -> FrozenSet[int]:
         """Ids matched so far (monotone; final after :meth:`finish`)."""
-        return frozenset(self._matched)
-
-    def _result(self):
-        from ..multimatch.vm import MultiMatchResult
-
-        return MultiMatchResult(
-            matched_ids=frozenset(self._matched),
-            patterns=dict(self.multi_program.patterns),
-        )
-
-    def _budget_error(self):
-        error = VMStepBudgetError(self._executed, self.max_steps)
-        self._error = error
-        raise error
+        return frozenset(self.state.matched)
 
     def feed(self, chunk: Union[str, bytes]):
         """Consume one chunk; returns the result iff enumeration settled."""
         if self._finished:
             raise RuntimeError("feed() after finish() on StreamingMultiMatcher")
-        if self._error is not None:
-            raise self._error
-        if self._settled:
-            return self._result()
-        data = chunk if isinstance(chunk, bytes) else _as_bytes(chunk)
-        if not data:
-            return None
-
-        opcodes = self._opcodes
-        operands = self._operands
-        successors = self._successors
-        max_steps = self.max_steps
-        matched = self._matched
-        targets = self._targets
-
-        ACCEPT = int(Opcode.ACCEPT)
-        ACCEPT_PARTIAL = int(Opcode.ACCEPT_PARTIAL)
-        MATCH_ANY = int(Opcode.MATCH_ANY)
-        NOT_MATCH = int(Opcode.NOT_MATCH)
-
-        frontier = self._frontier
-        base = self._consumed
-        for index in range(len(data)):
-            if not frontier or matched >= targets:
-                self._frontier = frontier
-                self._consumed = base + index
-                self._settled = True
-                return self._result()
-            char = data[index]
-            visited: Set[int] = set()
-            next_roots: Set[int] = set()
-            worklist = frontier
-            while worklist:
-                pc = worklist.pop()
-                if pc in visited:
-                    continue
-                visited.add(pc)
-                opcode = opcodes[pc]
-                if opcode == NOT_MATCH:
-                    if char != operands[pc]:
-                        worklist.extend(successors[pc])
-                elif opcode == MATCH_ANY:
-                    next_roots.add(pc)
-                elif opcode == ACCEPT_PARTIAL:
-                    matched.add(operands[pc])
-                elif opcode == ACCEPT:
-                    pass  # needs end-of-input
-                else:  # MATCH
-                    if char == operands[pc]:
-                        next_roots.add(pc)
-            if max_steps is not None:
-                self._executed += len(visited)
-                if self._executed > max_steps:
-                    self._frontier = []
-                    self._consumed = base + index + 1
-                    return self._budget_error()
-            frontier = []
-            for root in next_roots:
-                frontier.extend(successors[root])
-        self._frontier = frontier
-        self._consumed = base + len(data)
-        if not frontier or matched >= targets:
-            self._settled = True
-            return self._result()
+        self.state.feed(chunk if isinstance(chunk, bytes) else _as_bytes(chunk))
+        if self.state.settled:
+            return self.vm.result(self.state.matched)
         return None
 
     def finish(self):
         """Process end-of-input (where ``ACCEPT(id)`` fires); final result."""
-        if self._error is not None:
-            raise self._error
+        self.state.finish()
         self._finished = True
-        if self._settled:
-            return self._result()
-
-        opcodes = self._opcodes
-        operands = self._operands
-        ACCEPT = int(Opcode.ACCEPT)
-        ACCEPT_PARTIAL = int(Opcode.ACCEPT_PARTIAL)
-        if self._frontier and not (self._matched >= self._targets):
-            visited: Set[int] = set()
-            for pc in self._frontier:
-                if pc in visited:
-                    continue
-                visited.add(pc)
-                opcode = opcodes[pc]
-                if opcode == ACCEPT_PARTIAL or opcode == ACCEPT:
-                    self._matched.add(operands[pc])
-            if self.max_steps is not None:
-                self._executed += len(visited)
-                if self._executed > self.max_steps:
-                    return self._budget_error()
-        self._frontier = []
-        self._settled = True
-        return self._result()
+        return self.vm.result(self.state.matched)

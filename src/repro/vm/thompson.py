@@ -28,6 +28,7 @@ from ..isa.instructions import Opcode
 from ..isa.program import Program
 from ..runtime.encoding import as_input_bytes
 from ..runtime.errors import VMStepBudgetError
+from .kernel import DispatchTables, run_once
 
 
 @dataclass
@@ -67,12 +68,13 @@ class ThompsonVM:
 
     Two execution paths share the instruction arrays:
 
-    * :meth:`run` — the **fast path**.  At program load the ε-closure of
-      every entry point (``SPLIT``/``JMP`` chains folded down to their
-      *work* instructions) is precomputed once, so the per-position loop
-      touches only instructions that inspect the input; live threads are
-      deduplicated per position, bounding the work at
-      O(program × text).  ``bytes`` input skips encoding entirely.
+    * :meth:`run` — the **fast path**: one
+      :class:`~repro.vm.kernel.Enumeration` over this program's
+      :class:`~repro.vm.kernel.DispatchTables`, fed the whole input and
+      finished.  The per-position loop touches only instructions that
+      inspect the input; live threads are deduplicated per position,
+      bounding the work at O(program × text).  ``bytes`` input skips
+      encoding entirely.
     * :meth:`run_reference` / :meth:`run_with_stats` — the original
       instruction-at-a-time interpreter, kept verbatim as the golden
       reference the fast path is property-tested against (and as the
@@ -81,56 +83,12 @@ class ThompsonVM:
 
     def __init__(self, program: Program):
         self.program = program
-        # Split into parallel arrays once; the hot loop then avoids
-        # attribute lookups on Instruction objects.
-        self._opcodes = [int(instruction.opcode) for instruction in program]
-        self._operands = [instruction.operand for instruction in program]
-        self._build_dispatch_tables()
-
-    # ------------------------------------------------------------------
-    # Load-time precomputation (the fast path's dispatch tables)
-    # ------------------------------------------------------------------
-    def _closure_of(self, root: int) -> tuple:
-        """Work instructions reachable from ``root`` via ε-moves only.
-
-        ``SPLIT`` and ``JMP`` are input-independent, so the set of
-        match/accept/``NOT_MATCH`` instructions they lead to is a static
-        property of the program; cycles (ε-loops) terminate through the
-        visited set exactly as the interpreter's per-position dedup does.
-        """
-        opcodes, operands = self._opcodes, self._operands
-        split, jmp = int(Opcode.SPLIT), int(Opcode.JMP)
-        seen: Set[int] = set()
-        work: List[int] = []
-        stack = [root]
-        while stack:
-            pc = stack.pop()
-            if pc in seen:
-                continue
-            seen.add(pc)
-            opcode = opcodes[pc]
-            if opcode == split:
-                stack.append(pc + 1)
-                stack.append(operands[pc])
-            elif opcode == jmp:
-                stack.append(operands[pc])
-            else:
-                work.append(pc)
-        return tuple(work)
-
-    def _build_dispatch_tables(self) -> None:
-        # ``_successors[pc]`` is the precomputed ε-closure of ``pc + 1``
-        # for every instruction that can continue there (matches and
-        # NOT_MATCH); ``_entry`` is the closure of address 0.  Program
-        # validation guarantees those instructions never sit at the last
-        # address, so ``pc + 1`` always exists.
-        opcodes = self._opcodes
-        consumers = (int(Opcode.MATCH), int(Opcode.MATCH_ANY), int(Opcode.NOT_MATCH))
-        self._successors: List[Optional[tuple]] = [None] * len(opcodes)
-        for pc, opcode in enumerate(opcodes):
-            if opcode in consumers:
-                self._successors[pc] = self._closure_of(pc + 1)
-        self._entry: tuple = self._closure_of(0)
+        self.tables = DispatchTables(program)
+        # The reference interpreter below (and the step-table oracle in
+        # tests/prefilter) read the arrays under their historical names.
+        self._opcodes = self.tables.opcodes
+        self._operands = self.tables.operands
+        self._successors = self.tables.successors
 
     def run(
         self,
@@ -156,207 +114,21 @@ class ThompsonVM:
         :class:`repro.observability.VMProfile` built over this program)
         additionally attributes every step to its program counter — the
         per-PC counts sum to exactly the ``steps`` total (tested
-        conservation property).  With none of the three, the dispatch
-        lands on the historical uninstrumented loop — the disabled-path
-        overhead is one ``is None`` check per run.
+        conservation property).  With none of the three, no observer is
+        attached and the loop pays one ``is not None`` per position.
         """
         data = text if isinstance(text, bytes) else _as_bytes(text)
-        if tracer is None and metrics is None and profile is None:
-            return self._run_fast(data, max_steps)
-        if (
-            profile is None
-            and (tracer is None or not tracer.enabled)
-            and (metrics is None or not metrics.enabled)
-        ):
-            return self._run_fast(data, max_steps)
-        return self._run_fast_instrumented(data, max_steps, tracer, metrics, profile)
+        state = run_once(
+            self.tables, data, max_steps, None, "vm.run",
+            tracer, metrics, profile,
+        )
+        return MatchResult(state.position is not None, state.position)
 
     def run_reference(
         self, text: Union[str, bytes], max_steps: Optional[int] = None
     ) -> MatchResult:
         """The pre-optimization interpreter (golden reference)."""
         return self._run(_as_bytes(text), None, max_steps)
-
-    def _run_fast(
-        self, data: bytes, max_steps: Optional[int] = None
-    ) -> MatchResult:
-        opcodes = self._opcodes
-        operands = self._operands
-        successors = self._successors
-        length = len(data)
-
-        ACCEPT = int(Opcode.ACCEPT)
-        ACCEPT_PARTIAL = int(Opcode.ACCEPT_PARTIAL)
-        MATCH_ANY = int(Opcode.MATCH_ANY)
-        NOT_MATCH = int(Opcode.NOT_MATCH)
-
-        frontier: List[int] = list(self._entry)
-        executed = 0
-        for position in range(length + 1):
-            if not frontier:
-                break
-            has_char = position < length
-            char = data[position] if has_char else -1
-            visited: Set[int] = set()
-            next_roots: Set[int] = set()
-            worklist = frontier
-            while worklist:
-                pc = worklist.pop()
-                if pc in visited:
-                    continue
-                visited.add(pc)
-                opcode = opcodes[pc]
-                if opcode == NOT_MATCH:
-                    # ε conditioned on the current character: fold the
-                    # successor closure into this position's worklist.
-                    if has_char and char != operands[pc]:
-                        worklist.extend(successors[pc])
-                elif opcode == MATCH_ANY:
-                    if has_char:
-                        next_roots.add(pc)
-                elif opcode == ACCEPT_PARTIAL:
-                    return MatchResult(True, position)
-                elif opcode == ACCEPT:
-                    if not has_char:
-                        return MatchResult(True, position)
-                else:  # MATCH
-                    if has_char and char == operands[pc]:
-                        next_roots.add(pc)
-            if max_steps is not None:
-                executed += len(visited)
-                if executed > max_steps:
-                    raise VMStepBudgetError(
-                        executed, max_steps, self.program.source_pattern
-                    )
-            frontier = []
-            for root in next_roots:
-                frontier.extend(successors[root])
-        return MatchResult(False, None)
-
-    def _run_fast_instrumented(
-        self,
-        data: bytes,
-        max_steps: Optional[int],
-        tracer,
-        metrics,
-        profile=None,
-    ) -> MatchResult:
-        """The fast path plus telemetry counters.
-
-        A separate copy of :meth:`_run_fast`'s loop so the untraced hot
-        path carries zero extra branches (the ``observability_overhead``
-        benchmark gate).  Counts per run: executed work instructions
-        (``steps``), per-position dedup suppressions, and ε-closure
-        dispatch-table expansions (``closure_hits``).  With ``profile``,
-        every step is additionally attributed to its PC at the same
-        ``visited.add`` site the aggregate counts, so
-        ``sum(profile.pc_counts)`` equals ``steps`` exactly on every
-        exit path (early accepts and budget aborts included).
-        """
-        from ..observability import NULL_TRACER, as_tracer
-
-        active_tracer = as_tracer(tracer)
-        if not active_tracer.enabled:
-            active_tracer = NULL_TRACER
-        pc_counts = profile.pc_counts if profile is not None else None
-
-        opcodes = self._opcodes
-        operands = self._operands
-        successors = self._successors
-        length = len(data)
-
-        ACCEPT = int(Opcode.ACCEPT)
-        ACCEPT_PARTIAL = int(Opcode.ACCEPT_PARTIAL)
-        MATCH_ANY = int(Opcode.MATCH_ANY)
-        NOT_MATCH = int(Opcode.NOT_MATCH)
-
-        steps = 0
-        dedup_suppressed = 0
-        closure_hits = 0
-        positions = 0
-        with active_tracer.span(
-            "vm.run", program_size=len(opcodes), input_bytes=length
-        ) as span:
-            result = MatchResult(False, None)
-            frontier: List[int] = list(self._entry)
-            try:
-                for position in range(length + 1):
-                    if not frontier:
-                        break
-                    positions += 1
-                    has_char = position < length
-                    char = data[position] if has_char else -1
-                    visited: Set[int] = set()
-                    next_roots: Set[int] = set()
-                    worklist = frontier
-                    while worklist:
-                        pc = worklist.pop()
-                        if pc in visited:
-                            dedup_suppressed += 1
-                            continue
-                        visited.add(pc)
-                        if pc_counts is not None:
-                            pc_counts[pc] += 1
-                        opcode = opcodes[pc]
-                        if opcode == NOT_MATCH:
-                            if has_char and char != operands[pc]:
-                                closure_hits += 1
-                                worklist.extend(successors[pc])
-                        elif opcode == MATCH_ANY:
-                            if has_char:
-                                next_roots.add(pc)
-                        elif opcode == ACCEPT_PARTIAL:
-                            result = MatchResult(True, position)
-                            steps += len(visited)
-                            return result
-                        elif opcode == ACCEPT:
-                            if not has_char:
-                                result = MatchResult(True, position)
-                                steps += len(visited)
-                                return result
-                        else:  # MATCH
-                            if has_char and char == operands[pc]:
-                                next_roots.add(pc)
-                    steps += len(visited)
-                    if max_steps is not None and steps > max_steps:
-                        raise VMStepBudgetError(
-                            steps, max_steps, self.program.source_pattern
-                        )
-                    frontier = []
-                    for root in next_roots:
-                        closure_hits += 1
-                        frontier.extend(successors[root])
-                return result
-            finally:
-                span.set(
-                    steps=steps,
-                    dedup_suppressed=dedup_suppressed,
-                    closure_hits=closure_hits,
-                    positions=positions,
-                    matched=result.matched,
-                )
-                if profile is not None:
-                    profile.runs += 1
-                    profile.positions += positions
-                    if result.matched:
-                        profile.matches += 1
-                if metrics is not None and metrics.enabled:
-                    metrics.counter(
-                        "repro_vm_runs_total",
-                        help_text="ThompsonVM fast-path executions",
-                    ).inc()
-                    metrics.counter(
-                        "repro_vm_steps_total",
-                        help_text="work instructions executed by the VM",
-                    ).inc(steps)
-                    metrics.counter(
-                        "repro_vm_dedup_suppressed_total",
-                        help_text="threads killed by per-position dedup",
-                    ).inc(dedup_suppressed)
-                    metrics.counter(
-                        "repro_vm_closure_hits_total",
-                        help_text="precomputed ε-closure table expansions",
-                    ).inc(closure_hits)
 
     def run_with_stats(
         self, text: Union[str, bytes], max_steps: Optional[int] = None

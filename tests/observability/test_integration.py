@@ -9,13 +9,17 @@ engine's own :class:`~repro.engine.cache.CacheStats`.
 
 import json
 
+import pytest
+
 import repro
 from repro.cli import main
 from repro.engine import Engine, RetryPolicy, SupervisorPolicy
+from repro.multimatch import MultiMatchVM, compile_multipattern
 from repro.observability import (
     MetricsRegistry,
     TraceReport,
     Tracer,
+    VMProfile,
     default_registry,
     default_tracer,
     load_snapshot,
@@ -24,6 +28,7 @@ from repro.observability import (
     validate_trace,
 )
 from repro.runtime.budget import DEFAULT_BUDGET
+from repro.runtime.errors import VMStepBudgetError
 from repro.runtime.faults import ProcessFaultPlan
 from repro.vm.thompson import ThompsonVM
 
@@ -186,6 +191,87 @@ class TestVMAndSimulatorCounters:
             "repro_vm_dedup_suppressed_total"
         ) == span.attributes["dedup_suppressed"]
         assert span.attributes["matched"] is True
+
+    # (pattern, text) -> position, steps, dedup_suppressed, closure_hits,
+    # positions: measured at the commit before the six fast loops became
+    # one kernel.  The pop order of the loop is part of the contract — an
+    # accept at end of input counts only the PCs visited before it.
+    PINNED_VM_RUNS = [
+        ("a(b|c)+d[^x]e", "xxabdddezzabcbdqe", 17, 57, 0, 30, 18),
+        ("ab", "xxxxab", 6, 14, 0, 8, 7),
+        ("[^a]b$", "zzzb", 4, 16, 0, 13, 5),
+        ("(a|aa){3}b", "aaaaaaaac", None, 62, 18, 48, 10),
+    ]
+
+    def test_thompson_vm_telemetry_is_pinned(self):
+        for pattern, text, position, *counts in self.PINNED_VM_RUNS:
+            program = repro.compile_pattern(pattern).program
+            tracer = Tracer()
+            registry = MetricsRegistry()
+            profile = VMProfile(program)
+            result = ThompsonVM(program).run(
+                text, tracer=tracer, metrics=registry, profile=profile
+            )
+            assert (result.matched, result.position) == (
+                position is not None, position
+            ), pattern
+            attributes = tracer.find("vm.run")[0].attributes
+            assert [
+                attributes[name]
+                for name in ("steps", "dedup_suppressed", "closure_hits",
+                             "positions")
+            ] == counts, pattern
+            assert attributes["matched"] is result.matched
+            assert sum(profile.pc_counts) == attributes["steps"]
+            assert profile.positions == attributes["positions"]
+            for name in ("steps", "dedup_suppressed", "closure_hits"):
+                assert registry.value(
+                    f"repro_vm_{name}_total"
+                ) == attributes[name], (pattern, name)
+
+    def test_budget_abort_keeps_span_metrics_and_profile_in_step(self):
+        program = repro.compile_pattern("(a|aa){3}b").program
+        tracer = Tracer()
+        registry = MetricsRegistry()
+        profile = VMProfile(program)
+        with pytest.raises(VMStepBudgetError) as excinfo:
+            ThompsonVM(program).run(
+                "aaaaaaaac", max_steps=20, tracer=tracer, metrics=registry,
+                profile=profile,
+            )
+        attributes = tracer.find("vm.run")[0].attributes
+        # Pinned from the parent: the abort position's steps count, its
+        # carried roots do not.
+        assert (
+            attributes["steps"], attributes["dedup_suppressed"],
+            attributes["closure_hits"], attributes["positions"],
+        ) == (28, 6, 19, 5)
+        assert excinfo.value.spent == attributes["steps"]
+        assert sum(profile.pc_counts) == attributes["steps"]
+        assert registry.value("repro_vm_steps_total") == attributes["steps"]
+        assert registry.value(
+            "repro_vm_closure_hits_total"
+        ) == attributes["closure_hits"]
+
+    def test_multimatch_telemetry_is_pinned(self):
+        multi = compile_multipattern(["ab", "c[^d]e", "a$"])
+        tracer = Tracer()
+        registry = MetricsRegistry()
+        profile = VMProfile(multi.program)
+        result = MultiMatchVM(multi).run(
+            "xxabcqexxa", tracer=tracer, metrics=registry, profile=profile
+        )
+        assert result.matched_ids == {1, 2, 3}
+        attributes = tracer.find("multimatch.run")[0].attributes
+        assert attributes["matched_ids"] == [1, 2, 3]
+        assert (
+            attributes["steps"], attributes["dedup_suppressed"],
+            attributes["closure_hits"],
+        ) == (75, 0, 39)
+        assert sum(profile.pc_counts) == 75
+        assert registry.value("repro_vm_runs_total") == 1
+        assert registry.value("repro_vm_steps_total") == 75
+        assert registry.value("repro_vm_closure_hits_total") == 39
 
     def test_instrumented_vm_agrees_with_plain_run(self):
         program = repro.compile_pattern(PATTERN).program

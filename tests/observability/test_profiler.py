@@ -116,6 +116,13 @@ class TestVMConservation:
         # Dispatch-chain SPLITs expand inside the ε-closure, so they are
         # mapped but never counted as work steps.
         assert "(dispatch)" in (multi.program.source_map or [])
+        # Positions are counted by the one observer both VMs share: ten
+        # bytes plus the end-of-input position.
+        multi = compile_multipattern(["ab", "c[^d]e", "a$"])
+        profile = VMProfile(multi.program)
+        MultiMatchVM(multi).run("xxabcqexxa", profile=profile)
+        assert profile.positions == 11
+        assert "75 steps, 11 position(s)" in profile.format_report()
 
 
 class TestSimConservation:

@@ -1,0 +1,183 @@
+"""The shared matching kernel against the golden interpreters.
+
+Four entry points run one loop (:mod:`repro.vm.kernel`): one-shot
+single, one-shot multi, streaming single, streaming multi.  The
+property here drives all four over *every* byte value — the other
+properties draw inputs from ``"abcdefgh"`` although the lexer builds
+negated classes over ``range(256)`` — and pins what chunking must never
+change: verdict, position, and where a step budget trips.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.compiler import compile_regex
+from repro.multimatch import MultiMatchVM, compile_multipattern
+from repro.runtime.errors import VMStepBudgetError
+from repro.vm import StreamingMatcher, StreamingMultiMatcher, ThompsonVM
+from repro.vm.kernel import Enumeration
+from strategies import regex_patterns
+
+FIXED_PATTERNS = [".", "a.c", "[^a]", "[^a]b$", "a$", "(a|aa){3}b"]
+patterns = st.one_of(regex_patterns(), st.sampled_from(FIXED_PATTERNS))
+#: Full-range bytes, and the same with the patterns' alphabet mixed in
+#: so that matches are not vanishingly rare.
+inputs = st.one_of(
+    st.binary(max_size=32),
+    st.lists(
+        st.one_of(st.sampled_from(list(b"abcdef")), st.integers(0, 255)),
+        max_size=32,
+    ).map(bytes),
+)
+
+
+def splits(data):
+    """Every 2-way split, and the all-1-byte-chunks split."""
+    for cut in range(len(data) + 1):
+        yield [data[:cut], data[cut:]]
+    yield [data[i:i + 1] for i in range(len(data))]
+
+
+def stream(matcher, chunks):
+    for chunk in chunks:
+        verdict = matcher.feed(chunk)
+        if verdict is not None:
+            return verdict
+    return matcher.finish()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pattern=patterns, data=inputs)
+def test_single_match_entry_points_agree(pattern, data):
+    program = compile_regex(pattern).program
+    vm = ThompsonVM(program)
+    expected = vm.run_reference(data)
+    assert vm.run(data) == expected, (pattern, data)
+    for chunks in splits(data):
+        for kwargs in ({}, {"use_dfa": True, "max_dfa_states": 2}):
+            got = stream(StreamingMatcher(program, vm=vm, **kwargs), chunks)
+            assert got == expected, (pattern, data, chunks, kwargs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rules=st.lists(patterns, min_size=1, max_size=3),
+    data=inputs,
+    draw=st.data(),
+)
+def test_multi_match_entry_points_agree(rules, data, draw):
+    multi = compile_multipattern(rules)
+    vm = MultiMatchVM(multi)
+    expected = vm.run_reference(data).matched_ids
+    assert vm.run(data).matched_ids == expected, (rules, data)
+    candidates = frozenset(
+        draw.draw(st.sets(st.sampled_from(sorted(multi.patterns))))
+    )
+    narrowed = vm.run(data, candidates=candidates).matched_ids
+    # Narrowing only moves the early exit: every reported id is real and
+    # no candidate that matches is missed.
+    assert expected & candidates <= narrowed <= expected
+    for chunks in splits(data):
+        got = stream(StreamingMultiMatcher(multi, vm=vm), chunks)
+        assert got.matched_ids == expected, (rules, data, chunks)
+        got = stream(
+            StreamingMultiMatcher(multi, vm=vm, candidates=candidates), chunks
+        )
+        assert got.matched_ids == narrowed, (rules, data, chunks, candidates)
+
+
+def _outcome(run):
+    """``("over", spent)`` or ``("done", verdict)`` of one budgeted run."""
+    try:
+        return "done", run()
+    except VMStepBudgetError as error:
+        return "over", error.spent
+
+
+def _check_budget_is_split_invariant(
+    vm, targets, oneshot_run, matcher_for, data, draw
+):
+    unbounded = Enumeration(vm.tables, 10**9, targets)
+    unbounded.feed(data)
+    unbounded.finish()
+    budget = draw.draw(st.integers(0, unbounded.executed))
+
+    expected = _outcome(lambda: oneshot_run(budget))
+    oneshot = Enumeration(vm.tables, budget, targets)
+    try:
+        oneshot.feed(data)
+        oneshot.finish()
+    except VMStepBudgetError:
+        pass
+    for chunks in splits(data):
+        matcher = matcher_for(budget)
+        got = _outcome(lambda: stream(matcher, chunks))
+        assert got == expected, (data, chunks, budget)
+        assert matcher.state.executed == oneshot.executed
+        if got[0] == "over":
+            assert matcher.bytes_consumed == oneshot.consumed
+
+
+@settings(max_examples=40, deadline=None)
+@given(pattern=patterns, data=inputs, draw=st.data())
+def test_step_budget_trips_identically_for_every_split(pattern, data, draw):
+    program = compile_regex(pattern).program
+    vm = ThompsonVM(program)
+    _check_budget_is_split_invariant(
+        vm, None,
+        lambda budget: vm.run(data, max_steps=budget),
+        lambda budget: StreamingMatcher(program, vm=vm, max_steps=budget),
+        data, draw,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rules=st.lists(patterns, min_size=1, max_size=3),
+    data=inputs,
+    draw=st.data(),
+)
+def test_multi_step_budget_trips_identically_for_every_split(rules, data, draw):
+    multi = compile_multipattern(rules)
+    vm = MultiMatchVM(multi)
+    _check_budget_is_split_invariant(
+        vm, vm.targets(None),
+        lambda budget: vm.run(data, max_steps=budget),
+        lambda budget: StreamingMultiMatcher(multi, vm=vm, max_steps=budget),
+        data, draw,
+    )
+
+
+SINGLE = compile_regex("(a|b)*c").program
+MULTI = compile_multipattern(["(a|b)*c", "a+b"])
+
+
+def _feed_all(matcher):
+    for _ in range(20):
+        matcher.feed("ab")
+    matcher.finish()
+
+
+@pytest.mark.parametrize(
+    "run, pattern",
+    [
+        (lambda: ThompsonVM(SINGLE).run("ab" * 20, max_steps=10), "(a|b)*c"),
+        (lambda: ThompsonVM(SINGLE).run_reference("ab" * 20, max_steps=10),
+         "(a|b)*c"),
+        (lambda: MultiMatchVM(MULTI).run("ab" * 20, max_steps=10),
+         "(a|b)*c | a+b"),
+        (lambda: MultiMatchVM(MULTI).run_reference("ab" * 20, max_steps=10),
+         "(a|b)*c | a+b"),
+        (lambda: _feed_all(StreamingMatcher(SINGLE, max_steps=10)), "(a|b)*c"),
+        (lambda: _feed_all(StreamingMultiMatcher(MULTI, max_steps=10)),
+         "(a|b)*c | a+b"),
+    ],
+    ids=["single", "single-ref", "multi", "multi-ref",
+         "streaming-single", "streaming-multi"],
+)
+def test_step_budget_error_names_its_patterns(run, pattern):
+    with pytest.raises(VMStepBudgetError) as excinfo:
+        run()
+    assert excinfo.value.pattern == pattern
+    assert pattern in str(excinfo.value)

@@ -139,7 +139,7 @@ def test_budget_charges_identical_steps_per_split():
         for chunk in chunks:
             matcher.feed(chunk)
         matcher.finish()
-        charged.append(matcher._executed)
+        charged.append(matcher.state.executed)
     assert len(set(charged)) == 1
 
 
@@ -199,7 +199,9 @@ def test_shared_vm_reuses_dispatch_tables():
     vm = ThompsonVM(program)
     left = StreamingMatcher(program, vm=vm)
     right = StreamingMatcher(program, vm=vm)
-    assert left._successors is right._successors
+    # Both matchers hold the same DispatchTables object as the shared VM.
+    assert left.state.tables is vm.tables
+    assert right.state.tables is vm.tables
     left.feed("ab")
     assert right.bytes_consumed == 0  # state is per-matcher
 
