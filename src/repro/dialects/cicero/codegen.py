@@ -24,6 +24,19 @@ from .ops import (
 )
 
 
+#: Opcode per op class; the dialect maps 1:1 onto the ISA (§3.3).
+_OPCODES = {
+    AcceptOp: Opcode.ACCEPT,
+    AcceptPartialOp: Opcode.ACCEPT_PARTIAL,
+    SplitOp: Opcode.SPLIT,
+    JumpOp: Opcode.JMP,
+    MatchAnyOp: Opcode.MATCH_ANY,
+    MatchCharOp: Opcode.MATCH,
+    NotMatchCharOp: Opcode.NOT_MATCH,
+}
+_OP_CLASSES = {opcode: op_class for op_class, opcode in _OPCODES.items()}
+
+
 def generate_program(
     program_op: ProgramOp, source_pattern: str = "", compiler: str = ""
 ) -> Program:
@@ -31,33 +44,32 @@ def generate_program(
     labels = program_op.label_map()
     instructions: List[Instruction] = []
     source_map: List[Optional[str]] = []
+    attributed = False
     for address, op in enumerate(program_op.instructions):
-        source_map.append(getattr(op, "source", None))
-        if isinstance(op, AcceptOp):
-            instructions.append(Instruction(Opcode.ACCEPT))
-        elif isinstance(op, AcceptPartialOp):
-            instructions.append(Instruction(Opcode.ACCEPT_PARTIAL))
-        elif isinstance(op, SplitOp):
-            instructions.append(Instruction(Opcode.SPLIT, labels[op.target]))
-        elif isinstance(op, JumpOp):
-            instructions.append(Instruction(Opcode.JMP, labels[op.target]))
-        elif isinstance(op, MatchAnyOp):
-            instructions.append(Instruction(Opcode.MATCH_ANY))
-        elif isinstance(op, MatchCharOp):
-            instructions.append(Instruction(Opcode.MATCH, op.code))
-        elif isinstance(op, NotMatchCharOp):
-            instructions.append(Instruction(Opcode.NOT_MATCH, op.code))
-        else:
+        opcode = _OPCODES.get(type(op))
+        if opcode is None:
             raise CodegenError(f"cannot encode op '{op.name}' at {address}")
+        attributes = op.attributes
+        if opcode is Opcode.SPLIT or opcode is Opcode.JMP:
+            operand = labels[attributes[op.TARGET_ATTR].name]
+        elif opcode is Opcode.MATCH or opcode is Opcode.NOT_MATCH:
+            operand = attributes["char"].value
+        else:
+            operand = 0
+        instructions.append(Instruction(opcode, operand))
+        source = attributes.get("source")
+        if source is None:
+            source_map.append(None)
+        else:
+            source_map.append(source.value)
+            attributed = True
     return Program(
         instructions,
         source_pattern=source_pattern,
         compiler=compiler,
         # Attribution is optional: a program lowered without source
         # contexts (e.g. lifted back from binary) carries no map at all.
-        source_map=(
-            source_map if any(entry is not None for entry in source_map) else None
-        ),
+        source_map=source_map if attributed else None,
     )
 
 
@@ -71,22 +83,13 @@ def program_to_dialect(program: Program) -> ProgramOp:
     block = program_op.regions[0].entry_block
     ops = []
     for instruction in program:
-        if instruction.opcode is Opcode.ACCEPT:
-            ops.append(AcceptOp())
-        elif instruction.opcode is Opcode.ACCEPT_PARTIAL:
-            ops.append(AcceptPartialOp())
-        elif instruction.opcode is Opcode.SPLIT:
-            ops.append(SplitOp(f"A{instruction.operand}"))
-        elif instruction.opcode is Opcode.JMP:
-            ops.append(JumpOp(f"A{instruction.operand}"))
-        elif instruction.opcode is Opcode.MATCH_ANY:
-            ops.append(MatchAnyOp())
-        elif instruction.opcode is Opcode.MATCH:
-            ops.append(MatchCharOp(instruction.operand))
-        elif instruction.opcode is Opcode.NOT_MATCH:
-            ops.append(NotMatchCharOp(instruction.operand))
-        else:  # pragma: no cover - Opcode is closed
-            raise CodegenError(f"unknown opcode {instruction.opcode}")
+        op_class = _OP_CLASSES[instruction.opcode]
+        if instruction.opcode.is_control_flow:
+            ops.append(op_class(f"A{instruction.operand}"))
+        elif instruction.opcode in (Opcode.MATCH, Opcode.NOT_MATCH):
+            ops.append(op_class(instruction.operand))
+        else:
+            ops.append(op_class())
     targets = {
         instruction.operand
         for instruction in program

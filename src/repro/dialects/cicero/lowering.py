@@ -27,10 +27,9 @@ the last branch falling through.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterator, List, Optional
+from typing import Dict, List, Optional
 
-from ...ir.attributes import StringAttr
+from ...ir.attributes import StringAttr, SymbolRefAttr
 from ...ir.diagnostics import LoweringError
 from ...ir.operation import Block, ModuleOp, Operation
 from ..regex.emit_pattern import emit_piece
@@ -57,65 +56,65 @@ from .ops import (
 )
 
 
+#: Provenance of the control instructions no source piece stands for.
+_PREFIX_SOURCE = StringAttr(".* prefix")
+_ALTERNATION_SOURCE = StringAttr("(alternation)")
+_ACCEPT_SOURCE = StringAttr("(accept)")
+
+
 class _Emitter:
     """Appends instruction ops to the program block, managing labels.
 
-    Several constructs may place their label at the same position (e.g.
-    a sub-regex join point coinciding with the end of an optional
-    chain); the first pending label is attached to the instruction and
-    the rest become aliases, resolved over the whole program in
-    :meth:`finish`.
+    A label is the ``SymbolRefAttr`` that names it: every split and jump
+    to the label shares that one attribute.  Several constructs may
+    place their label at the same position (e.g. a sub-regex join point
+    coinciding with the end of an optional chain); the first pending
+    label is attached to the instruction and the rest become aliases,
+    resolved over the whole program in :meth:`finish`.
     """
 
     def __init__(self, block: Block):
         self.block = block
+        self._operations = block.operations
         self._label_counter = 0
-        self._pending_labels: List[str] = []
-        self._aliases: dict = {}
-        self._source_stack: List[str] = []
+        self._pending_labels: List[SymbolRefAttr] = []
+        self._aliases: Dict[str, SymbolRefAttr] = {}
+        #: Stamped on every emitted instruction: the rendered top-level
+        #: piece being lowered — the unit the profiler's "70% of steps
+        #: burned in ``(a|ab|b)*``" reports speak in — or ``None``.
+        self.source: Optional[StringAttr] = None
 
-    def fresh_label(self, hint: str = "L") -> str:
+    def fresh_label(self, hint: str = "L") -> SymbolRefAttr:
         self._label_counter += 1
-        return f"{hint}{self._label_counter}"
+        return SymbolRefAttr(f"{hint}{self._label_counter}")
 
-    def place_label(self, label: str) -> None:
+    def place_label(self, label: SymbolRefAttr) -> None:
         """Attach ``label`` to the next emitted instruction."""
         self._pending_labels.append(label)
 
-    @contextlib.contextmanager
-    def source(self, fragment: str) -> Iterator[None]:
-        """Stamp instructions emitted inside the block with ``fragment``.
-
-        Contexts nest (a sub-regex branch re-enters :meth:`source` for
-        its own pieces); the *outermost* fragment wins, so attribution
-        stays at top-level-piece granularity — the unit the profiler's
-        "70% of steps burned in ``(a|ab|b)*``" reports speak in.
-        """
-        self._source_stack.append(fragment)
-        try:
-            yield
-        finally:
-            self._source_stack.pop()
-
-    def emit(self, op: Operation) -> Operation:
+    def emit(self, op: Operation, source: Optional[StringAttr] = None) -> Operation:
         if self._pending_labels:
             canonical = self._pending_labels[0]
-            op.set_label(canonical)
+            op.attributes["sym_name"] = StringAttr(canonical.name)
             for alias in self._pending_labels[1:]:
-                self._aliases[alias] = canonical
+                self._aliases[alias.name] = canonical
             self._pending_labels = []
-        if self._source_stack and "source" not in op.attributes:
-            op.attributes["source"] = StringAttr(self._source_stack[0])
-        self.block.append(op)
+        source = source or self.source
+        if source is not None:
+            op.attributes["source"] = source
+        # Block.append minus its call: ``op`` is always freshly built.
+        op.parent_block = self.block
+        self._operations.append(op)
         return op
 
     def finish(self) -> None:
         if self._pending_labels:
             raise LoweringError(
-                f"labels {self._pending_labels} placed past the program end"
+                f"labels {[label.name for label in self._pending_labels]} "
+                "placed past the program end"
             )
         if self._aliases:
-            for op in self.block.operations:
+            for op in self._operations:
                 if isinstance(op, (SplitOp, JumpOp)):
                     canonical = self._aliases.get(op.target)
                     if canonical is not None:
@@ -164,29 +163,29 @@ class RegexToCiceroLowering:
             raise LoweringError(f"cannot lower atom '{atom.name}'")
 
     def lower_group(self, group: RegexGroupOp) -> None:
+        emitter = self.emitter
+        emit = emitter.emit
+        codes = group.charset.chars()
         if group.negated:
             # [^ab] -> not_match a; not_match b; match_any   (paper §3.3)
-            for code in group.charset.chars():
-                self.emitter.emit(NotMatchCharOp(code))
-            self.emitter.emit(MatchAnyOp())
+            for code in codes:
+                emit(NotMatchCharOp(code))
+            emit(MatchAnyOp())
             return
-        codes = group.charset.chars()
         if len(codes) == 1:
-            self.emitter.emit(MatchCharOp(codes[0]))
+            emit(MatchCharOp(codes[0]))
             return
         # [abc] -> split chain over the members, joining after the class.
-        join = self.emitter.fresh_label("G")
-        for index, code in enumerate(codes):
-            is_last = index == len(codes) - 1
-            if not is_last:
-                next_member = self.emitter.fresh_label("g")
-                self.emitter.emit(SplitOp(next_member))
-                self.emitter.emit(MatchCharOp(code))
-                self.emitter.emit(JumpOp(join))
-                self.emitter.place_label(next_member)
-            else:
-                self.emitter.emit(MatchCharOp(code))
-        self.emitter.place_label(join)
+        join = emitter.fresh_label("G")
+        for code in codes[:-1]:
+            next_member = emitter.fresh_label("g")
+            emit(SplitOp(next_member))
+            emit(MatchCharOp(code))
+            emit(JumpOp(join))
+            emitter.place_label(next_member)
+        for code in codes[-1:]:  # the last member needs no split/jump
+            emit(MatchCharOp(code))
+        emitter.place_label(join)
 
     # ------------------------------------------------------------------
     # Pieces (quantifiers)
@@ -247,8 +246,12 @@ class RegexToCiceroLowering:
     # ------------------------------------------------------------------
     # Branches and alternations
     # ------------------------------------------------------------------
-    def lower_branch(self, branch: RegexConcatenationOp) -> bool:
-        """Lower one concatenation; returns True if it ended with ``$``."""
+    def lower_branch(self, branch: RegexConcatenationOp, top_level=False) -> bool:
+        """Lower one concatenation; returns True if it ended with ``$``.
+
+        Only the pieces of a ``top_level`` (root) branch are rendered as
+        provenance; everything nested inside one inherits its fragment.
+        """
         pieces = list(branch.pieces)
         ends_with_dollar = False
         if pieces and isinstance(pieces[-1].atom, RegexDollarOp):
@@ -257,8 +260,11 @@ class RegexToCiceroLowering:
             ends_with_dollar = True
             pieces = pieces[:-1]
         for piece in pieces:
-            with self.emitter.source(emit_piece(piece)):
-                self.lower_piece(piece)
+            if top_level:
+                self.emitter.source = StringAttr(emit_piece(piece))
+            self.lower_piece(piece)
+        if top_level:
+            self.emitter.source = None
         return ends_with_dollar
 
     def lower_alternation(self, branches: List[Operation]) -> None:
@@ -267,16 +273,13 @@ class RegexToCiceroLowering:
             self._lower_nested_branch(branches[0])
             return
         join = self.emitter.fresh_label("J")
-        for index, branch in enumerate(branches):
-            is_last = index == len(branches) - 1
-            if not is_last:
-                next_branch = self.emitter.fresh_label("B")
-                self.emitter.emit(SplitOp(next_branch))
-                self._lower_nested_branch(branch)
-                self.emitter.emit(JumpOp(join))
-                self.emitter.place_label(next_branch)
-            else:
-                self._lower_nested_branch(branch)
+        for branch in branches[:-1]:
+            next_branch = self.emitter.fresh_label("B")
+            self.emitter.emit(SplitOp(next_branch))
+            self._lower_nested_branch(branch)
+            self.emitter.emit(JumpOp(join))
+            self.emitter.place_label(next_branch)
+        self._lower_nested_branch(branches[-1])
         self.emitter.place_label(join)
 
     def _lower_nested_branch(self, branch: RegexConcatenationOp) -> None:
@@ -292,18 +295,18 @@ class RegexToCiceroLowering:
         program = ProgramOp(location=root.location)
         self.emitter = _Emitter(program.regions[0].entry_block)
 
+        emitter = self.emitter
         if root.has_prefix:
             # .* prefix: L: split(@body); match_any; jump(@L); body: ...
-            loop = self.emitter.fresh_label("PRE")
-            body = self.emitter.fresh_label("BODY")
-            self.emitter.place_label(loop)
-            with self.emitter.source(".* prefix"):
-                self.emitter.emit(SplitOp(body))
-                self.emitter.emit(MatchAnyOp())
-                self.emitter.emit(JumpOp(loop))
-            self.emitter.place_label(body)
+            loop = emitter.fresh_label("PRE")
+            body = emitter.fresh_label("BODY")
+            emitter.place_label(loop)
+            emitter.emit(SplitOp(body), _PREFIX_SOURCE)
+            emitter.emit(MatchAnyOp(), _PREFIX_SOURCE)
+            emitter.emit(JumpOp(loop), _PREFIX_SOURCE)
+            emitter.place_label(body)
 
-        accept_label = self.emitter.fresh_label("ACC")
+        accept_label = emitter.fresh_label("ACC")
         default_acceptance = (
             AcceptPartialOp if root.has_suffix else AcceptOp
         )
@@ -314,30 +317,27 @@ class RegexToCiceroLowering:
             is_last = index == len(branches) - 1
             next_branch = None
             if not is_last:
-                next_branch = self.emitter.fresh_label("B")
-                with self.emitter.source("(alternation)"):
-                    self.emitter.emit(SplitOp(next_branch))
-            ends_with_dollar = self.lower_branch(branch)
+                next_branch = emitter.fresh_label("B")
+                emitter.emit(SplitOp(next_branch), _ALTERNATION_SOURCE)
+            ends_with_dollar = self.lower_branch(branch, top_level=True)
             if ends_with_dollar and root.has_suffix:
                 # A '$'-terminated branch of an implicit-suffix root needs
                 # its own exact-acceptance op, distinct from the shared
                 # accept_partial.
-                with self.emitter.source("(accept)"):
-                    self.emitter.emit(AcceptOp())
+                emitter.emit(AcceptOp(), _ACCEPT_SOURCE)
             else:
                 # Unoptimized Listing-2 layout: every branch ends with a
                 # jump to the single shared acceptance, which sits right
                 # after the first branch's jump (so that first jump
                 # targets the very next address — Jump Simplification's
                 # food).
-                with self.emitter.source("(accept)"):
-                    self.emitter.emit(JumpOp(accept_label))
-                    if not accept_placed:
-                        self.emitter.place_label(accept_label)
-                        self.emitter.emit(default_acceptance())
-                        accept_placed = True
+                emitter.emit(JumpOp(accept_label), _ACCEPT_SOURCE)
+                if not accept_placed:
+                    emitter.place_label(accept_label)
+                    emitter.emit(default_acceptance(), _ACCEPT_SOURCE)
+                    accept_placed = True
             if next_branch is not None:
-                self.emitter.place_label(next_branch)
+                emitter.place_label(next_branch)
 
         self.emitter.finish()
         return program

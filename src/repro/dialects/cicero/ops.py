@@ -25,11 +25,12 @@ without address fix-ups.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+import itertools
+from typing import Dict, Iterable, List, Optional, Union
 
 from ...ir.attributes import CharAttr, StringAttr, SymbolRefAttr
 from ...ir.context import Dialect
-from ...ir.diagnostics import VerificationError
+from ...ir.diagnostics import UNKNOWN_LOCATION, VerificationError
 from ...ir.operation import Operation
 
 CICERO_DIALECT = Dialect("cicero", "Low-level IR for the Cicero ISA (paper §3.3)")
@@ -38,10 +39,15 @@ CICERO_DIALECT = Dialect("cicero", "Low-level IR for the Cicero ISA (paper §3.3
 class CiceroInstructionOp(Operation):
     """Base class of the seven instruction ops; handles labels."""
 
-    def __init__(self, label: Optional[str] = None, **kwargs):
-        super().__init__(**kwargs)
-        if label is not None:
-            self.attributes["sym_name"] = StringAttr(label)
+    def __init__(self, label: Optional[str] = None, location=UNKNOWN_LOCATION):
+        # A compile builds hundreds of these, all region-free: fill the
+        # Operation slots directly instead of going through its generic
+        # attribute-wrapping, region-building constructor.
+        self.name = self.OP_NAME
+        self.attributes = {} if label is None else {"sym_name": StringAttr(label)}
+        self.regions = []
+        self.parent_block = None
+        self.location = location
 
     @property
     def label(self) -> Optional[str]:
@@ -77,15 +83,11 @@ class CiceroInstructionOp(Operation):
         if label is not None and not isinstance(label, StringAttr):
             raise VerificationError("'sym_name' must be a string", self)
 
-    @property
-    def falls_through(self) -> bool:
-        """Does control continue to the next op after this one?
-
-        Acceptance ends the thread; a jump transfers unconditionally.
-        Everything else (including split, which also continues at its
-        target) falls through.
-        """
-        return True
+    #: Does control continue to the next op after this one?  Acceptance
+    #: ends the thread; a jump transfers unconditionally.  Everything
+    #: else (including split, which also continues at its target) falls
+    #: through.
+    falls_through = True
 
 
 @CICERO_DIALECT.register_op
@@ -104,51 +106,49 @@ class AcceptPartialOp(CiceroInstructionOp):
     falls_through = False
 
 
+class _BranchOp(CiceroInstructionOp):
+    """A split or jump: one symbolic target under ``TARGET_ATTR``.
+
+    A target is a label's name or the ``SymbolRefAttr`` naming it —
+    immutable, so every branch to one label may share one instance.
+    """
+
+    TARGET_ATTR: str
+
+    def __init__(self, target=None, label=None, location=UNKNOWN_LOCATION):
+        CiceroInstructionOp.__init__(self, label, location)
+        if target is not None:
+            self.set_target(target)
+
+    @property
+    def target(self) -> str:
+        return self.attributes[self.TARGET_ATTR].name
+
+    def set_target(self, label: Union[str, SymbolRefAttr]) -> None:
+        self.attributes[self.TARGET_ATTR] = (
+            label if isinstance(label, SymbolRefAttr) else SymbolRefAttr(label)
+        )
+
+    def verify_op(self) -> None:
+        super().verify_op()
+        self.expect_attr(self.TARGET_ATTR, SymbolRefAttr)
+
+
 @CICERO_DIALECT.register_op
-class SplitOp(CiceroInstructionOp):
+class SplitOp(_BranchOp):
     """Fork execution: one thread falls through, one jumps to the target."""
 
     OP_NAME = "cicero.split"
-
-    def __init__(self, split_return: Optional[str] = None, **kwargs):
-        super().__init__(**kwargs)
-        if split_return is not None:
-            self.attributes["splitReturn"] = SymbolRefAttr(split_return)
-
-    @property
-    def target(self) -> str:
-        return self.attributes["splitReturn"].name
-
-    def set_target(self, label: str) -> None:
-        self.attributes["splitReturn"] = SymbolRefAttr(label)
-
-    def verify_op(self) -> None:
-        super().verify_op()
-        self.expect_attr("splitReturn", SymbolRefAttr)
+    TARGET_ATTR = "splitReturn"
 
 
 @CICERO_DIALECT.register_op
-class JumpOp(CiceroInstructionOp):
+class JumpOp(_BranchOp):
     """Unconditional jump to the target label."""
 
     OP_NAME = "cicero.jump"
+    TARGET_ATTR = "target"
     falls_through = False
-
-    def __init__(self, target: Optional[str] = None, **kwargs):
-        super().__init__(**kwargs)
-        if target is not None:
-            self.attributes["target"] = SymbolRefAttr(target)
-
-    @property
-    def target(self) -> str:
-        return self.attributes["target"].name
-
-    def set_target(self, label: str) -> None:
-        self.attributes["target"] = SymbolRefAttr(label)
-
-    def verify_op(self) -> None:
-        super().verify_op()
-        self.expect_attr("target", SymbolRefAttr)
 
 
 @CICERO_DIALECT.register_op
@@ -158,44 +158,35 @@ class MatchAnyOp(CiceroInstructionOp):
     OP_NAME = "cicero.match_any"
 
 
+class _CharOp(CiceroInstructionOp):
+    """A match or not-match: one byte operand under ``char``."""
+
+    def __init__(self, char=None, label=None, location=UNKNOWN_LOCATION):
+        CiceroInstructionOp.__init__(self, label, location)
+        if char is not None:
+            self.attributes["char"] = CharAttr(char)
+
+    @property
+    def code(self) -> int:
+        return self.attributes["char"].value
+
+    def verify_op(self) -> None:
+        super().verify_op()
+        self.expect_attr("char", CharAttr)
+
+
 @CICERO_DIALECT.register_op
-class MatchCharOp(CiceroInstructionOp):
+class MatchCharOp(_CharOp):
     """Consume the current character if it equals the operand."""
 
     OP_NAME = "cicero.match_char"
 
-    def __init__(self, char=None, **kwargs):
-        super().__init__(**kwargs)
-        if char is not None:
-            self.attributes["char"] = CharAttr(char)
-
-    @property
-    def code(self) -> int:
-        return self.attributes["char"].value
-
-    def verify_op(self) -> None:
-        super().verify_op()
-        self.expect_attr("char", CharAttr)
-
 
 @CICERO_DIALECT.register_op
-class NotMatchCharOp(CiceroInstructionOp):
+class NotMatchCharOp(_CharOp):
     """Continue (without consuming) if the current character differs."""
 
     OP_NAME = "cicero.not_match_char"
-
-    def __init__(self, char=None, **kwargs):
-        super().__init__(**kwargs)
-        if char is not None:
-            self.attributes["char"] = CharAttr(char)
-
-    @property
-    def code(self) -> int:
-        return self.attributes["char"].value
-
-    def verify_op(self) -> None:
-        super().verify_op()
-        self.expect_attr("char", CharAttr)
 
 
 TARGET_CARRYING_OPS = (SplitOp, JumpOp)
@@ -215,22 +206,29 @@ class ProgramOp(Operation):
     def instructions(self):
         return self.body_ops()
 
+    def _label_table(self, values: Iterable) -> dict:
+        """Label → the entry of ``values`` at the labelled op's position."""
+        entries = [
+            (op.attributes["sym_name"].value, value)
+            for op, value in zip(self.instructions, values)
+            if "sym_name" in op.attributes
+        ]
+        table = dict(entries)
+        if len(table) != len(entries):
+            seen = set()
+            for label, _ in entries:
+                if label in seen:
+                    raise VerificationError(f"duplicate label '{label}'", self)
+                seen.add(label)
+        return table
+
     def label_map(self) -> Dict[str, int]:
         """Label → instruction index (i.e. the address after layout)."""
-        labels: Dict[str, int] = {}
-        for index, op in enumerate(self.instructions):
-            label = op.label
-            if label is not None:
-                if label in labels:
-                    raise VerificationError(f"duplicate label '{label}'", self)
-                labels[label] = index
-        return labels
+        return self._label_table(itertools.count())
 
-    def op_with_label(self, label: str) -> Operation:
-        for op in self.instructions:
-            if op.label == label:
-                return op
-        raise VerificationError(f"unknown label '{label}'", self)
+    def labelled_ops(self) -> Dict[str, CiceroInstructionOp]:
+        """Label → the instruction carrying it."""
+        return self._label_table(self.instructions)
 
     def verify_op(self) -> None:
         self.expect_num_regions(1)
@@ -247,3 +245,20 @@ class ProgramOp(Operation):
                 raise VerificationError(
                     f"'{op.name}' targets undefined label '{op.target}'", self
                 )
+
+
+def programs_under(root: Operation) -> List[ProgramOp]:
+    """Every ``cicero.program`` at or below ``root``, in layout order.
+
+    Stops at each program: instructions hold no regions, so there is
+    nothing to find beneath one.
+    """
+    if isinstance(root, ProgramOp):
+        return [root]
+    return [
+        program
+        for region in root.regions
+        for block in region.blocks
+        for op in block.operations
+        for program in programs_under(op)
+    ]

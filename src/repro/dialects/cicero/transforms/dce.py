@@ -16,30 +16,29 @@ paper's 10-instruction result for ``ab|cd`` (Listing 2, right column).
 
 from __future__ import annotations
 
-from typing import Set
-
 from ....ir.operation import Operation
 from ....ir.pass_manager import Pass, register_pass
-from ..ops import ProgramOp, TARGET_CARRYING_OPS
+from ..ops import ProgramOp, TARGET_CARRYING_OPS, programs_under
 
 
-def _reachable_indices(program: ProgramOp) -> Set[int]:
+def _reachable_flags(program: ProgramOp) -> bytearray:
+    """One flag per instruction: can control reach it from the entry?"""
     instructions = program.instructions
-    if not instructions:
-        return set()
     labels = program.label_map()
-    reachable: Set[int] = set()
+    count = len(instructions)
+    reachable = bytearray(count)
     worklist = [0]
     while worklist:
         index = worklist.pop()
-        if index in reachable or index >= len(instructions):
-            continue
-        reachable.add(index)
-        op = instructions[index]
-        if op.falls_through:
-            worklist.append(index + 1)
-        if isinstance(op, TARGET_CARRYING_OPS):
-            worklist.append(labels[op.target])
+        # Follow the fall-through run from here; targets wait their turn.
+        while index < count and not reachable[index]:
+            reachable[index] = 1
+            op = instructions[index]
+            if isinstance(op, TARGET_CARRYING_OPS):
+                worklist.append(labels[op.target])
+            if not op.falls_through:
+                break
+            index += 1
     return reachable
 
 
@@ -49,16 +48,12 @@ class DeadCodeEliminationPass(Pass):
     PASS_NAME = "cicero-dce"
 
     def run(self, root: Operation) -> None:
-        programs = (
-            [root]
-            if isinstance(root, ProgramOp)
-            else [op for op in root.walk() if isinstance(op, ProgramOp)]
-        )
-        for program in programs:
-            reachable = _reachable_indices(program)
-            for index, op in reversed(list(enumerate(program.instructions))):
-                if index not in reachable:
-                    op.erase()
+        for program in programs_under(root):
+            reachable = _reachable_flags(program)
+            if not all(reachable):
+                program.regions[0].entry_block.replace_operations(
+                    [op for op, live in zip(program.instructions, reachable) if live]
+                )
 
 
 register_pass(DeadCodeEliminationPass)

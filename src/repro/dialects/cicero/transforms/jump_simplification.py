@@ -14,6 +14,11 @@ jump), then 2, then 1, iterating to a fixpoint.  A final dead-code
 sweep (see :mod:`.dce`) removes instructions no longer reachable, e.g.
 the shared acceptance once every jump to it was duplicated away.
 
+Each rule is one sweep over the program's jumps.  They share a label →
+op table that every edit keeps current, and a rule that drops or
+substitutes instructions builds the new layout as a list and installs
+it once.
+
 All rules strictly reduce the instruction count or the total jump
 offset, improving the code-locality metric ``D_offset`` — never the
 reverse (tested property).
@@ -21,29 +26,25 @@ reverse (tested property).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Tuple
 
 from ....ir.diagnostics import LoweringError
 from ....ir.operation import Operation
 from ....ir.pass_manager import Pass, register_pass
-from ..ops import ACCEPTANCE_OPS, JumpOp, ProgramOp, SplitOp, TARGET_CARRYING_OPS
+from ..ops import (
+    ACCEPTANCE_OPS,
+    CiceroInstructionOp,
+    JumpOp,
+    ProgramOp,
+    TARGET_CARRYING_OPS,
+    programs_under,
+)
+
+LabelTable = Dict[str, CiceroInstructionOp]
+Jumps = List[Tuple[int, JumpOp]]  # with their positions, in layout order
 
 
-def _retarget_references(program: ProgramOp, old_label: str, new_label: str) -> None:
-    for op in program.instructions:
-        if isinstance(op, TARGET_CARRYING_OPS) and op.target == old_label:
-            op.set_target(new_label)
-
-
-def _ensure_label(op: Operation, emit_hint: str, counter: list) -> str:
-    """Return the op's label, creating a fresh one when absent."""
-    if op.label is None:
-        counter[0] += 1
-        op.set_label(f"{emit_hint}{counter[0]}")
-    return op.label
-
-
-def _thread_jump_chains(program: ProgramOp, counter: list) -> bool:
+def _thread_jump_chains(jumps: Jumps, labels: LabelTable) -> bool:
     """Rule 3: retarget jump→jump chains to their final destination.
 
     Applied to jumps only — the paper's rules act "on each JumpOp"; a
@@ -51,40 +52,50 @@ def _thread_jump_chains(program: ProgramOp, counter: list) -> bool:
     dead once every jump into it is threaded, and falls to DCE).
     """
     changed = False
-    label_to_op = {
-        op.label: op for op in program.instructions if op.label is not None
-    }
-    for op in program.instructions:
-        if not isinstance(op, JumpOp):
-            continue
-        destination = label_to_op[op.target]
-        hops = 0
+    # Where each jump already followed leads; ``None`` while its chain is
+    # being followed, so meeting it again means the chain is a cycle.
+    finals: Dict[JumpOp, Operation] = {}
+    for _, op in jumps:
+        chain: List[JumpOp] = []
+        first = destination = labels[op.target]
         while isinstance(destination, JumpOp):
-            destination = label_to_op[destination.target]
-            hops += 1
-            if hops > len(program.instructions):
-                raise LoweringError("jump cycle detected during threading")
-        if hops > 0:
-            final_label = _ensure_label(destination, "T", counter)
-            op.set_target(final_label)
+            if destination in finals:
+                destination = finals[destination]
+                if destination is None:
+                    raise LoweringError("jump cycle detected during threading")
+                break
+            finals[destination] = None
+            chain.append(destination)
+            destination = labels[destination.target]
+        for hop in chain:
+            finals[hop] = destination
+        if destination is not first:
+            # Found *by* label, so the destination always carries one.
+            op.set_target(destination.label)
             changed = True
     return changed
 
 
-def _duplicate_acceptance_targets(program: ProgramOp) -> bool:
-    """Rule 2: replace jump-to-acceptance with a copy of the acceptance."""
-    changed = False
-    label_to_op = {
-        op.label: op for op in program.instructions if op.label is not None
-    }
-    for op in list(program.instructions):
-        if not isinstance(op, JumpOp):
-            continue
-        destination = label_to_op.get(op.target)
-        if destination is None or not isinstance(destination, ACCEPTANCE_OPS):
+def _duplicate_acceptance_targets(
+    program: ProgramOp, jumps: Jumps, labels: LabelTable
+) -> bool:
+    """Rule 2: replace jump-to-acceptance with a copy of the acceptance.
+
+    A copy stands where its jump stood, so the positions in ``jumps``
+    stay valid; the replaced jumps are dropped from it.
+    """
+    layout = None
+    kept: Jumps = []
+    for index, op in jumps:
+        destination = labels.get(op.target)
+        if not isinstance(destination, ACCEPTANCE_OPS):
+            kept.append((index, op))
             continue
         duplicate = type(destination)()
-        duplicate.set_label(op.label)  # keep incoming references valid
+        own_label = op.attributes.get("sym_name")
+        if own_label is not None:  # keep incoming references valid
+            duplicate.attributes["sym_name"] = own_label
+            labels[own_label.value] = duplicate
         # Keep provenance: the duplicate stands where the jump stood, so
         # the jump's source fragment (falling back to the acceptance's)
         # is what the profiler should attribute it to.
@@ -93,34 +104,54 @@ def _duplicate_acceptance_targets(program: ProgramOp) -> bool:
             source = destination.attributes.get("source")
         if source is not None:
             duplicate.attributes["source"] = source
-        op.replace_with(duplicate)
-        changed = True
-    return changed
+        if layout is None:
+            layout = list(program.instructions)
+        layout[index] = duplicate
+    if layout is None:
+        return False
+    program.regions[0].entry_block.replace_operations(layout)
+    jumps[:] = kept
+    return True
 
 
-def _remove_jumps_to_next(program: ProgramOp) -> bool:
+def _remove_jumps_to_next(
+    program: ProgramOp, jumps: Jumps, labels: LabelTable
+) -> bool:
     """Rule 1: drop jumps that target the very next instruction."""
-    changed = False
     instructions = program.instructions
-    labels: Dict[str, int] = program.label_map()
-    index = 0
-    while index < len(instructions) - 1:
-        op = instructions[index]
-        if isinstance(op, JumpOp) and labels.get(op.target) == index + 1:
-            successor = instructions[index + 1]
-            own_label: Optional[str] = op.label
-            op.erase()
-            if own_label is not None:
-                # References to the removed jump now mean its successor.
-                if successor.label is not None:
-                    _retarget_references(program, own_label, successor.label)
-                else:
-                    successor.set_label(own_label)
-            changed = True
-            labels = program.label_map()
-            continue  # re-check the same index (list shifted)
-        index += 1
-    return changed
+    removed = set()
+    # Label of a dropped jump → the label its references now mean.
+    renamed: Dict[str, str] = {}
+    for index, op in jumps:
+        if index + 1 == len(instructions):
+            continue
+        successor = instructions[index + 1]
+        if labels.get(op.target) is not successor:
+            continue
+        removed.add(index)
+        own_label = op.attributes.get("sym_name")
+        if own_label is not None:
+            # References to the removed jump now mean its successor.
+            labels[own_label.value] = successor
+            kept_label = successor.label
+            if kept_label is not None:
+                renamed[own_label.value] = kept_label
+            else:
+                successor.attributes["sym_name"] = own_label
+    if not removed:
+        return False
+    layout = [op for index, op in enumerate(instructions) if index not in removed]
+    program.regions[0].entry_block.replace_operations(layout)
+    if renamed:
+        for label in renamed:
+            del labels[label]
+        for op in layout:
+            if isinstance(op, TARGET_CARRYING_OPS) and op.target in renamed:
+                label = op.target
+                while label in renamed:
+                    label = renamed[label]
+                op.set_target(label)
+    return True
 
 
 class JumpSimplificationPass(Pass):
@@ -129,20 +160,19 @@ class JumpSimplificationPass(Pass):
     PASS_NAME = "cicero-jump-simplification"
 
     def run(self, root: Operation) -> None:
-        counter = [0]
-        for program in _programs_under(root):
+        for program in programs_under(root):
+            labels = program.labelled_ops()
             for _ in range(len(program.instructions) + 1):
-                changed = _thread_jump_chains(program, counter)
-                changed |= _duplicate_acceptance_targets(program)
-                changed |= _remove_jumps_to_next(program)
+                jumps = [
+                    (index, op)
+                    for index, op in enumerate(program.instructions)
+                    if isinstance(op, JumpOp)
+                ]
+                changed = _thread_jump_chains(jumps, labels)
+                changed |= _duplicate_acceptance_targets(program, jumps, labels)
+                changed |= _remove_jumps_to_next(program, jumps, labels)
                 if not changed:
                     break
-
-
-def _programs_under(root: Operation):
-    if isinstance(root, ProgramOp):
-        return [root]
-    return [op for op in root.walk() if isinstance(op, ProgramOp)]
 
 
 register_pass(JumpSimplificationPass)

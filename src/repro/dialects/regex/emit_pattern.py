@@ -85,29 +85,23 @@ def _emit_atom(op: Operation) -> str:
     raise IRError(f"not a regex atom: {op.name}")
 
 
-def _emit_piece(op: PieceOp) -> str:
-    minimum, maximum = op.bounds
-    atom_text = _emit_atom(op.atom)
-    quantifier = _emit_quantifier(minimum, maximum)
-    # A quantified multi-char construct needs no extra parens: atoms are
-    # single chars, classes, or already-parenthesized sub-regexes.
-    return atom_text + quantifier
-
-
 def emit_piece(op: PieceOp) -> str:
     """Render one quantified piece (e.g. ``(a|ab)*``) as pattern text.
 
-    Public entry point for the Cicero lowering, which stamps the
-    rendered fragment onto every instruction it emits for the piece so
-    the profiler can attribute execution back to sub-patterns.
+    Also the Cicero lowering's entry point: it stamps the fragment of
+    each top-level piece onto the instructions emitted for it, so the
+    profiler can attribute execution back to sub-patterns.
     """
-    return _emit_piece(op)
+    minimum, maximum = op.bounds
+    # A quantified multi-char construct needs no extra parens: atoms are
+    # single chars, classes, or already-parenthesized sub-regexes.
+    return _emit_atom(op.atom) + _emit_quantifier(minimum, maximum)
 
 
 def _emit_alternation(op) -> str:
     branches = []
     for concat in op.alternatives:
-        branches.append("".join(_emit_piece(piece) for piece in concat.pieces))
+        branches.append("".join(emit_piece(piece) for piece in concat.pieces))
     return "|".join(branches)
 
 

@@ -8,41 +8,44 @@ constructing the pipeline from :class:`~repro.api.CompileOptions` flags
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, List
 
 from ....ir.operation import Operation
 from ....ir.pass_manager import Pass, register_pass
-from ....ir.rewriter import apply_patterns_greedily
+from ....ir.rewriter import RewritePattern, apply_patterns_greedily
 from .boundary_quantifier import boundary_quantifier_patterns
 from .factorize_alternations import factorize_patterns
 from .simplify_subregex import simplify_subregex_patterns
 
 
-class SimplifySubRegexPass(Pass):
+class _PatternPass(Pass):
+    """Apply ``patterns()`` greedily; keeps the run's statistics."""
+
+    patterns: Callable[[], List[RewritePattern]]
+
+    def run(self, root: Operation) -> None:
+        self.statistics = apply_patterns_greedily(root, self.patterns())
+
+
+class SimplifySubRegexPass(_PatternPass):
     """Canonicalize sub-regexes (remove unnecessary parentheses)."""
 
     PASS_NAME = "regex-simplify-subregex"
-
-    def run(self, root: Operation) -> None:
-        apply_patterns_greedily(root, simplify_subregex_patterns())
+    patterns = staticmethod(simplify_subregex_patterns)
 
 
-class FactorizeAlternationsPass(Pass):
+class FactorizeAlternationsPass(_PatternPass):
     """Factor common prefixes out of alternations."""
 
     PASS_NAME = "regex-factorize-alternations"
-
-    def run(self, root: Operation) -> None:
-        apply_patterns_greedily(root, factorize_patterns())
+    patterns = staticmethod(factorize_patterns)
 
 
-class BoundaryQuantifierPass(Pass):
+class BoundaryQuantifierPass(_PatternPass):
     """Shortest-match-aware quantifier reduction at pattern boundaries."""
 
     PASS_NAME = "regex-boundary-quantifier"
-
-    def run(self, root: Operation) -> None:
-        apply_patterns_greedily(root, boundary_quantifier_patterns())
+    patterns = staticmethod(boundary_quantifier_patterns)
 
 
 register_pass(SimplifySubRegexPass)

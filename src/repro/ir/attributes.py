@@ -110,12 +110,13 @@ class CharAttr(Attribute):
     """A single byte (0..255), the operand of match instructions.
 
     Printed as ``char 'a'`` for printable ASCII and ``char 0xNN``
-    otherwise.
+    otherwise.  The value space is 256 wide, so instances are uniqued:
+    ``CharAttr(97) is CharAttr("a")``.
     """
 
     __slots__ = ("value",)
 
-    def __init__(self, value):
+    def __new__(cls, value):
         if isinstance(value, str):
             if len(value) != 1:
                 raise IRError(f"CharAttr expects one character, got {value!r}")
@@ -123,7 +124,12 @@ class CharAttr(Attribute):
         value = int(value)
         if not 0 <= value <= 255:
             raise IRError(f"CharAttr value out of byte range: {value}")
-        object.__setattr__(self, "value", value)
+        shared = _CHAR_ATTRS.get(value)
+        if shared is None:
+            shared = super().__new__(cls)
+            object.__setattr__(shared, "value", value)
+            shared = _CHAR_ATTRS.setdefault(value, shared)
+        return shared
 
     def __setattr__(self, name, value):
         raise IRError("attributes are immutable")
@@ -142,6 +148,10 @@ class CharAttr(Attribute):
         if self.value in _PRINTABLE and self.value not in (ord("'"), ord("\\")):
             return f"char '{chr(self.value)}'"
         return f"char 0x{self.value:02X}"
+
+
+#: The one :class:`CharAttr` per byte value, filled on first use.
+_CHAR_ATTRS: dict = {}
 
 
 class ArrayAttr(Attribute):
@@ -175,6 +185,16 @@ class ArrayAttr(Attribute):
         return "[" + ", ".join(elem.to_text() for elem in self.elements) + "]"
 
 
+def _set_bits(mask: int) -> Tuple[int, ...]:
+    """Positions of the set bits of ``mask``, ascending."""
+    positions = []
+    while mask:
+        lowest = mask & -mask
+        positions.append(lowest.bit_length() - 1)
+        mask ^= lowest
+    return tuple(positions)
+
+
 class CharSetAttr(Attribute):
     """The boolean bitmap argument of ``GroupOp`` (paper Table 3).
 
@@ -182,7 +202,7 @@ class CharSetAttr(Attribute):
     compact range syntax, e.g. ``charset"a-cx\\x0A"``.
     """
 
-    __slots__ = ("mask",)
+    __slots__ = ("mask", "_chars")
 
     def __init__(self, chars: Iterable = (), mask: int = None):
         if mask is None:
@@ -195,6 +215,9 @@ class CharSetAttr(Attribute):
         if mask < 0 or mask >> 256:
             raise IRError("charset mask must fit in 256 bits")
         object.__setattr__(self, "mask", mask)
+        # Decoded member tuple, filled by the first chars() call: the
+        # attribute is immutable, so every later reader shares it.
+        object.__setattr__(self, "_chars", None)
 
     def __setattr__(self, name, value):
         raise IRError("attributes are immutable")
@@ -214,7 +237,11 @@ class CharSetAttr(Attribute):
 
     def chars(self) -> Tuple[int, ...]:
         """Member byte values in ascending order."""
-        return tuple(code for code in range(256) if self.mask >> code & 1)
+        members = self._chars
+        if members is None:
+            members = _set_bits(self.mask)
+            object.__setattr__(self, "_chars", members)
+        return members
 
     def ranges(self) -> Tuple[Tuple[int, int], ...]:
         """Members grouped into inclusive ``(lo, hi)`` runs."""

@@ -95,6 +95,18 @@ class Block:
         self.operations.remove(op)
         op.parent_block = None
 
+    def replace_operations(self, operations: List["Operation"]) -> None:
+        """Make ``operations`` the block's content in one linear step: how
+        a pass drops or substitutes many ops (``erase`` and ``replace_with``
+        each scan the block).  Ops left out end up detached."""
+        for op in self.operations:
+            op.parent_block = None
+        for op in operations:
+            if op.parent_block is not None:
+                raise IRError("operation already belongs to a block")
+            op.parent_block = self
+        self.operations[:] = operations
+
     def index_of(self, op: "Operation") -> int:
         for index, candidate in enumerate(self.operations):
             if candidate is op:
@@ -165,9 +177,6 @@ class Operation:
     # ------------------------------------------------------------------
     def set_attr(self, key: str, value) -> None:
         self.attributes[key] = wrap_attribute(value)
-
-    def get_attr(self, key: str) -> Optional[Attribute]:
-        return self.attributes.get(key)
 
     def bool_attr(self, key: str, default: bool = False) -> bool:
         attr = self.attributes.get(key)
@@ -256,18 +265,32 @@ class Operation:
         return self._walk_iter()
 
     def _walk_iter(self) -> Iterator["Operation"]:
-        yield self
-        for region in self.regions:
-            for block in region.blocks:
-                for op in list(block.operations):
-                    yield from op._walk_iter()
+        # One explicit stack, not a generator frame per nesting level.
+        stack = [self]
+        while stack:
+            op = stack.pop()
+            yield op
+            for region in reversed(op.regions):
+                for block in reversed(region.blocks):
+                    stack.extend(reversed(block.operations))
 
-    def walk_post_order(self) -> Iterator["Operation"]:
-        for region in self.regions:
-            for block in region.blocks:
-                for op in list(block.operations):
-                    yield from op.walk_post_order()
-        yield self
+    def walk_post_order(self) -> List["Operation"]:
+        """Every op of the tree, children before parents.
+
+        The list is a snapshot, so callers may erase or replace the ops
+        they visit.
+        """
+        # Parents first with children right to left, then reversed.
+        order = []
+        stack = [self]
+        while stack:
+            op = stack.pop()
+            order.append(op)
+            for region in op.regions:
+                for block in region.blocks:
+                    stack.extend(block.operations)
+        order.reverse()
+        return order
 
     # ------------------------------------------------------------------
     # Verification and equivalence

@@ -24,6 +24,10 @@ class Pass:
     #: Unique pipeline name, e.g. ``"regex-factorize-alternations"``.
     PASS_NAME: str = "unnamed"
 
+    #: The :class:`~repro.ir.rewriter.RewriteStatistics` of the last
+    #: ``run`` of a pattern-driven pass; ``None`` for any other pass.
+    statistics = None
+
     def run(self, root: Operation) -> None:
         raise NotImplementedError
 
@@ -144,29 +148,35 @@ class PassManager:
         ``tracer`` (a :class:`repro.observability.Tracer`, or ``None``)
         gets one ``pass:<name>`` span per pass; ``span_attrs`` computes
         IR statistics (op count, ``D_offset``) recorded as ``*_before``/
-        ``*_after`` span attributes together with their deltas.  Both
-        are skipped entirely when tracing is disabled, so the untraced
-        path is byte-for-byte the historical one.
+        ``*_after`` span attributes together with their deltas — once
+        per pass boundary, one pass's ``after`` being the next one's
+        ``before`` — and a pattern-driven pass adds whether it
+        ``converged``.  All of it is skipped when tracing is disabled,
+        so the untraced path is byte-for-byte the historical one.
         """
         result = PipelineResult()
         if self.verify_each:
             root.verify()
         tracing = tracer is not None and tracer.enabled
+        stats = span_attrs(root) if tracing and span_attrs is not None else {}
         for pipeline_pass in self.passes:
             if tracing:
                 with tracer.span(f"pass:{pipeline_pass.PASS_NAME}") as span:
-                    before = span_attrs(root) if span_attrs is not None else {}
+                    before = stats
                     for key, value in before.items():
                         span.attributes[f"{key}_before"] = value
                     started = time.perf_counter()
                     pipeline_pass.run(root)
                     elapsed = time.perf_counter() - started
-                    after = span_attrs(root) if span_attrs is not None else {}
-                    for key, value in after.items():
+                    stats = span_attrs(root) if span_attrs is not None else {}
+                    for key, value in stats.items():
                         span.attributes[f"{key}_after"] = value
                         prior = before.get(key)
                         if value is not None and prior is not None:
                             span.attributes[f"{key}_delta"] = value - prior
+                    statistics = pipeline_pass.statistics
+                    if statistics is not None:
+                        span.attributes["converged"] = statistics.converged
                     span.attributes["seconds"] = elapsed
             else:
                 started = time.perf_counter()

@@ -10,7 +10,7 @@ a fixpoint is reached or the iteration budget is exhausted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .diagnostics import IRError
 from .operation import Operation
@@ -47,6 +47,10 @@ class RewriteStatistics:
     iterations: int = 0
     total_rewrites: int = 0
     rewrites_by_pattern: dict = field(default_factory=dict)
+    #: False when the iteration budget ran out while patterns were still
+    #: firing (e.g. two patterns undoing each other): the IR is then
+    #: wherever the last sweep left it, not in normal form.
+    converged: bool = True
 
     def record(self, pattern: RewritePattern) -> None:
         self.total_rewrites += 1
@@ -64,19 +68,25 @@ class GreedyRewriteDriver:
         if max_iterations < 1:
             raise IRError("max_iterations must be positive")
         self.max_iterations = max_iterations
+        self._by_op_name: Dict[str, List[RewritePattern]] = {}
 
     def _patterns_for(self, op: Operation) -> Sequence[RewritePattern]:
-        return [
-            pattern
-            for pattern in self.patterns
-            if pattern.op_name is None or pattern.op_name == op.name
-        ]
+        """The patterns anchored on ``op``'s name, computed once per name."""
+        patterns = self._by_op_name.get(op.name)
+        if patterns is None:
+            patterns = self._by_op_name[op.name] = [
+                pattern
+                for pattern in self.patterns
+                if pattern.op_name is None or pattern.op_name == op.name
+            ]
+        return patterns
 
     def apply(self, root: Operation) -> RewriteStatistics:
         """Rewrite everything nested under ``root`` (root itself included).
 
         Returns the statistics of the run; ``total_rewrites == 0`` means
-        the IR was already in normal form.
+        the IR was already in normal form, ``converged`` false that the
+        iteration budget ended the run instead of a fixpoint.
         """
         stats = RewriteStatistics()
         for _ in range(self.max_iterations):
@@ -84,7 +94,7 @@ class GreedyRewriteDriver:
             changed = False
             # Post-order so children are simplified before their parents,
             # which lets parent patterns assume canonical children.
-            for op in list(root.walk_post_order()):
+            for op in root.walk_post_order():
                 if op is not root and op.parent_block is None:
                     continue  # erased by an earlier rewrite this sweep
                 for pattern in self._patterns_for(op):
@@ -94,6 +104,7 @@ class GreedyRewriteDriver:
                         break  # op may have been replaced; move on
             if not changed:
                 return stats
+        stats.converged = False
         return stats
 
 

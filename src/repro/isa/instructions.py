@@ -31,7 +31,7 @@ class Opcode(enum.IntEnum):
 
     @property
     def mnemonic(self) -> str:
-        return _MNEMONICS[self]
+        return self.name
 
     @property
     def is_match(self) -> bool:
@@ -62,16 +62,6 @@ class Opcode(enum.IntEnum):
         return self in (Opcode.SPLIT, Opcode.JMP, Opcode.MATCH, Opcode.NOT_MATCH)
 
 
-_MNEMONICS = {
-    Opcode.ACCEPT: "ACCEPT",
-    Opcode.ACCEPT_PARTIAL: "ACCEPT_PARTIAL",
-    Opcode.SPLIT: "SPLIT",
-    Opcode.JMP: "JMP",
-    Opcode.MATCH_ANY: "MATCH_ANY",
-    Opcode.MATCH: "MATCH",
-    Opcode.NOT_MATCH: "NOT_MATCH",
-}
-
 #: Width of the operand field; addresses and characters must fit here.
 OPERAND_BITS = 13
 MAX_OPERAND = (1 << OPERAND_BITS) - 1
@@ -100,11 +90,8 @@ class Instruction:
             raise ValueError(
                 f"operand {self.operand} does not fit {OPERAND_BITS} bits"
             )
-        if (
-            not self.opcode.has_operand
-            and not self.opcode.is_acceptance
-            and self.operand != 0
-        ):
+        # The one opcode with neither an operand nor a match id.
+        if self.operand != 0 and self.opcode is Opcode.MATCH_ANY:
             raise ValueError(f"{self.opcode.mnemonic} takes no operand")
 
     @property

@@ -74,15 +74,17 @@ class Program:
                 f"program of {len(self.instructions)} instructions exceeds "
                 f"the {MAX_PROGRAM_LENGTH}-entry address space"
             )
+        length = len(self.instructions)
         has_acceptance = False
         for address, instruction in enumerate(self.instructions):
-            if instruction.opcode.is_control_flow:
-                if instruction.operand >= len(self.instructions):
+            opcode = instruction.opcode
+            if opcode is Opcode.SPLIT or opcode is Opcode.JMP:
+                if instruction.operand >= length:
                     raise CodegenError(
                         f"instruction {address} targets address "
                         f"{instruction.operand} beyond program end"
                     )
-            if instruction.opcode.is_acceptance:
+            elif opcode is Opcode.ACCEPT or opcode is Opcode.ACCEPT_PARTIAL:
                 has_acceptance = True
         if not has_acceptance:
             raise CodegenError("program has no acceptance instruction")

@@ -24,35 +24,36 @@ from ..ir.operation import Operation
 from .tracer import AnyTracer, Span
 
 
-def op_count(root: Operation) -> int:
-    """Number of operations in the tree rooted at ``root``."""
-    count = 0
-    for _ in root.walk():
-        count += 1
-    return count
+def ir_stats(root: Operation) -> Dict[str, Any]:
+    """The attribute dict pass spans record before/after each pass.
 
-
-def module_d_offset(root: Operation) -> Optional[int]:
-    """Eq. 1 ``D_offset`` over every ``cicero.program`` under ``root``.
-
-    Operation order inside a ``cicero.program`` block *is* the
-    instruction-memory layout, so the address of an op is its index and
-    a symbolic branch target resolves through the label map.  Returns
-    ``None`` when the tree holds no cicero program (e.g. a ``regex``
-    dialect module before lowering).
+    One traversal yields both numbers: ``op_count``, the operations in
+    the tree rooted at ``root``, and ``d_offset``, Eq. 1 summed over
+    every ``cicero.program`` under it.  Operation order inside a
+    ``cicero.program`` block *is* the instruction-memory layout, so the
+    address of an op is its index and a symbolic branch target resolves
+    through the labels.  ``d_offset`` is ``None`` when the tree holds no
+    cicero program (e.g. a ``regex`` dialect module before lowering).
     """
-    from ..dialects.cicero.ops import ProgramOp, TARGET_CARRYING_OPS
+    from ..dialects.cicero.ops import (
+        CiceroInstructionOp,
+        ProgramOp,
+        TARGET_CARRYING_OPS,
+    )
 
+    count = 0
     total: Optional[int] = None
     for op in root.walk():
+        count += 1
         if not isinstance(op, ProgramOp):
             continue
-        instructions = list(op.instructions)
+        instructions = op.instructions
         addresses: Dict[str, int] = {}
         for address, instruction in enumerate(instructions):
-            label = getattr(instruction, "label", None)
-            if label is not None:
-                addresses[label] = address
+            if isinstance(instruction, CiceroInstructionOp):
+                label = instruction.label
+                if label is not None:
+                    addresses[label] = address
         subtotal = 0
         for address, instruction in enumerate(instructions):
             if isinstance(instruction, TARGET_CARRYING_OPS):
@@ -60,12 +61,17 @@ def module_d_offset(root: Operation) -> Optional[int]:
                 if target is not None:
                     subtotal += abs(target - address)
         total = subtotal if total is None else total + subtotal
-    return total
+    return {"op_count": count, "d_offset": total}
 
 
-def ir_stats(root: Operation) -> Dict[str, Any]:
-    """The attribute dict pass spans record before/after each pass."""
-    return {"op_count": op_count(root), "d_offset": module_d_offset(root)}
+def op_count(root: Operation) -> int:
+    """Number of operations in the tree rooted at ``root``."""
+    return ir_stats(root)["op_count"]
+
+
+def module_d_offset(root: Operation) -> Optional[int]:
+    """Eq. 1 ``D_offset`` over every ``cicero.program`` under ``root``."""
+    return ir_stats(root)["d_offset"]
 
 
 @dataclass

@@ -136,3 +136,27 @@ def test_wildcard_pattern_sees_every_op():
 
     apply_patterns_greedily(_module_with("test.a", "test.b"), [Spy()])
     assert set(seen) == {"builtin.module", "test.a", "test.b"}
+
+
+def test_non_convergence_is_reported():
+    """Two patterns that undo each other exhaust the budget, and say so."""
+
+    class Flip(RewritePattern):
+        def __init__(self, old, new):
+            self.op_name, self.new = old, new
+
+        def match_and_rewrite(self, op):
+            op.replace_with(Operation(name=self.new))
+            return True
+
+    undo_each_other = [Flip("test.a", "test.b"), Flip("test.b", "test.a")]
+    module = _module_with("test.a", "test.keep")
+    stats = GreedyRewriteDriver(undo_each_other, max_iterations=5).apply(module)
+    assert not stats.converged
+    assert stats.iterations == 5 and stats.total_rewrites == 5
+    # Half-rewritten: wherever the last sweep left it.
+    assert [op.name for op in module.body] == ["test.b", "test.keep"]
+
+    stats = apply_patterns_greedily(module, undo_each_other[1:])
+    assert stats.converged and stats.iterations == 2
+    assert apply_patterns_greedily(_module_with("test.keep"), undo_each_other).converged
