@@ -263,6 +263,7 @@ class Engine:
                 if payload.prefilter != "off" and self.metrics.enabled
                 else None
             ),
+            vm=matcher.vm if isinstance(matcher, CiceroMatcher) else None,
         )
         if (
             self.tracer.enabled

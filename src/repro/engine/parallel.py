@@ -93,7 +93,7 @@ class WorkerPayload:
 
 
 def build_match_fn(
-    payload: WorkerPayload, metrics=None
+    payload: WorkerPayload, metrics=None, vm: Optional[ThompsonVM] = None
 ) -> Callable[[bytes], bool]:
     """Rebuild the matcher a payload describes; returns ``bytes → bool``.
 
@@ -103,6 +103,10 @@ def build_match_fn(
     payload asks for counter collection.  ``None`` (the default) keeps
     every backend on its uninstrumented fast path; the ``nfa``/``dfa``
     automata have no counter hooks and ignore ``metrics``.
+
+    ``vm`` is an already built VM over a ``cicero`` payload's program:
+    the engine passes its cache entry's, so a pattern's ε-closure tables
+    are built once per entry; a worker has none and builds its own.
     """
     backend = payload.backend
     if backend == "cicero":
@@ -116,9 +120,11 @@ def build_match_fn(
                 max_dfa_states=payload.max_dfa_states,
                 max_vm_steps=max_steps,
                 metrics=metrics,
+                vm=vm,
             )
             return lambda data: bool(matcher.match(data))
-        vm = ThompsonVM(payload.artifact)
+        if vm is None:
+            vm = ThompsonVM(payload.artifact)
         if metrics is not None:
             return lambda data: bool(
                 vm.run(data, max_steps=max_steps, metrics=metrics)

@@ -3,12 +3,12 @@
 The VM fast path pays a Python-level set expansion per input position;
 for scan-heavy workloads that is the dominant cost even when the
 frontier is tiny.  This module determinizes the same work-instruction
-model *on the fly*: a DFA state is the frozenset of work PCs the VM
-would hold in its frontier, and a transition row is filled in one byte
-class at a time, only for the (state, class) pairs the input actually
-exercises.  Once a transition is cached, re-traversing it costs two
-list indexings — roughly two orders of magnitude less than a VM
-position.
+model *on the fly*: a DFA state is the set of work PCs the VM would
+hold in its frontier, kept as one ``int`` with bit ``pc`` set for each
+of them, and a transition row is filled in one byte class at a time,
+only for the (state, class) pairs the input actually exercises.  Once
+a transition is cached, re-traversing it costs two list indexings —
+roughly two orders of magnitude less than a VM position.
 
 Byte classes: every distinct ``MATCH``/``NOT_MATCH`` operand gets a
 singleton class and all remaining bytes share one residual class.  Two
@@ -31,10 +31,15 @@ a static property of the program — ``MATCH``/``MATCH_ANY`` contribute
 their precomputed successor closure or nothing, ``NOT_MATCH`` whatever
 its own successors contribute on that byte, ``ACCEPT_PARTIAL`` "match
 fires", ``ACCEPT`` nothing — so it is worked out once per
-(PC, byte class), on first use, and kept in a step table
-(:class:`_StepColumn`).  A transition is then the C-level union of the
-state's column entries; no instruction is interpreted twice for the
-same class.
+(PC, byte class), on first use, and kept as a bit mask in a step table
+(:class:`_StepColumn`); no instruction is interpreted twice for the
+same class.  A transition ORs those masks in two parts.  The
+**byte-blind** PCs of the state (``MATCH_ANY``, ``ACCEPT_PARTIAL``)
+contribute the same on every class, so their OR is computed once per
+distinct ``state & blind_mask`` and looked up after that.  Of the rest
+only the **sighted** PCs can contribute on this class — every
+``NOT_MATCH`` and the ``MATCH``es of the class's own byte, about three
+bits of a 30-PC state — and only those go through the column.
 
 The construction is strictly bounded: interning a state beyond
 ``max_states`` raises :class:`LazyDFABlowup`, and
@@ -47,7 +52,7 @@ never an error or a wrong verdict).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from ..isa.instructions import Opcode
 from ..isa.program import Program
@@ -55,22 +60,18 @@ from ..vm.kernel import DispatchTables
 from ..vm.thompson import MatchResult, ThompsonVM, _as_bytes
 
 #: Default cap on interned DFA states (also the `Budget.max_dfa_states`
-#: default).  A state costs its frozenset of work PCs, one interning
-#: dict entry and one transition row of ``num_classes`` ints (distinct
-#: operand bytes + 1, not 256): about 2 KB for the ~30-PC, 21-class
-#: states of the protomata ×4 rules, so a pattern that runs into the
-#: cap holds about 20 MB; literal-ish patterns determinize in well under
-#: 100 states.
+#: default).  A state costs its mask of work PCs (one ``int``: 4 bytes
+#: per 30 program addresses), one interning dict entry and one
+#: transition row of ``num_classes`` ints (distinct operand bytes + 1,
+#: not 256): about 0.5 KB for the 21-class states of the protomata ×4
+#: rules, so a pattern that runs into the cap holds about 5 MB;
+#: literal-ish patterns determinize in well under 100 states.
 DEFAULT_MAX_DFA_STATES = 10_000
 
 # Transition-row sentinels (all < 0 so real state ids stay >= 0).
 _UNBUILT = -3
 _MATCHED = -2
 _DEAD = -1
-
-#: Member of a step-table entry meaning "``ACCEPT_PARTIAL`` is reached:
-#: the match fires on this transition" (real PCs are >= 0).
-_FIRES = -1
 
 _MATCH = int(Opcode.MATCH)
 _MATCH_ANY = int(Opcode.MATCH_ANY)
@@ -96,44 +97,72 @@ class LazyDFABlowup(Exception):
         )
 
 
-class _StepColumn(dict):
-    """One byte class of the step table: ``pc -> frozenset`` of the PCs
-    that work instruction contributes to the successor state.
+def mask_pcs(mask: int) -> List[int]:
+    """The PCs whose bits are set in ``mask``, ascending — the one
+    decoder of a state (the streaming blow-up hand-over, tests)."""
+    pcs = []
+    while mask:
+        low = mask & -mask
+        pcs.append(low.bit_length() - 1)
+        mask ^= low
+    return pcs
 
-    Entries are computed on first lookup, per PC, so a cold one-shot
-    match on a large program pays only for the PCs its states actually
-    hold.  Most entries repeat — a ``MATCH`` contributes the same
-    closure on its byte's class and nothing on every other — so equal
-    sets are shared through ``interned`` (one dict for all the columns
-    of a DFA) and an entry costs a dict slot, not a set.  Holds the
-    shared dispatch tables rather than the DFA, so a dropped DFA is
-    freed by reference count, not by the cycle collector.
+
+def _mask_of(pcs: Iterable[int]) -> int:
+    mask = 0
+    for pc in pcs:
+        mask |= 1 << pc
+    return mask
+
+
+class _ClosureMasks(dict):
+    """``pc -> successors[pc]`` as a bit mask, built on first use."""
+
+    __slots__ = ("_successors",)
+
+    def __init__(self, successors: List[Optional[tuple]]):
+        super().__init__()
+        self._successors = successors
+
+    def __missing__(self, pc: int) -> int:
+        mask = self[pc] = _mask_of(self._successors[pc])
+        return mask
+
+
+class _StepColumn(dict):
+    """One byte class of the step table: one-hot PC mask -> mask of the
+    PCs that work instruction contributes to the successor state.
+
+    Keyed by the one-hot mask because that is what the transition loop
+    holds (``rest & -rest``).  Entries are computed on first lookup, per
+    PC, so a cold one-shot match on a large program pays only for the
+    PCs its states actually hold.  Holds the shared dispatch tables
+    rather than the DFA, so a dropped DFA is freed by reference count,
+    not by the cycle collector.
     """
 
-    __slots__ = ("_char", "_tables", "_interned")
+    __slots__ = ("_char", "_tables", "_closures", "_fires")
 
     def __init__(
-        self,
-        char: int,
-        tables: DispatchTables,
-        interned: Dict[frozenset, frozenset],
+        self, char: int, tables: DispatchTables, closures: _ClosureMasks, fires: int
     ):
         super().__init__()
         self._char = char
         self._tables = tables
-        self._interned = interned
+        self._closures = closures
+        self._fires = fires
 
-    def __missing__(self, pc: int) -> frozenset:
+    def __missing__(self, bit: int) -> int:
         char = self._char
         opcodes = self._tables.opcodes
         operands = self._tables.operands
         successors = self._tables.successors
-        contributed: set = set()
+        contributed = 0
         # A NOT_MATCH that lets this byte through continues, within the
         # position, at its own successors; ε-loops through NOT_MATCH end
         # at the visited set, as in the VM's per-position loop.
         visited = set()
-        worklist = [pc]
+        worklist = [bit.bit_length() - 1]
         while worklist:
             current = worklist.pop()
             if current in visited:
@@ -146,13 +175,12 @@ class _StepColumn(dict):
             elif opcode == _MATCH_ANY or (
                 opcode == _MATCH and char == operands[current]
             ):
-                contributed.update(successors[current])
+                contributed |= self._closures[current]
             elif opcode == _ACCEPT_PARTIAL:
-                contributed.add(_FIRES)
+                contributed |= self._fires
             # ACCEPT needs end-of-input; with a byte in hand it is dead.
-        step = frozenset(contributed)
-        step = self[pc] = self._interned.setdefault(step, step)
-        return step
+        self[bit] = contributed
+        return contributed
 
 
 class LazyDFA:
@@ -175,26 +203,32 @@ class LazyDFA:
         self.max_states = max_states
         self._vm = vm if vm is not None else ThompsonVM(program)
         self._tables = self._vm.tables
+        #: Transitions built so far (the miss path; cached ones are free).
+        self.transitions_built = 0
         self._build_byte_classes()
-        interned: Dict[frozenset, frozenset] = {}
+        #: "``ACCEPT_PARTIAL`` is reached: the match fires on this
+        #: transition" — the bit above every real PC, so a mask holds it
+        #: exactly when it compares ``>=`` to it.
+        self._fires = 1 << len(self._tables.opcodes)
+        self._closures = _ClosureMasks(self._tables.successors)
         self._steps = [
-            _StepColumn(char, self._tables, interned)
+            _StepColumn(char, self._tables, self._closures, self._fires)
             for char in self._representatives
         ]
-        self._accept_pcs = frozenset(
-            pc
-            for pc, opcode in enumerate(self._tables.opcodes)
-            if opcode in (_ACCEPT, _ACCEPT_PARTIAL)
-        )
+        self._build_pc_masks()
+        #: ``state & blind_mask`` -> what those PCs contribute, on any
+        #: class.  At most one key per interned state, so ``max_states``
+        #: bounds it too.
+        self._blind: Dict[int, int] = {}
         # State interning: id 0 is always the entry state.
-        self._ids: Dict[frozenset, int] = {}
-        self._states: List[frozenset] = []
+        self._ids: Dict[int, int] = {}
+        self._states: List[int] = []
         self._rows: List[List[int]] = []
         self._accept_end: List[bool] = []
         # ``max_states <= 0`` cannot hold even that: the DFA stays empty
         # and every :meth:`run` reports the blowup.
         if max_states is None or max_states > 0:
-            self._intern(frozenset(self._tables.entry))
+            self._intern(_mask_of(self._tables.entry))
 
     # ------------------------------------------------------------------
     # Construction
@@ -224,7 +258,26 @@ class LazyDFA:
         self._representatives = representatives
         self._class_table = bytes(class_of)
 
-    def _intern(self, state: frozenset) -> int:
+    def _build_pc_masks(self) -> None:
+        opcodes = self._tables.opcodes
+
+        def pcs_with(*wanted: int) -> int:
+            return _mask_of(
+                pc for pc, opcode in enumerate(opcodes) if opcode in wanted
+            )
+
+        #: The PCs that contribute the same on every byte class.
+        self._blind_mask = pcs_with(_MATCH_ANY, _ACCEPT_PARTIAL)
+        self._accept_mask = pcs_with(_ACCEPT, _ACCEPT_PARTIAL)
+        # Per class, the PCs that can contribute only by inspecting the
+        # byte: every NOT_MATCH and the MATCHes of the class's own byte.
+        sighted = dict.fromkeys(self._representatives, pcs_with(_NOT_MATCH))
+        for pc, opcode in enumerate(opcodes):
+            if opcode == _MATCH:
+                sighted[self._tables.operands[pc]] |= 1 << pc
+        self._sighted = list(sighted.values())
+
+    def _intern(self, state: int) -> int:
         state_id = self._ids.get(state)
         if state_id is not None:
             return state_id
@@ -234,14 +287,35 @@ class LazyDFA:
         self._ids[state] = state_id
         self._states.append(state)
         self._rows.append([_UNBUILT] * self.num_classes)
-        self._accept_end.append(not self._accept_pcs.isdisjoint(state))
+        self._accept_end.append(state & self._accept_mask != 0)
         return state_id
+
+    def _blind_step(self, blind: int) -> int:
+        """What the byte-blind PCs in ``blind`` contribute, memoized."""
+        opcodes = self._tables.opcodes
+        contributed = 0
+        for pc in mask_pcs(blind):
+            contributed |= (
+                self._closures[pc] if opcodes[pc] == _MATCH_ANY else self._fires
+            )
+        self._blind[blind] = contributed
+        return contributed
 
     def _build_transition(self, state_id: int, byte_class: int) -> int:
         """One VM position, specialized to ``byte_class``'s bytes."""
-        step = self._steps[byte_class].__getitem__
-        next_state = frozenset().union(*map(step, self._states[state_id]))
-        if _FIRES in next_state:
+        self.transitions_built += 1
+        state = self._states[state_id]
+        blind = state & self._blind_mask
+        next_state = self._blind.get(blind)
+        if next_state is None:
+            next_state = self._blind_step(blind)
+        step = self._steps[byte_class]
+        rest = state & self._sighted[byte_class]
+        while rest:
+            low = rest & -rest
+            next_state |= step[low]
+            rest ^= low
+        if next_state >= self._fires:
             result = _MATCHED
         elif next_state:
             result = self._intern(next_state)
@@ -318,6 +392,8 @@ class LazyDFAMatcher:
         self._runs = None
         self._fallbacks = None
         self._states_gauge = None
+        self._transitions = None
+        self._published = 0
         if metrics is not None and metrics.enabled:
             self._runs = metrics.counter(
                 "repro_lazydfa_runs_total",
@@ -331,14 +407,25 @@ class LazyDFAMatcher:
                 "repro_lazydfa_states",
                 help_text="DFA states interned for the current pattern",
             )
+            self._transitions = metrics.counter(
+                "repro_lazydfa_transitions_total",
+                help_text="lazy-DFA transitions built (cached ones excluded)",
+            )
         if not self.dfa.state_count:  # the cap cannot hold the entry state
             self._fall_back()
+
+    def _publish(self) -> None:
+        self._states_gauge.set(self.dfa.state_count)
+        built = self.dfa.transitions_built
+        if built != self._published:  # a warm run builds none
+            self._transitions.inc(built - self._published)
+            self._published = built
 
     def _fall_back(self) -> None:
         self.blown = True
         if self._fallbacks is not None:
             self._fallbacks.inc()
-            self._states_gauge.set(self.dfa.state_count)
+            self._publish()
 
     def match(self, text: Union[str, bytes]) -> MatchResult:
         if not self.blown:
@@ -349,7 +436,7 @@ class LazyDFAMatcher:
             else:
                 if self._runs is not None:
                     self._runs.inc()
-                    self._states_gauge.set(self.dfa.state_count)
+                    self._publish()
                 return result
         return self.vm.run(text, self.max_vm_steps, metrics=self._metrics)
 

@@ -109,6 +109,7 @@ class PrefilteredMatcher:
         max_dfa_states: Optional[int] = DEFAULT_MAX_DFA_STATES,
         max_vm_steps: Optional[int] = None,
         metrics=None,
+        vm: Optional[ThompsonVM] = None,
     ):
         if mode not in PREFILTER_MODES:
             raise ValueError(
@@ -121,7 +122,7 @@ class PrefilteredMatcher:
         self.mode = mode
         self.max_vm_steps = max_vm_steps
         self._metrics = metrics if metrics is not None and metrics.enabled else None
-        self.vm = ThompsonVM(program)
+        self.vm = vm if vm is not None else ThompsonVM(program)
         self._filter = None if mode == "off" else build_chunk_filter(analysis)
         self._dfa_matcher = (
             LazyDFAMatcher(

@@ -17,9 +17,9 @@ immediately (no suffix can revive a dead enumeration).  Once settled,
 further ``feed`` calls are no-ops returning the verdict.
 
 Lazy-DFA acceleration (PR 8) streams the same way: a
-:class:`~repro.prefilter.lazydfa.LazyDFA` state *is* the frozenset of
-work PCs the VM frontier would hold, so the carried state is one
-integer, and a mid-stream :class:`~repro.prefilter.lazydfa.LazyDFABlowup`
+:class:`~repro.prefilter.lazydfa.LazyDFA` state *is* the set of work
+PCs the VM frontier would hold, so the carried state is one integer,
+and a mid-stream :class:`~repro.prefilter.lazydfa.LazyDFABlowup`
 degrades permanently to the VM by seeding the frontier from the
 current DFA state's PC set — continuing at the current byte without
 re-reading history.  While the DFA holds state 0 (the entry closure),
@@ -194,7 +194,7 @@ class StreamingMatcher:
         )
 
     def _feed_dfa(self, data: bytes) -> None:
-        from ..prefilter.lazydfa import LazyDFABlowup
+        from ..prefilter.lazydfa import LazyDFABlowup, mask_pcs
 
         dfa = self._dfa
         state = self.state
@@ -238,7 +238,7 @@ class StreamingMatcher:
             # the VM frontier at this position — resume byte-for-byte
             # from the chunk byte whose transition blew the budget.
             self.dfa_fallbacks += 1
-            state.frontier = list(dfa._states[state_id])
+            state.frontier = mask_pcs(dfa._states[state_id])
             self._dfa = None
             state.consumed += index
             state.feed(data, index)

@@ -11,6 +11,7 @@ from repro.engine.core import resolve_jobs
 from repro.observability import MetricsRegistry
 from repro.runtime.budget import Budget, DEFAULT_BUDGET
 from repro.runtime.errors import InputEncodingError, VMStepBudgetError
+from repro.vm.kernel import DispatchTables
 
 
 class TestMatch:
@@ -61,6 +62,25 @@ class TestMatch:
         assert engine.match("ab+c", "xxabbc")
         assert not engine.match("ab+c", "xxabbd")
         assert registry.value("repro_lazydfa_fallback_total") == 1
+
+    @pytest.mark.parametrize("prefilter", ["off", "literal", "auto"])
+    def test_one_dispatch_table_build_per_cached_pattern(
+        self, monkeypatch, prefilter
+    ):
+        # The backend's matcher, the prefilter facade and the lazy DFA
+        # all run on the cache entry's one VM.
+        builds = []
+        build = DispatchTables.__init__
+
+        def counting(tables, program):
+            builds.append(program.source_pattern)
+            build(tables, program)
+
+        monkeypatch.setattr(DispatchTables, "__init__", counting)
+        engine = Engine(options=CompileOptions(prefilter=prefilter))
+        assert engine.match("a(b|c)+d", "xxabcbdyy")
+        assert engine.scan_corpus("a(b|c)+d", "xxabcbdyy" * 200, chunk_bytes=500)
+        assert builds == ["a(b|c)+d"]
 
 
 class TestMatchMany:

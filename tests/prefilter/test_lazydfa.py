@@ -136,9 +136,17 @@ class TestMatcherFallback:
         )
         matcher.match("b")  # a good run: far fewer than 4 states
         assert registry.value("repro_lazydfa_states") == matcher.dfa.state_count < 4
+        built = matcher.dfa.transitions_built
+        assert registry.value("repro_lazydfa_transitions_total") == built > 0
         matcher.match("a" * 40)
         assert matcher.blown
         assert registry.value("repro_lazydfa_states") == matcher.dfa.state_count == 4
+        # The run that blew up built transitions too; they are published.
+        assert matcher.dfa.transitions_built > built
+        assert (
+            registry.value("repro_lazydfa_transitions_total")
+            == matcher.dfa.transitions_built
+        )
 
     def test_healthy_pattern_counts_runs_and_states(self):
         registry = MetricsRegistry()

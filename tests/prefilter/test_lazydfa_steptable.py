@@ -5,10 +5,12 @@ used to run for every transition: one VM position over a state's PCs,
 instruction by instruction.  It is kept here as the oracle — every
 transition the step table produces must equal it, on every state and
 every byte class, and what a DFA state *is* (its PC set, hence the
-state count) must not move.
+state count) must not move.  States and step-table keys are bit masks
+inside the DFA; everything here reads them through ``mask_pcs``.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,6 +36,7 @@ from repro.prefilter.lazydfa import (
     LazyDFA,
     LazyDFABlowup,
     LazyDFAMatcher,
+    mask_pcs,
 )
 from repro.runtime.errors import ReproError
 from repro.vm.thompson import ThompsonVM
@@ -71,6 +74,10 @@ def reference_transition(dfa, state, byte_class):
     return frozenset(pc for root in next_roots for pc in successors[root])
 
 
+def state_pcs(dfa, state_id):
+    return frozenset(mask_pcs(dfa._states[state_id]))
+
+
 def built_transition(dfa, state_id, byte_class):
     """The DFA's own answer, in ``reference_transition``'s terms."""
     result = dfa._build_transition(state_id, byte_class)
@@ -79,7 +86,7 @@ def built_transition(dfa, state_id, byte_class):
         return FIRES
     if result == _DEAD:
         return frozenset()
-    return dfa._states[result]
+    return state_pcs(dfa, result)
 
 
 def assert_transitions_equal_reference(dfa):
@@ -87,7 +94,7 @@ def assert_transitions_equal_reference(dfa):
     blowup is right exactly when the successor is a state the cap has no
     room for."""
     for state_id in range(dfa.state_count):
-        state = dfa._states[state_id]
+        state = state_pcs(dfa, state_id)
         for byte_class in range(dfa.num_classes):
             expected = reference_transition(dfa, state, byte_class)
             try:
@@ -95,9 +102,18 @@ def assert_transitions_equal_reference(dfa):
             except LazyDFABlowup:
                 assert dfa.state_count == dfa.max_states
                 assert expected != FIRES and expected
-                assert expected not in dfa._ids
+                assert expected not in {
+                    state_pcs(dfa, other) for other in range(dfa.state_count)
+                }
             else:
                 assert got == expected, (sorted(state), byte_class)
+
+
+def reference_on_byte(dfa, state, byte):
+    """``reference_transition`` on a raw byte value instead of a class
+    representative, so the byte-class table is under test as well."""
+    view = SimpleNamespace(_representatives=[byte], _vm=dfa._vm)
+    return reference_transition(view, state, 0)
 
 
 def _dfa_after(program, texts, max_states=None):
@@ -145,6 +161,68 @@ class TestHandBuiltPrograms:
         assert not dfa.run("aa")
 
 
+class TestBlindAndSightedSplit:
+    """A transition is the memoized contribution of the state's
+    byte-blind PCs OR-ed with the column entries of its sighted ones."""
+
+    @pytest.mark.parametrize(
+        "pattern", ["a..b", ".{3}x", "(.|ab)c.", "x(..)*y", "..", "^.[^ab]."]
+    )
+    def test_blind_part_alone_equals_reference_where_no_pc_is_sighted(
+        self, pattern
+    ):
+        program = compile_regex(pattern).program
+        dfa = _dfa_after(program, ["abcabxcy", "xaabbyy", "zzzzzzzz", "abcx"])
+        blind_only = 0
+        for state_id in range(dfa.state_count):
+            mask = dfa._states[state_id]
+            state = state_pcs(dfa, state_id)
+            for byte in range(256):
+                byte_class = dfa._class_table[byte]
+                if mask & dfa._sighted[byte_class]:
+                    continue
+                blind_only += 1
+                expected = reference_on_byte(dfa, state, byte)
+                assert built_transition(dfa, state_id, byte_class) == expected
+                # ... and it came from the blind dict, untouched.
+                blind = dfa._blind[mask & dfa._blind_mask]
+                if expected == FIRES:
+                    assert blind >= dfa._fires
+                else:
+                    assert frozenset(mask_pcs(blind)) == expected
+        assert blind_only > 0
+        assert len(dfa._blind) <= dfa.state_count
+
+    NOT_A_OR_B = set(range(256)) - {ord("a"), ord("b")}
+
+    @pytest.mark.parametrize(
+        "instructions, fires_on",
+        [
+            ([not_match("a"), not_match("b"), accept_partial()], NOT_A_OR_B),
+            # The chain next to a blind PC and a MATCH of one of its bytes.
+            ([split(4), not_match("a"), not_match("b"), accept_partial(),
+              split(7), match_any(), accept(), match("a"), match("c"),
+              accept_partial()], NOT_A_OR_B),
+            # An ε-loop through the chain, which never gets out of it.
+            ([split(4), not_match("a"), not_match("b"), jmp(0), match("b"),
+              accept_partial()], set()),
+        ],
+    )
+    def test_not_match_chain_fires_on_exactly_the_reference_bytes(
+        self, instructions, fires_on
+    ):
+        dfa = LazyDFA(Program(instructions))
+        entry = state_pcs(dfa, 0)
+        fired = set()
+        for byte in range(256):
+            expected = reference_on_byte(dfa, entry, byte)
+            got = built_transition(dfa, 0, dfa._class_table[byte])
+            assert got == expected, byte
+            if got == FIRES:
+                fired.add(byte)
+        assert fired == fires_on
+
+
 @pytest.mark.parametrize("max_states", [None, 2])
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), optimize=st.booleans())
@@ -167,7 +245,7 @@ def _protomata4_rules(count):
 
 
 def test_state_count_is_pinned_on_protomata4():
-    # What a state is — the frozenset of work PCs after each byte — is
+    # What a state is — the set of work PCs after each byte — is
     # part of the contract (StreamingMatcher seeds the VM frontier from
     # it); a faster construction may not intern different states.
     rules = _protomata4_rules(6)
@@ -191,13 +269,14 @@ def test_step_entries_are_filled_only_for_pcs_in_interned_states():
     text = b"MKVLAAGIVGLCA"
     dfa.run(text)
     classes_seen = set(text.translate(dfa._class_table))
-    pcs_in_states = set().union(*dfa._states)
+    states = [state_pcs(dfa, state_id) for state_id in range(dfa.state_count)]
+    pcs_in_states = set().union(*states)
     for byte_class, column in enumerate(dfa._steps):
         if byte_class in classes_seen:
-            assert set(column) <= pcs_in_states
+            assert {pc for bit in column for pc in mask_pcs(bit)} <= pcs_in_states
         else:
             assert not column
     entries = sum(len(column) for column in dfa._steps)
-    assert 0 < entries <= sum(map(len, dfa._states)) * len(classes_seen)
+    assert 0 < entries <= sum(map(len, states)) * len(classes_seen)
     # Far from a whole-program sweep.
     assert entries < len(program)
