@@ -27,9 +27,7 @@ optimization passes disabled (recorded in
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Union
-
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Union
 
 from .arch.config import ArchConfig
 from .arch.simulator import CiceroSimulator, DEFAULT_CHUNK_BYTES

@@ -8,10 +8,11 @@ high-level representation and returns a matcher with a uniform
 ``matches(text) -> bool`` interface.
 
 The front half of the flow (parse → ``regex`` dialect → §3.2
-transforms) runs **once per pattern**, no matter how many back-ends are
-built from it: :func:`compile_backends` fans a single optimized module
-out to every requested back-end, and :func:`compile_with_backend` is
-the single-back-end convenience over it.
+transforms; :meth:`~repro.compiler.NewCompiler.front`) runs **once per
+pattern**, no matter how many back-ends are built from it:
+:func:`compile_backends` fans a single optimized module out to every
+requested back-end (the Cicero ones through ``NewCompiler.back``), and
+:func:`compile_with_backend` is the single-back-end convenience over it.
 
 Every matcher accepts ``str | bytes`` uniformly and raises the typed
 :class:`~repro.runtime.errors.InputEncodingError` for text outside
@@ -43,27 +44,21 @@ from .arch.config import ArchConfig
 from .arch.system import CiceroSystem
 from .automata.dfa import determinize, minimize
 from .automata.nfa import nfa_from_regex_module
-from .compiler import CompileOptions
-from .dialects.cicero.codegen import generate_program
-from .dialects.cicero.lowering import lower_to_cicero
-from .dialects.cicero.transforms.dce import DeadCodeEliminationPass
-from .dialects.cicero.transforms.jump_simplification import JumpSimplificationPass
-from .dialects.regex.from_ast import pattern_to_regex_dialect
-from .dialects.regex.transforms.pipeline import regex_optimization_passes
-from .frontend.parser import parse_regex
-from .ir.pass_manager import PassManager, pipeline_from_names
+from .compiler import CompileOptions, NewCompiler
 from .isa.program import Program
-from .runtime.budget import DEFAULT_BUDGET
-from .runtime.guards import check_pattern_budget
+from .observability.tracer import NULL_TRACER, AnyTracer
 from .vm.thompson import ThompsonVM
-
-BACKEND_COMPILER_NAME = "new-mlir-backend"
 
 
 class Matcher:
     """Uniform matcher interface; back-ends subclass."""
 
     backend_name: str = "?"
+
+    @property
+    def artifact(self):
+        """What a worker needs, next to ``backend_name``, to rebuild this."""
+        raise NotImplementedError
 
     def matches(self, text: Union[str, bytes]) -> bool:
         raise NotImplementedError
@@ -74,6 +69,10 @@ class CiceroMatcher(Matcher):
     vm: ThompsonVM
     backend_name: str = "cicero"
 
+    @property
+    def artifact(self) -> Program:
+        return self.vm.program
+
     def matches(self, text: Union[str, bytes]) -> bool:
         return bool(self.vm.run(text))
 
@@ -82,6 +81,10 @@ class CiceroMatcher(Matcher):
 class CiceroSimMatcher(Matcher):
     system: CiceroSystem
     backend_name: str = "cicero-sim"
+
+    @property
+    def artifact(self) -> Program:
+        return self.system.program
 
     def matches(self, text: Union[str, bytes]) -> bool:
         return self.system.run(text).matched
@@ -96,6 +99,10 @@ class NFAMatcher(Matcher):
     nfa: object
     backend_name: str = "nfa"
 
+    @property
+    def artifact(self):
+        return self.nfa
+
     def matches(self, text: Union[str, bytes]) -> bool:
         return self.nfa.matches(text)
 
@@ -105,75 +112,12 @@ class DFAMatcher(Matcher):
     dfa: object
     backend_name: str = "dfa"
 
+    @property
+    def artifact(self):
+        return self.dfa
+
     def matches(self, text: Union[str, bytes]) -> bool:
         return self.dfa.matches(text)
-
-
-def _optimized_regex_module(pattern: str, options: CompileOptions):
-    """The shared front half: parse → regex dialect → §3.2 transforms.
-
-    Budget checks mirror :class:`~repro.compiler.NewCompiler`: pattern
-    length and counted-repetition expansion are rejected before any
-    lowering spends time on them.
-    """
-    budget = options.budget if options.budget is not None else DEFAULT_BUDGET
-    budget.check_pattern_length(pattern)
-    ast = parse_regex(pattern, max_depth=budget.max_nesting_depth)
-    check_pattern_budget(ast, budget)
-    module = pattern_to_regex_dialect(ast)
-    effective = options.effective()
-    if effective.regex_pipeline is not None:
-        pipeline = pipeline_from_names(
-            effective.regex_pipeline, require_prefix="regex-"
-        )
-    else:
-        pipeline = PassManager(verify_each=False)
-        for transform in regex_optimization_passes(
-            enable_simplify_subregex=effective.simplify_subregex,
-            enable_factorize=effective.factorize_alternations,
-            enable_boundary_quantifier=effective.boundary_quantifier,
-        ):
-            pipeline.add(transform)
-    pipeline.run(module)
-    return module
-
-
-def program_from_regex_module(
-    module, pattern: str, options: CompileOptions
-) -> Program:
-    """The Cicero back half: lowering → §5 transforms → codegen.
-
-    Consumes an already parsed/optimized ``regex``-dialect module, so
-    building the Cicero program next to an NFA/DFA from the same module
-    never reparses the pattern.
-    """
-    effective = options.effective()
-    budget = options.budget if options.budget is not None else DEFAULT_BUDGET
-    cicero_module = lower_to_cicero(module)
-    if effective.cicero_pipeline is not None:
-        lowlevel = pipeline_from_names(
-            effective.cicero_pipeline, require_prefix="cicero-"
-        )
-    else:
-        lowlevel = PassManager(verify_each=False)
-        if effective.jump_simplification:
-            lowlevel.add(JumpSimplificationPass())
-        if effective.dead_code_elimination:
-            lowlevel.add(DeadCodeEliminationPass())
-    lowlevel.run(cicero_module)
-    program = generate_program(
-        cicero_module.body.operations[0],
-        source_pattern=pattern,
-        compiler=BACKEND_COMPILER_NAME,
-    )
-    # Attach the compile-time prefilter facts here too, so programs
-    # built through the back-end seam (engine cache misses, fuzz
-    # oracles) carry the same metadata as NewCompiler output.
-    from .prefilter.analysis import analyze_module
-
-    program.analysis = analyze_module(module)
-    budget.check_program_size(len(program), pattern)
-    return program
 
 
 def compile_backends(
@@ -182,46 +126,49 @@ def compile_backends(
     options: Optional[CompileOptions] = None,
     config: Optional[ArchConfig] = None,
     max_dfa_states: Optional[int] = 50_000,
+    tracer: AnyTracer = NULL_TRACER,
 ) -> Dict[str, Matcher]:
     """Build several back-ends from **one** parsed/optimized module.
 
-    The frontend and the §3.2 high-level transforms run exactly once;
-    each requested back-end then finishes from the shared module (the
-    two Cicero flavours additionally share one compiled program, and
-    ``dfa`` determinizes the same NFA ``nfa`` would execute).
+    The compiler's front half runs exactly once; each requested
+    back-end then finishes from the shared module (the two Cicero
+    flavours additionally share one run of the back half, and ``dfa``
+    determinizes the same NFA ``nfa`` would execute).  ``tracer``
+    receives the compiler's ``compile`` → stage → ``pass:*`` spans.
     """
-    options = options if options is not None else CompileOptions()
     unknown = [name for name in backends if name not in BACKENDS]
     if unknown:
         raise ValueError(
             f"unknown backend {unknown[0]!r}; available: {sorted(BACKENDS)}"
         )
-    module = _optimized_regex_module(pattern, options)
+    compiler = NewCompiler(options)
     matchers: Dict[str, Matcher] = {}
     program: Optional[Program] = None
     nfa = None
-    for backend in backends:
-        if backend in ("cicero", "cicero-sim"):
-            if program is None:
-                program = program_from_regex_module(module, pattern, options)
-            if backend == "cicero":
-                matchers[backend] = CiceroMatcher(ThompsonVM(program))
-            else:
-                matchers[backend] = CiceroSimMatcher(
-                    CiceroSystem(
-                        program,
-                        config if config is not None else ArchConfig.new(16),
+    with compiler.root_span(tracer, pattern):
+        front = compiler.front(pattern, tracer)
+        for backend in backends:
+            if backend in ("cicero", "cicero-sim"):
+                if program is None:
+                    _cicero_module, program = compiler.back(front, tracer)
+                if backend == "cicero":
+                    matchers[backend] = CiceroMatcher(ThompsonVM(program))
+                else:
+                    matchers[backend] = CiceroSimMatcher(
+                        CiceroSystem(
+                            program,
+                            config if config is not None else ArchConfig.new(16),
+                        )
                     )
-                )
-        else:
-            if nfa is None:
-                nfa = nfa_from_regex_module(module)
-            if backend == "nfa":
-                matchers[backend] = NFAMatcher(nfa)
-            else:  # dfa
-                matchers[backend] = DFAMatcher(
-                    minimize(determinize(nfa, max_states=max_dfa_states))
-                )
+            else:
+                if nfa is None:
+                    nfa = nfa_from_regex_module(front.regex_module)
+                if backend == "nfa":
+                    matchers[backend] = NFAMatcher(nfa)
+                else:  # dfa
+                    matchers[backend] = DFAMatcher(
+                        minimize(determinize(nfa, max_states=max_dfa_states))
+                    )
     return matchers
 
 
@@ -231,6 +178,7 @@ def compile_with_backend(
     options: Optional[CompileOptions] = None,
     config: Optional[ArchConfig] = None,
     max_dfa_states: Optional[int] = 50_000,
+    tracer: AnyTracer = NULL_TRACER,
 ) -> Matcher:
     """Compile through the shared high-level flow, finish per back-end."""
     return compile_backends(
@@ -239,6 +187,7 @@ def compile_with_backend(
         options=options,
         config=config,
         max_dfa_states=max_dfa_states,
+        tracer=tracer,
     )[backend]
 
 

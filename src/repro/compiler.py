@@ -27,10 +27,14 @@ from .dialects.cicero.lowering import lower_to_cicero
 from .dialects.cicero.transforms.dce import DeadCodeEliminationPass
 from .dialects.cicero.transforms.jump_simplification import JumpSimplificationPass
 from .dialects.regex.from_ast import pattern_to_regex_dialect
-from .dialects.regex.transforms.pipeline import regex_optimization_passes
+from .dialects.regex.transforms.pipeline import (
+    BoundaryQuantifierPass,
+    FactorizeAlternationsPass,
+    SimplifySubRegexPass,
+)
 from .frontend.parser import parse_regex
 from .ir.operation import ModuleOp
-from .ir.pass_manager import PassManager, pipeline_from_names
+from .ir.pass_manager import pipeline_from_names
 from .isa.metrics import StaticMetrics, static_metrics
 from .isa.program import Program
 from .observability import NULL_TRACER, TraceReport, Tracer, ir_stats
@@ -39,6 +43,28 @@ from .runtime.budget import Budget, DEFAULT_BUDGET
 from .runtime.guards import check_pattern_budget
 
 COMPILER_NAME = "new-mlir"
+
+#: The paper's hand-ordered pipeline as ``(pass name, CompileOptions
+#: flag)`` pairs — the one place the default order is spelled.  §3.2:
+#: simplification first (removing parentheses exposes common prefixes),
+#: factorization second, the shortest-match reduction last (it works on
+#: the outermost pieces, which the earlier passes may have just
+#: created).  §5: Jump Simplification, then the sweep that collects the
+#: instructions threading left unreachable.
+_REGEX_STAGE = (
+    (SimplifySubRegexPass.PASS_NAME, "simplify_subregex"),
+    (FactorizeAlternationsPass.PASS_NAME, "factorize_alternations"),
+    (BoundaryQuantifierPass.PASS_NAME, "boundary_quantifier"),
+)
+_CICERO_STAGE = (
+    (JumpSimplificationPass.PASS_NAME, "jump_simplification"),
+    (DeadCodeEliminationPass.PASS_NAME, "dead_code_elimination"),
+)
+DEFAULT_REGEX_PIPELINE = tuple(name for name, _flag in _REGEX_STAGE)
+DEFAULT_CICERO_PIPELINE = tuple(name for name, _flag in _CICERO_STAGE)
+_PASS_FLAGS = tuple(flag for _name, flag in _REGEX_STAGE + _CICERO_STAGE)
+#: Fields that act only through :meth:`CompileOptions.pipelines`.
+_PIPELINE_FIELDS = ("optimize", "regex_pipeline", "cicero_pipeline") + _PASS_FLAGS
 
 
 @dataclass(frozen=True)
@@ -94,38 +120,44 @@ class CompileOptions:
         """Options with the master switch folded into the per-pass flags."""
         if self.optimize:
             return self
-        return replace(
-            self,
-            simplify_subregex=False,
-            factorize_alternations=False,
-            boundary_quantifier=False,
-            jump_simplification=False,
-            dead_code_elimination=False,
+        return replace(self, **{flag: False for flag in _PASS_FLAGS})
+
+    def pipelines(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """The ``(regex, cicero)`` pass names that will run, in order: an
+        explicit tuple as given, else the default order filtered by
+        ``optimize`` and the per-pass flags."""
+        flags = self.effective()
+        regex, cicero = (
+            tuple(name for name, flag in stage if getattr(flags, flag))
+            for stage in (_REGEX_STAGE, _CICERO_STAGE)
+        )
+        return (
+            regex if self.regex_pipeline is None else self.regex_pipeline,
+            cicero if self.cicero_pipeline is None else self.cicero_pipeline,
         )
 
     def cache_key(self) -> tuple:
         """A stable, hashable identity for compiled-pattern caches.
 
-        Equal options (after folding the ``optimize`` master switch via
-        :meth:`effective`) yield equal keys, so a cache treats
-        ``CompileOptions(optimize=False)`` and an all-flags-off instance
-        as the same configuration.  The nested budget contributes its
-        own :meth:`~repro.runtime.budget.Budget.cache_key`.
+        Options that run the same :meth:`pipelines` and agree on every
+        remaining field yield equal keys, so a cache treats
+        ``CompileOptions(optimize=False)``, an all-flags-off instance
+        and two empty explicit pipelines as the same configuration.
+        The nested budget contributes its own
+        :meth:`~repro.runtime.budget.Budget.cache_key`.
         """
-        effective = self.effective()
-        parts = []
-        for options_field in dataclasses.fields(effective):
-            # ``optimize`` only acts through the per-pass flags, which
-            # ``effective()`` has already folded; keying on it would
-            # split identical configurations across cache entries.
+        regex, cicero = self.pipelines()
+        parts = [("regex_pipeline", regex), ("cicero_pipeline", cicero)]
+        for options_field in dataclasses.fields(self):
             # ``trace`` never changes the artifact, only whether a span
-            # tree rides along, so it must not split the cache either.
-            if options_field.name in ("optimize", "trace"):
+            # tree rides along, so it must not split the cache.
+            name = options_field.name
+            if name == "trace" or name in _PIPELINE_FIELDS:
                 continue
-            value = getattr(effective, options_field.name)
+            value = getattr(self, name)
             if isinstance(value, Budget):
                 value = value.cache_key()
-            parts.append((options_field.name, value))
+            parts.append((name, value))
         return tuple(parts)
 
     @classmethod
@@ -171,8 +203,26 @@ class CompilationResult:
         return static_metrics(self.program)
 
 
+@dataclass
+class FrontHalf:
+    """What :meth:`NewCompiler.front` hands :meth:`NewCompiler.back`."""
+
+    pattern: str
+    #: The ``regex``-dialect module *after* the high-level pipeline.
+    regex_module: ModuleOp
+    #: Its :class:`~repro.prefilter.analysis.PrefilterAnalysis`.
+    analysis: object
+    #: Wall-clock seconds per stage name; the back half adds its own.
+    stage_seconds: Dict[str, float]
+
+
 class NewCompiler:
     """The multi-dialect compiler; stateless apart from its options.
+
+    The flow is cut at the dialect boundary: :meth:`compile` is
+    :meth:`front` then :meth:`back`, which callers that fan one pattern
+    out to several back-ends (:mod:`repro.backends`) or start from a
+    ready-made module (:mod:`repro.fuzz.oracles`) call themselves.
 
     ``tracer`` (or ``options.trace``) turns on span instrumentation:
     one root ``compile`` span with a child per stage (``frontend`` →
@@ -180,8 +230,9 @@ class NewCompiler:
     ``cicero-transforms`` → ``codegen``), one ``pass:<name>`` span per
     pass carrying ``op_count``/``d_offset`` before/after attributes,
     and the result carries a :class:`~repro.observability.TraceReport`.
-    The untraced path is unchanged — span plumbing costs one branch per
-    stage.
+    The halves record into the tracer they are handed and never
+    snapshot it.  The untraced path is unchanged — span plumbing costs
+    one branch per stage.
     """
 
     name = COMPILER_NAME
@@ -192,24 +243,48 @@ class NewCompiler:
         tracer: Optional[AnyTracer] = None,
     ):
         self.options = (options or CompileOptions()).effective()
+        budget = self.options.budget
+        self.budget = budget if budget is not None else DEFAULT_BUDGET
         self.tracer = tracer
+        self._pass_names = dict(zip(("regex", "cicero"), self.options.pipelines()))
 
-    def _resolve_tracer(self) -> AnyTracer:
-        if self.tracer is not None:
-            return self.tracer
-        if self.options.trace:
-            return Tracer()
-        return NULL_TRACER
+    def root_span(self, tracer: AnyTracer, pattern: str):
+        """The ``compile`` span both halves of one compilation run under."""
+        return tracer.span("compile", pattern=pattern, compiler=self.name)
 
-    def compile(self, pattern: str) -> CompilationResult:
+    def _run_pipeline(self, dialect, root, tracer, stage_seconds) -> None:
+        """One dialect's passes over ``root``: spanned, timed, and charged
+        to the pass-time budget, which covers both pipelines together."""
+        stage = f"{dialect}-transforms"
+        manager = pipeline_from_names(
+            self._pass_names[dialect],
+            require_prefix=f"{dialect}-",
+            verify_each=self.options.verify_each,
+        )
+        with tracer.span(stage, passes=len(manager.passes)):
+            started = time.perf_counter()
+            manager.run(root, tracer=tracer, span_attrs=ir_stats)
+            stage_seconds[stage] = time.perf_counter() - started
+        if manager.passes:
+            spent = stage_seconds["regex-transforms"] + stage_seconds.get(
+                "cicero-transforms", 0.0
+            )
+            self.budget.check_pass_time(spent, stage)
+
+    def front(
+        self,
+        pattern: str,
+        tracer: AnyTracer = NULL_TRACER,
+        module: Optional[ModuleOp] = None,
+    ) -> FrontHalf:
+        """Budget checks → parse → ``regex`` dialect → regex pipeline →
+        prefilter analysis.  ``module`` is a ready-made ``regex``-dialect
+        module to optimize in place of parsing ``pattern`` (the fuzzer's
+        IR-level cases)."""
         options = self.options
-        budget = options.budget if options.budget is not None else DEFAULT_BUDGET
+        budget = self.budget
         stage_seconds: Dict[str, float] = {}
-        tracer = self._resolve_tracer()
-
-        with tracer.span(
-            "compile", pattern=pattern, compiler=self.name
-        ) as root_span:
+        if module is None:
             budget.check_pattern_length(pattern)
             with tracer.span("frontend", pattern_length=len(pattern)):
                 started = time.perf_counter()
@@ -219,116 +294,88 @@ class NewCompiler:
 
             with tracer.span("to-regex-dialect") as span:
                 started = time.perf_counter()
-                regex_module = pattern_to_regex_dialect(
+                module = pattern_to_regex_dialect(
                     ast, verify=options.verify_each
                 )
                 stage_seconds["to-regex-dialect"] = time.perf_counter() - started
                 if tracer.enabled:
-                    span.set(**_suffixed(ir_stats(regex_module), "_after"))
+                    span.set(**_suffixed(ir_stats(module), "_after"))
 
-            if options.regex_pipeline is not None:
-                highlevel = pipeline_from_names(
-                    options.regex_pipeline,
-                    require_prefix="regex-",
-                    verify_each=options.verify_each,
-                )
-            else:
-                highlevel = PassManager(verify_each=options.verify_each)
-                for regex_pass in regex_optimization_passes(
-                    enable_simplify_subregex=options.simplify_subregex,
-                    enable_factorize=options.factorize_alternations,
-                    enable_boundary_quantifier=options.boundary_quantifier,
-                ):
-                    highlevel.add(regex_pass)
-            with tracer.span("regex-transforms", passes=len(highlevel.passes)):
-                started = time.perf_counter()
-                highlevel.run(regex_module, tracer=tracer, span_attrs=ir_stats)
-                stage_seconds["regex-transforms"] = time.perf_counter() - started
-            if highlevel.passes:
-                budget.check_pass_time(
-                    stage_seconds["regex-transforms"], "regex-transforms"
-                )
+        self._run_pipeline("regex", module, tracer, stage_seconds)
 
-            # Imported lazily: repro.prefilter's execution layers import
-            # this module back (multimatch compiler), so a top-level
-            # import would be circular.  The module is cached after the
-            # first compile, making this a dict lookup thereafter.
-            from .prefilter.analysis import analyze_module
+        # Imported lazily: repro.prefilter's execution layers import
+        # this module back (multimatch compiler), so a top-level
+        # import would be circular.  The module is cached after the
+        # first compile, making this a dict lookup thereafter.
+        from .prefilter.analysis import analyze_module
 
-            with tracer.span("prefilter-analysis") as span:
-                started = time.perf_counter()
-                analysis = analyze_module(regex_module)
-                stage_seconds["prefilter-analysis"] = (
-                    time.perf_counter() - started
-                )
-                if tracer.enabled:
-                    span.set(**analysis.to_dict())
+        with tracer.span("prefilter-analysis") as span:
+            started = time.perf_counter()
+            analysis = analyze_module(module)
+            stage_seconds["prefilter-analysis"] = time.perf_counter() - started
+            if tracer.enabled:
+                span.set(**analysis.to_dict())
+        return FrontHalf(pattern, module, analysis, stage_seconds)
 
-            with tracer.span("lowering") as span:
-                started = time.perf_counter()
-                cicero_module = lower_to_cicero(
-                    regex_module, verify=options.verify_each
-                )
-                stage_seconds["lowering"] = time.perf_counter() - started
-                if tracer.enabled:
-                    span.set(**_suffixed(ir_stats(cicero_module), "_after"))
+    def back(
+        self, front: FrontHalf, tracer: AnyTracer = NULL_TRACER
+    ) -> Tuple[ModuleOp, Program]:
+        """Lowering → cicero pipeline → codegen → program-size check."""
+        options = self.options
+        stage_seconds = front.stage_seconds
+        with tracer.span("lowering") as span:
+            started = time.perf_counter()
+            cicero_module = lower_to_cicero(
+                front.regex_module, verify=options.verify_each
+            )
+            stage_seconds["lowering"] = time.perf_counter() - started
+            if tracer.enabled:
+                span.set(**_suffixed(ir_stats(cicero_module), "_after"))
 
-            if options.cicero_pipeline is not None:
-                lowlevel = pipeline_from_names(
-                    options.cicero_pipeline,
-                    require_prefix="cicero-",
-                    verify_each=options.verify_each,
-                )
-            else:
-                lowlevel = PassManager(verify_each=options.verify_each)
-                if options.jump_simplification:
-                    lowlevel.add(JumpSimplificationPass())
-                if options.dead_code_elimination:
-                    lowlevel.add(DeadCodeEliminationPass())
-            with tracer.span("cicero-transforms", passes=len(lowlevel.passes)):
-                started = time.perf_counter()
-                lowlevel.run(cicero_module, tracer=tracer, span_attrs=ir_stats)
-                stage_seconds["cicero-transforms"] = time.perf_counter() - started
-            if lowlevel.passes:
-                budget.check_pass_time(
-                    stage_seconds["regex-transforms"]
-                    + stage_seconds["cicero-transforms"],
-                    "cicero-transforms",
-                )
+        self._run_pipeline("cicero", cicero_module, tracer, stage_seconds)
 
-            with tracer.span("codegen") as span:
-                started = time.perf_counter()
-                program_op = cicero_module.body.operations[0]
-                program = generate_program(
-                    program_op, source_pattern=pattern, compiler=self.name
+        with tracer.span("codegen") as span:
+            started = time.perf_counter()
+            program = generate_program(
+                cicero_module.body.operations[0],
+                source_pattern=front.pattern,
+                compiler=self.name,
+            )
+            # The analysis describes the *pattern*, not a transform
+            # of it, so it rides on the program: caches, pickles,
+            # and worker processes all see the same metadata.
+            program.analysis = front.analysis
+            stage_seconds["codegen"] = time.perf_counter() - started
+            if tracer.enabled:
+                metrics = static_metrics(program)
+                span.set(
+                    code_size=metrics.code_size,
+                    d_offset=metrics.d_offset,
+                    num_jumps=metrics.num_jumps,
+                    num_splits=metrics.num_splits,
                 )
-                # The analysis describes the *pattern*, not a transform
-                # of it, so it rides on the program: caches, pickles,
-                # and worker processes all see the same metadata.
-                program.analysis = analysis
-                stage_seconds["codegen"] = time.perf_counter() - started
-                if tracer.enabled:
-                    metrics = static_metrics(program)
-                    span.set(
-                        code_size=metrics.code_size,
-                        d_offset=metrics.d_offset,
-                        num_jumps=metrics.num_jumps,
-                        num_splits=metrics.num_splits,
-                    )
-            budget.check_program_size(len(program), pattern)
+        self.budget.check_program_size(len(program), front.pattern)
+        return cicero_module, program
+
+    def compile(self, pattern: str) -> CompilationResult:
+        tracer = self.tracer
+        if tracer is None:
+            tracer = Tracer() if self.options.trace else NULL_TRACER
+        with self.root_span(tracer, pattern) as root_span:
+            front = self.front(pattern, tracer)
+            cicero_module, program = self.back(front, tracer)
             if tracer.enabled:
                 root_span.set(
                     code_size=len(program),
-                    total_seconds=sum(stage_seconds.values()),
+                    total_seconds=sum(front.stage_seconds.values()),
                 )
-
         return CompilationResult(
             pattern=pattern,
             program=program,
-            options=options,
-            regex_module=regex_module,
+            options=self.options,
+            regex_module=front.regex_module,
             cicero_module=cicero_module,
-            stage_seconds=stage_seconds,
+            stage_seconds=front.stage_seconds,
             trace=(
                 TraceReport.from_tracer(tracer) if tracer.enabled else None
             ),

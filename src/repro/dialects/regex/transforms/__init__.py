@@ -9,7 +9,6 @@ from .pipeline import (
     BoundaryQuantifierPass,
     FactorizeAlternationsPass,
     SimplifySubRegexPass,
-    regex_optimization_passes,
 )
 from .simplify_subregex import (
     HoistQuantifierIntoSubRegex,
@@ -29,6 +28,5 @@ __all__ = [
     "SpliceAlternationSubRegex",
     "boundary_quantifier_patterns",
     "factorize_patterns",
-    "regex_optimization_passes",
     "simplify_subregex_patterns",
 ]

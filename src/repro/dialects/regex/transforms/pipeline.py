@@ -1,9 +1,7 @@
-"""Pass wrappers for the high-level transforms and their default order.
+"""Pass wrappers (and registration) for the high-level transforms.
 
-Each §3.2 transform set is "optional and can be enabled or disabled
-individually by toggling different compiler options" — mirrored here by
-constructing the pipeline from :class:`~repro.api.CompileOptions` flags
-(see :func:`regex_optimization_passes`).
+Their default order, and the :class:`~repro.compiler.CompileOptions`
+flag that toggles each, live in :mod:`repro.compiler`.
 """
 
 from __future__ import annotations
@@ -52,24 +50,3 @@ register_pass(SimplifySubRegexPass)
 register_pass(FactorizeAlternationsPass)
 register_pass(BoundaryQuantifierPass)
 
-
-def regex_optimization_passes(
-    enable_simplify_subregex: bool = True,
-    enable_factorize: bool = True,
-    enable_boundary_quantifier: bool = True,
-) -> List[Pass]:
-    """The high-level pipeline in the paper's order.
-
-    Simplification runs first (it exposes common prefixes by removing
-    parentheses), factorization second, and the shortest-match reduction
-    last (it works on the outermost pieces, which the earlier passes may
-    have just created).
-    """
-    passes: List[Pass] = []
-    if enable_simplify_subregex:
-        passes.append(SimplifySubRegexPass())
-    if enable_factorize:
-        passes.append(FactorizeAlternationsPass())
-    if enable_boundary_quantifier:
-        passes.append(BoundaryQuantifierPass())
-    return passes

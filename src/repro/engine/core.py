@@ -36,15 +36,7 @@ from typing import List, Optional, Sequence, Union
 
 from ..arch.config import ArchConfig, ConfigurationError
 from ..arch.simulator import DEFAULT_CHUNK_BYTES, split_chunks
-from ..backends import (
-    BACKENDS,
-    CiceroMatcher,
-    CiceroSimMatcher,
-    DFAMatcher,
-    Matcher,
-    NFAMatcher,
-    compile_with_backend,
-)
+from ..backends import BACKENDS, Matcher, compile_with_backend
 from ..compiler import CompileOptions
 from ..observability import (
     AnyMetrics,
@@ -244,13 +236,17 @@ class Engine:
         options = self.options
         if options.budget is None:
             options = replace(options, budget=self.budget)
-        matcher = compile_with_backend(
-            pattern,
-            backend,
-            options=options,
-            config=self.config,
-            max_dfa_states=self.max_dfa_states,
-        )
+        with self.tracer.span(
+            "engine.compile", pattern=pattern, backend=backend, cache="miss"
+        ):
+            matcher = compile_with_backend(
+                pattern,
+                backend,
+                options=options,
+                config=self.config,
+                max_dfa_states=self.max_dfa_states,
+                tracer=self.tracer,
+            )
         payload = self._payload(matcher)
         # The in-process match_fn only takes the metrics registry when a
         # prefilter stage is active (the ``repro_prefilter_*`` counters
@@ -263,14 +259,11 @@ class Engine:
                 if payload.prefilter != "off" and self.metrics.enabled
                 else None
             ),
-            vm=matcher.vm if isinstance(matcher, CiceroMatcher) else None,
+            vm=matcher.vm if backend == "cicero" else None,
         )
-        if (
-            self.tracer.enabled
-            and isinstance(matcher, CiceroMatcher)
-            and payload.prefilter != "off"
-        ):
-            analysis = matcher.vm.program.analysis or INERT_ANALYSIS
+        # Only ``cicero`` payloads ever carry a prefilter mode.
+        if self.tracer.enabled and payload.prefilter != "off":
+            analysis = payload.artifact.analysis or INERT_ANALYSIS
             plan = describe_plan(analysis, payload.prefilter)
             with self.tracer.span(
                 "prefilter.plan",
@@ -445,30 +438,20 @@ class Engine:
         )
 
     def _payload(self, matcher: Matcher) -> WorkerPayload:
-        max_vm_steps = self.budget.max_vm_steps
-        collect = self.collect_worker_metrics
-        if isinstance(matcher, CiceroMatcher):
-            return WorkerPayload(
-                "cicero",
-                matcher.vm.program,
-                max_vm_steps,
-                collect_vm_metrics=collect,
-                prefilter=self.options.prefilter,
-                max_dfa_states=self.budget.max_dfa_states,
-            )
-        if isinstance(matcher, CiceroSimMatcher):
-            return WorkerPayload(
-                "cicero-sim",
-                matcher.system.program,
-                max_vm_steps,
-                matcher.system.config,
-                collect_vm_metrics=collect,
-            )
-        if isinstance(matcher, NFAMatcher):
-            return WorkerPayload("nfa", matcher.nfa, max_vm_steps)
-        if isinstance(matcher, DFAMatcher):
-            return WorkerPayload("dfa", matcher.dfa, max_vm_steps)
-        raise ValueError(f"cannot shard matcher {matcher!r}")
+        backend = matcher.backend_name
+        on_vm = backend == "cicero"
+        on_sim = backend == "cicero-sim"
+        return WorkerPayload(
+            backend,
+            matcher.artifact,
+            self.budget.max_vm_steps,
+            matcher.system.config if on_sim else None,
+            # Only the Cicero flavours have counter hooks to collect,
+            # and only the VM one runs behind the prefilter stages.
+            collect_vm_metrics=self.collect_worker_metrics and (on_vm or on_sim),
+            prefilter=self.options.prefilter if on_vm else "off",
+            max_dfa_states=self.budget.max_dfa_states if on_vm else None,
+        )
 
 
 class _EngineInstruments:

@@ -59,14 +59,9 @@ from ..arch.config import ArchConfig
 from ..arch.system import CiceroSystem
 from ..automata.dfa import DFASizeLimitExceeded, determinize, minimize
 from ..automata.nfa import nfa_from_regex_module
-from ..backends import program_from_regex_module
-from ..compiler import CompileOptions
+from ..compiler import CompileOptions, NewCompiler
 from ..dialects.regex.emit_pattern import emit_pattern, emit_python_re
-from ..dialects.regex.from_ast import pattern_to_regex_dialect
-from ..dialects.regex.transforms.pipeline import regex_optimization_passes
-from ..frontend.parser import parse_regex
 from ..ir.diagnostics import BudgetExceeded
-from ..ir.pass_manager import PassManager
 from ..isa.instructions import Opcode
 from ..isa.program import Program
 from ..multimatch import MultiMatchVM, compile_multipattern
@@ -76,7 +71,6 @@ from ..prefilter.scanner import PrefilteredMatcher
 from ..runtime.budget import DEFAULT_BUDGET, Budget
 from ..runtime.errors import ReproError
 from ..runtime.faults import InstructionFault, corrupt_program
-from ..runtime.guards import check_pattern_budget
 from ..runtime.encoding import as_input_bytes
 from ..verify.equivalence import EquivalenceCheckExceeded, check_equivalence
 from ..vm.streaming import StreamingMatcher
@@ -283,38 +277,19 @@ class CompiledOracles:
 
         # -- shared frontend (parse once, like compile_backends) -------
         if module is None:
-            self.budget.check_pattern_length(pattern)
-            ast_pattern = parse_regex(
-                pattern, max_depth=self.budget.max_nesting_depth
-            )
-            check_pattern_budget(ast_pattern, self.budget)
-            pristine = pattern_to_regex_dialect(ast_pattern)
-        else:
-            pristine = module
+            # With ``optimize=False`` the front half runs no pass: budget
+            # checks + parse + conversion, i.e. the pristine module.
+            unoptimized = CompileOptions(optimize=False, budget=self.budget)
+            module = NewCompiler(unoptimized).front(pattern).regex_module
+        pristine = module
         self._pristine = pristine
         root = pristine.body.operations[0]
         self._python_re_text = emit_python_re(root)
         self._body_text = emit_pattern(root)
 
-        program_noopt = program_from_regex_module(
-            pristine.clone(), pattern, CompileOptions.none()
-        )
-        self.program_noopt = program_noopt
-
-        opt_module = pristine.clone()
-        effective = self.options.effective()
-        pipeline = PassManager(verify_each=False)
-        for transform in regex_optimization_passes(
-            enable_simplify_subregex=effective.simplify_subregex,
-            enable_factorize=effective.factorize_alternations,
-            enable_boundary_quantifier=effective.boundary_quantifier,
-        ):
-            pipeline.add(transform)
+        self.program_noopt = self._program(CompileOptions.none())
         try:
-            pipeline.run(opt_module)
-            program_opt = program_from_regex_module(
-                opt_module, pattern, self.options
-            )
+            program_opt = self._program(self.options)
         except BudgetExceeded:
             raise  # a capacity limit, not a verdict
         except ReproError as error:
@@ -370,7 +345,7 @@ class CompiledOracles:
             lazy = LazyDFA(self.program_opt, max_states=max_dfa_states)
             self.runners["lazydfa"] = _guarded(lambda t: bool(lazy.run(t)))
         if "noopt" in want:
-            vm_noopt = ThompsonVM(program_noopt)
+            vm_noopt = ThompsonVM(self.program_noopt)
             self.runners["noopt"] = _guarded(lambda t: bool(vm_noopt.run(t)))
         if "old" in want:
             self._build("old", lambda: self._old_runner())
@@ -403,9 +378,15 @@ class CompiledOracles:
 
         # -- program-level equivalence oracles --------------------------
         self._check_equivalence("equivalence-opt", self.program_opt,
-                                program_noopt, "optimized", "unoptimized")
+                                self.program_noopt, "optimized", "unoptimized")
 
     # -- builders ------------------------------------------------------
+    def _program(self, options: CompileOptions) -> Program:
+        """``options``' program, compiled from a clone of the pristine module."""
+        compiler = NewCompiler(options)
+        front = compiler.front(self.pattern, module=self._pristine.clone())
+        return compiler.back(front)[1]
+
     def _build(self, name: str, factory: Callable[[], object]) -> None:
         """Compile one oracle, classifying its compile-stage failures."""
         try:

@@ -341,18 +341,9 @@ def analyze_module(module) -> PrefilterAnalysis:
 
 def analyze_pattern(pattern: str, optimize: bool = True) -> PrefilterAnalysis:
     """Parse + optimize + analyze in one call (tests and tooling)."""
-    from ..dialects.regex.from_ast import pattern_to_regex_dialect
-    from ..dialects.regex.transforms.pipeline import regex_optimization_passes
-    from ..frontend.parser import parse_regex
-    from ..ir.pass_manager import PassManager
+    from ..compiler import CompileOptions, NewCompiler
 
-    module = pattern_to_regex_dialect(parse_regex(pattern))
-    if optimize:
-        pipeline = PassManager(verify_each=False)
-        for transform in regex_optimization_passes():
-            pipeline.add(transform)
-        pipeline.run(module)
-    return analyze_module(module)
+    return NewCompiler(CompileOptions(optimize=optimize)).front(pattern).analysis
 
 
 __all__ = [

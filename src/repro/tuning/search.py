@@ -22,21 +22,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..compiler import DEFAULT_CICERO_PIPELINE, DEFAULT_REGEX_PIPELINE
 from ..ir.diagnostics import IRError, ReproError
 from ..ir.pass_manager import registered_pass_names
 from ..observability import AnyMetrics, AnyTracer, as_metrics, as_tracer
 from .cost import CostBreakdown, CostModel, CostWeights, DEFAULT_WEIGHTS
-
-#: The paper's hand-ordered default pipeline (§3.2 order, then §5).
-DEFAULT_REGEX_PIPELINE = (
-    "regex-simplify-subregex",
-    "regex-factorize-alternations",
-    "regex-boundary-quantifier",
-)
-DEFAULT_CICERO_PIPELINE = (
-    "cicero-jump-simplification",
-    "cicero-dce",
-)
 
 #: Search-space bounds: pipelines longer than this never pay for their
 #: extra fixpoint sweeps, and bounding the space keeps random proposals

@@ -1,16 +1,23 @@
 """The Engine front door: caching, batching, sharding, budgets."""
 
+import dataclasses
+
 import pytest
 
 import repro
-from repro.arch.config import ConfigurationError
+from repro.arch.config import ArchConfig, ConfigurationError
 from repro.backends import BACKENDS
-from repro.compiler import CompileOptions
+from repro.compiler import COMPILER_NAME, CompileOptions
 from repro.engine import Engine
 from repro.engine.core import resolve_jobs
+from repro.engine.parallel import WorkerPayload
 from repro.observability import MetricsRegistry
 from repro.runtime.budget import Budget, DEFAULT_BUDGET
-from repro.runtime.errors import InputEncodingError, VMStepBudgetError
+from repro.runtime.errors import (
+    InputEncodingError,
+    PassBudgetError,
+    VMStepBudgetError,
+)
 from repro.vm.kernel import DispatchTables
 
 
@@ -62,6 +69,60 @@ class TestMatch:
         assert engine.match("ab+c", "xxabbc")
         assert not engine.match("ab+c", "xxabbd")
         assert registry.value("repro_lazydfa_fallback_total") == 1
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_pass_time_budget_enforced_like_compile_pattern(self, backend):
+        # The engine compiles through NewCompiler's halves, so the typed
+        # error is the one compile_pattern(degrade=False) raises; nfa/dfa
+        # never reach the back half and trip in the front one.
+        zero = Budget(max_pass_seconds=0)
+        with pytest.raises(PassBudgetError) as direct:
+            repro.compile_pattern("th(is|at)", budget=zero, degrade=False)
+        with pytest.raises(PassBudgetError) as served:
+            Engine(backend=backend, budget=zero).match("th(is|at)", "that")
+        assert served.value.code == direct.value.code == "REPRO-BUDGET-PASS-TIME"
+
+    def test_engine_programs_carry_the_compiler_stamp(self):
+        assert Engine().matcher("th(is|at)").vm.program.compiler == COMPILER_NAME
+
+    def test_worker_payload_per_backend(self):
+        # The payload each back-end shipped before Matcher.artifact
+        # existed (ISSUE 23), spelled out field by field.
+        budget = DEFAULT_BUDGET.replace(max_vm_steps=1234, max_dfa_states=77)
+        config = ArchConfig.new(4)
+        for collect in (False, True):
+            engine = Engine(
+                budget=budget,
+                config=config,
+                options=CompileOptions(prefilter="literal"),
+                metrics=MetricsRegistry(),
+                collect_worker_metrics=collect,
+            )
+            expected = {
+                "cicero": WorkerPayload(
+                    "cicero", None, 1234, collect_vm_metrics=collect,
+                    prefilter="literal", max_dfa_states=77,
+                ),
+                "cicero-sim": WorkerPayload(
+                    "cicero-sim", None, 1234, config, collect_vm_metrics=collect
+                ),
+                "nfa": WorkerPayload("nfa", None, 1234),
+                "dfa": WorkerPayload("dfa", None, 1234),
+            }
+            for backend in BACKENDS:
+                entry = engine._entry("a(b|c)d", backend)
+                matcher = entry.matcher
+                artifact = {
+                    "cicero": lambda: matcher.vm.program,
+                    "cicero-sim": lambda: matcher.system.program,
+                    "nfa": lambda: matcher.nfa,
+                    "dfa": lambda: matcher.dfa,
+                }[backend]()
+                assert entry.payload.artifact is artifact, backend
+                assert (
+                    dataclasses.replace(entry.payload, artifact=None)
+                    == expected[backend]
+                ), (backend, collect)
 
     @pytest.mark.parametrize("prefilter", ["off", "literal", "auto"])
     def test_one_dispatch_table_build_per_cached_pattern(

@@ -60,16 +60,14 @@ def test_rejection_by_the_optimizer_alone_is_a_disagreement(monkeypatch):
     error="REPRO-LOWERING")."""
     from repro.fuzz import oracles
 
-    real = oracles.program_from_regex_module
+    real = oracles.NewCompiler.back
 
-    def reject_when_optimizing(module, pattern, options):
-        if options.effective().factorize_alternations:
+    def reject_when_optimizing(compiler, front, *args):
+        if compiler.options.factorize_alternations:
             raise LoweringError("'$' is only supported at ...")
-        return real(module, pattern, options)
+        return real(compiler, front, *args)
 
-    monkeypatch.setattr(
-        oracles, "program_from_regex_module", reject_when_optimizing
-    )
+    monkeypatch.setattr(oracles.NewCompiler, "back", reject_when_optimizing)
     result = run_case("ga|gb", ["ga", "gb"])
     assert not result.ok
     assert result.error == "REPRO-LOWERING"

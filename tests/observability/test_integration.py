@@ -84,6 +84,71 @@ class TestCompileTrace:
         assert repro.compile_pattern(PATTERN).trace is None
 
 
+class TestEngineCompileSpan:
+    """A cache miss is traced from the engine down to each pass."""
+
+    def chain(self, tracer, name):
+        spans = {span.span_id: span for span in tracer.finished_spans()}
+        (span,) = tracer.find(name)
+        names = [span.name]
+        while span.parent_id is not None:
+            span = spans[span.parent_id]
+            names.append(span.name)
+        return names
+
+    def test_miss_joins_engine_compiler_and_passes(self, monkeypatch):
+        # The halves record into the engine's long-lived tracer; only
+        # NewCompiler.compile snapshots one into a TraceReport.
+        monkeypatch.setattr(
+            TraceReport, "from_tracer", lambda tracer: pytest.fail("snapshot")
+        )
+        tracer = Tracer()
+        engine = make_engine(tracer=tracer)
+        assert engine.match(PATTERN, "xabde")
+        assert self.chain(tracer, "pass:regex-factorize-alternations") == [
+            "pass:regex-factorize-alternations",
+            "regex-transforms",
+            "compile",
+            "engine.compile",
+        ]
+        assert self.chain(tracer, "pass:cicero-dce")[1:] == [
+            "cicero-transforms",
+            "compile",
+            "engine.compile",
+        ]
+        (root,) = tracer.find("engine.compile")
+        assert root.attributes == {
+            "pattern": PATTERN, "backend": "cicero", "cache": "miss"
+        }
+        (factorize,) = tracer.find("pass:regex-factorize-alternations")
+        assert "op_count_delta" in factorize.attributes
+        (dce,) = tracer.find("pass:cicero-dce")
+        assert dce.attributes["d_offset_delta"] <= 0
+        assert validate_trace(parse_jsonl(tracer.to_jsonl())) == []
+
+        # A hit compiles nothing and opens no span.
+        before = len(tracer.finished_spans())
+        assert not engine.match(PATTERN, "zzz")
+        assert len(tracer.finished_spans()) == before
+
+    def test_untraced_miss_creates_no_span(self, monkeypatch):
+        from repro.observability import tracer as tracer_module
+
+        created = []
+        real_init = tracer_module.Span.__init__
+
+        def counting_init(span, *args, **kwargs):
+            created.append(span)
+            real_init(span, *args, **kwargs)
+
+        monkeypatch.setattr(tracer_module.Span, "__init__", counting_init)
+        engine = make_engine()
+        assert not engine.tracer.enabled
+        assert engine.match(PATTERN, "xabde")
+        assert engine.cache_stats().misses == 1
+        assert created == []
+
+
 class TestEngineMetricsReconcile:
     def test_clean_scan_accounts_every_shard_once(self):
         registry = MetricsRegistry()
@@ -368,6 +433,19 @@ class TestCLI:
         ) == 0
         names = [r["name"] for r in parse_jsonl(trace_path.read_text())]
         assert "compile" in names and "vm.run" in names
+
+    def test_scan_trace_out_joins_compile_under_the_engine(self, tmp_path):
+        trace_path = tmp_path / "scan.jsonl"
+        assert main(
+            ["scan", PATTERN, "--text", "xxabdddeyy" * 20,
+             "--chunk-bytes", "50", "--trace-out", str(trace_path)]
+        ) == 0
+        records = parse_jsonl(trace_path.read_text())
+        assert validate_trace(records) == []
+        names = [record["name"] for record in records]
+        assert names.count("engine.compile") == 1
+        assert "compile" in names and "engine.scan" in names
+        assert any(name.startswith("pass:") for name in names)
 
     def test_scan_metrics_and_stats_round_trip(self, tmp_path, capsys):
         stats_path = tmp_path / "stats.json"

@@ -6,10 +6,15 @@ stable across equal instances (satellite of ISSUE 3).
 """
 
 import dataclasses
+import itertools
 
 import pytest
 
-from repro.compiler import CompileOptions
+from repro.compiler import (
+    DEFAULT_CICERO_PIPELINE,
+    DEFAULT_REGEX_PIPELINE,
+    CompileOptions,
+)
 from repro.runtime.budget import Budget, DEFAULT_BUDGET
 
 
@@ -67,3 +72,83 @@ class TestCompileOptionsKey:
         with_budget = CompileOptions(budget=Budget())
         key = dict(with_budget.cache_key())
         assert key["budget"] == Budget().cache_key()
+
+
+FLAGS = (
+    "simplify_subregex",
+    "factorize_alternations",
+    "boundary_quantifier",
+    "jump_simplification",
+    "dead_code_elimination",
+)
+
+
+def if_chain_pipelines(options):
+    """The pass names the pre-ISSUE-23 compiler's two ``if`` ladders
+    instantiated for flag-built (no explicit tuple) options."""
+    options = options.effective()
+    regex, cicero = [], []
+    if options.simplify_subregex:
+        regex.append("regex-simplify-subregex")
+    if options.factorize_alternations:
+        regex.append("regex-factorize-alternations")
+    if options.boundary_quantifier:
+        regex.append("regex-boundary-quantifier")
+    if options.jump_simplification:
+        cicero.append("cicero-jump-simplification")
+    if options.dead_code_elimination:
+        cicero.append("cicero-dce")
+    return tuple(regex), tuple(cicero)
+
+
+class TestPipelines:
+    """``CompileOptions.pipelines()`` is the one spelling of what runs."""
+
+    def test_every_flag_combination_matches_the_old_if_chains(self):
+        combinations = list(itertools.product((True, False), repeat=6))
+        assert len(combinations) == 64
+        for optimize, *flags in combinations:
+            options = CompileOptions(optimize=optimize, **dict(zip(FLAGS, flags)))
+            assert options.pipelines() == if_chain_pipelines(options), options
+
+    def test_defaults_are_the_exported_constants(self):
+        assert CompileOptions().pipelines() == (
+            DEFAULT_REGEX_PIPELINE,
+            DEFAULT_CICERO_PIPELINE,
+        )
+        assert CompileOptions.none().pipelines() == ((), ())
+
+    def test_explicit_tuple_wins_over_flags_and_master_switch(self):
+        twice = ("regex-factorize-alternations",) * 2
+        options = CompileOptions(
+            optimize=False,
+            factorize_alternations=False,
+            regex_pipeline=twice,
+            cicero_pipeline=(),
+        )
+        assert options.pipelines() == (twice, ())
+        # One explicit half leaves the other to the flags.
+        assert CompileOptions(
+            regex_pipeline=(), dead_code_elimination=False
+        ).pipelines() == ((), ("cicero-jump-simplification",))
+
+    def test_equal_pipelines_and_rest_give_equal_keys(self):
+        assert CompileOptions(
+            regex_pipeline=DEFAULT_REGEX_PIPELINE,
+            cicero_pipeline=DEFAULT_CICERO_PIPELINE,
+        ).cache_key() == CompileOptions().cache_key()
+        assert CompileOptions(
+            regex_pipeline=(), cicero_pipeline=()
+        ).cache_key() == CompileOptions.none().cache_key()
+        # A flag an explicit tuple overrides does not split the cache...
+        assert CompileOptions(
+            regex_pipeline=DEFAULT_REGEX_PIPELINE, factorize_alternations=False
+        ).cache_key() == CompileOptions().cache_key()
+        # ...but a different order, or any remaining field, does.
+        assert CompileOptions(
+            regex_pipeline=DEFAULT_REGEX_PIPELINE[::-1]
+        ).cache_key() != CompileOptions().cache_key()
+        assert CompileOptions(
+            regex_pipeline=DEFAULT_REGEX_PIPELINE, prefilter="off"
+        ).cache_key() != CompileOptions().cache_key()
+        assert CompileOptions(trace=True).cache_key() == CompileOptions().cache_key()

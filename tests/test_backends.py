@@ -76,15 +76,17 @@ class TestSharedFrontHalf:
 
     def test_multi_backend_from_one_parse(self, monkeypatch):
         import repro.backends as backends_module
+        import repro.compiler as compiler_module
 
         calls = []
-        original = backends_module.parse_regex
+        original = compiler_module.parse_regex
 
         def counting_parse(pattern, **kwargs):
             calls.append(pattern)
             return original(pattern, **kwargs)
 
-        monkeypatch.setattr(backends_module, "parse_regex", counting_parse)
+        # The front half lives in repro.compiler since ISSUE 23.
+        monkeypatch.setattr(compiler_module, "parse_regex", counting_parse)
         matchers = backends_module.compile_backends(
             "th(is|at)", ["cicero", "cicero-sim", "nfa", "dfa"]
         )

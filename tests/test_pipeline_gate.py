@@ -1,0 +1,69 @@
+"""Tooling gate: only ``repro/compiler.py`` builds a compile pipeline.
+
+An AST walk over ``src/repro`` (no import of the package under test, no
+dependency) lists every module that *calls* one of the compile-stage
+entry points.  ISSUE 23 collapsed six spellings of the flow into
+``NewCompiler.front``/``back``; a seventh — a helper that lowers, runs
+passes and generates code on its own, as ``backends.py`` used to — shows
+up here as a module that is not on the list.
+"""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: entry point -> the modules allowed to call it.
+ALLOWED = {
+    "lower_to_cicero": {"compiler.py"},
+    "generate_program": {"compiler.py"},
+    "pipeline_from_names": {"compiler.py"},
+    # The one constructor call is pipeline_from_names' own.
+    "PassManager": {"ir/pass_manager.py"},
+    "pattern_to_regex_dialect": {
+        "compiler.py",
+        # Build a module and stop — no pipeline runs on it there:
+        "fuzz/generators.py",  # ModuleGenerator seeds IR-level fuzz cases
+        "dialects/regex/from_ast.py",  # parse-and-convert convenience
+    },
+}
+
+
+def called_names(tree: ast.AST):
+    """Names of everything ``tree`` calls (``f(...)`` and ``x.f(...)``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            function = node.func
+            if isinstance(function, ast.Name):
+                yield function.id
+            elif isinstance(function, ast.Attribute):
+                yield function.attr
+
+
+def callers():
+    found = {name: set() for name in ALLOWED}
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name in called_names(tree):
+            if name in found:
+                found[name].add(path.relative_to(SOURCE).as_posix())
+    return found
+
+
+def test_compile_stages_are_called_from_one_module():
+    assert callers() == ALLOWED
+
+
+def test_the_walk_sees_a_pasted_back_half():
+    # The body of the deleted ``backends.program_from_regex_module``.
+    shadow = ast.parse(
+        "def program_from_regex_module(module, pattern, options):\n"
+        "    cicero_module = lower_to_cicero(module)\n"
+        "    lowlevel = PassManager(verify_each=False)\n"
+        "    lowlevel.add(JumpSimplificationPass())\n"
+        "    lowlevel.run(cicero_module)\n"
+        "    return codegen.generate_program(cicero_module.body.operations[0])\n"
+    )
+    assert {"lower_to_cicero", "PassManager", "generate_program"} <= set(
+        called_names(shadow)
+    )
