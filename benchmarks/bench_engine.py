@@ -39,12 +39,6 @@ so future PRs have a perf trajectory:
   ``repro serve`` HTTP stack (admission gate, dispatch, JSON)
   vs calling the same warmed engine directly; the ratio tracks what
   the service wrapper costs per request.
-* **tuned-vs-default** — the shipped fingerprint-keyed tuned profiles
-  (``src/repro/tuning/profiles/``) vs the hand-ordered default
-  pipeline on the canonical tuner suites, as a composite-cost ratio
-  (Eq. 1 ``D_offset`` + code size + simulated cycles; deterministic,
-  not wall-clock).  Hard floor :data:`TUNED_FLOOR`: a shipped profile
-  may never cost more than the default it was tuned against.
 
 Every section is declared once in the :data:`SECTIONS` registry, which
 drives ``run_suite`` (including ``--quick``), the summary printout, the
@@ -65,7 +59,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -92,12 +85,6 @@ PREFILTER_DENSE_FLOOR = 0.95
 #: frontier state must keep at least this fraction of the one-shot
 #: VM's throughput on the same input (the ISSUE-9 acceptance bar).
 STREAMING_FLOOR = 0.8
-
-#: Hard floor on the tuned-profile composite-cost ratio: the tuner only
-#: ever advances its incumbent on strict improvement over the default
-#: pipeline, so a shipped profile scoring worse than the default means
-#: the profile went stale (pass semantics drifted since it was tuned).
-TUNED_FLOOR = 1.0
 
 PATTERNS = [
     "th(is|at|ose)",
@@ -552,55 +539,6 @@ def bench_service_throughput(requests: int, concurrency: int = 4) -> Dict:
     }
 
 
-def bench_tuned_vs_default() -> Dict:
-    """Shipped tuned profiles vs the default pipeline, per tuner suite.
-
-    Deterministic composite-cost evaluation (no wall-clock timing): the
-    checked-in ``src/repro/tuning/profiles/<suite>.json`` pipelines are
-    re-scored on the canonical suite pattern sets with the profile's
-    own weights and compared to the hand-ordered default pipeline on
-    the same sets.  ``speedup`` is the *minimum* per-suite
-    default/tuned ratio — the conservative number the hard
-    :data:`TUNED_FLOOR` and the baseline gate watch.
-    """
-    from repro.tuning import (
-        PROFILES_DIR,
-        TUNER_SUITES,
-        TunedProfile,
-        evaluate_profile,
-        group_by_fingerprint,
-        suite_patterns,
-        suite_probe_text,
-    )
-    from repro.tuning.cost import CostModel
-    from repro.tuning.search import DEFAULT_SPEC
-
-    suites: Dict[str, Dict] = {}
-    for name in TUNER_SUITES:
-        profile = TunedProfile.load(os.path.join(PROFILES_DIR, f"{name}.json"))
-        patterns = suite_patterns(name)
-        probe = suite_probe_text(name)
-        groups = group_by_fingerprint(patterns)
-        model = CostModel(weights=profile.weights, probe_text=probe)
-        default_cost = model.evaluate(patterns, DEFAULT_SPEC).composite
-        tuned_scores = evaluate_profile(profile, groups, probe_text=probe)
-        tuned_cost = sum(score.composite for score in tuned_scores.values())
-        suites[name] = {
-            "patterns": len(patterns),
-            "groups": len(groups),
-            "default_composite": default_cost,
-            "tuned_composite": tuned_cost,
-            "ratio": default_cost / tuned_cost if tuned_cost else 1.0,
-        }
-    best_suite = max(suites, key=lambda name: suites[name]["ratio"])
-    return {
-        "suites": suites,
-        "best_suite": best_suite,
-        "best_ratio": suites[best_suite]["ratio"],
-        "speedup": min(entry["ratio"] for entry in suites.values()),
-    }
-
-
 def _floor_check(
     key: str, floor: float
 ) -> Callable[[Dict], Optional[str]]:
@@ -744,17 +682,6 @@ SECTIONS = (
             f"{r['http_requests_per_sec']:,.0f} req/s over HTTP "
             f"({r['speedup']:.3f}x of direct calls)"
         ),
-    ),
-    Section(
-        "tuned_vs_default",
-        "tuned-vs-default",
-        lambda scale: bench_tuned_vs_default(),
-        lambda r: (
-            f"min {r['speedup']:.3f}x composite cost vs default "
-            f"(best {r['best_ratio']:.3f}x on {r['best_suite']}, floor "
-            f"{TUNED_FLOOR:.1f}x)"
-        ),
-        check=_floor_check("tuned_vs_default", TUNED_FLOOR),
     ),
 )
 

@@ -57,23 +57,20 @@ def compile_pattern(
     new compiler's per-pass flags; ``optimize`` is the master switch for
     both.
 
-    ``optimize="auto"`` (new pipeline only) resolves the pass pipeline
-    through the shipped tuned profiles (:mod:`repro.tuning`): the
-    pattern's structural fingerprint is looked up in the profile store
-    and, on a hit, the tuned pass order is injected; on a miss (or an
-    unparseable pattern) compilation proceeds with the default
-    hand-ordered pipeline.  Boolean values keep their exact previous
-    semantics.  A stale profile whose pass names no longer exist
-    degrades gracefully: the tuned pipeline is dropped (recorded as
-    ``"tuned-pipeline"`` in ``result.dropped_passes``) and the default
-    pipeline compiles the pattern.
+    ``optimize="auto"`` is accepted as a spelling of ``True`` only
+    because ``benchmarks/layered`` still passes it; nothing is looked
+    up or searched.
 
     ``budget`` overrides the enforced resource limits (defaults to
     :data:`~repro.runtime.budget.DEFAULT_BUDGET`).  With ``degrade``
     (the default), a recoverable budget trip in the new pipeline retries
-    with optimization passes progressively disabled — check
-    ``result.dropped_passes`` to see whether quality was lost — before
-    surfacing the :class:`~repro.ir.diagnostics.BudgetExceeded`.
+    with optimization passes progressively removed, from the default
+    order or from an explicit ``options.regex_pipeline`` /
+    ``cicero_pipeline`` alike — check ``result.dropped_passes`` to see
+    whether quality was lost — before surfacing the
+    :class:`~repro.ir.diagnostics.BudgetExceeded`.  A pass name such a
+    tuple gets wrong raises :class:`~repro.ir.diagnostics.IRError`
+    whatever ``degrade`` says.
 
     ``trace`` (new pipeline only) records the compilation's span tree —
     frontend → every pass (with op-count and ``D_offset`` deltas) →
@@ -92,16 +89,6 @@ def compile_pattern(
             options = replace(options, budget=budget)
         if trace and not options.trace:
             options = replace(options, trace=True)
-        if (
-            auto
-            and options.regex_pipeline is None
-            and options.cicero_pipeline is None
-        ):
-            from .tuning.profiles import default_store
-
-            options = default_store().resolve_options(
-                pattern, options, budget=options.budget
-            )
         if degrade:
             return compile_with_degradation(pattern, options)
         return NewCompiler(options).compile(pattern)

@@ -1,4 +1,4 @@
-"""Command-line interface: ``repro-cicero``.
+"""Command-line interface: ``repro``.
 
 Subcommands:
 
@@ -21,10 +21,6 @@ Subcommands:
 * ``fuzz`` — time-boxed seeded differential fuzzing campaign over every
   oracle pair (``--seconds --seed --oracles``), with shrinking, corpus
   persistence (``--save-failures``) and corpus replay (``--replay``).
-* ``tune`` — seeded search over pass-pipeline orderings against the
-  composite cost model (``--seconds --seed --suite --out --strategy``),
-  writing fingerprint-keyed tuned profiles and optionally comparing
-  checked-in profiles against a fresh search (``--compare-against``).
 * ``trace`` — analyze a ``--trace-out`` span file: per-name summary,
   Chrome trace-event export, collapsed-stack flamegraph input, or the
   critical path through the span forest.
@@ -512,154 +508,6 @@ def _fuzz(args) -> int:
     return 0 if report.clean else 1
 
 
-def _tune(args) -> int:
-    """Search for tuned pass pipelines; optionally compare/persist profiles."""
-    import json
-    import time
-
-    from .observability import MetricsRegistry
-    from .tuning import (
-        CostWeights,
-        TUNER_SUITES,
-        TunedProfile,
-        evaluate_profile,
-        group_by_fingerprint,
-        suite_patterns,
-        suite_probe_text,
-        tune_patterns,
-    )
-
-    suites = list(TUNER_SUITES) if args.suite == "all" else [args.suite]
-    weights = CostWeights(
-        d_offset=args.w_doffset, code_size=args.w_code, cycles=args.w_cycles
-    )
-    registry = MetricsRegistry()
-    tracer = None
-    if args.trace_out:
-        from .observability import Tracer
-
-        tracer = Tracer()
-    per_suite_seconds = (
-        args.seconds / len(suites) if args.seconds is not None else None
-    )
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-
-    report = {"suites": {}, "seed": args.seed, "strategy": args.strategy}
-    stale = []
-    for suite in suites:
-        if args.patterns_file:
-            with open(args.patterns_file) as handle:
-                patterns = [line.strip() for line in handle if line.strip()]
-            probe = None
-        else:
-            patterns = suite_patterns(suite)
-            probe = suite_probe_text(suite)
-        started = time.perf_counter()
-        run = tune_patterns(
-            suite,
-            patterns,
-            seed=args.seed,
-            strategy=args.strategy,
-            max_evals=args.max_evals,
-            seconds=per_suite_seconds,
-            weights=weights,
-            probe_text=probe,
-            tracer=tracer,
-            metrics=registry,
-        )
-        elapsed = time.perf_counter() - started
-        profile = run.profile
-        evaluations = sum(r.evaluations for r in run.results.values())
-        print(
-            f"{suite}: {len(patterns)} patterns, {len(profile.entries)} "
-            f"fingerprint groups, {evaluations} evaluations in "
-            f"{elapsed:.1f}s -> improvement {profile.improvement:.4f}x "
-            f"(default {profile.total_default_cost:.2f} -> tuned "
-            f"{profile.total_cost:.2f})"
-        )
-        suite_report = {
-            "patterns": len(patterns),
-            "groups": len(profile.entries),
-            "evaluations": evaluations,
-            "improvement": round(profile.improvement, 6),
-            "default_cost": profile.total_default_cost,
-            "tuned_cost": profile.total_cost,
-        }
-        if args.compare_against:
-            checked_in_path = os.path.join(
-                args.compare_against, f"{suite}.json"
-            )
-            if os.path.exists(checked_in_path):
-                checked_in = TunedProfile.load(checked_in_path)
-                scores = evaluate_profile(
-                    checked_in, run.groups, probe_text=probe
-                )
-                checked_in_cost = sum(
-                    cost.composite for cost in scores.values()
-                )
-                fresh_cost = profile.total_cost
-                worse = (
-                    (checked_in_cost - fresh_cost) / fresh_cost
-                    if fresh_cost
-                    else 0.0
-                )
-                suite_report["checked_in_cost"] = checked_in_cost
-                suite_report["worse_than_fresh"] = round(worse, 6)
-                verdict = "ok" if worse <= args.max_worse else "STALE"
-                print(
-                    f"  checked-in profile: cost {checked_in_cost:.2f} vs "
-                    f"fresh {fresh_cost:.2f} "
-                    f"({worse:+.1%} vs fresh, tolerance "
-                    f"{args.max_worse:.0%}) -> {verdict}"
-                )
-                if worse > args.max_worse:
-                    stale.append(suite)
-            else:
-                print(
-                    f"  no checked-in profile at {checked_in_path}",
-                    file=sys.stderr,
-                )
-        report["suites"][suite] = suite_report
-        if args.out:
-            out_path = os.path.join(args.out, f"{suite}.json")
-            profile.save(out_path)
-            print(f"  profile -> {out_path}", file=sys.stderr)
-        if args.log:
-            with open(args.log, "a") as handle:
-                for digest, result in run.results.items():
-                    for spec, composite in result.log:
-                        handle.write(
-                            json.dumps(
-                                {
-                                    "suite": suite,
-                                    "fingerprint": digest,
-                                    "spec": spec.to_dict(),
-                                    "composite": composite,
-                                },
-                                sort_keys=True,
-                            )
-                            + "\n"
-                        )
-    if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"report: -> {args.report}", file=sys.stderr)
-    if tracer is not None:
-        _export_trace(tracer, args.trace_out)
-    if args.metrics:
-        sys.stdout.write(registry.render_prometheus())
-    if stale:
-        print(
-            f"stale profiles (worse than fresh search by more than "
-            f"{args.max_worse:.0%}): {', '.join(stale)}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _serve(args) -> int:
     """Run the long-lived match service until SIGTERM/SIGINT."""
     from .runtime.budget import DEFAULT_BUDGET
@@ -805,7 +653,7 @@ def _configs(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-cicero",
+        prog="repro",
         description="MLIR-dialect regex compiler + Cicero DSA simulator "
         "(CGO'25 reproduction)",
     )
@@ -1078,65 +926,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="print repro_fuzz_* metrics in "
                              "Prometheus text format")
     fuzz_parser.set_defaults(handler=_fuzz)
-
-    tune_parser = sub.add_parser(
-        "tune",
-        help="seeded search for pass pipelines beating the hand-ordered "
-        "default; writes fingerprint-keyed tuned profiles",
-    )
-    tune_parser.add_argument("--suite", default="all",
-                             choices=("protomata", "brill", "alternation",
-                                      "all"),
-                             help="tuner suite to search (default: all)")
-    tune_parser.add_argument("--patterns-file", default=None,
-                             help="tune a custom pattern set (one RE per "
-                             "line) instead of the suite's canonical set")
-    tune_parser.add_argument("--seed", type=int, default=2025,
-                             help="search seed; same seed + suite replays "
-                             "to a bit-identical profile (default 2025)")
-    tune_parser.add_argument("--strategy", default="hill",
-                             choices=("hill", "random"),
-                             help="search strategy (default: hill)")
-    tune_parser.add_argument("--max-evals", type=int, default=48,
-                             help="candidate evaluations per fingerprint "
-                             "group — the reproducible bound (default 48)")
-    tune_parser.add_argument("--seconds", type=float, default=None,
-                             help="wall-clock bound split across suites, "
-                             "checked between evaluations (default: none)")
-    tune_parser.add_argument("--out", metavar="DIR", default=None,
-                             help="write one <suite>.json tuned profile "
-                             "per suite into DIR")
-    tune_parser.add_argument("--log", metavar="FILE", default=None,
-                             help="append the full search log (every "
-                             "candidate and its composite) as JSON lines")
-    tune_parser.add_argument("--compare-against", metavar="DIR", default=None,
-                             help="score DIR's checked-in <suite>.json "
-                             "profiles on the fresh groups and fail when "
-                             "one is worse than the fresh search by more "
-                             "than --max-worse")
-    tune_parser.add_argument("--max-worse", type=float, default=0.10,
-                             help="staleness tolerance for "
-                             "--compare-against as a fraction "
-                             "(default 0.10)")
-    tune_parser.add_argument("--report", metavar="FILE", default=None,
-                             help="write the per-suite summary (and "
-                             "comparison verdicts) as JSON")
-    tune_parser.add_argument("--w-doffset", type=float, default=1.0,
-                             help="composite weight of Eq. 1 D_offset "
-                             "(default 1.0)")
-    tune_parser.add_argument("--w-code", type=float, default=1.0,
-                             help="composite weight of emitted code size "
-                             "(default 1.0)")
-    tune_parser.add_argument("--w-cycles", type=float, default=0.05,
-                             help="composite weight of simulated cycles "
-                             "over the probe input (default 0.05)")
-    tune_parser.add_argument("--trace-out", metavar="FILE", default=None,
-                             help="write the tuning.search span tree as "
-                             "JSON lines")
-    tune_parser.add_argument("--metrics", action="store_true",
-                             help="print repro_tuner_* metrics in "
-                             "Prometheus text format")
-    tune_parser.set_defaults(handler=_tune)
     return parser
 
 

@@ -62,7 +62,9 @@ _CICERO_STAGE = (
 )
 DEFAULT_REGEX_PIPELINE = tuple(name for name, _flag in _REGEX_STAGE)
 DEFAULT_CICERO_PIPELINE = tuple(name for name, _flag in _CICERO_STAGE)
-_PASS_FLAGS = tuple(flag for _name, flag in _REGEX_STAGE + _CICERO_STAGE)
+#: ``CompileOptions`` flag → the pass it switches.
+PASS_BY_FLAG = {flag: name for name, flag in _REGEX_STAGE + _CICERO_STAGE}
+_PASS_FLAGS = tuple(PASS_BY_FLAG)
 #: Fields that act only through :meth:`CompileOptions.pipelines`.
 _PIPELINE_FIELDS = ("optimize", "regex_pipeline", "cicero_pipeline") + _PASS_FLAGS
 
@@ -93,16 +95,14 @@ class CompileOptions:
     #: excluded from :meth:`cache_key`.
     trace: bool = False
     #: Explicit pass pipelines (registered pass names, in run order)
-    #: replacing the per-flag defaults — the seam the pass-pipeline
-    #: auto-tuner injects tuned orders through (``docs/tuning.md``).
-    #: ``None`` keeps the paper's hand-ordered pipeline built from the
-    #: booleans above; a tuple (possibly empty, possibly repeating a
-    #: pass) overrides that half of the pipeline entirely and wins over
-    #: the ``optimize`` master switch.  Names must belong to the
-    #: matching dialect (``regex-*`` / ``cicero-*``); an unknown name
-    #: raises :class:`~repro.ir.diagnostics.IRError` at compile time,
-    #: which graceful degradation turns into a fall-back to the default
-    #: pipeline (see :func:`repro.runtime.degrade.compile_with_degradation`).
+    #: replacing the per-flag defaults.  ``None`` keeps the paper's
+    #: hand-ordered pipeline built from the booleans above; a tuple
+    #: (possibly empty, possibly repeating a pass) overrides that half
+    #: of the pipeline entirely and wins over the ``optimize`` master
+    #: switch.  Names must belong to the matching dialect (``regex-*`` /
+    #: ``cicero-*``); an unknown or wrong-dialect name raises
+    #: :class:`~repro.ir.diagnostics.IRError` at compile time, which
+    #: graceful degradation does not catch.
     regex_pipeline: Optional[Tuple[str, ...]] = None
     cicero_pipeline: Optional[Tuple[str, ...]] = None
     #: Prefilter strategy the *execution* layers apply to this program:

@@ -102,20 +102,20 @@ def pipeline_from_names(
 ) -> "PassManager":
     """Build a :class:`PassManager` from registered pass names.
 
-    The injection seam for tuned pipelines: names run in the given
-    order, duplicates are allowed (a pass may pay off twice once an
-    earlier pass exposed new opportunities).  ``require_prefix``
-    rejects names from the wrong dialect — a ``cicero-*`` pass can
-    never run on a ``regex``-dialect module — with the same
-    :class:`~repro.ir.diagnostics.IRError` an unregistered name raises,
-    so callers need one fallback path for both corruptions.
+    Names run in the given order, duplicates are allowed (a pass may
+    pay off twice once an earlier pass exposed new opportunities).
+    ``require_prefix`` rejects names from the wrong dialect — a
+    ``cicero-*`` pass can never run on a ``regex``-dialect module —
+    with the same :class:`~repro.ir.diagnostics.IRError` an
+    unregistered name raises.
     """
     manager = PassManager(verify_each=verify_each)
     for name in names:
         if require_prefix is not None and not name.startswith(require_prefix):
+            known = ", ".join(registered_pass_names(require_prefix)) or "<none>"
             raise IRError(
                 f"pass '{name}' does not belong to the '{require_prefix}*' "
-                f"pipeline stage"
+                f"pipeline stage (registered: {known})"
             )
         manager.add(name)
     return manager

@@ -19,8 +19,7 @@ Attribution maps PCs back to source-regex fragments through
 ``Program.source_map``, the per-instruction provenance the lowering
 pipeline threads from regex pieces through the §5 transforms to
 codegen.  A report can therefore say "70% of steps burned in
-``(a|ab|b)*``" — the signal literal-prefilter selection and pass
-auto-tuning consume.
+``(a|ab|b)*``" — the signal literal-prefilter selection consumes.
 
 Disabled-path discipline matches the rest of the layer: callers pass
 ``profile=None`` (the default) and no observer is attached — the VM
@@ -86,9 +85,9 @@ class ProgramProfile:
     def by_source(self) -> List[Tuple[str, int]]:
         """Counts aggregated by source-regex fragment, descending.
 
-        The attribution the prefilter/auto-tuning roadmap items consume:
-        each entry is ``(fragment, count)`` where ``fragment`` is the
-        sub-pattern text recorded by the lowering pipeline.
+        The attribution the prefilter roadmap item consumes: each entry
+        is ``(fragment, count)`` where ``fragment`` is the sub-pattern
+        text recorded by the lowering pipeline.
         """
         totals: Dict[str, int] = {}
         for pc, count in enumerate(self.pc_counts):

@@ -4,8 +4,10 @@ When the full-strength pipeline trips a *recoverable* budget (pass time,
 program size — anything whose ``BudgetExceeded.recoverable`` is true),
 a service should not simply fail the request: the unoptimized pipeline
 may well fit.  :func:`compile_with_degradation` retries down a ladder of
-progressively weaker :class:`~repro.compiler.CompileOptions`, disabling
-passes in order of cost, and records what was lost in
+progressively weaker :class:`~repro.compiler.CompileOptions`, removing
+passes in order of cost from what
+:meth:`~repro.compiler.CompileOptions.pipelines` says will run — the
+default order or an explicit tuple alike — and records what was lost in
 ``CompilationResult.dropped_passes`` so callers can log the quality
 loss.  Every rung still produces a language-equivalent program (each
 pass is semantics-preserving, so removing passes is always sound).
@@ -19,27 +21,36 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..compiler import CompilationResult, CompileOptions, NewCompiler
-from ..ir.diagnostics import BudgetExceeded, IRError
+from ..compiler import (
+    PASS_BY_FLAG,
+    CompilationResult,
+    CompileOptions,
+    NewCompiler,
+)
+from ..ir.diagnostics import BudgetExceeded
 
-#: Pass flags disabled per degradation rung, most-expensive first: the
-#: §3.2 high-level rewrites dominate compile time (greedy fixpoint
-#: drivers), the §5 low-level passes are cheap linear sweeps.
+#: Passes removed per degradation rung, named by their flag,
+#: most-expensive first: the §3.2 high-level rewrites dominate compile
+#: time (greedy fixpoint drivers), the §5 low-level passes are cheap
+#: linear sweeps.
 DEGRADATION_LADDER = (
     ("factorize_alternations",),
     ("simplify_subregex", "boundary_quantifier"),
     ("jump_simplification", "dead_code_elimination"),
 )
 
-#: ``dropped_passes`` marker recorded when an injected (tuned) pipeline
-#: had to be abandoned for the default pass order — either one of its
-#: pass names is no longer registered (a stale profile outliving a pass
-#: rename) or the injected order itself tripped a recoverable budget.
-TUNED_PIPELINE_MARKER = "tuned-pipeline"
 
-
-def _strip_pipeline(options: CompileOptions) -> CompileOptions:
-    return replace(options, regex_pipeline=None, cicero_pipeline=None)
+def _without(options: CompileOptions, flags) -> CompileOptions:
+    """``options`` minus the passes behind ``flags``, whichever way
+    :meth:`~repro.compiler.CompileOptions.pipelines` came by them: the
+    flags are cleared and the names leave an explicit tuple."""
+    names = {PASS_BY_FLAG[flag] for flag in flags}
+    changes = {flag: False for flag in flags}
+    for half in ("regex_pipeline", "cicero_pipeline"):
+        explicit = getattr(options, half)
+        if explicit is not None:
+            changes[half] = tuple(n for n in explicit if n not in names)
+    return replace(options, **changes)
 
 
 def compile_with_degradation(
@@ -48,29 +59,13 @@ def compile_with_degradation(
     """Compile, retrying with passes disabled on recoverable budget trips.
 
     Returns the first result that fits the budget; its
-    ``dropped_passes`` lists every pass flag that had to be turned off
-    (empty when the full-strength compile succeeded).  Raises the last
-    :class:`~repro.ir.diagnostics.BudgetExceeded` when even the
-    unoptimized pipeline does not fit, and re-raises immediately when
-    the error is not recoverable by dropping passes.
+    ``dropped_passes`` lists, by flag name, every pass that had to be
+    removed (empty when the full-strength compile succeeded); a rung
+    none of whose passes would run is skipped, so no pipeline compiles
+    twice.  Raises the last :class:`~repro.ir.diagnostics.BudgetExceeded`
+    when even the unoptimized pipeline does not fit, and re-raises
+    immediately when the error is not recoverable by dropping passes.
     """
-    options = options.effective()
-    if options.regex_pipeline is not None or options.cicero_pipeline is not None:
-        # Rung zero of the ladder: drop the injected (tuned) pipeline.
-        # An unregistered or wrong-dialect pass name (stale profile)
-        # surfaces as IRError; a recoverable budget trip means the
-        # tuned order itself did not fit.  Both fall back to the
-        # default pipeline and continue down the normal ladder.
-        try:
-            return NewCompiler(options).compile(pattern)
-        except IRError:
-            pass
-        except BudgetExceeded as error:
-            if not error.recoverable:
-                raise
-        result = compile_with_degradation(pattern, _strip_pipeline(options))
-        result.dropped_passes = [TUNED_PIPELINE_MARKER] + result.dropped_passes
-        return result
     try:
         return NewCompiler(options).compile(pattern)
     except BudgetExceeded as error:
@@ -81,10 +76,11 @@ def compile_with_degradation(
     dropped = []
     current = options
     for rung in DEGRADATION_LADDER:
-        flags = [flag for flag in rung if getattr(current, flag)]
+        regex, cicero = current.pipelines()
+        flags = [flag for flag in rung if PASS_BY_FLAG[flag] in regex + cicero]
         if not flags:
             continue
-        current = replace(current, **{flag: False for flag in flags})
+        current = _without(current, flags)
         dropped.extend(flags)
         try:
             result = NewCompiler(current).compile(pattern)
@@ -99,6 +95,5 @@ def compile_with_degradation(
 
 __all__ = [
     "DEGRADATION_LADDER",
-    "TUNED_PIPELINE_MARKER",
     "compile_with_degradation",
 ]

@@ -19,6 +19,22 @@ class TestParseConfig:
             parse_config("wat")
 
 
+class TestEntryPoint:
+    def test_one_name_and_no_tune(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        usage = capsys.readouterr().out
+        assert usage.startswith("usage: repro ")
+        assert "tune" not in usage
+
+    def test_tune_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tune"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'tune'" in capsys.readouterr().err
+
+
 class TestCompileCommand:
     def test_asm(self, capsys):
         assert main(["compile", "ab|cd"]) == 0

@@ -49,6 +49,29 @@ class TestPublicApi:
         assert repro.match("ab", "ab")
 
 
+class TestOptimizeSwitch:
+    def test_true_and_false_still_compile(self):
+        for optimize in (True, False):
+            result = api.compile_pattern("a(b|c)d", optimize=optimize)
+            assert result.program.instructions
+
+    def test_false_skips_optimization(self):
+        optimized = api.compile_pattern("a(b|c)d", optimize=True)
+        plain = api.compile_pattern("a(b|c)d", optimize=False)
+        assert len(plain.program.instructions) >= len(
+            optimized.program.instructions
+        )
+
+    def test_old_compiler_accepts_bools(self):
+        assert api.compile_pattern(
+            "a(b|c)d", compiler="old", optimize=True
+        ).program.instructions
+
+    def test_unknown_string_rejected(self):
+        with pytest.raises(ValueError):
+            api.compile_pattern("abc", optimize="fast")
+
+
 class TestCompilerEvaluationFlow:
     @pytest.fixture(scope="class")
     def bench(self):

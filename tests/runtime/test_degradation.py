@@ -3,7 +3,12 @@
 import pytest
 
 from repro import api
-from repro.compiler import CompileOptions, NewCompiler
+from repro.compiler import (
+    DEFAULT_REGEX_PIPELINE,
+    CompileOptions,
+    NewCompiler,
+)
+from repro.ir.diagnostics import IRError
 from repro.runtime.budget import Budget
 from repro.runtime.degrade import DEGRADATION_LADDER, compile_with_degradation
 from repro.runtime.errors import (
@@ -80,3 +85,59 @@ def test_dropped_passes_progression_is_ladder_ordered():
     result = compile_with_degradation("ab|cd", options)
     flattened = [flag for rung in DEGRADATION_LADDER for flag in rung]
     assert result.dropped_passes == flattened
+
+
+@pytest.fixture
+def compiled_pipelines(monkeypatch):
+    """The ``pipelines()`` of every ``NewCompiler.compile`` call, in order."""
+    seen = []
+    compile_ = NewCompiler.compile
+
+    def recording(self, pattern):
+        seen.append(self.options.pipelines())
+        return compile_(self, pattern)
+
+    monkeypatch.setattr(NewCompiler, "compile", recording)
+    return seen
+
+
+def test_explicit_pipeline_degrades_like_the_default_order(compiled_pipelines):
+    default = compile_with_degradation(
+        "th(is|at|ose)", CompileOptions(budget=ZERO_PASS_BUDGET)
+    )
+    del compiled_pipelines[:]
+    options = CompileOptions(
+        budget=ZERO_PASS_BUDGET, regex_pipeline=DEFAULT_REGEX_PIPELINE[::-1]
+    )
+    result = compile_with_degradation("th(is|at|ose)", options)
+    assert result.dropped_passes == default.dropped_passes
+    assert compiled_pipelines[-1] == ((), ())
+    # One compile per rung, each of a pipeline not tried before.
+    assert len(compiled_pipelines) == 1 + len(DEGRADATION_LADDER)
+    assert len(set(compiled_pipelines)) == len(compiled_pipelines)
+
+
+def test_rung_with_nothing_to_remove_is_skipped(compiled_pipelines):
+    simplify = DEFAULT_REGEX_PIPELINE[0]
+    options = CompileOptions(
+        budget=ZERO_PASS_BUDGET,
+        regex_pipeline=(simplify, simplify),
+        cicero_pipeline=(),
+    )
+    result = compile_with_degradation("a(b|c)d", options)
+    assert result.dropped_passes == ["simplify_subregex"]
+    assert compiled_pipelines == [((simplify, simplify), ()), ((), ())]
+
+
+@pytest.mark.parametrize("degrade", [True, False])
+@pytest.mark.parametrize(
+    "pipeline", [("regex-renamed-away",), ("cicero-dce",)]
+)
+def test_bad_explicit_pass_name_reaches_the_caller(pipeline, degrade):
+    """The ladder catches budget trips, not a pipeline that cannot be built."""
+    options = CompileOptions(regex_pipeline=pipeline)
+    with pytest.raises(IRError) as excinfo:
+        api.compile_pattern("a(b|c)d", options=options, degrade=degrade)
+    assert excinfo.value.code == "REPRO-IR"
+    assert pipeline[0] in str(excinfo.value)
+    assert DEFAULT_REGEX_PIPELINE[0] in str(excinfo.value)

@@ -12,6 +12,7 @@ import hashlib
 
 import pytest
 
+from repro.api import compile_pattern
 from repro.backends import compile_backends
 from repro.compiler import COMPILER_NAME, CompileOptions, NewCompiler
 from repro.workloads import brill, protomata, sample_and_alternate
@@ -82,3 +83,15 @@ def test_backends_and_compiler_emit_the_recorded_programs(name, patterns):
         assert served.compiler == direct.compiler == COMPILER_NAME
         digest.update(fingerprint(direct).encode())
     assert digest.hexdigest() == GOLDEN[name]
+
+
+def test_optimize_auto_is_a_spelling_of_true(patterns):
+    """``benchmarks/layered`` still passes ``optimize="auto"``; while the
+    alias exists it means the default pipeline and nothing else."""
+    for pattern in patterns:
+        auto = compile_pattern(pattern, optimize="auto")
+        default = compile_pattern(pattern)
+        assert fingerprint(auto.program) == fingerprint(default.program), pattern
+        assert auto.options.regex_pipeline is None
+        assert auto.options.cicero_pipeline is None
+        assert auto.dropped_passes == []

@@ -9,6 +9,7 @@ up here as a module that is not on the list.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -52,6 +53,18 @@ def callers():
 
 def test_compile_stages_are_called_from_one_module():
     assert callers() == ALLOWED
+
+
+def test_no_module_imports_a_tuner():
+    """ISSUE 24 deleted the pass-order tuner; nothing may grow it back."""
+    gone = "tuning"
+    for path in sorted(SOURCE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+                names.append(getattr(node, "module", None) or "")
+                assert not any(gone in name for name in names), path
+    assert importlib.util.find_spec(f"repro.{gone}") is None
 
 
 def test_the_walk_sees_a_pasted_back_half():

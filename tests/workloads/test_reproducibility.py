@@ -80,21 +80,6 @@ def test_benchmark_suite_is_bit_reproducible():
     assert first.chunks == second.chunks
 
 
-def test_tuner_search_is_bit_reproducible():
-    from repro.tuning import tune_patterns
-
-    patterns = ["a(b|c)+d", "x(y|z)w*"]
-    first = tune_patterns("unit", patterns, seed=17, max_evals=8)
-    second = tune_patterns("unit", patterns, seed=17, max_evals=8)
-    # Same seed + pattern set -> byte-identical tuned profile JSON.
-    assert first.profile.dumps() == second.profile.dumps()
-    third = tune_patterns("unit", patterns, seed=17, max_evals=8,
-                          strategy="random")
-    assert third.profile.dumps() == tune_patterns(
-        "unit", patterns, seed=17, max_evals=8, strategy="random"
-    ).profile.dumps()
-
-
 def test_fuzz_generators_are_bit_reproducible():
     from repro.fuzz import ModuleGenerator, RegexGenerator, module_text
 
