@@ -42,8 +42,8 @@ so future PRs have a perf trajectory:
 
 Every section is declared once in the :data:`SECTIONS` registry, which
 drives ``run_suite`` (including ``--quick``), the summary printout, the
-hard floors/ceilings, the ``--baseline`` gate and the ``--history``
-time series — adding a section here is the whole registration.
+hard floors/ceilings and the ``--baseline`` gate — adding a section
+here is the whole registration.
 
 Absolute throughputs are machine-dependent; the *speedup ratios* are
 not, so the regression gate (``--baseline`` + ``--max-regression``)
@@ -569,11 +569,11 @@ def _observability_check(results: Dict) -> Optional[str]:
 class Section:
     """One bench section: measurement, summary line, optional hard gate.
 
-    ``key`` doubles as the results/baseline/history section name;
-    ``gated_metric`` is what the ``--baseline`` gate and the history
-    detector compare.  Registering a :data:`SECTIONS` entry is all it
-    takes for a new section to run under ``--quick``, print in the
-    summary, gate against the baseline and record into the history.
+    ``key`` doubles as the results/baseline section name;
+    ``gated_metric`` is what the ``--baseline`` gate compares.
+    Registering a :data:`SECTIONS` entry is all it takes for a new
+    section to run under ``--quick``, print in the summary and gate
+    against the baseline.
     """
 
     key: str
@@ -735,13 +735,6 @@ def main(argv=None) -> int:
     parser.add_argument("--max-regression", type=float, default=0.30,
                         help="allowed fractional ratio drop vs the "
                         "baseline (default 0.30)")
-    parser.add_argument("--history",
-                        help="append-only JSONL time series to record the "
-                        "gated ratios into (and gate the new entry against "
-                        "the median of the previous window)")
-    parser.add_argument("--history-window", type=int, default=5,
-                        help="prior history entries the windowed detector "
-                        "medians over (default 5)")
     args = parser.parse_args(argv)
 
     results = run_suite(quick=args.quick)
@@ -774,30 +767,6 @@ def main(argv=None) -> int:
                 print(f"REGRESSION: {failure}", file=sys.stderr)
             return 1
         print(f"regression gate ok (vs {args.baseline})")
-
-    if args.history:
-        from repro.observability import (
-            append_entry,
-            detect_regressions,
-            load_history,
-            make_entry,
-        )
-
-        append_entry(args.history, make_entry(results))
-        entries = load_history(args.history)
-        regressions = detect_regressions(
-            entries,
-            window=args.history_window,
-            max_regression=args.max_regression,
-        )
-        if regressions:
-            for regression in regressions:
-                print(f"REGRESSION: {regression.message()}", file=sys.stderr)
-            return 1
-        print(
-            f"history gate ok ({len(entries)} entries in {args.history}, "
-            f"window {args.history_window})"
-        )
     return 0
 
 

@@ -21,7 +21,7 @@ The package layers, bottom-up:
 * :mod:`repro.workloads` — synthetic Protomata/Brill benchmarks.
 * :mod:`repro.evaluation` — the §6 experiment drivers.
 * :mod:`repro.runtime` — the hardening layer: resource budgets, the
-  unified error taxonomy, graceful degradation and fault injection.
+  unified error taxonomy and fault injection.
 * :mod:`repro.engine` — the high-throughput serving layer: a
   compiled-pattern LRU cache, batch matching, and parallel corpus
   sharding over worker processes.

@@ -18,10 +18,8 @@ Hardening (see :mod:`repro.runtime` and ``docs/robustness.md``): every
 entry point enforces a resource :class:`~repro.runtime.budget.Budget`
 and raises only :class:`~repro.ir.diagnostics.ReproError` subclasses —
 one ``except ReproError`` catches every rejection, each carrying a
-machine-readable ``code``.  When the new pipeline trips a recoverable
-budget, :func:`compile_pattern` degrades gracefully by retrying with
-optimization passes disabled (recorded in
-``CompilationResult.dropped_passes``) before failing.
+machine-readable ``code``.  A budget trip reaches the caller as the
+same typed error whichever entry point compiled the pattern.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from .engine import CorpusScanResult, Engine, ScanReport
 from .isa.program import Program
 from .oldcompiler.compiler import OldCompilationResult, OldCompiler
 from .runtime.budget import Budget, DEFAULT_BUDGET
-from .runtime.degrade import compile_with_degradation
 from .vm.thompson import MatchResult, ThompsonVM
 
 
@@ -47,7 +44,6 @@ def compile_pattern(
     optimize: Union[bool, str] = True,
     options: Optional[CompileOptions] = None,
     budget: Optional[Budget] = None,
-    degrade: bool = True,
     trace: bool = False,
 ) -> Union[CompilationResult, OldCompilationResult]:
     """Compile ``pattern`` with either toolchain.
@@ -62,15 +58,11 @@ def compile_pattern(
     up or searched.
 
     ``budget`` overrides the enforced resource limits (defaults to
-    :data:`~repro.runtime.budget.DEFAULT_BUDGET`).  With ``degrade``
-    (the default), a recoverable budget trip in the new pipeline retries
-    with optimization passes progressively removed, from the default
-    order or from an explicit ``options.regex_pipeline`` /
-    ``cicero_pipeline`` alike — check ``result.dropped_passes`` to see
-    whether quality was lost — before surfacing the
-    :class:`~repro.ir.diagnostics.BudgetExceeded`.  A pass name such a
-    tuple gets wrong raises :class:`~repro.ir.diagnostics.IRError`
-    whatever ``degrade`` says.
+    :data:`~repro.runtime.budget.DEFAULT_BUDGET`); a trip raises its
+    :class:`~repro.ir.diagnostics.BudgetExceeded` subclass, exactly as
+    :class:`~repro.engine.Engine` does.  A pass name an explicit
+    ``options.regex_pipeline`` / ``cicero_pipeline`` gets wrong raises
+    :class:`~repro.ir.diagnostics.IRError`.
 
     ``trace`` (new pipeline only) records the compilation's span tree —
     frontend → every pass (with op-count and ``D_offset`` deltas) →
@@ -89,8 +81,6 @@ def compile_pattern(
             options = replace(options, budget=budget)
         if trace and not options.trace:
             options = replace(options, trace=True)
-        if degrade:
-            return compile_with_degradation(pattern, options)
         return NewCompiler(options).compile(pattern)
     if compiler == "old":
         return OldCompiler(optimize=bool(optimize), budget=budget).compile(

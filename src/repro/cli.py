@@ -24,8 +24,6 @@ Subcommands:
 * ``trace`` — analyze a ``--trace-out`` span file: per-name summary,
   Chrome trace-event export, collapsed-stack flamegraph input, or the
   critical path through the span forest.
-* ``bench-report`` — render the append-only bench history as markdown
-  (or JSON) and optionally gate on the windowed regression detector.
 
 Observability: ``compile``/``run``/``scan`` accept ``--trace-out FILE``
 (span tree as JSON lines, one span per pipeline pass with op-count and
@@ -590,46 +588,6 @@ def _trace(args) -> int:
     return 0
 
 
-def _bench_report(args) -> int:
-    """Render the bench history; optionally gate on the detector."""
-    import json
-
-    from .observability import (
-        detect_regressions,
-        load_history,
-        render_markdown,
-        render_report,
-    )
-
-    try:
-        entries = load_history(args.history)
-    except ValueError as error:
-        print(f"bad history file: {error}", file=sys.stderr)
-        return 1
-    if args.json:
-        report = render_report(entries, args.window, args.max_regression)
-        output = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    else:
-        output = render_markdown(entries, args.window, args.max_regression)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(output)
-        print(
-            f"bench-report: {len(entries)} entries -> {args.out}",
-            file=sys.stderr,
-        )
-    else:
-        sys.stdout.write(output)
-    if args.check:
-        regressions = detect_regressions(
-            entries, args.window, args.max_regression
-        )
-        for regression in regressions:
-            print(f"REGRESSION: {regression.message()}", file=sys.stderr)
-        return 1 if regressions else 0
-    return 0
-
-
 def _configs(args) -> int:
     rows = []
     for config in MICROBENCH_GRID:
@@ -851,33 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="emit summarize/critical-path as JSON "
                               "instead of text")
     trace_parser.set_defaults(handler=_trace)
-
-    report_parser = sub.add_parser(
-        "bench-report",
-        help="render the append-only bench history (markdown or JSON) "
-        "and optionally gate on the windowed regression detector",
-    )
-    report_parser.add_argument("--history",
-                               default="benchmarks/history/engine.jsonl",
-                               help="JSONL history file appended by "
-                               "bench_engine.py --history (default "
-                               "benchmarks/history/engine.jsonl)")
-    report_parser.add_argument("--window", type=int, default=5,
-                               help="prior entries the detector medians "
-                               "over (default 5)")
-    report_parser.add_argument("--max-regression", type=float, default=0.30,
-                               help="allowed fractional speedup drop vs "
-                               "the window median (default 0.30)")
-    report_parser.add_argument("--json", action="store_true",
-                               help="emit the structured report as JSON "
-                               "instead of markdown")
-    report_parser.add_argument("--out", metavar="FILE", default=None,
-                               help="write the report to FILE instead of "
-                               "stdout")
-    report_parser.add_argument("--check", action="store_true",
-                               help="exit 1 when the latest entry regresses "
-                               "vs the window median")
-    report_parser.set_defaults(handler=_bench_report)
 
     stats_parser = sub.add_parser(
         "stats",

@@ -62,9 +62,7 @@ _CICERO_STAGE = (
 )
 DEFAULT_REGEX_PIPELINE = tuple(name for name, _flag in _REGEX_STAGE)
 DEFAULT_CICERO_PIPELINE = tuple(name for name, _flag in _CICERO_STAGE)
-#: ``CompileOptions`` flag → the pass it switches.
-PASS_BY_FLAG = {flag: name for name, flag in _REGEX_STAGE + _CICERO_STAGE}
-_PASS_FLAGS = tuple(PASS_BY_FLAG)
+_PASS_FLAGS = tuple(flag for _name, flag in _REGEX_STAGE + _CICERO_STAGE)
 #: Fields that act only through :meth:`CompileOptions.pipelines`.
 _PIPELINE_FIELDS = ("optimize", "regex_pipeline", "cicero_pipeline") + _PASS_FLAGS
 
@@ -101,8 +99,7 @@ class CompileOptions:
     #: of the pipeline entirely and wins over the ``optimize`` master
     #: switch.  Names must belong to the matching dialect (``regex-*`` /
     #: ``cicero-*``); an unknown or wrong-dialect name raises
-    #: :class:`~repro.ir.diagnostics.IRError` at compile time, which
-    #: graceful degradation does not catch.
+    #: :class:`~repro.ir.diagnostics.IRError` at compile time.
     regex_pipeline: Optional[Tuple[str, ...]] = None
     cicero_pipeline: Optional[Tuple[str, ...]] = None
     #: Prefilter strategy the *execution* layers apply to this program:
@@ -176,18 +173,13 @@ class CompilationResult:
     cicero_module: ModuleOp
     #: Wall-clock seconds per stage name.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Optimization passes graceful degradation had to disable to fit
-    #: the budget (empty on a normal, full-strength compile).  See
-    #: :func:`repro.runtime.degrade.compile_with_degradation`.
+    #: Always empty.  Kept only because ``benchmarks/layered/wl_compile.py``
+    #: reads it for its ``runtime.degrade.dropped_passes`` row; it goes
+    #: with that row.
     dropped_passes: List[str] = field(default_factory=list)
     #: The span tree of this compilation (``CompileOptions.trace`` or an
     #: explicit tracer on :class:`NewCompiler`); ``None`` when untraced.
     trace: Optional[TraceReport] = None
-
-    @property
-    def degraded(self) -> bool:
-        """Did this compilation lose optimizations to fit its budget?"""
-        return bool(self.dropped_passes)
 
     @property
     def analysis(self):

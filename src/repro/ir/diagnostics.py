@@ -112,15 +112,9 @@ class BudgetExceeded(ReproError):
     can convert any of them into a well-defined "try a simpler pattern /
     shorter input" response instead of hanging or dying on
     ``RecursionError``.
-
-    :attr:`recoverable` marks budgets that graceful degradation
-    (:func:`repro.runtime.degrade.compile_with_degradation`) may clear
-    by disabling optional optimization passes.
     """
 
     code = "REPRO-BUDGET"
-    #: Can retrying with optimization passes disabled possibly help?
-    recoverable = False
 
     def __init__(
         self,

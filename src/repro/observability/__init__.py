@@ -33,17 +33,6 @@ import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .benchhistory import (
-    DEFAULT_MAX_REGRESSION,
-    DEFAULT_WINDOW,
-    Regression,
-    append_entry,
-    detect_regressions,
-    load_history,
-    make_entry,
-    render_markdown,
-    render_report,
-)
 from .metrics import (
     Counter,
     Gauge,
@@ -150,8 +139,6 @@ __all__ = [
     "AnyMetrics",
     "AnyTracer",
     "Counter",
-    "DEFAULT_MAX_REGRESSION",
-    "DEFAULT_WINDOW",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -161,7 +148,6 @@ __all__ = [
     "NullTracer",
     "ProgramProfile",
     "Recording",
-    "Regression",
     "SimProfile",
     "Span",
     "SpanEvent",
@@ -169,27 +155,21 @@ __all__ = [
     "Tracer",
     "UNATTRIBUTED",
     "VMProfile",
-    "append_entry",
     "as_metrics",
     "as_tracer",
     "build_forest",
     "critical_path",
     "default_registry",
     "default_tracer",
-    "detect_regressions",
     "format_critical_path",
     "format_summary",
     "ir_stats",
     "iter_tree",
-    "load_history",
     "load_snapshot",
-    "make_entry",
     "module_d_offset",
     "op_count",
     "parse_jsonl",
     "recording",
-    "render_markdown",
-    "render_report",
     "summarize",
     "to_chrome_trace",
     "to_collapsed_stacks",

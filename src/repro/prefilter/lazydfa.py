@@ -331,16 +331,13 @@ class LazyDFA:
     def state_count(self) -> int:
         return len(self._states)
 
-    def run(
-        self, text: Union[str, bytes], max_steps: Optional[int] = None
-    ) -> MatchResult:
+    def run(self, text: Union[str, bytes]) -> MatchResult:
         """Execute over ``text``; verdicts equal :meth:`ThompsonVM.run`.
 
-        ``max_steps`` is accepted for interface parity with the VM and
-        ignored — the DFA does bounded work per byte by construction
-        (its own bound is ``max_states``, enforced during building).
-        Raises :class:`LazyDFABlowup` when the input drives the cache
-        past that bound; callers fall back to the VM.
+        The DFA does bounded work per byte by construction, so it takes
+        no step budget; its own bound is ``max_states``, enforced during
+        building.  Raises :class:`LazyDFABlowup` when the input drives
+        the cache past that bound; callers fall back to the VM.
         """
         data = text if isinstance(text, bytes) else _as_bytes(text)
         translated = data.translate(self._class_table)

@@ -1,5 +1,4 @@
-"""The hardened runtime layer: budgets, error taxonomy, degradation,
-fault injection.
+"""The hardened runtime layer: budgets, error taxonomy, fault injection.
 
 The paper's compiler performs "syntax and grammar checking" (§3); this
 package adds the *resource* checking a production service needs on top:
@@ -11,15 +10,13 @@ package adds the *resource* checking a production service needs on top:
 * :mod:`repro.runtime.encoding` — ``str``/``bytes`` input normalization
   with typed encoding errors.
 * :mod:`repro.runtime.guards` — static pattern-complexity estimation.
-* :mod:`repro.runtime.degrade` — graceful degradation: retry compilation
-  with optimization passes disabled when a recoverable budget trips.
 * :mod:`repro.runtime.faults` — fault injection into the simulated
   architecture (instruction memory, FIFOs, caches) proving the guards
   and the :mod:`repro.verify` equivalence checker catch real faults.
 
-``degrade`` and ``faults`` import the compiler and architecture layers,
-which themselves import this package's leaf modules; they are exposed
-lazily here to keep the import graph acyclic.
+``faults`` imports the compiler and architecture layers, which
+themselves import this package's leaf modules; it is exposed lazily
+here to keep the import graph acyclic.
 """
 
 from __future__ import annotations
@@ -54,21 +51,16 @@ __all__ = [
     "VMStepBudgetError",
     "as_input_bytes",
     "check_pattern_budget",
-    "compile_with_degradation",
     "estimate_expansion",
     "format_error",
 ]
 
 
 def __getattr__(name: str):
-    # Lazy: these modules import repro.compiler / repro.arch, which in
-    # turn import the leaf modules above — eager imports here would make
-    # the package graph cyclic.
-    if name == "compile_with_degradation":
-        from .degrade import compile_with_degradation
-
-        return compile_with_degradation
-    if name in ("degrade", "faults"):
+    # Lazy: faults imports repro.compiler / repro.arch, which in turn
+    # import the leaf modules above — an eager import here would make the
+    # package graph cyclic.
+    if name == "faults":
         import importlib
 
         return importlib.import_module(f".{name}", __name__)

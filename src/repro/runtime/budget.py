@@ -47,7 +47,7 @@ class Budget:
     #: the hard ceiling, services may want far less.
     max_program_length: Optional[int] = MAX_PROGRAM_LENGTH
     #: Wall-clock budget (seconds) for the optional optimization passes;
-    #: ``<= 0`` always trips (useful to force degradation in tests).
+    #: ``<= 0`` always trips when any pass runs.
     #: ``None`` (default) disables the check — pass time is
     #: machine-dependent, so opt in explicitly.
     max_pass_seconds: Optional[float] = None

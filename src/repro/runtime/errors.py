@@ -133,14 +133,9 @@ class ExpansionBudgetError(BudgetExceeded):
 
 
 class ProgramSizeBudgetError(BudgetExceeded):
-    """The compiled program is larger than the configured budget.
-
-    Recoverable: graceful degradation retries with optimization passes
-    disabled before giving up (some transforms trade size for speed).
-    """
+    """The compiled program is larger than the configured budget."""
 
     code = "REPRO-BUDGET-PROGRAM-SIZE"
-    recoverable = True
 
     def __init__(self, size: int, limit: int, pattern: str):
         self.pattern = pattern
@@ -155,13 +150,11 @@ class ProgramSizeBudgetError(BudgetExceeded):
 class PassBudgetError(BudgetExceeded):
     """The optimization passes overran their time budget.
 
-    Recoverable by construction: dropping the optional passes removes
-    the cost entirely, so graceful degradation retries without them —
-    the compiler's equivalent of falling back to ``-O0``.
+    Strict at every entry point: the caller may retry with
+    ``CompileOptions(optimize=False)``, which runs no pass to time.
     """
 
     code = "REPRO-BUDGET-PASS-TIME"
-    recoverable = True
 
     def __init__(self, seconds: float, limit: float, stage: str):
         self.stage = stage

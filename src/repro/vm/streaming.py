@@ -64,9 +64,11 @@ class StreamingMatcher:
 
     ``use_dfa=True`` routes chunks through a lazy DFA bounded by
     ``max_dfa_states`` with a permanent VM fallback on blowup (never a
-    correctness event).  ``vm``/``dfa`` allow sharing prebuilt engines
-    across matchers for the same program (the service does this so a
-    thousand concurrent streams pay one dispatch-table build).
+    correctness event).  ``vm`` shares a prebuilt VM across matchers for
+    the same program: the service passes the cached entry's, so a
+    thousand concurrent streams pay one dispatch-table build.  The lazy
+    DFA is not shared — each matcher with ``use_dfa`` builds its own,
+    so each ``/stream`` request grows its DFA states from scratch.
     """
 
     def __init__(
@@ -77,7 +79,6 @@ class StreamingMatcher:
         use_dfa: bool = False,
         max_dfa_states: Optional[int] = None,
         vm: Optional[ThompsonVM] = None,
-        dfa=None,
     ):
         self.program = program
         self.vm = vm if vm is not None else ThompsonVM(program)
@@ -98,9 +99,7 @@ class StreamingMatcher:
 
             if max_dfa_states is None:
                 max_dfa_states = DEFAULT_MAX_DFA_STATES
-            self._dfa = dfa if dfa is not None else LazyDFA(
-                program, max_states=max_dfa_states, vm=self.vm
-            )
+            self._dfa = LazyDFA(program, max_states=max_dfa_states, vm=self.vm)
             if not self._dfa.state_count:
                 # The cap cannot hold even the entry state: start on the
                 # VM, as a mid-stream blowup would continue on it.

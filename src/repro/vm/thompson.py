@@ -84,11 +84,6 @@ class ThompsonVM:
     def __init__(self, program: Program):
         self.program = program
         self.tables = DispatchTables(program)
-        # The reference interpreter below (and the step-table oracle in
-        # tests/prefilter) read the arrays under their historical names.
-        self._opcodes = self.tables.opcodes
-        self._operands = self.tables.operands
-        self._successors = self.tables.successors
 
     def run(
         self,
@@ -144,8 +139,8 @@ class ThompsonVM:
         stats: Optional[VMStatistics],
         max_steps: Optional[int] = None,
     ) -> MatchResult:
-        opcodes = self._opcodes
-        operands = self._operands
+        opcodes = self.tables.opcodes
+        operands = self.tables.operands
         length = len(data)
 
         ACCEPT = int(Opcode.ACCEPT)

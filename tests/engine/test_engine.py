@@ -73,14 +73,21 @@ class TestMatch:
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_pass_time_budget_enforced_like_compile_pattern(self, backend):
         # The engine compiles through NewCompiler's halves, so the typed
-        # error is the one compile_pattern(degrade=False) raises; nfa/dfa
+        # error is the one compile_pattern and api.match raise; nfa/dfa
         # never reach the back half and trip in the front one.
         zero = Budget(max_pass_seconds=0)
         with pytest.raises(PassBudgetError) as direct:
-            repro.compile_pattern("th(is|at)", budget=zero, degrade=False)
+            repro.compile_pattern("th(is|at)", budget=zero)
+        with pytest.raises(PassBudgetError) as matched:
+            repro.match("th(is|at)", "that", budget=zero)
         with pytest.raises(PassBudgetError) as served:
             Engine(backend=backend, budget=zero).match("th(is|at)", "that")
-        assert served.value.code == direct.value.code == "REPRO-BUDGET-PASS-TIME"
+        assert (
+            served.value.code
+            == matched.value.code
+            == direct.value.code
+            == "REPRO-BUDGET-PASS-TIME"
+        )
 
     def test_engine_programs_carry_the_compiler_stamp(self):
         assert Engine().matcher("th(is|at)").vm.program.compiler == COMPILER_NAME

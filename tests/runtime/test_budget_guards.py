@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.compiler import CompileOptions, NewCompiler
+from repro import api
+from repro.compiler import DEFAULT_REGEX_PIPELINE, CompileOptions, NewCompiler
+from repro.engine import Engine
 from repro.frontend.errors import PatternNestingError
 from repro.frontend.parser import parse_regex
+from repro.ir.diagnostics import IRError
 from repro.oldcompiler.compiler import OldCompiler
 from repro.oldcompiler.frontend import parse_regex_old
 from repro.runtime.budget import Budget, DEFAULT_BUDGET
@@ -90,15 +93,59 @@ def test_program_size_budget():
     options = CompileOptions(budget=Budget(max_program_length=5))
     with pytest.raises(ProgramSizeBudgetError) as excinfo:
         NewCompiler(options).compile("th(is|at|ose)")
-    assert excinfo.value.recoverable
+    assert excinfo.value.code == "REPRO-BUDGET-PROGRAM-SIZE"
 
 
 def test_pass_time_budget_trips_deterministically_at_zero():
     options = CompileOptions(budget=Budget(max_pass_seconds=0))
     with pytest.raises(PassBudgetError) as excinfo:
         NewCompiler(options).compile("a(b|c)d")
-    assert excinfo.value.recoverable
     assert excinfo.value.stage
+
+
+def test_pattern_budgets_hold_whatever_the_pass_budget():
+    """Expansion and nesting are checked before any pass runs."""
+    zero = Budget(max_pass_seconds=0)
+    with pytest.raises(ExpansionBudgetError):
+        api.compile_pattern("(((a{30}){30}){30}){30}", budget=zero)
+    with pytest.raises(PatternNestingError):
+        api.compile_pattern("(" * 2000 + "a" + ")" * 2000, budget=zero)
+
+
+def test_api_compile_pattern_raises_the_compilers_pass_budget_error():
+    """compile_pattern compiles once, so a pass-time trip is not retried."""
+    zero = Budget(max_pass_seconds=0)
+    with pytest.raises(PassBudgetError) as direct:
+        NewCompiler(CompileOptions(budget=zero)).compile("a(b|c)+d")
+    with pytest.raises(PassBudgetError) as via_api:
+        api.compile_pattern("a(b|c)+d", budget=zero)
+    assert via_api.value.code == "REPRO-BUDGET-PASS-TIME"
+    assert via_api.value.stage == direct.value.stage
+
+
+def _compile_via_api(pattern, options):
+    return api.compile_pattern(pattern, options=options)
+
+
+def _compile_via_engine(pattern, options):
+    return Engine(options=options).matcher(pattern)
+
+
+@pytest.mark.parametrize(
+    "compile_",
+    [_compile_via_api, _compile_via_engine],
+    ids=["compile_pattern", "engine"],
+)
+@pytest.mark.parametrize(
+    "pipeline", [("regex-renamed-away",), ("cicero-dce",)]
+)
+def test_bad_explicit_pass_name_reaches_the_caller(pipeline, compile_):
+    options = CompileOptions(regex_pipeline=pipeline)
+    with pytest.raises(IRError) as excinfo:
+        compile_("a(b|c)d", options)
+    assert excinfo.value.code == "REPRO-IR"
+    assert pipeline[0] in str(excinfo.value)
+    assert DEFAULT_REGEX_PIPELINE[0] in str(excinfo.value)
 
 
 def test_pass_time_budget_skipped_when_no_passes_run():
@@ -123,4 +170,3 @@ def test_vm_without_budget_still_finishes():
 def test_default_budget_accepts_normal_patterns():
     result = NewCompiler().compile("th(is|at|ose)[0-9a-f]{2,8}x*")
     assert len(result.program) > 0
-    assert not result.degraded

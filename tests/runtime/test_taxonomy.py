@@ -205,16 +205,6 @@ def test_simulator_budget_errors_are_both_simulation_and_budget():
     assert isinstance(error, BudgetExceeded)
 
 
-def test_recoverable_flags():
-    """Only the errors graceful degradation can fix are recoverable."""
-    assert ProgramSizeBudgetError.recoverable
-    assert PassBudgetError.recoverable
-    assert not BudgetExceeded.recoverable
-    assert not PatternNestingError.recoverable
-    assert not ExpansionBudgetError.recoverable
-    assert not VMStepBudgetError.recoverable
-
-
 def test_to_dict_is_machine_readable():
     error = InputEncodingError("☃", 7, what="input chunk")
     payload = error.to_dict()

