@@ -543,7 +543,7 @@ class _CacheEntry:
 
     ``match_fn`` is built once at insert time so a cache hit costs no
     closure construction; ``payload`` is the picklable shard unit
-    :func:`~repro.engine.parallel.parallel_matches` ships to workers.
+    :func:`~repro.engine.supervisor.supervised_matches` ships to workers.
     """
 
     matcher: Matcher

@@ -10,11 +10,10 @@ stops early once all identifiers have been seen.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Set, Union
+from typing import FrozenSet, List, Optional, Union
 
-from ..isa.instructions import Opcode
 from ..runtime.encoding import as_input_bytes
-from ..runtime.errors import VMStepBudgetError
+from ..verify.reference import reference_run
 from ..vm.kernel import DispatchTables, run_once
 from .compiler import MultiProgram
 
@@ -44,8 +43,8 @@ class MultiMatchVM:
     (:class:`~repro.vm.kernel.Enumeration`) in collecting mode — the
     same loop :class:`~repro.vm.thompson.ThompsonVM` runs, with the set
     of target ids as its only extra parameter — while
-    :meth:`run_reference` keeps the original interpreter as the golden
-    model the fast path is property-tested against.
+    :meth:`run_reference` runs the golden model the fast path is
+    property-tested against (:mod:`repro.verify.reference`).
     """
 
     def __init__(self, multi_program: MultiProgram):
@@ -100,64 +99,12 @@ class MultiMatchVM:
     def run_reference(
         self, text: Union[str, bytes], max_steps: Optional[int] = None
     ) -> MultiMatchResult:
-        """The pre-optimization interpreter (golden reference)."""
-        data = as_input_bytes(text, what="input text")
-        executed = 0
-        opcodes = self.tables.opcodes
-        operands = self.tables.operands
-        length = len(data)
-
-        ACCEPT = int(Opcode.ACCEPT)
-        ACCEPT_PARTIAL = int(Opcode.ACCEPT_PARTIAL)
-        SPLIT = int(Opcode.SPLIT)
-        JMP = int(Opcode.JMP)
-        MATCH_ANY = int(Opcode.MATCH_ANY)
-        NOT_MATCH = int(Opcode.NOT_MATCH)
-
-        matched: Set[int] = set()
-        frontier: List[int] = [0]
-        for position in range(length + 1):
-            if not frontier or matched == self._all_ids:
-                break
-            char = data[position] if position < length else None
-            at_end = position == length
-            visited: Set[int] = set()
-            next_frontier: List[int] = []
-            worklist = list(frontier)
-            while worklist:
-                pc = worklist.pop()
-                if pc in visited:
-                    continue
-                visited.add(pc)
-                opcode = opcodes[pc]
-                if opcode == SPLIT:
-                    worklist.append(pc + 1)
-                    worklist.append(operands[pc])
-                elif opcode == JMP:
-                    worklist.append(operands[pc])
-                elif opcode == ACCEPT_PARTIAL:
-                    matched.add(operands[pc])
-                elif opcode == ACCEPT:
-                    if at_end:
-                        matched.add(operands[pc])
-                elif opcode == NOT_MATCH:
-                    if char is not None and char != operands[pc]:
-                        worklist.append(pc + 1)
-                elif opcode == MATCH_ANY:
-                    if char is not None:
-                        next_frontier.append(pc + 1)
-                else:  # MATCH
-                    if char is not None and char == operands[pc]:
-                        next_frontier.append(pc + 1)
-            if max_steps is not None:
-                executed += len(visited)
-                if executed > max_steps:
-                    raise VMStepBudgetError(
-                        executed, max_steps,
-                        self.multi_program.program.source_pattern,
-                    )
-            frontier = next_frontier
-        return self.result(matched)
+        """The golden model (:func:`repro.verify.reference.reference_run`)."""
+        return self.result(reference_run(
+            self.tables.opcodes, self.tables.operands,
+            as_input_bytes(text, what="input text"), self._all_ids, max_steps,
+            pattern=self.multi_program.program.source_pattern,
+        ))
 
 
 def run_multimatch(

@@ -41,6 +41,15 @@ only the **sighted** PCs can contribute on this class — every
 ``NOT_MATCH`` and the ``MATCH``es of the class's own byte, about three
 bits of a 30-PC state — and only those go through the column.
 
+Only this module reads the rows, in two loops kept apart on measurement
+(2-vCPU Xeon, Python 3.11, warm DFA; ``docs/performance.md``).  A
+per-byte state-0 skip hook would cost :meth:`LazyDFA.run` 0.64× on
+protomata over residue (500 B chunks).  :meth:`LazyDFA.walk` needs its
+hook: skipping only at the start of a 64 KiB piece streams brill over
+residue with one lowercase byte per 200 B / 2 KB at 22 / 31 instead of
+331 / 368 MB/s.  A resumable ``run`` is no faster (0.92×, 1.01×) and
+has no skip.
+
 The construction is strictly bounded: interning a state beyond
 ``max_states`` raises :class:`LazyDFABlowup`, and
 :class:`LazyDFAMatcher` then falls back — permanently, for that
@@ -52,12 +61,14 @@ never an error or a wrong verdict).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Union
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..isa.instructions import Opcode
 from ..isa.program import Program
 from ..vm.kernel import DispatchTables
 from ..vm.thompson import MatchResult, ThompsonVM, _as_bytes
+from .ahocorasick import byte_class_pattern
 
 #: Default cap on interned DFA states (also the `Budget.max_dfa_states`
 #: default).  A state costs its mask of work PCs (one ``int``: 4 bytes
@@ -91,6 +102,9 @@ class LazyDFABlowup(Exception):
     def __init__(self, max_states: int, pattern: Optional[str] = None):
         self.max_states = max_states
         self.pattern = pattern
+        #: Set by :meth:`LazyDFA.walk`: the blown state's mask, the byte.
+        self.state: Optional[int] = None
+        self.offset: Optional[int] = None
         super().__init__(
             f"lazy DFA exceeded max_dfa_states={max_states}"
             + (f" for pattern {pattern!r}" if pattern else "")
@@ -301,10 +315,9 @@ class LazyDFA:
         self._blind[blind] = contributed
         return contributed
 
-    def _build_transition(self, state_id: int, byte_class: int) -> int:
-        """One VM position, specialized to ``byte_class``'s bytes."""
-        self.transitions_built += 1
-        state = self._states[state_id]
+    def _successor(self, state: int, byte_class: int) -> int:
+        """One VM position, specialized to ``byte_class``'s bytes: the
+        mask of the next state (``>= _fires`` when the match fires)."""
         blind = state & self._blind_mask
         next_state = self._blind.get(blind)
         if next_state is None:
@@ -315,6 +328,11 @@ class LazyDFA:
             low = rest & -rest
             next_state |= step[low]
             rest ^= low
+        return next_state
+
+    def _build_transition(self, state_id: int, byte_class: int) -> int:
+        self.transitions_built += 1
+        next_state = self._successor(self._states[state_id], byte_class)
         if next_state >= self._fires:
             result = _MATCHED
         elif next_state:
@@ -323,6 +341,25 @@ class LazyDFA:
             result = _DEAD
         self._rows[state_id][byte_class] = result
         return result
+
+    @cached_property
+    def _stop_search(self):
+        """``search(data, index)`` for the next byte that leaves state 0;
+        ``None`` when every byte does, ``False`` when none does.  Derived
+        on the first :meth:`walk` from successor masks alone: nothing is
+        interned, so it cannot blow ``max_states`` on a byte the input
+        never holds."""
+        entry = self._states[0]
+        loops = [
+            self._successor(entry, byte_class) == entry != 0
+            for byte_class in range(self.num_classes)
+        ]
+        stop_bytes = [
+            byte for byte in range(256) if not loops[self._class_table[byte]]
+        ]
+        if len(stop_bytes) == 256:
+            return None
+        return byte_class_pattern(stop_bytes).search if stop_bytes else False
 
     # ------------------------------------------------------------------
     # Execution
@@ -361,6 +398,54 @@ class LazyDFA:
         if self._accept_end[state_id]:
             return MatchResult(True, len(data))
         return MatchResult(False, None)
+
+    def walk(self, data: bytes, state_id: int) -> Tuple[Optional[bool], int, int]:
+        """Resume at ``state_id`` over ``data``: :meth:`run` for a stream.
+
+        Returns ``(verdict, offset, state_id)``: ``True`` when the match
+        fires on the byte at ``offset``; ``False`` when no suffix can
+        match (``offset == len(data)``, as the kernel consumes a dead
+        chunk); ``None`` while open, in ``state_id`` after all of
+        ``data``.  In state 0 it jumps to the next byte that leaves it
+        (:attr:`_stop_search`).  A :class:`LazyDFABlowup` carries the
+        mask of the state it blew in and the offset of the byte, where
+        the VM takes over.
+        """
+        stop_search = self._stop_search
+        length = len(data)
+        if stop_search is False:  # state 0 is the only state
+            return None, length, state_id
+        rows = self._rows
+        build = self._build_transition
+        translated = data.translate(self._class_table)
+        index = 0
+        try:
+            while index < length:
+                if state_id == 0 and stop_search is not None:
+                    found = stop_search(data, index)
+                    if found is None:
+                        break
+                    index = found.start()
+                byte_class = translated[index]
+                next_id = rows[state_id][byte_class]
+                if next_id < 0:
+                    if next_id == _UNBUILT:
+                        next_id = build(state_id, byte_class)
+                    if next_id == _MATCHED:
+                        return True, index, state_id
+                    if next_id == _DEAD:
+                        return False, length, state_id
+                state_id = next_id
+                index += 1
+        except LazyDFABlowup as blowup:
+            blowup.state = self._states[state_id]
+            blowup.offset = index
+            raise
+        return None, length, state_id
+
+    def accepts_at_end(self, state_id: int) -> bool:
+        """Whether the end of input accepts in ``state_id``."""
+        return self._accept_end[state_id]
 
 
 class LazyDFAMatcher:

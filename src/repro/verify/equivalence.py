@@ -8,11 +8,9 @@ automaton looking for a distinguishing state — returning a shortest
 counterexample input when one exists.
 
 Determinization works on configurations = sets of program counters
-pending at the current input position.  One transition consumes one
-character: the configuration is expanded through the ε-like instructions
-(``SPLIT``, ``JMP``, and ``NOT_MATCH`` — whose guard reads the current
-character), matched against it, and collapsed to the next configuration.
-A fired ``ACCEPT_PARTIAL`` (or ``ACCEPT`` when the input ends) routes to
+pending at the current input position; one transition is one
+:func:`~repro.verify.reference.reference_step` of the golden model.  A
+fired ``ACCEPT_PARTIAL`` (or ``ACCEPT`` when the input ends) routes to
 an absorbing MATCHED state, so "some prefix matched" becomes ordinary
 DFA end-acceptance.
 
@@ -20,11 +18,9 @@ Character classes keep this tractable: only the characters named by
 either program (plus one representative of "everything else") can be
 distinguished, so the effective alphabet is tiny.
 
-Used by:
-
-* `tests/verify/` — proves the old and the new compiler agree, and that
-  every optimization level preserves the language, over whole corpora;
-* :func:`assert_programs_equivalent` — a debugging aid for pass authors.
+Used by `tests/verify/` (the compilers and every optimization level
+agree over whole corpora), the fuzz campaign's program-level oracles,
+fault injection and :func:`assert_programs_equivalent`.
 """
 
 from __future__ import annotations
@@ -35,16 +31,10 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 from ..ir.diagnostics import BudgetExceeded
 from ..isa.instructions import Opcode
 from ..isa.program import Program
+from .reference import reference_run, reference_step
 
 #: The absorbing "a match has fired" configuration.
 MATCHED = frozenset({-1})
-
-_ACCEPT = int(Opcode.ACCEPT)
-_ACCEPT_PARTIAL = int(Opcode.ACCEPT_PARTIAL)
-_SPLIT = int(Opcode.SPLIT)
-_JMP = int(Opcode.JMP)
-_MATCH_ANY = int(Opcode.MATCH_ANY)
-_NOT_MATCH = int(Opcode.NOT_MATCH)
 
 
 class EquivalenceCheckExceeded(BudgetExceeded):
@@ -78,80 +68,39 @@ class EquivalenceResult:
         return self.equivalent
 
 
-class _Acceptor:
-    """Deterministic view of one program over configurations."""
-
-    def __init__(self, program: Program):
-        self.opcodes = [int(instruction.opcode) for instruction in program]
-        self.operands = [instruction.operand for instruction in program]
-        self.match_chars = {
-            instruction.operand
-            for instruction in program
-            if instruction.opcode in (Opcode.MATCH, Opcode.NOT_MATCH)
-        }
-        self.start: FrozenSet[int] = frozenset({0})
-
-    def step(
-        self, configuration: FrozenSet[int], char: Optional[int]
-    ) -> Tuple[FrozenSet[int], bool]:
-        """One input position: expand, match, collapse.
-
-        ``char is None`` models the end of input (only acceptance can
-        fire; the returned configuration is irrelevant then).  Returns
-        ``(next_configuration, accepted_here)``.
-        """
-        if configuration == MATCHED:
-            return MATCHED, True
-        opcodes = self.opcodes
-        operands = self.operands
-        accepted = False
-        next_pcs = set()
-        seen = set()
-        worklist = list(configuration)
-        while worklist:
-            pc = worklist.pop()
-            if pc in seen:
-                continue
-            seen.add(pc)
-            opcode = opcodes[pc]
-            if opcode == _SPLIT:
-                worklist.append(pc + 1)
-                worklist.append(operands[pc])
-            elif opcode == _JMP:
-                worklist.append(operands[pc])
-            elif opcode == _ACCEPT_PARTIAL:
-                accepted = True
-            elif opcode == _ACCEPT:
-                if char is None:
-                    accepted = True
-            elif opcode == _NOT_MATCH:
-                if char is not None and char != operands[pc]:
-                    worklist.append(pc + 1)
-            elif opcode == _MATCH_ANY:
-                if char is not None:
-                    next_pcs.add(pc + 1)
-            else:  # MATCH
-                if char is not None and char == operands[pc]:
-                    next_pcs.add(pc + 1)
-        if accepted:
-            return MATCHED, True
-        return frozenset(next_pcs), False
-
-    def accepts_at_end(self, configuration: FrozenSet[int]) -> bool:
-        _next, accepted = self.step(configuration, None)
-        return accepted
+def _arrays(program: Program) -> Tuple[List[int], List[int]]:
+    return [int(i.opcode) for i in program], [i.operand for i in program]
 
 
-def _alphabet(left: _Acceptor, right: _Acceptor) -> List[Optional[int]]:
+def _advance(
+    arrays: Tuple[List[int], List[int]],
+    configuration: FrozenSet[int],
+    char: Optional[int],
+) -> Tuple[FrozenSet[int], bool]:
+    """One golden-model position (``char is None``: end of input); a
+    fired accept routes to the absorbing MATCHED configuration."""
+    if configuration == MATCHED:
+        return MATCHED, True
+    next_pcs, accepted, _executed = reference_step(*arrays, configuration, char)
+    if accepted:
+        return MATCHED, True
+    return frozenset(next_pcs), False
+
+
+def _alphabet(left: Program, right: Program) -> List[Optional[int]]:
     """Distinguishable characters: every named char + one 'other'.
 
     Operands are 13-bit but inputs are bytes, so a ``MATCH c`` with
     ``c > 255`` (possible in hand-built or corrupted programs) can never
     fire — such characters are excluded rather than crashing the walk.
     """
-    named = sorted(
-        char for char in left.match_chars | right.match_chars if char < 256
-    )
+    named = sorted({
+        instruction.operand
+        for program in (left, right)
+        for instruction in program
+        if instruction.opcode in (Opcode.MATCH, Opcode.NOT_MATCH)
+        and instruction.operand < 256
+    })
     for candidate in range(256):
         if candidate not in named:
             return named + [candidate]
@@ -168,11 +117,11 @@ def check_equivalence(
     Breadth-first product walk → the returned counterexample (if any)
     is of minimal length.
     """
-    left_acceptor = _Acceptor(left)
-    right_acceptor = _Acceptor(right)
-    alphabet = _alphabet(left_acceptor, right_acceptor)
+    left_arrays = _arrays(left)
+    right_arrays = _arrays(right)
+    alphabet = _alphabet(left, right)
 
-    start = (left_acceptor.start, right_acceptor.start)
+    start = (frozenset({0}), frozenset({0}))
     visited: Dict[Tuple[FrozenSet[int], FrozenSet[int]], bytes] = {start: b""}
     frontier: List[Tuple[FrozenSet[int], FrozenSet[int]]] = [start]
 
@@ -181,8 +130,8 @@ def check_equivalence(
         for pair in frontier:
             left_config, right_config = pair
             prefix = visited[pair]
-            left_accepts = left_acceptor.accepts_at_end(left_config)
-            right_accepts = right_acceptor.accepts_at_end(right_config)
+            left_accepts = _advance(left_arrays, left_config, None)[1]
+            right_accepts = _advance(right_arrays, right_config, None)[1]
             if left_accepts != right_accepts:
                 return EquivalenceResult(
                     equivalent=False,
@@ -196,9 +145,10 @@ def check_equivalence(
             if left_config == MATCHED and right_config == MATCHED:
                 continue
             for char in alphabet:
-                next_left, _fired_left = left_acceptor.step(left_config, char)
-                next_right, _fired_right = right_acceptor.step(right_config, char)
-                next_pair = (next_left, next_right)
+                next_pair = (
+                    _advance(left_arrays, left_config, char)[0],
+                    _advance(right_arrays, right_config, char)[0],
+                )
                 if next_pair not in visited:
                     if len(visited) >= max_states:
                         raise EquivalenceCheckExceeded(max_states)
@@ -223,13 +173,7 @@ def assert_programs_equivalent(
 
 
 def accepts(program: Program, text: Union[str, bytes]) -> bool:
-    """Reference acceptance through the deterministic view (used to
+    """Reference acceptance through the golden model (used to
     cross-check the checker itself against the VM in tests)."""
     data = text.encode("latin-1") if isinstance(text, str) else bytes(text)
-    acceptor = _Acceptor(program)
-    configuration = acceptor.start
-    for code in data:
-        configuration, fired = acceptor.step(configuration, code)
-        if fired:
-            return True
-    return acceptor.accepts_at_end(configuration)
+    return reference_run(*_arrays(program), data) is not None

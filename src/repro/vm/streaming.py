@@ -16,28 +16,25 @@ at its absolute position mid-chunk; an empty frontier settles ``False``
 immediately (no suffix can revive a dead enumeration).  Once settled,
 further ``feed`` calls are no-ops returning the verdict.
 
-Lazy-DFA acceleration (PR 8) streams the same way: a
+Lazy-DFA acceleration streams the same way: a
 :class:`~repro.prefilter.lazydfa.LazyDFA` state *is* the set of work
-PCs the VM frontier would hold, so the carried state is one integer,
-and a mid-stream :class:`~repro.prefilter.lazydfa.LazyDFABlowup`
-degrades permanently to the VM by seeding the frontier from the
-current DFA state's PC set — continuing at the current byte without
-re-reading history.  While the DFA holds state 0 (the entry closure),
-runs of bytes whose transition provably self-loops on state 0 are
-skipped with a compiled byte-class search (the streaming analog of the
-PR 8 chunk prefilter; sound because a self-loop byte can neither match
-nor change state).  Step budgets follow
-:class:`~repro.prefilter.lazydfa.LazyDFAMatcher` semantics: DFA-mode
-bytes cost no VM steps (the DFA's own bound is ``max_states``); after
-a fallback the VM budget applies from the fallback point onward.
+PCs the VM frontier would hold, so the carried state is one integer
+that :meth:`~repro.prefilter.lazydfa.LazyDFA.walk` resumes from, and a
+mid-stream :class:`~repro.prefilter.lazydfa.LazyDFABlowup` degrades
+permanently to the VM by seeding the frontier from the PC set of the
+state it blew in — continuing at that byte without re-reading history.
+Step budgets follow :class:`~repro.prefilter.lazydfa.LazyDFAMatcher`
+semantics: DFA-mode bytes cost no VM steps (the DFA's own bound is
+``max_states``); after a fallback the VM budget applies from the
+fallback point onward.
 """
 
 from __future__ import annotations
 
-import re
 from typing import FrozenSet, Optional, Union
 
 from ..isa.program import Program
+from ..prefilter.lazydfa import DEFAULT_MAX_DFA_STATES, LazyDFA, LazyDFABlowup, mask_pcs
 from .kernel import Enumeration
 from .thompson import MatchResult, ThompsonVM, _as_bytes
 
@@ -91,12 +88,7 @@ class StreamingMatcher:
 
         self._dfa = None
         self._dfa_state = 0
-        self._skip_ready = False
-        self._skip_re: Optional[re.Pattern] = None
-        self._skip_all = False
         if use_dfa:
-            from ..prefilter.lazydfa import DEFAULT_MAX_DFA_STATES, LazyDFA
-
             if max_dfa_states is None:
                 max_dfa_states = DEFAULT_MAX_DFA_STATES
             self._dfa = LazyDFA(program, max_states=max_dfa_states, vm=self.vm)
@@ -152,95 +144,28 @@ class StreamingMatcher:
         """Process the end-of-input position and return the verdict."""
         state = self.state
         if self._dfa is not None and not state.settled:
-            state.settle(self._dfa._accept_end[self._dfa_state])
+            state.settle(self._dfa.accepts_at_end(self._dfa_state))
         state.finish()  # re-raises a tripped budget; no-op once settled
         self._finished = True
         return self.result
 
-    # ------------------------------------------------------------------
-    # Lazy-DFA path
-    # ------------------------------------------------------------------
-    def _prepare_skip(self) -> None:
-        """Precompute which raw bytes self-loop on the entry state.
-
-        Builds every state-0 transition (at most ``num_classes`` rows —
-        bounded by the distinct operand bytes plus one residual class)
-        and compiles a byte-class regex matching the first *non*
-        self-loop byte.  While the DFA sits in state 0, everything
-        before that byte can be skipped at C speed: a self-loop byte
-        cannot fire a match (its transition is state 0, not the match
-        sentinel) and cannot change state, by construction.
-        """
-        self._skip_ready = True
-        dfa = self._dfa
-        transitions = []
-        for byte_class in range(dfa.num_classes):
-            next_id = dfa._rows[0][byte_class]
-            if next_id == -3:  # _UNBUILT
-                next_id = dfa._build_transition(0, byte_class)
-            transitions.append(next_id)
-        class_table = dfa._class_table
-        stop_bytes = [
-            byte for byte in range(256) if transitions[class_table[byte]] != 0
-        ]
-        if len(stop_bytes) == 256:
-            return  # nothing skippable
-        if not stop_bytes:
-            self._skip_all = True  # state 0 self-loops on every byte
-            return
-        self._skip_re = re.compile(
-            b"[" + b"".join(re.escape(bytes([b])) for b in stop_bytes) + b"]"
-        )
-
     def _feed_dfa(self, data: bytes) -> None:
-        from ..prefilter.lazydfa import LazyDFABlowup, mask_pcs
-
-        dfa = self._dfa
         state = self.state
-        state_id = self._dfa_state
-        index = 0
         try:
-            if not self._skip_ready:
-                self._prepare_skip()
-            rows = dfa._rows
-            build = dfa._build_transition
-            translated = data.translate(dfa._class_table)
-            length = len(data)
-            while index < length:
-                if state_id == 0:
-                    if self._skip_all:
-                        index = length
-                        break
-                    if self._skip_re is not None:
-                        found = self._skip_re.search(data, index)
-                        if found is None:
-                            index = length
-                            break
-                        index = found.start()
-                byte_class = translated[index]
-                next_id = rows[state_id][byte_class]
-                if next_id < 0:
-                    if next_id == -3:  # _UNBUILT
-                        next_id = build(state_id, byte_class)
-                    if next_id == -2:  # _MATCHED
-                        state.consumed += index
-                        return state.settle(True)
-                    if next_id == -1:  # _DEAD
-                        state.consumed += length
-                        return state.settle(False)
-                state_id = next_id
-                index += 1
-            self._dfa_state = state_id
-            state.consumed += length
-        except LazyDFABlowup:
+            verdict, offset, self._dfa_state = self._dfa.walk(data, self._dfa_state)
+        except LazyDFABlowup as blowup:
             # Permanent degradation: the DFA state's PC set is exactly
             # the VM frontier at this position — resume byte-for-byte
             # from the chunk byte whose transition blew the budget.
             self.dfa_fallbacks += 1
-            state.frontier = mask_pcs(dfa._states[state_id])
             self._dfa = None
-            state.consumed += index
-            state.feed(data, index)
+            state.frontier = mask_pcs(blowup.state)
+            state.consumed += blowup.offset
+            state.feed(data, blowup.offset)
+            return
+        state.consumed += offset
+        if verdict is not None:
+            state.settle(verdict)
 
 
 class StreamingMultiMatcher:

@@ -3,31 +3,21 @@
 A breadth-first Thompson/Pike-style virtual machine: it advances a
 deduplicated set of program counters over the input one character at a
 time, exactly the enumeration the hardware performs, but without any
-micro-architectural modelling.  It serves as the *golden model*: the
-cycle-level simulator must return the same verdict for every program,
-input, and configuration (tested property), and compiled programs must
-agree with Python's :mod:`re` on generated corpora.
-
-Instruction semantics (paper Table 1):
-
-* ``SPLIT``/``JMP`` are input-independent ε-moves.
-* ``NOT_MATCH(c)`` is an ε-move *conditioned on the current character*:
-  the thread continues (without consuming) iff the character exists and
-  differs from ``c``.
-* ``MATCH(c)``/``MATCH_ANY`` consume one character or kill the thread.
-* ``ACCEPT`` matches iff the whole input was consumed; ``ACCEPT_PARTIAL``
-  matches immediately.
+micro-architectural modelling.  The cycle-level simulator must return
+the same verdict for every program, input, and configuration (tested
+property), and compiled programs must agree with Python's :mod:`re` on
+generated corpora.  The instruction semantics (paper Table 1) are
+spelled out once, in the golden model :mod:`repro.verify.reference`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Union
+from typing import List, Optional, Union
 
-from ..isa.instructions import Opcode
 from ..isa.program import Program
 from ..runtime.encoding import as_input_bytes
-from ..runtime.errors import VMStepBudgetError
+from ..verify.reference import reference_run
 from .kernel import DispatchTables, run_once
 
 
@@ -75,10 +65,9 @@ class ThompsonVM:
       inspect the input; live threads are deduplicated per position,
       bounding the work at O(program × text).  ``bytes`` input skips
       encoding entirely.
-    * :meth:`run_reference` / :meth:`run_with_stats` — the original
-      instruction-at-a-time interpreter, kept verbatim as the golden
-      reference the fast path is property-tested against (and as the
-      only path that can attribute per-instruction statistics).
+    * :meth:`run_reference` / :meth:`run_with_stats` — the golden model
+      (:mod:`repro.verify.reference`) the fast path is property-tested
+      against, and the only path with per-instruction statistics.
     """
 
     def __init__(self, program: Program):
@@ -122,102 +111,22 @@ class ThompsonVM:
     def run_reference(
         self, text: Union[str, bytes], max_steps: Optional[int] = None
     ) -> MatchResult:
-        """The pre-optimization interpreter (golden reference)."""
-        return self._run(_as_bytes(text), None, max_steps)
+        """The golden model (:func:`repro.verify.reference.reference_run`)."""
+        return self._reference(text, None, max_steps)
 
     def run_with_stats(
         self, text: Union[str, bytes], max_steps: Optional[int] = None
     ):
-        """Like :meth:`run` but also returns :class:`VMStatistics`."""
+        """Like :meth:`run_reference` but also returns :class:`VMStatistics`."""
         stats = VMStatistics()
-        result = self._run(_as_bytes(text), stats, max_steps)
-        return result, stats
+        return self._reference(text, stats, max_steps), stats
 
-    def _run(
-        self,
-        data: bytes,
-        stats: Optional[VMStatistics],
-        max_steps: Optional[int] = None,
-    ) -> MatchResult:
-        opcodes = self.tables.opcodes
-        operands = self.tables.operands
-        length = len(data)
-
-        ACCEPT = int(Opcode.ACCEPT)
-        ACCEPT_PARTIAL = int(Opcode.ACCEPT_PARTIAL)
-        SPLIT = int(Opcode.SPLIT)
-        JMP = int(Opcode.JMP)
-        MATCH_ANY = int(Opcode.MATCH_ANY)
-        MATCH = int(Opcode.MATCH)
-        NOT_MATCH = int(Opcode.NOT_MATCH)
-
-        frontier: List[int] = [0]
-        if stats is not None:
-            stats.threads_spawned += 1
-        executed = 0
-
-        for position in range(length + 1):
-            if not frontier:
-                break
-            char = data[position] if position < length else None
-            at_end = position == length
-            visited: Set[int] = set()
-            next_frontier: List[int] = []
-            worklist = list(frontier)
-            while worklist:
-                pc = worklist.pop()
-                if pc in visited:
-                    if stats is not None:
-                        stats.threads_killed += 1
-                    continue
-                visited.add(pc)
-                opcode = opcodes[pc]
-                if stats is not None:
-                    stats.instructions_executed += 1
-                if opcode == SPLIT:
-                    worklist.append(pc + 1)
-                    worklist.append(operands[pc])
-                    if stats is not None:
-                        stats.threads_spawned += 1
-                elif opcode == JMP:
-                    worklist.append(operands[pc])
-                elif opcode == ACCEPT_PARTIAL:
-                    return MatchResult(True, position)
-                elif opcode == ACCEPT:
-                    if at_end:
-                        return MatchResult(True, position)
-                    if stats is not None:
-                        stats.threads_killed += 1
-                elif opcode == NOT_MATCH:
-                    if char is not None and char != operands[pc]:
-                        worklist.append(pc + 1)
-                    elif stats is not None:
-                        stats.threads_killed += 1
-                elif opcode == MATCH_ANY:
-                    if char is not None:
-                        next_frontier.append(pc + 1)
-                    elif stats is not None:
-                        stats.threads_killed += 1
-                else:  # MATCH
-                    if char is not None and char == operands[pc]:
-                        next_frontier.append(pc + 1)
-                    elif stats is not None:
-                        stats.threads_killed += 1
-            if stats is not None:
-                stats.positions_processed += 1
-                stats.frontier_sizes.append(len(next_frontier))
-                stats.max_frontier = max(stats.max_frontier, len(next_frontier))
-            if max_steps is not None:
-                # Per-position accounting keeps the inner loop free of
-                # budget branches; |visited| is exactly the number of
-                # distinct instructions executed at this position.
-                executed += len(visited)
-                if executed > max_steps:
-                    raise VMStepBudgetError(
-                        executed, max_steps, self.program.source_pattern
-                    )
-            frontier = next_frontier
-        return MatchResult(False, None)
+    def _reference(self, text, stats, max_steps) -> MatchResult:
+        position = reference_run(
+            self.tables.opcodes, self.tables.operands, _as_bytes(text),
+            max_steps=max_steps, stats=stats, pattern=self.program.source_pattern,
+        )
+        return MatchResult(position is not None, position)
 
 
 def run_program(program: Program, text: Union[str, bytes]) -> MatchResult:

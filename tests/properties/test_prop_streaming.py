@@ -63,6 +63,8 @@ def test_streaming_dfa_equals_reference(data, pattern, text):
     chunks = data.draw(chunkings(text))
     got = _stream_verdict(program, chunks, use_dfa=True)
     assert bool(got) == bool(expected), (pattern, text, chunks)
+    if expected.matched:
+        assert got.position == expected.position
 
 
 @settings(max_examples=100, deadline=None)
@@ -75,6 +77,8 @@ def test_streaming_dfa_fallback_equals_reference(data, pattern, text):
     chunks = data.draw(chunkings(text))
     got = _stream_verdict(program, chunks, use_dfa=True, max_dfa_states=3)
     assert bool(got) == bool(expected), (pattern, text, chunks)
+    if expected.matched:
+        assert got.position == expected.position
 
 
 @settings(max_examples=80, deadline=None)

@@ -6,6 +6,9 @@ entry points.  ISSUE 23 collapsed six spellings of the flow into
 ``NewCompiler.front``/``back``; a seventh — a helper that lowers, runs
 passes and generates code on its own, as ``backends.py`` used to — shows
 up here as a module that is not on the list.
+
+The same kind of walk keeps the lazy DFA's row format private to
+``prefilter/lazydfa.py``, and keeps deleted subsystems deleted.
 """
 
 import ast
@@ -127,4 +130,51 @@ def test_the_walk_sees_a_pasted_back_half():
     )
     assert {"lower_to_cicero", "PassManager", "generate_program"} <= set(
         called_names(shadow)
+    )
+
+
+#: The lazy DFA's row format: its transition rows and their sentinels,
+#: the byte-class table, the state masks, the end-of-input flags and
+#: ``_build_transition``.  Other modules go through ``LazyDFA.run``/``walk``.
+DFA_INTERNALS = {
+    "_rows", "_class_table", "_states", "_accept_end", "_build_transition",
+    "_UNBUILT", "_MATCHED", "_DEAD",
+}
+
+
+def dfa_internals_named(tree: ast.AST):
+    """Every ``x._rows``-style read and ``_UNBUILT``-style name in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in DFA_INTERNALS:
+            yield node.attr
+        elif isinstance(node, ast.Name) and node.id in DFA_INTERNALS:
+            yield node.id
+        elif isinstance(node, ast.alias) and node.name in DFA_INTERNALS:
+            yield node.name
+
+
+def test_only_the_lazy_dfa_reads_its_rows():
+    readers = {
+        path.relative_to(SOURCE).as_posix()
+        for path in sorted(SOURCE.rglob("*.py"))
+        if any(dfa_internals_named(ast.parse(path.read_text(), str(path))))
+    }
+    assert readers == {"prefilter/lazydfa.py"}
+
+
+def test_the_walk_sees_a_pasted_back_dfa_walk():
+    # The deleted ``StreamingMatcher._feed_dfa``, abridged.
+    shadow = ast.parse(
+        "def _feed_dfa(self, data):\n"
+        "    dfa = self._dfa\n"
+        "    rows = dfa._rows\n"
+        "    build = dfa._build_transition\n"
+        "    translated = data.translate(dfa._class_table)\n"
+        "    next_id = rows[state_id][translated[index]]\n"
+        "    if next_id == -3:\n"
+        "        next_id = build(state_id, byte_class)\n"
+        "    self.state.frontier = mask_pcs(dfa._states[state_id])\n"
+    )
+    assert {"_rows", "_build_transition", "_class_table", "_states"} <= set(
+        dfa_internals_named(shadow)
     )

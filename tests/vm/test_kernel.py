@@ -1,8 +1,9 @@
-"""The shared matching kernel against the golden interpreters.
+"""The shared matching kernel against the golden model.
 
 Four entry points run one loop (:mod:`repro.vm.kernel`): one-shot
-single, one-shot multi, streaming single, streaming multi.  The
-property here drives all four over *every* byte value — the other
+single, one-shot multi, streaming single, streaming multi; the lazy
+DFA's one-shot and streaming walks are held to the same reference.  The
+property here drives all of them over *every* byte value — the other
 properties draw inputs from ``"abcdefgh"`` although the lexer builds
 negated classes over ``range(256)`` — and pins what chunking must never
 change: verdict, position, and where a step budget trips.
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.compiler import compile_regex
 from repro.multimatch import MultiMatchVM, compile_multipattern
+from repro.prefilter.lazydfa import LazyDFA, LazyDFABlowup
 from repro.runtime.errors import VMStepBudgetError
 from repro.vm import StreamingMatcher, StreamingMultiMatcher, ThompsonVM
 from repro.vm.kernel import Enumeration
@@ -54,8 +56,14 @@ def test_single_match_entry_points_agree(pattern, data):
     vm = ThompsonVM(program)
     expected = vm.run_reference(data)
     assert vm.run(data) == expected, (pattern, data)
+    try:
+        assert LazyDFA(program, vm=vm).run(data) == expected, (pattern, data)
+    except LazyDFABlowup:
+        pass  # a performance event: the matchers fall back to the VM
     for chunks in splits(data):
-        for kwargs in ({}, {"use_dfa": True, "max_dfa_states": 2}):
+        for kwargs in (
+            {}, {"use_dfa": True}, {"use_dfa": True, "max_dfa_states": 2}
+        ):
             got = stream(StreamingMatcher(program, vm=vm, **kwargs), chunks)
             assert got == expected, (pattern, data, chunks, kwargs)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.compiler import compile_regex
 from repro.multimatch import MultiMatchVM, compile_multipattern
+from repro.prefilter.lazydfa import LazyDFA, LazyDFABlowup
 from repro.runtime.errors import VMStepBudgetError
 from repro.vm import StreamingMatcher, StreamingMultiMatcher, ThompsonVM
 
@@ -192,6 +193,32 @@ def test_dfa_cap_below_one_starts_on_the_vm():
             assert (got.matched, got.position) == (
                 expected.matched, expected.position
             ), (text, chunks)
+
+
+@pytest.mark.parametrize(
+    "pattern", ["abc|xyz|pqr", "needle", "a(b|c)+d", "[^x]+z", "x.*y"]
+)
+def test_stream_falls_back_iff_one_shot_dfa_blows(pattern):
+    # The streaming skip over state-0 self-loop bytes used to intern
+    # every state-0 successor before the first byte was walked, so a
+    # small cap blew on transitions the input never takes
+    # (``abc|xyz|pqr``, cap 3, ``"z" * 100``; ``needle``, cap 1).
+    program = _program(pattern)
+    for cap in range(5):
+        for text in INPUTS + ["z" * 100, "hay needle hay", "xyzpqr"]:
+            try:
+                LazyDFA(program, max_states=cap).run(text)
+                blows = False
+            except LazyDFABlowup:
+                blows = True
+            for chunks in _splits(text):
+                matcher = StreamingMatcher(
+                    program, use_dfa=True, max_dfa_states=cap
+                )
+                for chunk in chunks:
+                    if matcher.feed(chunk) is not None:
+                        break
+                assert bool(matcher.dfa_fallbacks) == blows, (cap, text, chunks)
 
 
 def test_shared_vm_reuses_dispatch_tables():
