@@ -13,7 +13,9 @@ Anchor semantics follow the paper's ``RootOp`` model, where the implicit
   pattern has a single top-level branch; in multi-branch patterns the
   trailing ``$`` stays a :class:`~repro.frontend.ast_nodes.Dollar` atom of
   its branch (so the other branches keep their implicit suffix).  A ``$``
-  in the middle of a pattern is always a ``Dollar`` atom.
+  that does not end a top-level branch — inside a group, or followed by
+  another piece — is rejected: anchors sit only on the root, so such a
+  ``$`` is not in the language at any optimization level.
 """
 
 from __future__ import annotations
@@ -163,6 +165,14 @@ class RegexParser:
                 )
             if isinstance(atom, Dollar):
                 raise self._error("'$' cannot be quantified", quantifier)
+        if isinstance(atom, Dollar) and (
+            self._depth or self._peek().kind not in ("PIPE", "END", "RPAREN")
+        ):
+            raise UnsupportedRegexError(
+                "'$' is only supported at the end of a top-level branch",
+                self.pattern,
+                token.position,
+            )
         return Piece(
             atom=atom, min=minimum, max=maximum, location=self._location(token)
         )

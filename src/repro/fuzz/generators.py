@@ -28,10 +28,10 @@ Differential testing needs no ground truth — the oracles vote — but
 inputs correlated with the pattern find disagreements orders of
 magnitude faster than uniform noise.
 
-Inputs stay within printable ASCII minus newlines on purpose: Python
-:mod:`re` gives ``.`` and ``$`` newline-special semantics our engine
-does not have, and the ``pyre`` oracle must only be consulted where the
-two languages agree by construction.
+Inputs cover every latin-1 character except ``\n``: Python :mod:`re`
+gives ``.`` and ``$`` newline-special semantics our engine does not
+have, and the ``pyre`` oracle must only be consulted where the two
+languages agree by construction.  Above U+00FF there is no input byte.
 """
 
 from __future__ import annotations
@@ -58,8 +58,10 @@ from ..workloads.sampler import sample_match
 #: input characters are frequent (that is where the bugs live).
 ALPHABET = "abcdefgh"
 
-#: Extra input-only characters guaranteeing negative probes exist.
-NOISE_ALPHABET = ALPHABET + "xyz"
+#: Extra input-only characters guaranteeing negative probes exist; the
+#: non-printable slice reaches the residual byte class and high-byte
+#: operands of negated classes.
+NOISE_ALPHABET = ALPHABET + "xyz" + "\x00\t\r\x1f\x7f\x80\xa0\xff"
 
 #: Quantifier shapes and their weights: unquantified dominates, every
 #: supported form (incl. counted repetition) appears.
@@ -351,9 +353,9 @@ def derive_inputs(
     seen = set()
     unique: List[str] = []
     for probe in probes:
-        # Keep every probe inside printable ASCII without newlines; the
+        # Keep every probe a latin-1 string without newlines; the
         # Python-re oracle diverges on \n (``.`` and ``$`` semantics).
-        if any(not 0x20 <= ord(char) <= 0x7E for char in probe):
+        if "\n" in probe or any(ord(char) > 0xFF for char in probe):
             continue
         if probe not in seen:
             seen.add(probe)

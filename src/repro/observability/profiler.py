@@ -6,8 +6,8 @@ supplied they count, per program counter, exactly the work their
 existing aggregate counters already total:
 
 * :class:`VMProfile` — one slot per instruction, incremented by the
-  matching kernel's per-position observer from the same visited set it
-  adds to ``repro_vm_steps_total``.  The conservation law
+  matching kernel's per-position observer from the same mask of
+  executed PCs it adds to ``repro_vm_steps_total``.  The conservation law
   ``sum(profile.pc_counts) == steps`` is exact (property-tested), so
   the profile is a lossless decomposition of the step counter.
 * :class:`SimProfile` — per-PC instruction retires and icache
@@ -155,9 +155,9 @@ class VMProfile(ProgramProfile):
 
     ``pc_counts[pc]`` is the number of times the matching kernel
     executed the work instruction at ``pc``: its observer
-    (:class:`repro.vm.kernel.Observer`) bumps one slot per member of
-    each position's visited set, the same set whose size it adds to
-    ``steps`` (and thus ``repro_vm_steps_total``).  The invariant
+    (:class:`repro.vm.kernel.Observer`) bumps one slot per PC in each
+    position's mask of executed PCs, the same mask whose popcount it
+    adds to ``steps`` (and thus ``repro_vm_steps_total``).  The invariant
     ``profile.total == steps`` therefore holds on every exit path,
     including early accept returns and step-budget aborts.
     """

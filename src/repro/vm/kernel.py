@@ -4,29 +4,32 @@ Two pieces, shared by :class:`~repro.vm.thompson.ThompsonVM`,
 :class:`~repro.multimatch.vm.MultiMatchVM`, both streaming matchers and
 the lazy DFA:
 
-* :class:`DispatchTables` — the program split into parallel instruction
-  arrays plus the ε-closure successor/entry tables, built once per
-  program (``SPLIT``/``JMP`` chains folded down to the *work*
-  instructions they lead to).
+* :class:`DispatchTables` — the program lowered to bit masks (bit
+  ``pc`` stands for the work instruction at ``pc``): ε-closures, byte
+  classes and the lazily filled **step table**.
+  :meth:`DispatchTables.step` is one position over a frontier held as
+  one ``int``; the lazy DFA interns its results, the kernel does not.
 * :class:`Enumeration` — the resumable breadth-first enumeration.  Its
-  whole between-position state is the frontier (the work PCs that
-  survived the last byte) and the executed-step count, so
+  whole between-position state is the frontier (the mask of work PCs
+  that survived the last byte) and the executed-step count, so
   :meth:`~Enumeration.feed` over any chunk split performs the same
-  per-position transitions, in the same order, with the same budget
-  checks as one call over the joined input; :meth:`~Enumeration.finish`
-  runs the end-of-input position where ``ACCEPT`` fires.  The only
-  parameter that changes what the loop *does* is ``targets``: ``None``
-  settles at the first ``ACCEPT_PARTIAL``; a frozenset of ids collects
-  accept operands until every target is seen.
+  per-position steps, with the same budget checks, as one call over the
+  joined input; :meth:`~Enumeration.finish` runs the end-of-input
+  position where ``ACCEPT`` fires.  The only parameter that changes what
+  the loop *does* is ``targets``: ``None`` settles at the first
+  ``ACCEPT_PARTIAL``; a frozenset of ids collects accept operands until
+  every target is seen.
 
 Telemetry is an :class:`Observer` attached for one run.  The loop calls
-it once per position with what it already holds, so the uninstrumented
-path pays one ``is not None`` per position and nothing per instruction.
+it once per position with the mask of PCs executed there, so the
+uninstrumented path pays one local test per position and nothing per
+instruction.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from ..isa.instructions import Opcode
 from ..isa.program import Program
@@ -41,47 +44,169 @@ NOT_MATCH = int(Opcode.NOT_MATCH)
 ACCEPT = int(Opcode.ACCEPT)
 ACCEPT_PARTIAL = int(Opcode.ACCEPT_PARTIAL)
 
+#: Keys :meth:`DispatchTables.step`'s two memos hold in all.  The lazy
+#: DFA adds at most two per transition it builds, the kernel two per
+#: distinct frontier it steps; past the cap a miss is computed, not kept.
+MEMO_ENTRIES = 20_000
+
+
+def mask_pcs(mask: int) -> List[int]:
+    """The PCs whose bits are set in ``mask``, ascending."""
+    pcs = []
+    while mask:
+        low = mask & -mask
+        pcs.append(low.bit_length() - 1)
+        mask ^= low
+    return pcs
+
+
+def _mask_of(pcs: Iterable[int]) -> int:
+    mask = 0
+    for pc in pcs:
+        mask |= 1 << pc
+    return mask
+
+
+class _StepColumn(dict):
+    """One byte class of the step table: one-hot PC mask -> what that
+    work instruction does at a position whose byte is in the class.
+
+    An entry is two masks in one ``int``: below ``fires``, the PCs it
+    contributes to the next position (``fires`` set when it reaches
+    ``ACCEPT_PARTIAL``); from bit ``shift`` up, the PCs a passing
+    ``NOT_MATCH`` makes the position execute besides itself.  Filled on
+    first lookup, so a cold run pays only for the PCs its frontiers
+    hold.  Holds the instruction arrays rather than the tables, so
+    dropped tables are freed by reference count.
+    """
+
+    __slots__ = ("_char", "_opcodes", "_operands", "_successors", "_fires")
+
+    def __init__(self, char: int, opcodes, operands, successors, fires: int):
+        super().__init__()
+        self._char = char
+        self._opcodes = opcodes
+        self._operands = operands
+        self._successors = successors
+        self._fires = fires
+
+    def __missing__(self, bit: int) -> int:
+        char = self._char
+        opcodes = self._opcodes
+        operands = self._operands
+        successors = self._successors
+        contributed = visited = 0
+        # A NOT_MATCH that lets this byte through continues, within the
+        # position, at its own successors; ε-loops through NOT_MATCH end
+        # at the visited mask.
+        rest = bit
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            visited |= low
+            pc = low.bit_length() - 1
+            opcode = opcodes[pc]
+            if opcode == NOT_MATCH:
+                if char != operands[pc]:
+                    rest |= successors[pc] & ~visited
+            elif opcode == MATCH_ANY or (opcode == MATCH and char == operands[pc]):
+                contributed |= successors[pc]
+            elif opcode == ACCEPT_PARTIAL:
+                contributed |= self._fires
+            # ACCEPT needs end-of-input; with a byte in hand it is dead.
+        entry = self[bit] = contributed | (visited ^ bit) << self._fires.bit_length()
+        return entry
+
 
 class DispatchTables:
-    """Load-time precomputation over one program.
+    """Load-time lowering of one program to bit masks.
 
-    ``successors[pc]`` is the ε-closure of ``pc + 1`` for every
-    instruction that can continue there (matches and ``NOT_MATCH``);
-    ``entry`` is the closure of address 0.  Program validation
-    guarantees those instructions never sit at the last address, so
-    ``pc + 1`` always exists.
+    ``successors[pc]`` is the mask of the ε-closure of ``pc + 1`` for
+    every instruction that can continue there (matches and
+    ``NOT_MATCH``; 0 for the rest); ``entry`` is the closure of address 0.
+    Program validation guarantees those instructions never sit at the
+    last address, so ``pc + 1`` always exists.
+
+    Byte classes: every distinct ``MATCH``/``NOT_MATCH`` operand gets a
+    singleton class and all other bytes share one residual class; the
+    program cannot tell two bytes of a class apart, so input is mapped
+    through the 256-byte ``class_table`` with :meth:`bytes.translate`
+    and everything after that works per class.
+
+    :meth:`step` ORs step-table entries in two parts, each memoized per
+    distinct part.  The **byte-blind** PCs (``MATCH_ANY``,
+    ``ACCEPT_PARTIAL``) contribute the same on every class: their OR is
+    kept per ``state & blind_mask`` in ``blind``.  Of the rest only the
+    **sighted** PCs can contribute on a class — every ``NOT_MATCH`` and
+    the ``MATCH``es of the class's byte — and their OR is kept per class
+    and ``state & sighted[class]`` in ``sighted_memo``.  Parts repeat far
+    more than states do.
     """
 
     def __init__(self, program: Program):
         self.program = program
-        # Parallel arrays: the hot loop then avoids attribute lookups on
-        # Instruction objects.
+        # Parallel arrays: the step-table fill then avoids attribute
+        # lookups on Instruction objects.
         self.opcodes = [int(instruction.opcode) for instruction in program]
         self.operands = [instruction.operand for instruction in program]
-        self.successors: List[Optional[tuple]] = [
+        self.successors: List[int] = [
             self._closure_of(pc + 1)
             if opcode in (MATCH, MATCH_ANY, NOT_MATCH)
-            else None
+            else 0
             for pc, opcode in enumerate(self.opcodes)
         ]
-        self.entry: tuple = self._closure_of(0)
-        #: The conditional-ε instructions; lets an observer recount their
-        #: expansions from a position's visited set without walking all of it.
-        self.not_match_pcs = frozenset(
-            pc for pc, opcode in enumerate(self.opcodes) if opcode == NOT_MATCH
-        )
+        self.entry: int = self._closure_of(0)
+        #: "``ACCEPT_PARTIAL`` is reached: the match fires at this
+        #: position" — the bit above every real PC, so a mask holds it
+        #: exactly when it compares ``>=`` to it.
+        self.fires = 1 << len(self.opcodes)
+        #: Where a :meth:`step` result's executed-PC half starts, and the
+        #: mask of the half below it: the next position and ``fires``.
+        self.shift = len(self.opcodes) + 1
+        self.next_mask = (1 << self.shift) - 1
+        self._build_byte_classes()
+        self._build_pc_masks()
+        #: The step table, one :class:`_StepColumn` per byte class.
+        self.steps = [
+            _StepColumn(char, self.opcodes, self.operands, self.successors, self.fires)
+            for char in self.representatives
+        ]
+        #: ``state & blind_mask`` -> what those PCs contribute, on any class.
+        self.blind: Dict[int, int] = {}
+        #: Per class, ``state & sighted[class]`` -> what those PCs contribute.
+        self.sighted_memo: List[Dict[int, int]] = [{} for _ in self.steps]
+        #: Keys the two memos may still take.
+        self.memo_room = MEMO_ENTRIES
 
-    def _closure_of(self, root: int) -> tuple:
-        """Work instructions reachable from ``root`` via ε-moves only.
+    @cached_property
+    def tallies(self):
+        """What the :class:`Observer` counts with: per class, the
+        ``NOT_MATCH``es its byte passes and those plus the consuming PCs
+        it matches; and every PC's closure size as bit planes, so a
+        mask's total closure size is one popcount per plane."""
+        not_match = self.not_match_mask
+        blocked = dict.fromkeys(self.representatives, 0)
+        for pc in mask_pcs(not_match):
+            blocked[self.operands[pc]] |= 1 << pc
+        passing = [not_match ^ mask for mask in blocked.values()]
+        anys = self.blind_mask ^ self.partial_mask
+        expanding = [
+            passes | sighted ^ not_match | anys
+            for passes, sighted in zip(passing, self.sighted)
+        ]
+        sizes = [mask.bit_count() for mask in self.successors]
+        planes = [
+            (shift, _mask_of(pc for pc, size in enumerate(sizes) if size >> shift & 1))
+            for shift in range(max(sizes, default=0).bit_length())
+        ]
+        return passing, expanding, planes
 
-        ``SPLIT`` and ``JMP`` are input-independent, so the set of
-        match/accept/``NOT_MATCH`` instructions they lead to is a static
-        property of the program; cycles (ε-loops) terminate through the
-        visited set exactly as the interpreter's per-position dedup does.
-        """
+    def _closure_of(self, root: int) -> int:
+        """Work instructions reachable from ``root`` via the
+        input-independent ``SPLIT``/``JMP`` ε-moves only."""
         opcodes, operands = self.opcodes, self.operands
         seen: Set[int] = set()
-        work: List[int] = []
+        work = 0
         stack = [root]
         while stack:
             pc = stack.pop()
@@ -95,13 +220,89 @@ class DispatchTables:
             elif opcode == JMP:
                 stack.append(operands[pc])
             else:
-                work.append(pc)
-        return tuple(work)
+                work |= 1 << pc
+        return work
+
+    def _build_byte_classes(self) -> None:
+        operand_bytes = sorted(
+            {
+                self.operands[pc]
+                for pc, opcode in enumerate(self.opcodes)
+                if opcode in (MATCH, NOT_MATCH)
+            }
+        )
+        class_of = [len(operand_bytes)] * 256  # residual class by default
+        for index, byte in enumerate(operand_bytes):
+            class_of[byte] = index
+        # One byte per class fills its column; the residual class (if any
+        # byte falls in it) uses the smallest non-operand byte.
+        self.representatives = operand_bytes + [
+            byte for byte in range(256) if class_of[byte] == len(operand_bytes)
+        ][:1]
+        self.num_classes = len(self.representatives)
+        self.class_table = bytes(class_of)
+
+    def _build_pc_masks(self) -> None:
+        opcodes = self.opcodes
+
+        def pcs_with(*wanted: int) -> int:
+            return _mask_of(
+                pc for pc, opcode in enumerate(opcodes) if opcode in wanted
+            )
+
+        # The PCs that contribute the same on every byte class, and what.
+        self.blind_mask = pcs_with(MATCH_ANY, ACCEPT_PARTIAL)
+        self.blind_column = {
+            1 << pc: self.successors[pc] if opcodes[pc] == MATCH_ANY else self.fires
+            for pc in mask_pcs(self.blind_mask)
+        }
+        self.partial_mask = pcs_with(ACCEPT_PARTIAL)
+        self.accept_mask = pcs_with(ACCEPT, ACCEPT_PARTIAL)
+        self.not_match_mask = pcs_with(NOT_MATCH)
+        # Per class, the PCs that can contribute only by inspecting the
+        # byte: every NOT_MATCH and the MATCHes of the class's own byte.
+        sighted = dict.fromkeys(self.representatives, self.not_match_mask)
+        for pc, opcode in enumerate(opcodes):
+            if opcode == MATCH:
+                sighted[self.operands[pc]] |= 1 << pc
+        self.sighted = list(sighted.values())
+
+    def _or_entries(self, part: int, column, memo: Dict[int, int]) -> int:
+        """The OR of ``column``'s entries for the PCs in ``part``, kept
+        in ``memo`` while there is room."""
+        contributed = 0
+        rest = part
+        while rest:
+            low = rest & -rest
+            contributed |= column[low]
+            rest ^= low
+        if self.memo_room:
+            self.memo_room -= 1
+            memo[part] = contributed
+        return contributed
+
+    def step(self, state: int, byte_class: int) -> int:
+        """One position over the work PCs of ``state`` on a byte of
+        ``byte_class``, as two masks in one ``int``: ``& next_mask`` is
+        the next position's work PCs, ``>= fires`` when the match fires
+        here; ``state | result >> shift`` is every PC the position
+        executes."""
+        blind = state & self.blind_mask
+        stepped = self.blind.get(blind)
+        if stepped is None:
+            stepped = self._or_entries(blind, self.blind_column, self.blind)
+        sighted = state & self.sighted[byte_class]
+        memo = self.sighted_memo[byte_class]
+        contributed = memo.get(sighted)
+        if contributed is None:
+            contributed = self._or_entries(sighted, self.steps[byte_class], memo)
+        return stepped | contributed
 
 
 class Enumeration:
     """Resumable enumeration state over one :class:`DispatchTables`.
 
+    ``frontier`` is the mask of work PCs the next position starts from;
     ``position`` is the absolute offset at which a single-match run
     accepted (``None`` until then); ``matched`` the ids a collecting run
     has seen; ``consumed`` the absolute offset of the next byte.  Once
@@ -125,7 +326,7 @@ class Enumeration:
         self.max_steps = max_steps
         self.targets = targets
         self.observer: Optional[Observer] = None
-        self.frontier: List[int] = list(tables.entry)
+        self.frontier: int = tables.entry
         self.executed = 0
         self.consumed = 0
         self.position: Optional[int] = None
@@ -135,13 +336,13 @@ class Enumeration:
 
     def settle(self, matched: bool) -> None:
         """Close the enumeration; a match is at the ``consumed`` offset."""
-        self.frontier = []
+        self.frontier = 0
         self.settled = True
         if matched:
             self.position = self.consumed
 
     def _over_budget(self, executed: int, consumed: int) -> VMStepBudgetError:
-        self.frontier = []
+        self.frontier = 0
         self.executed = executed
         self.consumed = consumed
         self.error = VMStepBudgetError(
@@ -150,173 +351,160 @@ class Enumeration:
         return self.error
 
     def feed(self, data: bytes, start: int = 0) -> None:
-        """Run every position of ``data[start:]`` (each has a byte)."""
+        """Run every position of ``data[start:]`` (each has a byte).
+
+        A position is one :meth:`DispatchTables.step` on the frontier.
+        The PCs it executes are only unpacked when something reads them:
+        the step budget, an observer, or a collecting run naming what
+        fired.
+        """
         if self.error is not None:
             raise self.error
         if self.settled:
             return
-        # All state (and the opcode constants) lives in locals for the
-        # duration of the call: an attribute store or a global load inside
-        # ``while worklist`` costs more than the dispatch it sits next to.
-        match, match_any, not_match, accept_partial = (
-            MATCH, MATCH_ANY, NOT_MATCH, ACCEPT_PARTIAL
-        )
-        opcodes = self.tables.opcodes
-        operands = self.tables.operands
-        successors = self.tables.successors
+        # All state lives in locals for the duration of the call: an
+        # attribute load inside the loop costs as much as a step entry.
+        tables = self.tables
+        step = tables.step
+        next_mask = tables.next_mask
+        shift = tables.shift
+        fires = tables.fires
         max_steps = self.max_steps
         observer = self.observer
         targets = self.targets
         matched = self.matched
+        tracking = max_steps is not None or observer is not None
+        done = targets is not None and matched >= targets
         frontier = self.frontier
         executed = self.executed
         base = self.consumed - start
         stop = len(data)
+        classes = data.translate(tables.class_table)
         for index in range(start, stop):
             if not frontier:
                 break  # dead: the rest of the chunk cannot matter
-            if targets is not None and matched >= targets:
+            if done:
                 stop = index
                 break
-            char = data[index]
-            visited: Set[int] = set()
-            roots: Set[int] = set()
-            worklist = frontier
-            while worklist:
-                pc = worklist.pop()
-                if pc in visited:
-                    continue
-                visited.add(pc)
-                opcode = opcodes[pc]
-                # Most frequent first: consuming matches are the bulk of
-                # every program, accepts one instruction per rule.
-                if opcode == match:
-                    if char == operands[pc]:
-                        roots.add(pc)
-                elif opcode == match_any:
-                    roots.add(pc)
-                elif opcode == not_match:
-                    # ε conditioned on the current character: fold the
-                    # successor closure into this position's worklist.
-                    if char != operands[pc]:
-                        worklist.extend(successors[pc])
-                elif opcode == accept_partial:
-                    if targets is not None:
-                        matched.add(operands[pc])
-                        continue
-                    if observer is not None:
-                        observer.position(visited, char, unpopped=len(worklist))
-                    self.executed = executed
-                    self.consumed = base + index
-                    return self.settle(True)
-                # ACCEPT needs end-of-input; with a byte in hand it is dead.
-            if max_steps is not None:
-                # Per-position accounting keeps the inner loop free of
-                # budget branches; |visited| is exactly the number of
-                # distinct instructions executed at this position.
-                executed += len(visited)
-                if executed > max_steps:
-                    if observer is not None:
-                        observer.position(visited, char)
-                    raise self._over_budget(executed, base + index + 1)
-            frontier = []
-            for root in roots:
-                frontier.extend(successors[root])
-            if observer is not None:
-                observer.position(visited, char, len(roots), len(frontier))
+            byte_class = classes[index]
+            stepped = step(frontier, byte_class)
+            successor = stepped & next_mask
+            if tracking or successor >= fires:
+                visited = frontier | stepped >> shift
+                if successor >= fires:
+                    if targets is None:
+                        # Settled before the budget counts this position.
+                        if observer is not None:
+                            observer.position(visited, byte_class)
+                        self.executed = executed
+                        self.consumed = base + index
+                        return self.settle(True)
+                    successor ^= fires
+                    for pc in mask_pcs(visited & tables.partial_mask):
+                        matched.add(tables.operands[pc])
+                    done = matched >= targets
+                if max_steps is not None:
+                    executed += visited.bit_count()
+                    if executed > max_steps:
+                        if observer is not None:
+                            observer.position(visited, byte_class)
+                        raise self._over_budget(executed, base + index + 1)
+                if observer is not None:
+                    observer.position(visited, byte_class, goes_on=True)
+            frontier = successor
         self.frontier = frontier
         self.executed = executed
         self.consumed = base + stop
-        if not frontier or (targets is not None and matched >= targets):
+        if not frontier or done:
             self.settled = True
 
     def finish(self) -> None:
         """Run the end-of-input position; always settles.
 
-        No instruction can consume here, so only accepts matter.  The
-        frontier is popped in the order :meth:`feed` would pop it: the
-        PCs visited before a single-match accept are part of the step
-        count.
+        No instruction can consume or pass a ``NOT_MATCH`` here, so the
+        PCs executed are the frontier itself and only accepts matter.
         """
         if self.error is not None:
             raise self.error
         if self.settled:
             return
         self.settled = True
-        opcodes = self.tables.opcodes
-        observer = self.observer
-        visited: Set[int] = set()
-        worklist = self.frontier
-        while worklist:
-            pc = worklist.pop()
-            if pc in visited:
-                continue
-            visited.add(pc)
-            if opcodes[pc] in (ACCEPT, ACCEPT_PARTIAL):
-                if self.targets is not None:
-                    self.matched.add(self.tables.operands[pc])
-                    continue
-                if observer is not None:
-                    observer.position(visited, -1, unpopped=len(worklist))
+        frontier = self.frontier
+        if self.observer is not None:
+            self.observer.position(frontier, -1)
+        accepts = frontier & self.tables.accept_mask
+        if accepts:
+            if self.targets is None:
                 return self.settle(True)
-        if observer is not None:
-            observer.position(visited, -1)
+            self.matched.update(self.tables.operands[pc] for pc in mask_pcs(accepts))
         if self.max_steps is not None:
-            executed = self.executed + len(visited)
+            executed = self.executed + frontier.bit_count()
             if executed > self.max_steps:
                 raise self._over_budget(executed, self.consumed)
             self.executed = executed
 
 
 class Observer:
-    """Per-position telemetry, derived from what the loop already holds.
+    """Per-position telemetry, derived from the mask of PCs executed.
 
-    ``position(visited, char, carried, entering, unpopped)`` is called
-    once per processed position, on every exit path: ``visited`` is the
-    set of work PCs executed there, ``char`` the byte (-1 at end of
-    input), ``carried`` how many consuming PCs go on to the next
-    position and ``entering`` the length of the frontier they expand to
-    (both 0 when the run stops here), ``unpopped`` what an early accept
-    left on the worklist.  ``steps`` and ``pc_counts`` are both sums
-    over ``visited``, so ``sum(pc_counts) == steps`` by construction.
+    ``position(visited, byte_class, goes_on)`` is called once per
+    processed position, on every exit path: ``visited`` is the mask of
+    work PCs the whole position executes — the accepting position's
+    included, whatever made the run stop there — ``byte_class`` the class
+    of its byte (-1 at end of input), ``goes_on`` whether the run
+    continues past it.  From those alone:
+
+    * ``steps`` counts the PCs in ``visited`` and ``pc_counts`` adds one
+      to each of them, so ``sum(pc_counts) == steps`` by construction;
+    * ``closure_hits`` counts the successor-closure expansions: every
+      ``NOT_MATCH`` in ``visited`` the byte passes, and, when the run
+      goes on, every consuming PC the byte matches;
+    * ``dedup_suppressed`` counts the threads that arrive at a PC already
+      executed at the position: the entry frontier, then each
+      expansion's closure (duplicates included), minus the PCs executed.
+      The closures carried past the last position never arrive.
+
+    The step budget counts differently at one place: a single-match run
+    settles at its accepting position before the budget counts it.
     """
 
     def __init__(self, state: Enumeration, pc_counts: Optional[List[int]] = None):
-        self.operands = state.tables.operands
-        self.successors = state.tables.successors
-        self.not_match_pcs = state.tables.not_match_pcs
+        self.passing, self.expanding, self.planes = state.tables.tallies
+        self.not_match = state.tables.not_match_mask
         self.pc_counts = pc_counts
-        #: Worklist length at the top of the next position.
-        self.entering = len(state.frontier)
+        #: Threads that arrived at a position so far.
+        self.arrived = state.frontier.bit_count()
+        #: The expansions of the last position, when the run went on.
+        self.carried = 0
         self.steps = 0
-        self.dedup_suppressed = 0
         self.closure_hits = 0
         self.positions = 0
 
-    def position(
-        self, visited, char: int, carried: int = 0, entering: int = 0,
-        unpopped: int = 0,
-    ) -> None:
-        executed = len(visited)
+    def position(self, visited: int, byte_class: int, goes_on: bool = False) -> None:
         self.positions += 1
-        self.steps += executed
+        self.steps += visited.bit_count()
         if self.pc_counts is not None:
-            for pc in visited:
+            for pc in mask_pcs(visited):
                 self.pc_counts[pc] += 1
-        # Every pop either executed a PC or was suppressed as a duplicate;
-        # the pops are the entering frontier plus each NOT_MATCH expansion.
-        popped = self.entering - unpopped
-        expansions = 0
-        if char >= 0:
-            operands = self.operands
-            successors = self.successors
-            for pc in visited & self.not_match_pcs:
-                if operands[pc] != char:
-                    expansions += 1
-                    popped += len(successors[pc])
-        self.dedup_suppressed += popped - executed
-        self.closure_hits += expansions + carried
-        self.entering = entering
+        if byte_class < 0:
+            expansions = 0
+        elif goes_on:
+            expansions = visited & self.expanding[byte_class]
+        else:
+            expansions = visited & self.passing[byte_class]
+        self.carried = expansions if goes_on else 0
+        if expansions:
+            self.closure_hits += expansions.bit_count()
+            arrived = self.arrived
+            for shift, plane in self.planes:
+                arrived += (expansions & plane).bit_count() << shift
+            self.arrived = arrived
+
+    @property
+    def dedup_suppressed(self) -> int:
+        carried = self.carried & ~self.not_match  # the consuming PCs
+        unarrived = sum((carried & plane).bit_count() << s for s, plane in self.planes)
+        return self.arrived - unarrived - self.steps
 
     def publish(self, span, metrics, profile, state: Enumeration) -> None:
         """Close one run: span attributes, ``repro_vm_*`` counters, profile."""

@@ -1,11 +1,11 @@
 """Incremental (streaming) execution of Cicero programs.
 
 The breadth-first VM's entire between-position state is its *frontier*
-— the deduplicated set of work-instruction PCs that survived the last
-consumed byte — plus the executed-step count the budget accounting
-carries.  That state *is* a :class:`~repro.vm.kernel.Enumeration`:
-one-shot ``run`` feeds it the whole input and finishes it, the matchers
-here feed it one chunk at a time.  The concatenation of any chunk split
+— the mask of work-instruction PCs that survived the last consumed
+byte — plus the executed-step count the budget accounting carries.
+That state *is* a :class:`~repro.vm.kernel.Enumeration`: one-shot
+``run`` feeds it the whole input and finishes it, the matchers here
+feed it one chunk at a time.  The concatenation of any chunk split
 therefore performs the same per-position transitions, in the same
 order, with the same per-position budget checks, as one-shot execution
 over the joined input (property-tested against ``run_reference`` for
@@ -17,12 +17,13 @@ immediately (no suffix can revive a dead enumeration).  Once settled,
 further ``feed`` calls are no-ops returning the verdict.
 
 Lazy-DFA acceleration streams the same way: a
-:class:`~repro.prefilter.lazydfa.LazyDFA` state *is* the set of work
-PCs the VM frontier would hold, so the carried state is one integer
-that :meth:`~repro.prefilter.lazydfa.LazyDFA.walk` resumes from, and a
+:class:`~repro.prefilter.lazydfa.LazyDFA` state *is* an interned
+frontier mask, so the carried state is one integer that
+:meth:`~repro.prefilter.lazydfa.LazyDFA.walk` resumes from, and a
 mid-stream :class:`~repro.prefilter.lazydfa.LazyDFABlowup` degrades
-permanently to the VM by seeding the frontier from the PC set of the
-state it blew in — continuing at that byte without re-reading history.
+permanently to the kernel by handing over the mask of the state it blew
+in as the frontier — continuing at that byte, on the step table the DFA
+already warmed, without re-reading history.
 Step budgets follow :class:`~repro.prefilter.lazydfa.LazyDFAMatcher`
 semantics: DFA-mode bytes cost no VM steps (the DFA's own bound is
 ``max_states``); after a fallback the VM budget applies from the
@@ -34,7 +35,7 @@ from __future__ import annotations
 from typing import FrozenSet, Optional, Union
 
 from ..isa.program import Program
-from ..prefilter.lazydfa import DEFAULT_MAX_DFA_STATES, LazyDFA, LazyDFABlowup, mask_pcs
+from ..prefilter.lazydfa import DEFAULT_MAX_DFA_STATES, LazyDFA, LazyDFABlowup
 from .kernel import Enumeration
 from .thompson import MatchResult, ThompsonVM, _as_bytes
 
@@ -154,12 +155,12 @@ class StreamingMatcher:
         try:
             verdict, offset, self._dfa_state = self._dfa.walk(data, self._dfa_state)
         except LazyDFABlowup as blowup:
-            # Permanent degradation: the DFA state's PC set is exactly
-            # the VM frontier at this position — resume byte-for-byte
+            # Permanent degradation: the DFA state's mask is exactly the
+            # kernel frontier at this position — resume byte-for-byte
             # from the chunk byte whose transition blew the budget.
             self.dfa_fallbacks += 1
             self._dfa = None
-            state.frontier = mask_pcs(blowup.state)
+            state.frontier = blowup.state
             state.consumed += blowup.offset
             state.feed(data, blowup.offset)
             return

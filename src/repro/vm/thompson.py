@@ -61,10 +61,11 @@ class ThompsonVM:
     * :meth:`run` — the **fast path**: one
       :class:`~repro.vm.kernel.Enumeration` over this program's
       :class:`~repro.vm.kernel.DispatchTables`, fed the whole input and
-      finished.  The per-position loop touches only instructions that
-      inspect the input; live threads are deduplicated per position,
-      bounding the work at O(program × text).  ``bytes`` input skips
-      encoding entirely.
+      finished.  A position is one step-table walk over the frontier
+      held as a mask of PCs, so live threads are deduplicated by
+      construction and the work is bounded at O(program × text); the
+      lazy DFA built over the same tables caches those walks.  ``bytes``
+      input skips encoding entirely.
     * :meth:`run_reference` / :meth:`run_with_stats` — the golden model
       (:mod:`repro.verify.reference`) the fast path is property-tested
       against, and the only path with per-instruction statistics.

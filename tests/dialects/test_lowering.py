@@ -6,6 +6,7 @@ from repro.compiler import CompileOptions, compile_regex
 from repro.dialects.cicero.lowering import lower_to_cicero
 from repro.dialects.cicero.ops import ProgramOp
 from repro.dialects.regex.from_ast import regex_to_module
+from repro.frontend.errors import UnsupportedRegexError
 from repro.ir.diagnostics import LoweringError
 from repro.ir.operation import ModuleOp
 from repro.isa.instructions import Opcode
@@ -95,8 +96,18 @@ def test_dollar_branch_gets_exact_accept():
 
 
 def test_mid_pattern_dollar_rejected():
-    with pytest.raises(LoweringError):
-        compile_regex("(a$)b", CompileOptions.none())
+    # Rejected by the frontend, so the same way at every optimization level.
+    for pattern in ("(a$)b", "(ga|gb$)", "x(a|b$)", "(a|b$)c", "a$b"):
+        for options in (CompileOptions(), CompileOptions.none()):
+            with pytest.raises(UnsupportedRegexError) as excinfo:
+                compile_regex(pattern, options)
+            assert excinfo.value.code == "REPRO-UNSUPPORTED"
+
+
+@pytest.mark.parametrize("pattern", ["ga|gb$", "ab$", "^abc$", "a$|b"])
+@pytest.mark.parametrize("options", [CompileOptions(), CompileOptions.none()])
+def test_dollar_ending_a_top_level_branch_compiles(pattern, options):
+    assert compile_regex(pattern, options).program
 
 
 def test_nullable_unbounded_rejected():

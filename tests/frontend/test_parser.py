@@ -116,6 +116,19 @@ class TestAnchors:
         with pytest.raises(UnsupportedRegexError):
             parse_regex("a^b")
 
+    @pytest.mark.parametrize(
+        "pattern, column",
+        [("(ga|gb$)", 6), ("x(a|b$)", 5), ("(a|b$)c", 4), ("a$b", 1), ("a$|b$c", 4)],
+    )
+    def test_dollar_not_ending_a_top_level_branch_unsupported(self, pattern, column):
+        with pytest.raises(UnsupportedRegexError) as excinfo:
+            parse_regex(pattern)
+        assert excinfo.value.column == column
+
+    @pytest.mark.parametrize("pattern", ["ga|gb$", "ab$", "^abc$", "$", "a$|b"])
+    def test_dollar_ending_a_top_level_branch_parses(self, pattern):
+        parse_regex(pattern)
+
     def test_caret_only(self):
         parsed = parse_regex("^")
         assert not parsed.has_prefix

@@ -65,14 +65,24 @@ def test_pattern_text_round_trips_anchors():
     assert pattern_text(reparsed) == pattern.text
 
 
-def test_derive_inputs_deterministic_and_printable():
+def test_derive_inputs_deterministic_and_newline_free():
     pattern = RegexGenerator(11).generate()
     first = derive_inputs(pattern, random.Random(42))
     second = derive_inputs(pattern, random.Random(42))
     assert first == second
     assert "" in first
     for probe in first:
-        assert all(0x20 <= ord(char) <= 0x7E for char in probe)
+        assert "\n" not in probe
+        assert all(ord(char) <= 0xFF for char in probe)
+
+
+def test_derive_inputs_reach_non_printable_bytes():
+    probes = [
+        probe
+        for seed in range(20)
+        for probe in derive_inputs(RegexGenerator(seed).generate(), random.Random(seed))
+    ]
+    assert any(not 0x20 <= ord(char) <= 0x7E for probe in probes for char in probe)
 
 
 def test_derive_inputs_include_language_members():

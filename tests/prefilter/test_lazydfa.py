@@ -57,7 +57,7 @@ class TestEquivalence:
     def test_byte_classes_cover_all_bytes(self):
         program = compile_regex("ab").program
         dfa = LazyDFA(program)
-        assert len(dfa._class_table) == 256
+        assert len(dfa._tables.class_table) == 256
         assert dfa.num_classes == 3  # 'a', 'b', residual
 
 

@@ -5,13 +5,12 @@ used to run for every transition: one VM position over a state's PCs,
 instruction by instruction.  It is kept here as the oracle — every
 transition the step table produces must equal it, on every state and
 every byte class, and what a DFA state *is* (its PC set, hence the
-state count) must not move.  States and step-table keys are bit masks
-inside the DFA; everything here reads them through ``mask_pcs``.
+state count) must not move.  States, closures and step-table keys are
+bit masks in the kernel's dispatch tables; everything here reads them
+through ``mask_pcs``.
 """
 
 import random
-from types import SimpleNamespace
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -36,9 +35,9 @@ from repro.prefilter.lazydfa import (
     LazyDFA,
     LazyDFABlowup,
     LazyDFAMatcher,
-    mask_pcs,
 )
 from repro.runtime.errors import ReproError
+from repro.vm.kernel import mask_pcs
 from repro.vm.thompson import ThompsonVM
 from repro.workloads import protomata, sample_and_alternate
 
@@ -47,7 +46,14 @@ FIRES = "fires"
 
 def reference_transition(dfa, state, byte_class):
     """``FIRES`` or the successor PC set of ``state`` on ``byte_class``."""
-    char = dfa._representatives[byte_class]
+    return reference_on_byte(
+        dfa, state, dfa._tables.representatives[byte_class]
+    )
+
+
+def reference_on_byte(dfa, state, char):
+    """``reference_transition`` on a raw byte value instead of a class
+    representative, so the byte-class table is under test as well."""
     opcodes = dfa._tables.opcodes
     operands = dfa._tables.operands
     successors = dfa._tables.successors
@@ -62,7 +68,7 @@ def reference_transition(dfa, state, byte_class):
         opcode = opcodes[pc]
         if opcode == Opcode.NOT_MATCH:
             if char != operands[pc]:
-                worklist.extend(successors[pc])
+                worklist.extend(mask_pcs(successors[pc]))
         elif opcode == Opcode.MATCH_ANY:
             next_roots.append(pc)
         elif opcode == Opcode.ACCEPT_PARTIAL:
@@ -71,7 +77,9 @@ def reference_transition(dfa, state, byte_class):
             if char == operands[pc]:
                 next_roots.append(pc)
         # ACCEPT needs end-of-input; with a byte in hand it is dead.
-    return frozenset(pc for root in next_roots for pc in successors[root])
+    return frozenset(
+        pc for root in next_roots for pc in mask_pcs(successors[root])
+    )
 
 
 def state_pcs(dfa, state_id):
@@ -107,13 +115,6 @@ def assert_transitions_equal_reference(dfa):
                 }
             else:
                 assert got == expected, (sorted(state), byte_class)
-
-
-def reference_on_byte(dfa, state, byte):
-    """``reference_transition`` on a raw byte value instead of a class
-    representative, so the byte-class table is under test as well."""
-    view = SimpleNamespace(_representatives=[byte], _tables=dfa._tables)
-    return reference_transition(view, state, 0)
 
 
 def _dfa_after(program, texts, max_states=None):
@@ -178,20 +179,20 @@ class TestBlindAndSightedSplit:
             mask = dfa._states[state_id]
             state = state_pcs(dfa, state_id)
             for byte in range(256):
-                byte_class = dfa._class_table[byte]
-                if mask & dfa._sighted[byte_class]:
+                byte_class = dfa._tables.class_table[byte]
+                if mask & dfa._tables.sighted[byte_class]:
                     continue
                 blind_only += 1
                 expected = reference_on_byte(dfa, state, byte)
                 assert built_transition(dfa, state_id, byte_class) == expected
                 # ... and it came from the blind dict, untouched.
-                blind = dfa._blind[mask & dfa._blind_mask]
+                blind = dfa._tables.blind[mask & dfa._tables.blind_mask]
                 if expected == FIRES:
-                    assert blind >= dfa._fires
+                    assert blind >= dfa._tables.fires
                 else:
                     assert frozenset(mask_pcs(blind)) == expected
         assert blind_only > 0
-        assert len(dfa._blind) <= dfa.state_count
+        assert len(dfa._tables.blind) <= dfa.state_count
 
     NOT_A_OR_B = set(range(256)) - {ord("a"), ord("b")}
 
@@ -216,7 +217,7 @@ class TestBlindAndSightedSplit:
         fired = set()
         for byte in range(256):
             expected = reference_on_byte(dfa, entry, byte)
-            got = built_transition(dfa, 0, dfa._class_table[byte])
+            got = built_transition(dfa, 0, dfa._tables.class_table[byte])
             assert got == expected, byte
             if got == FIRES:
                 fired.add(byte)
@@ -268,15 +269,15 @@ def test_step_entries_are_filled_only_for_pcs_in_interned_states():
     dfa = LazyDFA(program)
     text = b"MKVLAAGIVGLCA"
     dfa.run(text)
-    classes_seen = set(text.translate(dfa._class_table))
+    classes_seen = set(text.translate(dfa._tables.class_table))
     states = [state_pcs(dfa, state_id) for state_id in range(dfa.state_count)]
     pcs_in_states = set().union(*states)
-    for byte_class, column in enumerate(dfa._steps):
+    for byte_class, column in enumerate(dfa._tables.steps):
         if byte_class in classes_seen:
             assert {pc for bit in column for pc in mask_pcs(bit)} <= pcs_in_states
         else:
             assert not column
-    entries = sum(len(column) for column in dfa._steps)
+    entries = sum(len(column) for column in dfa._tables.steps)
     assert 0 < entries <= sum(map(len, states)) * len(classes_seen)
     # Far from a whole-program sweep.
     assert entries < len(program)

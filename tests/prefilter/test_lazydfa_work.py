@@ -70,8 +70,8 @@ def test_construction_counts_are_pinned(built):
         (
             matcher.dfa.state_count,
             matcher.dfa.transitions_built,
-            len(matcher.dfa._blind),
-            sum(len(column) for column in matcher.dfa._steps),
+            len(matcher.dfa._tables.blind),
+            sum(len(column) for column in matcher.dfa._tables.steps),
         )
         for matcher, _registry, _allocated in matchers
     ]
@@ -84,9 +84,9 @@ def test_blind_dict_is_bounded_by_the_states_interned(built):
     matchers, _chunks = built
     for matcher, _registry, _allocated in matchers:
         dfa = matcher.dfa
-        keys = {state & dfa._blind_mask for state in dfa._states}
-        assert set(dfa._blind) <= keys
-        assert len(dfa._blind) <= dfa.state_count
+        keys = {state & dfa._tables.blind_mask for state in dfa._states}
+        assert set(dfa._tables.blind) <= keys
+        assert len(dfa._tables.blind) <= dfa.state_count
 
 
 def test_bytes_per_interned_state(built):

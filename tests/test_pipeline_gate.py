@@ -8,7 +8,8 @@ passes and generates code on its own, as ``backends.py`` used to — shows
 up here as a module that is not on the list.
 
 The same kind of walk keeps the lazy DFA's row format private to
-``prefilter/lazydfa.py``, and keeps deleted subsystems deleted.
+``prefilter/lazydfa.py``, keeps the instruction dispatch of the matchers
+in the kernel's step table, and keeps deleted subsystems deleted.
 """
 
 import ast
@@ -134,10 +135,10 @@ def test_the_walk_sees_a_pasted_back_half():
 
 
 #: The lazy DFA's row format: its transition rows and their sentinels,
-#: the byte-class table, the state masks, the end-of-input flags and
-#: ``_build_transition``.  Other modules go through ``LazyDFA.run``/``walk``.
+#: the state masks, the end-of-input flags and ``_build_transition``.
+#: Other modules go through ``LazyDFA.run``/``walk``.
 DFA_INTERNALS = {
-    "_rows", "_class_table", "_states", "_accept_end", "_build_transition",
+    "_rows", "_states", "_accept_end", "_build_transition",
     "_UNBUILT", "_MATCHED", "_DEAD",
 }
 
@@ -175,6 +176,70 @@ def test_the_walk_sees_a_pasted_back_dfa_walk():
         "        next_id = build(state_id, byte_class)\n"
         "    self.state.frontier = mask_pcs(dfa._states[state_id])\n"
     )
-    assert {"_rows", "_build_transition", "_class_table", "_states"} <= set(
+    assert {"_rows", "_build_transition", "_states"} <= set(
         dfa_internals_named(shadow)
     )
+
+
+#: The consuming and byte-conditioned opcodes the step table encodes.
+#: Under these packages only the table's construction and fill name
+#: them; every matcher executes the filled table.
+STEP_OPCODES = {"MATCH_ANY", "NOT_MATCH", "_MATCH_ANY", "_NOT_MATCH"}
+MATCHER_PACKAGES = ("vm", "multimatch", "prefilter")
+STEP_TABLE_FILL = {("vm/kernel.py", "DispatchTables"), ("vm/kernel.py", "_StepColumn")}
+
+
+def step_opcode_owners(tree: ast.Module):
+    """The class (``None`` at module level) of every function that names
+    a step opcode; module-level constant definitions are not dispatch."""
+    for node in tree.body:
+        owner = node.name if isinstance(node, ast.ClassDef) else None
+        for inner in ast.walk(node):
+            if not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for name in ast.walk(inner):
+                if (isinstance(name, ast.Name) and name.id in STEP_OPCODES) or (
+                    isinstance(name, ast.Attribute) and name.attr in STEP_OPCODES
+                ):
+                    yield owner
+                    break
+
+
+def test_only_the_step_table_fill_dispatches_on_opcodes():
+    found = set()
+    for package in MATCHER_PACKAGES:
+        for path in sorted((SOURCE / package).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found |= {
+                (path.relative_to(SOURCE).as_posix(), owner)
+                for owner in step_opcode_owners(tree)
+            }
+    assert found == STEP_TABLE_FILL
+
+
+def test_the_walk_sees_a_pasted_back_worklist():
+    # The deleted per-position set worklist of ``Enumeration.feed``, abridged.
+    shadow = ast.parse(
+        "class Enumeration:\n"
+        "    def feed(self, data, start=0):\n"
+        "        match, match_any, not_match, accept_partial = (\n"
+        "            MATCH, MATCH_ANY, NOT_MATCH, ACCEPT_PARTIAL\n"
+        "        )\n"
+        "        while worklist:\n"
+        "            pc = worklist.pop()\n"
+        "            if opcodes[pc] == not_match and char != operands[pc]:\n"
+        "                worklist.extend(successors[pc])\n"
+    )
+    assert set(step_opcode_owners(shadow)) == {"Enumeration"}
+
+
+def test_the_step_column_is_defined_once():
+    definers = set()
+    for path in sorted(SOURCE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == "__missing__"
+                for item in node.body
+            ):
+                definers.add((path.relative_to(SOURCE).as_posix(), node.name))
+    assert definers == {("vm/kernel.py", "_StepColumn")}

@@ -95,6 +95,25 @@ def test_multi_match_entry_points_agree(rules, data, draw):
         assert got.matched_ids == narrowed, (rules, data, chunks, candidates)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    rules=st.lists(patterns, min_size=1, max_size=3),
+    data=st.one_of(inputs, st.permutations(list(range(256))).map(bytes)),
+    cuts=st.lists(st.integers(0, 256), max_size=8),
+)
+def test_multi_match_over_arbitrary_splits(rules, data, cuts):
+    # Any number of pieces, empty ones included; one input holds every
+    # byte value once.
+    multi = compile_multipattern(rules)
+    vm = MultiMatchVM(multi)
+    expected = vm.run_reference(data).matched_ids
+    assert vm.run(data).matched_ids == expected, (rules, data)
+    bounds = [0, *sorted(min(cut, len(data)) for cut in cuts), len(data)]
+    chunks = [data[start:end] for start, end in zip(bounds, bounds[1:])]
+    got = stream(StreamingMultiMatcher(multi, vm=vm), chunks)
+    assert got.matched_ids == expected, (rules, data, chunks)
+
+
 def _outcome(run):
     """``("over", spent)`` or ``("done", verdict)`` of one budgeted run."""
     try:
