@@ -12,10 +12,6 @@ so future PRs have a perf trajectory:
   chunk, reference VM).
 * **vm-fast-path** — the precomputed-dispatch VM vs the reference
   interpreter on identical programs and inputs.
-* **supervisor-overhead** — the fault-tolerant scan supervisor
-  (per-shard futures, timeout/crash bookkeeping) vs the bare
-  ``pool.map`` sharding on the same payload and chunks; the ratio is
-  the price of fault tolerance on a healthy run and must stay near 1.
 * **observability-overhead** — the VM hot loop with disabled telemetry
   instruments explicitly supplied vs the bare call; the observability
   layer's no-op fast path must cost ≤ ``OVERHEAD_CEILING`` (a hard
@@ -66,9 +62,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.backends import compile_with_backend
 from repro.compiler import NewCompiler
-from repro.engine import Engine, supervised_matches
-from repro.engine.parallel import WorkerPayload, parallel_matches
-from repro.runtime.budget import DEFAULT_BUDGET
+from repro.engine import Engine
 from repro.vm.thompson import ThompsonVM
 
 #: Hard ceiling on the disabled-telemetry overhead fraction: the no-op
@@ -199,55 +193,6 @@ def bench_vm_fast_path(text_chars: int, rounds: int) -> Dict:
         "reference_chars_per_sec": text_chars * rounds / reference_s,
         "fast_chars_per_sec": text_chars * rounds / fast_s,
         "speedup": reference_s / fast_s,
-    }
-
-
-def bench_supervisor_overhead(
-    corpus_chars: int, chunk_bytes: int = 500, jobs: int = 2, rounds: int = 2
-) -> Dict:
-    """Supervised per-shard futures vs bare ``pool.map`` on a healthy run.
-
-    Both paths spawn a fresh pool and rebuild matchers from the same
-    pickled payload, so the measured gap is exactly the supervision
-    machinery (dispatch windowing, timeout/crash polling, outcome
-    folding).  Best-of-``rounds`` on each side damps pool-spawn jitter.
-    """
-    pattern = "a(a|b)*by"
-    corpus = _mk_corpus(corpus_chars)
-    chunks = [
-        corpus[i : i + chunk_bytes] for i in range(0, len(corpus), chunk_bytes)
-    ]
-    payload = WorkerPayload(
-        "cicero",
-        NewCompiler().compile(pattern).program,
-        DEFAULT_BUDGET.max_vm_steps,
-    )
-
-    poolmap_s = supervisor_s = float("inf")
-    for _ in range(rounds):
-        started = time.perf_counter()
-        poolmap_verdicts = parallel_matches(payload, chunks, jobs=jobs)
-        poolmap_s = min(poolmap_s, time.perf_counter() - started)
-
-        started = time.perf_counter()
-        result = supervised_matches(payload, chunks, jobs=jobs)
-        supervisor_s = min(supervisor_s, time.perf_counter() - started)
-
-    assert result.verdicts == poolmap_verdicts, (
-        "supervised and pool.map verdicts disagree"
-    )
-    assert result.failed == 0, "healthy bench run must not fail shards"
-    return {
-        "chunks": len(chunks),
-        "chunk_bytes": chunk_bytes,
-        "jobs": jobs,
-        "poolmap_s": poolmap_s,
-        "supervisor_s": supervisor_s,
-        "poolmap_chars_per_sec": len(corpus) / poolmap_s,
-        "supervisor_chars_per_sec": len(corpus) / supervisor_s,
-        # >= 1.0 means supervision is free; the gate tolerates modest
-        # overhead, the acceptance bar is within 10% of pool.map.
-        "speedup": poolmap_s / supervisor_s,
     }
 
 
@@ -612,15 +557,6 @@ SECTIONS = (
         f"({r['speedup']:.1f}x)",
     ),
     Section(
-        "supervisor_overhead",
-        "supervisor",
-        lambda scale: bench_supervisor_overhead(scale["sup_chars"]),
-        lambda r: (
-            f"{r['supervisor_chars_per_sec']:,.0f} chars/s "
-            f"({r['speedup']:.2f}x of pool.map)"
-        ),
-    ),
-    Section(
         "observability_overhead",
         "observability",
         lambda scale: bench_observability_overhead(
@@ -694,10 +630,10 @@ GATED_METRICS = tuple(
 
 def run_suite(quick: bool = False) -> Dict:
     scale = dict(repeats=20, corpus_chars=50_000, vm_chars=800, vm_rounds=100,
-                 sup_chars=100_000, pf_chunks=512, svc_requests=400)
+                 pf_chunks=512, svc_requests=400)
     if quick:
         scale = dict(repeats=8, corpus_chars=15_000, vm_chars=400, vm_rounds=40,
-                     sup_chars=40_000, pf_chunks=256, svc_requests=160)
+                     pf_chunks=256, svc_requests=160)
     results: Dict = {"schema": 1, "quick": quick}
     for section in SECTIONS:
         results[section.key] = section.run(scale)

@@ -50,13 +50,7 @@ from .api import (
     scan_corpus,
     simulate,
 )
-from .engine import (
-    Engine,
-    PatternCache,
-    RetryPolicy,
-    ScanReport,
-    SupervisorPolicy,
-)
+from .engine import Engine, PatternCache, ScanReport
 from .arch.config import ArchConfig
 from .arch.simulator import CiceroSimulator
 from .compiler import (
@@ -92,9 +86,7 @@ __all__ = [
     "NewCompiler",
     "OldCompiler",
     "PatternCache",
-    "RetryPolicy",
     "ScanReport",
-    "SupervisorPolicy",
     "Program",
     "ReproError",
     "ThompsonVM",

@@ -7,12 +7,11 @@ module is that seam: every back-end consumes the same parsed/optimized
 high-level representation and returns a matcher with a uniform
 ``matches(text) -> bool`` interface.
 
-The front half of the flow (parse → ``regex`` dialect → §3.2
-transforms; :meth:`~repro.compiler.NewCompiler.front`) runs **once per
-pattern**, no matter how many back-ends are built from it:
-:func:`compile_backends` fans a single optimized module out to every
-requested back-end (the Cicero ones through ``NewCompiler.back``), and
-:func:`compile_with_backend` is the single-back-end convenience over it.
+The flow (:meth:`~repro.compiler.NewCompiler.front`, then ``back``)
+runs **once per pattern**, no matter how many back-ends are built from
+it: :func:`compile_backends` hands the one program to every requested
+back-end, and :func:`compile_with_backend` is the single-back-end
+convenience over it.
 
 Every matcher accepts ``str | bytes`` uniformly and raises the typed
 :class:`~repro.runtime.errors.InputEncodingError` for text outside
@@ -20,17 +19,18 @@ latin-1, regardless of back-end.
 
 Available back-ends:
 
-========== ==============================================================
+============== ==========================================================
 ``cicero``     the paper's DSA — compile to the Cicero ISA, execute on
                the golden-model VM
 ``cicero-sim`` same program on the cycle-level simulator (timing too)
-``nfa``        CPU-baseline breadth-first NFA simulation
-``dfa``        CPU-baseline table-driven DFA (subset-constructed,
-               minimized; may blow up — bound with ``max_dfa_states``)
-========== ==============================================================
+============== ==========================================================
+
+The CPU-baseline automata (:mod:`repro.automata`: breadth-first NFA,
+minimized DFA) are test oracles, not back-ends; the differential fuzz
+campaign and the property tests build them from the same front half.
 
 >>> from repro.backends import compile_with_backend
->>> matcher = compile_with_backend("th(is|at)", "dfa")
+>>> matcher = compile_with_backend("th(is|at)", "cicero-sim")
 >>> matcher.matches("say that")
 True
 """
@@ -42,8 +42,6 @@ from typing import Dict, Optional, Sequence, Union
 
 from .arch.config import ArchConfig
 from .arch.system import CiceroSystem
-from .automata.dfa import determinize, minimize
-from .automata.nfa import nfa_from_regex_module
 from .compiler import CompileOptions, NewCompiler
 from .isa.program import Program
 from .observability.tracer import NULL_TRACER, AnyTracer
@@ -94,47 +92,18 @@ class CiceroSimMatcher(Matcher):
         return self.system.run(text)
 
 
-@dataclass
-class NFAMatcher(Matcher):
-    nfa: object
-    backend_name: str = "nfa"
-
-    @property
-    def artifact(self):
-        return self.nfa
-
-    def matches(self, text: Union[str, bytes]) -> bool:
-        return self.nfa.matches(text)
-
-
-@dataclass
-class DFAMatcher(Matcher):
-    dfa: object
-    backend_name: str = "dfa"
-
-    @property
-    def artifact(self):
-        return self.dfa
-
-    def matches(self, text: Union[str, bytes]) -> bool:
-        return self.dfa.matches(text)
-
-
 def compile_backends(
     pattern: str,
     backends: Sequence[str],
     options: Optional[CompileOptions] = None,
     config: Optional[ArchConfig] = None,
-    max_dfa_states: Optional[int] = 50_000,
     tracer: AnyTracer = NULL_TRACER,
 ) -> Dict[str, Matcher]:
     """Build several back-ends from **one** parsed/optimized module.
 
-    The compiler's front half runs exactly once; each requested
-    back-end then finishes from the shared module (the two Cicero
-    flavours additionally share one run of the back half, and ``dfa``
-    determinizes the same NFA ``nfa`` would execute).  ``tracer``
-    receives the compiler's ``compile`` → stage → ``pass:*`` spans.
+    The compiler's front and back halves run exactly once; both Cicero
+    flavours run the one program.  ``tracer`` receives the compiler's
+    ``compile`` → stage → ``pass:*`` spans.
     """
     unknown = [name for name in backends if name not in BACKENDS]
     if unknown:
@@ -143,32 +112,19 @@ def compile_backends(
         )
     compiler = NewCompiler(options)
     matchers: Dict[str, Matcher] = {}
-    program: Optional[Program] = None
-    nfa = None
     with compiler.root_span(tracer, pattern):
         front = compiler.front(pattern, tracer)
+        _cicero_module, program = compiler.back(front, tracer)
         for backend in backends:
-            if backend in ("cicero", "cicero-sim"):
-                if program is None:
-                    _cicero_module, program = compiler.back(front, tracer)
-                if backend == "cicero":
-                    matchers[backend] = CiceroMatcher(ThompsonVM(program))
-                else:
-                    matchers[backend] = CiceroSimMatcher(
-                        CiceroSystem(
-                            program,
-                            config if config is not None else ArchConfig.new(16),
-                        )
-                    )
+            if backend == "cicero":
+                matchers[backend] = CiceroMatcher(ThompsonVM(program))
             else:
-                if nfa is None:
-                    nfa = nfa_from_regex_module(front.regex_module)
-                if backend == "nfa":
-                    matchers[backend] = NFAMatcher(nfa)
-                else:  # dfa
-                    matchers[backend] = DFAMatcher(
-                        minimize(determinize(nfa, max_states=max_dfa_states))
+                matchers[backend] = CiceroSimMatcher(
+                    CiceroSystem(
+                        program,
+                        config if config is not None else ArchConfig.new(16),
                     )
+                )
     return matchers
 
 
@@ -177,7 +133,6 @@ def compile_with_backend(
     backend: str = "cicero",
     options: Optional[CompileOptions] = None,
     config: Optional[ArchConfig] = None,
-    max_dfa_states: Optional[int] = 50_000,
     tracer: AnyTracer = NULL_TRACER,
 ) -> Matcher:
     """Compile through the shared high-level flow, finish per back-end."""
@@ -186,7 +141,6 @@ def compile_with_backend(
         [backend],
         options=options,
         config=config,
-        max_dfa_states=max_dfa_states,
         tracer=tracer,
     )[backend]
 
@@ -194,6 +148,4 @@ def compile_with_backend(
 BACKENDS: Dict[str, str] = {
     "cicero": "Cicero ISA on the golden-model VM",
     "cicero-sim": "Cicero ISA on the cycle-level simulator",
-    "nfa": "breadth-first NFA simulation (CPU baseline)",
-    "dfa": "table-driven minimized DFA (CPU baseline)",
 }

@@ -224,7 +224,7 @@ def _scan(args) -> int:
     """Scan files (or literal text) with the throughput engine."""
     import time
 
-    from .engine import DEFAULT_CACHE_SIZE, Engine, RetryPolicy, SupervisorPolicy
+    from .engine import DEFAULT_CACHE_SIZE, Engine
     from .observability import MetricsRegistry
     from .runtime.budget import DEFAULT_BUDGET
 
@@ -234,9 +234,6 @@ def _scan(args) -> int:
             max_task_seconds=args.timeout,
             max_wall_seconds=args.wall_timeout,
         )
-    supervisor = None
-    if args.retries is not None:
-        supervisor = SupervisorPolicy(retry=RetryPolicy(max_retries=args.retries))
     registry = MetricsRegistry()
     tracer = None
     if args.trace_out:
@@ -252,7 +249,7 @@ def _scan(args) -> int:
         else args.cache_size,
         jobs=args.jobs,
         mp_context=args.mp_context,
-        supervisor=supervisor,
+        retries=args.retries,
         metrics=registry,
         tracer=tracer,
         # With --metrics, sharded workers record VM counters locally and
@@ -677,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan_parser.add_argument("--text", help="literal input text")
     scan_parser.add_argument("--file", help="read the input from a file")
     scan_parser.add_argument("--backend", default="cicero",
-                             choices=("cicero", "cicero-sim", "nfa", "dfa"))
+                             choices=("cicero", "cicero-sim"))
     scan_parser.add_argument("--jobs", type=int, default=None,
                              help="worker processes to shard chunks over "
                              "(0 = all cores; default: in-process)")
@@ -694,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan_parser.add_argument("--wall-timeout", type=float, default=None,
                              help="overall deadline in seconds for one "
                              "parallel scan")
-    scan_parser.add_argument("--retries", type=int, default=None,
+    scan_parser.add_argument("--retries", type=int, default=2,
                              help="retries per failed chunk before "
                              "quarantine (default 2)")
     scan_parser.add_argument("--partial", action="store_true",
@@ -737,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="bind port; 0 picks an ephemeral port "
                               "announced on stdout (default 8765)")
     serve_parser.add_argument("--backend", default="cicero",
-                              choices=("cicero", "cicero-sim", "nfa", "dfa"))
+                              choices=("cicero", "cicero-sim"))
     serve_parser.add_argument("--prefilter", default="auto",
                               choices=("off", "literal", "auto"),
                               help="prefilter mode for the cicero backend "

@@ -6,16 +6,18 @@ four reusable pieces:
 * :mod:`repro.engine.cache` — a thread-safe LRU
   :class:`~repro.engine.cache.PatternCache` keyed by the complete
   compilation identity, with hit/miss/eviction counters;
-* :mod:`repro.engine.parallel` — corpus sharding over a
-  ``multiprocessing`` pool where workers rebuild matchers from pickled
-  programs (never from the pattern, so compilation runs once);
-* :mod:`repro.engine.supervisor` — the fault-tolerant scan supervisor:
-  per-shard futures with timeouts, crash recovery, retries with backoff,
-  quarantine, and a circuit breaker (see ``docs/robustness.md``);
+* :mod:`repro.engine.parallel` — the worker payload: workers rebuild
+  matchers from pickled programs (never from the pattern, so
+  compilation runs once) under an explicit start method;
+* :mod:`repro.engine.supervisor` — the fault-tolerant scan supervisor,
+  the package's one pool: per-shard futures with timeouts, crash
+  recovery, ``retries`` re-queues and quarantine (see
+  ``docs/robustness.md``), and the :class:`ScanReport` every scan
+  returns;
 * :mod:`repro.engine.core` — :class:`~repro.engine.core.Engine`, the
-  front door tying them to the multi-backend compilation flow, with the
-  ``strict``/partial switch returning
-  :class:`~repro.engine.core.ScanReport` for degraded runs.
+  front door tying them to the compilation flow, with the
+  ``strict``/partial switch returning the
+  :class:`~repro.engine.supervisor.ScanReport` for degraded runs.
 
 See ``docs/performance.md`` for cache semantics, the sharding model,
 and how to read ``BENCH_engine.json``.
@@ -29,18 +31,8 @@ from .core import (
     ScanReport,
     resolve_jobs,
 )
-from .parallel import (
-    WorkerPayload,
-    parallel_matches,
-    resolve_mp_context,
-)
-from .supervisor import (
-    RetryPolicy,
-    ShardOutcome,
-    SupervisorPolicy,
-    SupervisorResult,
-    supervised_matches,
-)
+from .parallel import WorkerPayload, resolve_mp_context
+from .supervisor import ShardOutcome, supervised_matches
 
 __all__ = [
     "CacheStats",
@@ -48,14 +40,10 @@ __all__ = [
     "DEFAULT_CACHE_SIZE",
     "Engine",
     "PatternCache",
-    "RetryPolicy",
     "ScanReport",
     "ShardOutcome",
-    "SupervisorPolicy",
-    "SupervisorResult",
     "WorkerPayload",
     "matcher_cache_key",
-    "parallel_matches",
     "resolve_jobs",
     "resolve_mp_context",
     "supervised_matches",

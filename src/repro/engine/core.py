@@ -21,17 +21,17 @@ parallel scan.
 
 Parallel runs go through the **fault-tolerant scan supervisor**
 (:mod:`repro.engine.supervisor`): per-shard futures with timeouts,
-crash recovery, retries and quarantine.  The ``strict`` switch on
-:meth:`Engine.match_many` / :meth:`Engine.scan_corpus` chooses between
-re-raising the first typed per-shard error (strict, the historical
-behavior) and returning a :class:`ScanReport` carrying every shard's
-individual outcome (partial mode).
+crash recovery, ``retries`` re-queues and quarantine.  The ``strict``
+switch on :meth:`Engine.match_many` / :meth:`Engine.scan_corpus`
+chooses between re-raising the first typed per-shard error (strict, the
+historical behavior) and returning the :class:`ScanReport` carrying
+every shard's individual outcome (partial mode).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Union
 
 from ..arch.config import ArchConfig, ConfigurationError
@@ -53,10 +53,10 @@ from ..runtime.faults import ProcessFaultPlan
 from .cache import CacheStats, PatternCache
 from .parallel import WorkerPayload, build_match_fn, resolve_mp_context
 from .supervisor import (
-    DEFAULT_POLICY,
+    DEFAULT_RETRIES,
     OUTCOME_STATUSES,
-    ShardOutcome,
-    SupervisorPolicy,
+    CorpusScanResult,
+    ScanReport,
     run_in_process,
     supervised_matches,
 )
@@ -82,65 +82,6 @@ def resolve_jobs(jobs: Optional[int], budget: Budget) -> int:
     return effective if effective is not None else 1
 
 
-@dataclass
-class CorpusScanResult:
-    """Outcome of one :meth:`Engine.scan_corpus` call."""
-
-    matched: bool
-    chunk_matches: List[Optional[bool]] = field(default_factory=list)
-    bytes_scanned: int = 0
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES
-
-    @property
-    def chunks(self) -> int:
-        return len(self.chunk_matches)
-
-    @property
-    def matched_chunks(self) -> int:
-        return sum(1 for match in self.chunk_matches if match)
-
-    def __bool__(self) -> bool:
-        return self.matched
-
-
-@dataclass
-class ScanReport(CorpusScanResult):
-    """A :class:`CorpusScanResult` that survives shard failures.
-
-    Partial mode (``strict=False``) returns one of these instead of
-    raising: every shard settles in exactly one :class:`ShardOutcome`
-    (``ok | error | timeout | quarantined``), ``chunk_matches`` holds
-    ``None`` at failed indices, and the supervision accounting (retry
-    count, pool respawns, elapsed wall time, circuit-breaker state) is
-    attached for observability.
-    """
-
-    outcomes: List[ShardOutcome] = field(default_factory=list)
-    retries: int = 0
-    respawns: int = 0
-    elapsed: float = 0.0
-    breaker_tripped: bool = False
-
-    @property
-    def failed_chunks(self) -> int:
-        return sum(1 for outcome in self.outcomes if not outcome.ok)
-
-    @property
-    def quarantined(self) -> int:
-        return sum(
-            1 for outcome in self.outcomes if outcome.status == "quarantined"
-        )
-
-    @property
-    def complete(self) -> bool:
-        """Did every shard produce a verdict?"""
-        return self.failed_chunks == 0
-
-    def errors(self) -> List[ShardOutcome]:
-        """The failed outcomes, in shard order."""
-        return [outcome for outcome in self.outcomes if not outcome.ok]
-
-
 class Engine:
     """Cached, budget-aware, optionally parallel matching front door."""
 
@@ -150,11 +91,10 @@ class Engine:
         options: Optional[CompileOptions] = None,
         budget: Optional[Budget] = None,
         config: Optional[ArchConfig] = None,
-        max_dfa_states: Optional[int] = 50_000,
         cache_size: int = DEFAULT_CACHE_SIZE,
         jobs: Optional[int] = None,
         mp_context: Optional[str] = None,
-        supervisor: Optional[SupervisorPolicy] = None,
+        retries: int = DEFAULT_RETRIES,
         metrics: Optional[AnyMetrics] = None,
         tracer: Optional[AnyTracer] = None,
         collect_worker_metrics: bool = False,
@@ -172,16 +112,15 @@ class Engine:
             )
         self.budget = budget if budget is not None else DEFAULT_BUDGET
         self.config = config
-        self.max_dfa_states = max_dfa_states
         self.jobs = jobs
-        # Validate eagerly: a typo'd start method should fail at
-        # construction, not inside the first parallel scan.
+        # Validate eagerly: a typo'd start method or retry count should
+        # fail at construction, not inside the first parallel scan.
         resolve_mp_context(mp_context)
         self.mp_context = mp_context
-        policy = supervisor if supervisor is not None else DEFAULT_POLICY
-        if policy.mp_context != mp_context and mp_context is not None:
-            policy = replace(policy, mp_context=mp_context)
-        self.supervisor = policy
+        if retries < 0:
+            raise ConfigurationError(f"retries must be >= 0, got {retries}")
+        #: Re-queues per failed shard before quarantine.
+        self.retries = retries
         # Telemetry sinks resolve at construction: ``None`` metrics mean
         # the process-wide default registry (so ``recording()`` blocks
         # see engines built inside them), ``None`` tracer the process
@@ -244,7 +183,6 @@ class Engine:
                 backend,
                 options=options,
                 config=self.config,
-                max_dfa_states=self.max_dfa_states,
                 tracer=self.tracer,
             )
         payload = self._payload(matcher)
@@ -320,12 +258,8 @@ class Engine:
         report = self._scan(pattern, texts, jobs, fault_plan)
         if not strict:
             return report
-        failure = next(
-            (outcome for outcome in report.outcomes if not outcome.ok), None
-        )
-        if failure is not None:
-            raise failure.error
-        return [bool(verdict) for verdict in report.chunk_matches]
+        report.raise_first_error()
+        return report.chunk_matches
 
     def scan_corpus(
         self,
@@ -355,14 +289,10 @@ class Engine:
         report.chunk_bytes = chunk_bytes
         if not strict:
             return report
-        failure = next(
-            (outcome for outcome in report.outcomes if not outcome.ok), None
-        )
-        if failure is not None:
-            raise failure.error
+        report.raise_first_error()
         return CorpusScanResult(
             matched=report.matched,
-            chunk_matches=[bool(v) for v in report.chunk_matches],
+            chunk_matches=report.chunk_matches,
             bytes_scanned=report.bytes_scanned,
             chunk_bytes=chunk_bytes,
         )
@@ -393,9 +323,9 @@ class Engine:
             jobs=effective_jobs,
         ) as span:
             if effective_jobs <= 1 and fault_plan is None:
-                result = run_in_process(entry.match_fn, normalized)
+                report = run_in_process(entry.match_fn, normalized)
             else:
-                result = supervised_matches(
+                report = supervised_matches(
                     entry.payload,
                     normalized,
                     max(2, effective_jobs)
@@ -403,39 +333,27 @@ class Engine:
                     else effective_jobs,
                     task_timeout=self.budget.max_task_seconds,
                     wall_timeout=self.budget.max_wall_seconds,
-                    policy=self.supervisor,
+                    retries=self.retries,
+                    mp_context=self.mp_context,
                     fault_plan=fault_plan,
                     tracer=tracer,
                 )
             if tracer.enabled:
                 span.set(
-                    failed=sum(1 for o in result.outcomes if not o.ok),
-                    retries=result.retries,
-                    respawns=result.respawns,
-                    breaker_tripped=result.breaker_tripped,
+                    failed=report.failed_chunks,
+                    retries=report.retries,
+                    respawns=report.respawns,
                 )
         if self._instruments is not None:
-            self._instruments.record_scan(result, normalized)
+            self._instruments.record_scan(report)
             # Fold worker-local VM/sim counter deltas back into the
             # parent registry, so `repro_vm_steps_total` & co. stay
             # accurate whether a scan ran in-process or sharded.
-            for outcome in result.outcomes:
+            for outcome in report.outcomes:
                 if outcome.vm_counters:
                     for name, value in outcome.vm_counters.items():
                         self.metrics.counter(name).inc(value)
-        return ScanReport(
-            matched=any(
-                outcome.ok and outcome.verdict for outcome in result.outcomes
-            ),
-            chunk_matches=result.verdicts,
-            bytes_scanned=sum(len(data) for data in normalized),
-            chunk_bytes=0,
-            outcomes=result.outcomes,
-            retries=result.retries,
-            respawns=result.respawns,
-            elapsed=result.elapsed,
-            breaker_tripped=result.breaker_tripped,
-        )
+        return report
 
     def _payload(self, matcher: Matcher) -> WorkerPayload:
         backend = matcher.backend_name
@@ -468,7 +386,6 @@ class _EngineInstruments:
         "shards",
         "retries",
         "respawns",
-        "breaker_trips",
         "bytes_scanned",
         "scan_seconds",
     )
@@ -502,10 +419,6 @@ class _EngineInstruments:
             "repro_scan_respawns_total",
             help_text="worker pools respawned after crashes",
         )
-        instruments.breaker_trips = metrics.counter(
-            "repro_scan_breaker_trips_total",
-            help_text="scans aborted by the circuit breaker",
-        )
         instruments.bytes_scanned = metrics.counter(
             "repro_scan_bytes_total",
             help_text="input bytes fed through engine scans",
@@ -516,8 +429,8 @@ class _EngineInstruments:
         )
         return instruments
 
-    def record_scan(self, result, normalized: Sequence[bytes]) -> None:
-        """Fold one supervisor result into the registry.
+    def record_scan(self, report: ScanReport) -> None:
+        """Fold one scan report into the registry.
 
         Called exactly once per :meth:`Engine._scan`, and every shard
         settles in exactly one outcome, so summing
@@ -525,16 +438,14 @@ class _EngineInstruments:
         number of shards dispatched.
         """
         shards = self.shards
-        for outcome in result.outcomes:
+        for outcome in report.outcomes:
             shards[outcome.status].inc()
-        if result.retries:
-            self.retries.inc(result.retries)
-        if result.respawns:
-            self.respawns.inc(result.respawns)
-        if result.breaker_tripped:
-            self.breaker_trips.inc()
-        self.bytes_scanned.inc(sum(len(data) for data in normalized))
-        self.scan_seconds.observe(result.elapsed)
+        if report.retries:
+            self.retries.inc(report.retries)
+        if report.respawns:
+            self.respawns.inc(report.respawns)
+        self.bytes_scanned.inc(report.bytes_scanned)
+        self.scan_seconds.observe(report.elapsed)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
-"""Corpus sharding across a ``multiprocessing`` pool.
+"""Worker payloads for sharding a corpus across a ``multiprocessing`` pool.
 
 The paper's hardware scales by replicating enumeration cores over input
 chunks; the software analogue is sharding a corpus over worker
 processes.  Workers never receive live matcher objects — they receive a
 :class:`WorkerPayload` holding the *compiled artifact* (the Cicero
-:class:`~repro.isa.program.Program`, an NFA, or a DFA table — all
-plain picklable dataclasses) plus the budget limits to honor, and
-rebuild the matcher once per worker in the pool initializer.  Each text
-then costs one pickled ``bytes`` in and one ``bool`` out.
+:class:`~repro.isa.program.Program`, a plain picklable dataclass) plus
+the budget limits to honor, and rebuild the matcher once per worker in
+the pool initializer (:func:`build_match_fn`).  Each text then costs one
+pickled ``bytes`` in and one verdict out.
 
 Parent-side input normalization happens *before* the fan-out, so typed
 :class:`~repro.runtime.errors.InputEncodingError` rejections surface in
@@ -20,26 +20,20 @@ engine's cache lock, a serving framework's executor...).  We default to
 ``forkserver`` where available and ``spawn`` elsewhere, and let callers
 override via ``Engine(mp_context=...)``.
 
-This module is the *unsupervised* fast path (one ``pool.map``, all-or-
-nothing).  The fault-tolerant path — per-shard futures, timeouts,
-retries, quarantine — lives in :mod:`repro.engine.supervisor` and
-reuses the payload/initializer machinery defined here.
+The one pool in the package is the fault-tolerant scan supervisor's
+(:mod:`repro.engine.supervisor`: per-shard futures, timeouts, retries,
+quarantine); this module holds what it ships to its workers.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional
 
 from ..arch.config import ArchConfig, ConfigurationError
 from ..arch.system import CiceroSystem
-from ..isa.program import Program
-from ..runtime.errors import WorkerStateError
 from ..vm.thompson import ThompsonVM
-
-#: Below this many shardable items a pool costs more than it saves.
-MIN_PARALLEL_ITEMS = 2
 
 
 def resolve_mp_context(method: Optional[str] = None):
@@ -66,9 +60,8 @@ def resolve_mp_context(method: Optional[str] = None):
 class WorkerPayload:
     """Everything a worker needs to rebuild one matcher.
 
-    ``artifact`` is the backend-specific compiled object; only the
-    Cicero flavours carry a :class:`Program` (``nfa``/``dfa`` ship their
-    automata directly).  ``max_vm_steps`` is the
+    ``artifact`` is the compiled :class:`~repro.isa.program.Program`
+    both Cicero flavours run.  ``max_vm_steps`` is the
     :class:`~repro.runtime.budget.Budget` limit the rebuilt VM enforces
     per text.
     """
@@ -101,8 +94,7 @@ def build_match_fn(
     instruments the rebuilt matcher's execution loop — the supervised
     worker initializer passes its worker-local registry here when the
     payload asks for counter collection.  ``None`` (the default) keeps
-    every backend on its uninstrumented fast path; the ``nfa``/``dfa``
-    automata have no counter hooks and ignore ``metrics``.
+    every backend on its uninstrumented fast path.
 
     ``vm`` is an already built VM over a ``cicero`` payload's program:
     the engine passes its cache entry's, so a pattern's ε-closure tables
@@ -140,57 +132,11 @@ def build_match_fn(
             return lambda data: simulator.run(program, data).matched
         system = CiceroSystem(payload.artifact, config)
         return lambda data: system.run(data).matched
-    if backend in ("nfa", "dfa"):
-        automaton = payload.artifact
-        return lambda data: automaton.matches(data)
     raise ValueError(f"unknown backend {backend!r} in worker payload")
 
 
-# Populated per worker process by the pool initializer.
-_WORKER_MATCH_FN: Optional[Callable[[bytes], bool]] = None
-
-
-def _init_worker(payload: WorkerPayload) -> None:
-    global _WORKER_MATCH_FN
-    _WORKER_MATCH_FN = build_match_fn(payload)
-
-
-def _match_one(data: bytes) -> bool:
-    if _WORKER_MATCH_FN is None:
-        raise WorkerStateError(
-            "pool worker used before its initializer installed a matcher"
-        )
-    return _WORKER_MATCH_FN(data)
-
-
-def parallel_matches(
-    payload: WorkerPayload,
-    texts: Sequence[bytes],
-    jobs: int,
-    mp_context: Optional[str] = None,
-) -> List[bool]:
-    """Match every text, sharded over ``jobs`` worker processes.
-
-    Falls back to in-process execution when the shard count cannot pay
-    for a pool (fewer items than :data:`MIN_PARALLEL_ITEMS` or a single
-    job).  Results keep the input order.
-    """
-    jobs = min(jobs, len(texts))
-    if jobs <= 1 or len(texts) < MIN_PARALLEL_ITEMS:
-        match_fn = build_match_fn(payload)
-        return [match_fn(data) for data in texts]
-    chunksize = max(1, len(texts) // (jobs * 4))
-    context = resolve_mp_context(mp_context)
-    with context.Pool(
-        processes=jobs, initializer=_init_worker, initargs=(payload,)
-    ) as pool:
-        return pool.map(_match_one, texts, chunksize=chunksize)
-
-
 __all__ = [
-    "MIN_PARALLEL_ITEMS",
     "WorkerPayload",
     "build_match_fn",
-    "parallel_matches",
     "resolve_mp_context",
 ]

@@ -1,16 +1,12 @@
-"""The fault-tolerant scan supervisor.
+"""The fault-tolerant scan supervisor and the report every scan returns.
 
-:mod:`repro.engine.parallel` shards a corpus over one ``pool.map`` —
-fast, but all-or-nothing: one hung text, one budget trip inside a
-worker, or one OOM-killed process destroys the verdicts of every other
-shard.  The paper's hardware is explicitly fault-aware at this
-granularity (engine-level load balancing tolerates imbalanced FIFOs,
-§5); this module is the software analogue, giving each shard the same
-isolation:
+The paper's hardware is explicitly fault-aware at the granularity of an
+input chunk (engine-level load balancing tolerates imbalanced FIFOs,
+§5); this module is the software analogue, isolating each shard of a
+sharded scan:
 
 * shards are dispatched as **individual futures** over an explicit
-  ``multiprocessing`` context (:func:`~repro.engine.parallel.resolve_mp_context`),
-  never a bare ``pool.map``;
+  ``multiprocessing`` context (:func:`~repro.engine.parallel.resolve_mp_context`);
 * a **per-task timeout** (``Budget.max_task_seconds``) and an **overall
   deadline** (``Budget.max_wall_seconds``) bound every wait — a hung
   worker is reclaimed by terminating and respawning the pool;
@@ -18,30 +14,30 @@ isolation:
   pool's process table; in-flight shards are re-dispatched, and when
   several were in flight the supervisor *probes* them one at a time so
   a single poisonous input cannot take innocent shards down with it;
-* failed shards are **retried** with capped exponential backoff plus
-  deterministic jitter, then **quarantined** with a typed per-shard
-  error instead of aborting the run;
-* a **circuit breaker** stops dispatching when the settled-failure
-  ratio crosses a threshold — systemic failures fail fast.
+* a failed shard is **re-queued** up to ``retries`` times, then
+  **quarantined** with a typed per-shard error instead of aborting the
+  run.  Timeouts are terminal: retrying a deterministic hang burns
+  ``max_task_seconds`` of wall clock per attempt.
 
 Every shard ends in exactly one :class:`ShardOutcome` with status
 ``ok | error | timeout | quarantined``; the safety property (proven by
 the process-fault-injection suite) is that an injected worker fault is
 either retried to success, quarantined with a typed error, or converted
 to a typed timeout — **never a hang, never a silently dropped verdict**.
+Both the supervisor and the in-process path (:func:`run_in_process`)
+fold their outcomes into the :class:`ScanReport` the engine returns.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..arch.simulator import DEFAULT_CHUNK_BYTES
 from ..runtime.errors import (
-    CircuitBreakerOpenError,
     ReproError,
     ShardFailedError,
     ShardQuarantinedError,
@@ -56,59 +52,18 @@ from .parallel import WorkerPayload, build_match_fn, resolve_mp_context
 #: The four ways a shard can settle.
 OUTCOME_STATUSES = ("ok", "error", "timeout", "quarantined")
 
+#: Retries per failed shard before quarantine (``Engine(retries=)``).
+DEFAULT_RETRIES = 2
+
+#: Fallback poll granularity.  Shard completions wake the supervisor
+#: immediately (via result callbacks); this interval only bounds the
+#: detection lag for hangs, crashes and deadlines.
+POLL_SECONDS = 0.005
+
 
 # ----------------------------------------------------------------------
-# Policies and results
+# Outcomes and reports
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How failed shards are retried before quarantine.
-
-    A shard gets ``1 + max_retries`` tries; the delay before retry
-    ``n`` is ``min(backoff_cap, backoff_base * 2**(n-1))`` stretched by
-    up to ``jitter`` (uniformly random but seeded, so runs are
-    reproducible).  Timeouts are terminal by default — retrying a
-    deterministic hang burns ``max_task_seconds`` of wall clock per
-    attempt — opt in with ``retry_timeouts``.
-    """
-
-    max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    jitter: float = 0.5
-    retry_timeouts: bool = False
-    seed: int = 0
-
-    def backoff_seconds(self, attempt: int, rng: random.Random) -> float:
-        base = min(
-            self.backoff_cap, self.backoff_base * (2 ** max(0, attempt - 1))
-        )
-        return base * (1.0 + self.jitter * rng.random())
-
-
-@dataclass(frozen=True)
-class SupervisorPolicy:
-    """Everything the supervisor needs beyond the budget's limits."""
-
-    retry: RetryPolicy = RetryPolicy()
-    #: Settled-failure ratio that trips the circuit breaker;
-    #: ``None`` disables the breaker.
-    failure_threshold: Optional[float] = 0.5
-    #: Settled shards required before the breaker may trip (a 1/1
-    #: failure is not a systemic signal).
-    breaker_min_samples: int = 5
-    #: Supervisor fallback poll granularity.  Shard completions wake the
-    #: supervisor immediately (via result callbacks); this interval only
-    #: bounds the detection lag for hangs, crashes and deadlines.
-    poll_seconds: float = 0.005
-    #: Explicit ``multiprocessing`` start method (``None`` = forkserver
-    #: where available, else spawn — never the platform default).
-    mp_context: Optional[str] = None
-
-
-DEFAULT_POLICY = SupervisorPolicy()
-
-
 @dataclass
 class ShardOutcome:
     """How one shard settled: its verdict, or a typed error.
@@ -148,22 +103,67 @@ class ShardOutcome:
 
 
 @dataclass
-class SupervisorResult:
-    """Aggregate of one supervised run: per-shard outcomes + accounting."""
+class CorpusScanResult:
+    """Outcome of one strict :meth:`~repro.engine.Engine.scan_corpus` call."""
+
+    matched: bool
+    chunk_matches: List[Optional[bool]] = field(default_factory=list)
+    bytes_scanned: int = 0
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES
+
+    @property
+    def chunks(self) -> int:
+        return len(self.chunk_matches)
+
+    @property
+    def matched_chunks(self) -> int:
+        return sum(1 for match in self.chunk_matches if match)
+
+    def __bool__(self) -> bool:
+        return self.matched
+
+
+@dataclass
+class ScanReport(CorpusScanResult):
+    """A :class:`CorpusScanResult` that survives shard failures.
+
+    Every scan produces one: every shard settles in exactly one
+    :class:`ShardOutcome` (``ok | error | timeout | quarantined``),
+    ``chunk_matches`` holds ``None`` at failed indices, and the
+    supervision accounting (retry count, pool respawns, elapsed wall
+    time) is attached for observability.
+    """
 
     outcomes: List[ShardOutcome] = field(default_factory=list)
     retries: int = 0
     respawns: int = 0
     elapsed: float = 0.0
-    breaker_tripped: bool = False
+
+    @classmethod
+    def from_outcomes(
+        cls,
+        outcomes: List[ShardOutcome],
+        items: Sequence[bytes],
+        retries: int = 0,
+        respawns: int = 0,
+        elapsed: float = 0.0,
+    ) -> "ScanReport":
+        """The report over ``items`` once every shard has its outcome."""
+        verdicts = [outcome.verdict for outcome in outcomes]
+        return cls(
+            matched=any(verdicts),
+            chunk_matches=verdicts,
+            bytes_scanned=sum(len(data) for data in items),
+            chunk_bytes=0,
+            outcomes=outcomes,
+            retries=retries,
+            respawns=respawns,
+            elapsed=elapsed,
+        )
 
     @property
-    def verdicts(self) -> List[Optional[bool]]:
-        return [outcome.verdict for outcome in self.outcomes]
-
-    @property
-    def failed(self) -> int:
-        return sum(1 for outcome in self.outcomes if not outcome.ok)
+    def failed_chunks(self) -> int:
+        return len(self.errors())
 
     @property
     def quarantined(self) -> int:
@@ -171,11 +171,20 @@ class SupervisorResult:
             1 for outcome in self.outcomes if outcome.status == "quarantined"
         )
 
-    def first_failure(self) -> Optional[ShardOutcome]:
+    @property
+    def complete(self) -> bool:
+        """Did every shard produce a verdict?"""
+        return self.failed_chunks == 0
+
+    def errors(self) -> List[ShardOutcome]:
+        """The failed outcomes, in shard order."""
+        return [outcome for outcome in self.outcomes if not outcome.ok]
+
+    def raise_first_error(self) -> None:
+        """Strict mode: re-raise the first failed shard's typed error."""
         for outcome in self.outcomes:
             if not outcome.ok:
-                return outcome
-        return None
+                raise outcome.error
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +304,8 @@ class _Supervisor:
         jobs: int,
         task_timeout: Optional[float],
         wall_timeout: Optional[float],
-        policy: SupervisorPolicy,
+        retries: int,
+        mp_context: Optional[str],
         fault_plan: Optional[ProcessFaultPlan],
         tracer=None,
     ):
@@ -307,25 +317,21 @@ class _Supervisor:
         self.jobs = max(1, min(jobs, len(items)))
         self.task_timeout = task_timeout
         self.wall_timeout = wall_timeout
-        self.policy = policy
+        self.max_retries = retries
         self.fault_plan = fault_plan
 
-        self.context = resolve_mp_context(policy.mp_context)
-        self.rng = random.Random(policy.retry.seed)
+        self.context = resolve_mp_context(mp_context)
         self.outcomes: List[Optional[ShardOutcome]] = [None] * len(items)
-        self.dispatches: Dict[int, int] = {}
-        self.strikes: Dict[int, int] = {}
+        self.unsettled = len(items)
+        self.dispatches = [0] * len(items)
+        self.strikes = [0] * len(items)
         self.ready: deque = deque(range(len(items)))
-        self.delayed: List[Tuple[float, int]] = []
         self.pending: Dict[int, _InFlight] = {}
         #: Indices being re-probed one at a time after a pool crash.
         self.probing: set = set()
         self.known_pids: set = set()
         self.retries = 0
         self.respawns = 0
-        self.settled_failures = 0
-        self.settled_total = 0
-        self.breaker_tripped = False
         self.pool = None
         #: Set by result callbacks the moment any shard completes, so
         #: the loop blocks on this instead of a fixed-interval sleep —
@@ -354,32 +360,26 @@ class _Supervisor:
         if self.outcomes[index] is not None:
             return
         self.outcomes[index] = outcome
+        self.unsettled -= 1
         self.probing.discard(index)
-        self.settled_total += 1
-        if not outcome.ok:
-            self.settled_failures += 1
 
     def _fail(
         self, index: int, error: ReproError, *, timeout: bool = False
     ) -> None:
         """One definitive failed attempt on ``index``: retry or settle."""
-        self.strikes[index] = self.strikes.get(index, 0) + 1
-        retry = self.policy.retry
-        retryable = retry.retry_timeouts if timeout else True
-        if retryable and self.strikes[index] <= retry.max_retries:
+        self.strikes[index] += 1
+        if not timeout and self.strikes[index] <= self.max_retries:
             self.retries += 1
-            delay = retry.backoff_seconds(self.strikes[index], self.rng)
             if self.tracer.enabled:
                 self.tracer.event(
                     "supervisor.retry",
                     shard=index,
                     attempt=self.strikes[index],
-                    delay_s=delay,
                     error_code=error.code,
                 )
-            self.delayed.append((time.monotonic() + delay, index))
+            self.ready.append(index)
             return
-        attempts = self.dispatches.get(index, 1)
+        attempts = self.dispatches[index]
         if timeout:
             if self.tracer.enabled:
                 self.tracer.event(
@@ -407,22 +407,18 @@ class _Supervisor:
                 ),
             )
 
-    def _settle_remaining(self, make_error) -> None:
+    def _settle_past_deadline(self, elapsed: float) -> None:
         for index in range(len(self.items)):
             if self.outcomes[index] is None:
-                error = make_error(index)
-                status = (
-                    "timeout"
-                    if isinstance(error, WallClockBudgetError)
-                    else "error"
-                )
                 self._settle(
                     index,
                     ShardOutcome(
                         index,
-                        status,
-                        error=error,
-                        attempts=self.dispatches.get(index, 0),
+                        "timeout",
+                        error=WallClockBudgetError(
+                            index, elapsed, self.wall_timeout
+                        ),
+                        attempts=self.dispatches[index],
                     ),
                 )
 
@@ -449,7 +445,7 @@ class _Supervisor:
                         index,
                         "ok",
                         verdict=value,
-                        attempts=self.dispatches.get(index, 1),
+                        attempts=self.dispatches[index],
                         vm_counters=counters,
                     ),
                 )
@@ -512,13 +508,6 @@ class _Supervisor:
             self.ready.appendleft(index)
         return True
 
-    def _promote_delayed(self, now: float) -> None:
-        due = [entry for entry in self.delayed if entry[0] <= now]
-        if due:
-            self.delayed = [entry for entry in self.delayed if entry[0] > now]
-            for _, index in sorted(due):
-                self.ready.append(index)
-
     def _dispatch(self, now: float) -> bool:
         # While probing crash suspects the window narrows to one shard,
         # so a repeat crash unambiguously identifies the poison input.
@@ -539,7 +528,7 @@ class _Supervisor:
                 index = self.ready.popleft()
             if self.outcomes[index] is not None:
                 continue
-            self.dispatches[index] = self.dispatches.get(index, 0) + 1
+            self.dispatches[index] += 1
             self.pending[index] = _InFlight(
                 self.pool.apply_async(
                     _run_shard,
@@ -558,32 +547,23 @@ class _Supervisor:
         # was respawned since are harmless — one spurious wake-up.
         self.wake.set()
 
-    def _breaker_should_trip(self) -> bool:
-        threshold = self.policy.failure_threshold
-        if threshold is None or self.breaker_tripped:
-            return False
-        if self.settled_total < self.policy.breaker_min_samples:
-            return False
-        return self.settled_failures / self.settled_total > threshold
-
     # -- main -----------------------------------------------------------
-    def run(self) -> SupervisorResult:
+    def run(self) -> ScanReport:
         if self.tracer.enabled:
             with self.tracer.span(
                 "supervisor.run", shards=len(self.items), jobs=self.jobs
             ) as span:
-                result = self._run()
+                report = self._run()
                 span.set(
-                    retries=result.retries,
-                    respawns=result.respawns,
-                    failed=result.failed,
-                    quarantined=result.quarantined,
-                    breaker_tripped=result.breaker_tripped,
+                    retries=report.retries,
+                    respawns=report.respawns,
+                    failed=report.failed_chunks,
+                    quarantined=report.quarantined,
                 )
-                return result
+                return report
         return self._run()
 
-    def _run(self) -> SupervisorResult:
+    def _run(self) -> ScanReport:
         started = time.monotonic()
         deadline = (
             started + self.wall_timeout
@@ -592,52 +572,31 @@ class _Supervisor:
         )
         self._spawn_pool()
         try:
-            while any(outcome is None for outcome in self.outcomes):
+            while self.unsettled:
                 now = time.monotonic()
                 if deadline is not None and now > deadline:
-                    elapsed = now - started
-                    self._settle_remaining(
-                        lambda index: WallClockBudgetError(
-                            index, elapsed, self.wall_timeout
-                        )
-                    )
+                    self._settle_past_deadline(now - started)
                     break
                 progressed = self._collect_finished()
                 progressed |= self._check_crashes()
                 progressed |= self._check_task_timeouts(time.monotonic())
-                if self._breaker_should_trip():
-                    self.breaker_tripped = True
-                    failures, settled = self.settled_failures, self.settled_total
-                    if self.tracer.enabled:
-                        self.tracer.event(
-                            "supervisor.breaker_open",
-                            failures=failures,
-                            settled=settled,
-                        )
-                    self._settle_remaining(
-                        lambda index: CircuitBreakerOpenError(
-                            failures, settled, self.policy.failure_threshold
-                        )
-                    )
-                    break
-                self._promote_delayed(time.monotonic())
                 progressed |= self._dispatch(time.monotonic())
                 if not progressed:
                     # Wake immediately on any shard completion; the
                     # timeout keeps hang/crash/deadline detection live.
-                    self.wake.wait(self.policy.poll_seconds)
+                    self.wake.wait(POLL_SECONDS)
                     self.wake.clear()
         finally:
-            # terminate (not close): hung or sleeping workers must die
-            # with the run, never outlive it.
+            # terminate (not close): hung workers must die with the run,
+            # never outlive it.
             self.pool.terminate()
             self.pool.join()
-        return SupervisorResult(
-            outcomes=list(self.outcomes),
+        return ScanReport.from_outcomes(
+            list(self.outcomes),
+            self.items,
             retries=self.retries,
             respawns=self.respawns,
             elapsed=time.monotonic() - started,
-            breaker_tripped=self.breaker_tripped,
         )
 
 
@@ -647,30 +606,31 @@ def supervised_matches(
     jobs: int,
     task_timeout: Optional[float] = None,
     wall_timeout: Optional[float] = None,
-    policy: SupervisorPolicy = DEFAULT_POLICY,
+    retries: int = DEFAULT_RETRIES,
+    mp_context: Optional[str] = None,
     fault_plan: Optional[ProcessFaultPlan] = None,
     tracer=None,
-) -> SupervisorResult:
+) -> ScanReport:
     """Match every item under supervision; every item gets an outcome.
 
-    The fault-tolerant counterpart of
-    :func:`~repro.engine.parallel.parallel_matches`: same payload, same
-    worker-side matcher rebuild, but per-shard futures with timeouts,
-    crash recovery, retries, quarantine and a circuit breaker.
-    ``fault_plan`` is the test hook injecting worker-process faults
+    Workers rebuild their matcher from ``payload`` once each; shards run
+    as per-shard futures with timeouts, crash recovery, ``retries``
+    immediate re-queues and then quarantine.  ``fault_plan`` is the test
+    hook injecting worker-process faults
     (:class:`~repro.runtime.faults.ProcessFaultPlan`).  ``tracer``
     records a ``supervisor.run`` span carrying retry / timeout /
-    quarantine / respawn / circuit-breaker events.
+    quarantine / respawn events.
     """
     if not items:
-        return SupervisorResult()
+        return ScanReport.from_outcomes([], items)
     supervisor = _Supervisor(
         payload,
         items,
         jobs,
         task_timeout,
         wall_timeout,
-        policy,
+        retries,
+        mp_context,
         fault_plan,
         tracer=tracer,
     )
@@ -680,7 +640,7 @@ def supervised_matches(
 def run_in_process(
     match_fn: Callable[[bytes], bool],
     items: Sequence[bytes],
-) -> SupervisorResult:
+) -> ScanReport:
     """The in-process analogue of :func:`supervised_matches`.
 
     Used when the shard count cannot pay for a pool; takes the
@@ -690,24 +650,23 @@ def run_in_process(
     taxonomy collapses to ``ok`` | ``error`` — but typed per-item errors
     are still isolated instead of aborting the batch.
     """
-    result = SupervisorResult()
+    outcomes = []
     for index, data in enumerate(items):
         try:
-            result.outcomes.append(
+            outcomes.append(
                 ShardOutcome(index, "ok", verdict=bool(match_fn(data)))
             )
         except ReproError as error:
-            result.outcomes.append(ShardOutcome(index, "error", error=error))
-    return result
+            outcomes.append(ShardOutcome(index, "error", error=error))
+    return ScanReport.from_outcomes(outcomes, items)
 
 
 __all__ = [
-    "DEFAULT_POLICY",
+    "CorpusScanResult",
+    "DEFAULT_RETRIES",
     "OUTCOME_STATUSES",
-    "RetryPolicy",
+    "ScanReport",
     "ShardOutcome",
-    "SupervisorPolicy",
-    "SupervisorResult",
     "run_in_process",
     "supervised_matches",
 ]

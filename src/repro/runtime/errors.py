@@ -23,7 +23,6 @@ Taxonomy (codes in parentheses)::
     ├── WorkerCrashError (REPRO-WORKER-CRASH)
     ├── ShardFailedError (REPRO-SHARD-FAILED)
     ├── ShardQuarantinedError (REPRO-SHARD-QUARANTINED)
-    ├── CircuitBreakerOpenError (REPRO-CIRCUIT-OPEN)
     ├── ServiceOverloadError (REPRO-SERVICE-OVERLOAD)
     ├── ServiceDrainingError (REPRO-SERVICE-DRAINING)
     ├── UnknownPatternError (REPRO-SERVICE-UNKNOWN-PATTERN)
@@ -41,7 +40,7 @@ Taxonomy (codes in parentheses)::
         ├── EquivalenceCheckExceeded (REPRO-BUDGET-EQUIV-STATES)
         └── RequestDeadlineError (REPRO-BUDGET-REQUEST-DEADLINE)
 
-The ``Worker*``/``Shard*``/``CircuitBreaker*`` errors belong to the
+The ``Worker*``/``Shard*`` errors belong to the
 fault-tolerant scan supervisor (:mod:`repro.engine.supervisor`); they are
 defined here because they are part of the one-taxonomy contract and cross
 the process boundary (every :class:`ReproError` pickles losslessly — see
@@ -288,28 +287,6 @@ class ShardQuarantinedError(ReproError):
         return payload
 
 
-class CircuitBreakerOpenError(ReproError):
-    """Too many shards failed; the supervisor stopped dispatching.
-
-    Raised for (or attached to) every shard left unprocessed when the
-    failure ratio crossed the configured threshold — a systemic failure
-    (bad artifact, dying pool host) should fail fast, not burn the full
-    corpus worth of retries.
-    """
-
-    code = "REPRO-CIRCUIT-OPEN"
-
-    def __init__(self, failures: int, settled: int, threshold: float):
-        self.failures = failures
-        self.settled = settled
-        self.threshold = threshold
-        super().__init__(
-            f"circuit breaker open: {failures}/{settled} settled shards "
-            f"failed (threshold {threshold:.0%}); remaining shards not "
-            "dispatched"
-        )
-
-
 class ServiceOverloadError(ReproError):
     """The match service shed a request at the admission gate.
 
@@ -401,7 +378,6 @@ def format_error(error: ReproError) -> str:
 
 __all__ = [
     "BudgetExceeded",
-    "CircuitBreakerOpenError",
     "CodegenError",
     "ExpansionBudgetError",
     "IRError",

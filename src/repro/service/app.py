@@ -617,18 +617,8 @@ class MatchService:
         if partial:
             response["complete"] = result.complete
             response["retries"] = result.retries
-            response["breaker_tripped"] = result.breaker_tripped
             response["outcomes"] = [
-                {
-                    "index": outcome.index,
-                    "status": outcome.status,
-                    "verdict": outcome.verdict,
-                    "error": outcome.error.to_dict()
-                    if outcome.error is not None
-                    else None,
-                }
-                for outcome in result.outcomes
-                if not outcome.ok
+                outcome.to_dict() for outcome in result.errors()
             ]
         return 200, json.dumps(response, sort_keys=True).encode()
 

@@ -102,7 +102,7 @@ class TestCacheKeys:
         base = matcher_cache_key("a+b", "cicero", None, None)
         assert matcher_cache_key("a+b", "cicero", CompileOptions(),
                                  DEFAULT_BUDGET) == base
-        assert matcher_cache_key("a+b", "dfa", None, None) != base
+        assert matcher_cache_key("a+b", "cicero-sim", None, None) != base
         assert matcher_cache_key("a+c", "cicero", None, None) != base
         assert matcher_cache_key(
             "a+b", "cicero", CompileOptions(optimize=False), None
@@ -112,7 +112,7 @@ class TestCacheKeys:
         ) != base
 
     def test_key_is_hashable(self):
-        key = matcher_cache_key("x", "nfa", CompileOptions(), Budget())
+        key = matcher_cache_key("x", "cicero-sim", CompileOptions(), Budget())
         assert hash(key) == hash(
-            matcher_cache_key("x", "nfa", CompileOptions(), Budget())
+            matcher_cache_key("x", "cicero-sim", CompileOptions(), Budget())
         )

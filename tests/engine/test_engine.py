@@ -73,8 +73,7 @@ class TestMatch:
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_pass_time_budget_enforced_like_compile_pattern(self, backend):
         # The engine compiles through NewCompiler's halves, so the typed
-        # error is the one compile_pattern and api.match raise; nfa/dfa
-        # never reach the back half and trip in the front one.
+        # error is the one compile_pattern and api.match raise.
         zero = Budget(max_pass_seconds=0)
         with pytest.raises(PassBudgetError) as direct:
             repro.compile_pattern("th(is|at)", budget=zero)
@@ -113,8 +112,6 @@ class TestMatch:
                 "cicero-sim": WorkerPayload(
                     "cicero-sim", None, 1234, config, collect_vm_metrics=collect
                 ),
-                "nfa": WorkerPayload("nfa", None, 1234),
-                "dfa": WorkerPayload("dfa", None, 1234),
             }
             for backend in BACKENDS:
                 entry = engine._entry("a(b|c)d", backend)
@@ -122,8 +119,6 @@ class TestMatch:
                 artifact = {
                     "cicero": lambda: matcher.vm.program,
                     "cicero-sim": lambda: matcher.system.program,
-                    "nfa": lambda: matcher.nfa,
-                    "dfa": lambda: matcher.dfa,
                 }[backend]()
                 assert entry.payload.artifact is artifact, backend
                 assert (
@@ -167,7 +162,7 @@ class TestMatchMany:
         assert parallel == serial
 
     def test_parallel_across_backends(self):
-        for backend in ("cicero", "nfa", "dfa"):
+        for backend in BACKENDS:
             engine = Engine(backend=backend)
             assert engine.match_many("ab", ["ab", "xy", b"zab"], jobs=2) == [
                 True, False, True,

@@ -1,4 +1,4 @@
-"""The scan supervisor's in-process surface: policies, outcomes, the
+"""The scan supervisor's in-process surface: outcomes, the
 strict/partial switch, buffer normalization and context selection.
 
 The process-fault scenarios (hang, crash, poison input) live in
@@ -8,49 +8,20 @@ engine plumbing around it.
 """
 
 import multiprocessing
-import random
 
 import pytest
 
 from repro.arch.config import ConfigurationError
 from repro.engine import (
     Engine,
-    RetryPolicy,
     ScanReport,
     ShardOutcome,
-    SupervisorPolicy,
     resolve_mp_context,
 )
 from repro.engine.supervisor import run_in_process, supervised_matches
 from repro.compiler import CompileOptions
 from repro.runtime.budget import DEFAULT_BUDGET
 from repro.runtime.errors import VMStepBudgetError
-
-
-class TestRetryPolicy:
-    def test_backoff_grows_then_caps(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_cap=0.4, jitter=0.0)
-        rng = random.Random(0)
-        delays = [policy.backoff_seconds(n, rng) for n in range(1, 6)]
-        assert delays == [0.1, 0.2, 0.4, 0.4, 0.4]
-
-    def test_jitter_stretches_within_bounds(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_cap=1.0, jitter=0.5)
-        rng = random.Random(7)
-        for attempt in (1, 2, 3):
-            base = min(1.0, 0.1 * 2 ** (attempt - 1))
-            delay = policy.backoff_seconds(attempt, rng)
-            assert base <= delay <= base * 1.5
-
-    def test_seeded_jitter_is_reproducible(self):
-        policy = RetryPolicy(jitter=0.5)
-        first = [
-            policy.backoff_seconds(n, random.Random(3)) for n in (1, 2, 3)
-        ]
-        second = [
-            policy.backoff_seconds(n, random.Random(3)) for n in (1, 2, 3)
-        ]
-        assert first == second
 
 
 class TestMpContext:
@@ -75,13 +46,13 @@ class TestMpContext:
             Engine(mp_context="bogus")
 
     def test_engine_threads_context_into_policy(self):
-        engine = Engine(mp_context="spawn")
-        assert engine.supervisor.mp_context == "spawn"
-        # An explicit policy keeps its own settings but gains the context.
-        policy = SupervisorPolicy(retry=RetryPolicy(max_retries=9))
-        engine = Engine(mp_context="spawn", supervisor=policy)
-        assert engine.supervisor.retry.max_retries == 9
-        assert engine.supervisor.mp_context == "spawn"
+        # The start method has one spelling; the retry count rides next
+        # to it, and a negative count fails at construction too.
+        engine = Engine(mp_context="spawn", retries=9)
+        assert engine.mp_context == "spawn" and engine.retries == 9
+        assert Engine().retries == 2
+        with pytest.raises(ConfigurationError, match="retries"):
+            Engine(retries=-1)
 
     def test_engine_with_spawn_context_matches(self):
         engine = Engine(mp_context="spawn")
@@ -96,8 +67,9 @@ class TestRunInProcess:
             lambda data: b"x" in data, [b"ax", b"bb", b"x"]
         )
         assert [outcome.status for outcome in result.outcomes] == ["ok"] * 3
-        assert result.verdicts == [True, False, True]
-        assert result.failed == 0
+        assert result.chunk_matches == [True, False, True]
+        assert result.failed_chunks == 0
+        assert result.matched and result.bytes_scanned == 5
 
     def test_typed_errors_isolated_per_item(self):
         def match_fn(data):
@@ -109,8 +81,8 @@ class TestRunInProcess:
         assert [outcome.status for outcome in result.outcomes] == [
             "ok", "error", "ok",
         ]
-        assert result.verdicts == [True, None, False]
-        failure = result.first_failure()
+        assert result.chunk_matches == [True, None, False]
+        failure = result.errors()[0]
         assert failure.index == 1
         assert failure.error.code == "REPRO-BUDGET-VM-STEPS"
 

@@ -14,7 +14,7 @@ supervisor every hang/exit scenario would deadlock ``pool.map``.
 
 import pytest
 
-from repro.engine import Engine, RetryPolicy, ScanReport, SupervisorPolicy
+from repro.engine import Engine, ScanReport
 from repro.runtime.budget import DEFAULT_BUDGET
 from repro.runtime.errors import ShardQuarantinedError, TaskTimeoutError
 from repro.runtime.faults import ProcessFaultPlan, WorkerFaultSpec
@@ -28,22 +28,11 @@ EXPECTED = [True, False, True, False, True, False, False, True]
 WALL_CEILING = 30.0
 
 
-def make_engine(max_retries=2, task_timeout=None, wall_timeout=None,
-                threshold=None, min_samples=5):
+def make_engine(max_retries=2, task_timeout=None, wall_timeout=None):
     budget = DEFAULT_BUDGET.replace(
         max_task_seconds=task_timeout, max_wall_seconds=wall_timeout
     )
-    policy = SupervisorPolicy(
-        retry=RetryPolicy(
-            max_retries=max_retries,
-            backoff_base=0.01,
-            backoff_cap=0.05,
-            jitter=0.0,
-        ),
-        failure_threshold=threshold,
-        breaker_min_samples=min_samples,
-    )
-    return Engine(budget=budget, supervisor=policy)
+    return Engine(budget=budget, retries=max_retries)
 
 
 def assert_healthy_shards_correct(report, faulted):
@@ -167,9 +156,12 @@ class TestExitFault:
         assert report.respawns >= 1
 
 
-class TestCircuitBreaker:
-    def test_systemic_failure_stops_dispatch(self):
-        engine = make_engine(max_retries=0, threshold=0.5, min_samples=5)
+class TestSystemicFault:
+    def test_systemic_raise_quarantines_only_the_faulted_shards(self):
+        # 10 of 12 shards fail: each faulted shard is quarantined on its
+        # own strikes, and the two healthy ones keep their verdicts —
+        # nothing settles a shard it never ran.
+        engine = make_engine(max_retries=0)
         texts = ["xabd"] * 12
         plan = ProcessFaultPlan(
             faults=tuple(
@@ -179,17 +171,16 @@ class TestCircuitBreaker:
         report = engine.match_many(
             PATTERN, texts, jobs=2, strict=False, fault_plan=plan
         )
-        assert report.breaker_tripped
-        settled_codes = {
-            outcome.error.code
-            for outcome in report.outcomes
-            if outcome.error is not None
-        }
-        # Shards left undispatched settle with the breaker error.
-        assert "REPRO-CIRCUIT-OPEN" in settled_codes
-        # Every shard still has exactly one outcome — nothing dropped.
-        assert len(report.outcomes) == len(texts)
-        assert all(outcome is not None for outcome in report.outcomes)
+        assert [outcome.index for outcome in report.outcomes] == list(range(12))
+        for outcome in report.outcomes[:10]:
+            assert outcome.status == "quarantined"
+            assert outcome.attempts == 1
+            assert outcome.error.code == "REPRO-SHARD-QUARANTINED"
+            assert outcome.error.last_error.code == "REPRO-SHARD-FAILED"
+        assert [outcome.verdict for outcome in report.outcomes[10:]] == [
+            True, True,
+        ]
+        assert report.quarantined == 10 and report.retries == 0
         assert report.elapsed < WALL_CEILING
 
 

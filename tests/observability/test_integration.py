@@ -13,7 +13,7 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.engine import Engine, RetryPolicy, SupervisorPolicy
+from repro.engine import Engine
 from repro.multimatch import MultiMatchVM, compile_multipattern
 from repro.observability import (
     MetricsRegistry,
@@ -39,13 +39,7 @@ TEXTS = ["xabd", "zzz", "acd", "", "abdx", "nope", "aad", "xacdx"]
 def make_engine(max_retries=0, task_timeout=None, metrics=None, tracer=None,
                 **engine_kwargs):
     budget = DEFAULT_BUDGET.replace(max_task_seconds=task_timeout)
-    policy = SupervisorPolicy(
-        retry=RetryPolicy(
-            max_retries=max_retries, backoff_base=0.01, jitter=0.0
-        ),
-        failure_threshold=None,
-    )
-    return Engine(budget=budget, supervisor=policy, metrics=metrics,
+    return Engine(budget=budget, retries=max_retries, metrics=metrics,
                   tracer=tracer, **engine_kwargs)
 
 

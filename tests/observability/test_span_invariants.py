@@ -16,7 +16,7 @@ pays for a worker pool.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Engine, RetryPolicy, SupervisorPolicy
+from repro.engine import Engine
 from repro.observability import (
     MetricsRegistry,
     Tracer,
@@ -74,14 +74,7 @@ def test_random_span_trees_validate(tree):
 
 
 def _engine(tracer, metrics):
-    return Engine(
-        supervisor=SupervisorPolicy(
-            retry=RetryPolicy(max_retries=0, backoff_base=0.01, jitter=0.0),
-            failure_threshold=None,
-        ),
-        tracer=tracer,
-        metrics=metrics,
-    )
+    return Engine(retries=0, tracer=tracer, metrics=metrics)
 
 
 @settings(max_examples=5, deadline=None)

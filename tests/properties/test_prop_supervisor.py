@@ -16,7 +16,7 @@ interactions no hand-written scenario anticipated.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Engine, RetryPolicy, SupervisorPolicy
+from repro.engine import Engine
 from repro.runtime.faults import ProcessFaultPlan, WorkerFaultSpec
 
 PATTERN = "a(b|c)d"
@@ -27,12 +27,7 @@ _golden = Engine()
 
 
 def _supervised_engine():
-    return Engine(
-        supervisor=SupervisorPolicy(
-            retry=RetryPolicy(max_retries=0, backoff_base=0.01, jitter=0.0),
-            failure_threshold=None,
-        )
-    )
+    return Engine(retries=0)
 
 
 @settings(max_examples=6, deadline=None)

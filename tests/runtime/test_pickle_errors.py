@@ -35,7 +35,6 @@ from repro.ir.diagnostics import (
     VerificationError,
 )
 from repro.runtime.errors import (
-    CircuitBreakerOpenError,
     ExpansionBudgetError,
     InputEncodingError,
     PassBudgetError,
@@ -91,7 +90,6 @@ SAMPLES = {
     ShardQuarantinedError: lambda: ShardQuarantinedError(
         4, 3, VMStepBudgetError(120, 100, "a*b")
     ),
-    CircuitBreakerOpenError: lambda: CircuitBreakerOpenError(6, 8, 0.5),
     ServiceOverloadError: lambda: ServiceOverloadError(64, 64, 0.5),
     ServiceDrainingError: lambda: ServiceDrainingError("SIGTERM received"),
     RequestDeadlineError: lambda: RequestDeadlineError("/scan", 2.73, 2.0),

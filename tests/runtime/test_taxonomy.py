@@ -24,7 +24,6 @@ from repro.ir.diagnostics import (
     VerificationError,
 )
 from repro.runtime.errors import (
-    CircuitBreakerOpenError,
     ExpansionBudgetError,
     InputEncodingError,
     PassBudgetError,
@@ -72,7 +71,6 @@ ALL_ERROR_TYPES = [
     WorkerCrashError,
     ShardFailedError,
     ShardQuarantinedError,
-    CircuitBreakerOpenError,
     ServiceOverloadError,
     ServiceDrainingError,
     UnknownPatternError,
@@ -86,7 +84,6 @@ ALL_ERROR_TYPES = [
 #: renaming one is a breaking change and must be deliberate.
 CODE_SNAPSHOT = {
     "BudgetExceeded": "REPRO-BUDGET",
-    "CircuitBreakerOpenError": "REPRO-CIRCUIT-OPEN",
     "CodegenError": "REPRO-CODEGEN",
     "ConfigurationError": "REPRO-ARCH-CONFIG",
     "EquivalenceCheckExceeded": "REPRO-BUDGET-EQUIV-STATES",

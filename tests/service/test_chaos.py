@@ -177,6 +177,9 @@ def test_worker_kill_mid_scan_partial_report_has_typed_outcome():
             assert [o["index"] for o in failed] == [1]
             assert failed[0]["status"] == "quarantined"
             assert failed[0]["error"]["code"] == "REPRO-SHARD-QUARANTINED"
+            # One serializer: the partial outcomes are ShardOutcome.to_dict,
+            # attempts included (the first try plus the default 2 retries).
+            assert failed[0]["attempts"] == 3
             assert report["retries"] >= 1
         finally:
             await service.drain("test")

@@ -121,8 +121,8 @@ def test_only_resident_short_matches_skip_the_executor():
 def test_is_cached_probe_is_keyed_like_the_cache_and_counts_nothing():
     engine = Engine()
     assert not engine.is_cached("ab+c")
-    engine.matcher("ab+c", backend="nfa")
-    assert engine.is_cached("ab+c", backend="nfa")
+    engine.matcher("ab+c", backend="cicero-sim")
+    assert engine.is_cached("ab+c", backend="cicero-sim")
     assert not engine.is_cached("ab+c")  # the default backend's entry is not
     engine.match("ab+c", "abbc")
     before = engine.cache_stats()

@@ -4,9 +4,17 @@ import random
 
 import pytest
 
+from repro.automata.dfa import determinize, minimize
+from repro.automata.nfa import nfa_from_regex_module
 from repro.backends import BACKENDS, compile_with_backend
 from repro.arch.config import ArchConfig
-from repro.compiler import CompileOptions
+from repro.compiler import CompileOptions, NewCompiler
+
+
+def automata_oracles(pattern, max_dfa_states=50_000):
+    """The CPU-baseline NFA and minimized DFA over ``pattern``'s front half."""
+    nfa = nfa_from_regex_module(NewCompiler().front(pattern).regex_module)
+    return nfa, minimize(determinize(nfa, max_states=max_dfa_states))
 
 
 class TestFacade:
@@ -44,14 +52,14 @@ class TestFacade:
         from repro.automata import DFASizeLimitExceeded
 
         with pytest.raises(DFASizeLimitExceeded):
-            compile_with_backend("a.{12}b", "dfa", max_dfa_states=100)
+            automata_oracles("a.{12}b", max_dfa_states=100)
 
 
 class TestCrossBackendAgreement:
     def test_corpus_agreement(self, corpus_pattern):
         matchers = [
-            compile_with_backend(corpus_pattern, backend)
-            for backend in ("cicero", "nfa", "dfa")
+            compile_with_backend(corpus_pattern, "cicero"),
+            *automata_oracles(corpus_pattern),
         ]
         rng = random.Random(hash(corpus_pattern) & 0xFFFF)
         for _ in range(25):
@@ -88,10 +96,10 @@ class TestSharedFrontHalf:
         # The front half lives in repro.compiler since ISSUE 23.
         monkeypatch.setattr(compiler_module, "parse_regex", counting_parse)
         matchers = backends_module.compile_backends(
-            "th(is|at)", ["cicero", "cicero-sim", "nfa", "dfa"]
+            "th(is|at)", ["cicero", "cicero-sim"]
         )
         assert calls == ["th(is|at)"]  # exactly one frontend pass
-        assert set(matchers) == {"cicero", "cicero-sim", "nfa", "dfa"}
+        assert set(matchers) == {"cicero", "cicero-sim"}
         for backend, matcher in matchers.items():
             assert matcher.matches("say that"), backend
             assert not matcher.matches("nope"), backend

@@ -9,7 +9,8 @@ up here as a module that is not on the list.
 
 The same kind of walk keeps the lazy DFA's row format private to
 ``prefilter/lazydfa.py``, keeps the instruction dispatch of the matchers
-in the kernel's step table, and keeps deleted subsystems deleted.
+in the kernel's step table, keeps the one process pool in the scan
+supervisor, and keeps deleted subsystems deleted.
 """
 
 import ast
@@ -243,3 +244,50 @@ def test_the_step_column_is_defined_once():
             ):
                 definers.add((path.relative_to(SOURCE).as_posix(), node.name))
     assert definers == {("vm/kernel.py", "_StepColumn")}
+
+
+#: Calls that build a process pool (by name or attribute) and calls that
+#: hand one work (attribute only: the builtin ``map`` is a ``Name``).
+#: ``apply`` is left out: the IR rewrite driver has one.
+POOL_BUILDERS = {"Pool", "ProcessPoolExecutor"}
+POOL_WORK = {
+    "apply_async", "map", "map_async", "imap", "imap_unordered",
+    "starmap", "starmap_async",
+}
+
+
+def pool_calls(tree: ast.AST):
+    """Every pool construction or pool dispatch call in ``tree``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        function = node.func
+        if isinstance(function, ast.Name) and function.id in POOL_BUILDERS:
+            yield function.id
+        elif isinstance(function, ast.Attribute) and (
+            function.attr in POOL_BUILDERS | POOL_WORK
+        ):
+            yield function.attr
+
+
+def test_only_the_supervisor_runs_a_pool():
+    owners = {
+        path.relative_to(SOURCE).as_posix()
+        for path in sorted(SOURCE.rglob("*.py"))
+        if any(pool_calls(ast.parse(path.read_text(), str(path))))
+    }
+    assert owners == {"engine/supervisor.py"}
+
+
+def test_the_walk_sees_a_pasted_back_pool_map():
+    # The deleted unsupervised ``pool.map`` path of ``engine/parallel.py``,
+    # abridged (its name stays out of the tree, like the modules above).
+    shadow = ast.parse(
+        "def sharded_matches(payload, texts, jobs, mp_context=None):\n"
+        "    context = resolve_mp_context(mp_context)\n"
+        "    with context.Pool(\n"
+        "        processes=jobs, initializer=_init_worker, initargs=(payload,)\n"
+        "    ) as pool:\n"
+        "        return pool.map(_match_one, texts, chunksize=chunksize)\n"
+    )
+    assert set(pool_calls(shadow)) == {"Pool", "map"}
