@@ -30,8 +30,15 @@ Every admitted or shed request increments
 single point where its response bytes are written — the invariant the
 chaos suite reconciles against.
 
-No step of this path creates a Task, and each phase (idle wait, head,
-body read, handler) runs under one deadline (``http.within``).
+No step of this path creates a Task.  Each connection has one
+``http.Deadline``: the idle wait, the head and each body read move its
+phase bound, and the handler runs under its request bound as well —
+one armed timer for all of them, not one per phase.
+
+Diagnostics (a connection or handler that failed, a snapshot that could
+not be written) go to the log stream as JSON lines with ``event``,
+``endpoint`` and ``error`` fields; stdout carries only the ``listening
+on`` and ``drained in`` lines.
 """
 
 from __future__ import annotations
@@ -58,11 +65,12 @@ from ..runtime.faults import ProcessFaultPlan
 from ..vm.streaming import StreamingMatcher
 from .config import ServiceConfig
 from .http import (
+    REQUEST,
+    Deadline,
     HttpProtocolError,
     Request,
     read_request,
     render_response,
-    within,
 )
 from .tenants import TenantRegistry
 
@@ -223,8 +231,8 @@ class MatchService:
         else:
             self._drained.clear()
             try:
-                await within(
-                    self.config.drain_seconds, self._drained.wait()
+                await asyncio.wait_for(
+                    self._drained.wait(), self.config.drain_seconds
                 )
             except asyncio.TimeoutError:
                 # Deadline: cancel stragglers; each writes its typed
@@ -250,12 +258,22 @@ class MatchService:
                     extra={"command": "serve", "drain_reason": reason},
                 )
             except OSError as error:
-                print(
-                    f"warning: could not write {self.config.stats_file}: "
-                    f"{error}",
-                    file=self._log,
-                )
+                self._diagnose("snapshot_failed", None, error)
         return elapsed
+
+    def _diagnose(
+        self, event: str, endpoint: Optional[str], error: BaseException
+    ) -> None:
+        """One JSON line on the log stream."""
+        print(
+            json.dumps({
+                "event": event,
+                "endpoint": endpoint,
+                "error": f"{type(error).__name__}: {error}",
+            }),
+            file=self._log,
+            flush=True,
+        )
 
     # ------------------------------------------------------------------
     # Connections
@@ -271,7 +289,7 @@ class MatchService:
         except asyncio.CancelledError:
             pass
         except Exception as error:  # connection-level failures stay local
-            print(f"connection error: {error!r}", file=self._log)
+            self._diagnose("connection_error", None, error)
         finally:
             if task is not None:
                 self._connections.discard(task)
@@ -285,47 +303,52 @@ class MatchService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         config = self.config
-        while True:
-            try:
-                request = await read_request(
-                    reader,
-                    head_timeout=config.header_seconds,
-                    idle_timeout=config.idle_seconds,
-                    body_timeout=config.header_seconds,
-                    max_body_bytes=config.max_body_bytes,
+        deadline = Deadline()
+        try:
+            while True:
+                try:
+                    request = await read_request(
+                        reader,
+                        deadline,
+                        head_timeout=config.header_seconds,
+                        idle_timeout=config.idle_seconds,
+                        body_timeout=config.header_seconds,
+                        max_body_bytes=config.max_body_bytes,
+                    )
+                except HttpProtocolError as error:
+                    self._write(writer, "protocol", _http_error(error), False)
+                    await writer.drain()
+                    return
+                if request is None:
+                    return
+                reply = await self._dispatch(request, writer)
+                # One rule for every reply: the connection carries a next
+                # request only if this one's body is out of the stream —
+                # read already, or short enough to read and drop below.
+                unread = request.unread_body()
+                keep_alive = (
+                    reply.keep_alive
+                    and request.keep_alive
+                    and not self._draining
+                    and unread is not None
+                    and unread <= DISCARD_BODY_BYTES
                 )
-            except HttpProtocolError as error:
-                self._write(writer, "protocol", _http_error(error), False)
-                await writer.drain()
-                return
-            if request is None:
-                return
-            reply = await self._dispatch(request, writer)
-            # One rule for every reply: the connection carries a next
-            # request only if this one's body is out of the stream —
-            # read already, or short enough to read and drop below.
-            unread = request.unread_body()
-            keep_alive = (
-                reply.keep_alive
-                and request.keep_alive
-                and not self._draining
-                and unread is not None
-                and unread <= DISCARD_BODY_BYTES
-            )
-            self._write(
-                writer,
-                request.path if request.path in ROUTES else "other",
-                reply,
-                keep_alive,
-            )
-            try:
-                await writer.drain()
-            except ConnectionError:
-                return
-            if not keep_alive or (
-                unread and not await request.discard_body()
-            ):
-                return
+                self._write(
+                    writer,
+                    request.path if request.path in ROUTES else "other",
+                    reply,
+                    keep_alive,
+                )
+                try:
+                    await writer.drain()
+                except ConnectionError:
+                    return
+                if not keep_alive or (
+                    unread and not await request.discard_body()
+                ):
+                    return
+        finally:
+            deadline.close()
 
     # ------------------------------------------------------------------
     # Routing + admission
@@ -413,26 +436,26 @@ class MatchService:
         writer: asyncio.StreamWriter,
         endpoint: str,
     ) -> _Reply:
-        deadline = self.config.effective_request_seconds()
+        seconds = self.config.effective_request_seconds()
         requested = request.headers.get("x-repro-deadline")
         if requested is not None:
             try:
-                deadline = min(deadline, float(requested))
+                seconds = min(seconds, float(requested))
             except ValueError:
                 pass
+        deadline = request.deadline
         started = time.monotonic()
+        deadline.limit(seconds)
         try:
-            status, body = await within(
-                deadline, self._route(request, endpoint)
-            )
-        except asyncio.TimeoutError:
-            return _typed_error(
-                RequestDeadlineError(
-                    endpoint, time.monotonic() - started, deadline
-                ),
-                keep_alive=False,
-            )
+            status, body = await self._route(request, endpoint)
         except asyncio.CancelledError:
+            if deadline.take(REQUEST):
+                return _typed_error(
+                    RequestDeadlineError(
+                        endpoint, time.monotonic() - started, seconds
+                    ),
+                    keep_alive=False,
+                )
             # Drain-deadline cancellation: settle with a typed error
             # before the connection closes — never a silent drop.  The
             # cancellation goes on up, so the reply is written here.
@@ -451,12 +474,14 @@ class MatchService:
         except ReproError as error:
             return _typed_error(error)
         except Exception as error:  # defensive: never a hung client
-            print(f"handler error on {endpoint}: {error!r}", file=self._log)
+            self._diagnose("handler_error", endpoint, error)
             body = json.dumps(
                 {"error": {"code": "REPRO-INTERNAL",
                            "message": repr(error)}}
             ).encode()
             return _Reply(500, body, keep_alive=False)
+        finally:
+            deadline.unlimit()
         return _Reply(status, body)
 
     # ------------------------------------------------------------------

@@ -8,20 +8,27 @@ default.  This is *not* a general server — it is the narrow, testable
 waist the chaos suite beats on (oversized heads, trickled bytes,
 half-closed sockets all settle with one well-formed response or a clean
 close, never a hang).
+
+Every time bound a connection is under is kept by its one
+:class:`Deadline`.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import AsyncIterator, Awaitable, Dict, Optional, Tuple, TypeVar
+from typing import AsyncIterator, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
-
-T = TypeVar("T")
 
 #: Bound on the request head (request line + headers).  Oversized heads
 #: are a classic memory-DoS vector; 16 KiB fits every legitimate client.
 MAX_HEAD_BYTES = 16 * 1024
+
+#: The bounds a :class:`Deadline` records as expired: the three phases
+#: of reading a request, and the handler's request bound.
+IDLE, HEAD, BODY, REQUEST = "idle", "head", "body", "request"
+
+_NEVER = float("inf")
 
 STATUS_PHRASES = {
     200: "OK",
@@ -47,26 +54,102 @@ _KEEP_ALIVE = b"\r\nConnection: keep-alive\r\n"
 _CLOSE = b"\r\nConnection: close\r\n"
 
 
-if hasattr(asyncio, "timeout"):
+class Deadline:
+    """The time bounds of one connection, kept by at most one timer.
 
-    async def within(seconds: Optional[float], awaitable: Awaitable[T]) -> T:
-        """``await awaitable``, or ``asyncio.TimeoutError`` after ``seconds``.
+    Two bounds can run at once: a *phase* bound, which each phase of
+    reading a request moves (:meth:`move`) and drops once its read is
+    done (:meth:`clear`), and the handler's *request* bound
+    (:meth:`limit` / :meth:`unlimit`).  Moving a bound later only
+    stores a float — the armed timer, when it fires before any bound is
+    due, re-arms itself at the nearest one — so a busy keep-alive
+    connection schedules about one timer per phase length, not one per
+    phase.  Moving a bound earlier re-arms at once.
 
-        The deadline is a timer on the calling task — no Task is
-        created — and :func:`asyncio.timeout` keeps its own expiry
-        apart from a cancellation that arrives from outside (the drain
-        path cancels request tasks): the first surfaces as
-        ``TimeoutError``, the second stays ``CancelledError``.
+    On expiry the timer cancels the task that created the deadline and
+    records which bound ran out (the earlier one when both did).  The
+    ``except CancelledError`` at the await asks :meth:`take` whether
+    the cancellation is that expiry; a cancellation with none recorded
+    came from elsewhere (the drain) and goes on up.
+    """
+
+    __slots__ = (
+        "_loop", "_task", "_phase", "_phase_at", "_request_at",
+        "_handle", "_armed_at", "_expired",
+    )
+
+    def __init__(self) -> None:
+        task = asyncio.current_task()
+        if task is None:
+            raise RuntimeError("a Deadline needs a running task")
+        self._loop = task.get_loop()
+        self._task = task
+        self._phase = IDLE
+        self._phase_at = self._request_at = self._armed_at = _NEVER
+        self._handle: Optional[asyncio.TimerHandle] = None
+        self._expired: Optional[str] = None
+
+    def move(self, phase: str, seconds: Optional[float]) -> None:
+        """Bound ``phase`` to end ``seconds`` from now (``None``: never)."""
+        self._phase = phase
+        self._phase_at = self._at(seconds)
+
+    def clear(self) -> None:
+        """The phase's read is done: drop its bound."""
+        self._phase_at = _NEVER
+
+    def limit(self, seconds: float) -> None:
+        """Bound the request to end ``seconds`` from now."""
+        self._request_at = self._at(seconds)
+
+    def unlimit(self) -> None:
+        self._request_at = _NEVER
+
+    def take(self, bound: str) -> bool:
+        """Whether the cancellation being handled is ``bound``'s expiry.
+
+        If it is, the expiry is consumed and the cancellation taken
+        back (``Task.uncancel``, Python ≥ 3.11) — unless another
+        cancellation is outstanding too, which then goes on up.
         """
+        if self._expired != bound:
+            return False
+        self._expired = None
+        uncancel = getattr(self._task, "uncancel", None)
+        return uncancel is None or uncancel() == 0
+
+    def close(self) -> None:
+        """Disarm the timer; the connection is over."""
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+    def _at(self, seconds: Optional[float]) -> float:
         if seconds is None:
-            return await awaitable
-        async with asyncio.timeout(seconds):
-            return await awaitable
+            return _NEVER
+        when = self._loop.time() + seconds
+        if when < self._armed_at:
+            self._arm(when)
+        return when
 
-else:  # Python < 3.11 has no asyncio.timeout; wait_for wraps a Task.
+    def _arm(self, when: float) -> None:
+        if self._handle is not None:
+            self._handle.cancel()
+        self._armed_at = when
+        self._handle = self._loop.call_at(when, self._fire)
 
-    async def within(seconds: Optional[float], awaitable: Awaitable[T]) -> T:
-        return await asyncio.wait_for(awaitable, seconds)
+    def _fire(self) -> None:
+        # The loop runs a timer once its time is due, so a bound at or
+        # before the armed time is due; a later one was moved since.
+        armed_at, self._armed_at, self._handle = self._armed_at, _NEVER, None
+        phase_at, request_at = self._phase_at, self._request_at
+        nearest = min(phase_at, request_at)
+        if nearest > armed_at:
+            if nearest < _NEVER:
+                self._arm(nearest)
+            return
+        self._expired = REQUEST if request_at <= phase_at else self._phase
+        self._task.cancel()
 
 
 class HttpProtocolError(Exception):
@@ -87,6 +170,7 @@ class Request:
     query: Dict[str, str]
     headers: Dict[str, str]
     reader: asyncio.StreamReader
+    deadline: Deadline
     body_timeout: Optional[float] = None
     max_body_bytes: int = 64 * 1024 * 1024
     _body: Optional[bytes] = field(default=None, repr=False)
@@ -117,21 +201,25 @@ class Request:
         coding = self.headers.get("transfer-encoding", "").lower()
         return "chunked" in coding
 
-    async def _read_exactly(self, count: int) -> bytes:
+    async def _read(self, count: Optional[int] = None) -> bytes:
+        """``count`` body bytes, or one line when ``count`` is ``None``
+        (chunked framing), under the deadline's body bound."""
+        deadline = self.deadline
+        deadline.move(BODY, self.body_timeout)
         try:
-            return await within(
-                self.body_timeout, self.reader.readexactly(count)
-            )
+            if count is not None:
+                return await self.reader.readexactly(count)
+            line = await self.reader.readline()
         except asyncio.IncompleteReadError:
             raise HttpProtocolError(400, "connection closed mid-body")
-        except asyncio.TimeoutError:
-            raise HttpProtocolError(408, "timed out reading request body")
-
-    async def _read_line(self) -> bytes:
-        try:
-            line = await within(self.body_timeout, self.reader.readline())
-        except asyncio.TimeoutError:
-            raise HttpProtocolError(408, "timed out reading request body")
+        except ValueError:  # a line past the reader's limit
+            raise HttpProtocolError(400, "chunk line too long")
+        except asyncio.CancelledError:
+            if deadline.take(BODY):
+                raise HttpProtocolError(408, "timed out reading request body")
+            raise
+        finally:
+            deadline.clear()
         if not line.endswith(b"\n"):
             raise HttpProtocolError(400, "connection closed mid-body")
         return line
@@ -150,7 +238,7 @@ class Request:
         total = 0
         if self.chunked:
             while True:
-                size_line = await self._read_line()
+                size_line = await self._read()
                 try:
                     size = int(size_line.split(b";", 1)[0].strip(), 16)
                 except ValueError:
@@ -158,7 +246,7 @@ class Request:
                 if size < 0:
                     raise HttpProtocolError(400, "bad chunk size")
                 if size == 0:
-                    await self._read_line()  # trailing CRLF (no trailers)
+                    await self._read()  # trailing CRLF (no trailers)
                     self._done = True
                     return
                 total += size
@@ -166,12 +254,10 @@ class Request:
                     raise HttpProtocolError(413, "request body too large")
                 remaining = size
                 while remaining:
-                    piece = await self._read_exactly(
-                        min(remaining, chunk_bytes)
-                    )
+                    piece = await self._read(min(remaining, chunk_bytes))
                     remaining -= len(piece)
                     yield piece
-                await self._read_exactly(2)  # chunk CRLF
+                await self._read(2)  # chunk CRLF
             return
         length = self.content_length()
         if length is None or length == 0:
@@ -181,7 +267,7 @@ class Request:
             raise HttpProtocolError(413, "request body too large")
         remaining = length
         while remaining:
-            piece = await self._read_exactly(min(remaining, chunk_bytes))
+            piece = await self._read(min(remaining, chunk_bytes))
             remaining -= len(piece)
             yield piece
         self._done = True
@@ -231,7 +317,10 @@ async def _read_headers(
     request line already read against :data:`MAX_HEAD_BYTES`."""
     headers: Dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError:  # a line past the reader's limit
+            raise HttpProtocolError(400, "header line too long")
         if not line.endswith(b"\n"):
             raise HttpProtocolError(400, "connection closed mid-head")
         head_bytes += len(line)
@@ -248,6 +337,7 @@ async def _read_headers(
 
 async def read_request(
     reader: asyncio.StreamReader,
+    deadline: Optional[Deadline] = None,
     *,
     head_timeout: Optional[float] = None,
     idle_timeout: Optional[float] = None,
@@ -256,15 +346,26 @@ async def read_request(
 ) -> Optional[Request]:
     """Parse one request head; ``None`` on clean connection close.
 
-    ``idle_timeout`` bounds the wait for the request line (keep-alive
-    idling); ``head_timeout`` bounds the read of the *whole* rest of
-    the head, however many lines it is cut into — a slow-loris client
-    trickling header bytes gets a 408, not a held socket.
+    The bounds are phases of ``deadline`` (the connection's; a fresh
+    one when none is given).  ``idle_timeout`` bounds the wait for the
+    request line (keep-alive idling); ``head_timeout`` bounds the read
+    of the *whole* rest of the head, however many lines it is cut into
+    — a slow-loris client trickling header bytes gets a 408, not a
+    held socket; ``body_timeout`` bounds each read of the body.
     """
+    if deadline is None:
+        deadline = Deadline()
+    deadline.move(IDLE, idle_timeout)
     try:
-        first = await within(idle_timeout, reader.readline())
-    except asyncio.TimeoutError:
-        return None  # idle keep-alive connection: just close it
+        first = await reader.readline()
+    except asyncio.CancelledError:
+        if deadline.take(IDLE):
+            return None  # idle keep-alive connection: just close it
+        raise
+    except ValueError:  # a line past the reader's limit
+        raise HttpProtocolError(400, "request line too long")
+    finally:
+        deadline.clear()
     if not first:
         return None
     if not first.endswith(b"\n"):
@@ -279,12 +380,15 @@ async def read_request(
     if not version.startswith("HTTP/1."):
         raise HttpProtocolError(400, f"unsupported version {version!r}")
 
+    deadline.move(HEAD, head_timeout)
     try:
-        headers = await within(
-            head_timeout, _read_headers(reader, len(first))
-        )
-    except asyncio.TimeoutError:
-        raise HttpProtocolError(408, "timed out reading request head")
+        headers = await _read_headers(reader, len(first))
+    except asyncio.CancelledError:
+        if deadline.take(HEAD):
+            raise HttpProtocolError(408, "timed out reading request head")
+        raise
+    finally:
+        deadline.clear()
 
     parts = urlsplit(target)
     query = (
@@ -298,6 +402,7 @@ async def read_request(
         query=query,
         headers=headers,
         reader=reader,
+        deadline=deadline,
         body_timeout=body_timeout,
         max_body_bytes=max_body_bytes,
     )
@@ -330,10 +435,14 @@ def render_response(
 
 
 __all__ = [
+    "BODY",
+    "HEAD",
+    "IDLE",
     "MAX_HEAD_BYTES",
+    "REQUEST",
+    "Deadline",
     "HttpProtocolError",
     "Request",
     "read_request",
     "render_response",
-    "within",
 ]

@@ -7,8 +7,6 @@ ledger entries.
 import asyncio
 import json
 
-import pytest
-
 from repro import Budget
 from repro.engine import Engine
 from repro.service import MatchService, ServiceConfig, app
@@ -37,11 +35,9 @@ def spy_on_executor(service):
     return calls
 
 
-@pytest.mark.skipif(
-    not hasattr(asyncio, "timeout"),
-    reason="without asyncio.timeout each deadline is a wait_for Task",
-)
 def test_cache_hit_match_requests_create_no_task():
+    """Nor a timer: the connection's one deadline stays armed across
+    requests instead of scheduling one per phase."""
     async def scenario():
         service = MatchService(ServiceConfig(port=0))
         await service.start()
@@ -59,19 +55,29 @@ def test_cache_hit_match_requests_create_no_task():
 
             await one()  # compiles on the executor; the entry is resident now
             created = []
+            timers = []
             loop = asyncio.get_running_loop()
 
             def factory(loop, coro, **kwargs):
                 created.append(coro)
                 return asyncio.Task(coro, loop=loop, **kwargs)
 
+            call_at = loop.call_at
+
+            def spy(when, callback, *args, **kwargs):
+                timers.append(callback)
+                return call_at(when, callback, *args, **kwargs)
+
             loop.set_task_factory(factory)
+            loop.call_at = spy
             try:
                 for _ in range(100):
                     await one()
             finally:
                 loop.set_task_factory(None)
+                del loop.call_at
             assert created == []
+            assert len(timers) <= 1, timers
             await conn.close()
         finally:
             await service.drain("test")
