@@ -37,6 +37,8 @@ class InstructionCache:
     """
 
     __slots__ = ("lines", "line_words", "ways", "sets", "_ways_tags", "stats")
+    #: Every lookup misses (fault injection's ``AlwaysMissCache``).
+    always_miss = False
 
     def __init__(self, lines: int, line_words: int, ways: int = 2):
         if lines % ways:

@@ -27,6 +27,8 @@ class ThreadFifo:
     """
 
     __slots__ = ("entries", "high_watermark", "total_pushed")
+    #: The fault plan whose pushes this FIFO loses (``DroppingFifo``).
+    plan = None
 
     def __init__(self):
         self.entries: Deque[ThreadEntry] = deque()

@@ -70,6 +70,10 @@ class StreamResult:
         return power_watts(self.config)
 
     def merged_stats(self) -> SimulationStatistics:
+        if len(self.per_chunk) != self.chunks:
+            raise ConfigurationError(
+                "merged_stats after run_stream(..., keep_per_chunk=False)"
+            )
         merged = SimulationStatistics()
         for result in self.per_chunk:
             stats = result.stats
@@ -249,6 +253,11 @@ def average_re_time_us(
 
     ``chunk_sets[i]`` is the chunk stream for ``programs[i]``.
     """
+    if not programs or len(programs) != len(chunk_sets):
+        raise ConfigurationError(
+            f"need one chunk set per program, got {len(programs)} "
+            f"programs and {len(chunk_sets)} chunk sets"
+        )
     simulator = CiceroSimulator(config)
     total = 0.0
     for program, chunks in zip(programs, chunk_sets):

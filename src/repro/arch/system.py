@@ -230,18 +230,24 @@ class CiceroSystem:
         port = self._port
         port.reset()
 
-        # Flat views, engine-major.  Bound methods are taken from the
-        # live objects on every run: fault injection swaps FIFOs and
-        # caches for instrumented subclasses between construction and
-        # run, and their ``push``/``lookup`` overrides must be honoured.
+        # Flat views, engine-major, of the live objects: fault injection
+        # swaps in FIFOs with a ``plan`` and caches that ``always_miss``
+        # between construction and run.  No method of theirs is called.
         caches = [core.cache for engine in engines for core in engine.cores]
-        lookups = [cache.lookup for cache in caches]
-        fills = [cache.fill for cache in caches]
+        tag_sets = [cache._ways_tags for cache in caches]
+        always_miss = [cache.always_miss for cache in caches]
+        cache = caches[0]  # every core's cache has the same geometry
+        line_words, num_sets, ways = cache.line_words, cache.sets, cache.ways
+        num_cores = len(caches)
+        #: last_line[k]: core k's last fetched line, MRU in its set.
+        last_line = [-1] * num_cores
         fifos = [fifo for engine in engines for fifo in engine.fifos]
         queues = [fifo.entries for fifo in fifos]
-        pushes = [fifo.push for fifo in fifos]
+        #: drops[f](): FIFO f's plan loses this push (``bool()`` is False).
+        drops = [bool if f.plan is None else f.plan.should_drop for f in fifos]
+        if all(drop is bool for drop in drops):
+            drops = None
         parked = [engine.parked for engine in engines]
-        num_cores = len(caches)
         num_fifos = len(fifos)
         # FIFO f is served by core ``f >> server_shift``: its own core in
         # the new organization, its engine's only core in the old one.
@@ -250,8 +256,8 @@ class CiceroSystem:
         homes = [
             k // config.cores_per_engine * window for k in range(num_cores)
         ]
-        cache_hits_before = sum(cache.stats.hits for cache in caches)
-        cache_misses_before = sum(cache.stats.misses for cache in caches)
+        #: Old organization: core k's FIFOs, oldest character first.
+        windows = [queues[home : home + window] for home in homes]
 
         opcodes = self._opcodes
         operands = self._operands
@@ -268,10 +274,12 @@ class CiceroSystem:
         if max_cycles is None:
             max_cycles = 20_000 + (length + 2) * (len(opcodes) + 64) * 8
 
-        counts: Dict[int, int] = defaultdict(int)
+        counts = [0] * (length + 2)
         counts[0] = 1
         total_alive = 1
         instructions = 0
+        #: Cache hits: retires minus ``resumed`` (retires after a fill).
+        cache_misses = resumed = fifo_high_watermark = 0
         threads_spawned = 1
         threads_killed = 0
         cross_engine_transfers = 0
@@ -285,7 +293,8 @@ class CiceroSystem:
         wake = [_NEVER] * num_cores
         #: stalled[k]: the (pc, cc, fill completion) core k waits on.
         stalled: List[Optional[tuple]] = [None] * num_cores
-        pushes[0](0, 0, 0)
+        if drops is None or not drops[0]():
+            queues[0].append((0, 0, 0))
         wake[0] = 0
 
         window_base = 0
@@ -337,6 +346,7 @@ class CiceroSystem:
                         wake[k] = resume
                         continue
                     stalled[k] = None
+                    resumed += 1
                 else:
                     if new_org:
                         queue = queues[k]
@@ -348,10 +358,8 @@ class CiceroSystem:
                         # core serves one thread per cycle across all
                         # window FIFOs, oldest character first (lockstep
                         # flows "over a character at a time", §2.2).
-                        base = k * window
                         earliest = _NEVER
-                        for offset in range(window):
-                            queue = queues[base + (window_base + offset) % window]
+                        for queue in windows[k]:
                             if queue:
                                 head_ready = queue[0][2]
                                 if head_ready <= cycle:
@@ -361,15 +369,29 @@ class CiceroSystem:
                         else:
                             wake[k] = earliest
                             continue
+                    # A FIFO is deepest just before a pop or at the end.
+                    if len(queue) > fifo_high_watermark:
+                        fifo_high_watermark = len(queue)
                     pc, cc, _ready = queue.popleft()
-                    if not lookups[k](pc):
-                        if profile is not None:
-                            profile.cache_misses_by_pc[pc] += 1
-                        resume = port.request_fill(cycle)
-                        fills[k](pc)
-                        stalled[k] = (pc, cc, resume)
-                        wake[k] = resume
-                        continue
+                    line = pc // line_words
+                    if line != last_line[k]:
+                        tags = tag_sets[k][line % num_sets]
+                        missed = always_miss[k] or line not in tags
+                        if line in tags:
+                            tags.remove(line)
+                        elif len(tags) >= ways:
+                            tags.pop()
+                        tags.insert(0, line)  # a hit's LRU update or a fill
+                        if missed:
+                            last_line[k] = -1 if always_miss[k] else line
+                            cache_misses += 1
+                            if profile is not None:
+                                profile.cache_misses_by_pc[pc] += 1
+                            resume = port.request_fill(cycle)
+                            stalled[k] = (pc, cc, resume)
+                            wake[k] = resume
+                            continue
+                        last_line[k] = line
                     if profile is not None:
                         profile.cache_hits_by_pc[pc] += 1
 
@@ -471,7 +493,8 @@ class CiceroSystem:
                     if cc >= window_base + window:
                         parked[dest // window][cc].append((new_pc, ready, slot))
                     else:
-                        pushes[dest](new_pc, cc, ready)
+                        if drops is None or not drops[dest]():
+                            queues[dest].append((new_pc, cc, ready))
                         server = dest >> server_shift
                         if ready < wake[server]:
                             wake[server] = ready
@@ -506,9 +529,11 @@ class CiceroSystem:
                 elif cycle < slide_ready:
                     break
                 slide_ready = None
-                counts.pop(window_base, None)
                 window_base += 1
                 window_slides += 1
+                if not new_org:
+                    for oldest_first in windows:
+                        oldest_first.append(oldest_first.pop(0))
                 unblocked = window_base + window - 1
                 for engine_idx in range(num_engines):
                     released = parked[engine_idx].pop(unblocked, None)
@@ -517,7 +542,8 @@ class CiceroSystem:
                             if ready < cycle:
                                 ready = cycle
                             dest = engine_idx * window + slot
-                            pushes[dest](pc, unblocked, ready)
+                            if drops is None or not drops[dest]():
+                                queues[dest].append((pc, unblocked, ready))
                             server = dest >> server_shift
                             if ready < wake[server]:
                                 wake[server] = ready
@@ -546,17 +572,15 @@ class CiceroSystem:
         stats = SimulationStatistics(
             cycles=cycle,
             instructions=instructions,
-            cache_hits=sum(cache.stats.hits for cache in caches)
-            - cache_hits_before,
-            cache_misses=sum(cache.stats.misses for cache in caches)
-            - cache_misses_before,
+            cache_hits=instructions - resumed,
+            cache_misses=cache_misses,
             memory_fills=port.fills,
             threads_spawned=threads_spawned,
             threads_killed=threads_killed,
             cross_engine_transfers=cross_engine_transfers,
             window_slides=window_slides,
             peak_threads=peak_threads,
-            fifo_high_watermark=max(fifo.high_watermark for fifo in fifos),
+            fifo_high_watermark=max(fifo_high_watermark, *map(len, queues)),
             active_cycles=active_cycles,
         )
         if profile is not None:

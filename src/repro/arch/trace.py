@@ -1,11 +1,11 @@
 """Execution tracing: the paper's Figure-4-style cycle tables.
 
 A :class:`TraceRecorder` passed to :meth:`CiceroSystem.run` collects one
-event per retired instruction (and per thread routing); the renderer
-prints the per-cycle view of Figure 4 — which core executed which
-thread's PC at each cycle, with match/kill/jump annotations — so the
-old multi-engine and new multi-core organizations can be compared on a
-concrete run exactly as the paper illustrates.
+event per retired instruction (which FIFO its thread lands in is not
+recorded); the renderer prints the per-cycle view of Figure 4 — which
+core executed which thread's PC at each cycle, with match/kill/jump
+annotations — so the old multi-engine and new multi-core organizations
+can be compared on a concrete run exactly as the paper illustrates.
 """
 
 from __future__ import annotations

@@ -342,6 +342,7 @@ class AlwaysMissCache(InstructionCache):
     are immediately useless.  A pure timing fault."""
 
     __slots__ = ()
+    always_miss = True
 
     def lookup(self, pc: int) -> bool:
         self.stats.misses += 1

@@ -17,11 +17,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference_system import ReferenceSystem, reference_run
+from repro.arch.cache import InstructionCache
 from repro.arch.config import ArchConfig
+from repro.arch.fifo import ThreadFifo
+from repro.arch.simulator import CiceroSimulator, StreamResult, split_chunks
 from repro.arch.system import (
     CiceroSystem,
     SimulationCycleBudgetError,
     SimulationError,
+    SimulationStatistics,
 )
 from repro.arch.trace import TraceRecorder
 from repro.compiler import CompileOptions, NewCompiler, compile_regex
@@ -138,7 +142,9 @@ def test_equals_reference_under_a_tight_cycle_budget(config):
 
 def test_pinned_counts_of_the_simulate_arch_workload():
     """What the layered benchmark's ``simulate_arch`` counts at seed 7:
-    first 8 protomata + first 2 brill4 suite REs, one 500-byte chunk."""
+    first 8 protomata + first 2 brill4 suite REs, one 500-byte chunk.
+    Every statistic is pinned, merged the way ``merged_stats`` merges
+    a stream (sums, and maxima for the two peaks)."""
     rules = protomata.generate_patterns(200, 2025)[:8]
     jobs = [(rules, protomata.generate_input(rules, 500, seed=7))]
     rules = sample_and_alternate(
@@ -148,20 +154,61 @@ def test_pinned_counts_of_the_simulate_arch_workload():
     compiler = NewCompiler()
     totals = {}
     for label, config in (("old9", ArchConfig.old(9)), ("new16", ArchConfig.new(16))):
-        cycles = instructions = transfers = 0
-        for rules, text in jobs:
-            for rule in rules:
-                stats = CiceroSystem(compiler.compile(rule).program, config).run(
-                    text
-                ).stats
-                cycles += stats.cycles
-                instructions += stats.instructions
-                transfers += stats.cross_engine_transfers
-        totals[label] = (cycles, instructions, transfers)
+        runs = [
+            CiceroSystem(compiler.compile(rule).program, config).run(text)
+            for rules, text in jobs
+            for rule in rules
+        ]
+        totals[label] = StreamResult(
+            config, chunks=len(runs), per_chunk=runs
+        ).merged_stats()
     assert totals == {
-        "old9": (55_363, 126_168, 42_059),
-        "new16": (37_539, 126_227, 0),
+        "old9": SimulationStatistics(
+            cycles=55_363, instructions=126_168, cache_hits=114_645,
+            cache_misses=11_525, memory_fills=11_525, threads_spawned=45_892,
+            threads_killed=45_860, cross_engine_transfers=42_059,
+            window_slides=4_183, peak_threads=50, fifo_high_watermark=9,
+            active_cycles=38_689,
+        ),
+        "new16": SimulationStatistics(
+            cycles=37_539, instructions=126_227, cache_hits=117_886,
+            cache_misses=8_345, memory_fills=8_345, threads_spawned=45_913,
+            threads_killed=45_871, cross_engine_transfers=0,
+            window_slides=4_178, peak_threads=30, fifo_high_watermark=30,
+            active_cycles=34_813,
+        ),
     }
+
+
+@pytest.mark.parametrize(
+    "config", [ArchConfig.old(9), ArchConfig.new(16)], ids=["OLD 1x9", "NEW 16x1"]
+)
+def test_a_clean_run_calls_no_fifo_or_icache_method(monkeypatch, config):
+    """The loop owns its FIFOs and icaches: a run without injected
+    faults retires every instruction without one ``ThreadFifo.push``,
+    ``InstructionCache.lookup`` or ``InstructionCache.fill`` call."""
+    calls = {}
+    for owner, name in (
+        (ThreadFifo, "push"),
+        (InstructionCache, "lookup"),
+        (InstructionCache, "fill"),
+    ):
+        method = getattr(owner, name)
+        key = f"{owner.__name__}.{name}"
+        calls[key] = 0
+
+        def spy(self, *args, _method=method, _key=key):
+            calls[_key] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(owner, name, spy)
+    rules = protomata.generate_patterns(200, 2025)[:8]
+    text = protomata.generate_input(rules, 500, seed=7)
+    program = NewCompiler().compile(rules[0]).program
+    stream = CiceroSimulator(config).run_stream(program, split_chunks(text))
+    stats = stream.merged_stats()
+    assert stats.instructions > 0 and stats.cache_misses > 0
+    assert calls == dict.fromkeys(calls, 0)
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.arch.config import ArchConfig
+from repro.arch.config import ArchConfig, ConfigurationError
 from repro.arch.simulator import (
     CiceroSimulator,
     average_re_time_us,
     split_chunks,
 )
 from repro.compiler import compile_regex
+from repro.runtime.errors import ReproError
 
 
 class TestChunking:
@@ -68,3 +69,28 @@ def test_average_re_time():
     chunk_sets = [[b"zzzabzz"], [b"zzzzzzz"]]
     average = average_re_time_us(programs, chunk_sets, ArchConfig.new(8))
     assert average > 0
+
+
+@pytest.mark.parametrize(
+    "programs, chunk_sets",
+    [(["ab", "cd"], [[b"zzzabzz"]]), (["ab"], [[b"ab"], [b"cd"]]), ([], [])],
+    ids=["fewer chunk sets", "more chunk sets", "empty"],
+)
+def test_average_re_time_rejects_unpaired_inputs(programs, chunk_sets):
+    programs = [compile_regex(p).program for p in programs]
+    with pytest.raises(ConfigurationError, match="one chunk set per program"):
+        average_re_time_us(programs, chunk_sets, ArchConfig.new(8))
+
+
+def test_merged_stats_refuses_a_stream_without_per_chunk_results():
+    program = compile_regex("ab").program
+    simulator = CiceroSimulator(ArchConfig.new(8))
+    chunks = [b"xxab", b"zzzz"]
+    kept = simulator.run_stream(program, chunks)
+    assert kept.merged_stats().cycles == kept.total_cycles > 0
+    dropped = simulator.run_stream(program, chunks, keep_per_chunk=False)
+    assert dropped.total_cycles == kept.total_cycles
+    with pytest.raises(ReproError, match="keep_per_chunk=False"):
+        dropped.merged_stats()
+    empty = simulator.run_stream(program, [], keep_per_chunk=False)
+    assert empty.merged_stats().cycles == 0
