@@ -17,15 +17,15 @@ so future PRs have a perf trajectory:
   layer's no-op fast path must cost ≤ ``OVERHEAD_CEILING`` (a hard
   gate, independent of any baseline).
 * **prefilter-sparse-scan** — corpus scan where ≤1% of chunks can
-  match: the literal prefilter + lazy-DFA path vs the same engine with
-  ``prefilter="off"``.  Must clear ``PREFILTER_SPARSE_FLOOR`` (hard
-  gate: the tentpole's order-of-magnitude claim).
+  match: the engine's literal prefilter + lazy-DFA path vs the same
+  chunks through a bare VM.  Must clear ``PREFILTER_SPARSE_FLOOR``
+  (hard gate: the tentpole's order-of-magnitude claim).
 * **prefilter-dense-scan** — every chunk carries the literal, so the
   prefilter rejects nothing and the ratio is pure overhead + lazy-DFA
   verify; must stay above ``PREFILTER_DENSE_FLOOR``.
 * **lazy-dfa** — the bounded lazy DFA vs the NFA VM on a
   prefilter-inert pattern (no literal, wide first-byte set), the path
-  ``auto`` mode takes when chunk rejection has nothing to work with.
+  the engine takes when chunk rejection has nothing to work with.
 * **streaming-vs-oneshot** — :class:`StreamingMatcher` fed
   log-follower chunk splits vs one-shot ``vm.run`` on the identical
   input; the price of resumable frontier state must stay bounded
@@ -60,9 +60,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.backends import compile_with_backend
+from repro.arch.simulator import split_chunks
 from repro.compiler import NewCompiler
 from repro.engine import Engine
+from repro.engine.supervisor import run_in_process
+from repro.runtime.budget import DEFAULT_BUDGET
+from repro.runtime.encoding import as_input_bytes
 from repro.vm.thompson import ThompsonVM
 
 #: Hard ceiling on the disabled-telemetry overhead fraction: the no-op
@@ -104,10 +107,10 @@ def bench_repeated_patterns(repeats: int) -> Dict:
 
     started = time.perf_counter()
     for pattern, probe in requests:
-        compile_with_backend(pattern, "cicero").matches(probe)
+        ThompsonVM(NewCompiler().compile(pattern).program).run(probe)
     baseline_s = time.perf_counter() - started
 
-    engine = Engine(backend="cicero")
+    engine = Engine()
     started = time.perf_counter()
     for pattern, probe in requests:
         engine.match(pattern, probe)
@@ -145,7 +148,7 @@ def bench_corpus_scan(corpus_chars: int, chunk_bytes: int = 500) -> Dict:
     ]
     baseline_s = time.perf_counter() - started
 
-    engine = Engine(backend="cicero")
+    engine = Engine()
     started = time.perf_counter()
     result = engine.scan_corpus(pattern, corpus, chunk_bytes=chunk_bytes)
     engine_s = time.perf_counter() - started
@@ -261,19 +264,33 @@ def _mk_prefilter_corpus(
 def _bench_prefilter_scan(
     chunks: int, chunk_bytes: int, match_every: int, rounds: int = 3
 ) -> Dict:
-    from repro.compiler import CompileOptions
-
     pattern = "a(a|b)*by"
     corpus = _mk_prefilter_corpus(chunks, chunk_bytes, match_every)
-    off = Engine(backend="cicero", options=CompileOptions(prefilter="off"))
-    auto = Engine(backend="cicero", options=CompileOptions(prefilter="auto"))
-    off.match(pattern, "warmup")  # compile outside the timed region
-    auto.match(pattern, "warmup")
+    # The "off" side is the engine's in-process scan over a bare VM:
+    # the same chunking, normalization, per-chunk loop and per-scan
+    # shard accounting (into the same default registry), no filter.
+    auto = Engine()
+    auto.match(pattern, "warmup")  # compile outside the timed region
+    vm = ThompsonVM(NewCompiler().compile(pattern).program)
+    max_steps = DEFAULT_BUDGET.max_vm_steps
+    instruments = auto._instruments
+
+    def off_scan():
+        chunks = [
+            as_input_bytes(chunk, what="input text")
+            for chunk in split_chunks(corpus, chunk_bytes)
+        ]
+        report = run_in_process(
+            lambda data: bool(vm.run(data, max_steps=max_steps)), chunks
+        )
+        if instruments is not None:
+            instruments.record_scan(report)
+        return report
 
     off_s = auto_s = float("inf")
     for _ in range(rounds):
         started = time.perf_counter()
-        off_result = off.scan_corpus(pattern, corpus, chunk_bytes=chunk_bytes)
+        off_result = off_scan()
         off_s = min(off_s, time.perf_counter() - started)
         started = time.perf_counter()
         auto_result = auto.scan_corpus(pattern, corpus, chunk_bytes=chunk_bytes)
@@ -463,7 +480,7 @@ def bench_service_throughput(requests: int, concurrency: int = 4) -> Dict:
 
     http_s = asyncio.run(_run_http())
 
-    engine = Engine(backend="cicero")
+    engine = Engine()
     assert engine.match(pattern, text)  # warm the cache
     started = time.perf_counter()
     for _ in range(total):

@@ -241,9 +241,7 @@ def _scan(args) -> int:
 
         tracer = Tracer()
     engine = Engine(
-        backend=args.backend,
         budget=budget,
-        options=CompileOptions(prefilter=args.prefilter),
         cache_size=DEFAULT_CACHE_SIZE
         if args.cache_size is None
         else args.cache_size,
@@ -517,8 +515,6 @@ def _serve(args) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        backend=args.backend,
-        prefilter=args.prefilter,
         budget=budget,
         jobs=args.jobs,
         max_inflight=args.max_inflight,
@@ -673,8 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="one or more REs to scan for")
     scan_parser.add_argument("--text", help="literal input text")
     scan_parser.add_argument("--file", help="read the input from a file")
-    scan_parser.add_argument("--backend", default="cicero",
-                             choices=("cicero", "cicero-sim"))
     scan_parser.add_argument("--jobs", type=int, default=None,
                              help="worker processes to shard chunks over "
                              "(0 = all cores; default: in-process)")
@@ -698,12 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="report per-chunk outcomes instead of "
                              "failing the whole scan on the first "
                              "chunk error")
-    scan_parser.add_argument("--prefilter", default="auto",
-                             choices=("off", "literal", "auto"),
-                             help="chunk prefiltering for the cicero "
-                             "backend: 'literal' rejects chunks missing "
-                             "required literals/first bytes, 'auto' adds "
-                             "the lazy-DFA verify path (default: auto)")
     scan_parser.add_argument("--mp-context", default=None,
                              choices=("fork", "forkserver", "spawn"),
                              help="multiprocessing start method for "
@@ -733,12 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--port", type=int, default=8765,
                               help="bind port; 0 picks an ephemeral port "
                               "announced on stdout (default 8765)")
-    serve_parser.add_argument("--backend", default="cicero",
-                              choices=("cicero", "cicero-sim"))
-    serve_parser.add_argument("--prefilter", default="auto",
-                              choices=("off", "literal", "auto"),
-                              help="prefilter mode for the cicero backend "
-                              "(default: auto)")
     serve_parser.add_argument("--jobs", type=int, default=None,
                               help="worker processes behind /scan "
                               "(0 = all cores; default: in-process)")

@@ -102,16 +102,6 @@ class CompileOptions:
     #: :class:`~repro.ir.diagnostics.IRError` at compile time.
     regex_pipeline: Optional[Tuple[str, ...]] = None
     cicero_pipeline: Optional[Tuple[str, ...]] = None
-    #: Prefilter strategy the *execution* layers apply to this program:
-    #: ``"off"`` runs the bare VM, ``"literal"`` adds the literal /
-    #: first-byte chunk rejection in front of the VM, ``"auto"`` (the
-    #: default) additionally verifies candidates with the lazy DFA and
-    #: uses it for full scans of prefilter-inert patterns.  The
-    #: compile-time analysis itself is always performed and attached to
-    #: the program — this flag only selects how much of it runs at
-    #: match time, but it *does* change the matcher the engine builds,
-    #: so it participates in :meth:`cache_key`.
-    prefilter: str = "auto"
 
     def effective(self) -> "CompileOptions":
         """Options with the master switch folded into the per-pass flags."""
@@ -212,9 +202,9 @@ class NewCompiler:
     """The multi-dialect compiler; stateless apart from its options.
 
     The flow is cut at the dialect boundary: :meth:`compile` is
-    :meth:`front` then :meth:`back`, which callers that fan one pattern
-    out to several back-ends (:mod:`repro.backends`) or start from a
-    ready-made module (:mod:`repro.fuzz.oracles`) call themselves.
+    :meth:`front` then :meth:`back`, which callers that keep their own
+    tracer (:class:`~repro.engine.Engine`) or start from a ready-made
+    module (:mod:`repro.fuzz.oracles`) call themselves.
 
     ``tracer`` (or ``options.trace``) turns on span instrumentation:
     one root ``compile`` span with a child per stage (``frontend`` →

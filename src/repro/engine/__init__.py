@@ -23,7 +23,7 @@ See ``docs/performance.md`` for cache semantics, the sharding model,
 and how to read ``BENCH_engine.json``.
 """
 
-from .cache import CacheStats, PatternCache, matcher_cache_key
+from .cache import CacheStats, PatternCache
 from .core import (
     DEFAULT_CACHE_SIZE,
     CorpusScanResult,
@@ -43,7 +43,6 @@ __all__ = [
     "ScanReport",
     "ShardOutcome",
     "WorkerPayload",
-    "matcher_cache_key",
     "resolve_jobs",
     "resolve_mp_context",
     "supervised_matches",

@@ -3,9 +3,9 @@
 Compilation is the expensive half of serving a match request — the
 frontend → dialects → codegen pipeline costs milliseconds while a cache
 probe costs microseconds — and real traffic repeats patterns heavily.
-The cache is keyed by the *complete* compilation identity
-``(pattern, backend, CompileOptions, Budget)`` (see
-:func:`matcher_cache_key`), so two callers with different optimization
+:class:`~repro.engine.core.Engine` keys it by the *complete*
+compilation identity ``(pattern, CompileOptions.cache_key(),
+Budget.cache_key())``, so two callers with different optimization
 flags or budgets never share an artifact.
 
 MLIR's own thesis (reusable compilation infrastructure behind stable
@@ -18,35 +18,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Callable, Hashable
 
 from ..arch.config import ConfigurationError
-from ..compiler import CompileOptions
-from ..runtime.budget import Budget, DEFAULT_BUDGET
 
 #: Distinguishes "no entry" from any cached artifact in the probe path.
 _ABSENT = object()
-
-
-def matcher_cache_key(
-    pattern: str,
-    backend: str,
-    options: Optional[CompileOptions],
-    budget: Optional[Budget],
-) -> tuple:
-    """The full identity of one compiled matcher.
-
-    ``None`` options/budget normalize to the defaults so explicit and
-    implicit defaults hit the same entry.
-    """
-    effective_options = options if options is not None else CompileOptions()
-    effective_budget = budget if budget is not None else DEFAULT_BUDGET
-    return (
-        pattern,
-        backend,
-        effective_options.cache_key(),
-        effective_budget.cache_key(),
-    )
 
 
 @dataclass
@@ -179,4 +156,4 @@ class PatternCache:
             )
 
 
-__all__ = ["CacheStats", "PatternCache", "matcher_cache_key"]
+__all__ = ["CacheStats", "PatternCache"]

@@ -1,8 +1,10 @@
 """The high-throughput matching engine.
 
-:class:`Engine` is the serving layer over the compilers, VMs and
-back-ends: one object owning a compiled-pattern LRU cache and a
-fan-out policy, exposing three calls —
+:class:`Engine` is the serving layer over the compiler and the one
+matcher it builds per pattern (a
+:class:`~repro.prefilter.scanner.PrefilteredMatcher`): one object
+owning a compiled-pattern LRU cache and a fan-out policy, exposing
+three calls —
 
 * :meth:`Engine.match` — one pattern, one text (cache-accelerated);
 * :meth:`Engine.match_many` — one pattern, many texts, optionally
@@ -32,12 +34,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
-from ..arch.config import ArchConfig, ConfigurationError
+from ..arch.config import ConfigurationError
 from ..arch.simulator import DEFAULT_CHUNK_BYTES, split_chunks
-from ..backends import BACKENDS, Matcher, compile_with_backend
-from ..compiler import CompileOptions
+from ..compiler import CompileOptions, NewCompiler
 from ..observability import (
     AnyMetrics,
     AnyTracer,
@@ -45,8 +46,6 @@ from ..observability import (
     as_tracer,
     default_tracer,
 )
-from ..prefilter.analysis import INERT_ANALYSIS
-from ..prefilter.scanner import PREFILTER_MODES, describe_plan
 from ..runtime.budget import Budget, DEFAULT_BUDGET
 from ..runtime.encoding import as_input_bytes
 from ..runtime.faults import ProcessFaultPlan
@@ -60,6 +59,9 @@ from .supervisor import (
     run_in_process,
     supervised_matches,
 )
+
+if TYPE_CHECKING:
+    from ..prefilter.scanner import PrefilteredMatcher
 
 DEFAULT_CACHE_SIZE = 256
 
@@ -87,10 +89,8 @@ class Engine:
 
     def __init__(
         self,
-        backend: str = "cicero",
         options: Optional[CompileOptions] = None,
         budget: Optional[Budget] = None,
-        config: Optional[ArchConfig] = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
         jobs: Optional[int] = None,
         mp_context: Optional[str] = None,
@@ -99,19 +99,8 @@ class Engine:
         tracer: Optional[AnyTracer] = None,
         collect_worker_metrics: bool = False,
     ):
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; available: {sorted(BACKENDS)}"
-            )
-        self.backend = backend
         self.options = options if options is not None else CompileOptions()
-        if self.options.prefilter not in PREFILTER_MODES:
-            raise ValueError(
-                f"prefilter must be one of {PREFILTER_MODES}, "
-                f"got {self.options.prefilter!r}"
-            )
         self.budget = budget if budget is not None else DEFAULT_BUDGET
-        self.config = config
         self.jobs = jobs
         # Validate eagerly: a typo'd start method or retry count should
         # fail at construction, not inside the first parallel scan.
@@ -128,7 +117,7 @@ class Engine:
         self.metrics = as_metrics(metrics)
         self.tracer = as_tracer(tracer if tracer is not None else default_tracer())
         self._instruments = _EngineInstruments.create(self.metrics)
-        # Opt-in: parallel workers record VM/simulator counters locally
+        # Opt-in: parallel workers record VM counters locally
         # and ship per-shard deltas home; ``_scan`` folds them into this
         # registry.  Off by default so worker VM runs attach no observer
         # (the gated bench ceiling).
@@ -145,20 +134,17 @@ class Engine:
     # ------------------------------------------------------------------
     # Compilation (cached)
     # ------------------------------------------------------------------
-    def matcher(self, pattern: str, backend: Optional[str] = None) -> Matcher:
+    def matcher(self, pattern: str) -> "PrefilteredMatcher":
         """The compiled matcher for ``pattern`` — cached across calls."""
-        return self._entry(pattern, backend).matcher
+        return self._entry(pattern).matcher
 
-    def _entry(
-        self, pattern: str, backend: Optional[str] = None
-    ) -> "_CacheEntry":
-        backend = backend if backend is not None else self.backend
-        key = (pattern, backend, self._options_key, self._budget_key)
+    def _entry(self, pattern: str) -> "_CacheEntry":
+        key = (pattern, self._options_key, self._budget_key)
         return self._cache.get_or_build(
-            key, lambda: self._build_entry(pattern, backend)
+            key, lambda: self._build_entry(pattern)
         )
 
-    def is_cached(self, pattern: str, backend: Optional[str] = None) -> bool:
+    def is_cached(self, pattern: str) -> bool:
         """Whether ``pattern``'s entry is resident right now.
 
         A read-only probe (no LRU touch, no hit/miss count) under the
@@ -166,53 +152,38 @@ class Engine:
         may evict the entry before the caller acts on the answer; a
         caller that then matches simply compiles, as on any miss.
         """
-        backend = backend if backend is not None else self.backend
-        return (
-            pattern, backend, self._options_key, self._budget_key
-        ) in self._cache
+        return (pattern, self._options_key, self._budget_key) in self._cache
 
-    def _build_entry(self, pattern: str, backend: str) -> "_CacheEntry":
+    def _build_entry(self, pattern: str) -> "_CacheEntry":
         options = self.options
         if options.budget is None:
             options = replace(options, budget=self.budget)
-        with self.tracer.span(
-            "engine.compile", pattern=pattern, backend=backend, cache="miss"
-        ):
-            matcher = compile_with_backend(
-                pattern,
-                backend,
-                options=options,
-                config=self.config,
-                tracer=self.tracer,
-            )
-        payload = self._payload(matcher)
-        # The in-process match_fn only takes the metrics registry when a
-        # prefilter stage is active (the ``repro_prefilter_*`` counters
-        # live there); the plain-VM path stays on its uninstrumented
-        # loop, preserving the observability-overhead gate.
-        match_fn = build_match_fn(
-            payload,
-            metrics=(
-                self.metrics
-                if payload.prefilter != "off" and self.metrics.enabled
-                else None
-            ),
-            vm=matcher.vm if backend == "cicero" else None,
+        compiler = NewCompiler(options)
+        tracer = self.tracer
+        with tracer.span("engine.compile", pattern=pattern, cache="miss"):
+            with compiler.root_span(tracer, pattern):
+                front = compiler.front(pattern, tracer)
+                _cicero_module, program = compiler.back(front, tracer)
+        payload = WorkerPayload(
+            program,
+            self.budget.max_vm_steps,
+            collect_vm_metrics=self.collect_worker_metrics,
+            max_dfa_states=self.budget.max_dfa_states,
         )
-        # Only ``cicero`` payloads ever carry a prefilter mode.
-        if self.tracer.enabled and payload.prefilter != "off":
-            analysis = payload.artifact.analysis or INERT_ANALYSIS
-            plan = describe_plan(analysis, payload.prefilter)
-            with self.tracer.span(
+        matcher = build_match_fn(
+            payload, metrics=self.metrics if self.metrics.enabled else None
+        )
+        if tracer.enabled:
+            plan = matcher.plan
+            with tracer.span(
                 "prefilter.plan",
                 pattern=pattern,
-                mode=plan["mode"],
                 stages=" -> ".join(plan["stages"]),
                 inert=plan["inert"],
                 inert_reason=plan["inert_reason"],
             ):
                 pass
-        return _CacheEntry(matcher, payload, match_fn)
+        return _CacheEntry(matcher, payload)
 
     def cache_stats(self) -> CacheStats:
         return self._cache.stats()
@@ -228,7 +199,7 @@ class Engine:
         if self._instruments is not None:
             self._instruments.requests["match"].inc()
         data = as_input_bytes(text, what="input text")
-        return self._entry(pattern).match_fn(data)
+        return bool(self._entry(pattern).matcher.match(data))
 
     def match_many(
         self,
@@ -323,7 +294,7 @@ class Engine:
             jobs=effective_jobs,
         ) as span:
             if effective_jobs <= 1 and fault_plan is None:
-                report = run_in_process(entry.match_fn, normalized)
+                report = run_in_process(entry.matcher.match, normalized)
             else:
                 report = supervised_matches(
                     entry.payload,
@@ -346,7 +317,7 @@ class Engine:
                 )
         if self._instruments is not None:
             self._instruments.record_scan(report)
-            # Fold worker-local VM/sim counter deltas back into the
+            # Fold worker-local VM counter deltas back into the
             # parent registry, so `repro_vm_steps_total` & co. stay
             # accurate whether a scan ran in-process or sharded.
             for outcome in report.outcomes:
@@ -354,22 +325,6 @@ class Engine:
                     for name, value in outcome.vm_counters.items():
                         self.metrics.counter(name).inc(value)
         return report
-
-    def _payload(self, matcher: Matcher) -> WorkerPayload:
-        backend = matcher.backend_name
-        on_vm = backend == "cicero"
-        on_sim = backend == "cicero-sim"
-        return WorkerPayload(
-            backend,
-            matcher.artifact,
-            self.budget.max_vm_steps,
-            matcher.system.config if on_sim else None,
-            # Only the Cicero flavours have counter hooks to collect,
-            # and only the VM one runs behind the prefilter stages.
-            collect_vm_metrics=self.collect_worker_metrics and (on_vm or on_sim),
-            prefilter=self.options.prefilter if on_vm else "off",
-            max_dfa_states=self.budget.max_dfa_states if on_vm else None,
-        )
 
 
 class _EngineInstruments:
@@ -450,16 +405,15 @@ class _EngineInstruments:
 
 @dataclass(frozen=True)
 class _CacheEntry:
-    """What one cache slot holds: matcher + its ready-to-call pieces.
+    """What one cache slot holds: the matcher and its worker payload.
 
-    ``match_fn`` is built once at insert time so a cache hit costs no
-    closure construction; ``payload`` is the picklable shard unit
-    :func:`~repro.engine.supervisor.supervised_matches` ships to workers.
+    ``payload`` is the picklable shard unit
+    :func:`~repro.engine.supervisor.supervised_matches` ships to
+    workers, which rebuild the same matcher from it.
     """
 
-    matcher: Matcher
+    matcher: PrefilteredMatcher
     payload: WorkerPayload
-    match_fn: object
 
 
 __all__ = [

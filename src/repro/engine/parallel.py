@@ -29,11 +29,13 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..arch.config import ArchConfig, ConfigurationError
-from ..arch.system import CiceroSystem
-from ..vm.thompson import ThompsonVM
+from ..arch.config import ConfigurationError
+from ..isa.program import Program
+
+if TYPE_CHECKING:
+    from ..prefilter.scanner import PrefilteredMatcher
 
 
 def resolve_mp_context(method: Optional[str] = None):
@@ -60,79 +62,46 @@ def resolve_mp_context(method: Optional[str] = None):
 class WorkerPayload:
     """Everything a worker needs to rebuild one matcher.
 
-    ``artifact`` is the compiled :class:`~repro.isa.program.Program`
-    both Cicero flavours run.  ``max_vm_steps`` is the
-    :class:`~repro.runtime.budget.Budget` limit the rebuilt VM enforces
-    per text.
+    ``artifact`` is the compiled :class:`~repro.isa.program.Program`;
+    its prefilter analysis rides along (the pickled program carries
+    it), so a worker applies exactly the literals the parent
+    extracted.  ``max_vm_steps`` and ``max_dfa_states`` are the
+    :class:`~repro.runtime.budget.Budget` limits the rebuilt matcher
+    enforces per text.
     """
 
-    backend: str
-    artifact: object
+    artifact: Program
     max_vm_steps: Optional[int] = None
-    config: Optional[ArchConfig] = None
-    #: Ask supervised workers to record VM/simulator counters into a
-    #: worker-local registry and ship per-shard deltas back with each
+    #: Ask supervised workers to record VM counters into a worker-local
+    #: registry and ship per-shard deltas back with each
     #: :class:`~repro.engine.supervisor.ShardOutcome` (the engine merges
     #: them into the parent registry).  Off by default: worker VM runs
     #: attach no observer.
     collect_vm_metrics: bool = False
-    #: Prefilter mode for rebuilt ``cicero`` matchers (``off`` /
-    #: ``literal`` / ``auto``).  The compile-time analysis itself rides
-    #: on ``artifact`` (the pickled :class:`Program` carries it), so a
-    #: worker applies exactly the literals the parent extracted.
-    prefilter: str = "off"
-    #: ``Budget.max_dfa_states`` forwarded to the worker's lazy DFA.
     max_dfa_states: Optional[int] = None
 
 
-def build_match_fn(
-    payload: WorkerPayload, metrics=None, vm: Optional[ThompsonVM] = None
-) -> Callable[[bytes], bool]:
-    """Rebuild the matcher a payload describes; returns ``bytes → bool``.
+def build_match_fn(payload: WorkerPayload, metrics=None) -> "PrefilteredMatcher":
+    """Rebuild the matcher a payload describes.
 
+    Its ``match`` is the ``bytes → MatchResult`` function a shard
+    calls.  The engine's cache entry holds the one it builds in
+    process; a worker builds its own once, in the pool initializer.
     ``metrics`` (a :class:`~repro.observability.MetricsRegistry`)
-    instruments the rebuilt matcher's execution loop — the supervised
-    worker initializer passes its worker-local registry here when the
-    payload asks for counter collection.  ``None`` (the default) keeps
-    every backend on its uninstrumented fast path.
-
-    ``vm`` is an already built VM over a ``cicero`` payload's program:
-    the engine passes its cache entry's, so a pattern's ε-closure tables
-    are built once per entry; a worker has none and builds its own.
+    instruments the matcher — the engine passes its registry, a worker
+    its local one when the payload asks for counter collection.
+    ``None`` keeps the matcher on its uninstrumented fast path.
     """
-    backend = payload.backend
-    if backend == "cicero":
-        max_steps = payload.max_vm_steps
-        if payload.prefilter != "off":
-            from ..prefilter.scanner import PrefilteredMatcher
+    # Imported lazily: repro.prefilter and repro.vm import each other,
+    # and the vm side must load first.
+    from ..prefilter.scanner import PrefilteredMatcher
 
-            matcher = PrefilteredMatcher(
-                payload.artifact,
-                mode=payload.prefilter,
-                max_dfa_states=payload.max_dfa_states,
-                max_vm_steps=max_steps,
-                metrics=metrics,
-                vm=vm,
-            )
-            return lambda data: bool(matcher.match(data))
-        if vm is None:
-            vm = ThompsonVM(payload.artifact)
-        if metrics is not None:
-            return lambda data: bool(
-                vm.run(data, max_steps=max_steps, metrics=metrics)
-            )
-        return lambda data: bool(vm.run(data, max_steps=max_steps))
-    if backend == "cicero-sim":
-        config = payload.config if payload.config is not None else ArchConfig.new(16)
-        if metrics is not None:
-            from ..arch.simulator import CiceroSimulator
-
-            simulator = CiceroSimulator(config, metrics=metrics)
-            program = payload.artifact
-            return lambda data: simulator.run(program, data).matched
-        system = CiceroSystem(payload.artifact, config)
-        return lambda data: system.run(data).matched
-    raise ValueError(f"unknown backend {backend!r} in worker payload")
+    return PrefilteredMatcher(
+        payload.artifact,
+        max_dfa_states=payload.max_dfa_states,
+        max_vm_steps=payload.max_vm_steps,
+        metrics=metrics,
+    )
 
 
 __all__ = [

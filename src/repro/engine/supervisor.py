@@ -208,7 +208,7 @@ def _init_supervised_worker(
 
         registry = MetricsRegistry()
     try:
-        match_fn: Optional[Callable] = build_match_fn(payload, registry)
+        match_fn: Optional[Callable] = build_match_fn(payload, registry).match
     except Exception:
         # A failing initializer would make the pool retry it forever;
         # leave the state poisoned and let every task report it instead.
@@ -638,13 +638,13 @@ def supervised_matches(
 
 
 def run_in_process(
-    match_fn: Callable[[bytes], bool],
+    match_fn: Callable[[bytes], object],
     items: Sequence[bytes],
 ) -> ScanReport:
     """The in-process analogue of :func:`supervised_matches`.
 
     Used when the shard count cannot pay for a pool; takes the
-    ready-built ``match_fn`` (the engine's cache entry holds one) so the
+    ready-built ``match_fn`` (the engine's cached matcher's) so the
     serial fast path stays free of matcher-rebuild cost.  Worker-process
     failure modes (crashes, hangs) do not exist here, so the outcome
     taxonomy collapses to ``ok`` | ``error`` — but typed per-item errors

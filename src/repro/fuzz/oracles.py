@@ -275,7 +275,7 @@ class CompiledOracles:
         #: Distinguishing inputs the equivalence checks surfaced.
         self.counterexamples: List[str] = []
 
-        # -- shared frontend (parse once, like compile_backends) -------
+        # -- shared frontend (parse once, like the engine) -------------
         if module is None:
             # With ``optimize=False`` the front half runs no pass: budget
             # checks + parse + conversion, i.e. the pristine module.
@@ -336,7 +336,7 @@ class CompiledOracles:
             # rides on the (possibly corrupted) program; a prefilter
             # that disagrees with a corrupted VM is a *detection*.
             prefiltered = PrefilteredMatcher(
-                self.program_opt, mode="auto", max_dfa_states=max_dfa_states
+                self.program_opt, max_dfa_states=max_dfa_states
             )
             self.runners["vm-pre"] = _guarded(
                 lambda t: bool(prefiltered.match(t))

@@ -32,12 +32,7 @@ from .lazydfa import (
     LazyDFAMatcher,
 )
 from .multi import PrefilteredMultiMatchVM
-from .scanner import (
-    PREFILTER_MODES,
-    PrefilteredMatcher,
-    build_chunk_filter,
-    describe_plan,
-)
+from .scanner import PrefilteredMatcher, build_chunk_filter
 
 __all__ = [
     "AhoCorasick",
@@ -46,12 +41,10 @@ __all__ = [
     "LazyDFA",
     "LazyDFABlowup",
     "LazyDFAMatcher",
-    "PREFILTER_MODES",
     "PrefilterAnalysis",
     "PrefilteredMatcher",
     "PrefilteredMultiMatchVM",
     "analyze_module",
     "analyze_pattern",
     "build_chunk_filter",
-    "describe_plan",
 ]

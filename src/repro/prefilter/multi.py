@@ -32,19 +32,12 @@ from .ahocorasick import AhoCorasick
 class PrefilteredMultiMatchVM:
     """Drop-in for :class:`MultiMatchVM` with literal candidate pruning.
 
-    ``mode`` mirrors the single-pattern scanner: ``off`` delegates every
-    run straight to the VM; ``literal``/``auto`` both enable the
-    Aho-Corasick stage (there is no lazy-DFA step here — the tagged
-    program must enumerate every candidate's acceptance, which is
-    exactly what the VM does).
+    The Aho-Corasick stage prunes the candidate set; the VM then runs
+    the tagged program over it and settles once every candidate has
+    been seen.
     """
 
-    def __init__(
-        self,
-        multi_program: MultiProgram,
-        mode: str = "auto",
-        metrics=None,
-    ):
+    def __init__(self, multi_program: MultiProgram, metrics=None):
         self.multi_program = multi_program
         self.vm = MultiMatchVM(multi_program)
         analyses = getattr(multi_program, "analyses", None) or {}
@@ -52,7 +45,7 @@ class PrefilteredMultiMatchVM:
         always: List[int] = []
         for match_id in multi_program.patterns:
             analysis = analyses.get(match_id)
-            if mode == "off" or analysis is None or not analysis.literals:
+            if analysis is None or not analysis.literals:
                 always.append(match_id)
             else:
                 for literal in set(analysis.literals):

@@ -13,18 +13,18 @@ This is the layer the engine actually calls.  It turns a
   character class,
 * a start-anchored forced prefix → ``bytes.startswith``,
 
-— and composes it with a verify step: the VM (``literal`` mode) or the
-budget-bounded lazy DFA with VM fallback (``auto`` mode).  The
-predicate is *necessary-condition only*: a chunk it rejects provably
-cannot match (the Hypothesis soundness suite), and a chunk it passes is
-always re-verified, so the prefilter can never flip a verdict — exactly
-the contract that lets the fuzz oracles diff this path against the bare
-VM.
+— and composes it with a verify step: the budget-bounded lazy DFA
+with VM fallback.  The predicate is *necessary-condition only*: a
+chunk it rejects provably cannot match (the Hypothesis soundness
+suite), and a chunk it passes is always re-verified, so the prefilter
+can never flip a verdict — exactly the contract that lets the fuzz
+oracles diff this path against the bare VM.
 
-In ``auto`` mode a prefilter-inert pattern (leading ``.*`` over
-non-literal structure, alternation branch with no forced bytes, …)
-still gets the lazy DFA for its full scans; ``literal`` mode degrades
-to the plain VM, and ``off`` *is* the plain VM.
+A prefilter-inert pattern (leading ``.*`` over non-literal structure,
+alternation branch with no forced bytes, …) still gets the lazy DFA
+for its full scans.  ``max_dfa_states=0`` (``Budget(max_dfa_states=0)``
+at the engine) leaves only the filter in front of the VM; the bare VM
+is :meth:`ThompsonVM.run`.
 """
 
 from __future__ import annotations
@@ -33,13 +33,10 @@ import re
 from typing import Callable, List, Optional, Union
 
 from ..isa.program import Program
-from ..vm.thompson import MatchResult, ThompsonVM, _as_bytes
+from ..vm.thompson import MatchResult, _as_bytes
 from .ahocorasick import byte_class_pattern
 from .analysis import INERT_ANALYSIS, PrefilterAnalysis
 from .lazydfa import DEFAULT_MAX_DFA_STATES, LazyDFAMatcher
-
-#: Recognized ``CompileOptions.prefilter`` / ``--prefilter`` values.
-PREFILTER_MODES = ("off", "literal", "auto")
 
 
 def build_chunk_filter(
@@ -74,68 +71,38 @@ def build_chunk_filter(
     return lambda data: first(data) and second(data)
 
 
-def describe_plan(analysis: PrefilterAnalysis, mode: str) -> dict:
-    """A JSON-friendly description of the chosen stages (span attrs)."""
-    stages: List[str] = []
-    if mode != "off" and not analysis.inert:
-        if analysis.anchored_start and analysis.prefix:
-            stages.append(f"prefix({len(analysis.prefix)})")
-        if analysis.literals:
-            stages.append(f"literal({len(analysis.literals)})")
-        elif analysis.first_bytes:
-            stages.append(f"first-bytes({len(analysis.first_bytes)})")
-    stages.append("lazy-dfa" if mode == "auto" else "vm")
-    return {
-        "mode": mode,
-        "stages": stages,
-        "inert": analysis.inert,
-        "inert_reason": analysis.inert_reason,
-    }
-
-
 class PrefilteredMatcher:
     """Prefilter + verify pipeline with the VM's ``match`` interface.
 
-    Drop-in for the bare VM in the engine's per-chunk loop: same input
-    handling, same :class:`MatchResult` verdicts (property-tested), plus
-    ``repro_prefilter_*`` counters when a metrics registry is supplied.
+    The one matcher the engine builds per pattern: the chunk filter
+    (when the analysis is not inert) in front of a
+    :class:`~repro.prefilter.lazydfa.LazyDFAMatcher`, which falls back
+    to the bare VM for good when the DFA state budget blows.  Same
+    input handling and :class:`MatchResult` verdicts as the bare VM
+    (property-tested), plus ``repro_prefilter_*`` counters when a
+    metrics registry is supplied.
     """
 
     def __init__(
         self,
         program: Program,
         analysis: Optional[PrefilterAnalysis] = None,
-        mode: str = "auto",
         max_dfa_states: Optional[int] = DEFAULT_MAX_DFA_STATES,
         max_vm_steps: Optional[int] = None,
         metrics=None,
-        vm: Optional[ThompsonVM] = None,
     ):
-        if mode not in PREFILTER_MODES:
-            raise ValueError(
-                f"prefilter mode must be one of {PREFILTER_MODES}, got {mode!r}"
-            )
         if analysis is None:
             analysis = getattr(program, "analysis", None) or INERT_ANALYSIS
         self.program = program
         self.analysis = analysis
-        self.mode = mode
-        self.max_vm_steps = max_vm_steps
-        self._metrics = metrics if metrics is not None and metrics.enabled else None
-        self.vm = vm if vm is not None else ThompsonVM(program)
-        self._filter = None if mode == "off" else build_chunk_filter(analysis)
-        self._dfa_matcher = (
-            LazyDFAMatcher(
-                program,
-                max_states=max_dfa_states,
-                max_vm_steps=max_vm_steps,
-                metrics=metrics,
-                vm=self.vm,
-            )
-            if mode == "auto"
-            else None
+        self._filter = build_chunk_filter(analysis)
+        self._dfa_matcher = LazyDFAMatcher(
+            program,
+            max_states=max_dfa_states,
+            max_vm_steps=max_vm_steps,
+            metrics=metrics,
         )
-        self.plan = describe_plan(analysis, mode)
+        self.vm = self._dfa_matcher.vm
         self._checks = None
         self._skips = None
         self._candidates = None
@@ -153,6 +120,30 @@ class PrefilteredMatcher:
                 help_text="chunks the prefilter passed through to verification",
             )
 
+    @property
+    def plan(self) -> dict:
+        """The stages a chunk goes through now (``prefilter.plan`` attrs).
+
+        The last stage is ``vm`` once the lazy DFA has fallen back — at
+        construction already when the state cap cannot hold the entry
+        state.
+        """
+        analysis = self.analysis
+        stages: List[str] = []
+        if not analysis.inert:
+            if analysis.anchored_start and analysis.prefix:
+                stages.append(f"prefix({len(analysis.prefix)})")
+            if analysis.literals:
+                stages.append(f"literal({len(analysis.literals)})")
+            elif analysis.first_bytes:
+                stages.append(f"first-bytes({len(analysis.first_bytes)})")
+        stages.append("vm" if self._dfa_matcher.blown else "lazy-dfa")
+        return {
+            "stages": stages,
+            "inert": analysis.inert,
+            "inert_reason": analysis.inert_reason,
+        }
+
     def match(self, text: Union[str, bytes]) -> MatchResult:
         data = text if isinstance(text, bytes) else _as_bytes(text)
         chunk_filter = self._filter
@@ -165,14 +156,10 @@ class PrefilteredMatcher:
                 return MatchResult(False, None)
             if self._candidates is not None:
                 self._candidates.inc()
-        if self._dfa_matcher is not None:
-            return self._dfa_matcher.match(data)
-        return self.vm.run(data, self.max_vm_steps, metrics=self._metrics)
+        return self._dfa_matcher.match(data)
 
 
 __all__ = [
-    "PREFILTER_MODES",
     "PrefilteredMatcher",
     "build_chunk_filter",
-    "describe_plan",
 ]

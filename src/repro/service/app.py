@@ -51,7 +51,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, NamedTuple, Optional, Set, Tuple
 
-from ..compiler import CompileOptions
 from ..engine import Engine
 from ..runtime.errors import (
     BudgetExceeded,
@@ -157,8 +156,6 @@ class MatchService:
         self.metrics = metrics
         self._log = log if log is not None else sys.stderr
         self.engine = Engine(
-            backend=self.config.backend,
-            options=CompileOptions(prefilter=self.config.prefilter),
             budget=self.config.budget,
             cache_size=self.config.cache_size,
             jobs=self.config.jobs,
@@ -505,7 +502,6 @@ class MatchService:
                 "status": "draining" if self._draining else "ok",
                 "inflight": self._inflight,
                 "max_inflight": self.config.max_inflight,
-                "backend": self.config.backend,
                 "tenants": self.tenants.tenants(),
                 "cache": {
                     "hits": stats.hits,
@@ -663,13 +659,7 @@ class MatchService:
             "off", "0", "false",
         )
         matcher = await self._in_executor(self.engine.matcher, pattern)
-        vm = getattr(matcher, "vm", None)
-        if vm is None:
-            raise HttpProtocolError(
-                422,
-                f"/stream requires the cicero backend "
-                f"(configured: {self.config.backend})",
-            )
+        vm = matcher.vm
         streamer = StreamingMatcher(
             vm.program,
             max_steps=self.config.budget.max_vm_steps,

@@ -42,8 +42,6 @@ class ServiceConfig:
 
     host: str = DEFAULT_HOST
     port: int = DEFAULT_PORT
-    backend: str = "cicero"
-    prefilter: str = "auto"
     budget: Budget = field(default_factory=lambda: DEFAULT_BUDGET)
     cache_size: int = 256
     jobs: Optional[int] = None

@@ -6,7 +6,8 @@ import pytest
 
 from repro.arch.config import ConfigurationError
 from repro.compiler import CompileOptions
-from repro.engine.cache import PatternCache, matcher_cache_key
+from repro.engine import Engine
+from repro.engine.cache import PatternCache
 from repro.runtime.budget import Budget, DEFAULT_BUDGET
 
 
@@ -98,21 +99,37 @@ class TestThreadSafety:
 
 
 class TestCacheKeys:
+    """Engine keys carry the whole compilation identity: engines probing
+    one cache share an entry exactly when pattern, options and budget
+    agree (``None`` and the explicit defaults agree)."""
+
+    @staticmethod
+    def sharing(engine, **kwargs):
+        other = Engine(**kwargs)
+        other._cache = engine._cache
+        return other
+
     def test_full_identity_in_key(self):
-        base = matcher_cache_key("a+b", "cicero", None, None)
-        assert matcher_cache_key("a+b", "cicero", CompileOptions(),
-                                 DEFAULT_BUDGET) == base
-        assert matcher_cache_key("a+b", "cicero-sim", None, None) != base
-        assert matcher_cache_key("a+c", "cicero", None, None) != base
-        assert matcher_cache_key(
-            "a+b", "cicero", CompileOptions(optimize=False), None
-        ) != base
-        assert matcher_cache_key(
-            "a+b", "cicero", None, Budget(max_vm_steps=7)
-        ) != base
+        engine = Engine()
+        assert engine.match("a+b", "aab")
+        assert engine.is_cached("a+b") and not engine.is_cached("a+c")
+        defaults = self.sharing(
+            engine, options=CompileOptions(), budget=DEFAULT_BUDGET
+        )
+        assert defaults.is_cached("a+b")
+        assert defaults.match("a+b", "b") is False
+        stats = engine.cache_stats()
+        assert (stats.hits, stats.misses, stats.size) == (1, 1, 1)
+        for kwargs in (
+            {"options": CompileOptions(optimize=False)},
+            {"options": CompileOptions(regex_pipeline=())},
+            {"budget": Budget(max_vm_steps=7)},
+        ):
+            assert not self.sharing(engine, **kwargs).is_cached("a+b"), kwargs
 
     def test_key_is_hashable(self):
-        key = matcher_cache_key("x", "cicero-sim", CompileOptions(), Budget())
-        assert hash(key) == hash(
-            matcher_cache_key("x", "cicero-sim", CompileOptions(), Budget())
-        )
+        engine = Engine(options=CompileOptions(), budget=Budget())
+        engine.matcher("x")
+        twin = self.sharing(engine, options=CompileOptions(), budget=Budget())
+        assert twin.is_cached("x")
+        assert twin.matcher("x") is engine.matcher("x")

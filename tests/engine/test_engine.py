@@ -5,9 +5,8 @@ import dataclasses
 import pytest
 
 import repro
-from repro.arch.config import ArchConfig, ConfigurationError
-from repro.backends import BACKENDS
-from repro.compiler import COMPILER_NAME, CompileOptions
+from repro.arch.config import ConfigurationError
+from repro.compiler import COMPILER_NAME
 from repro.engine import Engine
 from repro.engine.core import resolve_jobs
 from repro.engine.parallel import WorkerPayload
@@ -21,12 +20,24 @@ from repro.runtime.errors import (
 from repro.vm.kernel import DispatchTables
 
 
+#: The paths the engine's one matcher takes, keyed by the names of the
+#: prefilter modes that used to select them: ``auto`` filters and
+#: verifies on the lazy DFA, ``literal`` (a state cap the entry state
+#: cannot fit) filters and verifies on the VM, ``off`` (an inert
+#: pattern under that cap) is the VM alone.
+ENGINE_PATHS = {
+    "auto": ("a(b|c)+d", DEFAULT_BUDGET),
+    "literal": ("a(b|c)+d", Budget(max_dfa_states=0)),
+    "off": ("a(b|c)+d|(e)*", Budget(max_dfa_states=0)),
+}
+
+
 class TestMatch:
     def test_verdicts_across_backends(self):
-        for backend in BACKENDS:
-            engine = Engine(backend=backend)
-            assert engine.match("th(is|at)", "say that"), backend
-            assert not engine.match("th(is|at)", "nothing"), backend
+        for budget in (DEFAULT_BUDGET, Budget(max_dfa_states=0)):
+            engine = Engine(budget=budget)
+            assert engine.match("th(is|at)", "say that"), budget
+            assert not engine.match("th(is|at)", "nothing"), budget
 
     def test_repeat_requests_hit_the_cache(self):
         engine = Engine()
@@ -47,19 +58,14 @@ class TestMatch:
         engine = Engine()
         assert engine.match("ab+c", "xabbc") == engine.match("ab+c", b"xabbc")
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            Engine(backend="hyperscan")
-
     def test_vm_step_budget_enforced(self):
-        # Pin prefilter off: with it on, the literal stage (or the lazy
-        # DFA) legitimately answers without spending any VM steps.
-        tight = DEFAULT_BUDGET.replace(max_vm_steps=10)
-        engine = Engine(
-            budget=tight, options=CompileOptions(prefilter="off")
-        )
+        # A state cap the entry state cannot fit sends every chunk to the
+        # VM, and the input carries the required literal ``b`` so the
+        # chunk filter passes it: the VM spends its steps.
+        tight = DEFAULT_BUDGET.replace(max_vm_steps=10, max_dfa_states=0)
+        engine = Engine(budget=tight)
         with pytest.raises(VMStepBudgetError):
-            engine.match("(a|aa)*b", "a" * 200 + "c")
+            engine.match("(a|aa)*b", "a" * 200 + "cb")
 
     def test_dfa_state_cap_below_one_degrades_to_the_vm(self):
         # ``<= 0`` always trips (budget.py); tripping is a performance
@@ -70,8 +76,7 @@ class TestMatch:
         assert not engine.match("ab+c", "xxabbd")
         assert registry.value("repro_lazydfa_fallback_total") == 1
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_pass_time_budget_enforced_like_compile_pattern(self, backend):
+    def test_pass_time_budget_enforced_like_compile_pattern(self):
         # The engine compiles through NewCompiler's halves, so the typed
         # error is the one compile_pattern and api.match raise.
         zero = Budget(max_pass_seconds=0)
@@ -80,7 +85,7 @@ class TestMatch:
         with pytest.raises(PassBudgetError) as matched:
             repro.match("th(is|at)", "that", budget=zero)
         with pytest.raises(PassBudgetError) as served:
-            Engine(backend=backend, budget=zero).match("th(is|at)", "that")
+            Engine(budget=zero).match("th(is|at)", "that")
         assert (
             served.value.code
             == matched.value.code
@@ -92,46 +97,30 @@ class TestMatch:
         assert Engine().matcher("th(is|at)").vm.program.compiler == COMPILER_NAME
 
     def test_worker_payload_per_backend(self):
-        # The payload each back-end shipped before Matcher.artifact
-        # existed (ISSUE 23), spelled out field by field.
+        # The one payload, spelled out field by field: the artifact is
+        # the program the in-process matcher runs.
         budget = DEFAULT_BUDGET.replace(max_vm_steps=1234, max_dfa_states=77)
-        config = ArchConfig.new(4)
         for collect in (False, True):
             engine = Engine(
                 budget=budget,
-                config=config,
-                options=CompileOptions(prefilter="literal"),
                 metrics=MetricsRegistry(),
                 collect_worker_metrics=collect,
             )
-            expected = {
-                "cicero": WorkerPayload(
-                    "cicero", None, 1234, collect_vm_metrics=collect,
-                    prefilter="literal", max_dfa_states=77,
-                ),
-                "cicero-sim": WorkerPayload(
-                    "cicero-sim", None, 1234, config, collect_vm_metrics=collect
-                ),
-            }
-            for backend in BACKENDS:
-                entry = engine._entry("a(b|c)d", backend)
-                matcher = entry.matcher
-                artifact = {
-                    "cicero": lambda: matcher.vm.program,
-                    "cicero-sim": lambda: matcher.system.program,
-                }[backend]()
-                assert entry.payload.artifact is artifact, backend
-                assert (
-                    dataclasses.replace(entry.payload, artifact=None)
-                    == expected[backend]
-                ), (backend, collect)
+            entry = engine._entry("a(b|c)d")
+            assert entry.payload.artifact is entry.matcher.vm.program
+            assert dataclasses.replace(
+                entry.payload, artifact=None
+            ) == WorkerPayload(
+                None, 1234, collect_vm_metrics=collect, max_dfa_states=77
+            ), collect
 
-    @pytest.mark.parametrize("prefilter", ["off", "literal", "auto"])
+    @pytest.mark.parametrize("path", sorted(ENGINE_PATHS))
     def test_one_dispatch_table_build_per_cached_pattern(
-        self, monkeypatch, prefilter
+        self, monkeypatch, path
     ):
-        # The backend's matcher, the prefilter facade and the lazy DFA
-        # all run on the cache entry's one VM.
+        # The prefilter facade, the lazy DFA and its VM fallback all run
+        # on the cache entry's one VM.
+        pattern, budget = ENGINE_PATHS[path]
         builds = []
         build = DispatchTables.__init__
 
@@ -140,10 +129,13 @@ class TestMatch:
             build(tables, program)
 
         monkeypatch.setattr(DispatchTables, "__init__", counting)
-        engine = Engine(options=CompileOptions(prefilter=prefilter))
-        assert engine.match("a(b|c)+d", "xxabcbdyy")
-        assert engine.scan_corpus("a(b|c)+d", "xxabcbdyy" * 200, chunk_bytes=500)
-        assert builds == ["a(b|c)+d"]
+        engine = Engine(budget=budget)
+        assert engine.match(pattern, "xxabcbdyy")
+        assert engine.scan_corpus(pattern, "xxabcbdyy" * 200, chunk_bytes=500)
+        assert builds == [pattern]
+        assert engine.matcher(pattern).plan["stages"][-1] == (
+            "lazy-dfa" if path == "auto" else "vm"
+        )
 
 
 class TestMatchMany:
@@ -162,11 +154,10 @@ class TestMatchMany:
         assert parallel == serial
 
     def test_parallel_across_backends(self):
-        for backend in BACKENDS:
-            engine = Engine(backend=backend)
-            assert engine.match_many("ab", ["ab", "xy", b"zab"], jobs=2) == [
-                True, False, True,
-            ], backend
+        engine = Engine()
+        assert engine.match_many("ab", ["ab", "xy", b"zab"], jobs=2) == [
+            True, False, True,
+        ]
 
     def test_empty_batch(self):
         assert Engine().match_many("ab", []) == []

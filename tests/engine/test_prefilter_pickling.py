@@ -8,7 +8,7 @@ same skip counts) as the in-process path.
 
 import pickle
 
-from repro.compiler import CompileOptions, compile_regex
+from repro.compiler import compile_regex
 from repro.engine import Engine
 from repro.engine.parallel import WorkerPayload, build_match_fn
 from repro.observability import MetricsRegistry
@@ -37,13 +37,10 @@ class TestProgramPickling:
     def test_worker_payload_round_trips_prefilter_settings(self):
         program = compile_regex(PATTERN).program
         payload = WorkerPayload(
-            backend="cicero",
-            artifact=program,
-            prefilter="auto",
-            max_dfa_states=123,
+            artifact=program, max_vm_steps=456, max_dfa_states=123
         )
         clone = pickle.loads(pickle.dumps(payload))
-        assert clone.prefilter == "auto"
+        assert clone.max_vm_steps == 456
         assert clone.max_dfa_states == 123
         assert clone.artifact.analysis == program.analysis
 
@@ -51,32 +48,25 @@ class TestProgramPickling:
         # Exactly what the pool initializer does with the unpickled
         # payload: the matcher's plan must equal the parent's.
         program = compile_regex(PATTERN).program
-        parent = PrefilteredMatcher(program, mode="auto")
-        payload = pickle.loads(
-            pickle.dumps(
-                WorkerPayload(
-                    backend="cicero", artifact=program, prefilter="auto"
-                )
-            )
-        )
-        worker = PrefilteredMatcher(payload.artifact, mode=payload.prefilter)
+        parent = PrefilteredMatcher(program)
+        payload = pickle.loads(pickle.dumps(WorkerPayload(artifact=program)))
+        worker = build_match_fn(payload)
         assert worker.analysis.to_dict() == parent.analysis.to_dict()
         assert worker.plan == parent.plan
 
     def test_build_match_fn_uses_prefilter_from_payload(self):
         program = compile_regex(PATTERN).program
-        payload = WorkerPayload(
-            backend="cicero", artifact=program, prefilter="auto"
-        )
-        match_fn = build_match_fn(payload)
-        assert match_fn(b"hay needle3 hay") is True
-        assert match_fn(b"hay hay hay") is False
+        payload = WorkerPayload(artifact=program, max_dfa_states=0)
+        matcher = build_match_fn(payload)
+        assert matcher.plan["stages"] == ["literal(1)", "vm"]
+        assert matcher.match(b"hay needle3 hay").matched is True
+        assert matcher.match(b"hay hay hay").matched is False
 
 
 class TestParallelBehaviour:
     def test_parallel_verdicts_equal_serial(self):
-        serial = Engine(options=CompileOptions(prefilter="auto"))
-        parallel = Engine(options=CompileOptions(prefilter="auto"))
+        serial = Engine()
+        parallel = Engine()
         expected = serial.scan_corpus(PATTERN, SPARSE, chunk_bytes=64)
         got = parallel.scan_corpus(PATTERN, SPARSE, chunk_bytes=64, jobs=2)
         assert got.matched == expected.matched
@@ -88,16 +78,13 @@ class TestParallelBehaviour:
         # the merged totals must equal what one process would count —
         # proof the workers ran the same prefilter over the same chunks.
         serial_registry = MetricsRegistry()
-        serial = Engine(
-            options=CompileOptions(prefilter="auto"), metrics=serial_registry
-        )
+        serial = Engine(metrics=serial_registry)
         serial.scan_corpus(PATTERN, SPARSE, chunk_bytes=64)
         serial_skips = serial_registry.value("repro_prefilter_skips_total")
         assert serial_skips and serial_skips > 0
 
         parallel_registry = MetricsRegistry()
         parallel = Engine(
-            options=CompileOptions(prefilter="auto"),
             metrics=parallel_registry,
             collect_worker_metrics=True,
         )

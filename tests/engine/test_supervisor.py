@@ -19,7 +19,6 @@ from repro.engine import (
     resolve_mp_context,
 )
 from repro.engine.supervisor import run_in_process, supervised_matches
-from repro.compiler import CompileOptions
 from repro.runtime.budget import DEFAULT_BUDGET
 from repro.runtime.errors import VMStepBudgetError
 
@@ -109,10 +108,11 @@ class TestOutcomeShapes:
 
 class TestPartialMode:
     def test_serial_partial_returns_report_with_verdicts(self):
-        # Prefilter off: the budget trip is the point of this test, and
-        # the literal/lazy-DFA stages would answer without VM steps.
-        tight = DEFAULT_BUDGET.replace(max_vm_steps=200)
-        engine = Engine(budget=tight, options=CompileOptions(prefilter="off"))
+        # The budget trip is the point of this test: a state cap the
+        # entry state cannot fit sends every chunk the literal filter
+        # passes (all three carry the ``a``) to the VM.
+        tight = DEFAULT_BUDGET.replace(max_vm_steps=200, max_dfa_states=0)
+        engine = Engine(budget=tight)
         texts = ["abd", "a" * 150 + "x", "acd"]
         report = engine.match_many("a(b|c)d", texts, strict=False)
         assert isinstance(report, ScanReport)
@@ -124,8 +124,8 @@ class TestPartialMode:
         assert report.errors()[0].error.code == "REPRO-BUDGET-VM-STEPS"
 
     def test_serial_strict_raises_first_typed_error(self):
-        tight = DEFAULT_BUDGET.replace(max_vm_steps=200)
-        engine = Engine(budget=tight, options=CompileOptions(prefilter="off"))
+        tight = DEFAULT_BUDGET.replace(max_vm_steps=200, max_dfa_states=0)
+        engine = Engine(budget=tight)
         with pytest.raises(VMStepBudgetError):
             engine.match_many("a(b|c)d", ["abd", "a" * 150 + "x"])
 

@@ -111,9 +111,7 @@ class TestEngineCompileSpan:
             "engine.compile",
         ]
         (root,) = tracer.find("engine.compile")
-        assert root.attributes == {
-            "pattern": PATTERN, "backend": "cicero", "cache": "miss"
-        }
+        assert root.attributes == {"pattern": PATTERN, "cache": "miss"}
         (factorize,) = tracer.find("pass:regex-factorize-alternations")
         assert "op_count_delta" in factorize.attributes
         (dce,) = tracer.find("pass:cicero-dce")
@@ -124,6 +122,30 @@ class TestEngineCompileSpan:
         before = len(tracer.finished_spans())
         assert not engine.match(PATTERN, "zzz")
         assert len(tracer.finished_spans()) == before
+
+    @pytest.mark.parametrize(
+        "max_dfa_states, verifier", [(None, "lazy-dfa"), (0, "vm")]
+    )
+    def test_plan_span_names_the_verifier_that_runs(
+        self, max_dfa_states, verifier
+    ):
+        # A cap that cannot hold the entry state sends the lazy DFA to
+        # the VM at construction; the plan must say so, and the counters
+        # agree with it.
+        tracer, registry = Tracer(), MetricsRegistry()
+        engine = Engine(
+            budget=DEFAULT_BUDGET.replace(max_dfa_states=max_dfa_states),
+            tracer=tracer,
+            metrics=registry,
+        )
+        assert engine.match("ab+c", "xxabbc")
+        (plan,) = tracer.find("prefilter.plan")
+        assert plan.attributes["stages"] == f"literal(1) -> {verifier}"
+        ran_dfa = registry.value("repro_lazydfa_runs_total") == 1
+        assert ran_dfa == (verifier == "lazy-dfa")
+        assert registry.value("repro_lazydfa_fallback_total") == (
+            0 if ran_dfa else 1
+        )
 
     def test_untraced_miss_creates_no_span(self, monkeypatch):
         from repro.observability import tracer as tracer_module

@@ -1,5 +1,6 @@
 """Aho-Corasick candidate pruning over the multimatch engine."""
 
+import dataclasses
 import random
 
 from repro.multimatch import MultiMatchVM, compile_multipattern
@@ -79,8 +80,10 @@ class TestPruning:
             ), text
 
     def test_off_mode_delegates_everything(self):
-        multi = compile_multipattern(RULES)
-        filtered = PrefilteredMultiMatchVM(multi, mode="off")
+        # Without analyses no rule can be pruned, so every run goes
+        # straight to the VM.
+        multi = dataclasses.replace(compile_multipattern(RULES), analyses={})
+        filtered = PrefilteredMultiMatchVM(multi)
         assert filtered._automaton is None
         bare = MultiMatchVM(multi)
         for event in EVENTS:

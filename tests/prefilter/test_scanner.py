@@ -7,13 +7,23 @@ import pytest
 from repro.compiler import compile_regex
 from repro.observability import MetricsRegistry
 from repro.prefilter.analysis import INERT_ANALYSIS, analyze_pattern
-from repro.prefilter.scanner import (
-    PREFILTER_MODES,
-    PrefilteredMatcher,
-    build_chunk_filter,
-    describe_plan,
-)
+from repro.prefilter.scanner import PrefilteredMatcher, build_chunk_filter
 from repro.vm.thompson import ThompsonVM
+
+#: The paths one PrefilteredMatcher takes, keyed by the names of the
+#: prefilter modes that used to select them: ``auto`` filters and
+#: verifies on the lazy DFA, ``literal`` (a state cap the entry state
+#: cannot fit) filters and verifies on the VM, ``off`` (no usable
+#: analysis under that cap) is the VM alone.
+PATHS = {
+    "auto": {},
+    "literal": {"max_dfa_states": 0},
+    "off": {"analysis": INERT_ANALYSIS, "max_dfa_states": 0},
+}
+
+
+def plan_of(pattern, **path):
+    return PrefilteredMatcher(compile_regex(pattern).program, **path).plan
 
 
 class TestBuildChunkFilter:
@@ -45,35 +55,30 @@ class TestBuildChunkFilter:
 
 
 class TestDescribePlan:
+    """``PrefilteredMatcher.plan`` names the stages that run."""
+
     def test_literal_auto_plan(self):
-        plan = describe_plan(analyze_pattern("abc"), "auto")
+        plan = plan_of("abc")
         assert plan["stages"][-1] == "lazy-dfa"
         assert any(s.startswith("literal") for s in plan["stages"])
         assert plan["inert"] is False
 
     def test_off_mode_is_vm_only(self):
-        plan = describe_plan(analyze_pattern("abc"), "off")
-        assert plan["stages"] == ["vm"]
+        assert plan_of("abc", **PATHS["off"])["stages"] == ["vm"]
 
     def test_inert_auto_still_gets_lazy_dfa(self):
-        plan = describe_plan(analyze_pattern("(a|b)*"), "auto")
+        plan = plan_of("(a|b)*")
         assert plan["stages"] == ["lazy-dfa"]
         assert plan["inert"] is True
         assert plan["inert_reason"]
 
 
 class TestPrefilteredMatcher:
-    def test_rejects_unknown_mode(self):
-        program = compile_regex("abc").program
-        with pytest.raises(ValueError):
-            PrefilteredMatcher(program, mode="fast")
-        assert PREFILTER_MODES == ("off", "literal", "auto")
-
-    @pytest.mark.parametrize("mode", PREFILTER_MODES)
+    @pytest.mark.parametrize("mode", PATHS)
     def test_verdicts_equal_bare_vm(self, corpus_pattern, mode):
         program = compile_regex(corpus_pattern).program
         vm = ThompsonVM(program)
-        matcher = PrefilteredMatcher(program, mode=mode)
+        matcher = PrefilteredMatcher(program, **PATHS[mode])
         rng = random.Random(hash((corpus_pattern, mode)) & 0xFFFF)
         for _ in range(40):
             text = "".join(
@@ -105,7 +110,7 @@ class TestPrefilteredMatcher:
     def test_off_mode_has_no_filter_or_counters(self):
         registry = MetricsRegistry()
         program = compile_regex("needle").program
-        matcher = PrefilteredMatcher(program, mode="off", metrics=registry)
+        matcher = PrefilteredMatcher(program, **PATHS["off"], metrics=registry)
         assert matcher._filter is None
         assert not matcher.match(b"plain hay").matched
         assert not registry.value("repro_prefilter_checks_total")

@@ -7,15 +7,16 @@
    golden-reference interpreter, including when a tiny state budget
    forces mid-scan fallback through :class:`LazyDFAMatcher`.
 3. **Facade equivalence** — the full prefilter+verify pipeline is a
-   drop-in for the bare VM in every mode.
+   drop-in for the bare VM on every path it takes (lazy-DFA verify,
+   VM verify under a zero state cap, VM alone without an analysis).
 """
 
 from hypothesis import given, settings
 
 from repro.compiler import compile_regex
-from repro.prefilter.analysis import analyze_pattern
+from repro.prefilter.analysis import INERT_ANALYSIS, analyze_pattern
 from repro.prefilter.lazydfa import LazyDFA, LazyDFABlowup, LazyDFAMatcher
-from repro.prefilter.scanner import PREFILTER_MODES, PrefilteredMatcher, build_chunk_filter
+from repro.prefilter.scanner import PrefilteredMatcher, build_chunk_filter
 from repro.vm.thompson import ThompsonVM
 from strategies import inputs, regex_patterns
 
@@ -77,7 +78,11 @@ def test_prefiltered_matcher_is_a_drop_in_for_the_vm(pattern, text):
     program = compile_regex(pattern).program
     vm = ThompsonVM(program)
     expected = vm.run(text)
-    for mode in PREFILTER_MODES:
-        got = PrefilteredMatcher(program, mode=mode).match(text)
-        assert got.matched == expected.matched, (pattern, text, mode)
-        assert got.position == expected.position, (pattern, text, mode)
+    for path in (
+        {},
+        {"max_dfa_states": 0},
+        {"analysis": INERT_ANALYSIS, "max_dfa_states": 0},
+    ):
+        got = PrefilteredMatcher(program, **path).match(text)
+        assert got.matched == expected.matched, (pattern, text, path)
+        assert got.position == expected.position, (pattern, text, path)

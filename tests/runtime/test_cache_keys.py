@@ -149,6 +149,6 @@ class TestPipelines:
             regex_pipeline=DEFAULT_REGEX_PIPELINE[::-1]
         ).cache_key() != CompileOptions().cache_key()
         assert CompileOptions(
-            regex_pipeline=DEFAULT_REGEX_PIPELINE, prefilter="off"
+            regex_pipeline=DEFAULT_REGEX_PIPELINE, verify_each=True
         ).cache_key() != CompileOptions().cache_key()
         assert CompileOptions(trace=True).cache_key() == CompileOptions().cache_key()

@@ -127,9 +127,6 @@ def test_only_resident_short_matches_skip_the_executor():
 def test_is_cached_probe_is_keyed_like_the_cache_and_counts_nothing():
     engine = Engine()
     assert not engine.is_cached("ab+c")
-    engine.matcher("ab+c", backend="cicero-sim")
-    assert engine.is_cached("ab+c", backend="cicero-sim")
-    assert not engine.is_cached("ab+c")  # the default backend's entry is not
     engine.match("ab+c", "abbc")
     before = engine.cache_stats()
     assert engine.is_cached("ab+c") and not engine.is_cached("other")
@@ -143,7 +140,7 @@ CASES = [
     ("non-matching", "ab+c", "zzz", 200),
     ("empty", "ab+c", "", 200),
     ("non-latin-1", "ab+c", "a☃b", 422),
-    ("vm step budget", "a+b", "a" * 200, 422),
+    ("vm step budget", "a+b", "a" * 200 + "b", 422),
 ]
 
 
@@ -152,7 +149,7 @@ def test_loop_and_executor_paths_are_indistinguishable(monkeypatch):
     one that cannot (threshold below any text): same reply bytes, same
     counters, each moved exactly once."""
     config = ServiceConfig(
-        port=0, prefilter="off", budget=Budget(max_vm_steps=200))
+        port=0, budget=Budget(max_vm_steps=200, max_dfa_states=0))
 
     async def observe(inline):
         monkeypatch.setattr(

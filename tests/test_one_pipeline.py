@@ -1,8 +1,8 @@
 """One compile pipeline: every entry point emits ``NewCompiler``'s program.
 
-``compile_backends`` (what the Engine, ``repro serve`` and the fuzz
-oracles run) and ``NewCompiler.compile`` (what ``compile_suite``
-measures) go through the same two halves, so their programs agree on
+The Engine (what ``repro scan``, ``repro serve`` and ``scan_enum`` run)
+and ``NewCompiler.compile`` (what ``compile_suite`` measures) go
+through the same two halves, so their programs agree on
 every field; and the halves emit what the compiler emitted before it was
 cut in two — the digests below were recorded from ``NewCompiler`` at the
 commit before ISSUE 23 over the ``compile_suite`` workload's 160 REs.
@@ -13,8 +13,8 @@ import hashlib
 import pytest
 
 from repro.api import compile_pattern
-from repro.backends import compile_backends
 from repro.compiler import COMPILER_NAME, CompileOptions, NewCompiler
+from repro.engine import Engine
 from repro.workloads import brill, protomata, sample_and_alternate
 
 PER_SUITE = 40
@@ -76,9 +76,10 @@ def test_backends_and_compiler_emit_the_recorded_programs(name, patterns):
     options = OPTION_SETS[name]
     assert len(patterns) == 160
     digest = hashlib.sha256()
+    engine = Engine(options=options, cache_size=len(patterns))
     for pattern in patterns:
         direct = NewCompiler(options).compile(pattern).program
-        served = compile_backends(pattern, ["cicero"], options)["cicero"].vm.program
+        served = engine.matcher(pattern).vm.program
         assert fingerprint(served) == fingerprint(direct), pattern
         assert served.compiler == direct.compiler == COMPILER_NAME
         digest.update(fingerprint(direct).encode())

@@ -291,3 +291,53 @@ def test_the_walk_sees_a_pasted_back_pool_map():
         "        return pool.map(_match_one, texts, chunksize=chunksize)\n"
     )
     assert set(pool_calls(shadow)) == {"Pool", "map"}
+
+
+#: Matcher constructors the engine and the service may call.  The
+#: engine builds one matcher per pattern, in ``build_match_fn``, for its
+#: cache entry and for every supervised worker alike.
+MATCHER_CONSTRUCTORS = {"PrefilteredMatcher", "ThompsonVM", "CiceroSystem"}
+ENGINE_PACKAGES = ("engine", "service")
+
+
+def matcher_constructions(tree: ast.Module):
+    """``(top-level function or class, constructor)`` for every matcher
+    constructor ``tree`` calls; module-level calls report ``None``."""
+    for node in tree.body:
+        owner = getattr(node, "name", None)
+        for inner in ast.walk(node):
+            if not isinstance(inner, ast.Call):
+                continue
+            function = inner.func
+            name = getattr(function, "id", None) or getattr(function, "attr", None)
+            if name in MATCHER_CONSTRUCTORS:
+                yield owner, name
+
+
+def test_the_engine_builds_one_matcher():
+    found = set()
+    for package in ENGINE_PACKAGES:
+        for path in sorted((SOURCE / package).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found |= {
+                (path.relative_to(SOURCE).as_posix(), owner, name)
+                for owner, name in matcher_constructions(tree)
+            }
+    assert found == {("engine/parallel.py", "build_match_fn", "PrefilteredMatcher")}
+
+
+def test_the_walk_sees_a_pasted_back_simulator_branch():
+    # The deleted simulator branch of ``build_match_fn``, abridged.
+    shadow = ast.parse(
+        "def build_match_fn(payload, metrics=None, vm=None):\n"
+        "    if payload.backend == 'cicero':\n"
+        "        if vm is None:\n"
+        "            vm = ThompsonVM(payload.artifact)\n"
+        "        return lambda data: bool(vm.run(data))\n"
+        "    system = CiceroSystem(payload.artifact, config)\n"
+        "    return lambda data: system.run(data).matched\n"
+    )
+    assert set(matcher_constructions(shadow)) == {
+        ("build_match_fn", "ThompsonVM"),
+        ("build_match_fn", "CiceroSystem"),
+    }
