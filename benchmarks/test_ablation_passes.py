@@ -18,11 +18,13 @@ from common import benchmark_data, print_banner
 
 VARIANTS = (
     ("all passes", CompileOptions()),
-    ("no jump simplification", CompileOptions(
-        jump_simplification=False, dead_code_elimination=False)),
-    ("no boundary reduction", CompileOptions(boundary_quantifier=False)),
-    ("no factorization", CompileOptions(factorize_alternations=False)),
-    ("no simplification", CompileOptions(simplify_subregex=False)),
+    ("no jump simplification", CompileOptions(cicero_pipeline=())),
+    ("no boundary reduction", CompileOptions(
+        regex_pipeline=("regex-simplify-subregex", "regex-factorize-alternations"))),
+    ("no factorization", CompileOptions(
+        regex_pipeline=("regex-simplify-subregex", "regex-boundary-quantifier"))),
+    ("no simplification", CompileOptions(
+        regex_pipeline=("regex-factorize-alternations", "regex-boundary-quantifier"))),
     ("none", CompileOptions.none()),
 )
 

@@ -64,8 +64,7 @@ def main() -> None:
         print(print_op(module))
 
     banner("stage 4 — `cicero` dialect before low-level optimization")
-    unopt = compile_regex(pattern, CompileOptions(
-        jump_simplification=False, dead_code_elimination=False))
+    unopt = compile_regex(pattern, CompileOptions(cicero_pipeline=()))
     print(print_op(unopt.cicero_module))
 
     banner("stage 5 — after cicero-jump-simplification + cicero-dce")

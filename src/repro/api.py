@@ -49,9 +49,9 @@ def compile_pattern(
     """Compile ``pattern`` with either toolchain.
 
     ``compiler`` is ``"new"`` (the multi-dialect MLIR pipeline, §3) or
-    ``"old"`` (the single-IR baseline, §2.1).  ``options`` overrides the
-    new compiler's per-pass flags; ``optimize`` is the master switch for
-    both.
+    ``"old"`` (the single-IR baseline, §2.1).  ``options`` sets the new
+    compiler's pass lists, budget and checks; ``optimize=False`` runs no
+    pass in either toolchain, whatever ``options`` lists.
 
     ``optimize="auto"`` is accepted as a spelling of ``True`` only
     because ``benchmarks/layered`` still passes it; nothing is looked
@@ -73,10 +73,10 @@ def compile_pattern(
         raise ValueError(
             f"optimize must be a bool or 'auto', got {optimize!r}"
         )
-    auto = optimize == "auto"
     if compiler == "new":
-        if options is None:
-            options = CompileOptions(optimize=True if auto else optimize)
+        options = options or CompileOptions()
+        if not optimize:
+            options = replace(options, regex_pipeline=(), cicero_pipeline=())
         if budget is not None:
             options = replace(options, budget=budget)
         if trace and not options.trace:

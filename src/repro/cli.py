@@ -45,7 +45,12 @@ from .arch.config import ArchConfig, MICROBENCH_GRID
 from .arch.power import power_watts
 from .arch.resources import clock_mhz, utilization
 from .arch.simulator import CiceroSimulator
-from .compiler import CompileOptions, NewCompiler
+from .compiler import (
+    DEFAULT_CICERO_PIPELINE,
+    DEFAULT_REGEX_PIPELINE,
+    CompileOptions,
+    NewCompiler,
+)
 from .dialects.regex.emit_pattern import emit_pattern
 from .evaluation import compile_benchmark, format_table, run_on_config
 from .ir.printer import print_op
@@ -96,20 +101,19 @@ def parse_config(text: str) -> ArchConfig:
 
 def _compile(args) -> int:
     if args.compiler == "old":
-        if args.trace_out:
-            print("--trace-out requires the new compiler", file=sys.stderr)
-            return 2
+        for flag, given in (("--trace-out", args.trace_out), ("--skip", args.skip)):
+            if given:
+                print(f"{flag} requires the new compiler", file=sys.stderr)
+                return 2
         result = OldCompiler(optimize=not args.no_opt).compile(args.pattern)
         regex_module = cicero_module = None
     else:
+        regex, cicero = (
+            () if args.no_opt else tuple(n for n in names if n not in args.skip)
+            for names in (DEFAULT_REGEX_PIPELINE, DEFAULT_CICERO_PIPELINE)
+        )
         options = CompileOptions(
-            optimize=not args.no_opt,
-            simplify_subregex=not args.no_simplify,
-            factorize_alternations=not args.no_factorize,
-            boundary_quantifier=not args.no_boundary,
-            jump_simplification=not args.no_jump_simplification,
-            dead_code_elimination=not args.no_dce,
-            trace=bool(args.trace_out),
+            regex_pipeline=regex, cicero_pipeline=cicero, trace=bool(args.trace_out)
         )
         result = NewCompiler(options).compile(args.pattern)
         regex_module = result.regex_module
@@ -168,7 +172,10 @@ def _run(args) -> int:
         program = OldCompiler(optimize=not args.no_opt).compile(args.pattern).program
     else:
         program = (
-            NewCompiler(CompileOptions(optimize=not args.no_opt), tracer=tracer)
+            NewCompiler(
+                CompileOptions.none() if args.no_opt else CompileOptions(),
+                tracer=tracer,
+            )
             .compile(args.pattern)
             .program
         )
@@ -615,16 +622,12 @@ def build_parser() -> argparse.ArgumentParser:
     compile_parser.add_argument("--compiler", choices=("new", "old"), default="new")
     compile_parser.add_argument("--no-opt", action="store_true",
                                 help="disable every optimization")
-    compile_parser.add_argument("--no-simplify", action="store_true",
-                                help="disable sub-regex simplification")
-    compile_parser.add_argument("--no-factorize", action="store_true",
-                                help="disable alternation factorization")
-    compile_parser.add_argument("--no-boundary", action="store_true",
-                                help="disable boundary quantifier reduction")
-    compile_parser.add_argument("--no-jump-simplification", action="store_true",
-                                help="disable the §5 jump simplification")
-    compile_parser.add_argument("--no-dce", action="store_true",
-                                help="disable dead-code elimination")
+    compile_parser.add_argument(
+        "--skip", action="append", default=[], metavar="PASS",
+        choices=DEFAULT_REGEX_PIPELINE + DEFAULT_CICERO_PIPELINE,
+        help="drop one pass from the default pipelines (repeatable): "
+        "%(choices)s",
+    )
     compile_parser.add_argument(
         "--emit",
         choices=("asm", "bin", "regex-ir", "cicero-ir", "pattern", "metrics"),

@@ -4,22 +4,21 @@ Stages (Figure 2, right-hand side):
 
 1. parse the textual RE into an AST (frontend);
 2. convert the AST into the high-level ``regex`` dialect;
-3. run the §3.2 high-level transforms (each individually toggleable);
+3. run the §3.2 high-level transforms;
 4. lower into the ``cicero`` dialect, mapping basic blocks to
    instruction memory and inserting control instructions;
 5. run the §5 architecture-oriented transforms (Jump Simplification and
    the dead-code sweep);
 6. generate the final binary-level :class:`~repro.isa.Program`.
 
-:class:`CompileOptions` mirrors the paper's compiler options; the
+:class:`CompileOptions` names the passes each pipeline runs; the
 defaults correspond to the "w/ optimizations" configuration of §6.1.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .dialects.cicero.codegen import generate_program
@@ -44,44 +43,39 @@ from .runtime.guards import check_pattern_budget
 
 COMPILER_NAME = "new-mlir"
 
-#: The paper's hand-ordered pipeline as ``(pass name, CompileOptions
-#: flag)`` pairs — the one place the default order is spelled.  §3.2:
-#: simplification first (removing parentheses exposes common prefixes),
-#: factorization second, the shortest-match reduction last (it works on
-#: the outermost pieces, which the earlier passes may have just
-#: created).  §5: Jump Simplification, then the sweep that collects the
-#: instructions threading left unreachable.
-_REGEX_STAGE = (
-    (SimplifySubRegexPass.PASS_NAME, "simplify_subregex"),
-    (FactorizeAlternationsPass.PASS_NAME, "factorize_alternations"),
-    (BoundaryQuantifierPass.PASS_NAME, "boundary_quantifier"),
+#: The paper's hand-ordered pipeline — the one place the default order
+#: is spelled.  §3.2: simplification first (removing parentheses exposes
+#: common prefixes), factorization second, the shortest-match reduction
+#: last (it works on the outermost pieces, which the earlier passes may
+#: have just created).  §5: Jump Simplification, then the sweep that
+#: collects the instructions threading left unreachable.
+DEFAULT_REGEX_PIPELINE = (
+    SimplifySubRegexPass.PASS_NAME,
+    FactorizeAlternationsPass.PASS_NAME,
+    BoundaryQuantifierPass.PASS_NAME,
 )
-_CICERO_STAGE = (
-    (JumpSimplificationPass.PASS_NAME, "jump_simplification"),
-    (DeadCodeEliminationPass.PASS_NAME, "dead_code_elimination"),
+DEFAULT_CICERO_PIPELINE = (
+    JumpSimplificationPass.PASS_NAME,
+    DeadCodeEliminationPass.PASS_NAME,
 )
-DEFAULT_REGEX_PIPELINE = tuple(name for name, _flag in _REGEX_STAGE)
-DEFAULT_CICERO_PIPELINE = tuple(name for name, _flag in _CICERO_STAGE)
-_PASS_FLAGS = tuple(flag for _name, flag in _REGEX_STAGE + _CICERO_STAGE)
-#: Fields that act only through :meth:`CompileOptions.pipelines`.
-_PIPELINE_FIELDS = ("optimize", "regex_pipeline", "cicero_pipeline") + _PASS_FLAGS
 
 
 @dataclass(frozen=True)
 class CompileOptions:
-    """Toggles for every optional stage of the pipeline.
+    """Which passes run, and the checks and limits around them.
 
-    ``optimize`` is the master switch of §6.1's "w/ vs w/o
-    optimizations"; the per-pass booleans allow the ablation benchmarks
-    to enable each transform in isolation.
+    The two pass lists are the only pass selector: registered pass
+    names in run order, possibly empty, possibly repeating a pass.
+    ``None`` runs the paper's order (:data:`DEFAULT_REGEX_PIPELINE` /
+    :data:`DEFAULT_CICERO_PIPELINE`), the "w/ optimizations"
+    configuration of §6.1; :meth:`none` runs no pass ("w/o").  Names
+    must belong to the matching dialect (``regex-*`` / ``cicero-*``);
+    an unknown or wrong-dialect name raises
+    :class:`~repro.ir.diagnostics.IRError` at compile time.
     """
 
-    optimize: bool = True
-    simplify_subregex: bool = True
-    factorize_alternations: bool = True
-    boundary_quantifier: bool = True
-    jump_simplification: bool = True
-    dead_code_elimination: bool = True
+    regex_pipeline: Optional[Tuple[str, ...]] = None
+    cicero_pipeline: Optional[Tuple[str, ...]] = None
     #: Verify the IR between passes (off for benchmark timing runs).
     verify_each: bool = False
     #: Resource limits enforced through the pipeline; ``None`` applies
@@ -92,64 +86,36 @@ class CompileOptions:
     #: observational — the produced program is identical — so it is
     #: excluded from :meth:`cache_key`.
     trace: bool = False
-    #: Explicit pass pipelines (registered pass names, in run order)
-    #: replacing the per-flag defaults.  ``None`` keeps the paper's
-    #: hand-ordered pipeline built from the booleans above; a tuple
-    #: (possibly empty, possibly repeating a pass) overrides that half
-    #: of the pipeline entirely and wins over the ``optimize`` master
-    #: switch.  Names must belong to the matching dialect (``regex-*`` /
-    #: ``cicero-*``); an unknown or wrong-dialect name raises
-    #: :class:`~repro.ir.diagnostics.IRError` at compile time.
-    regex_pipeline: Optional[Tuple[str, ...]] = None
-    cicero_pipeline: Optional[Tuple[str, ...]] = None
-
-    def effective(self) -> "CompileOptions":
-        """Options with the master switch folded into the per-pass flags."""
-        if self.optimize:
-            return self
-        return replace(self, **{flag: False for flag in _PASS_FLAGS})
 
     def pipelines(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-        """The ``(regex, cicero)`` pass names that will run, in order: an
-        explicit tuple as given, else the default order filtered by
-        ``optimize`` and the per-pass flags."""
-        flags = self.effective()
-        regex, cicero = (
-            tuple(name for name, flag in stage if getattr(flags, flag))
-            for stage in (_REGEX_STAGE, _CICERO_STAGE)
-        )
+        """The ``(regex, cicero)`` pass names that will run, in order."""
         return (
-            regex if self.regex_pipeline is None else self.regex_pipeline,
-            cicero if self.cicero_pipeline is None else self.cicero_pipeline,
+            DEFAULT_REGEX_PIPELINE if self.regex_pipeline is None
+            else self.regex_pipeline,
+            DEFAULT_CICERO_PIPELINE if self.cicero_pipeline is None
+            else self.cicero_pipeline,
         )
 
     def cache_key(self) -> tuple:
         """A stable, hashable identity for compiled-pattern caches.
 
-        Options that run the same :meth:`pipelines` and agree on every
-        remaining field yield equal keys, so a cache treats
-        ``CompileOptions(optimize=False)``, an all-flags-off instance
-        and two empty explicit pipelines as the same configuration.
-        The nested budget contributes its own
-        :meth:`~repro.runtime.budget.Budget.cache_key`.
+        Options that run the same :meth:`pipelines` and agree on
+        ``verify_each`` and the budget yield equal keys, so ``None`` and
+        the explicit default lists share one entry.  ``trace`` never
+        changes the artifact, so it never splits the cache.
         """
         regex, cicero = self.pipelines()
-        parts = [("regex_pipeline", regex), ("cicero_pipeline", cicero)]
-        for options_field in dataclasses.fields(self):
-            # ``trace`` never changes the artifact, only whether a span
-            # tree rides along, so it must not split the cache.
-            name = options_field.name
-            if name == "trace" or name in _PIPELINE_FIELDS:
-                continue
-            value = getattr(self, name)
-            if isinstance(value, Budget):
-                value = value.cache_key()
-            parts.append((name, value))
-        return tuple(parts)
+        budget = self.budget.cache_key() if self.budget is not None else None
+        return (
+            ("regex_pipeline", regex),
+            ("cicero_pipeline", cicero),
+            ("verify_each", self.verify_each),
+            ("budget", budget),
+        )
 
     @classmethod
     def none(cls) -> "CompileOptions":
-        return cls(optimize=False)
+        return cls(regex_pipeline=(), cicero_pipeline=())
 
 
 @dataclass
@@ -224,7 +190,7 @@ class NewCompiler:
         options: Optional[CompileOptions] = None,
         tracer: Optional[AnyTracer] = None,
     ):
-        self.options = (options or CompileOptions()).effective()
+        self.options = options or CompileOptions()
         budget = self.options.budget
         self.budget = budget if budget is not None else DEFAULT_BUDGET
         self.tracer = tracer

@@ -18,8 +18,8 @@ leading piece is symmetric through the ``.*`` prefix.
 The rewrite only touches the outermost pieces of the root's branches:
 reducing inside a sub-regex or mid-branch would change the language.
 This is the only transform of §3.2 that is not fully
-semantics-preserving, so it sits behind its own option
-(``enable_boundary_quantifier``).
+semantics-preserving, so it is its own pass
+(``regex-boundary-quantifier``), which a pipeline may leave out.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ share these routines:
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .arch.config import ArchConfig
@@ -70,16 +70,21 @@ def compile_benchmark(
 
     Per-pattern compile time is the best of ``timing_repeats`` runs
     after one warm-up compile, so Fig. 9's comparison measures the
-    toolchains rather than interpreter warm-up noise.
+    toolchains rather than interpreter warm-up noise.  ``optimize=False``
+    runs no pass, whatever ``options`` lists; the result counts as
+    optimized when the toolchain runs any pass.
     """
     programs: List[Program] = []
     seconds: List[float] = []
     if compiler == "new":
-        toolchain = NewCompiler(
-            options if options is not None else CompileOptions(optimize=optimize)
-        )
+        options = options or CompileOptions()
+        if not optimize:
+            options = replace(options, regex_pipeline=(), cicero_pipeline=())
+        toolchain = NewCompiler(options)
+        optimized = any(options.pipelines())
     elif compiler == "old":
         toolchain = OldCompiler(optimize=optimize)
+        optimized = optimize
     else:
         raise ValueError(f"unknown compiler {compiler!r}")
     if benchmark.patterns:
@@ -96,7 +101,7 @@ def compile_benchmark(
     return CompiledBenchmark(
         benchmark=benchmark,
         compiler=compiler,
-        optimized=optimize,
+        optimized=optimized,
         programs=programs,
         compile_seconds=seconds,
     )

@@ -277,9 +277,9 @@ class CompiledOracles:
 
         # -- shared frontend (parse once, like the engine) -------------
         if module is None:
-            # With ``optimize=False`` the front half runs no pass: budget
-            # checks + parse + conversion, i.e. the pristine module.
-            unoptimized = CompileOptions(optimize=False, budget=self.budget)
+            # With no regex pass the front half is budget checks + parse
+            # + conversion, i.e. the pristine module.
+            unoptimized = CompileOptions(regex_pipeline=(), budget=self.budget)
             module = NewCompiler(unoptimized).front(pattern).regex_module
         pristine = module
         self._pristine = pristine

@@ -343,7 +343,8 @@ def analyze_pattern(pattern: str, optimize: bool = True) -> PrefilterAnalysis:
     """Parse + optimize + analyze in one call (tests and tooling)."""
     from ..compiler import CompileOptions, NewCompiler
 
-    return NewCompiler(CompileOptions(optimize=optimize)).front(pattern).analysis
+    options = CompileOptions() if optimize else CompileOptions.none()
+    return NewCompiler(options).front(pattern).analysis
 
 
 __all__ = [

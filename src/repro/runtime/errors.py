@@ -150,7 +150,7 @@ class PassBudgetError(BudgetExceeded):
     """The optimization passes overran their time budget.
 
     Strict at every entry point: the caller may retry with
-    ``CompileOptions(optimize=False)``, which runs no pass to time.
+    ``CompileOptions.none()``, which runs no pass to time.
     """
 
     code = "REPRO-BUDGET-PASS-TIME"

@@ -104,7 +104,8 @@ def group_ops(result) -> int:
 
 def acceptance_duplicates(pattern: str, lowered_acceptances: int) -> int:
     """Acceptances Jump Simplification adds, read off a compile without DCE."""
-    kept = NewCompiler(CompileOptions(dead_code_elimination=False)).compile(pattern)
+    no_dce = CompileOptions(cicero_pipeline=("cicero-jump-simplification",))
+    kept = NewCompiler(no_dce).compile(pattern)
     program = kept.cicero_module.body.operations[0]
     return (
         sum(isinstance(op, ACCEPTANCE_OPS) for op in program.instructions)

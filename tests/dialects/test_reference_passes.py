@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_passes import REFERENCE_PASSES, reference_chars
-from repro.compiler import COMPILER_NAME, CompileOptions, NewCompiler
+from repro.compiler import (
+    COMPILER_NAME,
+    DEFAULT_CICERO_PIPELINE,
+    DEFAULT_REGEX_PIPELINE,
+    CompileOptions,
+    NewCompiler,
+)
 from repro.dialects.cicero.codegen import generate_program
 from repro.dialects.cicero.ops import (
     AcceptOp,
@@ -35,16 +41,17 @@ from repro.workloads import brill, protomata, sample_and_alternate
 from strategies import regex_patterns
 
 PER_SUITE = 20
-JUMP, DCE = "cicero-jump-simplification", "cicero-dce"
+SIMPLIFY, FACTORIZE, BOUNDARY = DEFAULT_REGEX_PIPELINE
+JUMP, DCE = DEFAULT_CICERO_PIPELINE
 
 OPTION_SETS = {
     "default": CompileOptions(),
     "all-off": CompileOptions.none(),
-    "no-simplify-subregex": CompileOptions(simplify_subregex=False),
-    "no-factorize": CompileOptions(factorize_alternations=False),
-    "no-boundary-quantifier": CompileOptions(boundary_quantifier=False),
-    "no-jump-simplification": CompileOptions(jump_simplification=False),
-    "no-dce": CompileOptions(dead_code_elimination=False),
+    "no-simplify-subregex": CompileOptions(regex_pipeline=(FACTORIZE, BOUNDARY)),
+    "no-factorize": CompileOptions(regex_pipeline=(SIMPLIFY, BOUNDARY)),
+    "no-boundary-quantifier": CompileOptions(regex_pipeline=(SIMPLIFY, FACTORIZE)),
+    "no-jump-simplification": CompileOptions(cicero_pipeline=(DCE,)),
+    "no-dce": CompileOptions(cicero_pipeline=(JUMP,)),
     "jump-simplification-twice": CompileOptions(cicero_pipeline=(JUMP, JUMP, DCE)),
 }
 
@@ -55,18 +62,6 @@ def suite_patterns(name: str):
         return generator.generate_patterns(PER_SUITE, 2025)
     pool = generator.generate_patterns(4 * PER_SUITE, 2025)
     return sample_and_alternate(pool, PER_SUITE, seed=2025)
-
-
-def cicero_pipeline(options: CompileOptions):
-    options = options.effective()
-    if options.cicero_pipeline is not None:
-        return options.cicero_pipeline
-    names = []
-    if options.jump_simplification:
-        names.append(JUMP)
-    if options.dead_code_elimination:
-        names.append(DCE)
-    return names
 
 
 def observed(module, program):
@@ -80,14 +75,10 @@ def observed(module, program):
 def assert_matches_reference(pattern: str, options: CompileOptions) -> None:
     result = NewCompiler(options).compile(pattern)
     # The same lowering, then the reference bodies in the same order.
-    unoptimized = CompileOptions(
-        simplify_subregex=options.effective().simplify_subregex,
-        factorize_alternations=options.effective().factorize_alternations,
-        boundary_quantifier=options.effective().boundary_quantifier,
-        cicero_pipeline=(),
-    )
+    regex, cicero = options.pipelines()
+    unoptimized = CompileOptions(regex_pipeline=regex, cicero_pipeline=())
     module = NewCompiler(unoptimized).compile(pattern).cicero_module
-    for name in cicero_pipeline(options):
+    for name in cicero:
         REFERENCE_PASSES[name](module)
     program = generate_program(
         module.body.operations[0], source_pattern=pattern, compiler=COMPILER_NAME

@@ -121,7 +121,7 @@ class TestCacheKeys:
         stats = engine.cache_stats()
         assert (stats.hits, stats.misses, stats.size) == (1, 1, 1)
         for kwargs in (
-            {"options": CompileOptions(optimize=False)},
+            {"options": CompileOptions.none()},
             {"options": CompileOptions(regex_pipeline=())},
             {"budget": Budget(max_vm_steps=7)},
         ):

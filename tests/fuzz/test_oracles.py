@@ -63,7 +63,7 @@ def test_rejection_by_the_optimizer_alone_is_a_disagreement(monkeypatch):
     real = oracles.NewCompiler.back
 
     def reject_when_optimizing(compiler, front, *args):
-        if compiler.options.factorize_alternations:
+        if "regex-factorize-alternations" in compiler.options.pipelines()[0]:
             raise LoweringError("'$' is only supported at ...")
         return real(compiler, front, *args)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main, parse_config
+from repro.compiler import DEFAULT_CICERO_PIPELINE, DEFAULT_REGEX_PIPELINE
 
 
 class TestParseConfig:
@@ -137,16 +138,36 @@ class TestVerifyCommand:
 
 class TestPerPassFlags:
     def test_no_jump_simplification_keeps_jumps(self, capsys):
-        assert main(["compile", "ab|cd", "--no-jump-simplification",
+        assert main(["compile", "ab|cd", "--skip", "cicero-jump-simplification",
                      "--emit", "metrics"]) == 0
         out = capsys.readouterr().out
         # without the pass, D_offset stays at the unoptimized 14
         assert "D_offset       : 14" in out
 
     def test_individual_flags_accepted(self):
-        for flag in ("--no-simplify", "--no-factorize", "--no-boundary",
-                     "--no-dce"):
-            assert main(["compile", "th(is|at)", flag, "--emit", "metrics"]) == 0
+        for name in DEFAULT_REGEX_PIPELINE + DEFAULT_CICERO_PIPELINE:
+            assert main(["compile", "th(is|at)", "--skip", name,
+                         "--emit", "metrics"]) == 0
+
+    def test_skip_repeats_and_rejects_unknown_passes(self, capsys):
+        assert main(["compile", "ab|cd", "--emit", "metrics",
+                     "--skip", "cicero-jump-simplification",
+                     "--skip", "cicero-dce"]) == 0
+        assert "D_offset       : 14" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compile", "ab|cd", "--skip", "cicero-nope"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_old_compiler_rejects_skip(self, capsys):
+        assert main(["compile", "ab|cd", "--compiler", "old",
+                     "--skip", "cicero-dce"]) == 2
+        assert "--skip requires the new compiler" in capsys.readouterr().err
+
+    def test_per_pass_no_flags_are_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["compile", "ab|cd", "--no-dce"])
+        assert "unrecognized arguments: --no-dce" in capsys.readouterr().err
 
 
 class TestBenchFiles:

@@ -7,12 +7,14 @@ import pytest
 import repro
 from repro import api
 from repro.arch.config import ArchConfig
+from repro.compiler import CompileOptions
 from repro.evaluation import (
     compile_benchmark,
     format_table,
     run_grid,
     run_on_config,
 )
+from repro.runtime import Budget, ProgramSizeBudgetError
 from repro.workloads import load_benchmark
 
 
@@ -61,6 +63,24 @@ class TestOptimizeSwitch:
         assert len(plain.program.instructions) >= len(
             optimized.program.instructions
         )
+
+    def test_false_applies_to_given_options(self):
+        """``optimize=False`` runs no pass whatever the options list, and
+        keeps the options' other fields."""
+        plain = api.compile_pattern("(ab|ac)d", optimize=False)
+        assert len(plain.program) == 12
+        dce_only = CompileOptions(cicero_pipeline=("cicero-dce",))
+        for options in (CompileOptions(), dce_only):
+            given = api.compile_pattern("(ab|ac)d", optimize=False, options=options)
+            assert given.program.instructions == plain.program.instructions
+            assert given.options.pipelines() == ((), ())
+        # The options' budget still applies: 12 instructions trip it, the
+        # optimized 10 would not.
+        budget = Budget(max_program_length=11)
+        with pytest.raises(ProgramSizeBudgetError):
+            api.compile_pattern(
+                "(ab|ac)d", optimize=False, options=CompileOptions(budget=budget)
+            )
 
     def test_old_compiler_accepts_bools(self):
         assert api.compile_pattern(

@@ -5,7 +5,7 @@ import re
 
 from hypothesis import given, settings
 
-from repro.compiler import CompileOptions, compile_regex
+from repro.compiler import DEFAULT_REGEX_PIPELINE, CompileOptions, compile_regex
 from repro.oldcompiler.compiler import compile_regex_old
 from repro.vm import run_program
 from strategies import inputs, regex_patterns
@@ -52,16 +52,9 @@ def test_individual_passes_preserve_matching(pattern):
 
     rng = random.Random(0xFACADE)
     variants = [
-        compile_regex(pattern, CompileOptions.none()).program,
         compile_regex(pattern, CompileOptions(
-            factorize_alternations=False, boundary_quantifier=False,
-            jump_simplification=False, dead_code_elimination=False)).program,
-        compile_regex(pattern, CompileOptions(
-            simplify_subregex=False, boundary_quantifier=False,
-            jump_simplification=False, dead_code_elimination=False)).program,
-        compile_regex(pattern, CompileOptions(
-            simplify_subregex=False, factorize_alternations=False,
-            jump_simplification=False, dead_code_elimination=False)).program,
+            regex_pipeline=passes, cicero_pipeline=())).program
+        for passes in ((),) + tuple((name,) for name in DEFAULT_REGEX_PIPELINE)
     ]
     for _ in range(8):
         text = "".join(rng.choice("abcdefgh") for _ in range(rng.randint(0, 14)))

@@ -50,11 +50,7 @@ def test_jump_simplification_monotone(pattern):
     # low-level pass in isolation.
     lowlevel_only = compile_regex(
         pattern,
-        CompileOptions(
-            simplify_subregex=False,
-            factorize_alternations=False,
-            boundary_quantifier=False,
-        ),
+        CompileOptions(regex_pipeline=()),
     ).program
     assert len(lowlevel_only) <= len(baseline)
 

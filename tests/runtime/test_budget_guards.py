@@ -149,7 +149,9 @@ def test_bad_explicit_pass_name_reaches_the_caller(pipeline, compile_):
 
 
 def test_pass_time_budget_skipped_when_no_passes_run():
-    options = CompileOptions(optimize=False, budget=Budget(max_pass_seconds=0))
+    options = CompileOptions(
+        regex_pipeline=(), cicero_pipeline=(), budget=Budget(max_pass_seconds=0)
+    )
     result = NewCompiler(options).compile("a(b|c)d")
     assert len(result.program) > 0
 

@@ -6,7 +6,8 @@ stable across equal instances (satellite of ISSUE 3).
 """
 
 import dataclasses
-import itertools
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -47,25 +48,22 @@ class TestCompileOptionsKey:
     def test_frozen_and_hashable(self):
         options = CompileOptions()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            options.optimize = False
+            options.regex_pipeline = ()
         assert hash(options) == hash(CompileOptions())
 
-    def test_master_switch_folds_into_key(self):
-        # optimize=False and all-flags-off are the same configuration.
-        explicit = CompileOptions(
-            optimize=True,
-            simplify_subregex=False,
-            factorize_alternations=False,
-            boundary_quantifier=False,
-            jump_simplification=False,
-            dead_code_elimination=False,
-        )
-        assert (CompileOptions(optimize=False).cache_key()
-                == explicit.cache_key())
+    def test_the_pass_lists_are_the_only_pass_selector(self):
+        names = {f.name for f in dataclasses.fields(CompileOptions)}
+        assert names == {
+            "regex_pipeline", "cicero_pipeline", "verify_each", "budget", "trace",
+        }
 
-    def test_flag_changes_change_key(self):
+    def test_dropping_a_pass_changes_key(self):
         base = CompileOptions().cache_key()
-        assert CompileOptions(factorize_alternations=False).cache_key() != base
+        # Each drop-one-pass list, in the paper's order.
+        for regex in combinations(DEFAULT_REGEX_PIPELINE, 2):
+            assert CompileOptions(regex_pipeline=regex).cache_key() != base, regex
+        for cicero in combinations(DEFAULT_CICERO_PIPELINE, 1):
+            assert CompileOptions(cicero_pipeline=cicero).cache_key() != base, cicero
         assert CompileOptions(budget=Budget(max_vm_steps=5)).cache_key() != base
 
     def test_nested_budget_contributes_its_key(self):
@@ -74,42 +72,8 @@ class TestCompileOptionsKey:
         assert key["budget"] == Budget().cache_key()
 
 
-FLAGS = (
-    "simplify_subregex",
-    "factorize_alternations",
-    "boundary_quantifier",
-    "jump_simplification",
-    "dead_code_elimination",
-)
-
-
-def if_chain_pipelines(options):
-    """The pass names the pre-ISSUE-23 compiler's two ``if`` ladders
-    instantiated for flag-built (no explicit tuple) options."""
-    options = options.effective()
-    regex, cicero = [], []
-    if options.simplify_subregex:
-        regex.append("regex-simplify-subregex")
-    if options.factorize_alternations:
-        regex.append("regex-factorize-alternations")
-    if options.boundary_quantifier:
-        regex.append("regex-boundary-quantifier")
-    if options.jump_simplification:
-        cicero.append("cicero-jump-simplification")
-    if options.dead_code_elimination:
-        cicero.append("cicero-dce")
-    return tuple(regex), tuple(cicero)
-
-
 class TestPipelines:
     """``CompileOptions.pipelines()`` is the one spelling of what runs."""
-
-    def test_every_flag_combination_matches_the_old_if_chains(self):
-        combinations = list(itertools.product((True, False), repeat=6))
-        assert len(combinations) == 64
-        for optimize, *flags in combinations:
-            options = CompileOptions(optimize=optimize, **dict(zip(FLAGS, flags)))
-            assert options.pipelines() == if_chain_pipelines(options), options
 
     def test_defaults_are_the_exported_constants(self):
         assert CompileOptions().pipelines() == (
@@ -118,19 +82,14 @@ class TestPipelines:
         )
         assert CompileOptions.none().pipelines() == ((), ())
 
-    def test_explicit_tuple_wins_over_flags_and_master_switch(self):
+    def test_explicit_tuple_replaces_its_half(self):
         twice = ("regex-factorize-alternations",) * 2
-        options = CompileOptions(
-            optimize=False,
-            factorize_alternations=False,
-            regex_pipeline=twice,
-            cicero_pipeline=(),
-        )
+        options = CompileOptions(regex_pipeline=twice, cicero_pipeline=())
         assert options.pipelines() == (twice, ())
-        # One explicit half leaves the other to the flags.
-        assert CompileOptions(
-            regex_pipeline=(), dead_code_elimination=False
-        ).pipelines() == ((), ("cicero-jump-simplification",))
+        # One explicit half leaves the other at the paper's order.
+        assert CompileOptions(regex_pipeline=()).pipelines() == (
+            (), DEFAULT_CICERO_PIPELINE,
+        )
 
     def test_equal_pipelines_and_rest_give_equal_keys(self):
         assert CompileOptions(
@@ -140,15 +99,14 @@ class TestPipelines:
         assert CompileOptions(
             regex_pipeline=(), cicero_pipeline=()
         ).cache_key() == CompileOptions.none().cache_key()
-        # A flag an explicit tuple overrides does not split the cache...
-        assert CompileOptions(
-            regex_pipeline=DEFAULT_REGEX_PIPELINE, factorize_alternations=False
-        ).cache_key() == CompileOptions().cache_key()
-        # ...but a different order, or any remaining field, does.
+        # A different order, or any remaining field, splits the key...
         assert CompileOptions(
             regex_pipeline=DEFAULT_REGEX_PIPELINE[::-1]
         ).cache_key() != CompileOptions().cache_key()
         assert CompileOptions(
             regex_pipeline=DEFAULT_REGEX_PIPELINE, verify_each=True
         ).cache_key() != CompileOptions().cache_key()
+        # ...and ``trace`` never does.
         assert CompileOptions(trace=True).cache_key() == CompileOptions().cache_key()
+        assert (CompileOptions.none().cache_key()
+                == replace(CompileOptions.none(), trace=True).cache_key())

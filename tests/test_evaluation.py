@@ -32,10 +32,24 @@ class TestCompileBenchmark:
         assert compiled.avg_compile_seconds > 0
 
     def test_options_override(self, bench):
-        custom = compile_benchmark(
-            bench, "new", options=CompileOptions(boundary_quantifier=False)
+        options = CompileOptions(
+            regex_pipeline=("regex-simplify-subregex", "regex-factorize-alternations")
         )
+        custom = compile_benchmark(bench, "new", options=options)
         assert custom.compiler == "new"
+        assert custom.label == "new-opt"
+
+    def test_label_follows_the_passes_that_run(self, bench):
+        """An options set that runs no pass is the "w/o optimizations"
+        row whichever argument said so."""
+        for compiled in (
+            compile_benchmark(bench, "new", options=CompileOptions.none()),
+            compile_benchmark(bench, "new", optimize=False, options=CompileOptions()),
+        ):
+            assert (compiled.optimized, compiled.label) == (False, "new-noopt")
+            assert compiled.programs == compile_benchmark(
+                bench, "new", optimize=False
+            ).programs
 
     def test_old_compiler(self, bench):
         compiled = compile_benchmark(bench, "old", optimize=True)

@@ -33,12 +33,20 @@ GOLDEN = {
 }
 OPTION_SETS = {
     "default": CompileOptions(),
-    "none": CompileOptions.none(),
-    "no-simplify-subregex": CompileOptions(simplify_subregex=False),
-    "no-factorize-alternations": CompileOptions(factorize_alternations=False),
-    "no-boundary-quantifier": CompileOptions(boundary_quantifier=False),
-    "no-jump-simplification": CompileOptions(jump_simplification=False),
-    "no-dead-code-elimination": CompileOptions(dead_code_elimination=False),
+    "none": CompileOptions(regex_pipeline=(), cicero_pipeline=()),
+    "no-simplify-subregex": CompileOptions(
+        regex_pipeline=("regex-factorize-alternations", "regex-boundary-quantifier"),
+    ),
+    "no-factorize-alternations": CompileOptions(
+        regex_pipeline=("regex-simplify-subregex", "regex-boundary-quantifier"),
+    ),
+    "no-boundary-quantifier": CompileOptions(
+        regex_pipeline=("regex-simplify-subregex", "regex-factorize-alternations"),
+    ),
+    "no-jump-simplification": CompileOptions(cicero_pipeline=("cicero-dce",)),
+    "no-dead-code-elimination": CompileOptions(
+        cicero_pipeline=("cicero-jump-simplification",),
+    ),
 }
 
 

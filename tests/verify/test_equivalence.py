@@ -16,6 +16,11 @@ from repro.verify import (
 )
 from repro.vm import run_program
 
+#: The paper's pipeline minus the one span-changing pass.
+NO_BOUNDARY = CompileOptions(
+    regex_pipeline=("regex-simplify-subregex", "regex-factorize-alternations")
+)
+
 
 class TestChecker:
     def test_identical_programs(self):
@@ -102,7 +107,7 @@ class TestTranslationValidation:
 
     def test_old_and_new_compiler_equivalent(self, corpus_pattern):
         new = compile_regex(
-            corpus_pattern, CompileOptions(boundary_quantifier=False)
+            corpus_pattern, NO_BOUNDARY
         ).program
         old = compile_regex_old(corpus_pattern, optimize=True).program
         assert_programs_equivalent(new, old, max_states=100_000)
@@ -111,18 +116,14 @@ class TestTranslationValidation:
         baseline = compile_regex(corpus_pattern, CompileOptions.none()).program
         lowlevel = compile_regex(
             corpus_pattern,
-            CompileOptions(
-                simplify_subregex=False,
-                factorize_alternations=False,
-                boundary_quantifier=False,
-            ),
+            CompileOptions(regex_pipeline=()),
         ).program
         assert_programs_equivalent(baseline, lowlevel, max_states=100_000)
 
     def test_highlevel_passes_preserve_language(self, corpus_pattern):
         baseline = compile_regex(corpus_pattern, CompileOptions.none()).program
         transformed = compile_regex(
-            corpus_pattern, CompileOptions(boundary_quantifier=False)
+            corpus_pattern, NO_BOUNDARY
         ).program
         assert_programs_equivalent(baseline, transformed, max_states=100_000)
 
