@@ -367,11 +367,14 @@ def bench_streaming_vs_oneshot(
     """Chunked :class:`StreamingMatcher` vs one-shot ``vm.run``.
 
     Both sides walk the identical input with the identical program and
-    shared dispatch tables; the streaming side additionally saves and
-    restores the frontier at every ``chunk_bytes`` boundary — exactly
-    what the ``/stream`` endpoint pays per network read.  Interleaved
-    best-of-``repeats`` timing, hard-gated at :data:`STREAMING_FLOOR`.
+    shared dispatch tables; the streaming side — a matcher with
+    ``max_states=0``, so the kernel alone as on the one-shot side —
+    additionally saves and restores the frontier at every
+    ``chunk_bytes`` boundary, exactly what the ``/stream`` endpoint pays
+    per network read.  Interleaved best-of-``repeats`` timing,
+    hard-gated at :data:`STREAMING_FLOOR`.
     """
+    from repro.prefilter import LazyDFAMatcher
     from repro.vm import StreamingMatcher
 
     pattern = "(a|ab|b)*c(d|e)f{2,4}"
@@ -382,8 +385,10 @@ def bench_streaming_vs_oneshot(
         text[i : i + chunk_bytes] for i in range(0, len(text), chunk_bytes)
     ]
 
+    kernel_only = LazyDFAMatcher(program, max_states=0, vm=vm)
+
     def _stream_once():
-        matcher = StreamingMatcher(program, vm=vm)
+        matcher = StreamingMatcher(kernel_only)
         for chunk in chunks:
             if matcher.feed(chunk) is not None:
                 break

@@ -6,13 +6,16 @@ chunks (half a line now, three lines later) and the file never ends.
 This is exactly the contract of :class:`repro.vm.StreamingMatcher` —
 feed whatever bytes you have, get the one-shot verdict the moment it
 is decidable — and of the match service's ``/stream`` endpoint, which
-wraps the same matcher behind HTTP (see ``docs/service.md``).
+streams through the same pattern matcher behind HTTP (see
+``docs/service.md``).
 
 The demo:
 
 1. writes a synthetic application log and "tails" it in ragged chunks
-   through ``StreamingMatcher``, reporting the first ``ERROR`` with a
-   deadline-exceeded cause the moment its final byte arrives;
+   through ``StreamingMatcher`` over the pattern's
+   :class:`repro.prefilter.LazyDFAMatcher`, reporting the first
+   ``ERROR`` with a deadline-exceeded cause the moment its final byte
+   arrives;
 2. does the same for several patterns at once with
    :class:`repro.vm.StreamingMultiMatcher`;
 3. if a match service is running (``repro serve``), streams the same
@@ -29,6 +32,7 @@ import urllib.request
 
 from repro import compile_pattern
 from repro.multimatch import compile_multipattern
+from repro.prefilter import LazyDFAMatcher
 from repro.vm import StreamingMatcher, StreamingMultiMatcher
 
 PATTERN = r"ERROR .* cause=deadline_exceeded"
@@ -61,7 +65,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     print(f"pattern: {PATTERN!r}")
     program = compile_pattern(PATTERN).program
-    matcher = StreamingMatcher(program, use_dfa=True)
+    matcher = StreamingMatcher(LazyDFAMatcher(program))
     fed = 0
     verdict = None
     for chunk in ragged_chunks(log):

@@ -29,13 +29,11 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..arch.config import ConfigurationError
 from ..isa.program import Program
-
-if TYPE_CHECKING:
-    from ..prefilter.scanner import PrefilteredMatcher
+from ..prefilter.scanner import PrefilteredMatcher
 
 
 def resolve_mp_context(method: Optional[str] = None):
@@ -81,7 +79,7 @@ class WorkerPayload:
     max_dfa_states: Optional[int] = None
 
 
-def build_match_fn(payload: WorkerPayload, metrics=None) -> "PrefilteredMatcher":
+def build_match_fn(payload: WorkerPayload, metrics=None) -> PrefilteredMatcher:
     """Rebuild the matcher a payload describes.
 
     Its ``match`` is the ``bytes → MatchResult`` function a shard
@@ -92,10 +90,6 @@ def build_match_fn(payload: WorkerPayload, metrics=None) -> "PrefilteredMatcher"
     its local one when the payload asks for counter collection.
     ``None`` keeps the matcher on its uninstrumented fast path.
     """
-    # Imported lazily: repro.prefilter and repro.vm import each other,
-    # and the vm side must load first.
-    from ..prefilter.scanner import PrefilteredMatcher
-
     return PrefilteredMatcher(
         payload.artifact,
         max_dfa_states=payload.max_dfa_states,

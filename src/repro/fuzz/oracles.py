@@ -21,9 +21,10 @@ execution path and diffs the verdicts:
 ``pyre``      Python :mod:`re` over the emitted pattern text
 ``stream``    :class:`~repro.vm.streaming.StreamingMatcher` fed the
               input in seeded pseudo-random chunks (1–8 bytes,
-              boundaries derived from ``crc32`` of the probe, DFA
-              acceleration toggled by the same seed) — the one-shot
-              equivalence contract of the match service's ``/stream``
+              boundaries derived from ``crc32`` of the probe; the same
+              seed picks one of two matchers built per case, lazy DFA
+              or kernel alone) — the one-shot equivalence contract of
+              the match service's ``/stream``
 ============ =========================================================
 
 plus two *program-level* oracles that need no inputs at all: the
@@ -66,7 +67,7 @@ from ..isa.instructions import Opcode
 from ..isa.program import Program
 from ..multimatch import MultiMatchVM, compile_multipattern
 from ..oldcompiler.compiler import OldCompiler
-from ..prefilter.lazydfa import LazyDFA, LazyDFABlowup
+from ..prefilter.lazydfa import LazyDFA, LazyDFABlowup, LazyDFAMatcher
 from ..prefilter.scanner import PrefilteredMatcher
 from ..runtime.budget import DEFAULT_BUDGET, Budget
 from ..runtime.errors import ReproError
@@ -373,8 +374,7 @@ class CompiledOracles:
         if "pyre" in want:
             self._build("pyre", lambda: self._pyre_runner())
         if "stream" in want:
-            self._max_dfa_states = max_dfa_states
-            self._build("stream", lambda: self._stream_runner())
+            self._build("stream", lambda: self._stream_runner(max_dfa_states))
 
         # -- program-level equivalence oracles --------------------------
         self._check_equivalence("equivalence-opt", self.program_opt,
@@ -449,28 +449,27 @@ class CompiledOracles:
             )
         )
 
-    def _stream_runner(self) -> Callable[[str], Verdict]:
+    def _stream_runner(self, max_dfa_states: int) -> Callable[[str], Verdict]:
         """One-shot-equivalence oracle for the streaming matcher.
 
         Chunk boundaries must vary per probe yet stay re-derivable from
         the case alone (the campaign's replay contract bans global
         randomness), so an LCG seeded with ``crc32(input)`` draws the
-        1–8 byte chunk lengths, and the seed's parity picks between the
-        plain-VM and DFA-accelerated streaming paths.
+        1–8 byte chunk lengths, and the seed's parity picks the matcher:
+        the kernel alone (``max_states=0``) or the lazy DFA, which the
+        case's probes share as ``/stream`` requests share a pattern's.
         """
         program = self.program_opt
         vm = ThompsonVM(program)  # shared dispatch tables across probes
-        max_dfa_states = self._max_dfa_states
+        matchers = (
+            LazyDFAMatcher(program, max_states=0, vm=vm),
+            LazyDFAMatcher(program, max_states=max_dfa_states, vm=vm),
+        )
 
         def matcher(text: str) -> bool:
             data = as_input_bytes(text, what="stream oracle input")
             state = zlib.crc32(data) & 0xFFFFFFFF
-            streamer = StreamingMatcher(
-                program,
-                use_dfa=bool(state & 1),
-                max_dfa_states=max_dfa_states,
-                vm=vm,
-            )
+            streamer = StreamingMatcher(matchers[state & 1])
             index = 0
             settled = None
             while index < len(data) and settled is None:

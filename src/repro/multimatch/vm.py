@@ -14,7 +14,7 @@ from typing import FrozenSet, List, Optional, Union
 
 from ..runtime.encoding import as_input_bytes
 from ..verify.reference import reference_run
-from ..vm.kernel import DispatchTables, run_once
+from ..vm.kernel import DispatchTables, Enumeration, run_once
 from .compiler import MultiProgram
 
 
@@ -90,8 +90,8 @@ class MultiMatchVM:
             text, what="input text"
         )
         state = run_once(
-            self.tables, data, max_steps, self.targets(candidates),
-            "multimatch.run", tracer, metrics, profile,
+            Enumeration(self.tables, max_steps, self.targets(candidates)),
+            data, "multimatch.run", tracer, metrics, profile,
             patterns=len(self._all_ids),
         )
         return self.result(state.matched)

@@ -30,20 +30,31 @@ residue with one lowercase byte per 200 B / 2 KB at 22 / 31 instead of
 has no skip.
 
 The construction is strictly bounded: interning a state beyond
-``max_states`` raises :class:`LazyDFABlowup`, and
-:class:`LazyDFAMatcher` then falls back — permanently, for that
-pattern — to the kernel.  Blowup is a performance event, never a
-correctness event (acceptance criterion: pathological ``(a|aa){n}``
-patterns degrade with a ``repro_lazydfa_fallback_total`` increment,
-never an error or a wrong verdict).
+``max_states`` raises :class:`LazyDFABlowup` with the blown state's mask
+and the byte's offset, and :class:`LazyDFAMatcher` continues on the
+kernel from there — permanently, for that pattern.  Blowup is a
+performance event, never a correctness event (acceptance criterion:
+pathological ``(a|aa){n}`` patterns degrade with a
+``repro_lazydfa_fallback_total`` increment, never an error or a wrong
+verdict).
+
+:meth:`LazyDFAMatcher.match` runs one text on :meth:`LazyDFA.run`;
+:meth:`~LazyDFAMatcher.feed` and :meth:`~LazyDFAMatcher.finish` advance
+one stream's :class:`~repro.vm.kernel.Enumeration` on
+:meth:`LazyDFA.walk` (:class:`~repro.vm.streaming.StreamingMatcher`
+wraps them).  One budget rule holds for both: DFA bytes are free, and
+``max_vm_steps`` counts kernel steps from the byte the kernel takes
+over at (byte 0 once the matcher has fallen back).
 """
 
 from __future__ import annotations
 
+import threading
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..isa.program import Program
+from ..vm.kernel import Enumeration, run_once
 from ..vm.thompson import MatchResult, ThompsonVM, _as_bytes
 from .ahocorasick import byte_class_pattern
 
@@ -73,7 +84,8 @@ class LazyDFABlowup(Exception):
     def __init__(self, max_states: int, pattern: Optional[str] = None):
         self.max_states = max_states
         self.pattern = pattern
-        #: Set by :meth:`LazyDFA.walk`: the blown state's mask, the byte.
+        #: Set by :meth:`LazyDFA.run`/:meth:`~LazyDFA.walk`: the blown
+        #: state's mask, and the offset of the byte it blew on.
         self.state: Optional[int] = None
         self.offset: Optional[int] = None
         super().__init__(
@@ -104,7 +116,10 @@ class LazyDFA:
         self.num_classes = self._tables.num_classes
         #: Transitions built so far (the miss path; cached ones are free).
         self.transitions_built = 0
-        # State interning: id 0 is always the entry state.
+        # State interning: id 0 is always the entry state.  Streams and
+        # one-shot calls on other threads share the DFA, so a new state
+        # is interned under the lock and published in ``_ids`` last.
+        self._interning = threading.Lock()
         self._ids: Dict[int, int] = {}
         self._states: List[int] = []
         self._rows: List[List[int]] = []
@@ -121,13 +136,18 @@ class LazyDFA:
         state_id = self._ids.get(state)
         if state_id is not None:
             return state_id
-        if self.max_states is not None and len(self._states) >= self.max_states:
-            raise LazyDFABlowup(self.max_states, self.program.source_pattern)
-        state_id = len(self._states)
-        self._ids[state] = state_id
-        self._states.append(state)
-        self._rows.append([_UNBUILT] * self.num_classes)
-        self._accept_end.append(state & self._tables.accept_mask != 0)
+        with self._interning:
+            state_id = self._ids.get(state)
+            if state_id is not None:  # another thread interned it
+                return state_id
+            states = self._states
+            if self.max_states is not None and len(states) >= self.max_states:
+                raise LazyDFABlowup(self.max_states, self.program.source_pattern)
+            state_id = len(states)
+            states.append(state)
+            self._rows.append([_UNBUILT] * self.num_classes)
+            self._accept_end.append(state & self._tables.accept_mask != 0)
+            self._ids[state] = state_id
         return state_id
 
     def _build_transition(self, state_id: int, byte_class: int) -> int:
@@ -176,7 +196,8 @@ class LazyDFA:
         The DFA does bounded work per byte by construction, so it takes
         no step budget; its own bound is ``max_states``, enforced during
         building.  Raises :class:`LazyDFABlowup` when the input drives
-        the cache past that bound; callers fall back to the VM.
+        the cache past that bound, carrying the blown state's mask and
+        the byte's offset as :meth:`walk` does.
         """
         data = text if isinstance(text, bytes) else _as_bytes(text)
         translated = data.translate(self._tables.class_table)
@@ -186,17 +207,22 @@ class LazyDFA:
         state_id = 0
         row = rows[0]
         build = self._build_transition
-        for position, byte_class in enumerate(translated):
-            next_id = row[byte_class]
-            if next_id < 0:
-                if next_id == _UNBUILT:
-                    next_id = build(state_id, byte_class)
-                if next_id == _MATCHED:
-                    return MatchResult(True, position)
-                if next_id == _DEAD:
-                    return MatchResult(False, None)
-            state_id = next_id
-            row = rows[state_id]
+        try:
+            for position, byte_class in enumerate(translated):
+                next_id = row[byte_class]
+                if next_id < 0:
+                    if next_id == _UNBUILT:
+                        next_id = build(state_id, byte_class)
+                    if next_id == _MATCHED:
+                        return MatchResult(True, position)
+                    if next_id == _DEAD:
+                        return MatchResult(False, None)
+                state_id = next_id
+                row = rows[state_id]
+        except LazyDFABlowup as blowup:
+            blowup.state = self._states[state_id]
+            blowup.offset = position
+            raise
         if self._accept_end[state_id]:
             return MatchResult(True, len(data))
         return MatchResult(False, None)
@@ -245,19 +271,17 @@ class LazyDFA:
             raise
         return None, length, state_id
 
-    def accepts_at_end(self, state_id: int) -> bool:
-        """Whether the end of input accepts in ``state_id``."""
-        return self._accept_end[state_id]
-
 
 class LazyDFAMatcher:
-    """Lazy DFA with a permanent, metered fallback to the NFA VM.
+    """Lazy DFA with a permanent, metered fallback to the kernel.
 
-    The first :class:`LazyDFABlowup` flips the matcher into VM mode for
-    good — a pattern that blows the state budget once will do so again,
-    and half-built caches are not worth re-probing per call.  The
-    fallback is observable (``repro_lazydfa_fallback_total``) but never
-    behavioral: both paths return identical :class:`MatchResult`s.
+    The first :class:`LazyDFABlowup` flips the matcher onto the kernel
+    for good — a pattern that blows the state budget once will do so
+    again, and half-built caches are not worth re-probing per call.
+    :meth:`_hand_off` is the one place the blown walk continues on the
+    kernel, for :meth:`match` and for streams alike.  The fallback is
+    observable (``repro_lazydfa_fallback_total``) but never behavioral:
+    both paths return identical :class:`MatchResult` verdicts.
     """
 
     def __init__(
@@ -306,23 +330,71 @@ class LazyDFAMatcher:
             self._published = built
 
     def _fall_back(self) -> None:
-        self.blown = True
+        with self.dfa._interning:  # two threads that blow meter one fallback
+            if self.blown:
+                return
+            self.blown = True
         if self._fallbacks is not None:
             self._fallbacks.inc()
             self._publish()
 
+    def _hand_off(self, state: Enumeration, blowup: LazyDFABlowup) -> Enumeration:
+        """Meter the fallback and seed ``state`` where the DFA blew: its
+        frontier is the blown state's mask, its next byte the one the
+        walk could not take.  Feeding it from ``blowup.offset`` of the
+        same data continues on the kernel, steps counted from there."""
+        self._fall_back()
+        state.frontier = blowup.state
+        state.consumed += blowup.offset
+        return state
+
     def match(self, text: Union[str, bytes]) -> MatchResult:
-        if not self.blown:
-            try:
-                result = self.dfa.run(text)
-            except LazyDFABlowup:
-                self._fall_back()
-            else:
-                if self._runs is not None:
-                    self._runs.inc()
-                    self._publish()
-                return result
-        return self.vm.run(text, self.max_vm_steps, metrics=self._metrics)
+        data = text if isinstance(text, bytes) else _as_bytes(text)
+        if self.blown:
+            return self.vm.run(data, self.max_vm_steps, metrics=self._metrics)
+        try:
+            result = self.dfa.run(data)
+        except LazyDFABlowup as blowup:
+            state = self._hand_off(
+                Enumeration(self.vm.tables, self.max_vm_steps), blowup
+            )
+            run_once(state, data, "vm.run", None, self._metrics, None,
+                     start=blowup.offset)
+            return MatchResult(state.position is not None, state.position)
+        if self._runs is not None:
+            self._runs.inc()
+            self._publish()
+        return result
+
+    # ------------------------------------------------------------------
+    # Streams: one Enumeration per stream, the DFA shared
+    # ------------------------------------------------------------------
+    def feed(self, state: Enumeration, data: bytes) -> None:
+        """Advance one stream's ``state`` (an enumeration over
+        ``self.vm.tables`` with ``max_vm_steps``) over its next chunk.
+        While the DFA walks, the frontier is the stream's DFA state's
+        mask, so the kernel can take over wherever the matcher falls
+        back."""
+        if self.blown or state.settled:  # a tripped budget implies blown
+            return state.feed(data)
+        dfa = self.dfa
+        try:
+            verdict, offset, state_id = dfa.walk(data, dfa._ids[state.frontier])
+        except LazyDFABlowup as blowup:
+            return self._hand_off(state, blowup).feed(data, blowup.offset)
+        if self._transitions is not None:
+            self._publish()
+        state.consumed += offset
+        if verdict is None:
+            state.frontier = dfa._states[state_id]
+        else:
+            state.settle(verdict)
+
+    def finish(self, state: Enumeration) -> None:
+        """Run the end-of-input position of one stream's ``state``."""
+        if not (self.blown or state.settled):  # free on the DFA
+            state.settle(state.frontier & self.vm.tables.accept_mask != 0)
+        state.finish()
 
 
 __all__ = [

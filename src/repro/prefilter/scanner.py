@@ -96,13 +96,14 @@ class PrefilteredMatcher:
         self.program = program
         self.analysis = analysis
         self._filter = build_chunk_filter(analysis)
-        self._dfa_matcher = LazyDFAMatcher(
+        #: The verify step; the service's ``/stream`` streams through it.
+        self.dfa_matcher = LazyDFAMatcher(
             program,
             max_states=max_dfa_states,
             max_vm_steps=max_vm_steps,
             metrics=metrics,
         )
-        self.vm = self._dfa_matcher.vm
+        self.vm = self.dfa_matcher.vm
         self._checks = None
         self._skips = None
         self._candidates = None
@@ -137,7 +138,7 @@ class PrefilteredMatcher:
                 stages.append(f"literal({len(analysis.literals)})")
             elif analysis.first_bytes:
                 stages.append(f"first-bytes({len(analysis.first_bytes)})")
-        stages.append("vm" if self._dfa_matcher.blown else "lazy-dfa")
+        stages.append("vm" if self.dfa_matcher.blown else "lazy-dfa")
         return {
             "stages": stages,
             "inert": analysis.inert,
@@ -156,7 +157,7 @@ class PrefilteredMatcher:
                 return MatchResult(False, None)
             if self._candidates is not None:
                 self._candidates.inc()
-        return self._dfa_matcher.match(data)
+        return self.dfa_matcher.match(data)
 
 
 __all__ = [

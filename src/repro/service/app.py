@@ -655,18 +655,8 @@ class MatchService:
                 )
             pattern = self.tenants.resolve(headers.get("x-repro-tenant"),
                                            name)
-        use_dfa = headers.get("x-repro-dfa", "on").lower() not in (
-            "off", "0", "false",
-        )
         matcher = await self._in_executor(self.engine.matcher, pattern)
-        vm = matcher.vm
-        streamer = StreamingMatcher(
-            vm.program,
-            max_steps=self.config.budget.max_vm_steps,
-            use_dfa=use_dfa,
-            max_dfa_states=self.config.budget.max_dfa_states,
-            vm=vm,
-        )
+        streamer = StreamingMatcher(matcher.dfa_matcher)
         settled = None
         fed = 0
         async for piece in request.iter_body():
@@ -682,7 +672,6 @@ class MatchService:
                 "bytes": fed,
                 "settled_early": settled is not None,
                 "accelerated": streamer.accelerated,
-                "dfa_fallbacks": streamer.dfa_fallbacks,
             },
             sort_keys=True,
         ).encode()

@@ -539,39 +539,39 @@ class Observer:
 
 
 def run_once(
-    tables: DispatchTables,
+    state: Enumeration,
     data: bytes,
-    max_steps: Optional[int],
-    targets: Optional[FrozenSet[int]],
     span_name: str,
     tracer,
     metrics,
     profile,
+    start: int = 0,
     **attributes,
 ) -> Enumeration:
-    """One-shot execution: ``feed`` + ``finish``; returns the final state.
+    """One-shot execution: ``feed`` from ``start`` + ``finish``.
 
-    An :class:`Observer` is attached only when ``profile`` is given or
-    ``tracer``/``metrics`` are enabled; otherwise the cost of the three
-    optional arguments is this one check per run.
+    ``state`` is fresh, or seeded at ``data[start]`` by the lazy DFA's
+    hand-off; it is returned finished.  An :class:`Observer` is attached
+    only when ``profile`` is given or ``tracer``/``metrics`` are enabled;
+    otherwise the cost of the three optional arguments is this one check
+    per run.
     """
-    state = Enumeration(tables, max_steps, targets)
     tracing = tracer is not None and tracer.enabled
     if profile is None and not tracing and not (
         metrics is not None and metrics.enabled
     ):
-        state.feed(data)
+        state.feed(data, start)
         state.finish()
         return state
     observer = state.observer = Observer(
         state, profile.pc_counts if profile is not None else None
     )
     with (tracer if tracing else NULL_TRACER).span(
-        span_name, program_size=len(tables.opcodes), input_bytes=len(data),
-        **attributes,
+        span_name, program_size=len(state.tables.opcodes),
+        input_bytes=len(data) - start, **attributes,
     ) as span:
         try:
-            state.feed(data)
+            state.feed(data, start)
             state.finish()
         finally:
             observer.publish(span, metrics, profile, state)

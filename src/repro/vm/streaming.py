@@ -16,28 +16,22 @@ at its absolute position mid-chunk; an empty frontier settles ``False``
 immediately (no suffix can revive a dead enumeration).  Once settled,
 further ``feed`` calls are no-ops returning the verdict.
 
-Lazy-DFA acceleration streams the same way: a
-:class:`~repro.prefilter.lazydfa.LazyDFA` state *is* an interned
-frontier mask, so the carried state is one integer that
-:meth:`~repro.prefilter.lazydfa.LazyDFA.walk` resumes from, and a
-mid-stream :class:`~repro.prefilter.lazydfa.LazyDFABlowup` degrades
-permanently to the kernel by handing over the mask of the state it blew
-in as the frontier — continuing at that byte, on the step table the DFA
-already warmed, without re-reading history.
-Step budgets follow :class:`~repro.prefilter.lazydfa.LazyDFAMatcher`
-semantics: DFA-mode bytes cost no VM steps (the DFA's own bound is
-``max_states``); after a fallback the VM budget applies from the
-fallback point onward.
+:class:`StreamingMatcher` streams through a pattern's
+:class:`~repro.prefilter.lazydfa.LazyDFAMatcher` — the engine's cached
+one, so every stream of a pattern shares the lazy DFA its other traffic
+warms.  While the DFA walks, the enumeration's frontier is the mask of
+its DFA state; where the DFA blows its state cap, the matcher hands the
+stream to the kernel at that byte.  Step budgets follow the matcher's
+one rule (:mod:`repro.prefilter.lazydfa`), so a stream is charged
+exactly what one-shot ``match`` over the joined input is.
 """
 
 from __future__ import annotations
 
 from typing import FrozenSet, Optional, Union
 
-from ..isa.program import Program
-from ..prefilter.lazydfa import DEFAULT_MAX_DFA_STATES, LazyDFA, LazyDFABlowup
 from .kernel import Enumeration
-from .thompson import MatchResult, ThompsonVM, _as_bytes
+from .thompson import MatchResult, _as_bytes
 
 __all__ = ["StreamingMatcher", "StreamingMultiMatcher"]
 
@@ -47,7 +41,7 @@ class StreamingMatcher:
 
     Usage::
 
-        matcher = StreamingMatcher(program)
+        matcher = StreamingMatcher(LazyDFAMatcher(program))
         for chunk in source:
             verdict = matcher.feed(chunk)
             if verdict is not None:      # settled early
@@ -60,44 +54,17 @@ class StreamingMatcher:
     results are absolute offsets into the concatenated input, exactly
     as one-shot :meth:`ThompsonVM.run` reports them.
 
-    ``use_dfa=True`` routes chunks through a lazy DFA bounded by
-    ``max_dfa_states`` with a permanent VM fallback on blowup (never a
-    correctness event).  ``vm`` shares a prebuilt VM across matchers for
-    the same program: the service passes the cached entry's, so a
-    thousand concurrent streams pay one dispatch-table build.  The lazy
-    DFA is not shared — each matcher with ``use_dfa`` builds its own,
-    so each ``/stream`` request grows its DFA states from scratch.
+    ``matcher`` is a :class:`~repro.prefilter.lazydfa.LazyDFAMatcher`;
+    its ``max_states`` and ``max_vm_steps`` configure the stream (a
+    matcher built with ``max_states=0`` streams on the kernel alone).
+    Any number of streams may share it: each holds only its own
+    :class:`~repro.vm.kernel.Enumeration`.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        *,
-        max_steps: Optional[int] = None,
-        use_dfa: bool = False,
-        max_dfa_states: Optional[int] = None,
-        vm: Optional[ThompsonVM] = None,
-    ):
-        self.program = program
-        self.vm = vm if vm is not None else ThompsonVM(program)
-        self.max_steps = max_steps
-        #: The VM-path state; while the DFA front runs, only its
-        #: ``consumed`` offset moves.
-        self.state = Enumeration(self.vm.tables, max_steps)
+    def __init__(self, matcher):
+        self.matcher = matcher
+        self.state = Enumeration(matcher.vm.tables, matcher.max_vm_steps)
         self._finished = False
-        self.dfa_fallbacks = 0
-
-        self._dfa = None
-        self._dfa_state = 0
-        if use_dfa:
-            if max_dfa_states is None:
-                max_dfa_states = DEFAULT_MAX_DFA_STATES
-            self._dfa = LazyDFA(program, max_states=max_dfa_states, vm=self.vm)
-            if not self._dfa.state_count:
-                # The cap cannot hold even the entry state: start on the
-                # VM, as a mid-stream blowup would continue on it.
-                self.dfa_fallbacks += 1
-                self._dfa = None
 
     # ------------------------------------------------------------------
     # State inspection
@@ -120,8 +87,8 @@ class StreamingMatcher:
 
     @property
     def accelerated(self) -> bool:
-        """True while chunks are walking the lazy DFA."""
-        return self._dfa is not None
+        """True while the shared matcher walks its lazy DFA."""
+        return not self.matcher.blown
 
     # ------------------------------------------------------------------
     # Feeding
@@ -131,42 +98,16 @@ class StreamingMatcher:
         if self._finished:
             raise RuntimeError("feed() after finish() on StreamingMatcher")
         state = self.state
-        if state.error is not None:
-            raise state.error
         if not state.settled:
             data = chunk if isinstance(chunk, bytes) else _as_bytes(chunk)
-            if self._dfa is None:
-                state.feed(data)
-            elif data:
-                self._feed_dfa(data)
+            self.matcher.feed(state, data)  # re-raises a tripped budget
         return self.result
 
     def finish(self) -> MatchResult:
         """Process the end-of-input position and return the verdict."""
-        state = self.state
-        if self._dfa is not None and not state.settled:
-            state.settle(self._dfa.accepts_at_end(self._dfa_state))
-        state.finish()  # re-raises a tripped budget; no-op once settled
+        self.matcher.finish(self.state)  # re-raises a tripped budget
         self._finished = True
         return self.result
-
-    def _feed_dfa(self, data: bytes) -> None:
-        state = self.state
-        try:
-            verdict, offset, self._dfa_state = self._dfa.walk(data, self._dfa_state)
-        except LazyDFABlowup as blowup:
-            # Permanent degradation: the DFA state's mask is exactly the
-            # kernel frontier at this position — resume byte-for-byte
-            # from the chunk byte whose transition blew the budget.
-            self.dfa_fallbacks += 1
-            self._dfa = None
-            state.frontier = blowup.state
-            state.consumed += blowup.offset
-            state.feed(data, blowup.offset)
-            return
-        state.consumed += offset
-        if verdict is not None:
-            state.settle(verdict)
 
 
 class StreamingMultiMatcher:

@@ -18,7 +18,7 @@ from typing import List, Optional, Union
 from ..isa.program import Program
 from ..runtime.encoding import as_input_bytes
 from ..verify.reference import reference_run
-from .kernel import DispatchTables, run_once
+from .kernel import DispatchTables, Enumeration, run_once
 
 
 @dataclass
@@ -104,7 +104,7 @@ class ThompsonVM:
         """
         data = text if isinstance(text, bytes) else _as_bytes(text)
         state = run_once(
-            self.tables, data, max_steps, None, "vm.run",
+            Enumeration(self.tables, max_steps), data, "vm.run",
             tracer, metrics, profile,
         )
         return MatchResult(state.position is not None, state.position)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.compiler import compile_regex
 from repro.multimatch import MultiMatchVM, compile_multipattern
+from repro.prefilter.lazydfa import LazyDFAMatcher
 from repro.vm import StreamingMatcher, StreamingMultiMatcher, ThompsonVM
 from strategies import inputs, regex_patterns
 
@@ -35,7 +36,7 @@ def chunkings(draw, text):
 
 
 def _stream_verdict(program, chunks, **kwargs):
-    matcher = StreamingMatcher(program, **kwargs)
+    matcher = StreamingMatcher(LazyDFAMatcher(program, **kwargs))
     for chunk in chunks:
         verdict = matcher.feed(chunk)
         if verdict is not None:
@@ -49,7 +50,7 @@ def test_streaming_vm_equals_reference(data, pattern, text):
     program = compile_regex(pattern).program
     expected = ThompsonVM(program).run_reference(text)
     chunks = data.draw(chunkings(text))
-    got = _stream_verdict(program, chunks)
+    got = _stream_verdict(program, chunks, max_states=0)
     assert bool(got) == bool(expected), (pattern, text, chunks)
     if expected.matched:
         assert got.position == expected.position
@@ -61,7 +62,7 @@ def test_streaming_dfa_equals_reference(data, pattern, text):
     program = compile_regex(pattern).program
     expected = ThompsonVM(program).run_reference(text)
     chunks = data.draw(chunkings(text))
-    got = _stream_verdict(program, chunks, use_dfa=True)
+    got = _stream_verdict(program, chunks)
     assert bool(got) == bool(expected), (pattern, text, chunks)
     if expected.matched:
         assert got.position == expected.position
@@ -75,7 +76,7 @@ def test_streaming_dfa_fallback_equals_reference(data, pattern, text):
     program = compile_regex(pattern).program
     expected = ThompsonVM(program).run_reference(text)
     chunks = data.draw(chunkings(text))
-    got = _stream_verdict(program, chunks, use_dfa=True, max_dfa_states=3)
+    got = _stream_verdict(program, chunks, max_states=3)
     assert bool(got) == bool(expected), (pattern, text, chunks)
     if expected.matched:
         assert got.position == expected.position

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.runtime.budget import Budget
 from repro.service import MatchService, ServiceConfig
 from service_helpers import (
     HeldStream,
@@ -97,12 +98,69 @@ def test_stream_settles_like_one_shot():
 
             status, _, body = await fetch(
                 host, port, "POST", "/stream", b"no such thing",
-                headers=[("X-Repro-Pattern", "a(b|c)+d"),
-                         ("X-Repro-Dfa", "off")],
+                headers=[("X-Repro-Pattern", "a(b|c)+d")],
             )
             assert status == 200
             verdict = json.loads(body)
-            assert not verdict["matched"] and not verdict["accelerated"]
+            assert not verdict["matched"] and verdict["accelerated"]
+        finally:
+            await service.drain("test")
+
+    run(scenario())
+
+
+async def lazydfa_samples(host, port):
+    status, _, body = await fetch(host, port, "GET", "/metrics")
+    assert status == 200
+    return {
+        name: value
+        for name, value in parse_metrics(body.decode()).items()
+        if name.startswith("repro_lazydfa_")
+    }
+
+
+def test_streams_share_the_pattern_s_lazy_dfa():
+    # /stream walks the DFA inside the engine's cached matcher: the
+    # second identical stream takes only transitions the first built.
+    async def scenario():
+        service = await started()
+        try:
+            host, port = service.host, service.port
+            built = []
+            for _ in range(2):
+                status, _, body = await fetch(
+                    host, port, "POST", "/stream", b"xxabcbcbyy",
+                    headers=[("X-Repro-Pattern", "a(b|c)+d")],
+                )
+                assert status == 200
+                verdict = json.loads(body)
+                assert not verdict["matched"] and verdict["accelerated"]
+                samples = await lazydfa_samples(host, port)
+                built.append(samples["repro_lazydfa_transitions_total"])
+            assert built[0] > 0 and built[1] == built[0]
+        finally:
+            await service.drain("test")
+
+    run(scenario())
+
+
+def test_a_stream_that_blows_the_dfa_counts_one_fallback():
+    async def scenario():
+        service = await started(budget=Budget(max_dfa_states=2))
+        try:
+            host, port = service.host, service.port
+            before = await lazydfa_samples(host, port)
+            assert before.get("repro_lazydfa_fallback_total", 0.0) == 0.0
+            for _ in range(2):  # the pattern stays on the VM: no second count
+                status, _, body = await fetch(
+                    host, port, "POST", "/stream", b"abcbcbcbd!",
+                    headers=[("X-Repro-Pattern", "a(b|c)+d")],
+                )
+                assert status == 200
+                verdict = json.loads(body)
+                assert verdict["matched"] and not verdict["accelerated"]
+                after = await lazydfa_samples(host, port)
+                assert after["repro_lazydfa_fallback_total"] == 1.0
         finally:
             await service.drain("test")
 

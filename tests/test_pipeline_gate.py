@@ -300,9 +300,10 @@ MATCHER_CONSTRUCTORS = {"PrefilteredMatcher", "ThompsonVM", "CiceroSystem"}
 ENGINE_PACKAGES = ("engine", "service")
 
 
-def matcher_constructions(tree: ast.Module):
-    """``(top-level function or class, constructor)`` for every matcher
-    constructor ``tree`` calls; module-level calls report ``None``."""
+def matcher_constructions(tree: ast.Module, constructors=MATCHER_CONSTRUCTORS):
+    """``(top-level function or class, constructor)`` for every call of
+    one of ``constructors`` in ``tree``; module-level calls report
+    ``None``."""
     for node in tree.body:
         owner = getattr(node, "name", None)
         for inner in ast.walk(node):
@@ -310,7 +311,7 @@ def matcher_constructions(tree: ast.Module):
                 continue
             function = inner.func
             name = getattr(function, "id", None) or getattr(function, "attr", None)
-            if name in MATCHER_CONSTRUCTORS:
+            if name in constructors:
                 yield owner, name
 
 
@@ -341,3 +342,57 @@ def test_the_walk_sees_a_pasted_back_simulator_branch():
         ("build_match_fn", "ThompsonVM"),
         ("build_match_fn", "CiceroSystem"),
     }
+
+
+def lazy_dfa_builders(tree: ast.Module):
+    return {owner for owner, _ in matcher_constructions(tree, {"LazyDFA"})}
+
+
+def test_one_lazy_dfa_per_pattern():
+    """A pattern's lazy DFA is its ``LazyDFAMatcher``'s: one-shot and
+    streams share it.  The fuzz ``lazydfa`` oracle probes a bare one."""
+    found = {
+        (path.relative_to(SOURCE).as_posix(), owner)
+        for path in sorted(SOURCE.rglob("*.py"))
+        for owner in lazy_dfa_builders(ast.parse(path.read_text(), str(path)))
+    }
+    assert found == {
+        ("prefilter/lazydfa.py", "LazyDFAMatcher"),
+        ("fuzz/oracles.py", "CompiledOracles"),
+    }
+
+
+def test_the_walk_sees_a_pasted_back_private_dfa():
+    # The deleted DFA branch of ``StreamingMatcher.__init__``, abridged
+    # (its keyword is renamed, so that a grep for it stays empty).
+    shadow = ast.parse(
+        "class StreamingMatcher:\n"
+        "    def __init__(self, program, *, accelerate=False, cap=None):\n"
+        "        self._dfa = None\n"
+        "        if accelerate:\n"
+        "            self._dfa = LazyDFA(program, max_states=cap)\n"
+    )
+    assert lazy_dfa_builders(shadow) == {"StreamingMatcher"}
+
+
+def vm_imports_of_prefilter(path: Path, source=None):
+    return {
+        name
+        for name in imported_modules(path, source)
+        if name == "repro.prefilter" or name.startswith("repro.prefilter.")
+    }
+
+
+def test_the_vm_does_not_import_the_prefilter():
+    """``repro.vm`` sits under ``repro.prefilter``: the lazy DFA drives
+    the kernel, never the other way round."""
+    for path in sorted((SOURCE / "vm").rglob("*.py")):
+        assert not vm_imports_of_prefilter(path), path
+
+
+def test_the_walk_sees_a_pasted_back_prefilter_import():
+    # The deleted import line of ``vm/streaming.py``.
+    line = "from ..prefilter.lazydfa import DEFAULT_MAX_DFA_STATES, LazyDFA\n"
+    assert "repro.prefilter.lazydfa.LazyDFA" in vm_imports_of_prefilter(
+        SOURCE / "vm" / "streaming.py", line
+    )

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from repro.compiler import compile_regex
 from repro.multimatch import MultiMatchVM, compile_multipattern
-from repro.prefilter.lazydfa import LazyDFA, LazyDFABlowup
+from repro.prefilter.lazydfa import LazyDFA, LazyDFABlowup, LazyDFAMatcher
 from repro.runtime.errors import VMStepBudgetError
-from repro.vm import StreamingMatcher, StreamingMultiMatcher, ThompsonVM
+from repro.vm import MatchResult, StreamingMatcher, StreamingMultiMatcher, ThompsonVM
 from repro.vm.kernel import Enumeration
 from strategies import regex_patterns
 
@@ -61,11 +61,10 @@ def test_single_match_entry_points_agree(pattern, data):
     except LazyDFABlowup:
         pass  # a performance event: the matchers fall back to the VM
     for chunks in splits(data):
-        for kwargs in (
-            {}, {"use_dfa": True}, {"use_dfa": True, "max_dfa_states": 2}
-        ):
-            got = stream(StreamingMatcher(program, vm=vm, **kwargs), chunks)
-            assert got == expected, (pattern, data, chunks, kwargs)
+        for cap in (0, None, 2):
+            matcher = LazyDFAMatcher(program, max_states=cap, vm=vm)
+            got = stream(StreamingMatcher(matcher), chunks)
+            assert got == expected, (pattern, data, chunks, cap)
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,20 +122,26 @@ def _outcome(run):
 
 
 def _check_budget_is_split_invariant(
-    vm, targets, oneshot_run, matcher_for, data, draw
+    vm, targets, oneshot_run, matcher_for, data, draw, oneshot_state=None
 ):
+    """One-shot and every split agree on verdict, position and where the
+    budget trips; every split charges what ``oneshot_state(budget)`` —
+    by default a plain enumeration of ``data`` — charged."""
     unbounded = Enumeration(vm.tables, 10**9, targets)
     unbounded.feed(data)
     unbounded.finish()
     budget = draw.draw(st.integers(0, unbounded.executed))
 
     expected = _outcome(lambda: oneshot_run(budget))
-    oneshot = Enumeration(vm.tables, budget, targets)
-    try:
-        oneshot.feed(data)
-        oneshot.finish()
-    except VMStepBudgetError:
-        pass
+    if oneshot_state is None:
+        oneshot = Enumeration(vm.tables, budget, targets)
+        try:
+            oneshot.feed(data)
+            oneshot.finish()
+        except VMStepBudgetError:
+            pass
+    else:
+        oneshot = oneshot_state(budget)
     for chunks in splits(data):
         matcher = matcher_for(budget)
         got = _outcome(lambda: stream(matcher, chunks))
@@ -144,6 +149,10 @@ def _check_budget_is_split_invariant(
         assert matcher.state.executed == oneshot.executed
         if got[0] == "over":
             assert matcher.bytes_consumed == oneshot.consumed
+
+
+def _vm_only(program, vm, budget):
+    return LazyDFAMatcher(program, max_states=0, max_vm_steps=budget, vm=vm)
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,9 +163,58 @@ def test_step_budget_trips_identically_for_every_split(pattern, data, draw):
     _check_budget_is_split_invariant(
         vm, None,
         lambda budget: vm.run(data, max_steps=budget),
-        lambda budget: StreamingMatcher(program, vm=vm, max_steps=budget),
+        lambda budget: StreamingMatcher(_vm_only(program, vm, budget)),
         data, draw,
     )
+
+
+def _streamed_state(matcher, data):
+    """The enumeration of ``data`` streamed as one chunk."""
+    streamer = StreamingMatcher(matcher)
+    try:
+        stream(streamer, [data])
+    except VMStepBudgetError:
+        pass
+    return streamer.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(pattern=patterns, data=inputs, cap=st.sampled_from([1, 2]), draw=st.data())
+def test_dfa_step_budget_trips_identically_one_shot_and_streamed(
+    pattern, data, cap, draw
+):
+    # Caps 1 and 2 blow on most patterns: one-shot and every split hand
+    # the kernel the same frontier at the same byte, and charge steps
+    # from there.
+    program = compile_regex(pattern).program
+    vm = ThompsonVM(program)
+
+    def matcher(budget):
+        return LazyDFAMatcher(program, max_states=cap, max_vm_steps=budget, vm=vm)
+
+    _check_budget_is_split_invariant(
+        vm, None,
+        lambda budget: matcher(budget).match(data),
+        lambda budget: StreamingMatcher(matcher(budget)),
+        data, draw,
+        oneshot_state=lambda budget: _streamed_state(matcher(budget), data),
+    )
+
+
+def test_one_shot_charges_the_kernel_from_the_blown_byte():
+    # At cap 1 the DFA walks the 80 ``ab`` bytes in its entry state and
+    # blows on the ``c``; both ways continue on the kernel there.
+    # One-shot used to re-run the kernel from byte 0, charging the 80
+    # bytes too, and tripped the budget the stream stays within.
+    program = compile_regex("[ab]*c[ab]*d").program
+    text = "ab" * 40 + "c" + "ab" * 40
+    oneshot = LazyDFAMatcher(program, max_states=1, max_vm_steps=410)
+    streamed = StreamingMatcher(
+        LazyDFAMatcher(program, max_states=1, max_vm_steps=410)
+    )
+    assert oneshot.match(text) == MatchResult(False, None)
+    assert stream(streamed, [text]) == MatchResult(False, None)
+    assert oneshot.blown and streamed.matcher.blown
 
 
 @settings(max_examples=30, deadline=None)
@@ -196,7 +254,8 @@ def _feed_all(matcher):
          "(a|b)*c | a+b"),
         (lambda: MultiMatchVM(MULTI).run_reference("ab" * 20, max_steps=10),
          "(a|b)*c | a+b"),
-        (lambda: _feed_all(StreamingMatcher(SINGLE, max_steps=10)), "(a|b)*c"),
+        (lambda: _feed_all(StreamingMatcher(_vm_only(SINGLE, None, 10))),
+         "(a|b)*c"),
         (lambda: _feed_all(StreamingMultiMatcher(MULTI, max_steps=10)),
          "(a|b)*c | a+b"),
     ],
