@@ -60,14 +60,15 @@ def main() -> None:
     print(f"separate per-rule scans   : {total_separate:6d} cycles "
           f"({total_separate / total_combined:.2f}x more)")
 
-    # PR-8: the software engine prunes rule candidates through an
-    # Aho-Corasick pass over each rule's compile-time literal, so most
-    # events enumerate only the rules whose literal actually occurs
-    # (or skip the VM outright when none does).
+    # The software engine prunes rule candidates first: each rule's own
+    # chunk filter (required literal, anchored prefix or first-byte set,
+    # from its compile-time analysis) runs over the event, so most
+    # events enumerate only the rules whose filter passed (or skip the
+    # VM outright when none does).
     filtered = PrefilteredMultiMatchVM(combined)
     bare = MultiMatchVM(combined)
-    print(f"\nliteral prefilter prunes {len(filtered.filtered_ids)} of "
-          f"{len(RULES)} rules (the rest have no usable literal)")
+    print(f"\nchunk filters prune {len(filtered.filtered_ids)} of "
+          f"{len(RULES)} rules (the rest are inert)")
     for event in EVENTS:
         result = filtered.run(event)
         assert result.matched_ids == bare.run(event).matched_ids

@@ -16,7 +16,7 @@ execution path and diffs the verdicts:
 ``sim``       cycle-level :class:`~repro.arch.system.CiceroSystem`
 ``nfa``       breadth-first NFA built from the pristine module
 ``dfa``       subset-constructed, minimized DFA from the same NFA
-``multi``     :class:`MultiMatchVM` fast path over a 1-pattern program
+``multi``     :class:`PrefilteredMultiMatchVM` over a 1-pattern program
 ``multi-ref`` the multi-match golden-reference interpreter
 ``pyre``      Python :mod:`re` over the emitted pattern text
 ``stream``    :class:`~repro.vm.streaming.StreamingMatcher` fed the
@@ -68,6 +68,7 @@ from ..isa.program import Program
 from ..multimatch import MultiMatchVM, compile_multipattern
 from ..oldcompiler.compiler import OldCompiler
 from ..prefilter.lazydfa import LazyDFA, LazyDFABlowup, LazyDFAMatcher
+from ..prefilter.multi import PrefilteredMultiMatchVM
 from ..prefilter.scanner import PrefilteredMatcher
 from ..runtime.budget import DEFAULT_BUDGET, Budget
 from ..runtime.errors import ReproError
@@ -421,12 +422,13 @@ class CompiledOracles:
 
     def _multi_runners(self, want) -> None:
         multi = compile_multipattern([self.pattern], self.options)
-        vm = MultiMatchVM(multi)
         if "multi" in want:
+            pruned = PrefilteredMultiMatchVM(multi)
             self.runners["multi"] = _guarded(
-                lambda t: 1 in vm.run(t).matched_ids
+                lambda t: 1 in pruned.run(t).matched_ids
             )
         if "multi-ref" in want:
+            vm = MultiMatchVM(multi)
             self.runners["multi-ref"] = _guarded(
                 lambda t: 1 in vm.run_reference(t).matched_ids
             )

@@ -41,8 +41,9 @@ class MultiProgram:
     ``analyses`` maps each pattern id to the compile-time
     :class:`~repro.prefilter.analysis.PrefilterAnalysis` of its body
     (captured before composition — the combined program's own analysis
-    would be the useless union), feeding the Aho-Corasick candidate
-    pruning in :class:`~repro.prefilter.multi.PrefilteredMultiMatchVM`.
+    would be the useless union), from which
+    :class:`~repro.prefilter.multi.PrefilteredMultiMatchVM` builds one
+    chunk filter per rule to prune candidates.
     Missing ids are treated as inert.
     """
 
@@ -126,6 +127,10 @@ class MultiPatternCompiler:
         for body in bodies:
             body_starts.append(cursor)
             cursor += len(body)
+        # Relocated jump targets must fit the 13-bit operand: reject an
+        # oversize combination before any instruction is built.
+        source_pattern = " | ".join(patterns)
+        self._compiler.budget.check_program_size(cursor, source_pattern)
 
         instructions: List[Instruction] = []
         source_map: List[Optional[str]] = ["(dispatch)"] * chain_length
@@ -141,7 +146,7 @@ class MultiPatternCompiler:
 
         program = Program(
             instructions,
-            source_pattern=" | ".join(patterns),
+            source_pattern=source_pattern,
             compiler="new-mlir-multimatch",
             source_map=(
                 source_map

@@ -76,7 +76,7 @@ class MultiMatchVM:
         """Collect every matching identifier.
 
         ``candidates`` narrows the early-exit condition: when a caller
-        (the Aho-Corasick prefilter) has proven that only a subset of
+        (the per-rule chunk filters) has proven that only a subset of
         ids can possibly match, the enumeration stops once that subset
         has been seen instead of waiting for *all* ids — the pruning is
         the caller's responsibility, the VM's verdicts stay exact for

@@ -5,10 +5,10 @@ Layered per :doc:`docs/performance` ("Prefilters and the lazy DFA"):
 1. :mod:`~repro.prefilter.analysis` — compile-time extraction of
    required literals, forced prefixes, and first-byte sets from the
    optimized ``regex``-dialect module, with an explicit inert verdict.
-2. :mod:`~repro.prefilter.scanner` / :mod:`~repro.prefilter.ahocorasick`
-   — chunk rejection built from CPython's C-speed primitives
-   (``bytes.find``, compiled :mod:`re` alternations and classes, an
-   Aho-Corasick automaton for per-rule attribution in multimatch).
+2. :mod:`~repro.prefilter.scanner` — chunk rejection built from
+   CPython's C-speed primitives (``bytes.find``, compiled :mod:`re`
+   alternations and classes); :mod:`~repro.prefilter.multi` runs one
+   such filter per rule to prune multimatch candidates.
 3. :mod:`~repro.prefilter.lazydfa` — on-the-fly determinization of the
    Thompson program bounded by ``Budget.max_dfa_states``, used to
    verify prefilter survivors and to scan prefilter-inert patterns,
@@ -18,7 +18,6 @@ Nothing here changes verdicts: every stage either rejects on a proven
 necessary condition or defers to an exact matcher.
 """
 
-from .ahocorasick import AhoCorasick
 from .analysis import (
     INERT_ANALYSIS,
     PrefilterAnalysis,
@@ -35,7 +34,6 @@ from .multi import PrefilteredMultiMatchVM
 from .scanner import PrefilteredMatcher, build_chunk_filter
 
 __all__ = [
-    "AhoCorasick",
     "DEFAULT_MAX_DFA_STATES",
     "INERT_ANALYSIS",
     "LazyDFA",

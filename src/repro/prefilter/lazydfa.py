@@ -49,14 +49,14 @@ over at (byte 0 once the matcher has fallen back).
 
 from __future__ import annotations
 
+import re
 import threading
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..isa.program import Program
 from ..vm.kernel import Enumeration, run_once
 from ..vm.thompson import MatchResult, ThompsonVM, _as_bytes
-from .ahocorasick import byte_class_pattern
 
 #: Default cap on interned DFA states (also the `Budget.max_dfa_states`
 #: default).  A state costs its mask of work PCs (one ``int``: 4 bytes
@@ -66,6 +66,14 @@ from .ahocorasick import byte_class_pattern
 #: rules, so a pattern that runs into the cap holds about 5 MB;
 #: literal-ish patterns determinize in well under 100 states.
 DEFAULT_MAX_DFA_STATES = 10_000
+
+
+def byte_class_pattern(byte_values: Iterable[int]) -> "re.Pattern[bytes]":
+    """Compile ``[...]`` over raw byte values: the DFA's stop-byte skip
+    and the scanner's first-byte filter."""
+    members = b"".join(re.escape(bytes((value,))) for value in sorted(set(byte_values)))
+    return re.compile(b"[" + members + b"]")
+
 
 # Transition-row sentinels (all < 0 so real state ids stay >= 0).
 _UNBUILT = -3
@@ -402,4 +410,5 @@ __all__ = [
     "LazyDFA",
     "LazyDFABlowup",
     "LazyDFAMatcher",
+    "byte_class_pattern",
 ]

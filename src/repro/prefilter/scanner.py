@@ -34,9 +34,8 @@ from typing import Callable, List, Optional, Union
 
 from ..isa.program import Program
 from ..vm.thompson import MatchResult, _as_bytes
-from .ahocorasick import byte_class_pattern
 from .analysis import INERT_ANALYSIS, PrefilterAnalysis
-from .lazydfa import DEFAULT_MAX_DFA_STATES, LazyDFAMatcher
+from .lazydfa import DEFAULT_MAX_DFA_STATES, LazyDFAMatcher, byte_class_pattern
 
 
 def build_chunk_filter(
@@ -69,6 +68,28 @@ def build_chunk_filter(
         return stages[0]
     first, second = stages
     return lambda data: first(data) and second(data)
+
+
+#: ``(name, help)`` of the ``repro_prefilter_*`` counters.  A chunk the
+#: filter examines counts one check, then one skip or one candidate.
+_PREFILTER_COUNTERS = (
+    ("repro_prefilter_checks_total",
+     "chunks examined by the literal/first-byte prefilter"),
+    ("repro_prefilter_skips_total",
+     "chunks rejected without entering the verify step"),
+    ("repro_prefilter_candidates_total",
+     "chunks the prefilter passed through to verification"),
+)
+
+
+def prefilter_counters(metrics) -> tuple:
+    """``(checks, skips, candidates)`` registered in ``metrics``, or
+    three ``None`` without an enabled registry."""
+    if metrics is None or not metrics.enabled:
+        return None, None, None
+    return tuple(
+        metrics.counter(name, help_text=text) for name, text in _PREFILTER_COUNTERS
+    )
 
 
 class PrefilteredMatcher:
@@ -104,22 +125,9 @@ class PrefilteredMatcher:
             metrics=metrics,
         )
         self.vm = self.dfa_matcher.vm
-        self._checks = None
-        self._skips = None
-        self._candidates = None
-        if metrics is not None and metrics.enabled and self._filter is not None:
-            self._checks = metrics.counter(
-                "repro_prefilter_checks_total",
-                help_text="chunks examined by the literal/first-byte prefilter",
-            )
-            self._skips = metrics.counter(
-                "repro_prefilter_skips_total",
-                help_text="chunks rejected without entering the verify step",
-            )
-            self._candidates = metrics.counter(
-                "repro_prefilter_candidates_total",
-                help_text="chunks the prefilter passed through to verification",
-            )
+        self._checks, self._skips, self._candidates = prefilter_counters(
+            metrics if self._filter is not None else None
+        )
 
     @property
     def plan(self) -> dict:
@@ -163,4 +171,5 @@ class PrefilteredMatcher:
 __all__ = [
     "PrefilteredMatcher",
     "build_chunk_filter",
+    "prefilter_counters",
 ]

@@ -117,7 +117,8 @@ class StreamingMultiMatcher:
     settles early once every target id has been seen (or the frontier
     dies), mirroring the one-shot loop's top-of-position early exit.
     ``candidates`` narrows the target set exactly as
-    :meth:`MultiMatchVM.run` does for the Aho-Corasick prefilter.
+    :meth:`MultiMatchVM.run` does for the per-rule chunk filters of
+    :class:`~repro.prefilter.multi.PrefilteredMultiMatchVM`.
     """
 
     def __init__(

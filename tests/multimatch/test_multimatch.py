@@ -9,12 +9,14 @@ from repro.arch.config import ArchConfig
 from repro.arch.system import CiceroSystem
 from repro.ir.diagnostics import CodegenError
 from repro.isa.encoding import decode_program, encode_program
-from repro.isa.instructions import Opcode
+from repro.isa.instructions import MAX_PROGRAM_LENGTH, Opcode
 from repro.multimatch import (
     MultiMatchVM,
     compile_multipattern,
     run_multimatch,
 )
+from repro.runtime.errors import ProgramSizeBudgetError
+from repro.workloads import brill
 
 PATTERNS = ["ab", "cd", "x+y", "^start", "end$", "th(is|at)"]
 
@@ -53,6 +55,17 @@ class TestCompiler:
         single = compile_multipattern(["ab"])
         result = run_multimatch(single, "zzab")
         assert result.matched_ids == frozenset({1})
+
+    def test_oversize_combination_raises_program_size_budget(self):
+        # One tagged program holds at most 36 brill suite rules: the
+        # 13-bit operand cannot address a longer combination.
+        rules = brill.generate_patterns(64, 2025)
+        with pytest.raises(ProgramSizeBudgetError) as raised:
+            compile_multipattern(rules)
+        assert raised.value.code == "REPRO-BUDGET-PROGRAM-SIZE"
+        assert raised.value.limit == MAX_PROGRAM_LENGTH
+        assert raised.value.spent > MAX_PROGRAM_LENGTH
+        assert len(compile_multipattern(rules[:36])) <= MAX_PROGRAM_LENGTH
 
     def test_binary_roundtrip_preserves_tags(self, combined):
         decoded = decode_program(encode_program(combined.program))

@@ -1,91 +1,24 @@
-"""Aho-Corasick attribution, overlap handling, differential checks."""
+"""Overlapping-literal attribution, the job an Aho-Corasick automaton did.
 
-import random
+The shared automaton is gone; each rule now carries its own chunk
+filter.  These tests pin that the per-rule filters still attribute
+every literal that occurs, overlaps included.
+"""
+
 import re
 
-import pytest
-
-from repro.prefilter.ahocorasick import AhoCorasick, byte_class_pattern
+from repro.multimatch import compile_multipattern
+from repro.prefilter.multi import PrefilteredMultiMatchVM
 
 
 class TestAttribution:
     def test_overlapping_literals_both_attributed(self):
         # The reason a compiled re alternation is not enough: the
         # stdlib scanner resumes after each match, so ab|ba sees only
-        # "ab" in "aba".  The automaton must report both.
-        automaton = AhoCorasick([(b"ab", 1), (b"ba", 2)])
-        assert automaton.find_payloads(b"aba") == frozenset({1, 2})
+        # "ab" in "aba".  One filter per rule must report both.
+        filtered = PrefilteredMultiMatchVM(compile_multipattern(["ab", "ba"]))
+        assert filtered.filtered_ids == frozenset({1, 2})
+        assert frozenset(
+            match_id for match_id, accept in filtered._filters if accept(b"aba")
+        ) == frozenset({1, 2})
         assert len(re.findall(b"ab|ba", b"aba")) == 1
-
-    def test_literal_inside_another(self):
-        automaton = AhoCorasick([(b"he", 1), (b"she", 2), (b"hers", 3)])
-        assert automaton.find_payloads(b"ushers") == frozenset({1, 2, 3})
-
-    def test_shared_literal_multiple_payloads(self):
-        automaton = AhoCorasick([(b"sig", 1), (b"sig", 2)])
-        assert automaton.find_payloads(b"xxsigyy") == frozenset({1, 2})
-
-    def test_no_hits(self):
-        automaton = AhoCorasick([(b"abc", 1)])
-        assert automaton.find_payloads(b"xyz") == frozenset()
-        assert automaton.find_payloads(b"") == frozenset()
-
-
-class TestConstruction:
-    def test_empty_literal_rejected(self):
-        with pytest.raises(ValueError):
-            AhoCorasick([(b"", 1)])
-
-    def test_empty_automaton_matches_nothing(self):
-        automaton = AhoCorasick([])
-        assert automaton.find_payloads(b"anything") == frozenset()
-        assert not automaton.contains_any(b"anything")
-        assert automaton.literal_count == 0
-
-    def test_start_bytes(self):
-        automaton = AhoCorasick([(b"abc", 1), (b"xyz", 2)])
-        assert automaton.start_bytes == (ord("a"), ord("x"))
-
-
-class TestUniverseEarlyExit:
-    def test_result_is_capped_semantics_preserving(self):
-        automaton = AhoCorasick([(b"aa", 1), (b"zz", 2)])
-        # Early exit may skip the tail but must still report everything
-        # in the universe that occurs before the exit point.
-        hits = automaton.find_payloads(b"aa" + b"x" * 100 + b"zz",
-                                       universe=frozenset({1}))
-        assert 1 in hits
-
-    def test_contains_any_stops_on_first_hit(self):
-        automaton = AhoCorasick([(b"needle", 1)])
-        assert automaton.contains_any(b"hay needle hay")
-        assert not automaton.contains_any(b"hay hay hay")
-
-
-class TestDifferential:
-    def test_matches_naive_substring_search(self):
-        rng = random.Random(0xAC0)
-        alphabet = b"abcd"
-        for _ in range(50):
-            literals = {
-                bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
-                for _ in range(rng.randint(1, 6))
-            }
-            entries = [(lit, i) for i, lit in enumerate(sorted(literals))]
-            automaton = AhoCorasick(entries)
-            for _ in range(10):
-                haystack = bytes(
-                    rng.choice(alphabet) for _ in range(rng.randint(0, 30))
-                )
-                expected = frozenset(
-                    i for lit, i in entries if lit in haystack
-                )
-                assert automaton.find_payloads(haystack) == expected
-
-
-class TestByteClassPattern:
-    def test_escapes_metacharacters(self):
-        pattern = byte_class_pattern([ord("]"), ord("^"), ord("-"), ord("a")])
-        for byte in (b"]", b"^", b"-", b"a"):
-            assert pattern.search(byte)
-        assert not pattern.search(b"b")

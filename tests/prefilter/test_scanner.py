@@ -7,6 +7,7 @@ import pytest
 from repro.compiler import compile_regex
 from repro.observability import MetricsRegistry
 from repro.prefilter.analysis import INERT_ANALYSIS, analyze_pattern
+from repro.prefilter.lazydfa import byte_class_pattern
 from repro.prefilter.scanner import PrefilteredMatcher, build_chunk_filter
 from repro.vm.thompson import ThompsonVM
 
@@ -52,6 +53,14 @@ class TestBuildChunkFilter:
         assert accept(b"GET /admin HTTP/1.1")
         # The literal occurs but not at the start: anchoring rejects.
         assert not accept(b"POST GET /admin")
+
+
+class TestByteClassPattern:
+    def test_escapes_metacharacters(self):
+        pattern = byte_class_pattern([ord("]"), ord("^"), ord("-"), ord("a")])
+        for byte in (b"]", b"^", b"-", b"a"):
+            assert pattern.search(byte)
+        assert not pattern.search(b"b")
 
 
 class TestDescribePlan:
