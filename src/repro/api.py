@@ -128,8 +128,8 @@ def match_many(
 ) -> Union[List[bool], ScanReport]:
     """Batch :func:`match` through the shared cached engine.
 
-    ``jobs > 1`` shards the texts over a supervised ``multiprocessing``
-    pool (``0`` = all cores); the pattern compiles at most once per
+    ``jobs > 1`` shards the texts over supervised worker processes
+    (``0`` = all cores); the pattern compiles at most once per
     process lifetime thanks to the engine's LRU cache.  ``strict=False``
     returns a :class:`~repro.engine.ScanReport` with per-item outcomes
     instead of raising on the first shard failure.

@@ -683,8 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 500, the paper's §6 value)")
     scan_parser.add_argument("--timeout", type=float, default=None,
                              help="per-chunk timeout in seconds for "
-                             "parallel scans (hung workers are reclaimed "
-                             "by respawning the pool)")
+                             "parallel scans (a hung worker is replaced)")
     scan_parser.add_argument("--wall-timeout", type=float, default=None,
                              help="overall deadline in seconds for one "
                              "parallel scan")
@@ -698,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan_parser.add_argument("--mp-context", default=None,
                              choices=("fork", "forkserver", "spawn"),
                              help="multiprocessing start method for "
-                             "worker pools (default: forkserver where "
+                             "worker processes (default: forkserver where "
                              "available, else spawn)")
     scan_parser.add_argument("--metrics", action="store_true",
                              help="print the scan's metrics registry in "

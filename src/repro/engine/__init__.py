@@ -10,8 +10,9 @@ four reusable pieces:
   matchers from pickled programs (never from the pattern, so
   compilation runs once) under an explicit start method;
 * :mod:`repro.engine.supervisor` — the fault-tolerant scan supervisor,
-  the package's one pool: per-shard futures with timeouts, crash
-  recovery, ``retries`` re-queues and quarantine (see
+  the only owner of worker processes: batches over one pipe per
+  worker, per-shard timeouts, crash attribution, ``retries`` re-queues
+  and quarantine (see
   ``docs/robustness.md``), and the :class:`ScanReport` every scan
   returns;
 * :mod:`repro.engine.core` — :class:`~repro.engine.core.Engine`, the

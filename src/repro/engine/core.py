@@ -8,7 +8,7 @@ three calls —
 
 * :meth:`Engine.match` — one pattern, one text (cache-accelerated);
 * :meth:`Engine.match_many` — one pattern, many texts, optionally
-  sharded over a ``multiprocessing`` pool;
+  sharded over ``multiprocessing`` worker processes;
 * :meth:`Engine.scan_corpus` — one pattern over a large input stream,
   chunked with the paper's §6 methodology
   (:func:`~repro.arch.simulator.split_chunks`) and sharded like
@@ -17,13 +17,14 @@ three calls —
 Budgets thread through everywhere: compilation honors the budget's
 compile-side limits (via the cache key, so differently-budgeted callers
 never share artifacts), VM execution honors ``max_vm_steps`` both
-in-process and inside workers, ``max_parallel_jobs`` caps the pool, and
+in-process and inside workers, ``max_parallel_jobs`` caps the workers, and
 ``max_task_seconds`` / ``max_wall_seconds`` bound the supervised
 parallel scan.
 
 Parallel runs go through the **fault-tolerant scan supervisor**
-(:mod:`repro.engine.supervisor`): per-shard futures with timeouts,
-crash recovery, ``retries`` re-queues and quarantine.  The ``strict``
+(:mod:`repro.engine.supervisor`): worker processes it owns, fed
+batches of shards over one pipe each, with per-shard timeouts, crash
+attribution, ``retries`` re-queues and quarantine.  The ``strict``
 switch on :meth:`Engine.match_many` / :meth:`Engine.scan_corpus`
 chooses between re-raising the first typed per-shard error (strict, the
 historical behavior) and returning the :class:`ScanReport` carrying
@@ -211,10 +212,10 @@ class Engine:
     ) -> Union[List[bool], ScanReport]:
         """Every text's verdict, in input order.
 
-        With ``jobs > 1`` the texts are sharded over a supervised worker
-        pool; the pattern is compiled **once** in the calling process
-        and workers rebuild their matcher from the pickled program, so
-        compilation cost does not multiply with the pool size.
+        With ``jobs > 1`` the texts are sharded over supervised worker
+        processes; the pattern is compiled **once** in the calling
+        process and workers rebuild their matcher from the pickled
+        program, so compilation cost does not multiply with ``jobs``.
 
         ``strict=True`` (default) returns a plain verdict list and
         re-raises the first typed per-shard error.  ``strict=False``
@@ -372,7 +373,7 @@ class _EngineInstruments:
         )
         instruments.respawns = metrics.counter(
             "repro_scan_respawns_total",
-            help_text="worker pools respawned after crashes",
+            help_text="worker processes replaced after a crash or hang",
         )
         instruments.bytes_scanned = metrics.counter(
             "repro_scan_bytes_total",

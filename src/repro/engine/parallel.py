@@ -1,28 +1,29 @@
-"""Worker payloads for sharding a corpus across a ``multiprocessing`` pool.
+"""Worker payloads for sharding a corpus across worker processes.
 
 The paper's hardware scales by replicating enumeration cores over input
 chunks; the software analogue is sharding a corpus over worker
 processes.  Workers never receive live matcher objects — they receive a
 :class:`WorkerPayload` holding the *compiled artifact* (the Cicero
 :class:`~repro.isa.program.Program`, a plain picklable dataclass) plus
-the budget limits to honor, and rebuild the matcher once per worker in
-the pool initializer (:func:`build_match_fn`).  Each text then costs one
-pickled ``bytes`` in and one verdict out.
+the budget limits to honor, and rebuild the matcher once per worker when
+it starts (:func:`build_match_fn`).  Each text then costs its pickled
+``bytes`` in a batch and one verdict message out.
 
 Parent-side input normalization happens *before* the fan-out, so typed
 :class:`~repro.runtime.errors.InputEncodingError` rejections surface in
 the calling process, never as opaque worker crashes.
 
-Pools always come from an **explicit** ``multiprocessing`` start method
+Workers always come from an **explicit** ``multiprocessing`` start method
 (:func:`resolve_mp_context`): the platform default on Linux is ``fork``,
 which deadlocks when the parent holds locks in other threads (the
 engine's cache lock, a serving framework's executor...).  We default to
 ``forkserver`` where available and ``spawn`` elsewhere, and let callers
 override via ``Engine(mp_context=...)``.
 
-The one pool in the package is the fault-tolerant scan supervisor's
-(:mod:`repro.engine.supervisor`: per-shard futures, timeouts, retries,
-quarantine); this module holds what it ships to its workers.
+The only worker processes in the package are the fault-tolerant scan
+supervisor's (:mod:`repro.engine.supervisor`: batches over one pipe per
+worker, timeouts, retries, quarantine); this module holds what it ships
+to them.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def build_match_fn(payload: WorkerPayload, metrics=None) -> PrefilteredMatcher:
 
     Its ``match`` is the ``bytes → MatchResult`` function a shard
     calls.  The engine's cache entry holds the one it builds in
-    process; a worker builds its own once, in the pool initializer.
+    process; a worker builds its own once, when it starts.
     ``metrics`` (a :class:`~repro.observability.MetricsRegistry`)
     instruments the matcher — the engine passes its registry, a worker
     its local one when the payload asks for counter collection.

@@ -5,15 +5,21 @@ input chunk (engine-level load balancing tolerates imbalanced FIFOs,
 §5); this module is the software analogue, isolating each shard of a
 sharded scan:
 
-* shards are dispatched as **individual futures** over an explicit
-  ``multiprocessing`` context (:func:`~repro.engine.parallel.resolve_mp_context`);
-* a **per-task timeout** (``Budget.max_task_seconds``) and an **overall
-  deadline** (``Budget.max_wall_seconds``) bound every wait — a hung
-  worker is reclaimed by terminating and respawning the pool;
-* **dead workers are detected** (``os._exit``, OOM kill) by watching the
-  pool's process table; in-flight shards are re-dispatched, and when
-  several were in flight the supervisor *probes* them one at a time so
-  a single poisonous input cannot take innocent shards down with it;
+* the supervisor **starts its own** ``jobs`` worker processes over an
+  explicit ``multiprocessing`` context
+  (:func:`~repro.engine.parallel.resolve_mp_context`), one pipe each;
+  a worker that owes nothing is sent a **batch** of contiguous shards
+  (at most :data:`BATCH_BYTES`) and answers one message per shard, in
+  order — so the first shard a worker still owes is the one it runs;
+* the parent blocks in :func:`multiprocessing.connection.wait` until an
+  answer, an EOF, or the nearest **per-task timeout**
+  (``Budget.max_task_seconds``, timed from when a shard reaches the
+  head of its worker's queue) or **overall deadline**
+  (``Budget.max_wall_seconds``);
+* EOF on a worker's pipe is a **crash** of the shard it was running,
+  and a head shard past its timeout is a **hang** of that shard: only
+  that worker is replaced, and the shards it had not started go back
+  to the queue without a strike;
 * a failed shard is **re-queued** up to ``retries`` times, then
   **quarantined** with a typed per-shard error instead of aborting the
   run.  Timeouts are terminal: retrying a deterministic hang burns
@@ -30,11 +36,11 @@ fold their outcomes into the :class:`ScanReport` the engine returns.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from multiprocessing.connection import wait
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..arch.simulator import DEFAULT_CHUNK_BYTES
 from ..runtime.errors import (
@@ -55,10 +61,9 @@ OUTCOME_STATUSES = ("ok", "error", "timeout", "quarantined")
 #: Retries per failed shard before quarantine (``Engine(retries=)``).
 DEFAULT_RETRIES = 2
 
-#: Fallback poll granularity.  Shard completions wake the supervisor
-#: immediately (via result callbacks); this interval only bounds the
-#: detection lag for hangs, crashes and deadlines.
-POLL_SECONDS = 0.005
+#: Most bytes of shards one batch carries to a worker (a shard larger
+#: than this travels alone).
+BATCH_BYTES = 64 * 1024
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +135,7 @@ class ScanReport(CorpusScanResult):
     Every scan produces one: every shard settles in exactly one
     :class:`ShardOutcome` (``ok | error | timeout | quarantined``),
     ``chunk_matches`` holds ``None`` at failed indices, and the
-    supervision accounting (retry count, pool respawns, elapsed wall
+    supervision accounting (retry count, replaced workers, elapsed wall
     time) is attached for observability.
     """
 
@@ -190,33 +195,6 @@ class ScanReport(CorpusScanResult):
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-# (match_fn, fault_plan, registry), installed per worker by the pool
-# initializer; registry is the worker-local counter sink (or None).
-_SUPERVISED_STATE: Optional[Tuple[Optional[Callable], object, object]] = None
-# Cumulative counter totals already attributed to earlier shards in this
-# worker, so each shard ships only its own delta.
-_COUNTER_BASELINE: Dict[str, float] = {}
-
-
-def _init_supervised_worker(
-    payload: WorkerPayload, fault_plan: Optional[ProcessFaultPlan]
-) -> None:
-    global _SUPERVISED_STATE
-    registry = None
-    if payload.collect_vm_metrics:
-        from ..observability import MetricsRegistry
-
-        registry = MetricsRegistry()
-    try:
-        match_fn: Optional[Callable] = build_match_fn(payload, registry).match
-    except Exception:
-        # A failing initializer would make the pool retry it forever;
-        # leave the state poisoned and let every task report it instead.
-        match_fn = None
-    _SUPERVISED_STATE = (match_fn, fault_plan, registry)
-    _COUNTER_BASELINE.clear()
-
-
 def _counter_totals(registry) -> Dict[str, float]:
     """Counter values by family name (VM/sim counters are label-free)."""
     totals: Dict[str, float] = {}
@@ -228,70 +206,101 @@ def _counter_totals(registry) -> Dict[str, float]:
     return totals
 
 
-def _counter_delta(registry) -> Optional[Dict[str, float]]:
-    """This shard's counter increments since the previous snapshot."""
-    if registry is None:
-        return None
-    totals = _counter_totals(registry)
-    delta = {
-        name: value - _COUNTER_BASELINE.get(name, 0.0)
-        for name, value in totals.items()
-        if value - _COUNTER_BASELINE.get(name, 0.0) > 0.0
-    }
-    _COUNTER_BASELINE.clear()
-    _COUNTER_BASELINE.update(totals)
-    return delta or None
-
-
-def _run_shard(task: Tuple[int, bytes]) -> Tuple[int, str, object, object]:
-    """One shard, executed in a worker.  Always *returns* a tagged tuple
-    — worker-side exceptions are converted to picklable typed errors, so
-    the only ways a future can fail to resolve are a dead process or a
-    hang, both of which the supervisor detects from outside.  The fourth
-    element is the shard's worker-local counter delta (or ``None``)."""
-    index, data = task
-    state = _SUPERVISED_STATE
-    if state is None or state[0] is None:
-        return (
-            index,
-            "error",
-            WorkerStateError(
-                "supervised worker used before its initializer installed "
-                "a matcher"
-            ),
-            None,
-        )
-    match_fn, fault_plan, registry = state
+def _run_shard(match_fn: Callable, fault_plan, index: int, data: bytes):
+    """One shard's ``(tag, value)``: worker-side exceptions become
+    picklable typed errors, so the only ways a shard can fail to answer
+    are a dead process or a hang, both of which the supervisor sees from
+    outside."""
     try:
         if fault_plan is not None:
             fault_plan.fire(index)
-        verdict = bool(match_fn(data))
-        return (index, "ok", verdict, _counter_delta(registry))
+        return "ok", bool(match_fn(data))
     except ReproError as error:
-        _counter_delta(registry)  # advance the baseline past failed work
-        return (index, "error", error, None)
+        return "error", error
     except Exception as error:  # plain bugs become typed shard failures
-        _counter_delta(registry)
-        return (
-            index,
-            "error",
-            ShardFailedError(index, type(error).__name__, str(error)),
-            None,
+        return "error", ShardFailedError(
+            index, type(error).__name__, str(error)
         )
+
+
+def _worker_match_fn(payload: WorkerPayload, registry) -> Callable:
+    """The worker's matcher, or — if it cannot be built — a function
+    that fails every shard with a typed error, so the worker answers
+    instead of dying and being replaced once per shard."""
+    try:
+        return build_match_fn(payload, registry).match
+    except Exception as error:
+        failure = WorkerStateError(
+            f"supervised worker could not build its matcher: "
+            f"{type(error).__name__}: {error}"
+        )
+
+        def fail(data: bytes) -> bool:
+            raise failure
+
+        return fail
+
+
+def _serve(
+    conn, payload: WorkerPayload, fault_plan: Optional[ProcessFaultPlan]
+) -> None:
+    """A worker's life: rebuild the matcher once, then answer every
+    shard of every batch with one ``(tag, value, counters)`` message, in
+    batch order, until the pipe closes.  ``counters`` is the shard's
+    worker-local counter delta when the payload asks for them."""
+    registry = None
+    if payload.collect_vm_metrics:
+        from ..observability import MetricsRegistry
+
+        registry = MetricsRegistry()
+    match_fn = _worker_match_fn(payload, registry)
+    baseline: Dict[str, float] = {}
+    while True:
+        try:
+            batch = conn.recv()
+        except EOFError:
+            return
+        for index, data in batch:
+            tag, value = _run_shard(match_fn, fault_plan, index, data)
+            counters = None
+            if registry is not None:
+                # Failed work advances the baseline too: a retried
+                # shard's counters are never double-counted.
+                totals = _counter_totals(registry)
+                if tag == "ok":
+                    counters = {
+                        name: total - baseline.get(name, 0.0)
+                        for name, total in totals.items()
+                        if total > baseline.get(name, 0.0)
+                    } or None
+                baseline = totals
+            conn.send((tag, value, counters))
 
 
 # ----------------------------------------------------------------------
 # Supervisor
 # ----------------------------------------------------------------------
-@dataclass
-class _InFlight:
-    result: object  # multiprocessing.pool.AsyncResult
-    dispatched_at: float
+class _Worker:
+    """One worker process, the parent's end of its pipe, and the shards
+    it owes, in the order it answers them.  The first one owed is the
+    one it is running, since ``head_started``."""
 
+    def __init__(self, context, payload, fault_plan):
+        self.conn, child = context.Pipe()
+        self.process = context.Process(
+            target=_serve, args=(child, payload, fault_plan), daemon=True
+        )
+        self.process.start()
+        child.close()  # so the worker's death reads as EOF here
+        self.owed: deque = deque()
+        self.head_started = 0.0
 
-def _live_pids(pool) -> set:
-    workers = getattr(pool, "_pool", None) or []
-    return {proc.pid for proc in workers if proc.is_alive()}
+    def stop(self) -> None:
+        # terminate, not a polite close: a hung worker must die with
+        # the run, never outlive it.
+        self.process.terminate()
+        self.process.join()
+        self.conn.close()
 
 
 class _Supervisor:
@@ -323,63 +332,83 @@ class _Supervisor:
         self.context = resolve_mp_context(mp_context)
         self.outcomes: List[Optional[ShardOutcome]] = [None] * len(items)
         self.unsettled = len(items)
-        self.dispatches = [0] * len(items)
-        self.strikes = [0] * len(items)
+        #: Runs per shard: a shard is charged when it reaches the head
+        #: of a worker's queue, never when it is merely sent.  Every run
+        #: but the last one failed, so this also counts the strikes.
+        self.attempts = [0] * len(items)
         self.ready: deque = deque(range(len(items)))
-        self.pending: Dict[int, _InFlight] = {}
-        #: Indices being re-probed one at a time after a pool crash.
-        self.probing: set = set()
-        self.known_pids: set = set()
+        self.workers: List[_Worker] = []
         self.retries = 0
         self.respawns = 0
-        self.pool = None
-        #: Set by result callbacks the moment any shard completes, so
-        #: the loop blocks on this instead of a fixed-interval sleep —
-        #: supervision latency is event-driven, not poll-bound.
-        self.wake = threading.Event()
 
-    # -- pool lifecycle -------------------------------------------------
-    def _spawn_pool(self) -> None:
-        self.pool = self.context.Pool(
-            processes=self.jobs,
-            initializer=_init_supervised_worker,
-            initargs=(self.payload, self.fault_plan),
-        )
-        self.known_pids = _live_pids(self.pool)
-
-    def _respawn_pool(self) -> None:
+    # -- workers --------------------------------------------------------
+    def _replace(self, slot: int) -> Optional[int]:
+        """Stop the worker in ``slot`` and start a fresh one there.  The
+        shards it owed but had not started go back to the front of the
+        queue without a strike; the one it was running is returned."""
+        worker = self.workers[slot]
+        worker.stop()
         self.respawns += 1
         if self.tracer.enabled:
             self.tracer.event("supervisor.respawn", respawns=self.respawns)
-        self.pool.terminate()
-        self.pool.join()
-        self._spawn_pool()
+        self.workers[slot] = _Worker(
+            self.context, self.payload, self.fault_plan
+        )
+        if not worker.owed:
+            return None
+        running = worker.owed.popleft()
+        self.ready.extendleft(reversed(worker.owed))
+        return running
+
+    def _send_batch(self, slot: int) -> None:
+        """Hand an idle worker the next contiguous run of ready shards:
+        at most :data:`BATCH_BYTES`, and at most its fair share of the
+        queue, so a small scan still reaches every worker."""
+        limit = -(-len(self.ready) // self.jobs)
+        batch = [self.ready.popleft()]
+        size = len(self.items[batch[0]])
+        while self.ready and len(batch) < limit:
+            index = self.ready[0]
+            size += len(self.items[index])
+            if index != batch[-1] + 1 or size > BATCH_BYTES:
+                break
+            batch.append(self.ready.popleft())
+        worker = self.workers[slot]
+        try:
+            worker.conn.send([(index, self.items[index]) for index in batch])
+        except OSError:  # it died owing nothing: no shard is struck
+            self.ready.extendleft(reversed(batch))
+            self._replace(slot)
+            return
+        worker.owed.extend(batch)
+        self._start_head(worker)
+
+    def _start_head(self, worker: _Worker) -> None:
+        if worker.owed:
+            self.attempts[worker.owed[0]] += 1
+            worker.head_started = time.monotonic()
 
     # -- settlement -----------------------------------------------------
     def _settle(self, index: int, outcome: ShardOutcome) -> None:
-        if self.outcomes[index] is not None:
-            return
         self.outcomes[index] = outcome
         self.unsettled -= 1
-        self.probing.discard(index)
 
     def _fail(
         self, index: int, error: ReproError, *, timeout: bool = False
     ) -> None:
         """One definitive failed attempt on ``index``: retry or settle."""
-        self.strikes[index] += 1
-        if not timeout and self.strikes[index] <= self.max_retries:
+        attempts = self.attempts[index]
+        if not timeout and attempts <= self.max_retries:
             self.retries += 1
             if self.tracer.enabled:
                 self.tracer.event(
                     "supervisor.retry",
                     shard=index,
-                    attempt=self.strikes[index],
+                    attempt=attempts,
                     error_code=error.code,
                 )
             self.ready.append(index)
             return
-        attempts = self.dispatches[index]
         if timeout:
             if self.tracer.enabled:
                 self.tracer.event(
@@ -418,134 +447,61 @@ class _Supervisor:
                         error=WallClockBudgetError(
                             index, elapsed, self.wall_timeout
                         ),
-                        attempts=self.dispatches[index],
+                        attempts=self.attempts[index],
                     ),
                 )
 
     # -- loop phases ----------------------------------------------------
-    def _collect_finished(self) -> bool:
-        progressed = False
-        for index, flight in list(self.pending.items()):
-            if not flight.result.ready():
-                continue
-            del self.pending[index]
-            progressed = True
-            try:
-                _, tag, value, counters = flight.result.get()
-            except Exception as error:  # result transport failed
-                self._fail(
-                    index,
-                    ShardFailedError(index, type(error).__name__, str(error)),
-                )
-                continue
-            if tag == "ok":
-                self._settle(
-                    index,
-                    ShardOutcome(
-                        index,
-                        "ok",
-                        verdict=value,
-                        attempts=self.dispatches[index],
-                        vm_counters=counters,
-                    ),
-                )
-            else:
-                self._fail(index, value)
-        return progressed
-
-    def _check_crashes(self) -> bool:
-        live = _live_pids(self.pool)
-        died = self.known_pids - live
-        self.known_pids = self.known_pids | live
-        if not died or not self.pending:
-            if died:
-                # Workers died with nothing in flight (e.g. during
-                # initializer); refresh the baseline and move on.
-                self.known_pids = live
-            return False
-        in_flight = sorted(self.pending)
-        self._respawn_pool()
-        self.pending.clear()
-        if len(in_flight) == 1:
-            # Exactly one suspect: it is definitively the crasher.
-            self._fail(in_flight[0], WorkerCrashError(in_flight[0]))
-        else:
-            # Ambiguous: probe the suspects one at a time so the poison
-            # shard cannot strike out innocent neighbours.
-            self.probing.update(in_flight)
-            for index in reversed(in_flight):
-                self.ready.appendleft(index)
-        return True
-
-    def _check_task_timeouts(self, now: float) -> bool:
-        if self.task_timeout is None or not self.pending:
-            return False
-        expired = [
-            (index, flight)
-            for index, flight in self.pending.items()
-            if now - flight.dispatched_at > self.task_timeout
-        ]
-        if not expired:
-            return False
-        # A hung worker cannot be interrupted in place: reclaim the whole
-        # pool, then requeue the innocent in-flight shards uncounted.
-        innocents = [
-            index
-            for index in sorted(self.pending)
-            if index not in {index for index, _ in expired}
-        ]
-        self._respawn_pool()
-        self.pending.clear()
-        for index, flight in expired:
-            self._fail(
+    def _receive(self, slot: int) -> None:
+        """Read one answer from the worker in ``slot``: the verdict of
+        the shard it was running, or EOF — it died running that shard
+        (or while owing nothing, which strikes no shard)."""
+        worker = self.workers[slot]
+        try:
+            tag, value, counters = worker.conn.recv()
+        except (EOFError, OSError):
+            running = self._replace(slot)
+            if running is not None:
+                self._fail(running, WorkerCrashError(running))
+            return
+        index = worker.owed.popleft()
+        self._start_head(worker)
+        if tag == "ok":
+            self._settle(
                 index,
-                TaskTimeoutError(
-                    index, now - flight.dispatched_at, self.task_timeout
+                ShardOutcome(
+                    index,
+                    "ok",
+                    verdict=value,
+                    attempts=self.attempts[index],
+                    vm_counters=counters,
                 ),
-                timeout=True,
             )
-        for index in reversed(innocents):
-            self.ready.appendleft(index)
-        return True
+        else:
+            self._fail(index, value)
 
-    def _dispatch(self, now: float) -> bool:
-        # While probing crash suspects the window narrows to one shard,
-        # so a repeat crash unambiguously identifies the poison input.
-        window = 1 if self.probing else self.jobs * 2
-        progressed = False
-        while self.ready and len(self.pending) < window:
-            if self.probing:
-                # Probe suspects before fresh work.
-                index = None
-                for candidate in self.ready:
-                    if candidate in self.probing:
-                        index = candidate
-                        break
-                if index is None:
-                    index = self.ready[0]
-                self.ready.remove(index)
-            else:
-                index = self.ready.popleft()
-            if self.outcomes[index] is not None:
-                continue
-            self.dispatches[index] += 1
-            self.pending[index] = _InFlight(
-                self.pool.apply_async(
-                    _run_shard,
-                    ((index, self.items[index]),),
-                    callback=self._on_result,
-                    error_callback=self._on_result,
-                ),
-                now,
+    def _wake_at(self, deadline: Optional[float]) -> Optional[float]:
+        """The nearest task or wall deadline, ``None`` for none."""
+        moments = [deadline] if deadline is not None else []
+        if self.task_timeout is not None:
+            moments.extend(
+                worker.head_started + self.task_timeout
+                for worker in self.workers
+                if worker.owed
             )
-            progressed = True
-        return progressed
+        return min(moments, default=None)
 
-    def _on_result(self, _result) -> None:
-        # Runs on the pool's result-handler thread; Event.set is the
-        # only safe thing to do here.  Stale callbacks from a pool that
-        # was respawned since are harmless — one spurious wake-up.
-        self.wake.set()
+    def _expire_hung(self) -> None:
+        now = time.monotonic()
+        for slot, worker in enumerate(self.workers):
+            seconds = now - worker.head_started
+            if worker.owed and seconds >= self.task_timeout:
+                running = self._replace(slot)
+                self._fail(
+                    running,
+                    TaskTimeoutError(running, seconds, self.task_timeout),
+                    timeout=True,
+                )
 
     # -- main -----------------------------------------------------------
     def run(self) -> ScanReport:
@@ -570,27 +526,32 @@ class _Supervisor:
             if self.wall_timeout is not None
             else None
         )
-        self._spawn_pool()
         try:
+            for _ in range(self.jobs):
+                self.workers.append(
+                    _Worker(self.context, self.payload, self.fault_plan)
+                )
             while self.unsettled:
                 now = time.monotonic()
-                if deadline is not None and now > deadline:
+                if deadline is not None and now >= deadline:
                     self._settle_past_deadline(now - started)
                     break
-                progressed = self._collect_finished()
-                progressed |= self._check_crashes()
-                progressed |= self._check_task_timeouts(time.monotonic())
-                progressed |= self._dispatch(time.monotonic())
-                if not progressed:
-                    # Wake immediately on any shard completion; the
-                    # timeout keeps hang/crash/deadline detection live.
-                    self.wake.wait(POLL_SECONDS)
-                    self.wake.clear()
+                for slot, worker in enumerate(self.workers):
+                    if self.ready and not worker.owed:
+                        self._send_batch(slot)
+                slots = {
+                    worker.conn: slot
+                    for slot, worker in enumerate(self.workers)
+                }
+                wake = self._wake_at(deadline)
+                timeout = None if wake is None else wake - time.monotonic()
+                for conn in wait(list(slots), timeout):
+                    self._receive(slots[conn])
+                if self.task_timeout is not None:
+                    self._expire_hung()
         finally:
-            # terminate (not close): hung workers must die with the run,
-            # never outlive it.
-            self.pool.terminate()
-            self.pool.join()
+            for worker in self.workers:
+                worker.stop()
         return ScanReport.from_outcomes(
             list(self.outcomes),
             self.items,
@@ -613,10 +574,10 @@ def supervised_matches(
 ) -> ScanReport:
     """Match every item under supervision; every item gets an outcome.
 
-    Workers rebuild their matcher from ``payload`` once each; shards run
-    as per-shard futures with timeouts, crash recovery, ``retries``
-    immediate re-queues and then quarantine.  ``fault_plan`` is the test
-    hook injecting worker-process faults
+    Workers rebuild their matcher from ``payload`` once each and answer
+    batches of shards in order; a shard gets a timeout, crash
+    attribution, ``retries`` immediate re-queues and then quarantine.
+    ``fault_plan`` is the test hook injecting worker-process faults
     (:class:`~repro.runtime.faults.ProcessFaultPlan`).  ``tracer``
     records a ``supervisor.run`` span carrying retry / timeout /
     quarantine / respawn events.
@@ -643,7 +604,7 @@ def run_in_process(
 ) -> ScanReport:
     """The in-process analogue of :func:`supervised_matches`.
 
-    Used when the shard count cannot pay for a pool; takes the
+    Used when the shard count cannot pay for worker processes; takes the
     ready-built ``match_fn`` (the engine's cached matcher's) so the
     serial fast path stays free of matcher-rebuild cost.  Worker-process
     failure modes (crashes, hangs) do not exist here, so the outcome

@@ -123,6 +123,8 @@ class LazyDFA:
         self._tables = (vm if vm is not None else ThompsonVM(program)).tables
         self.num_classes = self._tables.num_classes
         #: Transitions built so far (the miss path; cached ones are free).
+        #: Each call adds its own count once, under the interning lock,
+        #: so threads that share the DFA lose no increment.
         self.transitions_built = 0
         # State interning: id 0 is always the entry state.  Streams and
         # one-shot calls on other threads share the DFA, so a new state
@@ -159,7 +161,6 @@ class LazyDFA:
         return state_id
 
     def _build_transition(self, state_id: int, byte_class: int) -> int:
-        self.transitions_built += 1
         tables = self._tables
         next_state = tables.step(self._states[state_id], byte_class) & tables.next_mask
         if next_state >= tables.fires:
@@ -170,6 +171,10 @@ class LazyDFA:
             result = _DEAD
         self._rows[state_id][byte_class] = result
         return result
+
+    def _count_built(self, built: int) -> None:
+        with self._interning:
+            self.transitions_built += built
 
     @cached_property
     def _stop_search(self):
@@ -215,12 +220,14 @@ class LazyDFA:
         state_id = 0
         row = rows[0]
         build = self._build_transition
+        built = 0
         try:
             for position, byte_class in enumerate(translated):
                 next_id = row[byte_class]
                 if next_id < 0:
                     if next_id == _UNBUILT:
                         next_id = build(state_id, byte_class)
+                        built += 1
                     if next_id == _MATCHED:
                         return MatchResult(True, position)
                     if next_id == _DEAD:
@@ -231,6 +238,9 @@ class LazyDFA:
             blowup.state = self._states[state_id]
             blowup.offset = position
             raise
+        finally:
+            if built:
+                self._count_built(built)
         if self._accept_end[state_id]:
             return MatchResult(True, len(data))
         return MatchResult(False, None)
@@ -255,6 +265,7 @@ class LazyDFA:
         build = self._build_transition
         translated = data.translate(self._tables.class_table)
         index = 0
+        built = 0
         try:
             while index < length:
                 if state_id == 0 and stop_search is not None:
@@ -267,6 +278,7 @@ class LazyDFA:
                 if next_id < 0:
                     if next_id == _UNBUILT:
                         next_id = build(state_id, byte_class)
+                        built += 1
                     if next_id == _MATCHED:
                         return True, index, state_id
                     if next_id == _DEAD:
@@ -277,6 +289,9 @@ class LazyDFA:
             blowup.state = self._states[state_id]
             blowup.offset = index
             raise
+        finally:
+            if built:
+                self._count_built(built)
         return None, length, state_id
 
 
@@ -331,11 +346,14 @@ class LazyDFAMatcher:
             self._fall_back()
 
     def _publish(self) -> None:
-        self._states_gauge.set(self.dfa.state_count)
-        built = self.dfa.transitions_built
-        if built != self._published:  # a warm run builds none
-            self._transitions.inc(built - self._published)
-            self._published = built
+        dfa = self.dfa
+        self._states_gauge.set(dfa.state_count)
+        if dfa.transitions_built != self._published:  # a warm run builds none
+            # Under the lock the DFA counts under: two threads publishing
+            # at once must not both ship the same delta.
+            with dfa._interning:
+                self._transitions.inc(dfa.transitions_built - self._published)
+                self._published = dfa.transitions_built
 
     def _fall_back(self) -> None:
         with self.dfa._interning:  # two threads that blow meter one fallback

@@ -70,8 +70,8 @@ class Budget:
     max_parallel_jobs: Optional[int] = None
     #: Wall-clock budget (seconds) for *one shard* inside a supervised
     #: parallel scan; a shard running longer trips
-    #: :class:`~repro.runtime.errors.TaskTimeoutError` and the worker
-    #: pool is respawned (a hung worker cannot be interrupted in place).
+    #: :class:`~repro.runtime.errors.TaskTimeoutError` and its worker
+    #: is replaced (a hung worker cannot be interrupted in place).
     #: ``None`` disables the per-task watchdog.
     max_task_seconds: Optional[float] = None
     #: Wall-clock budget (seconds) for a *whole* supervised scan; shards

@@ -184,9 +184,9 @@ class VMStepBudgetError(BudgetExceeded):
 class TaskTimeoutError(BudgetExceeded):
     """One supervised shard ran past ``Budget.max_task_seconds``.
 
-    The supervisor cannot interrupt a hung worker in place, so the pool
-    is respawned and the shard is either retried (when the retry policy
-    allows) or settled with this error — the run as a whole continues.
+    The supervisor cannot interrupt a hung worker in place, so that
+    worker is replaced and the shard settles with this error (timeouts
+    are terminal) — the run as a whole continues.
     """
 
     code = "REPRO-BUDGET-TASK-TIMEOUT"
@@ -195,7 +195,7 @@ class TaskTimeoutError(BudgetExceeded):
         self.index = index
         super().__init__(
             f"shard {index} exceeded the {limit:g}s per-task budget "
-            f"(running for {seconds:.3f}s); worker pool respawned",
+            f"(running for {seconds:.3f}s); its worker was replaced",
             limit=limit,
             spent=seconds,
         )
@@ -222,16 +222,17 @@ class WallClockBudgetError(BudgetExceeded):
 
 
 class WorkerStateError(ReproError):
-    """A pool worker was used before its initializer ran (or after it
-    failed) — an internal invariant violation, never a user error."""
+    """A supervised worker could not build its matcher — an internal
+    invariant violation, never a user error."""
 
     code = "REPRO-WORKER-STATE"
 
 
 class WorkerCrashError(ReproError):
-    """A worker process died (``os._exit``, OOM kill, segfault) while a
-    shard was in flight.  The supervisor respawns the pool and re-probes
-    the in-flight shards serially to isolate the poisonous one."""
+    """A worker process died (``os._exit``, OOM kill, segfault) while
+    running a shard.  A worker answers its shards in order, so the shard
+    is the first it still owed; the supervisor replaces that worker and
+    requeues the shards it had not started without a strike."""
 
     code = "REPRO-WORKER-CRASH"
 

@@ -399,7 +399,7 @@ WORKER_FAULT_KINDS = ("raise", "hang", "exit")
 
 @dataclass(frozen=True)
 class WorkerFaultSpec:
-    """One shard's injected misbehaviour inside a pool worker.
+    """One shard's injected misbehaviour inside a supervised worker.
 
     ``kind`` is one of :data:`WORKER_FAULT_KINDS`:
 
@@ -429,11 +429,11 @@ class WorkerFaultSpec:
 class ProcessFaultPlan:
     """Which shard indices misbehave, and how.
 
-    The plan is picklable and ships to every pool worker through the
-    initializer, so it survives pool respawns.  Attempt counting for
+    The plan is picklable and ships to every supervised worker when it
+    starts, so it survives worker replacement.  Attempt counting for
     ``times``-limited faults goes through exclusive-create marker files
     in ``marker_dir`` — the only channel that survives both ``spawn``
-    workers and supervisor-triggered pool terminations.
+    workers and supervisor-triggered worker terminations.
     """
 
     faults: Tuple[Tuple[int, WorkerFaultSpec], ...]

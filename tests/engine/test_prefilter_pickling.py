@@ -45,7 +45,7 @@ class TestProgramPickling:
         assert clone.artifact.analysis == program.analysis
 
     def test_rebuilt_worker_matcher_sees_identical_metadata(self):
-        # Exactly what the pool initializer does with the unpickled
+        # Exactly what a starting worker does with the unpickled
         # payload: the matcher's plan must equal the parent's.
         program = compile_regex(PATTERN).program
         parent = PrefilteredMatcher(program)

@@ -8,13 +8,17 @@ Never a hang, never a silently dropped verdict: every healthy shard
 keeps its correct verdict and the run completes within its deadline.
 
 Wall-clock bounds in the assertions are deliberately loose (CI jitter);
-the hard guarantee is that these tests *finish at all* — without the
-supervisor every hang/exit scenario would deadlock ``pool.map``.
+the hard guarantee is that these tests *finish at all* — an unsupervised
+worker that hangs or exits would leave its caller waiting forever.
 """
+
+import random
+import threading
 
 import pytest
 
 from repro.engine import Engine, ScanReport
+from repro.engine import supervisor
 from repro.runtime.budget import DEFAULT_BUDGET
 from repro.runtime.errors import ShardQuarantinedError, TaskTimeoutError
 from repro.runtime.faults import ProcessFaultPlan, WorkerFaultSpec
@@ -103,7 +107,7 @@ class TestHangFault:
         assert isinstance(outcome.error, TaskTimeoutError)
         assert outcome.error.code == "REPRO-BUDGET-TASK-TIMEOUT"
         assert outcome.error.limit == 0.75
-        # Reclaiming a hung worker requires respawning the pool.
+        # A hung worker cannot be interrupted in place: it is replaced.
         assert report.respawns >= 1
         assert report.elapsed < WALL_CEILING
 
@@ -139,7 +143,7 @@ class TestExitFault:
         outcome = report.outcomes[4]
         assert outcome.status == "quarantined"
         assert outcome.error.last_error.code == "REPRO-WORKER-CRASH"
-        # Each crash costs a pool; probing re-identifies the poison shard.
+        # Each crash costs the worker that ran the poison shard.
         assert report.respawns >= 1
         assert report.elapsed < WALL_CEILING
 
@@ -200,3 +204,105 @@ class TestMultipleFaults:
         assert report.outcomes[1].status == "quarantined"
         assert report.outcomes[4].status == "timeout"
         assert report.elapsed < WALL_CEILING
+
+
+class TestAttribution:
+    """A worker answers its batch in order, so the first shard it still
+    owes is the one it is running: a crash or a hang is charged to that
+    shard alone, and the shards queued behind it go back unstruck."""
+
+    def test_crash_strikes_only_the_shard_that_ran(self):
+        engine = make_engine(max_retries=1)
+        texts = TEXTS * 4
+        plan = ProcessFaultPlan.single(4, "exit")
+        report = engine.match_many(
+            PATTERN, texts, jobs=2, strict=False, fault_plan=plan
+        )
+        # One replaced worker per run of the poison shard, and a shard
+        # is charged an attempt when it runs, not when it is sent.
+        assert report.respawns == 2
+        assert report.outcomes[4].status == "quarantined"
+        assert report.outcomes[4].attempts == 2
+        assert report.outcomes[4].error.last_error.code == "REPRO-WORKER-CRASH"
+        for index, outcome in enumerate(report.outcomes):
+            if index != 4:
+                assert outcome.ok and outcome.attempts == 1, index
+                assert outcome.verdict == EXPECTED[index % len(TEXTS)]
+
+    def test_hang_mid_batch_requeues_the_unstarted_batch_mates(self):
+        # The first batch of 8 shards over 2 workers is shards 0-3:
+        # shard 1 hangs while 2 and 3 wait behind it in the same batch.
+        engine = make_engine(task_timeout=0.75)
+        plan = ProcessFaultPlan.single(1, "hang")
+        report = engine.match_many(
+            PATTERN, TEXTS, jobs=2, strict=False, fault_plan=plan
+        )
+        assert_healthy_shards_correct(report, {1})
+        assert report.outcomes[1].status == "timeout"
+        assert report.outcomes[1].attempts == 1
+        assert [outcome.attempts for outcome in report.outcomes] == [1] * 8
+        assert report.respawns == 1 and report.retries == 0
+        assert report.elapsed < WALL_CEILING
+
+    def test_worker_dying_idle_is_replaced_without_a_strike(self, monkeypatch):
+        # The worker given shard 0 exits after answering it, while the
+        # other one still sleeps on shard 1: nothing is owed by the dead
+        # worker, so nothing is struck.
+        serve = supervisor._serve
+
+        class OneBatch:
+            def __init__(self, conn):
+                self.conn, self.batches = conn, []
+
+            def recv(self):
+                if self.batches and self.batches[0][0][0] == 0:
+                    raise EOFError
+                self.batches.append(self.conn.recv())
+                return self.batches[-1]
+
+            def send(self, message):
+                self.conn.send(message)
+
+        monkeypatch.setattr(
+            supervisor,
+            "_serve",
+            lambda conn, *args: serve(OneBatch(conn), *args),
+        )
+        engine = Engine(mp_context="fork", retries=0)
+        plan = ProcessFaultPlan.single(1, "hang", hang_seconds=1.0)
+        report = engine.match_many(
+            PATTERN, ["xabd", "acd"], jobs=2, strict=False, fault_plan=plan
+        )
+        assert report.chunk_matches == [True, True]
+        assert [outcome.attempts for outcome in report.outcomes] == [1, 1]
+        assert report.respawns == 1 and report.retries == 0
+
+
+class TestBackPressure:
+    def test_a_large_scan_streams_through_the_pipes(self):
+        # 4 MB of batches and ~8,000 answers per scan overflow any pipe
+        # buffer both ways: a worker blocked sending verdicts while the
+        # parent blocks sending it more work would never finish.
+        rng = random.Random(5)
+        corpus = bytearray(rng.randbytes(4_000_000).translate(
+            bytes(97 + value % 26 for value in range(256))
+        ))
+        for offset in rng.sample(range(0, len(corpus) - 6, 500), 40):
+            corpus[offset:offset + 6] = b"needle"
+        corpus = bytes(corpus)
+        engine = Engine()
+        reports = {}
+
+        def scan(jobs):
+            reports[jobs] = engine.scan_corpus(
+                "needle", corpus, jobs=jobs, strict=False
+            )
+
+        worker = threading.Thread(target=scan, args=(2,), daemon=True)
+        worker.start()
+        worker.join(timeout=WALL_CEILING)
+        assert not worker.is_alive(), "the jobs=2 scan did not finish"
+        scan(1)
+        assert reports[2].complete and reports[2].chunks == 8000
+        assert reports[2].chunk_matches == reports[1].chunk_matches
+        assert reports[2].matched_chunks == reports[1].matched_chunks >= 40

@@ -10,7 +10,7 @@ validates, and the metrics registry accounts every shard exactly once
 across the four outcome statuses.
 
 ``max_examples`` on the supervised test is small because every example
-pays for a worker pool.
+pays for worker processes.
 """
 
 from hypothesis import given, settings

@@ -4,10 +4,10 @@ For random text batches and random injected worker faults, the
 supervised partial scan must (a) produce exactly one outcome per input,
 in input order, (b) agree with the in-process verdicts on every
 non-faulted index, and (c) settle every faulted index with a typed
-quarantine — the fault-tolerance machinery (retries, pool respawns,
-probing) is invisible to healthy shards.
+quarantine — the fault-tolerance machinery (retries, worker
+replacement) is invisible to healthy shards.
 
-``max_examples`` is small because every example pays for a worker pool;
+``max_examples`` is small because every example pays for worker processes;
 the deterministic scenario matrix lives in
 ``tests/engine/test_supervisor_faults.py`` — this test exists to catch
 interactions no hand-written scenario anticipated.

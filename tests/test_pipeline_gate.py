@@ -9,7 +9,7 @@ up here as a module that is not on the list.
 
 The same kind of walk keeps the lazy DFA's row format private to
 ``prefilter/lazydfa.py``, keeps the instruction dispatch of the matchers
-in the kernel's step table, keeps the one process pool in the scan
+in the kernel's step table, keeps worker processes in the scan
 supervisor, and keeps deleted subsystems deleted.
 """
 
@@ -246,10 +246,11 @@ def test_the_step_column_is_defined_once():
     assert definers == {("vm/kernel.py", "_StepColumn")}
 
 
-#: Calls that build a process pool (by name or attribute) and calls that
-#: hand one work (attribute only: the builtin ``map`` is a ``Name``).
-#: ``apply`` is left out: the IR rewrite driver has one.
-POOL_BUILDERS = {"Pool", "ProcessPoolExecutor"}
+#: Calls that build a process pool or start a worker process and its
+#: pipe (by name or attribute), and calls that hand a pool work
+#: (attribute only: the builtin ``map`` is a ``Name``).  ``apply`` is
+#: left out: the IR rewrite driver has one.
+POOL_BUILDERS = {"Pool", "ProcessPoolExecutor", "Process", "Pipe"}
 POOL_WORK = {
     "apply_async", "map", "map_async", "imap", "imap_unordered",
     "starmap", "starmap_async",

@@ -12,7 +12,13 @@ import pytest
 
 from repro.compiler import compile_regex
 from repro.multimatch import MultiMatchVM, compile_multipattern
-from repro.prefilter.lazydfa import LazyDFA, LazyDFABlowup, LazyDFAMatcher
+from repro.observability import MetricsRegistry
+from repro.prefilter.lazydfa import (
+    _UNBUILT,
+    LazyDFA,
+    LazyDFABlowup,
+    LazyDFAMatcher,
+)
 from repro.runtime.errors import VMStepBudgetError
 from repro.vm import StreamingMatcher, StreamingMultiMatcher, ThompsonVM
 
@@ -321,6 +327,53 @@ def test_threads_share_one_dfa_without_losing_a_state():
     finally:
         sys.setswitchinterval(interval)
     assert not wrong
+
+
+def test_threads_sharing_one_dfa_count_each_transition_once():
+    # The service's executor threads share a matcher and its metrics.
+    # The DFA's build count and the published counter both move under
+    # the interning lock, once per call; without it a thread switch
+    # between reading and writing either one repeats or loses a delta
+    # (in about half of these trials, at this switch interval).
+    program = _program("(a|b)*a[ab]{6}c")
+    vm = ThompsonVM(program)
+
+    def worker(shared, seed, start):
+        rng = random.Random(seed)
+        start.wait()
+        for _ in range(40):
+            shared.match("".join(rng.choice("ab") for _ in range(10)) + "c")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(100):
+            registry = MetricsRegistry()
+            shared = LazyDFAMatcher(
+                program, max_states=None, vm=vm, metrics=registry
+            )
+            start = threading.Barrier(4)
+            threads = [
+                threading.Thread(
+                    target=worker, args=(shared, trial * 10 + k, start)
+                )
+                for k in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            # Two threads may build one transition at once, so the
+            # count may pass the number of built cells but never fall
+            # short of it.
+            dfa = shared.dfa
+            unbuilt = sum(row.count(_UNBUILT) for row in dfa._rows)
+            cells = dfa.state_count * dfa.num_classes - unbuilt
+            published = registry.value("repro_lazydfa_transitions_total")
+            assert published == dfa.transitions_built >= cells, trial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ----------------------------------------------------------------------
