@@ -43,7 +43,11 @@ def resolve_mp_context(method: Optional[str] = None):
     ``None`` picks ``forkserver`` when the platform offers it (one clean
     server process forked early, immune to fork-after-thread deadlocks)
     and ``spawn`` otherwise (always safe, portable to macOS/Windows).
-    An unknown method name raises a typed
+    Under ``forkserver`` the server preloads the workers' module, so a
+    worker forked from it starts with the package imported instead of
+    importing it before its first shard (the server imports it as a
+    fresh interpreter would: installed or on ``PYTHONPATH``).  An
+    unknown method name raises a typed
     :class:`~repro.arch.config.ConfigurationError`.
     """
     available = multiprocessing.get_all_start_methods()
@@ -54,7 +58,10 @@ def resolve_mp_context(method: Optional[str] = None):
             f"unknown multiprocessing start method {method!r}; "
             f"this platform offers {sorted(available)}"
         )
-    return multiprocessing.get_context(method)
+    context = multiprocessing.get_context(method)
+    if method == "forkserver":  # the module of the workers' entry point
+        context.set_forkserver_preload([f"{__package__}.supervisor"])
+    return context
 
 
 @dataclass(frozen=True)

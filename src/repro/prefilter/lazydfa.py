@@ -4,12 +4,13 @@ The matching kernel (:mod:`repro.vm.kernel`) already runs a position as
 one step-table walk over a mask of work PCs
 (:meth:`~repro.vm.kernel.DispatchTables.step`); what it still pays per
 position is that walk.  This module caches the walks: a DFA state is
-the frontier mask the kernel would hold, interned to a small id, and a
-transition row is filled in one byte class at a time, only for the
-(state, class) pairs the input actually exercises.  Building a
-transition is exactly one kernel step, so the two cannot disagree; once
-it is cached, re-traversing it costs two list indexings — roughly two
-orders of magnitude less than a kernel position.  The DFA and the VM it
+the frontier mask the kernel would hold, interned as its own transition
+row, and the row is filled in one byte class at a time, only for the
+(state, class) pairs the input actually exercises.  A transition holds
+the successor row itself, so re-traversing a cached one costs one list
+indexing — roughly two orders of magnitude less than a kernel position.
+Building a transition is exactly one kernel step, read from the
+kernel's own memos, so the two cannot disagree.  The DFA and the VM it
 is built over share one :class:`~repro.vm.kernel.DispatchTables`, step
 table included, so each warms the other's.
 
@@ -20,19 +21,20 @@ within a position.  Acceptance mid-input is therefore a property of the
 transitions encode "match fires at this position" as a distinct
 sentinel rather than a successor state.
 
-Only this module reads the rows, in two loops kept apart on measurement
-(2-vCPU Xeon, Python 3.11, warm DFA; ``docs/performance.md``).  A
-per-byte state-0 skip hook would cost :meth:`LazyDFA.run` 0.64× on
-protomata over residue (500 B chunks).  :meth:`LazyDFA.walk` needs its
-hook: skipping only at the start of a 64 KiB piece streams brill over
-residue with one lowercase byte per 200 B / 2 KB at 22 / 31 instead of
-331 / 368 MB/s.  A resumable ``run`` is no faster (0.92×, 1.01×) and
-has no skip.
+Only this module reads the rows, in one loop with one miss path
+(:meth:`LazyDFA._walk`) that :meth:`LazyDFA.run` and
+:meth:`LazyDFA.walk` share.  Only ``walk`` skips ahead in state 0, as
+measured (2-vCPU Xeon, Python 3.11, warm DFA; ``docs/performance.md``):
+a state-0 skip would cost ``run`` 0.64× on protomata over residue
+(500 B chunks), while ``walk`` skipping only at the start of a 64 KiB
+piece streams brill over residue with one lowercase byte per 200 B /
+2 KB at 22 / 31 instead of 331 / 368 MB/s.  ``run`` pays for the shared
+loop one identity test per byte.
 
-The construction is strictly bounded: interning a state beyond
-``max_states`` raises :class:`LazyDFABlowup` with the blown state's mask
-and the byte's offset, and :class:`LazyDFAMatcher` continues on the
-kernel from there — permanently, for that pattern.  Blowup is a
+The construction is strictly bounded, without a lock: interning a
+state beyond ``max_states`` raises :class:`LazyDFABlowup` with the
+blown state's mask and the byte's offset, and :class:`LazyDFAMatcher`
+continues on the kernel from there — permanently, for that pattern.  Blowup is a
 performance event, never a correctness event (acceptance criterion:
 pathological ``(a|aa){n}`` patterns degrade with a
 ``repro_lazydfa_fallback_total`` increment, never an error or a wrong
@@ -49,10 +51,11 @@ over at (byte 0 once the matcher has fallen back).
 
 from __future__ import annotations
 
+import itertools
 import re
 import threading
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from ..isa.program import Program
 from ..vm.kernel import Enumeration, run_once
@@ -60,10 +63,10 @@ from ..vm.thompson import MatchResult, ThompsonVM, _as_bytes
 
 #: Default cap on interned DFA states (also the `Budget.max_dfa_states`
 #: default).  A state costs its mask of work PCs (one ``int``: 4 bytes
-#: per 30 program addresses), one interning dict entry and one
-#: transition row of ``num_classes`` ints (distinct operand bytes + 1,
-#: not 256): about 0.5 KB for the 21-class states of the protomata ×4
-#: rules, so a pattern that runs into the cap holds about 5 MB;
+#: per 30 program addresses), one dict entry and its row of
+#: ``num_classes`` transitions (distinct operand bytes + 1, not 256)
+#: plus two slots: about 0.5 KB for the 21-class states of the
+#: protomata ×4 rules, so a pattern that runs into the cap holds about 5 MB;
 #: literal-ish patterns determinize in well under 100 states.
 DEFAULT_MAX_DFA_STATES = 10_000
 
@@ -75,10 +78,12 @@ def byte_class_pattern(byte_values: Iterable[int]) -> "re.Pattern[bytes]":
     return re.compile(b"[" + members + b"]")
 
 
-# Transition-row sentinels (all < 0 so real state ids stay >= 0).
-_UNBUILT = -3
-_MATCHED = -2
-_DEAD = -1
+# Transition sentinels.  A row is a non-empty list, so all three are
+# falsy and a walk tells a cached successor from them with one truth
+# test per byte; they are told apart by identity.
+_UNBUILT = None
+_MATCHED = 0
+_DEAD = ()
 
 
 class LazyDFABlowup(Exception):
@@ -109,6 +114,13 @@ class LazyDFA:
     the cached transition graph grows only as inputs demand and is
     reused across :meth:`run` calls, so scan loops amortize construction
     across the whole corpus.
+
+    A state *is* its row: ``_rows`` maps each interned mask to the list
+    ``[t_0 … t_{n-1}, mask, blind]`` of ``num_classes + 2`` slots, where
+    ``t_c`` is the successor row on class ``c`` or a sentinel, and
+    ``blind`` what the state's byte-blind PCs contribute on any class
+    (``None`` until a transition is built from it).  The dict's order is
+    first-seen order.
     """
 
     def __init__(
@@ -117,64 +129,38 @@ class LazyDFA:
         max_states: Optional[int] = DEFAULT_MAX_DFA_STATES,
         vm: Optional[ThompsonVM] = None,
     ):
+        self._rows: Dict[int, list] = {}
         self.program = program
         #: ``None`` disables the cap (Budget.unlimited() semantics).
         self.max_states = max_states
         self._tables = (vm if vm is not None else ThompsonVM(program)).tables
         self.num_classes = self._tables.num_classes
         #: Transitions built so far (the miss path; cached ones are free).
-        #: Each call adds its own count once, under the interning lock,
-        #: so threads that share the DFA lose no increment.
+        #: Each call adds its own count once, under ``_counting``, so
+        #: threads that share the DFA lose no increment.
         self.transitions_built = 0
-        # State interning: id 0 is always the entry state.  Streams and
-        # one-shot calls on other threads share the DFA, so a new state
-        # is interned under the lock and published in ``_ids`` last.
-        self._interning = threading.Lock()
-        self._ids: Dict[int, int] = {}
-        self._states: List[int] = []
-        self._rows: List[List[int]] = []
-        self._accept_end: List[bool] = []
-        # ``max_states <= 0`` cannot hold even that: the DFA stays empty
-        # and every :meth:`run` reports the blowup.
+        self._counting = threading.Lock()
+        # Streams and one-shot calls on other threads share the DFA, and
+        # interning takes no lock: a row is built whole, then takes a
+        # ticket (a lost race burns one, so the cap may trip early but is
+        # never exceeded), then is published with ``dict.setdefault``.
+        # The entry row holds ticket 0.
+        self._tickets = itertools.count(1)
+        #: The entry state's row; ``None`` when ``max_states <= 0``
+        #: cannot hold even that, and every :meth:`run` reports the
+        #: blowup.
+        self._entry_row: Optional[list] = None
         if max_states is None or max_states > 0:
-            self._intern(self._tables.entry)
+            entry = self._tables.entry
+            row = [_UNBUILT] * (self.num_classes + 2)
+            row[self.num_classes] = entry
+            self._entry_row = self._rows[entry] = row
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _intern(self, state: int) -> int:
-        state_id = self._ids.get(state)
-        if state_id is not None:
-            return state_id
-        with self._interning:
-            state_id = self._ids.get(state)
-            if state_id is not None:  # another thread interned it
-                return state_id
-            states = self._states
-            if self.max_states is not None and len(states) >= self.max_states:
-                raise LazyDFABlowup(self.max_states, self.program.source_pattern)
-            state_id = len(states)
-            states.append(state)
-            self._rows.append([_UNBUILT] * self.num_classes)
-            self._accept_end.append(state & self._tables.accept_mask != 0)
-            self._ids[state] = state_id
-        return state_id
-
-    def _build_transition(self, state_id: int, byte_class: int) -> int:
-        tables = self._tables
-        next_state = tables.step(self._states[state_id], byte_class) & tables.next_mask
-        if next_state >= tables.fires:
-            result = _MATCHED
-        elif next_state:
-            result = self._intern(next_state)
-        else:
-            result = _DEAD
-        self._rows[state_id][byte_class] = result
-        return result
-
-    def _count_built(self, built: int) -> None:
-        with self._interning:
-            self.transitions_built += built
+    def __del__(self):
+        # Transitions point at rows, so the rows form cycles: unlink them
+        # and a dropped DFA is freed at once, not at a full collection.
+        for row in self._rows.values():
+            row.clear()
 
     @cached_property
     def _stop_search(self):
@@ -184,7 +170,7 @@ class LazyDFA:
         interned, so it cannot blow ``max_states`` on a byte the input
         never holds."""
         tables = self._tables
-        entry = self._states[0]
+        entry = tables.entry
         loops = [
             tables.step(entry, byte_class) & tables.next_mask == entry != 0
             for byte_class in range(self.num_classes)
@@ -201,7 +187,7 @@ class LazyDFA:
     # ------------------------------------------------------------------
     @property
     def state_count(self) -> int:
-        return len(self._states)
+        return len(self._rows)
 
     def run(self, text: Union[str, bytes]) -> MatchResult:
         """Execute over ``text``; verdicts equal :meth:`ThompsonVM.run`.
@@ -213,86 +199,114 @@ class LazyDFA:
         the byte's offset as :meth:`walk` does.
         """
         data = text if isinstance(text, bytes) else _as_bytes(text)
-        translated = data.translate(self._tables.class_table)
-        rows = self._rows
-        if not rows:
+        if self._entry_row is None:
             raise LazyDFABlowup(self.max_states, self.program.source_pattern)
-        state_id = 0
-        row = rows[0]
-        build = self._build_transition
-        built = 0
-        try:
-            for position, byte_class in enumerate(translated):
-                next_id = row[byte_class]
-                if next_id < 0:
-                    if next_id == _UNBUILT:
-                        next_id = build(state_id, byte_class)
-                        built += 1
-                    if next_id == _MATCHED:
-                        return MatchResult(True, position)
-                    if next_id == _DEAD:
-                        return MatchResult(False, None)
-                state_id = next_id
-                row = rows[state_id]
-        except LazyDFABlowup as blowup:
-            blowup.state = self._states[state_id]
-            blowup.offset = position
-            raise
-        finally:
-            if built:
-                self._count_built(built)
-        if self._accept_end[state_id]:
-            return MatchResult(True, len(data))
-        return MatchResult(False, None)
+        verdict, offset, row = self._walk(data, self._entry_row, None)
+        if verdict is None:
+            verdict = row[self.num_classes] & self._tables.accept_mask != 0
+        return MatchResult(True, offset) if verdict else MatchResult(False, None)
 
-    def walk(self, data: bytes, state_id: int) -> Tuple[Optional[bool], int, int]:
-        """Resume at ``state_id`` over ``data``: :meth:`run` for a stream.
+    def walk(self, data: bytes, row: list) -> Tuple[Optional[bool], int, list]:
+        """Resume at ``row`` over ``data``: :meth:`run` for a stream.
 
-        Returns ``(verdict, offset, state_id)``: ``True`` when the match
+        Returns ``(verdict, offset, row)``: ``True`` when the match
         fires on the byte at ``offset``; ``False`` when no suffix can
         match (``offset == len(data)``, as the kernel consumes a dead
-        chunk); ``None`` while open, in ``state_id`` after all of
-        ``data``.  In state 0 it jumps to the next byte that leaves it
-        (:attr:`_stop_search`).  A :class:`LazyDFABlowup` carries the
-        mask of the state it blew in — the kernel's frontier there — and
-        the offset of the byte, where the kernel takes over.
+        chunk); ``None`` while open, in ``row`` after all of ``data``.
+        In state 0 it jumps to the next byte that leaves it
+        (:attr:`_stop_search`).
         """
         stop_search = self._stop_search
-        length = len(data)
         if stop_search is False:  # state 0 is the only state
-            return None, length, state_id
+            return None, len(data), row
+        return self._walk(data, row, stop_search)
+
+    def _walk(self, data: bytes, row: list, stop_search):
+        """The one loop over the rows, and the one miss path.
+
+        A miss is one kernel position, inlined: the row's cached blind
+        contribution OR the class's sighted part, read from (and kept
+        in) the :class:`~repro.vm.kernel.DispatchTables` memos exactly
+        as :meth:`~repro.vm.kernel.DispatchTables.step` does.  While in
+        the entry row ``stop_search`` (``None`` for :meth:`run`) skips
+        to the next byte that leaves it.  A :class:`LazyDFABlowup`
+        carries the mask of the state it blew in — the kernel's frontier
+        there — and the offset of the byte, where the kernel takes over.
+        """
+        tables = self._tables
+        blind, blind_mask = tables.blind, tables.blind_mask
+        blind_column, or_entries = tables.blind_column, tables._or_entries
+        sighted, sighted_memo = tables.sighted, tables.sighted_memo
+        steps, next_mask, fires = tables.steps, tables.next_mask, tables.fires
         rows = self._rows
-        build = self._build_transition
-        translated = data.translate(self._tables.class_table)
-        index = 0
+        classes = self.num_classes
+        blind_slot = classes + 1
+        home = self._entry_row if stop_search is not None else None
+        length = len(data)
+        translated = data.translate(tables.class_table)
+        # The offset of the byte in hand is ``length`` minus what the
+        # iterator has left, minus one: only an exit and a skip need it.
+        iterator = iter(translated)
+        bytes_left = iterator.__length_hint__
         built = 0
         try:
-            while index < length:
-                if state_id == 0 and stop_search is not None:
-                    found = stop_search(data, index)
+            for byte_class in iterator:
+                if row is home:
+                    found = stop_search(data, length - bytes_left() - 1)
                     if found is None:
                         break
-                    index = found.start()
-                byte_class = translated[index]
-                next_id = rows[state_id][byte_class]
-                if next_id < 0:
-                    if next_id == _UNBUILT:
-                        next_id = build(state_id, byte_class)
+                    # Resume the iterator past the stop byte (``bytes``
+                    # iterators are repositioned by ``__setstate__``).
+                    iterator.__setstate__(found.start() + 1)
+                    byte_class = translated[found.start()]
+                next_row = row[byte_class]
+                if not next_row:
+                    if next_row is _UNBUILT:
+                        state = row[classes]
+                        stepped = row[blind_slot]
+                        if stepped is None:
+                            part = state & blind_mask
+                            stepped = blind.get(part)
+                            if stepped is None:
+                                stepped = or_entries(part, blind_column, blind)
+                            row[blind_slot] = stepped
+                        part = state & sighted[byte_class]
+                        memo = sighted_memo[byte_class]
+                        contributed = memo.get(part)
+                        if contributed is None:
+                            contributed = or_entries(part, steps[byte_class], memo)
+                        successor = (stepped | contributed) & next_mask
+                        if successor >= fires:
+                            next_row = _MATCHED
+                        elif not successor:
+                            next_row = _DEAD
+                        else:
+                            next_row = rows.get(successor)
+                            if next_row is None:
+                                next_row = [_UNBUILT] * (blind_slot + 1)
+                                next_row[classes] = successor
+                                cap = self.max_states
+                                if cap is not None and next(self._tickets) >= cap:
+                                    raise LazyDFABlowup(
+                                        cap, self.program.source_pattern
+                                    )
+                                next_row = rows.setdefault(successor, next_row)
+                        row[byte_class] = next_row
                         built += 1
-                    if next_id == _MATCHED:
-                        return True, index, state_id
-                    if next_id == _DEAD:
-                        return False, length, state_id
-                state_id = next_id
-                index += 1
+                    if next_row is _MATCHED:
+                        return True, length - bytes_left() - 1, row
+                    if next_row is _DEAD:
+                        return False, length, row
+                row = next_row
         except LazyDFABlowup as blowup:
-            blowup.state = self._states[state_id]
-            blowup.offset = index
+            blowup.state = row[classes]
+            blowup.offset = length - bytes_left() - 1
             raise
         finally:
             if built:
-                self._count_built(built)
-        return None, length, state_id
+                with self._counting:
+                    self.transitions_built += built
+        return None, length, row
 
 
 class LazyDFAMatcher:
@@ -351,12 +365,12 @@ class LazyDFAMatcher:
         if dfa.transitions_built != self._published:  # a warm run builds none
             # Under the lock the DFA counts under: two threads publishing
             # at once must not both ship the same delta.
-            with dfa._interning:
+            with dfa._counting:
                 self._transitions.inc(dfa.transitions_built - self._published)
                 self._published = dfa.transitions_built
 
     def _fall_back(self) -> None:
-        with self.dfa._interning:  # two threads that blow meter one fallback
+        with self.dfa._counting:  # two threads that blow meter one fallback
             if self.blown:
                 return
             self.blown = True
@@ -405,14 +419,14 @@ class LazyDFAMatcher:
             return state.feed(data)
         dfa = self.dfa
         try:
-            verdict, offset, state_id = dfa.walk(data, dfa._ids[state.frontier])
+            verdict, offset, row = dfa.walk(data, dfa._rows[state.frontier])
         except LazyDFABlowup as blowup:
             return self._hand_off(state, blowup).feed(data, blowup.offset)
         if self._transitions is not None:
             self._publish()
         state.consumed += offset
         if verdict is None:
-            state.frontier = dfa._states[state_id]
+            state.frontier = row[dfa.num_classes]
         else:
             state.settle(verdict)
 

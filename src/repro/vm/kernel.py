@@ -8,7 +8,10 @@ the lazy DFA:
   ``pc`` stands for the work instruction at ``pc``): ε-closures, byte
   classes and the lazily filled **step table**.
   :meth:`DispatchTables.step` is one position over a frontier held as
-  one ``int``; the lazy DFA interns its results, the kernel does not.
+  one ``int``; the lazy DFA runs the same position inline on a miss,
+  reading and filling the same memos, and interns its result as a
+  transition row (one list indexing per cached byte, no lock); the
+  kernel keeps no result.
 * :class:`Enumeration` — the resumable breadth-first enumeration.  Its
   whole between-position state is the frontier (the mask of work PCs
   that survived the last byte) and the executed-step count, so

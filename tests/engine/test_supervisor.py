@@ -8,9 +8,14 @@ engine plumbing around it.
 """
 
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.arch.config import ConfigurationError
 from repro.engine import (
     Engine,
@@ -39,6 +44,29 @@ class TestMpContext:
     def test_unknown_method_is_typed_error(self):
         with pytest.raises(ConfigurationError, match="start method"):
             resolve_mp_context("threads")
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="no forkserver start method on this platform",
+    )
+    def test_forkserver_workers_start_with_the_package_imported(self):
+        # A fresh interpreter, so its forkserver starts here.  The child
+        # runs a builtin, so nothing but the server's preload can have
+        # imported the workers' module before its first instruction.
+        probe = (
+            "import sys\n"
+            "from repro.engine import resolve_mp_context\n"
+            "code = 'import sys; sys.exit(%r not in sys.modules)' % sys.argv[1]\n"
+            "child = resolve_mp_context('forkserver').Process(\n"
+            "    target=exec, args=(code,))\n"
+            "child.start(); child.join(); print(child.exitcode)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", probe, supervised_matches.__module__], env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.stdout.strip() == "0", done.stderr
 
     def test_engine_validates_at_construction(self):
         with pytest.raises(ConfigurationError):

@@ -1,6 +1,6 @@
 """The lazy DFA's memoized step table against the interpreter it replaced.
 
-``reference_transition`` is the worklist loop ``LazyDFA._build_transition``
+``reference_transition`` is the worklist loop the lazy DFA's miss path
 used to run for every transition: one VM position over a state's PCs,
 instruction by instruction.  It is kept here as the oracle — every
 transition the step table produces must equal it, on every state and
@@ -32,6 +32,7 @@ from repro.isa.program import Program
 from repro.prefilter.lazydfa import (
     _DEAD,
     _MATCHED,
+    _UNBUILT,
     LazyDFA,
     LazyDFABlowup,
     LazyDFAMatcher,
@@ -82,18 +83,35 @@ def reference_on_byte(dfa, state, char):
     )
 
 
-def state_pcs(dfa, state_id):
-    return frozenset(mask_pcs(dfa._states[state_id]))
+def interned_rows(dfa):
+    """The DFA's states — each is its row — in first-seen order."""
+    return list(dfa._rows.values())
 
 
-def built_transition(dfa, state_id, byte_class):
-    """The DFA's own answer, in ``reference_transition``'s terms."""
-    result = dfa._build_transition(state_id, byte_class)
-    assert dfa._rows[state_id][byte_class] == result
-    if result == _MATCHED:
+def state_mask(dfa, row):
+    return row[dfa.num_classes]
+
+
+def state_pcs(dfa, row):
+    return frozenset(mask_pcs(state_mask(dfa, row)))
+
+
+def built_transition(dfa, row, byte_class):
+    """The DFA's own answer, in ``reference_transition``'s terms: the
+    transition is rebuilt (cached or not) by walking ``row`` over the
+    class's representative byte, the miss path every walk takes."""
+    row[byte_class] = _UNBUILT
+    byte = bytes((dfa._tables.representatives[byte_class],))
+    verdict, _offset, reached = dfa._walk(byte, row, None)
+    result = row[byte_class]
+    if result is _MATCHED:
+        assert verdict is True
         return FIRES
-    if result == _DEAD:
+    if result is _DEAD:
+        assert verdict is False
         return frozenset()
+    assert verdict is None
+    assert reached is result is dfa._rows[state_mask(dfa, result)]
     return state_pcs(dfa, result)
 
 
@@ -101,17 +119,17 @@ def assert_transitions_equal_reference(dfa):
     """Every (interned state, byte class) pair; under a state cap, a
     blowup is right exactly when the successor is a state the cap has no
     room for."""
-    for state_id in range(dfa.state_count):
-        state = state_pcs(dfa, state_id)
+    for row in interned_rows(dfa):
+        state = state_pcs(dfa, row)
         for byte_class in range(dfa.num_classes):
             expected = reference_transition(dfa, state, byte_class)
             try:
-                got = built_transition(dfa, state_id, byte_class)
+                got = built_transition(dfa, row, byte_class)
             except LazyDFABlowup:
                 assert dfa.state_count == dfa.max_states
                 assert expected != FIRES and expected
                 assert expected not in {
-                    state_pcs(dfa, other) for other in range(dfa.state_count)
+                    state_pcs(dfa, other) for other in interned_rows(dfa)
                 }
             else:
                 assert got == expected, (sorted(state), byte_class)
@@ -175,16 +193,16 @@ class TestBlindAndSightedSplit:
         program = compile_regex(pattern).program
         dfa = _dfa_after(program, ["abcabxcy", "xaabbyy", "zzzzzzzz", "abcx"])
         blind_only = 0
-        for state_id in range(dfa.state_count):
-            mask = dfa._states[state_id]
-            state = state_pcs(dfa, state_id)
+        for row in interned_rows(dfa):
+            mask = state_mask(dfa, row)
+            state = state_pcs(dfa, row)
             for byte in range(256):
                 byte_class = dfa._tables.class_table[byte]
                 if mask & dfa._tables.sighted[byte_class]:
                     continue
                 blind_only += 1
                 expected = reference_on_byte(dfa, state, byte)
-                assert built_transition(dfa, state_id, byte_class) == expected
+                assert built_transition(dfa, row, byte_class) == expected
                 # ... and it came from the blind dict, untouched.
                 blind = dfa._tables.blind[mask & dfa._tables.blind_mask]
                 if expected == FIRES:
@@ -213,11 +231,12 @@ class TestBlindAndSightedSplit:
         self, instructions, fires_on
     ):
         dfa = LazyDFA(Program(instructions))
-        entry = state_pcs(dfa, 0)
+        row = dfa._entry_row
+        entry = state_pcs(dfa, row)
         fired = set()
         for byte in range(256):
             expected = reference_on_byte(dfa, entry, byte)
-            got = built_transition(dfa, 0, dfa._tables.class_table[byte])
+            got = built_transition(dfa, row, dfa._tables.class_table[byte])
             assert got == expected, byte
             if got == FIRES:
                 fired.add(byte)
@@ -270,7 +289,7 @@ def test_step_entries_are_filled_only_for_pcs_in_interned_states():
     text = b"MKVLAAGIVGLCA"
     dfa.run(text)
     classes_seen = set(text.translate(dfa._tables.class_table))
-    states = [state_pcs(dfa, state_id) for state_id in range(dfa.state_count)]
+    states = [state_pcs(dfa, row) for row in interned_rows(dfa)]
     pcs_in_states = set().union(*states)
     for byte_class, column in enumerate(dfa._tables.steps):
         if byte_class in classes_seen:

@@ -34,8 +34,10 @@ PINNED = [
     (196, 687, 37, 124),
 ]
 
-#: An interned state keeps its PC mask, its interning-dict entry and its
-#: transition row: 471-592 B measured here (1,673-2,152 B as a frozenset).
+#: An interned state keeps its PC mask, its dict entry and its row (the
+#: transitions, the mask and the blind contribution), and shares the
+#: kernel's memos: 506-683 B measured here with the step table and memos
+#: included (1,673-2,152 B as a frozenset).
 MAX_BYTES_PER_STATE = 700
 
 
@@ -84,7 +86,7 @@ def test_blind_dict_is_bounded_by_the_states_interned(built):
     matchers, _chunks = built
     for matcher, _registry, _allocated in matchers:
         dfa = matcher.dfa
-        keys = {state & dfa._tables.blind_mask for state in dfa._states}
+        keys = {state & dfa._tables.blind_mask for state in dfa._rows}
         assert set(dfa._tables.blind) <= keys
         assert len(dfa._tables.blind) <= dfa.state_count
 
@@ -95,14 +97,20 @@ def test_bytes_per_interned_state(built):
         assert allocated / matcher.dfa.state_count < MAX_BYTES_PER_STATE
 
 
+def unbuilt_transitions(dfa):
+    """Transition slots still unbuilt, over every interned row."""
+    classes = dfa.num_classes
+    return sum(row[:classes].count(_UNBUILT) for row in dfa._rows.values())
+
+
 def test_transitions_are_counted_on_the_miss_path_only(built):
     matchers, chunks = built
     for matcher, registry, _allocated in matchers:
         dfa = matcher.dfa
-        unbuilt = sum(row.count(_UNBUILT) for row in dfa._rows)
+        unbuilt = unbuilt_transitions(dfa)
         assert dfa.transitions_built == dfa.state_count * dfa.num_classes - unbuilt
         assert registry.value("repro_lazydfa_transitions_total") == dfa.transitions_built
         for chunk in chunks:  # every transition is cached now
             matcher.match(chunk)
         assert registry.value("repro_lazydfa_transitions_total") == dfa.transitions_built
-        assert sum(row.count(_UNBUILT) for row in dfa._rows) == unbuilt
+        assert unbuilt_transitions(dfa) == unbuilt

@@ -135,12 +135,14 @@ def test_the_walk_sees_a_pasted_back_half():
     )
 
 
-#: The lazy DFA's row format: its transition rows and their sentinels,
-#: the state masks, the end-of-input flags and ``_build_transition``.
+#: The lazy DFA's row format: the mask -> row dict, the entry row, the
+#: walk with its miss path and the transition sentinels; and the names of
+#: the id-indexed representation it replaced (state masks, end-of-input
+#: flags, ``_build_transition``), so pasting that back is caught too.
 #: Other modules go through ``LazyDFA.run``/``walk``.
 DFA_INTERNALS = {
-    "_rows", "_states", "_accept_end", "_build_transition",
-    "_UNBUILT", "_MATCHED", "_DEAD",
+    "_rows", "_entry_row", "_walk", "_UNBUILT", "_MATCHED", "_DEAD",
+    "_states", "_accept_end", "_build_transition",
 }
 
 
@@ -178,6 +180,23 @@ def test_the_walk_sees_a_pasted_back_dfa_walk():
         "    self.state.frontier = mask_pcs(dfa._states[state_id])\n"
     )
     assert {"_rows", "_build_transition", "_states"} <= set(
+        dfa_internals_named(shadow)
+    )
+
+
+def test_the_walk_sees_a_pasted_back_row_walk():
+    # ``LazyDFA._walk``'s warm loop, copied into another module.
+    shadow = ast.parse(
+        "def walk(dfa, data, mask):\n"
+        "    row = dfa._rows[mask]\n"
+        "    home = dfa._entry_row\n"
+        "    for byte_class in data:\n"
+        "        next_row = row[byte_class]\n"
+        "        if next_row is _UNBUILT:\n"
+        "            return dfa._walk(data, row, None)\n"
+        "        row = next_row\n"
+    )
+    assert {"_rows", "_entry_row", "_UNBUILT", "_walk"} <= set(
         dfa_internals_named(shadow)
     )
 

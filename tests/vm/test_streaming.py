@@ -286,11 +286,42 @@ def test_a_blowup_moves_every_open_stream_to_the_kernel():
     assert walking.feed("cbd!") == ThompsonVM(program).run("xxabcbd!")
 
 
+def assert_one_row_per_mask(dfa):
+    """Each interned mask has one row, and every built transition points
+    at the row the dict holds for its mask: no state was interned twice."""
+    classes = dfa.num_classes
+    rows = dfa._rows
+    assert all(row[classes] == mask for mask, row in rows.items())
+    assert len({id(row) for row in rows.values()}) == len(rows)
+    for row in rows.values():
+        for successor in row[:classes]:
+            if successor:  # a row, not a sentinel
+                assert rows[successor[classes]] is successor
+
+
+def _racing(worker, args_for, threads=8):
+    """Run ``worker`` on ``threads`` threads at a 1 µs switch interval."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        running = [
+            threading.Thread(target=worker, args=args_for(k)) for k in range(threads)
+        ]
+        for thread in running:
+            thread.start()
+        for thread in running:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in running)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_threads_share_one_dfa_without_losing_a_state():
     # The service runs streams and one-shot calls of a pattern on
     # executor threads over one matcher.  A state interned by two
-    # threads at once must get one id: ids, masks and rows stay aligned.
-    # Without the interning lock about one trial in six loses a state.
+    # threads at once must get one row: every transition built to it
+    # points at the row the dict holds.  Publishing with a plain store
+    # instead of ``dict.setdefault`` leaves orphan rows in most runs.
     program = _program("(a|b)*a(a|b){9}c")
     vm = ThompsonVM(program)
     wrong = []
@@ -307,32 +338,17 @@ def test_threads_share_one_dfa_without_losing_a_state():
             if got != vm.run(text):
                 wrong.append(text)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for trial in range(60):
-            shared = LazyDFAMatcher(program, max_states=None, vm=vm)
-            threads = [
-                threading.Thread(target=worker, args=(shared, trial * 10 + k))
-                for k in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            dfa = shared.dfa
-            assert len(dfa._ids) == dfa.state_count == len(dfa._rows), trial
-            assert all(dfa._ids[mask] == i for i, mask in enumerate(dfa._states))
-    finally:
-        sys.setswitchinterval(interval)
+    for trial in range(60):
+        shared = LazyDFAMatcher(program, max_states=None, vm=vm)
+        _racing(worker, lambda k: (shared, trial * 10 + k))
+        assert_one_row_per_mask(shared.dfa)
     assert not wrong
 
 
 def test_threads_sharing_one_dfa_count_each_transition_once():
     # The service's executor threads share a matcher and its metrics.
     # The DFA's build count and the published counter both move under
-    # the interning lock, once per call; without it a thread switch
+    # the DFA's counting lock, once per call; without it a thread switch
     # between reading and writing either one repeats or loses a delta
     # (in about half of these trials, at this switch interval).
     program = _program("(a|b)*a[ab]{6}c")
@@ -344,36 +360,61 @@ def test_threads_sharing_one_dfa_count_each_transition_once():
         for _ in range(40):
             shared.match("".join(rng.choice("ab") for _ in range(10)) + "c")
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for trial in range(100):
-            registry = MetricsRegistry()
-            shared = LazyDFAMatcher(
-                program, max_states=None, vm=vm, metrics=registry
-            )
-            start = threading.Barrier(4)
-            threads = [
-                threading.Thread(
-                    target=worker, args=(shared, trial * 10 + k, start)
-                )
-                for k in range(4)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            # Two threads may build one transition at once, so the
-            # count may pass the number of built cells but never fall
-            # short of it.
-            dfa = shared.dfa
-            unbuilt = sum(row.count(_UNBUILT) for row in dfa._rows)
-            cells = dfa.state_count * dfa.num_classes - unbuilt
-            published = registry.value("repro_lazydfa_transitions_total")
-            assert published == dfa.transitions_built >= cells, trial
-    finally:
-        sys.setswitchinterval(interval)
+    for trial in range(100):
+        registry = MetricsRegistry()
+        shared = LazyDFAMatcher(
+            program, max_states=None, vm=vm, metrics=registry
+        )
+        start = threading.Barrier(4)
+        _racing(worker, lambda k: (shared, trial * 10 + k, start), threads=4)
+        # Two threads may build one transition at once, so the
+        # count may pass the number of built cells but never fall
+        # short of it.
+        dfa = shared.dfa
+        classes = dfa.num_classes
+        unbuilt = sum(row[:classes].count(_UNBUILT) for row in dfa._rows.values())
+        cells = dfa.state_count * classes - unbuilt
+        published = registry.value("repro_lazydfa_transitions_total")
+        assert published == dfa.transitions_built >= cells, trial
+
+
+def test_threads_racing_to_the_cap_never_pass_it():
+    # Interning takes no lock: a new row takes a ticket before it is
+    # published, so threads that race for the last places can burn
+    # tickets (and trip the cap early) but never intern past the cap.
+    # Checking the dict's size instead of taking a ticket lets two
+    # threads both see room for one more state and both insert.  A
+    # profile hook runs Python code around every C call, so a thread
+    # can be switched out between any two calls of the miss path (as
+    # on an interpreter that switches more often than CPython 3.11).
+    program = _program("(a|b)*a(a|b){9}c")
+    vm = ThompsonVM(program)
+    cap = 100
+    wrong = []
+
+    def worker(shared, seed, start):
+        rng = random.Random(seed)
+        texts = [
+            "".join(rng.choice("ab") for _ in range(100)) + "c" for _ in range(3)
+        ]
+        start.wait()
+        sys.setprofile(lambda frame, event, arg: None)
+        try:
+            got = [shared.match(text) for text in texts]
+        finally:
+            sys.setprofile(None)
+        wrong.extend(
+            text for text, verdict in zip(texts, got) if verdict != vm.run(text)
+        )
+
+    for trial in range(100):
+        shared = LazyDFAMatcher(program, max_states=cap, vm=vm)
+        start = threading.Barrier(8)
+        _racing(worker, lambda k: (shared, trial * 10 + k, start))
+        assert shared.blown, trial
+        assert shared.dfa.state_count <= cap, trial
+        assert_one_row_per_mask(shared.dfa)
+    assert not wrong
 
 
 # ----------------------------------------------------------------------
