@@ -819,7 +819,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "from it (default 0xC1CE40)")
     fuzz_parser.add_argument("--oracles", default=None,
                              help="comma-separated oracle subset "
-                             "(default: all thirteen)")
+                             "(default: all five, vm-pre,old,sim,multi,"
+                             "stream)")
     fuzz_parser.add_argument("--max-cases", type=int, default=None,
                              help="stop after N cases even if time remains")
     fuzz_parser.add_argument("--no-shrink", action="store_true",

@@ -8,7 +8,7 @@ matcher's predicate) and hands the VM the rules whose filter passed: no
 candidates skip the VM outright, some make it settle once those have
 been seen.  Rules with an inert analysis are permanent candidates.
 Verdicts equal the bare :class:`~repro.multimatch.vm.MultiMatchVM`'s
-(tested, and fuzzed by the ``multi`` oracle against ``multi-ref``).
+(tested, and fuzzed by the ``multi`` oracle).
 """
 
 from __future__ import annotations

@@ -109,6 +109,16 @@ def _status_for(error: ReproError) -> int:
     return _STATUS_BY_CODE.get(error.code, 422)
 
 
+def _int_field(payload: dict, name: str, default, nullable: bool = False):
+    """``payload[name]`` when it is a JSON integer (``true``/``false``
+    are not), or ``null`` when ``nullable``; a 422 otherwise."""
+    value = payload.get(name, default)
+    if type(value) is int or (value is None and nullable):
+        return value
+    kind = "an integer or null" if nullable else "an integer"
+    raise HttpProtocolError(422, f"'{name}' must be {kind}")
+
+
 class _Reply(NamedTuple):
     """What a handler settled on; the connection loop writes it."""
 
@@ -600,12 +610,14 @@ class MatchService:
         text = payload.get("text")
         if not isinstance(text, str):
             raise HttpProtocolError(422, "'text' (string) is required")
-        chunk_bytes = payload.get("chunk_bytes", 500)
-        jobs = payload.get("jobs")
+        chunk_bytes = _int_field(payload, "chunk_bytes", 500)
+        jobs = _int_field(payload, "jobs", None, nullable=True)
         partial = bool(payload.get("partial", False))
         fault_plan = None
         fault = payload.get("fault")
         if fault is not None:
+            if not isinstance(fault, dict):
+                raise HttpProtocolError(422, "'fault' must be an object")
             if not self.config.chaos:
                 raise HttpProtocolError(
                     422, "fault injection requires --chaos"
@@ -622,7 +634,7 @@ class MatchService:
             return self.engine.scan_corpus(
                 pattern,
                 text,
-                chunk_bytes=int(chunk_bytes),
+                chunk_bytes=chunk_bytes,
                 jobs=jobs,
                 strict=not partial,
                 fault_plan=fault_plan,

@@ -87,6 +87,6 @@ def test_cli_fuzz_replay_corpus(capsys):
 
 
 def test_cli_fuzz_rejects_unknown_oracle(capsys):
-    exit_code = main(["fuzz", "--oracles", "vm,notreal"])
+    exit_code = main(["fuzz", "--oracles", "sim,notreal"])
     assert exit_code == 2
     assert "unknown oracle" in capsys.readouterr().err

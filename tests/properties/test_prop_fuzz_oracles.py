@@ -18,15 +18,3 @@ def test_full_oracle_set_agrees(pattern, text):
         equivalence_states=5_000,
     )
     assert result.ok, [d.to_dict() for d in result.disagreements]
-
-
-@settings(max_examples=15, deadline=None)
-@given(pattern=regex_patterns(max_depth=1))
-def test_fast_paths_agree_with_golden_references(pattern):
-    """VM fast path vs run_reference, single- and multi-match flavours."""
-    result = run_case(
-        pattern,
-        ["", "ab", "abcdef", "ffff"],
-        oracles=("vm", "vm-ref", "multi", "multi-ref"),
-    )
-    assert result.ok, [d.to_dict() for d in result.disagreements]

@@ -211,6 +211,44 @@ def test_probes_errors_and_metrics():
     run(scenario())
 
 
+@pytest.mark.parametrize("fields", [
+    {"chunk_bytes": "abc"},
+    {"chunk_bytes": None},
+    {"chunk_bytes": 2.5},
+    {"chunk_bytes": True},
+    {"jobs": "two"},
+    {"jobs": False},
+    {"jobs": 1.0},
+    {"fault": "raise"},
+    {"fault": [0]},
+])
+def test_scan_rejects_ill_typed_fields_with_422(fields):
+    # Each of these used to be a 500 REPRO-INTERNAL, or (2.5) silently
+    # truncated to a 2-byte chunk.
+    async def scenario():
+        service = await started(chaos=True)
+        try:
+            status, _, body = await post_json(
+                service.host, service.port, "/scan",
+                dict({"pattern": "ab+", "text": "xx abbb yy"}, **fields),
+            )
+            assert status == 422, body
+            error = json.loads(body)["error"]
+            assert error["code"] == "HTTP"
+            assert repr(next(iter(fields)))[1:-1] in error["message"]
+
+            status, _, body = await post_json(
+                service.host, service.port, "/scan",
+                {"pattern": "ab+", "text": "xx abbb yy", "chunk_bytes": 64,
+                 "jobs": None},
+            )
+            assert (status, json.loads(body)["matched"]) == (200, True)
+        finally:
+            await service.drain("test")
+
+    run(scenario())
+
+
 def test_overload_sheds_429_and_metrics_reconcile():
     async def scenario():
         service = await started(max_inflight=2, retry_after=0.25)

@@ -370,16 +370,13 @@ def lazy_dfa_builders(tree: ast.Module):
 
 def test_one_lazy_dfa_per_pattern():
     """A pattern's lazy DFA is its ``LazyDFAMatcher``'s: one-shot and
-    streams share it.  The fuzz ``lazydfa`` oracle probes a bare one."""
+    streams share it."""
     found = {
         (path.relative_to(SOURCE).as_posix(), owner)
         for path in sorted(SOURCE.rglob("*.py"))
         for owner in lazy_dfa_builders(ast.parse(path.read_text(), str(path)))
     }
-    assert found == {
-        ("prefilter/lazydfa.py", "LazyDFAMatcher"),
-        ("fuzz/oracles.py", "CompiledOracles"),
-    }
+    assert found == {("prefilter/lazydfa.py", "LazyDFAMatcher")}
 
 
 def test_the_walk_sees_a_pasted_back_private_dfa():
