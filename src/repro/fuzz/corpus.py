@@ -11,7 +11,7 @@ Reproducer schema (version 1)::
       "schema": 1,
       "pattern": "ab|c{2,3}",        # concrete pattern syntax
       "inputs": ["", "ab", "ccc"],   # probe inputs to replay
-      "oracles": ["vm", "old", ...], # oracle subset (default: all)
+      "oracles": ["vm-pre", "old", ...], # oracle subset (default: all)
       "seed": 3405691582,            # campaign seed that found it
       "shrunk_from": "….",           # pre-shrink pattern (provenance)
       "note": "human triage note",
