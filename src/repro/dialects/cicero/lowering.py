@@ -27,6 +27,7 @@ the last branch falling through.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional
 
 from ...ir.attributes import StringAttr, SymbolRefAttr
@@ -74,8 +75,9 @@ class _Emitter:
     """
 
     def __init__(self, block: Block):
-        self.block = block
         self._operations = block.operations
+        #: The weak upward link every emitted op shares.
+        self._block_link = weakref.ref(block)
         self._label_counter = 0
         self._pending_labels: List[SymbolRefAttr] = []
         self._aliases: Dict[str, SymbolRefAttr] = {}
@@ -103,7 +105,7 @@ class _Emitter:
         if source is not None:
             op.attributes["source"] = source
         # Block.append minus its call: ``op`` is always freshly built.
-        op.parent_block = self.block
+        op._parent_block = self._block_link
         self._operations.append(op)
         return op
 

@@ -46,7 +46,7 @@ class CiceroInstructionOp(Operation):
         self.name = self.OP_NAME
         self.attributes = {} if label is None else {"sym_name": StringAttr(label)}
         self.regions = []
-        self.parent_block = None
+        self._parent_block = None
         self.location = location
 
     @property

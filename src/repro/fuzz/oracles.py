@@ -504,9 +504,9 @@ def run_case(
         return result
     result.skips.update(compiled.skips)
     result.disagreements.extend(compiled.structural)
-    probes = list(inputs) + [
-        text for text in compiled.counterexamples if text not in inputs
-    ]
+    # Each text once, in first-seen order: both equivalence checks may
+    # return the same counterexample.
+    probes = list(dict.fromkeys([*inputs, *compiled.counterexamples]))
     result.inputs = probes
     for text in probes:
         disagreement = compiled.diff(text, metrics=metrics)

@@ -14,11 +14,21 @@ Concrete dialect operations subclass :class:`Operation` and declare:
 * ``verify_op`` — structural invariants (arity of regions, attribute
   types), raising :class:`~repro.ir.diagnostics.VerificationError`.
 * optional accessors for their attributes.
+
+Ownership runs one way, as in MLIR: an op owns its regions, a region its
+blocks, a block its ops — strong references, downward only.  The upward
+links (:attr:`Operation.parent_block`, :attr:`Block.parent_region`,
+:attr:`Region.parent_op`) are weak, so a tree holds no reference cycle
+and a module nobody refers to any more is freed by reference counting
+alone, never by the cyclic garbage collector.  The links are read-only:
+only the containers below set them, as they adopt or drop a child.  An op
+whose block has been freed reads as detached.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from weakref import ref as _ref
 
 from .attributes import Attribute, wrap_attribute
 from .diagnostics import IRError, Location, UNKNOWN_LOCATION, VerificationError
@@ -27,17 +37,23 @@ from .diagnostics import IRError, Location, UNKNOWN_LOCATION, VerificationError
 class Region:
     """An ordered list of blocks owned by an operation."""
 
-    __slots__ = ("parent_op", "blocks")
+    __slots__ = ("_parent_op", "blocks", "__weakref__")
+    _parent_op: Optional[_ref[Operation]]
 
     def __init__(self, parent_op: Optional["Operation"] = None):
-        self.parent_op = parent_op
+        self._parent_op = None if parent_op is None else _ref(parent_op)
         self.blocks: List[Block] = []
+
+    @property
+    def parent_op(self) -> Optional["Operation"]:
+        link = self._parent_op
+        return None if link is None else link()
 
     def add_block(self, block: Optional["Block"] = None) -> "Block":
         block = block if block is not None else Block()
         if block.parent_region is not None:
             raise IRError("block already belongs to a region")
-        block.parent_region = self
+        block._parent_region = _ref(self)
         self.blocks.append(block)
         return block
 
@@ -71,40 +87,48 @@ class Region:
 class Block:
     """An ordered list of operations inside a region."""
 
-    __slots__ = ("parent_region", "operations")
+    __slots__ = ("_parent_region", "operations", "__weakref__")
+    _parent_region: Optional[_ref[Region]]
 
     def __init__(self):
-        self.parent_region: Optional[Region] = None
+        self._parent_region = None
         self.operations: List[Operation] = []
+
+    @property
+    def parent_region(self) -> Optional[Region]:
+        link = self._parent_region
+        return None if link is None else link()
 
     def append(self, op: "Operation") -> "Operation":
         if op.parent_block is not None:
             raise IRError("operation already belongs to a block")
-        op.parent_block = self
+        op._parent_block = _ref(self)
         self.operations.append(op)
         return op
 
     def insert(self, index: int, op: "Operation") -> "Operation":
         if op.parent_block is not None:
             raise IRError("operation already belongs to a block")
-        op.parent_block = self
+        op._parent_block = _ref(self)
         self.operations.insert(index, op)
         return op
 
     def remove(self, op: "Operation") -> None:
         self.operations.remove(op)
-        op.parent_block = None
+        op._parent_block = None
 
     def replace_operations(self, operations: List["Operation"]) -> None:
         """Make ``operations`` the block's content in one linear step: how
         a pass drops or substitutes many ops (``erase`` and ``replace_with``
         each scan the block).  Ops left out end up detached."""
         for op in self.operations:
-            op.parent_block = None
+            op._parent_block = None
+        link = _ref(self)
         for op in operations:
-            if op.parent_block is not None:
+            held = op._parent_block
+            if held is not None and held() is not None:
                 raise IRError("operation already belongs to a block")
-            op.parent_block = self
+            op._parent_block = link
         self.operations[:] = operations
 
     def index_of(self, op: "Operation") -> int:
@@ -136,7 +160,10 @@ class Operation:
 
     OP_NAME: str = "builtin.unregistered"
 
-    __slots__ = ("name", "attributes", "regions", "parent_block", "location")
+    __slots__ = (
+        "name", "attributes", "regions", "_parent_block", "location", "__weakref__",
+    )
+    _parent_block: Optional[_ref[Block]]
 
     def __init__(
         self,
@@ -158,7 +185,7 @@ class Operation:
             region = Region(parent_op=self)
             region.add_block()
             self.regions.append(region)
-        self.parent_block: Optional[Block] = None
+        self._parent_block = None
         self.location = location
 
     # ------------------------------------------------------------------
@@ -206,10 +233,15 @@ class Operation:
     # Structural manipulation
     # ------------------------------------------------------------------
     @property
+    def parent_block(self) -> Optional[Block]:
+        link = self._parent_block
+        return None if link is None else link()
+
+    @property
     def parent_op(self) -> Optional["Operation"]:
-        if self.parent_block is None or self.parent_block.parent_region is None:
-            return None
-        return self.parent_block.parent_region.parent_op
+        block = self.parent_block
+        region = None if block is None else block.parent_region
+        return None if region is None else region.parent_op
 
     def erase(self) -> None:
         """Detach this op from its parent block."""
@@ -241,11 +273,11 @@ class Operation:
         clone.name = self.name
         clone.attributes = dict(self.attributes)
         clone.regions = []
-        clone.parent_block = None
+        clone._parent_block = None
         clone.location = self.location
         for region in self.regions:
             region_clone = region.clone()
-            region_clone.parent_op = clone
+            region_clone._parent_op = _ref(clone)
             clone.regions.append(region_clone)
         return clone
 

@@ -15,7 +15,7 @@ Three classes of instructions:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 
 class Opcode(enum.IntEnum):
@@ -69,7 +69,6 @@ MAX_OPERAND = (1 << OPERAND_BITS) - 1
 MAX_PROGRAM_LENGTH = 1 << OPERAND_BITS
 
 
-@dataclass(frozen=True)
 class Instruction:
     """One Cicero instruction: an opcode plus a 13-bit operand.
 
@@ -78,21 +77,59 @@ class Instruction:
     base ISA leaves it zero; the multi-matching ISA extension
     (paper §8, :mod:`repro.multimatch`) stores the RE identifier there,
     exposed as :attr:`match_id`.  ``MATCH_ANY`` takes no operand.
+
+    Instructions are immutable values and uniqued like
+    :class:`~repro.ir.attributes.CharAttr`: ``Instruction(Opcode.MATCH,
+    97) is match("a")``.  Every program shares the one instance per
+    ``(opcode, operand)`` — at most 7 × 2¹³ of them — so a compiled
+    program adds no object for the cyclic garbage collector to walk
+    beyond its list.  The operand must be an ``int`` (not a ``bool``):
+    a ``97.0`` or ``True`` admitted once would become the shared
+    instance every later program gets.
     """
 
-    opcode: Opcode
-    operand: int = 0
+    __slots__ = ("opcode", "operand")
 
-    def __post_init__(self):
-        if not isinstance(self.opcode, Opcode):
-            object.__setattr__(self, "opcode", Opcode(self.opcode))
-        if not 0 <= self.operand <= MAX_OPERAND:
-            raise ValueError(
-                f"operand {self.operand} does not fit {OPERAND_BITS} bits"
-            )
+    opcode: Opcode
+    operand: int
+
+    def __new__(cls, opcode, operand: int = 0) -> "Instruction":
+        if type(operand) is not int:
+            operand = _check_operand_type(operand)
+        shared = _INSTRUCTIONS.get((opcode, operand))
+        if shared is not None:
+            return shared
+        opcode = Opcode(opcode)
+        if not 0 <= operand <= MAX_OPERAND:
+            raise ValueError(f"operand {operand} does not fit {OPERAND_BITS} bits")
         # The one opcode with neither an operand nor a match id.
-        if self.operand != 0 and self.opcode is Opcode.MATCH_ANY:
-            raise ValueError(f"{self.opcode.mnemonic} takes no operand")
+        if operand != 0 and opcode is Opcode.MATCH_ANY:
+            raise ValueError(f"{opcode.mnemonic} takes no operand")
+        shared = super().__new__(cls)
+        object.__setattr__(shared, "opcode", opcode)
+        object.__setattr__(shared, "operand", operand)
+        return _INSTRUCTIONS.setdefault((opcode, operand), shared)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Unpickling and copying go back through the table.
+        return Instruction, (self.opcode, self.operand)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Instruction:
+            return NotImplemented
+        return self.opcode == other.opcode and self.operand == other.operand
+
+    def __hash__(self) -> int:
+        return hash((self.opcode, self.operand))
+
+    def __repr__(self) -> str:
+        return f"Instruction(opcode={self.opcode!r}, operand={self.operand!r})"
 
     @property
     def match_id(self) -> int:
@@ -112,6 +149,19 @@ class Instruction:
             shown = f"char {char}" if char.isprintable() else f"char 0x{self.operand:02X}"
             return f"{prefix}{self.opcode.mnemonic:<10} {shown}"
         return f"{prefix}{self.opcode.mnemonic}"
+
+
+#: The one :class:`Instruction` per ``(opcode, operand)``, filled on first use.
+_INSTRUCTIONS: dict = {}
+
+
+def _check_operand_type(operand) -> int:
+    """An ``int`` subclass other than ``bool`` as a plain ``int``."""
+    if isinstance(operand, bool) or not isinstance(operand, int):
+        raise ValueError(
+            f"operand must be an int, not {type(operand).__name__}: {operand!r}"
+        )
+    return int(operand)
 
 
 def accept() -> Instruction:

@@ -165,6 +165,22 @@ def test_planted_fault_counterexample_reaches_input_diff():
     assert verdicts["sim"] != verdicts["old"] == verdicts["multi"]
 
 
+def test_each_counterexample_is_probed_once():
+    """Both equivalence checks can return the same counterexample; it is
+    replayed once, after the caller's inputs, in first-seen order."""
+    pattern = "abc"
+    fault = default_fault_for(compile_regex(pattern).program)
+    result = run_case(pattern, ["abc"], fault=fault)
+    found = [d.input for d in result.disagreements if d.kind == "equivalence"]
+    assert found
+    assert result.inputs[0] == "abc"
+    assert len(result.inputs) == len(set(result.inputs))
+    for text in found:
+        assert result.inputs.count(text) == 1
+    input_level = [d.input for d in result.disagreements if d.kind == "input"]
+    assert len(input_level) == len(set(input_level))
+
+
 def test_oracle_subset_selection():
     result = run_case("ab", ["ab", "x"], oracles=("sim", "old", "stream"))
     assert result.ok

@@ -65,6 +65,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Instruction(Opcode.JMP, -1)
 
+    @pytest.mark.parametrize("operand", [97.0, True, "a"])
+    def test_operand_must_be_an_int(self, operand):
+        # Instructions are shared: an ill-typed operand admitted once
+        # would be the instance every later ``MATCH 'a'`` program gets.
+        with pytest.raises(ValueError):
+            Instruction(Opcode.MATCH, operand)
+        assert type(match("a").operand) is int
+        assert Instruction(Opcode.MATCH, 1).render() == "MATCH      char 0x01"
+
     def test_no_operand_enforced(self):
         with pytest.raises(ValueError):
             Instruction(Opcode.MATCH_ANY, 1)
