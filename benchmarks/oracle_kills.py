@@ -9,7 +9,7 @@ body with ``pass``.  Only product code is mutated (:data:`TARGETS`: the
 regex and cicero passes, lowering, codegen, the matching kernel,
 streaming, the lazy DFA, the prefilter, multi-match, the cycle
 simulator and the old compiler), never the code the oracles themselves
-are (``automata/``, ``verify/``, ``fuzz/``).
+are (``verify/``, ``fuzz/``).
 
 Each mutant runs in its own scratch copy of ``src/`` (never in the
 checkout), in a subprocess that plays the first ``--cases`` cases of

@@ -201,22 +201,15 @@ class CiceroSimulator:
         instrumented = (
             self._tracing or self.metrics is not None or profile is not None
         )
-        if not instrumented:
-            for chunk in chunks:
-                result = system.run(chunk)
-                stream.total_cycles += result.cycles
-                stream.chunks += 1
-                if result.matched:
-                    stream.matches += 1
-                if keep_per_chunk:
-                    stream.per_chunk.append(result)
-            return stream
         from ..observability import as_tracer
 
         tracer = as_tracer(self.tracer if self._tracing else None)
         with tracer.span("arch.stream", engines=self.config.num_engines) as span:
             for chunk in chunks:
-                result = self._run_instrumented(system, chunk, None, profile)
+                if instrumented:
+                    result = self._run_instrumented(system, chunk, None, profile)
+                else:
+                    result = system.run(chunk)
                 stream.total_cycles += result.cycles
                 stream.chunks += 1
                 if result.matched:

@@ -49,6 +49,7 @@ import signal
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from types import NoneType
 from typing import Any, Dict, NamedTuple, Optional, Set, Tuple
 
 from ..engine import Engine
@@ -60,7 +61,7 @@ from ..runtime.errors import (
     ServiceOverloadError,
     UnknownPatternError,
 )
-from ..runtime.faults import ProcessFaultPlan
+from ..runtime.faults import WORKER_FAULT_KINDS, ProcessFaultPlan
 from ..vm.streaming import StreamingMatcher
 from .config import ServiceConfig
 from .http import (
@@ -109,14 +110,22 @@ def _status_for(error: ReproError) -> int:
     return _STATUS_BY_CODE.get(error.code, 422)
 
 
-def _int_field(payload: dict, name: str, default, nullable: bool = False):
-    """``payload[name]`` when it is a JSON integer (``true``/``false``
-    are not), or ``null`` when ``nullable``; a 422 otherwise."""
+#: How a 422 names each JSON type a field may take.
+_KINDS = {
+    bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+    NoneType: "null",
+}
+
+
+def _field(payload: dict, name: str, default, *types: type, within: str = ""):
+    """``payload[name]`` (``default`` when absent) when its type is
+    exactly one of ``types`` (``true`` is no integer, ``1`` no boolean);
+    a 422 naming ``within + name`` otherwise."""
     value = payload.get(name, default)
-    if type(value) is int or (value is None and nullable):
+    if type(value) in types:
         return value
-    kind = "an integer or null" if nullable else "an integer"
-    raise HttpProtocolError(422, f"'{name}' must be {kind}")
+    kind = " or ".join(_KINDS[allowed] for allowed in types)
+    raise HttpProtocolError(422, f"'{within}{name}' must be {kind}")
 
 
 class _Reply(NamedTuple):
@@ -536,6 +545,7 @@ class MatchService:
         return payload
 
     def _resolve_pattern(self, payload: dict) -> str:
+        tenant = _field(payload, "tenant", None, str, NoneType)
         pattern = payload.get("pattern")
         if pattern is not None:
             if not isinstance(pattern, str):
@@ -546,7 +556,7 @@ class MatchService:
             raise HttpProtocolError(
                 422, "provide either 'pattern' or 'tenant'+'name'"
             )
-        return self.tenants.resolve(payload.get("tenant"), name)
+        return self.tenants.resolve(tenant, name)
 
     async def _in_executor(self, fn, *args):
         loop = asyncio.get_running_loop()
@@ -568,9 +578,9 @@ class MatchService:
         pattern = payload.get("pattern")
         if not isinstance(pattern, str):
             raise HttpProtocolError(422, "'pattern' (string) is required")
+        tenant = _field(payload, "tenant", None, str, NoneType)
         # Compile (or hit) through the shared cache off-loop.
         await self._in_executor(self.engine.matcher, pattern)
-        tenant = payload.get("tenant")
         name = payload.get("name")
         registered = False
         if name is not None:
@@ -610,9 +620,9 @@ class MatchService:
         text = payload.get("text")
         if not isinstance(text, str):
             raise HttpProtocolError(422, "'text' (string) is required")
-        chunk_bytes = _int_field(payload, "chunk_bytes", 500)
-        jobs = _int_field(payload, "jobs", None, nullable=True)
-        partial = bool(payload.get("partial", False))
+        chunk_bytes = _field(payload, "chunk_bytes", 500, int)
+        jobs = _field(payload, "jobs", None, int, NoneType)
+        partial = _field(payload, "partial", False, bool)
         fault_plan = None
         fault = payload.get("fault")
         if fault is not None:
@@ -622,12 +632,20 @@ class MatchService:
                 raise HttpProtocolError(
                     422, "fault injection requires --chaos"
                 )
+            kind = _field(fault, "kind", "raise", str, within="fault.")
+            if kind not in WORKER_FAULT_KINDS:
+                raise HttpProtocolError(
+                    422, f"'fault.kind' must be one of {WORKER_FAULT_KINDS}"
+                )
             fault_plan = ProcessFaultPlan.single(
-                int(fault.get("index", 0)),
-                str(fault.get("kind", "raise")),
-                times=fault.get("times"),
-                marker_dir=fault.get("marker_dir"),
-                hang_seconds=float(fault.get("hang_seconds", 3600.0)),
+                _field(fault, "index", 0, int, within="fault."),
+                kind,
+                times=_field(fault, "times", None, int, NoneType, within="fault."),
+                marker_dir=_field(
+                    fault, "marker_dir", None, str, NoneType, within="fault."
+                ),
+                hang_seconds=float(_field(fault, "hang_seconds", 3600.0,
+                                          int, float, within="fault.")),
             )
 
         def _scan():

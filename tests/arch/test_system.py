@@ -1,5 +1,7 @@
 """Cycle-level simulator: correctness and micro-architectural behaviour."""
 
+import zlib
+
 import pytest
 
 from repro.arch.config import ArchConfig
@@ -37,7 +39,7 @@ class TestVerdicts:
 
         program = compile_regex(corpus_pattern).program
         system = CiceroSystem(program, small_config)
-        rng = random.Random(hash(corpus_pattern) % 100000)
+        rng = random.Random(zlib.crc32(corpus_pattern.encode()))
         for _ in range(8):
             text = "".join(
                 rng.choice("abcdefghLIVMDER qux.") for _ in range(rng.randint(0, 24))

@@ -1,6 +1,7 @@
 """Lazy-DFA equivalence with the VM, bounded-blowup degradation."""
 
 import random
+import zlib
 
 import pytest
 
@@ -39,7 +40,7 @@ class TestEquivalence:
         program = compile_regex(corpus_pattern).program
         vm = ThompsonVM(program)
         dfa = LazyDFA(program, vm=vm)
-        for text in _random_inputs(seed=hash(corpus_pattern) & 0xFFFF):
+        for text in _random_inputs(seed=zlib.crc32(corpus_pattern.encode())):
             expected = vm.run(text)
             got = dfa.run(text)
             assert got.matched == expected.matched, (corpus_pattern, text)

@@ -221,10 +221,23 @@ def test_probes_errors_and_metrics():
     {"jobs": 1.0},
     {"fault": "raise"},
     {"fault": [0]},
+    {"fault": {"index": "x"}},
+    {"fault": {"index": 1.0}},
+    {"fault": {"kind": 7}},
+    {"fault": {"kind": "boom"}},
+    {"fault": {"times": "1"}},
+    {"fault": {"hang_seconds": "abc"}},
+    {"fault": {"marker_dir": 5}},
+    {"tenant": 5},
+    {"tenant": [1]},
+    {"tenant": True},
+    {"partial": "false"},
+    {"partial": 1},
 ])
 def test_scan_rejects_ill_typed_fields_with_422(fields):
     # Each of these used to be a 500 REPRO-INTERNAL, or (2.5) silently
-    # truncated to a 2-byte chunk.
+    # truncated to a 2-byte chunk, or (a non-string tenant) ignored, or
+    # ("false") taken as true.
     async def scenario():
         service = await started(chaos=True)
         try:
@@ -243,6 +256,35 @@ def test_scan_rejects_ill_typed_fields_with_422(fields):
                  "jobs": None},
             )
             assert (status, json.loads(body)["matched"]) == (200, True)
+        finally:
+            await service.drain("test")
+
+    run(scenario())
+
+
+def test_non_string_tenant_is_rejected_and_healthz_stays_up():
+    # A registered int tenant used to sit next to the string ones, and
+    # every /healthz then died sorting the mixed keys.
+    async def scenario():
+        service = await started()
+        try:
+            host, port = service.host, service.port
+            for endpoint, payload in (
+                ("/compile", {"pattern": "ab", "name": "r1", "tenant": 5}),
+                ("/compile", {"pattern": "ab", "name": "r1", "tenant": [1]}),
+                ("/match", {"name": "r1", "tenant": 5, "text": "ab"}),
+            ):
+                status, _, body = await post_json(host, port, endpoint, payload)
+                assert status == 422, (endpoint, body)
+                assert "'tenant'" in json.loads(body)["error"]["message"]
+            status, _, _ = await post_json(
+                host, port, "/compile",
+                {"pattern": "ab", "name": "r1", "tenant": "acme"},
+            )
+            assert status == 200
+            status, _, body = await fetch(host, port, "GET", "/healthz")
+            assert status == 200
+            assert json.loads(body)["tenants"] == {"acme": 1}
         finally:
             await service.drain("test")
 

@@ -1,23 +1,18 @@
-"""One matcher behind the engine, checked against the CPU-baseline
-automata and the cycle-level simulator."""
+"""One matcher behind the engine, checked against Python's ``re``, the
+Thompson VM and the cycle-level simulator."""
 
 import random
+import re
+import zlib
 
 import pytest
 
 from repro.arch.config import ArchConfig
 from repro.arch.simulator import CiceroSimulator
-from repro.automata.dfa import determinize, minimize
-from repro.automata.nfa import nfa_from_regex_module
-from repro.compiler import CompileOptions, NewCompiler
+from repro.compiler import CompileOptions, compile_regex
 from repro.engine import Engine
 from repro.prefilter.scanner import PrefilteredMatcher
-
-
-def automata_oracles(pattern, max_dfa_states=50_000):
-    """The CPU-baseline NFA and minimized DFA over ``pattern``'s front half."""
-    nfa = nfa_from_regex_module(NewCompiler().front(pattern).regex_module)
-    return nfa, minimize(determinize(nfa, max_states=max_dfa_states))
+from repro.vm import run_program
 
 
 class TestFacade:
@@ -36,24 +31,22 @@ class TestFacade:
         engine = Engine(options=CompileOptions.none())
         assert engine.match("a{2,3}b", "xaab")
 
-    def test_dfa_budget(self):
-        from repro.automata import DFASizeLimitExceeded
-
-        with pytest.raises(DFASizeLimitExceeded):
-            automata_oracles("a.{12}b", max_dfa_states=100)
-
 
 class TestCrossBackendAgreement:
     def test_corpus_agreement(self, corpus_pattern):
         engine = Engine()
-        oracles = automata_oracles(corpus_pattern)
-        rng = random.Random(hash(corpus_pattern) & 0xFFFF)
+        gold = re.compile(corpus_pattern)
+        program = compile_regex(corpus_pattern).program
+        rng = random.Random(zlib.crc32(corpus_pattern.encode()))
         for _ in range(25):
             text = "".join(
                 rng.choice("abcdefghLIVMDER qux.") for _ in range(rng.randint(0, 16))
             )
-            verdicts = {engine.match(corpus_pattern, text)}
-            verdicts.update(oracle.matches(text) for oracle in oracles)
+            verdicts = {
+                engine.match(corpus_pattern, text),
+                bool(gold.search(text)),
+                bool(run_program(program, text)),
+            }
             assert len(verdicts) == 1, (corpus_pattern, text)
 
     def test_simulator_backend_agrees(self):

@@ -1,6 +1,7 @@
 """Golden-model VM semantics."""
 
 import re
+import zlib
 
 import pytest
 
@@ -82,7 +83,7 @@ class TestAgainstPythonRe:
         program = compile_regex(corpus_pattern, options).program
         vm = ThompsonVM(program)
         gold = re.compile(corpus_pattern)
-        rng = random.Random(hash(corpus_pattern) & 0xFFFFF)
+        rng = random.Random(zlib.crc32(corpus_pattern.encode()))
         for _ in range(40):
             text = "".join(
                 rng.choice("abcdefghLIVMDER qux.") for _ in range(rng.randint(0, 20))
