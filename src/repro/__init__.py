@@ -46,7 +46,6 @@ from .api import (
     default_engine,
     match,
     match_many,
-    run_program_functionally,
     scan_corpus,
     simulate,
 )
@@ -104,6 +103,5 @@ __all__ = [
     "recording",
     "run_program",
     "scan_corpus",
-    "run_program_functionally",
     "simulate",
 ]

@@ -32,7 +32,7 @@ from .arch.simulator import CiceroSimulator, DEFAULT_CHUNK_BYTES
 from .arch.system import SimulationResult
 from .compiler import CompilationResult, CompileOptions, NewCompiler
 from .engine import CorpusScanResult, Engine, ScanReport
-from .isa.program import Program
+from .observability import Tracer
 from .oldcompiler.compiler import OldCompilationResult, OldCompiler
 from .runtime.budget import Budget, DEFAULT_BUDGET
 from .vm.thompson import MatchResult, ThompsonVM
@@ -64,9 +64,11 @@ def compile_pattern(
     ``options.regex_pipeline`` / ``cicero_pipeline`` gets wrong raises
     :class:`~repro.ir.diagnostics.IRError`.
 
-    ``trace`` (new pipeline only) records the compilation's span tree —
-    frontend → every pass (with op-count and ``D_offset`` deltas) →
-    codegen — surfaced as ``result.trace``
+    ``trace`` (new pipeline only) hands the compiler a fresh
+    :class:`~repro.observability.Tracer`, which records the
+    compilation's span tree — frontend → every pass (with op-count and
+    ``D_offset`` deltas) → codegen, each span's duration its time —
+    surfaced as ``result.trace``
     (a :class:`~repro.observability.TraceReport`).
     """
     if isinstance(optimize, str) and optimize != "auto":
@@ -79,9 +81,9 @@ def compile_pattern(
             options = replace(options, regex_pipeline=(), cicero_pipeline=())
         if budget is not None:
             options = replace(options, budget=budget)
-        if trace and not options.trace:
-            options = replace(options, trace=True)
-        return NewCompiler(options).compile(pattern)
+        return NewCompiler(options, tracer=Tracer() if trace else None).compile(
+            pattern
+        )
     if compiler == "old":
         return OldCompiler(optimize=bool(optimize), budget=budget).compile(
             pattern
@@ -154,16 +156,6 @@ def scan_corpus(
     return default_engine().scan_corpus(
         pattern, data, chunk_bytes=chunk_bytes, jobs=jobs, strict=strict
     )
-
-
-def run_program_functionally(
-    program: Program,
-    text: Union[str, bytes],
-    budget: Optional[Budget] = None,
-) -> MatchResult:
-    """Execute an already-compiled program on the golden-model VM."""
-    effective = budget if budget is not None else DEFAULT_BUDGET
-    return ThompsonVM(program).run(text, max_steps=effective.max_vm_steps)
 
 
 def simulate(

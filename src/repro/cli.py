@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from typing import List, Optional
 
 from .arch.config import ArchConfig, MICROBENCH_GRID
@@ -100,30 +101,33 @@ def parse_config(text: str) -> ArchConfig:
 
 
 def _compile(args) -> int:
+    tracer = None
     if args.compiler == "old":
         for flag, given in (("--trace-out", args.trace_out), ("--skip", args.skip)):
             if given:
                 print(f"{flag} requires the new compiler", file=sys.stderr)
                 return 2
-        result = OldCompiler(optimize=not args.no_opt).compile(args.pattern)
-        regex_module = cicero_module = None
+        compiler = OldCompiler(optimize=not args.no_opt)
     else:
         regex, cicero = (
             () if args.no_opt else tuple(n for n in names if n not in args.skip)
             for names in (DEFAULT_REGEX_PIPELINE, DEFAULT_CICERO_PIPELINE)
         )
-        options = CompileOptions(
-            regex_pipeline=regex, cicero_pipeline=cicero, trace=bool(args.trace_out)
-        )
-        result = NewCompiler(options).compile(args.pattern)
-        regex_module = result.regex_module
-        cicero_module = result.cicero_module
         if args.trace_out:
-            result.trace.export(args.trace_out)
-            print(
-                f"trace: {len(result.trace.spans)} spans -> {args.trace_out}",
-                file=sys.stderr,
-            )
+            from .observability import Tracer
+
+            tracer = Tracer()
+        compiler = NewCompiler(
+            CompileOptions(regex_pipeline=regex, cicero_pipeline=cicero),
+            tracer=tracer,
+        )
+    started = time.perf_counter()
+    result = compiler.compile(args.pattern)
+    elapsed = time.perf_counter() - started
+    if tracer is not None:
+        _export_trace(tracer, args.trace_out)
+    regex_module = getattr(result, "regex_module", None)
+    cicero_module = getattr(result, "cicero_module", None)
 
     if args.emit == "asm":
         output = result.program.disassemble()
@@ -152,7 +156,7 @@ def _compile(args) -> int:
                 f"code size      : {metrics.code_size} instructions",
                 f"D_offset       : {metrics.d_offset}",
                 f"jumps / splits : {metrics.num_jumps} / {metrics.num_splits}",
-                f"compile time   : {result.total_seconds * 1e3:.3f} ms",
+                f"compile time   : {elapsed * 1e3:.3f} ms",
             ]
         )
     print(output)
@@ -229,8 +233,6 @@ def _run(args) -> int:
 
 def _scan(args) -> int:
     """Scan files (or literal text) with the throughput engine."""
-    import time
-
     from .engine import DEFAULT_CACHE_SIZE, Engine
     from .observability import MetricsRegistry
     from .runtime.budget import DEFAULT_BUDGET

@@ -36,7 +36,7 @@ from .ir.operation import ModuleOp
 from .ir.pass_manager import pipeline_from_names
 from .isa.metrics import StaticMetrics, static_metrics
 from .isa.program import Program
-from .observability import NULL_TRACER, TraceReport, Tracer, ir_stats
+from .observability import NULL_TRACER, TraceReport, ir_stats
 from .observability.tracer import AnyTracer
 from .runtime.budget import Budget, DEFAULT_BUDGET
 from .runtime.guards import check_pattern_budget
@@ -81,11 +81,6 @@ class CompileOptions:
     #: Resource limits enforced through the pipeline; ``None`` applies
     #: :data:`repro.runtime.budget.DEFAULT_BUDGET`.
     budget: Optional[Budget] = None
-    #: Record a span tree for the compilation (frontend → each pass →
-    #: emission), surfaced as ``CompilationResult.trace``.  Purely
-    #: observational — the produced program is identical — so it is
-    #: excluded from :meth:`cache_key`.
-    trace: bool = False
 
     def pipelines(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
         """The ``(regex, cicero)`` pass names that will run, in order."""
@@ -101,8 +96,7 @@ class CompileOptions:
 
         Options that run the same :meth:`pipelines` and agree on
         ``verify_each`` and the budget yield equal keys, so ``None`` and
-        the explicit default lists share one entry.  ``trace`` never
-        changes the artifact, so it never splits the cache.
+        the explicit default lists share one entry.
         """
         regex, cicero = self.pipelines()
         budget = self.budget.cache_key() if self.budget is not None else None
@@ -127,24 +121,18 @@ class CompilationResult:
     options: CompileOptions
     regex_module: ModuleOp
     cicero_module: ModuleOp
-    #: Wall-clock seconds per stage name.
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: Always empty.  Kept only because ``benchmarks/layered/wl_compile.py``
     #: reads it for its ``runtime.degrade.dropped_passes`` row; it goes
     #: with that row.
     dropped_passes: List[str] = field(default_factory=list)
-    #: The span tree of this compilation (``CompileOptions.trace`` or an
-    #: explicit tracer on :class:`NewCompiler`); ``None`` when untraced.
+    #: The span tree of this compilation (a tracer handed to
+    #: :class:`NewCompiler`); ``None`` when untraced.
     trace: Optional[TraceReport] = None
 
     @property
     def analysis(self):
         """The attached :class:`~repro.prefilter.analysis.PrefilterAnalysis`."""
         return self.program.analysis
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.stage_seconds.values())
 
     @property
     def metrics(self) -> StaticMetrics:
@@ -160,8 +148,9 @@ class FrontHalf:
     regex_module: ModuleOp
     #: Its :class:`~repro.prefilter.analysis.PrefilterAnalysis`.
     analysis: object
-    #: Wall-clock seconds per stage name; the back half adds its own.
-    stage_seconds: Dict[str, float]
+    #: Seconds the regex pipeline took: the pass-time budget covers
+    #: both pipelines together, so the back half adds its own.
+    pass_seconds: float
 
 
 class NewCompiler:
@@ -172,15 +161,16 @@ class NewCompiler:
     tracer (:class:`~repro.engine.Engine`) or start from a ready-made
     module (:mod:`repro.fuzz.oracles`) call themselves.
 
-    ``tracer`` (or ``options.trace``) turns on span instrumentation:
-    one root ``compile`` span with a child per stage (``frontend`` →
+    ``tracer`` is the one switch for span instrumentation: one root
+    ``compile`` span with a child per stage (``frontend`` →
     ``to-regex-dialect`` → ``regex-transforms`` → ``lowering`` →
     ``cicero-transforms`` → ``codegen``), one ``pass:<name>`` span per
     pass carrying ``op_count``/``d_offset`` before/after attributes,
     and the result carries a :class:`~repro.observability.TraceReport`.
-    The halves record into the tracer they are handed and never
-    snapshot it.  The untraced path is unchanged — span plumbing costs
-    one branch per stage.
+    A span's duration is the time of its stage or pass; nothing else
+    times them.  The halves record into the tracer they are handed and
+    never snapshot it.  Untraced, the only clock reads are one pair
+    around each pass pipeline, for ``Budget.max_pass_seconds``.
     """
 
     name = COMPILER_NAME
@@ -200,9 +190,10 @@ class NewCompiler:
         """The ``compile`` span both halves of one compilation run under."""
         return tracer.span("compile", pattern=pattern, compiler=self.name)
 
-    def _run_pipeline(self, dialect, root, tracer, stage_seconds) -> None:
-        """One dialect's passes over ``root``: spanned, timed, and charged
-        to the pass-time budget, which covers both pipelines together."""
+    def _run_pipeline(self, dialect, root, tracer, spent=0.0) -> float:
+        """One dialect's passes over ``root``, spanned and charged to the
+        pass-time budget, which covers both pipelines together: ``spent``
+        is what earlier pipelines took, and the sum is returned."""
         stage = f"{dialect}-transforms"
         manager = pipeline_from_names(
             self._pass_names[dialect],
@@ -212,12 +203,10 @@ class NewCompiler:
         with tracer.span(stage, passes=len(manager.passes)):
             started = time.perf_counter()
             manager.run(root, tracer=tracer, span_attrs=ir_stats)
-            stage_seconds[stage] = time.perf_counter() - started
+            spent += time.perf_counter() - started
         if manager.passes:
-            spent = stage_seconds["regex-transforms"] + stage_seconds.get(
-                "cicero-transforms", 0.0
-            )
             self.budget.check_pass_time(spent, stage)
+        return spent
 
     def front(
         self,
@@ -231,25 +220,20 @@ class NewCompiler:
         IR-level cases)."""
         options = self.options
         budget = self.budget
-        stage_seconds: Dict[str, float] = {}
         if module is None:
             budget.check_pattern_length(pattern)
             with tracer.span("frontend", pattern_length=len(pattern)):
-                started = time.perf_counter()
                 ast = parse_regex(pattern, max_depth=budget.max_nesting_depth)
                 check_pattern_budget(ast, budget)
-                stage_seconds["frontend"] = time.perf_counter() - started
 
             with tracer.span("to-regex-dialect") as span:
-                started = time.perf_counter()
                 module = pattern_to_regex_dialect(
                     ast, verify=options.verify_each
                 )
-                stage_seconds["to-regex-dialect"] = time.perf_counter() - started
                 if tracer.enabled:
                     span.set(**_suffixed(ir_stats(module), "_after"))
 
-        self._run_pipeline("regex", module, tracer, stage_seconds)
+        pass_seconds = self._run_pipeline("regex", module, tracer)
 
         # Imported lazily: repro.prefilter's execution layers import
         # this module back (multimatch compiler), so a top-level
@@ -258,32 +242,26 @@ class NewCompiler:
         from .prefilter.analysis import analyze_module
 
         with tracer.span("prefilter-analysis") as span:
-            started = time.perf_counter()
             analysis = analyze_module(module)
-            stage_seconds["prefilter-analysis"] = time.perf_counter() - started
             if tracer.enabled:
                 span.set(**analysis.to_dict())
-        return FrontHalf(pattern, module, analysis, stage_seconds)
+        return FrontHalf(pattern, module, analysis, pass_seconds)
 
     def back(
         self, front: FrontHalf, tracer: AnyTracer = NULL_TRACER
     ) -> Tuple[ModuleOp, Program]:
         """Lowering → cicero pipeline → codegen → program-size check."""
         options = self.options
-        stage_seconds = front.stage_seconds
         with tracer.span("lowering") as span:
-            started = time.perf_counter()
             cicero_module = lower_to_cicero(
                 front.regex_module, verify=options.verify_each
             )
-            stage_seconds["lowering"] = time.perf_counter() - started
             if tracer.enabled:
                 span.set(**_suffixed(ir_stats(cicero_module), "_after"))
 
-        self._run_pipeline("cicero", cicero_module, tracer, stage_seconds)
+        self._run_pipeline("cicero", cicero_module, tracer, front.pass_seconds)
 
         with tracer.span("codegen") as span:
-            started = time.perf_counter()
             program = generate_program(
                 cicero_module.body.operations[0],
                 source_pattern=front.pattern,
@@ -293,7 +271,6 @@ class NewCompiler:
             # of it, so it rides on the program: caches, pickles,
             # and worker processes all see the same metadata.
             program.analysis = front.analysis
-            stage_seconds["codegen"] = time.perf_counter() - started
             if tracer.enabled:
                 metrics = static_metrics(program)
                 span.set(
@@ -306,24 +283,18 @@ class NewCompiler:
         return cicero_module, program
 
     def compile(self, pattern: str) -> CompilationResult:
-        tracer = self.tracer
-        if tracer is None:
-            tracer = Tracer() if self.options.trace else NULL_TRACER
+        tracer = self.tracer if self.tracer is not None else NULL_TRACER
         with self.root_span(tracer, pattern) as root_span:
             front = self.front(pattern, tracer)
             cicero_module, program = self.back(front, tracer)
             if tracer.enabled:
-                root_span.set(
-                    code_size=len(program),
-                    total_seconds=sum(front.stage_seconds.values()),
-                )
+                root_span.set(code_size=len(program))
         return CompilationResult(
             pattern=pattern,
             program=program,
             options=self.options,
             regex_module=front.regex_module,
             cicero_module=cicero_module,
-            stage_seconds=front.stage_seconds,
             trace=(
                 TraceReport.from_tracer(tracer) if tracer.enabled else None
             ),

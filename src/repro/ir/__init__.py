@@ -35,7 +35,6 @@ from .pass_manager import (
     FunctionPass,
     Pass,
     PassManager,
-    PipelineResult,
     create_pass,
     register_pass,
     registered_pass_names,
@@ -70,7 +69,6 @@ __all__ = [
     "ParseError",
     "Pass",
     "PassManager",
-    "PipelineResult",
     "Region",
     "ReproError",
     "RewritePattern",

@@ -1,17 +1,16 @@
-"""Pass management: named passes, pipelines, timing and statistics.
+"""Pass management: named passes, pipelines and statistics.
 
 The paper's compilation flow is a linear pipeline of passes over two
 dialects; this module provides the scaffolding — pass registration, a
-:class:`PassManager` that runs passes in order with per-pass wall-clock
-timing (used by the Fig. 9 compile-time benchmark), and verification
-between passes (catching transform bugs at the pass boundary where they
-were introduced).
+:class:`PassManager` that runs passes in order, one ``pass:<name>``
+span per pass when traced (the span's duration is the pass's time),
+and verification between passes (catching transform bugs at the pass
+boundary where they were introduced).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+import contextlib
 from typing import Any, Callable, Dict, List, Optional
 
 from .diagnostics import IRError
@@ -44,28 +43,6 @@ class FunctionPass(Pass):
 
     def run(self, root: Operation) -> None:
         self._function(root)
-
-
-@dataclass
-class PassTiming:
-    pass_name: str
-    seconds: float
-
-
-@dataclass
-class PipelineResult:
-    """Outcome of one PassManager invocation."""
-
-    timings: List[PassTiming] = field(default_factory=list)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(timing.seconds for timing in self.timings)
-
-    def seconds_for(self, pass_name: str) -> float:
-        return sum(
-            timing.seconds for timing in self.timings if timing.pass_name == pass_name
-        )
 
 
 _PASS_REGISTRY: Dict[str, Callable[[], Pass]] = {}
@@ -142,32 +119,35 @@ class PassManager:
         root: Operation,
         tracer=None,
         span_attrs: Optional[Callable[[Operation], Dict[str, Any]]] = None,
-    ) -> PipelineResult:
-        """Run every pass over ``root``, timing each.
+    ) -> None:
+        """Run every pass over ``root`` in order.
 
         ``tracer`` (a :class:`repro.observability.Tracer`, or ``None``)
-        gets one ``pass:<name>`` span per pass; ``span_attrs`` computes
-        IR statistics (op count, ``D_offset``) recorded as ``*_before``/
-        ``*_after`` span attributes together with their deltas — once
-        per pass boundary, one pass's ``after`` being the next one's
-        ``before`` — and a pattern-driven pass adds whether it
-        ``converged``.  All of it is skipped when tracing is disabled,
-        so the untraced path is byte-for-byte the historical one.
+        gets one ``pass:<name>`` span per pass, whose duration is the
+        pass's time; ``span_attrs`` computes IR statistics (op count,
+        ``D_offset``) recorded as ``*_before``/``*_after`` span
+        attributes together with their deltas — once per pass boundary,
+        one pass's ``after`` being the next one's ``before`` — and a
+        pattern-driven pass adds whether it ``converged``.  Untraced,
+        the loop only runs (and verifies) the passes.
         """
-        result = PipelineResult()
         if self.verify_each:
             root.verify()
         tracing = tracer is not None and tracer.enabled
         stats = span_attrs(root) if tracing and span_attrs is not None else {}
         for pipeline_pass in self.passes:
-            if tracing:
-                with tracer.span(f"pass:{pipeline_pass.PASS_NAME}") as span:
+            scope = (
+                tracer.span(
+                    f"pass:{pipeline_pass.PASS_NAME}",
+                    **{f"{key}_before": value for key, value in stats.items()},
+                )
+                if tracing
+                else contextlib.nullcontext()
+            )
+            with scope as span:
+                pipeline_pass.run(root)
+                if tracing:
                     before = stats
-                    for key, value in before.items():
-                        span.attributes[f"{key}_before"] = value
-                    started = time.perf_counter()
-                    pipeline_pass.run(root)
-                    elapsed = time.perf_counter() - started
                     stats = span_attrs(root) if span_attrs is not None else {}
                     for key, value in stats.items():
                         span.attributes[f"{key}_after"] = value
@@ -177,12 +157,5 @@ class PassManager:
                     statistics = pipeline_pass.statistics
                     if statistics is not None:
                         span.attributes["converged"] = statistics.converged
-                    span.attributes["seconds"] = elapsed
-            else:
-                started = time.perf_counter()
-                pipeline_pass.run(root)
-                elapsed = time.perf_counter() - started
-            result.timings.append(PassTiming(pipeline_pass.PASS_NAME, elapsed))
             if self.verify_each:
                 root.verify()
-        return result

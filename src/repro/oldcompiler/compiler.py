@@ -17,9 +17,8 @@ corpus.
 from __future__ import annotations
 
 import copy
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from ..frontend import ast_nodes as ast
 from ..ir.diagnostics import LoweringError
@@ -280,11 +279,6 @@ class OldCompilationResult:
     pattern: str
     program: Program
     optimize: bool
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.stage_seconds.values())
 
     @property
     def metrics(self) -> StaticMetrics:
@@ -308,33 +302,16 @@ class OldCompiler:
 
     def compile(self, pattern: str) -> OldCompilationResult:
         budget = self.budget
-        stage_seconds: Dict[str, float] = {}
-
         budget.check_pattern_length(pattern)
-        started = time.perf_counter()
         parsed = parse_regex_old(pattern, max_depth=budget.max_nesting_depth)
         check_pattern_budget(parsed, budget)
-        stage_seconds["frontend"] = time.perf_counter() - started
-
-        started = time.perf_counter()
         mapped = _OldLowering().lower_root(parsed)
-        stage_seconds["mapped-lowering"] = time.perf_counter() - started
-
         if self.optimize:
-            started = time.perf_counter()
             code_restructuring(mapped)
-            stage_seconds["code-restructuring"] = time.perf_counter() - started
-
-        started = time.perf_counter()
         program = mapped.to_program(self.name)
-        stage_seconds["codegen"] = time.perf_counter() - started
         budget.check_program_size(len(program), pattern)
-
         return OldCompilationResult(
-            pattern=pattern,
-            program=program,
-            optimize=self.optimize,
-            stage_seconds=stage_seconds,
+            pattern=pattern, program=program, optimize=self.optimize
         )
 
 

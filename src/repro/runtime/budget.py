@@ -63,8 +63,6 @@ class Budget:
     #: Maximum cycles of one simulator run; ``None`` uses the
     #: simulator's adaptive per-run formula (input × program sized).
     max_sim_cycles: Optional[int] = None
-    #: Maximum product states of one equivalence check.
-    max_equivalence_states: Optional[int] = 200_000
     #: Maximum worker processes one batch/corpus call may fan out to
     #: (:mod:`repro.engine`); ``None`` leaves sizing to the caller.
     max_parallel_jobs: Optional[int] = None

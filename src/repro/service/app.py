@@ -45,6 +45,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
+import os
 import signal
 import sys
 import time
@@ -579,13 +581,11 @@ class MatchService:
         if not isinstance(pattern, str):
             raise HttpProtocolError(422, "'pattern' (string) is required")
         tenant = _field(payload, "tenant", None, str, NoneType)
+        name = _field(payload, "name", None, str, NoneType)
         # Compile (or hit) through the shared cache off-loop.
         await self._in_executor(self.engine.matcher, pattern)
-        name = payload.get("name")
         registered = False
         if name is not None:
-            if not isinstance(name, str):
-                raise HttpProtocolError(422, "'name' must be a string")
             registered = self.tenants.register(tenant, name, pattern)
         stats = self.engine.cache_stats()
         body = json.dumps(
@@ -622,6 +622,10 @@ class MatchService:
             raise HttpProtocolError(422, "'text' (string) is required")
         chunk_bytes = _field(payload, "chunk_bytes", 500, int)
         jobs = _field(payload, "jobs", None, int, NoneType)
+        if jobs is not None and jobs > 0:
+            # The supervisor starts all its workers at once, so one
+            # request may ask for every core (``0``) but never more.
+            jobs = min(jobs, os.cpu_count() or 1)
         partial = _field(payload, "partial", False, bool)
         fault_plan = None
         fault = payload.get("fault")
@@ -637,6 +641,13 @@ class MatchService:
                 raise HttpProtocolError(
                     422, f"'fault.kind' must be one of {WORKER_FAULT_KINDS}"
                 )
+            hang_seconds = _field(
+                fault, "hang_seconds", 3600.0, int, float, within="fault."
+            )
+            if not 0 <= hang_seconds < math.inf:  # NaN fails both
+                raise HttpProtocolError(
+                    422, "'fault.hang_seconds' must be a finite number >= 0"
+                )
             fault_plan = ProcessFaultPlan.single(
                 _field(fault, "index", 0, int, within="fault."),
                 kind,
@@ -644,8 +655,7 @@ class MatchService:
                 marker_dir=_field(
                     fault, "marker_dir", None, str, NoneType, within="fault."
                 ),
-                hang_seconds=float(_field(fault, "hang_seconds", 3600.0,
-                                          int, float, within="fault.")),
+                hang_seconds=float(hang_seconds),
             )
 
         def _scan():

@@ -9,6 +9,7 @@ instructions), so none of them depends on the host.
 """
 
 import contextlib
+import time
 from collections import Counter
 
 import pytest
@@ -161,3 +162,13 @@ def test_work_counts_do_not_grow_with_the_program():
         assert counts["cicero ops built"] == lowered["ops"] + acceptance_duplicates(
             result.pattern, lowered["acceptances"]
         )
+
+
+def test_an_untraced_compile_reads_the_clock_only_for_the_pass_budget():
+    """Spans are the only timing of stages and passes; untraced, the one
+    clock left is a pair of reads around each pass pipeline, which
+    ``Budget.max_pass_seconds`` is charged with."""
+    counts = Counter()
+    with counting(counts, time, "perf_counter", "clock reads"):
+        NewCompiler().compile(PATTERNS[1])
+    assert counts["clock reads"] == 4

@@ -1,4 +1,4 @@
-"""Pass manager: registration, pipelines, timing, verification."""
+"""Pass manager: registration, pipelines, verification."""
 
 import pytest
 
@@ -29,17 +29,6 @@ def test_pipeline_runs_in_order():
     manager.add(FunctionPass("second", lambda root: order.append(2)))
     manager.run(module)
     assert order == [1, 2]
-
-
-def test_timings_recorded_per_pass():
-    module = ModuleOp()
-    manager = PassManager()
-    manager.add(FunctionPass("a", lambda root: None))
-    manager.add(FunctionPass("b", lambda root: None))
-    result = manager.run(module)
-    assert [timing.pass_name for timing in result.timings] == ["a", "b"]
-    assert result.total_seconds >= 0
-    assert result.seconds_for("a") >= 0
 
 
 def test_add_pass_object():

@@ -8,7 +8,7 @@ values and attribute order — must not move.
 
 import pytest
 
-from repro.compiler import CompileOptions, NewCompiler
+from repro.compiler import NewCompiler
 from repro.ir.operation import ModuleOp, Operation
 from repro.ir.pass_manager import FunctionPass, Pass, PassManager
 from repro.ir.rewriter import RewritePattern, apply_patterns_greedily
@@ -71,7 +71,7 @@ def ir_statistics_lines(trace) -> str:
 
 @pytest.mark.parametrize("pattern", RECORDED)
 def test_span_ir_statistics_match_the_recorded_trace(pattern):
-    result = NewCompiler(CompileOptions(trace=True)).compile(pattern)
+    result = NewCompiler(tracer=Tracer()).compile(pattern)
     assert ir_statistics_lines(result.trace) == RECORDED[pattern].strip()
 
 
@@ -123,7 +123,7 @@ class _PingPongPass(Pass):
 
 
 def test_pass_spans_say_whether_the_rewrite_converged():
-    result = NewCompiler(CompileOptions(trace=True)).compile("(this)|that")
+    result = NewCompiler(tracer=Tracer()).compile("(this)|that")
     converged = {
         span.name: span.attributes.get("converged")
         for span in result.trace.pass_spans()

@@ -6,7 +6,6 @@ stable across equal instances (satellite of ISSUE 3).
 """
 
 import dataclasses
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -54,7 +53,7 @@ class TestCompileOptionsKey:
     def test_the_pass_lists_are_the_only_pass_selector(self):
         names = {f.name for f in dataclasses.fields(CompileOptions)}
         assert names == {
-            "regex_pipeline", "cicero_pipeline", "verify_each", "budget", "trace",
+            "regex_pipeline", "cicero_pipeline", "verify_each", "budget",
         }
 
     def test_dropping_a_pass_changes_key(self):
@@ -106,7 +105,3 @@ class TestPipelines:
         assert CompileOptions(
             regex_pipeline=DEFAULT_REGEX_PIPELINE, verify_each=True
         ).cache_key() != CompileOptions().cache_key()
-        # ...and ``trace`` never does.
-        assert CompileOptions(trace=True).cache_key() == CompileOptions().cache_key()
-        assert (CompileOptions.none().cache_key()
-                == replace(CompileOptions.none(), trace=True).cache_key())

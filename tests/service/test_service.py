@@ -7,9 +7,13 @@ to it over real sockets with the raw client from ``service_helpers``.
 
 import asyncio
 import json
+import os
 
 import pytest
 
+import repro.engine.core as engine_core
+from repro.engine.parallel import build_match_fn
+from repro.engine.supervisor import run_in_process
 from repro.runtime.budget import Budget
 from repro.service import MatchService, ServiceConfig
 from service_helpers import (
@@ -233,11 +237,15 @@ def test_probes_errors_and_metrics():
     {"tenant": True},
     {"partial": "false"},
     {"partial": 1},
+    {"fault": {"hang_seconds": float("nan")}},
+    {"fault": {"hang_seconds": float("inf")}},
+    {"fault": {"hang_seconds": -1}},
 ])
 def test_scan_rejects_ill_typed_fields_with_422(fields):
     # Each of these used to be a 500 REPRO-INTERNAL, or (2.5) silently
     # truncated to a 2-byte chunk, or (a non-string tenant) ignored, or
-    # ("false") taken as true.
+    # ("false") taken as true, or (a NaN, infinite or negative hang)
+    # retried and quarantined when the worker's sleep raised.
     async def scenario():
         service = await started(chaos=True)
         try:
@@ -285,6 +293,52 @@ def test_non_string_tenant_is_rejected_and_healthz_stays_up():
             status, _, body = await fetch(host, port, "GET", "/healthz")
             assert status == 200
             assert json.loads(body)["tenants"] == {"acme": 1}
+        finally:
+            await service.drain("test")
+
+    run(scenario())
+
+
+def test_scan_jobs_is_capped_at_the_core_count(monkeypatch):
+    # The supervisor starts min(jobs, chunks) workers at once; a recorder
+    # stands in for it, so no process starts whatever the request asks.
+    recorded = []
+
+    def recording_supervisor(payload, items, jobs, **kwargs):
+        recorded.append(jobs)
+        return run_in_process(build_match_fn(payload).match, items)
+
+    monkeypatch.setattr(engine_core, "supervised_matches", recording_supervisor)
+
+    async def scenario():
+        service = await started()
+        try:
+            status, _, body = await post_json(
+                service.host, service.port, "/scan",
+                {"pattern": "b", "text": "xx abbb yy" * 20,
+                 "chunk_bytes": 1, "jobs": 10**6},
+            )
+            assert (status, json.loads(body)["matched"]) == (200, True)
+        finally:
+            await service.drain("test")
+
+    run(scenario())
+    assert max(recorded, default=1) <= (os.cpu_count() or 1)
+
+
+def test_compile_checks_name_before_compiling():
+    async def scenario():
+        service = await started()
+        try:
+            host, port = service.host, service.port
+            status, _, body = await post_json(
+                host, port, "/compile", {"pattern": "ab+c", "name": 5}
+            )
+            assert status == 422, body
+            assert "'name'" in json.loads(body)["error"]["message"]
+            status, _, body = await fetch(host, port, "GET", "/healthz")
+            assert status == 200
+            assert json.loads(body)["cache"]["misses"] == 0
         finally:
             await service.drain("test")
 
