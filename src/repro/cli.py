@@ -531,7 +531,6 @@ def _serve(args) -> int:
         request_seconds=args.request_timeout,
         drain_seconds=args.drain_seconds,
         stats_file=args.stats_file or default_stats_path(),
-        chaos=args.chaos,
     )
     if args.cache_size is not None:
         config = config.replace(cache_size=args.cache_size)
@@ -752,9 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="metrics snapshot written atomically at "
                               "drain (default: $REPRO_STATS_FILE or "
                               "~/.repro/stats.json)")
-    serve_parser.add_argument("--chaos", action="store_true",
-                              help="accept fault-injection fields on /scan "
-                              "(test harness only)")
     serve_parser.set_defaults(handler=_serve)
 
     bench_parser = sub.add_parser("bench", help="quick benchmark sweep")

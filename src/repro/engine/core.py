@@ -49,7 +49,6 @@ from ..observability import (
 )
 from ..runtime.budget import Budget, DEFAULT_BUDGET
 from ..runtime.encoding import as_input_bytes
-from ..runtime.faults import ProcessFaultPlan
 from .cache import CacheStats, PatternCache
 from .parallel import WorkerPayload, build_match_fn, resolve_mp_context
 from .supervisor import (
@@ -208,7 +207,6 @@ class Engine:
         texts: Sequence[TextLike],
         jobs: Optional[int] = None,
         strict: bool = True,
-        fault_plan: Optional[ProcessFaultPlan] = None,
     ) -> Union[List[bool], ScanReport]:
         """Every text's verdict, in input order.
 
@@ -222,12 +220,11 @@ class Engine:
         returns a :class:`ScanReport`: healthy shards keep their
         verdicts, failed shards carry a typed
         :class:`~repro.engine.supervisor.ShardOutcome` instead of
-        poisoning the batch.  ``fault_plan`` is the fault-injection test
-        hook (:class:`~repro.runtime.faults.ProcessFaultPlan`).
+        poisoning the batch.
         """
         if self._instruments is not None:
             self._instruments.requests["match_many"].inc()
-        report = self._scan(pattern, texts, jobs, fault_plan)
+        report = self._scan(pattern, texts, jobs)
         if not strict:
             return report
         report.raise_first_error()
@@ -240,7 +237,6 @@ class Engine:
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         jobs: Optional[int] = None,
         strict: bool = True,
-        fault_plan: Optional[ProcessFaultPlan] = None,
     ) -> Union[CorpusScanResult, ScanReport]:
         """Scan a large input stream chunk-by-chunk (the §6 protocol).
 
@@ -250,14 +246,14 @@ class Engine:
         above the longest expected match, exactly as the paper sizes
         its 500-byte chunks).
 
-        ``strict``/``fault_plan`` behave as on :meth:`match_many`;
+        ``strict`` behaves as on :meth:`match_many`;
         partial mode returns the full :class:`ScanReport` so a scan with
         a few quarantined chunks still reports every healthy verdict.
         """
         if self._instruments is not None:
             self._instruments.requests["scan_corpus"].inc()
         chunks = split_chunks(data, chunk_bytes)
-        report = self._scan(pattern, chunks, jobs, fault_plan)
+        report = self._scan(pattern, chunks, jobs)
         report.chunk_bytes = chunk_bytes
         if not strict:
             return report
@@ -277,7 +273,6 @@ class Engine:
         pattern: str,
         texts: Sequence[TextLike],
         jobs: Optional[int],
-        fault_plan: Optional[ProcessFaultPlan],
     ) -> ScanReport:
         """Normalize, fan out (supervised), fold into a report."""
         normalized = [as_input_bytes(text, what="input text") for text in texts]
@@ -294,20 +289,17 @@ class Engine:
             shards=len(normalized),
             jobs=effective_jobs,
         ) as span:
-            if effective_jobs <= 1 and fault_plan is None:
+            if effective_jobs <= 1:
                 report = run_in_process(entry.matcher.match, normalized)
             else:
                 report = supervised_matches(
                     entry.payload,
                     normalized,
-                    max(2, effective_jobs)
-                    if fault_plan is not None
-                    else effective_jobs,
+                    effective_jobs,
                     task_timeout=self.budget.max_task_seconds,
                     wall_timeout=self.budget.max_wall_seconds,
                     retries=self.retries,
                     mp_context=self.mp_context,
-                    fault_plan=fault_plan,
                     tracer=tracer,
                 )
             if tracer.enabled:

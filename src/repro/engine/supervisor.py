@@ -3,19 +3,26 @@
 The paper's hardware is explicitly fault-aware at the granularity of an
 input chunk (engine-level load balancing tolerates imbalanced FIFOs,
 §5); this module is the software analogue, isolating each shard of a
-sharded scan:
+sharded scan.  It is split in two:
 
-* the supervisor **starts its own** ``jobs`` worker processes over an
-  explicit ``multiprocessing`` context
-  (:func:`~repro.engine.parallel.resolve_mp_context`), one pipe each;
-  a worker that owes nothing is sent a **batch** of contiguous shards
+* :class:`SupervisorCore` is the **policy**, with no I/O: it takes
+  events (a worker's answer, an EOF on a worker's pipe, the clock
+  passing a deadline) and returns actions (start a worker, send it a
+  batch, stop it, settle a shard);
+* :class:`_Supervisor` is the **driver**: it owns the ``jobs`` worker
+  processes (started over an explicit ``multiprocessing`` context,
+  :func:`~repro.engine.parallel.resolve_mp_context`), their pipes, one
+  selector and ``time.monotonic``, and does what the core asks.
+
+The policy:
+
+* a worker that owes nothing is sent a **batch** of contiguous shards
   (at most :data:`BATCH_BYTES`) and answers one message per shard, in
   order — so the first shard a worker still owes is the one it runs;
-* the parent blocks in :func:`multiprocessing.connection.wait` until an
-  answer, an EOF, or the nearest **per-task timeout**
-  (``Budget.max_task_seconds``, timed from when a shard reaches the
-  head of its worker's queue) or **overall deadline**
-  (``Budget.max_wall_seconds``);
+* the driver blocks in its selector until an answer, an EOF, or the
+  nearest **per-task timeout** (``Budget.max_task_seconds``, timed from
+  when a shard reaches the head of its worker's queue) or **overall
+  deadline** (``Budget.max_wall_seconds``);
 * EOF on a worker's pipe is a **crash** of the shard it was running,
   and a head shard past its timeout is a **hang** of that shard: only
   that worker is replaced, and the shards it had not started go back
@@ -26,20 +33,21 @@ sharded scan:
   ``max_task_seconds`` of wall clock per attempt.
 
 Every shard ends in exactly one :class:`ShardOutcome` with status
-``ok | error | timeout | quarantined``; the safety property (proven by
-the process-fault-injection suite) is that an injected worker fault is
-either retried to success, quarantined with a typed error, or converted
-to a typed timeout — **never a hang, never a silently dropped verdict**.
-Both the supervisor and the in-process path (:func:`run_in_process`)
-fold their outcomes into the :class:`ScanReport` the engine returns.
+``ok | error | timeout | quarantined``.  That invariant, the attempt
+bound, terminal timeouts, unstruck batch mates and termination are
+checked on every event order of small runs by driving the core alone
+(``tests/engine/test_supervisor_explorer.py``).  Both the supervisor
+and the in-process path (:func:`run_in_process`) fold their outcomes
+into the :class:`ScanReport` the engine returns.
 """
 
 from __future__ import annotations
 
+import functools
+import selectors
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..arch.simulator import DEFAULT_CHUNK_BYTES
@@ -52,7 +60,6 @@ from ..runtime.errors import (
     WorkerCrashError,
     WorkerStateError,
 )
-from ..runtime.faults import ProcessFaultPlan
 from .parallel import WorkerPayload, build_match_fn, resolve_mp_context
 
 #: The four ways a shard can settle.
@@ -206,14 +213,12 @@ def _counter_totals(registry) -> Dict[str, float]:
     return totals
 
 
-def _run_shard(match_fn: Callable, fault_plan, index: int, data: bytes):
+def _run_shard(match_fn: Callable, index: int, data: bytes):
     """One shard's ``(tag, value)``: worker-side exceptions become
     picklable typed errors, so the only ways a shard can fail to answer
     are a dead process or a hang, both of which the supervisor sees from
     outside."""
     try:
-        if fault_plan is not None:
-            fault_plan.fire(index)
         return "ok", bool(match_fn(data))
     except ReproError as error:
         return "error", error
@@ -241,9 +246,7 @@ def _worker_match_fn(payload: WorkerPayload, registry) -> Callable:
         return fail
 
 
-def _serve(
-    conn, payload: WorkerPayload, fault_plan: Optional[ProcessFaultPlan]
-) -> None:
+def _serve(conn, payload: WorkerPayload) -> None:
     """A worker's life: rebuild the matcher once, then answer every
     shard of every batch with one ``(tag, value, counters)`` message, in
     batch order, until the pipe closes.  ``counters`` is the shard's
@@ -261,7 +264,7 @@ def _serve(
         except EOFError:
             return
         for index, data in batch:
-            tag, value = _run_shard(match_fn, fault_plan, index, data)
+            tag, value = _run_shard(match_fn, index, data)
             counters = None
             if registry is not None:
                 # Failed work advances the baseline too: a retried
@@ -278,120 +281,211 @@ def _serve(
 
 
 # ----------------------------------------------------------------------
-# Supervisor
+# The core: supervision policy without I/O
 # ----------------------------------------------------------------------
-class _Worker:
-    """One worker process, the parent's end of its pipe, and the shards
-    it owes, in the order it answers them.  The first one owed is the
-    one it is running, since ``head_started``."""
+def _event(handle):
+    """An event of :class:`SupervisorCore`: the handler runs unless every
+    shard is settled, then idle workers are handed batches, and the
+    actions taken are returned."""
 
-    def __init__(self, context, payload, fault_plan):
-        self.conn, child = context.Pipe()
-        self.process = context.Process(
-            target=_serve, args=(child, payload, fault_plan), daemon=True
-        )
-        self.process.start()
-        child.close()  # so the worker's death reads as EOF here
-        self.owed: deque = deque()
-        self.head_started = 0.0
+    @functools.wraps(handle)
+    def event(self, now: float, *args) -> list:
+        self._actions = []
+        if self.unsettled:
+            handle(self, now, *args)
+            if self.unsettled:
+                self._dispatch(now)
+        return self._actions
 
-    def stop(self) -> None:
-        # terminate, not a polite close: a hung worker must die with
-        # the run, never outlive it.
-        self.process.terminate()
-        self.process.join()
-        self.conn.close()
+    return event
 
 
-class _Supervisor:
-    """One supervised run over one payload and one item list."""
+class SupervisorCore:
+    """The supervision policy of one run over ``len(sizes)`` shards,
+    free of processes, pipes and clocks.
+
+    Each event is a method whose first argument is the time ``now``:
+    :meth:`begin`, :meth:`answer` (the verdict or error of the shard a
+    worker was running), :meth:`eof` (a worker's pipe closed),
+    :meth:`send_failed` (a batch could not be sent: the worker had died
+    idle) and :meth:`tick` (the clock passed :meth:`wake_at`).  Each
+    returns the actions to perform, in order:
+
+    * ``("start", slot)`` — start a fresh worker in ``slot``;
+    * ``("send", slot, batch)`` — send it the shards whose indices are
+      in ``batch``;
+    * ``("stop", slot)`` — terminate the worker in ``slot``;
+    * ``("settle", index, outcome)`` — shard ``index`` is settled.
+
+    Once every shard is settled (:attr:`done`) an event returns none.
+    """
 
     def __init__(
         self,
-        payload: WorkerPayload,
-        items: Sequence[bytes],
+        sizes: Sequence[int],
         jobs: int,
         task_timeout: Optional[float],
         wall_timeout: Optional[float],
         retries: int,
-        mp_context: Optional[str],
-        fault_plan: Optional[ProcessFaultPlan],
         tracer=None,
     ):
         from ..observability import as_tracer
 
         self.tracer = as_tracer(tracer)
-        self.payload = payload
-        self.items = items
-        self.jobs = max(1, min(jobs, len(items)))
+        self.sizes = sizes
+        self.jobs = max(1, min(jobs, len(sizes)))
         self.task_timeout = task_timeout
         self.wall_timeout = wall_timeout
         self.max_retries = retries
-        self.fault_plan = fault_plan
-
-        self.context = resolve_mp_context(mp_context)
-        self.outcomes: List[Optional[ShardOutcome]] = [None] * len(items)
-        self.unsettled = len(items)
+        self.started = 0.0
+        self.outcomes: List[Optional[ShardOutcome]] = [None] * len(sizes)
+        self.unsettled = len(sizes)
         #: Runs per shard: a shard is charged when it reaches the head
         #: of a worker's queue, never when it is merely sent.  Every run
         #: but the last one failed, so this also counts the strikes.
-        self.attempts = [0] * len(items)
-        self.ready: deque = deque(range(len(items)))
-        self.workers: List[_Worker] = []
+        self.attempts = [0] * len(sizes)
+        self.ready: deque = deque(range(len(sizes)))
+        #: The shards each worker owes, in the order it answers them.
+        #: The first one owed is the one it is running, since
+        #: ``head_started[slot]``.
+        self.owed = [deque() for _ in range(self.jobs)]
+        self.head_started = [0.0] * self.jobs
         self.retries = 0
         self.respawns = 0
+        self._actions: list = []
+
+    @property
+    def done(self) -> bool:
+        return not self.unsettled
+
+    def wake_at(self) -> Optional[float]:
+        """The nearest task or wall deadline, ``None`` for none."""
+        moments = []
+        if self.wall_timeout is not None:
+            moments.append(self.started + self.wall_timeout)
+        if self.task_timeout is not None:
+            moments.extend(
+                started + self.task_timeout
+                for started, owed in zip(self.head_started, self.owed)
+                if owed
+            )
+        return min(moments, default=None)
+
+    # -- events ---------------------------------------------------------
+    @_event
+    def begin(self, now: float) -> None:
+        self.started = now
+        self._actions.extend(("start", slot) for slot in range(self.jobs))
+
+    @_event
+    def answer(self, now: float, slot: int, tag: str, value, counters) -> None:
+        """The worker in ``slot`` answered the shard it was running."""
+        index = self.owed[slot].popleft()
+        self._start_head(slot, now)
+        if tag == "ok":
+            self._settle(
+                ShardOutcome(
+                    index,
+                    "ok",
+                    verdict=value,
+                    attempts=self.attempts[index],
+                    vm_counters=counters,
+                )
+            )
+        else:
+            self._fail(index, value)
+
+    @_event
+    def eof(self, now: float, slot: int) -> None:
+        """The worker in ``slot`` died: running a shard, which is
+        struck, or owing nothing, which strikes no shard."""
+        running = self._replace(slot)
+        if running is not None:
+            self._fail(running, WorkerCrashError(running))
+
+    @_event
+    def send_failed(self, now: float, slot: int) -> None:
+        """The batch just sent to ``slot`` never arrived: its worker had
+        died idle.  The head gives back the attempt it was charged and
+        the whole batch goes back to the queue unstruck."""
+        owed = self.owed[slot]
+        self.attempts[owed[0]] -= 1
+        self.ready.extendleft(reversed(owed))
+        owed.clear()
+        self._replace(slot)
+
+    @_event
+    def tick(self, now: float) -> None:
+        """Settle what is past its deadline: every unsettled shard at the
+        wall deadline, else each head shard past its task timeout."""
+        if (
+            self.wall_timeout is not None
+            and now >= self.started + self.wall_timeout
+        ):
+            self._settle_past_deadline(now - self.started)
+            return
+        if self.task_timeout is None:
+            return
+        for slot, owed in enumerate(self.owed):
+            started = self.head_started[slot]
+            if owed and now >= started + self.task_timeout:
+                running = self._replace(slot)
+                self._fail(
+                    running,
+                    TaskTimeoutError(running, now - started, self.task_timeout),
+                    timeout=True,
+                )
 
     # -- workers --------------------------------------------------------
     def _replace(self, slot: int) -> Optional[int]:
         """Stop the worker in ``slot`` and start a fresh one there.  The
         shards it owed but had not started go back to the front of the
         queue without a strike; the one it was running is returned."""
-        worker = self.workers[slot]
-        worker.stop()
+        self._actions += [("stop", slot), ("start", slot)]
         self.respawns += 1
         if self.tracer.enabled:
             self.tracer.event("supervisor.respawn", respawns=self.respawns)
-        self.workers[slot] = _Worker(
-            self.context, self.payload, self.fault_plan
-        )
-        if not worker.owed:
+        owed = self.owed[slot]
+        if not owed:
             return None
-        running = worker.owed.popleft()
-        self.ready.extendleft(reversed(worker.owed))
+        running = owed.popleft()
+        self.ready.extendleft(reversed(owed))
+        owed.clear()
         return running
 
-    def _send_batch(self, slot: int) -> None:
+    def _dispatch(self, now: float) -> None:
+        for slot, owed in enumerate(self.owed):
+            if self.ready and not owed:
+                self._send_batch(slot, now)
+
+    def _send_batch(self, slot: int, now: float) -> None:
         """Hand an idle worker the next contiguous run of ready shards:
         at most :data:`BATCH_BYTES`, and at most its fair share of the
         queue, so a small scan still reaches every worker."""
         limit = -(-len(self.ready) // self.jobs)
         batch = [self.ready.popleft()]
-        size = len(self.items[batch[0]])
+        size = self.sizes[batch[0]]
         while self.ready and len(batch) < limit:
             index = self.ready[0]
-            size += len(self.items[index])
+            size += self.sizes[index]
             if index != batch[-1] + 1 or size > BATCH_BYTES:
                 break
             batch.append(self.ready.popleft())
-        worker = self.workers[slot]
-        try:
-            worker.conn.send([(index, self.items[index]) for index in batch])
-        except OSError:  # it died owing nothing: no shard is struck
-            self.ready.extendleft(reversed(batch))
-            self._replace(slot)
-            return
-        worker.owed.extend(batch)
-        self._start_head(worker)
+        self.owed[slot].extend(batch)
+        self._actions.append(("send", slot, batch))
+        self._start_head(slot, now)
 
-    def _start_head(self, worker: _Worker) -> None:
-        if worker.owed:
-            self.attempts[worker.owed[0]] += 1
-            worker.head_started = time.monotonic()
+    def _start_head(self, slot: int, now: float) -> None:
+        owed = self.owed[slot]
+        if owed:
+            self.attempts[owed[0]] += 1
+            self.head_started[slot] = now
 
     # -- settlement -----------------------------------------------------
-    def _settle(self, index: int, outcome: ShardOutcome) -> None:
-        self.outcomes[index] = outcome
+    def _settle(self, outcome: ShardOutcome) -> None:
+        self.outcomes[outcome.index] = outcome
         self.unsettled -= 1
+        self._actions.append(("settle", outcome.index, outcome))
 
     def _fail(
         self, index: int, error: ReproError, *, timeout: bool = False
@@ -415,8 +509,7 @@ class _Supervisor:
                     "supervisor.timeout", shard=index, attempts=attempts
                 )
             self._settle(
-                index,
-                ShardOutcome(index, "timeout", error=error, attempts=attempts),
+                ShardOutcome(index, "timeout", error=error, attempts=attempts)
             )
         else:
             if self.tracer.enabled:
@@ -427,20 +520,18 @@ class _Supervisor:
                     error_code=error.code,
                 )
             self._settle(
-                index,
                 ShardOutcome(
                     index,
                     "quarantined",
                     error=ShardQuarantinedError(index, attempts, error),
                     attempts=attempts,
-                ),
+                )
             )
 
     def _settle_past_deadline(self, elapsed: float) -> None:
-        for index in range(len(self.items)):
-            if self.outcomes[index] is None:
+        for index, outcome in enumerate(self.outcomes):
+            if outcome is None:
                 self._settle(
-                    index,
                     ShardOutcome(
                         index,
                         "timeout",
@@ -448,66 +539,79 @@ class _Supervisor:
                             index, elapsed, self.wall_timeout
                         ),
                         attempts=self.attempts[index],
-                    ),
+                    )
                 )
 
-    # -- loop phases ----------------------------------------------------
-    def _receive(self, slot: int) -> None:
-        """Read one answer from the worker in ``slot``: the verdict of
-        the shard it was running, or EOF — it died running that shard
-        (or while owing nothing, which strikes no shard)."""
-        worker = self.workers[slot]
-        try:
-            tag, value, counters = worker.conn.recv()
-        except (EOFError, OSError):
-            running = self._replace(slot)
-            if running is not None:
-                self._fail(running, WorkerCrashError(running))
-            return
-        index = worker.owed.popleft()
-        self._start_head(worker)
-        if tag == "ok":
-            self._settle(
-                index,
-                ShardOutcome(
-                    index,
-                    "ok",
-                    verdict=value,
-                    attempts=self.attempts[index],
-                    vm_counters=counters,
-                ),
-            )
-        else:
-            self._fail(index, value)
 
-    def _wake_at(self, deadline: Optional[float]) -> Optional[float]:
-        """The nearest task or wall deadline, ``None`` for none."""
-        moments = [deadline] if deadline is not None else []
-        if self.task_timeout is not None:
-            moments.extend(
-                worker.head_started + self.task_timeout
-                for worker in self.workers
-                if worker.owed
-            )
-        return min(moments, default=None)
+# ----------------------------------------------------------------------
+# The driver: processes, pipes and the clock
+# ----------------------------------------------------------------------
+class _Worker:
+    """One worker process and the parent's end of its pipe."""
 
-    def _expire_hung(self) -> None:
-        now = time.monotonic()
-        for slot, worker in enumerate(self.workers):
-            seconds = now - worker.head_started
-            if worker.owed and seconds >= self.task_timeout:
-                running = self._replace(slot)
-                self._fail(
-                    running,
-                    TaskTimeoutError(running, seconds, self.task_timeout),
-                    timeout=True,
-                )
+    def __init__(self, context, payload):
+        self.conn, child = context.Pipe()
+        self.process = context.Process(
+            target=_serve, args=(child, payload), daemon=True
+        )
+        self.process.start()
+        child.close()  # so the worker's death reads as EOF here
 
-    # -- main -----------------------------------------------------------
+    def stop(self) -> None:
+        # terminate, not a polite close: a hung worker must die with
+        # the run, never outlive it.
+        self.process.terminate()
+        self.process.join()
+        self.conn.close()
+
+
+class _Supervisor:
+    """One supervised run: does what ``core`` asks with real worker
+    processes, one selector over their pipes, and ``time.monotonic``."""
+
+    def __init__(
+        self,
+        payload: WorkerPayload,
+        items: Sequence[bytes],
+        core: SupervisorCore,
+        mp_context: Optional[str],
+    ):
+        self.payload = payload
+        self.items = items
+        self.core = core
+        self.context = resolve_mp_context(mp_context)
+        self.workers: List[Optional[_Worker]] = [None] * core.jobs
+        #: One selector for the run: a pipe is registered when its
+        #: worker starts and unregistered when it stops.
+        self.selector = selectors.DefaultSelector()
+
+    def _apply(self, actions: list) -> None:
+        # A "settle" needs nothing here: the core keeps the outcomes.
+        pending = deque(actions)
+        while pending:
+            kind, slot, *rest = pending.popleft()
+            if kind == "start":
+                worker = _Worker(self.context, self.payload)
+                self.workers[slot] = worker
+                self.selector.register(worker.conn, selectors.EVENT_READ, slot)
+            elif kind == "stop":
+                worker = self.workers[slot]
+                self.selector.unregister(worker.conn)
+                worker.stop()
+            elif kind == "send":
+                batch = [(index, self.items[index]) for index in rest[0]]
+                try:
+                    self.workers[slot].conn.send(batch)
+                except OSError:
+                    pending.extend(
+                        self.core.send_failed(time.monotonic(), slot)
+                    )
+
     def run(self) -> ScanReport:
-        if self.tracer.enabled:
-            with self.tracer.span(
-                "supervisor.run", shards=len(self.items), jobs=self.jobs
+        tracer = self.core.tracer
+        if tracer.enabled:
+            with tracer.span(
+                "supervisor.run", shards=len(self.items), jobs=self.core.jobs
             ) as span:
                 report = self._run()
                 span.set(
@@ -520,43 +624,40 @@ class _Supervisor:
         return self._run()
 
     def _run(self) -> ScanReport:
+        core = self.core
         started = time.monotonic()
-        deadline = (
-            started + self.wall_timeout
-            if self.wall_timeout is not None
-            else None
-        )
         try:
-            for _ in range(self.jobs):
-                self.workers.append(
-                    _Worker(self.context, self.payload, self.fault_plan)
-                )
-            while self.unsettled:
-                now = time.monotonic()
-                if deadline is not None and now >= deadline:
-                    self._settle_past_deadline(now - started)
-                    break
-                for slot, worker in enumerate(self.workers):
-                    if self.ready and not worker.owed:
-                        self._send_batch(slot)
-                slots = {
-                    worker.conn: slot
-                    for slot, worker in enumerate(self.workers)
-                }
-                wake = self._wake_at(deadline)
+            self._apply(core.begin(started))
+            while not core.done:
+                wake = core.wake_at()
                 timeout = None if wake is None else wake - time.monotonic()
-                for conn in wait(list(slots), timeout):
-                    self._receive(slots[conn])
-                if self.task_timeout is not None:
-                    self._expire_hung()
+                ready = self.selector.select(timeout)
+                now = time.monotonic()
+                for key, _ in ready:
+                    slot = key.data
+                    conn = self.workers[slot].conn
+                    if conn is not key.fileobj:
+                        continue  # replaced since the select
+                    try:
+                        tag, value, counters = conn.recv()
+                    except (EOFError, OSError):
+                        self._apply(core.eof(now, slot))
+                    else:
+                        self._apply(
+                            core.answer(now, slot, tag, value, counters)
+                        )
+                if wake is not None and now >= wake:
+                    self._apply(core.tick(now))
         finally:
             for worker in self.workers:
-                worker.stop()
+                if worker is not None and not worker.conn.closed:
+                    worker.stop()
+            self.selector.close()
         return ScanReport.from_outcomes(
-            list(self.outcomes),
+            list(core.outcomes),
             self.items,
-            retries=self.retries,
-            respawns=self.respawns,
+            retries=core.retries,
+            respawns=core.respawns,
             elapsed=time.monotonic() - started,
         )
 
@@ -569,7 +670,6 @@ def supervised_matches(
     wall_timeout: Optional[float] = None,
     retries: int = DEFAULT_RETRIES,
     mp_context: Optional[str] = None,
-    fault_plan: Optional[ProcessFaultPlan] = None,
     tracer=None,
 ) -> ScanReport:
     """Match every item under supervision; every item gets an outcome.
@@ -577,25 +677,20 @@ def supervised_matches(
     Workers rebuild their matcher from ``payload`` once each and answer
     batches of shards in order; a shard gets a timeout, crash
     attribution, ``retries`` immediate re-queues and then quarantine.
-    ``fault_plan`` is the test hook injecting worker-process faults
-    (:class:`~repro.runtime.faults.ProcessFaultPlan`).  ``tracer``
-    records a ``supervisor.run`` span carrying retry / timeout /
-    quarantine / respawn events.
+    ``tracer`` records a ``supervisor.run`` span carrying retry /
+    timeout / quarantine / respawn events.
     """
     if not items:
         return ScanReport.from_outcomes([], items)
-    supervisor = _Supervisor(
-        payload,
-        items,
+    core = SupervisorCore(
+        [len(data) for data in items],
         jobs,
         task_timeout,
         wall_timeout,
         retries,
-        mp_context,
-        fault_plan,
         tracer=tracer,
     )
-    return supervisor.run()
+    return _Supervisor(payload, items, core, mp_context).run()
 
 
 def run_in_process(

@@ -18,9 +18,11 @@ default — while still bounding adversarial input.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional
 
+from ..arch.config import ConfigurationError
 from ..frontend.errors import DEFAULT_MAX_NESTING_DEPTH
 from ..isa.instructions import MAX_PROGRAM_LENGTH
 from .errors import (
@@ -76,6 +78,18 @@ class Budget:
     #: unfinished at the deadline settle with
     #: :class:`~repro.runtime.errors.WallClockBudgetError`.
     max_wall_seconds: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        # An infinite timeout overflows the supervisor's selector, and a
+        # NaN limit compares false both ways, so its check never trips.
+        for name in ("max_pass_seconds", "max_task_seconds",
+                     "max_wall_seconds"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(
+                    f"Budget.{name} must be a finite number of seconds "
+                    f"or None, got {value!r}"
+                )
 
     # ------------------------------------------------------------------
     # Constructors

@@ -36,8 +36,6 @@ RTL.
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -390,118 +388,6 @@ def classify_cache_fault(
     )
 
 
-# ----------------------------------------------------------------------
-# Process-level worker faults (the scan supervisor's injection surface)
-# ----------------------------------------------------------------------
-#: What an injected worker fault does when it fires.
-WORKER_FAULT_KINDS = ("raise", "hang", "exit")
-
-
-@dataclass(frozen=True)
-class WorkerFaultSpec:
-    """One shard's injected misbehaviour inside a supervised worker.
-
-    ``kind`` is one of :data:`WORKER_FAULT_KINDS`:
-
-    * ``"raise"`` — raise a plain ``RuntimeError`` (a worker-side bug);
-    * ``"hang"`` — sleep for the plan's ``hang_seconds`` (a stuck shard
-      that only a per-task timeout can reclaim);
-    * ``"exit"`` — ``os._exit`` the worker process (an OOM kill /
-      segfault stand-in that bypasses all Python cleanup).
-
-    ``times`` limits the fault to the first N attempts on that shard
-    (requires the plan's ``marker_dir`` for cross-process attempt
-    counting); ``None`` fires on every attempt.
-    """
-
-    kind: str
-    times: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in WORKER_FAULT_KINDS:
-            raise ValueError(
-                f"unknown worker fault kind {self.kind!r}; "
-                f"use one of {WORKER_FAULT_KINDS}"
-            )
-
-
-@dataclass(frozen=True)
-class ProcessFaultPlan:
-    """Which shard indices misbehave, and how.
-
-    The plan is picklable and ships to every supervised worker when it
-    starts, so it survives worker replacement.  Attempt counting for
-    ``times``-limited faults goes through exclusive-create marker files
-    in ``marker_dir`` — the only channel that survives both ``spawn``
-    workers and supervisor-triggered worker terminations.
-    """
-
-    faults: Tuple[Tuple[int, WorkerFaultSpec], ...]
-    marker_dir: Optional[str] = None
-    #: How long a "hang" sleeps.  Far beyond any test timeout, but finite
-    #: so an escaped worker cannot outlive a CI job by days.
-    hang_seconds: float = 3600.0
-    exit_code: int = 86
-
-    @classmethod
-    def single(
-        cls,
-        index: int,
-        kind: str,
-        times: Optional[int] = None,
-        marker_dir: Optional[str] = None,
-        hang_seconds: float = 3600.0,
-    ) -> "ProcessFaultPlan":
-        """A plan faulting exactly one shard."""
-        return cls(
-            faults=((index, WorkerFaultSpec(kind, times)),),
-            marker_dir=marker_dir,
-            hang_seconds=hang_seconds,
-        )
-
-    def spec_for(self, index: int) -> Optional[WorkerFaultSpec]:
-        for shard_index, spec in self.faults:
-            if shard_index == index:
-                return spec
-        return None
-
-    def _should_fire(self, index: int, spec: WorkerFaultSpec) -> bool:
-        if spec.times is None:
-            return True
-        if self.marker_dir is None:
-            raise ValueError(
-                "WorkerFaultSpec.times requires ProcessFaultPlan.marker_dir"
-            )
-        for attempt in range(spec.times):
-            path = os.path.join(
-                self.marker_dir, f"shard{index}.attempt{attempt}"
-            )
-            try:
-                handle = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                continue
-            os.close(handle)
-            return True
-        return False
-
-    def fire(self, index: int) -> None:
-        """Called by the supervised worker before matching shard ``index``;
-        misbehaves per the spec, or returns immediately when the shard is
-        healthy (or its fault budget is spent)."""
-        spec = self.spec_for(index)
-        if spec is None or not self._should_fire(index, spec):
-            return
-        if spec.kind == "raise":
-            raise RuntimeError(
-                f"injected worker fault: shard {index} raises"
-            )
-        if spec.kind == "hang":
-            time.sleep(self.hang_seconds)
-            return
-        # "exit": die without cleanup, like an OOM kill.
-        os._exit(self.exit_code)
-
-
 __all__ = [
     "AlwaysMissCache",
     "AnyFault",
@@ -513,9 +399,6 @@ __all__ = [
     "FaultPlan",
     "FifoDropFault",
     "InstructionFault",
-    "ProcessFaultPlan",
-    "WORKER_FAULT_KINDS",
-    "WorkerFaultSpec",
     "classify_cache_fault",
     "classify_fifo_fault",
     "classify_instruction_fault",

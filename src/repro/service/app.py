@@ -28,7 +28,7 @@ closes), flush the metrics snapshot atomically, report
 Every admitted or shed request increments
 ``repro_service_requests_total{endpoint,status}`` exactly once, at the
 single point where its response bytes are written — the invariant the
-chaos suite reconciles against.
+service suite reconciles against.
 
 No step of this path creates a Task.  Each connection has one
 ``http.Deadline``: the idle wait, the head and each body read move its
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import os
 import signal
 import sys
@@ -63,7 +62,6 @@ from ..runtime.errors import (
     ServiceOverloadError,
     UnknownPatternError,
 )
-from ..runtime.faults import WORKER_FAULT_KINDS, ProcessFaultPlan
 from ..vm.streaming import StreamingMatcher
 from .config import ServiceConfig
 from .http import (
@@ -114,20 +112,19 @@ def _status_for(error: ReproError) -> int:
 
 #: How a 422 names each JSON type a field may take.
 _KINDS = {
-    bool: "a boolean", int: "an integer", float: "a number", str: "a string",
-    NoneType: "null",
+    bool: "a boolean", int: "an integer", str: "a string", NoneType: "null",
 }
 
 
-def _field(payload: dict, name: str, default, *types: type, within: str = ""):
+def _field(payload: dict, name: str, default, *types: type):
     """``payload[name]`` (``default`` when absent) when its type is
     exactly one of ``types`` (``true`` is no integer, ``1`` no boolean);
-    a 422 naming ``within + name`` otherwise."""
+    a 422 naming ``name`` otherwise."""
     value = payload.get(name, default)
     if type(value) in types:
         return value
     kind = " or ".join(_KINDS[allowed] for allowed in types)
-    raise HttpProtocolError(422, f"'{within}{name}' must be {kind}")
+    raise HttpProtocolError(422, f"'{name}' must be {kind}")
 
 
 class _Reply(NamedTuple):
@@ -627,36 +624,6 @@ class MatchService:
             # request may ask for every core (``0``) but never more.
             jobs = min(jobs, os.cpu_count() or 1)
         partial = _field(payload, "partial", False, bool)
-        fault_plan = None
-        fault = payload.get("fault")
-        if fault is not None:
-            if not isinstance(fault, dict):
-                raise HttpProtocolError(422, "'fault' must be an object")
-            if not self.config.chaos:
-                raise HttpProtocolError(
-                    422, "fault injection requires --chaos"
-                )
-            kind = _field(fault, "kind", "raise", str, within="fault.")
-            if kind not in WORKER_FAULT_KINDS:
-                raise HttpProtocolError(
-                    422, f"'fault.kind' must be one of {WORKER_FAULT_KINDS}"
-                )
-            hang_seconds = _field(
-                fault, "hang_seconds", 3600.0, int, float, within="fault."
-            )
-            if not 0 <= hang_seconds < math.inf:  # NaN fails both
-                raise HttpProtocolError(
-                    422, "'fault.hang_seconds' must be a finite number >= 0"
-                )
-            fault_plan = ProcessFaultPlan.single(
-                _field(fault, "index", 0, int, within="fault."),
-                kind,
-                times=_field(fault, "times", None, int, NoneType, within="fault."),
-                marker_dir=_field(
-                    fault, "marker_dir", None, str, NoneType, within="fault."
-                ),
-                hang_seconds=float(hang_seconds),
-            )
 
         def _scan():
             return self.engine.scan_corpus(
@@ -665,7 +632,6 @@ class MatchService:
                 chunk_bytes=chunk_bytes,
                 jobs=jobs,
                 strict=not partial,
-                fault_plan=fault_plan,
             )
 
         result = await self._in_executor(_scan)

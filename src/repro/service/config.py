@@ -35,9 +35,6 @@ class ServiceConfig:
     ``drain_seconds`` bounds shutdown: on SIGTERM the service stops
     accepting, lets in-flight work finish for at most this long, then
     cancels the rest with typed errors.
-
-    ``chaos`` gates the fault-injection request surface (``/scan``'s
-    ``fault`` parameter) — off in production, on in the chaos suite.
     """
 
     host: str = DEFAULT_HOST
@@ -54,7 +51,6 @@ class ServiceConfig:
     max_body_bytes: int = 64 * 1024 * 1024
     max_patterns_per_tenant: int = 4096
     stats_file: Optional[str] = None
-    chaos: bool = False
 
     def effective_request_seconds(self) -> float:
         if self.request_seconds is not None:

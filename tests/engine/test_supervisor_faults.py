@@ -1,11 +1,23 @@
-"""Process-level fault injection against the scan supervisor.
+"""Worker faults against the scan supervisor, through its core and its
+driver.
 
-The safety property under test (ISSUE 4's acceptance bar): an injected
-worker fault — a raised exception, a shard sleeping past the per-task
-budget, or a worker killed with ``os._exit`` — is **retried to success,
-quarantined with a typed error, or converted to a typed timeout**.
-Never a hang, never a silently dropped verdict: every healthy shard
-keeps its correct verdict and the run completes within its deadline.
+The safety property under test: a worker fault — a raised exception, a
+shard running past the per-task budget, or a worker that dies — is
+**retried to success, quarantined with a typed error, or converted to a
+typed timeout**.  Never a hang, never a silently dropped verdict: every
+healthy shard keeps its correct verdict and the run completes within
+its deadline.
+
+The policy scenarios (:class:`TestRaiseFault`, :class:`TestSystemicFault`
+and the like) play one event order through the pure
+:class:`~repro.engine.supervisor.SupervisorCore` with simulated workers
+(``supervisor_world.play``); ``test_supervisor_explorer.py`` checks the
+same invariants on every order.  The rest runs real worker processes
+for what only the driver does: a real EOF, a real hang killed at its
+deadline, the wall deadline, a worker dying idle and back-pressure.
+Those workers are forked after ``supervisor._run_shard`` (or
+``_serve``) is monkeypatched to misbehave, so no fault hook exists in
+the package.
 
 Wall-clock bounds in the assertions are deliberately loose (CI jitter);
 the hard guarantee is that these tests *finish at all* — an unsupervised
@@ -14,6 +26,7 @@ worker that hangs or exits would leave its caller waiting forever.
 
 import random
 import threading
+import time
 
 import pytest
 
@@ -21,7 +34,8 @@ from repro.engine import Engine, ScanReport
 from repro.engine import supervisor
 from repro.runtime.budget import DEFAULT_BUDGET
 from repro.runtime.errors import ShardQuarantinedError, TaskTimeoutError
-from repro.runtime.faults import ProcessFaultPlan, WorkerFaultSpec
+from supervisor_world import CRASH, HANG, RAISE, play
+from worker_faults import die, hang, misbehave
 
 PATTERN = "a(b|c)d"
 TEXTS = ["xabd", "zzz", "acd", "", "abdx", "nope", "aad", "xacdx"]
@@ -33,10 +47,12 @@ WALL_CEILING = 30.0
 
 
 def make_engine(max_retries=2, task_timeout=None, wall_timeout=None):
+    """An engine whose workers are forked, so they inherit
+    :func:`~worker_faults.misbehave`'s patch."""
     budget = DEFAULT_BUDGET.replace(
         max_task_seconds=task_timeout, max_wall_seconds=wall_timeout
     )
-    return Engine(budget=budget, retries=max_retries)
+    return Engine(budget=budget, retries=max_retries, mp_context="fork")
 
 
 def assert_healthy_shards_correct(report, faulted):
@@ -56,11 +72,7 @@ def assert_healthy_shards_correct(report, faulted):
 
 class TestRaiseFault:
     def test_persistent_raise_is_quarantined(self):
-        engine = make_engine(max_retries=2)
-        plan = ProcessFaultPlan.single(3, "raise")
-        report = engine.match_many(
-            PATTERN, TEXTS, jobs=2, strict=False, fault_plan=plan
-        )
+        report = play(PATTERN, TEXTS, {3: (RAISE, None)}, retries=2)
         assert_healthy_shards_correct(report, {3})
         outcome = report.outcomes[3]
         assert outcome.status == "quarantined"
@@ -69,37 +81,28 @@ class TestRaiseFault:
         # The quarantine error nests the worker's actual failure.
         assert outcome.error.last_error.code == "REPRO-SHARD-FAILED"
         assert "injected worker fault" in outcome.error.last_error.cause_message
-        assert report.retries >= 2 and report.quarantined == 1
-        assert report.elapsed < WALL_CEILING
+        assert report.retries == 2 and report.quarantined == 1
 
-    def test_transient_raise_is_retried_to_success(self, tmp_path):
-        engine = make_engine(max_retries=2)
-        plan = ProcessFaultPlan.single(
-            5, "raise", times=1, marker_dir=str(tmp_path)
-        )
-        report = engine.match_many(
-            PATTERN, TEXTS, jobs=2, strict=False, fault_plan=plan
-        )
+    def test_transient_raise_is_retried_to_success(self):
+        report = play(PATTERN, TEXTS, {5: (RAISE, 1)}, retries=2)
         assert_healthy_shards_correct(report, set())
         assert report.complete and report.chunk_matches == EXPECTED
         assert report.outcomes[5].attempts == 2
-        assert report.retries >= 1
+        assert report.retries == 1
 
     def test_strict_mode_raises_the_quarantine_error(self):
-        engine = make_engine(max_retries=0)
-        plan = ProcessFaultPlan.single(0, "raise")
+        report = play(PATTERN, TEXTS, {0: (RAISE, None)}, retries=0)
         with pytest.raises(ShardQuarantinedError) as excinfo:
-            engine.match_many(PATTERN, TEXTS, jobs=2, fault_plan=plan)
+            report.raise_first_error()
         assert excinfo.value.index == 0
         assert excinfo.value.last_error.code == "REPRO-SHARD-FAILED"
 
 
 class TestHangFault:
-    def test_hung_shard_becomes_typed_timeout(self):
-        engine = make_engine(task_timeout=0.75)
-        plan = ProcessFaultPlan.single(2, "hang")
-        report = engine.match_many(
-            PATTERN, TEXTS, jobs=2, strict=False, fault_plan=plan
+    def test_hung_shard_becomes_typed_timeout(self, monkeypatch):
+        misbehave(monkeypatch, {2}, hang)
+        report = make_engine(task_timeout=0.75).match_many(
+            PATTERN, TEXTS, jobs=2, strict=False
         )
         assert_healthy_shards_correct(report, {2})
         outcome = report.outcomes[2]
@@ -111,12 +114,11 @@ class TestHangFault:
         assert report.respawns >= 1
         assert report.elapsed < WALL_CEILING
 
-    def test_wall_deadline_settles_unfinished_shards(self):
+    def test_wall_deadline_settles_unfinished_shards(self, monkeypatch):
         # No per-task timeout: only the overall deadline can save the run.
-        engine = make_engine(wall_timeout=1.0)
-        plan = ProcessFaultPlan.single(1, "hang")
-        report = engine.match_many(
-            PATTERN, TEXTS, jobs=2, strict=False, fault_plan=plan
+        misbehave(monkeypatch, {1}, hang)
+        report = make_engine(wall_timeout=1.0).match_many(
+            PATTERN, TEXTS, jobs=2, strict=False
         )
         assert isinstance(report, ScanReport)
         hung = report.outcomes[1]
@@ -133,31 +135,25 @@ class TestHangFault:
 
 
 class TestExitFault:
-    def test_killed_worker_is_detected_and_quarantined(self):
-        engine = make_engine(max_retries=1)
-        plan = ProcessFaultPlan.single(4, "exit")
-        report = engine.match_many(
-            PATTERN, TEXTS, jobs=2, strict=False, fault_plan=plan
+    def test_killed_worker_is_detected_and_quarantined(self, monkeypatch):
+        misbehave(monkeypatch, {4}, die)
+        report = make_engine(max_retries=1).match_many(
+            PATTERN, TEXTS, jobs=2, strict=False
         )
         assert_healthy_shards_correct(report, {4})
         outcome = report.outcomes[4]
         assert outcome.status == "quarantined"
+        assert outcome.attempts == 2
         assert outcome.error.last_error.code == "REPRO-WORKER-CRASH"
         # Each crash costs the worker that ran the poison shard.
-        assert report.respawns >= 1
+        assert report.respawns == 2
         assert report.elapsed < WALL_CEILING
 
-    def test_transient_exit_is_retried_to_success(self, tmp_path):
-        engine = make_engine(max_retries=2)
-        plan = ProcessFaultPlan.single(
-            6, "exit", times=1, marker_dir=str(tmp_path)
-        )
-        report = engine.match_many(
-            PATTERN, TEXTS, jobs=2, strict=False, fault_plan=plan
-        )
+    def test_transient_exit_is_retried_to_success(self):
+        report = play(PATTERN, TEXTS, {6: (CRASH, 1)}, retries=2)
         assert_healthy_shards_correct(report, set())
         assert report.complete and report.chunk_matches == EXPECTED
-        assert report.respawns >= 1
+        assert report.respawns == 1
 
 
 class TestSystemicFault:
@@ -165,15 +161,10 @@ class TestSystemicFault:
         # 10 of 12 shards fail: each faulted shard is quarantined on its
         # own strikes, and the two healthy ones keep their verdicts —
         # nothing settles a shard it never ran.
-        engine = make_engine(max_retries=0)
         texts = ["xabd"] * 12
-        plan = ProcessFaultPlan(
-            faults=tuple(
-                (index, WorkerFaultSpec("raise")) for index in range(10)
-            )
-        )
-        report = engine.match_many(
-            PATTERN, texts, jobs=2, strict=False, fault_plan=plan
+        report = play(
+            PATTERN, texts, {index: (RAISE, None) for index in range(10)},
+            retries=0,
         )
         assert [outcome.index for outcome in report.outcomes] == list(range(12))
         for outcome in report.outcomes[:10]:
@@ -185,25 +176,17 @@ class TestSystemicFault:
             True, True,
         ]
         assert report.quarantined == 10 and report.retries == 0
-        assert report.elapsed < WALL_CEILING
 
 
 class TestMultipleFaults:
     def test_mixed_faults_all_settle_typed(self):
-        engine = make_engine(max_retries=1, task_timeout=0.75)
-        plan = ProcessFaultPlan(
-            faults=(
-                (1, WorkerFaultSpec("raise")),
-                (4, WorkerFaultSpec("hang")),
-            )
-        )
-        report = engine.match_many(
-            PATTERN, TEXTS, jobs=2, strict=False, fault_plan=plan
+        report = play(
+            PATTERN, TEXTS, {1: (RAISE, None), 4: (HANG, None)},
+            retries=1, task_timeout=0.75,
         )
         assert_healthy_shards_correct(report, {1, 4})
         assert report.outcomes[1].status == "quarantined"
         assert report.outcomes[4].status == "timeout"
-        assert report.elapsed < WALL_CEILING
 
 
 class TestAttribution:
@@ -212,12 +195,8 @@ class TestAttribution:
     shard alone, and the shards queued behind it go back unstruck."""
 
     def test_crash_strikes_only_the_shard_that_ran(self):
-        engine = make_engine(max_retries=1)
         texts = TEXTS * 4
-        plan = ProcessFaultPlan.single(4, "exit")
-        report = engine.match_many(
-            PATTERN, texts, jobs=2, strict=False, fault_plan=plan
-        )
+        report = play(PATTERN, texts, {4: (CRASH, None)}, retries=1)
         # One replaced worker per run of the poison shard, and a shard
         # is charged an attempt when it runs, not when it is sent.
         assert report.respawns == 2
@@ -232,17 +211,12 @@ class TestAttribution:
     def test_hang_mid_batch_requeues_the_unstarted_batch_mates(self):
         # The first batch of 8 shards over 2 workers is shards 0-3:
         # shard 1 hangs while 2 and 3 wait behind it in the same batch.
-        engine = make_engine(task_timeout=0.75)
-        plan = ProcessFaultPlan.single(1, "hang")
-        report = engine.match_many(
-            PATTERN, TEXTS, jobs=2, strict=False, fault_plan=plan
-        )
+        report = play(PATTERN, TEXTS, {1: (HANG, None)}, task_timeout=0.75)
         assert_healthy_shards_correct(report, {1})
         assert report.outcomes[1].status == "timeout"
         assert report.outcomes[1].attempts == 1
         assert [outcome.attempts for outcome in report.outcomes] == [1] * 8
         assert report.respawns == 1 and report.retries == 0
-        assert report.elapsed < WALL_CEILING
 
     def test_worker_dying_idle_is_replaced_without_a_strike(self, monkeypatch):
         # The worker given shard 0 exits after answering it, while the
@@ -268,10 +242,9 @@ class TestAttribution:
             "_serve",
             lambda conn, *args: serve(OneBatch(conn), *args),
         )
-        engine = Engine(mp_context="fork", retries=0)
-        plan = ProcessFaultPlan.single(1, "hang", hang_seconds=1.0)
-        report = engine.match_many(
-            PATTERN, ["xabd", "acd"], jobs=2, strict=False, fault_plan=plan
+        misbehave(monkeypatch, {1}, lambda data: time.sleep(1.0) or True)
+        report = make_engine(max_retries=0).match_many(
+            PATTERN, ["xabd", "acd"], jobs=2, strict=False
         )
         assert report.chunk_matches == [True, True]
         assert [outcome.attempts for outcome in report.outcomes] == [1, 1]

@@ -29,8 +29,8 @@ from repro.observability import (
 )
 from repro.runtime.budget import DEFAULT_BUDGET
 from repro.runtime.errors import VMStepBudgetError
-from repro.runtime.faults import ProcessFaultPlan
 from repro.vm.thompson import ThompsonVM
+from worker_faults import fail, hang, misbehave
 
 PATTERN = "a(b|c)d*e"
 TEXTS = ["xabd", "zzz", "acd", "", "abdx", "nope", "aad", "xacdx"]
@@ -184,13 +184,11 @@ class TestEngineMetricsReconcile:
         ) == 1
         assert registry.value("repro_scan_seconds")["count"] == 1
 
-    def test_quarantined_shards_accounted_once(self):
+    def test_quarantined_shards_accounted_once(self, monkeypatch):
         registry = MetricsRegistry()
-        engine = make_engine(metrics=registry)
-        report = engine.match_many(
-            "a(b|c)d", TEXTS, jobs=2, strict=False,
-            fault_plan=ProcessFaultPlan.single(3, "raise"),
-        )
+        engine = make_engine(metrics=registry, mp_context="fork")
+        misbehave(monkeypatch, {3}, fail)
+        report = engine.match_many("a(b|c)d", TEXTS, jobs=2, strict=False)
         assert report.outcomes[3].status == "quarantined"
         assert registry.sum_values("repro_scan_shards_total") == len(TEXTS)
         assert registry.value(
@@ -200,15 +198,14 @@ class TestEngineMetricsReconcile:
             "repro_scan_shards_total", labels={"status": "ok"}
         ) == len(TEXTS) - 1
 
-    def test_retried_shard_counts_once_and_retries_accumulate(self, tmp_path):
+    def test_retried_shard_counts_once_and_retries_accumulate(
+        self, monkeypatch, tmp_path
+    ):
         registry = MetricsRegistry()
-        engine = make_engine(max_retries=2, metrics=registry)
-        report = engine.match_many(
-            "a(b|c)d", TEXTS, jobs=2, strict=False,
-            fault_plan=ProcessFaultPlan.single(
-                5, "raise", times=1, marker_dir=str(tmp_path)
-            ),
-        )
+        engine = make_engine(max_retries=2, metrics=registry,
+                             mp_context="fork")
+        misbehave(monkeypatch, {5}, fail, once=tmp_path / "failed")
+        report = engine.match_many("a(b|c)d", TEXTS, jobs=2, strict=False)
         assert all(outcome.ok for outcome in report.outcomes)
         # The retried shard still settles exactly once.
         assert registry.sum_values("repro_scan_shards_total") == len(TEXTS)
@@ -218,13 +215,12 @@ class TestEngineMetricsReconcile:
         assert registry.value("repro_scan_retries_total") == report.retries
         assert report.retries >= 1
 
-    def test_timeout_shards_accounted_once(self):
+    def test_timeout_shards_accounted_once(self, monkeypatch):
         registry = MetricsRegistry()
-        engine = make_engine(task_timeout=0.5, metrics=registry)
-        report = engine.match_many(
-            "a(b|c)d", TEXTS, jobs=2, strict=False,
-            fault_plan=ProcessFaultPlan.single(2, "hang"),
-        )
+        engine = make_engine(task_timeout=0.5, metrics=registry,
+                             mp_context="fork")
+        misbehave(monkeypatch, {2}, hang)
+        report = engine.match_many("a(b|c)d", TEXTS, jobs=2, strict=False)
         assert report.outcomes[2].status == "timeout"
         # On a loaded box the respawn can push *other* pending shards
         # past their task clocks too — don't pin the timeout count, just

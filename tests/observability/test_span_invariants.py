@@ -4,15 +4,16 @@ Two layers of the same invariant. First, the tracer itself: for random
 span trees with exceptions thrown at random nodes, every opened span is
 closed and the exported parent/child structure validates. Second, the
 instrumented scan path: for random batches with random injected worker
-faults (``runtime.faults``' :class:`ProcessFaultPlan`, as in
-``tests/properties/test_prop_supervisor.py``), the engine's trace still
-validates, and the metrics registry accounts every shard exactly once
-across the four outcome statuses.
+faults (forked workers that raise on chosen shards, see
+``tests/worker_faults.py``), the engine's trace still validates, and
+the metrics registry accounts every shard exactly once across the four
+outcome statuses.
 
 ``max_examples`` on the supervised test is small because every example
 pays for worker processes.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from repro.observability import (
     parse_jsonl,
     validate_trace,
 )
-from repro.runtime.faults import ProcessFaultPlan, WorkerFaultSpec
+from worker_faults import fail, misbehave
 
 PATTERN = "a(b|c)d"
 CANDIDATES = ["abd", "acd", "zzz", "", "xxabdx", "ab", "aacdd", "bdbd"]
@@ -74,7 +75,7 @@ def test_random_span_trees_validate(tree):
 
 
 def _engine(tracer, metrics):
-    return Engine(retries=0, tracer=tracer, metrics=metrics)
+    return Engine(retries=0, tracer=tracer, metrics=metrics, mp_context="fork")
 
 
 @settings(max_examples=5, deadline=None)
@@ -86,17 +87,11 @@ def test_supervised_scan_trace_and_accounting_under_faults(texts, faulted):
     faulted = {index for index in faulted if index < len(texts)}
     tracer = Tracer()
     metrics = MetricsRegistry()
-    plan = None
-    if faulted:
-        plan = ProcessFaultPlan(
-            faults=tuple(
-                (index, WorkerFaultSpec("raise")) for index in sorted(faulted)
-            )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        misbehave(monkeypatch, faulted, fail)
+        report = _engine(tracer, metrics).match_many(
+            PATTERN, texts, jobs=2, strict=False
         )
-
-    report = _engine(tracer, metrics).match_many(
-        PATTERN, texts, jobs=2, strict=False, fault_plan=plan
-    )
 
     # -- tracing invariants: everything closed, structure validates ----
     assert tracer.open_spans == 0

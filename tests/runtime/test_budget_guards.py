@@ -3,6 +3,7 @@
 import pytest
 
 from repro import api
+from repro.arch.config import ConfigurationError
 from repro.compiler import DEFAULT_REGEX_PIPELINE, CompileOptions, NewCompiler
 from repro.engine import Engine
 from repro.frontend.errors import PatternNestingError
@@ -42,6 +43,20 @@ def test_replace_overrides_one_limit():
     tight = DEFAULT_BUDGET.replace(max_vm_steps=7)
     assert tight.max_vm_steps == 7
     assert tight.max_pattern_length == DEFAULT_BUDGET.max_pattern_length
+
+
+@pytest.mark.parametrize("name", [
+    "max_pass_seconds", "max_task_seconds", "max_wall_seconds",
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_seconds_are_rejected_when_built(name, value):
+    # An infinite task timeout used to overflow the supervisor's
+    # selector, and a NaN pass limit to disable its own check.
+    with pytest.raises(ConfigurationError, match=name):
+        Budget(**{name: value})
+    with pytest.raises(ConfigurationError, match=name):
+        DEFAULT_BUDGET.replace(**{name: value})
+    assert getattr(DEFAULT_BUDGET.replace(**{name: 2.5}), name) == 2.5
 
 
 def test_pattern_length_budget():

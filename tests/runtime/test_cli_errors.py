@@ -56,3 +56,15 @@ def test_invalid_architecture_config_is_structured(capsys):
     """--config validation errors surface as error[CODE], not tracebacks."""
     assert main(["run", "--config", "3x1", "ab", "ab"]) == EXIT_REPRO_ERROR
     assert "error[REPRO-ARCH-CONFIG]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--timeout", "inf"), ("--timeout", "nan"),
+    ("--wall-timeout", "nan"), ("--wall-timeout", "-inf"),
+])
+def test_non_finite_scan_timeout_is_a_structured_error(capsys, flag, value):
+    code = main(["scan", "--jobs", "2", f"{flag}={value}", "--text", "abd",
+                 "a(b|c)d"])
+    assert code == EXIT_REPRO_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error[REPRO-ARCH-CONFIG]") and "Traceback" not in err
