@@ -7,10 +7,10 @@ operand values, done.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from ...ir.diagnostics import CodegenError
-from ...isa.instructions import Instruction, Opcode
+from ...ir.diagnostics import CodegenError, VerificationError
+from ...isa.instructions import Instruction, Opcode, shared_instruction
 from ...isa.program import Program
 from .ops import (
     AcceptOp,
@@ -24,45 +24,70 @@ from .ops import (
 )
 
 
-#: Opcode per op class; the dialect maps 1:1 onto the ISA (§3.3).
-_OPCODES = {
-    AcceptOp: Opcode.ACCEPT,
-    AcceptPartialOp: Opcode.ACCEPT_PARTIAL,
-    SplitOp: Opcode.SPLIT,
-    JumpOp: Opcode.JMP,
-    MatchAnyOp: Opcode.MATCH_ANY,
-    MatchCharOp: Opcode.MATCH,
-    NotMatchCharOp: Opcode.NOT_MATCH,
+#: Per op class: its opcode and the attribute holding its operand, or
+#: ``None`` for the operand-free ones; the dialect maps 1:1 onto the ISA
+#: (§3.3).
+_ENCODINGS = {
+    AcceptOp: (Opcode.ACCEPT, None),
+    AcceptPartialOp: (Opcode.ACCEPT_PARTIAL, None),
+    SplitOp: (Opcode.SPLIT, SplitOp.TARGET_ATTR),
+    JumpOp: (Opcode.JMP, JumpOp.TARGET_ATTR),
+    MatchAnyOp: (Opcode.MATCH_ANY, None),
+    MatchCharOp: (Opcode.MATCH, "char"),
+    NotMatchCharOp: (Opcode.NOT_MATCH, "char"),
 }
-_OP_CLASSES = {opcode: op_class for op_class, opcode in _OPCODES.items()}
+_OP_CLASSES = {opcode: op_class for op_class, (opcode, _) in _ENCODINGS.items()}
 
 
 def generate_program(
     program_op: ProgramOp, source_pattern: str = "", compiler: str = ""
 ) -> Program:
-    """Emit the binary-level program for a ``cicero.program`` op."""
-    labels = program_op.label_map()
+    """Emit the binary-level program for a ``cicero.program`` op.
+
+    One walk encodes every op and records where each label sits; the
+    splits and jumps, whose targets may lie ahead, are encoded after it.
+    """
+    labels: Dict[str, int] = {}
+    branches = []
     instructions: List[Instruction] = []
     source_map: List[Optional[str]] = []
     attributed = False
     for address, op in enumerate(program_op.instructions):
-        opcode = _OPCODES.get(type(op))
-        if opcode is None:
+        encoding = _ENCODINGS.get(type(op))
+        if encoding is None:
             raise CodegenError(f"cannot encode op '{op.name}' at {address}")
+        opcode, operand_attr = encoding
         attributes = op.attributes
-        if opcode is Opcode.SPLIT or opcode is Opcode.JMP:
-            operand = labels[attributes[op.TARGET_ATTR].name]
-        elif opcode is Opcode.MATCH or opcode is Opcode.NOT_MATCH:
-            operand = attributes["char"].value
-        else:
+        if "sym_name" in attributes:
+            label = attributes["sym_name"].value
+            if label in labels:
+                raise VerificationError(f"duplicate label '{label}'", program_op)
+            labels[label] = address
+        if operand_attr is None:
             operand = 0
-        instructions.append(Instruction(opcode, operand))
+        elif operand_attr == "char":
+            operand = attributes["char"].value
+        else:  # a split or jump: encoded once every label is known
+            branches.append((address, op, opcode, attributes[operand_attr].name))
+            operand = 0
+        instructions.append(
+            shared_instruction((opcode, operand)) or Instruction(opcode, operand)
+        )
         source = attributes.get("source")
         if source is None:
             source_map.append(None)
         else:
             source_map.append(source.value)
             attributed = True
+    for address, op, opcode, target in branches:
+        operand = labels.get(target)
+        if operand is None:
+            raise CodegenError(
+                f"'{op.name}' at {address} targets undefined label '{target}'"
+            )
+        instructions[address] = (
+            shared_instruction((opcode, operand)) or Instruction(opcode, operand)
+        )
     return Program(
         instructions,
         source_pattern=source_pattern,

@@ -71,7 +71,7 @@ class _Emitter:
     place their label at the same position (e.g. a sub-regex join point
     coinciding with the end of an optional chain); the first pending
     label is attached to the instruction and the rest become aliases,
-    resolved over the whole program in :meth:`finish`.
+    resolved over the emitted splits and jumps in :meth:`finish`.
     """
 
     def __init__(self, block: Block):
@@ -81,6 +81,8 @@ class _Emitter:
         self._label_counter = 0
         self._pending_labels: List[SymbolRefAttr] = []
         self._aliases: Dict[str, SymbolRefAttr] = {}
+        #: Every split and jump emitted: the only ops an alias can reach.
+        self._branches: List[Operation] = []
         #: Stamped on every emitted instruction: the rendered top-level
         #: piece being lowered — the unit the profiler's "70% of steps
         #: burned in ``(a|ab|b)*``" reports speak in — or ``None``.
@@ -94,13 +96,16 @@ class _Emitter:
         """Attach ``label`` to the next emitted instruction."""
         self._pending_labels.append(label)
 
+    def _attach_pending(self, op: Operation) -> None:
+        canonical = self._pending_labels[0]
+        op.attributes["sym_name"] = StringAttr(canonical.name)
+        for alias in self._pending_labels[1:]:
+            self._aliases[alias.name] = canonical
+        self._pending_labels = []
+
     def emit(self, op: Operation, source: Optional[StringAttr] = None) -> Operation:
         if self._pending_labels:
-            canonical = self._pending_labels[0]
-            op.attributes["sym_name"] = StringAttr(canonical.name)
-            for alias in self._pending_labels[1:]:
-                self._aliases[alias.name] = canonical
-            self._pending_labels = []
+            self._attach_pending(op)
         source = source or self.source
         if source is not None:
             op.attributes["source"] = source
@@ -109,18 +114,41 @@ class _Emitter:
         self._operations.append(op)
         return op
 
+    def branch(
+        self, op_class, target: SymbolRefAttr, source: Optional[StringAttr] = None
+    ) -> None:
+        """Emit a split or jump to ``target``."""
+        op = op_class(target)
+        self._branches.append(op)
+        self.emit(op, source)
+
+    def emit_run(self, ops: List[Operation], branches: List[Operation]) -> None:
+        """Emit freshly built ``ops`` in order, the pending labels going to
+        the first; ``branches`` are the splits and jumps among them.  One
+        call for a whole character class."""
+        if self._pending_labels:
+            self._attach_pending(ops[0])
+        source = self.source
+        link = self._block_link
+        for op in ops:
+            if source is not None:
+                op.attributes["source"] = source
+            op._parent_block = link
+        self._operations.extend(ops)
+        self._branches.extend(branches)
+
     def finish(self) -> None:
         if self._pending_labels:
             raise LoweringError(
                 f"labels {[label.name for label in self._pending_labels]} "
                 "placed past the program end"
             )
-        if self._aliases:
-            for op in self._operations:
-                if isinstance(op, (SplitOp, JumpOp)):
-                    canonical = self._aliases.get(op.target)
-                    if canonical is not None:
-                        op.set_target(canonical)
+        aliases = self._aliases
+        if aliases:
+            for op in self._branches:
+                canonical = aliases.get(op.attributes[op.TARGET_ATTR].name)
+                if canonical is not None:
+                    op.attributes[op.TARGET_ATTR] = canonical
 
 
 def _atom_nullable(atom: Operation) -> bool:
@@ -149,7 +177,7 @@ class RegexToCiceroLowering:
     # ------------------------------------------------------------------
     def lower_atom(self, atom: Operation) -> None:
         if isinstance(atom, RegexMatchCharOp):
-            self.emitter.emit(MatchCharOp(atom.code))
+            self.emitter.emit(MatchCharOp(atom.attributes["char"]))
         elif isinstance(atom, RegexMatchAnyCharOp):
             self.emitter.emit(MatchAnyOp())
         elif isinstance(atom, RegexGroupOp):
@@ -166,27 +194,34 @@ class RegexToCiceroLowering:
 
     def lower_group(self, group: RegexGroupOp) -> None:
         emitter = self.emitter
-        emit = emitter.emit
         codes = group.charset.chars()
         if group.negated:
             # [^ab] -> not_match a; not_match b; match_any   (paper §3.3)
-            for code in codes:
-                emit(NotMatchCharOp(code))
-            emit(MatchAnyOp())
+            ops = [NotMatchCharOp(code) for code in codes]
+            ops.append(MatchAnyOp())
+            emitter.emit_run(ops, [])
             return
         if len(codes) == 1:
-            emit(MatchCharOp(codes[0]))
+            emitter.emit(MatchCharOp(codes[0]))
             return
-        # [abc] -> split chain over the members, joining after the class.
+        # [abc] -> split chain over the members, joining after the class:
+        # split(@g1); match a; jump(@G); g1: split(@g2); match b; ...
+        # Each member's split carries the label the previous one targets.
         join = emitter.fresh_label("G")
+        ops = []
+        branches = []
+        label = None
         for code in codes[:-1]:
             next_member = emitter.fresh_label("g")
-            emit(SplitOp(next_member))
-            emit(MatchCharOp(code))
-            emit(JumpOp(join))
-            emitter.place_label(next_member)
+            split = SplitOp(next_member, label)
+            jump = JumpOp(join)
+            ops += (split, MatchCharOp(code), jump)
+            branches += (split, jump)
+            label = next_member.name
         for code in codes[-1:]:  # the last member needs no split/jump
-            emit(MatchCharOp(code))
+            ops.append(MatchCharOp(code, label))
+        if ops:
+            emitter.emit_run(ops, branches)
         emitter.place_label(join)
 
     # ------------------------------------------------------------------
@@ -225,9 +260,9 @@ class RegexToCiceroLowering:
         loop = self.emitter.fresh_label("S")
         after = self.emitter.fresh_label("A")
         self.emitter.place_label(loop)
-        self.emitter.emit(SplitOp(after))
+        self.emitter.branch(SplitOp, after)
         self.lower_atom(atom)
-        self.emitter.emit(JumpOp(loop))
+        self.emitter.branch(JumpOp, loop)
         self.emitter.place_label(after)
 
     def _lower_plus(self, atom: Operation) -> None:
@@ -235,13 +270,13 @@ class RegexToCiceroLowering:
         loop = self.emitter.fresh_label("P")
         self.emitter.place_label(loop)
         self.lower_atom(atom)
-        self.emitter.emit(SplitOp(loop))
+        self.emitter.branch(SplitOp, loop)
 
     def _lower_optionals(self, atom: Operation, count: int) -> None:
         """``x{0,count}``: a chain of ``split(@after); x`` copies."""
         after = self.emitter.fresh_label("O")
         for _ in range(count):
-            self.emitter.emit(SplitOp(after))
+            self.emitter.branch(SplitOp, after)
             self.lower_atom(atom)
         self.emitter.place_label(after)
 
@@ -277,9 +312,9 @@ class RegexToCiceroLowering:
         join = self.emitter.fresh_label("J")
         for branch in branches[:-1]:
             next_branch = self.emitter.fresh_label("B")
-            self.emitter.emit(SplitOp(next_branch))
+            self.emitter.branch(SplitOp, next_branch)
             self._lower_nested_branch(branch)
-            self.emitter.emit(JumpOp(join))
+            self.emitter.branch(JumpOp, join)
             self.emitter.place_label(next_branch)
         self._lower_nested_branch(branches[-1])
         self.emitter.place_label(join)
@@ -303,9 +338,9 @@ class RegexToCiceroLowering:
             loop = emitter.fresh_label("PRE")
             body = emitter.fresh_label("BODY")
             emitter.place_label(loop)
-            emitter.emit(SplitOp(body), _PREFIX_SOURCE)
+            emitter.branch(SplitOp, body, _PREFIX_SOURCE)
             emitter.emit(MatchAnyOp(), _PREFIX_SOURCE)
-            emitter.emit(JumpOp(loop), _PREFIX_SOURCE)
+            emitter.branch(JumpOp, loop, _PREFIX_SOURCE)
             emitter.place_label(body)
 
         accept_label = emitter.fresh_label("ACC")
@@ -320,7 +355,7 @@ class RegexToCiceroLowering:
             next_branch = None
             if not is_last:
                 next_branch = emitter.fresh_label("B")
-                emitter.emit(SplitOp(next_branch), _ALTERNATION_SOURCE)
+                emitter.branch(SplitOp, next_branch, _ALTERNATION_SOURCE)
             ends_with_dollar = self.lower_branch(branch, top_level=True)
             if ends_with_dollar and root.has_suffix:
                 # A '$'-terminated branch of an implicit-suffix root needs
@@ -333,7 +368,7 @@ class RegexToCiceroLowering:
                 # after the first branch's jump (so that first jump
                 # targets the very next address — Jump Simplification's
                 # food).
-                emitter.emit(JumpOp(accept_label), _ACCEPT_SOURCE)
+                emitter.branch(JumpOp, accept_label, _ACCEPT_SOURCE)
                 if not accept_placed:
                     emitter.place_label(accept_label)
                     emitter.emit(default_acceptance(), _ACCEPT_SOURCE)

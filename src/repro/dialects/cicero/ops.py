@@ -36,16 +36,24 @@ from ...ir.operation import Operation
 CICERO_DIALECT = Dialect("cicero", "Low-level IR for the Cicero ISA (paper §3.3)")
 
 
+#: The regions of every instruction op: none, and one shared empty tuple
+#: rather than a list per op for the garbage collector to track.
+_NO_REGIONS = ()
+
+
 class CiceroInstructionOp(Operation):
-    """Base class of the seven instruction ops; handles labels."""
+    """Base class of the seven instruction ops; handles labels.
+
+    A compile builds hundreds of these, all region-free, so each
+    constructor fills the Operation slots itself, in one call, instead
+    of going through the generic attribute-wrapping, region-building
+    constructor.
+    """
 
     def __init__(self, label: Optional[str] = None, location=UNKNOWN_LOCATION):
-        # A compile builds hundreds of these, all region-free: fill the
-        # Operation slots directly instead of going through its generic
-        # attribute-wrapping, region-building constructor.
         self.name = self.OP_NAME
         self.attributes = {} if label is None else {"sym_name": StringAttr(label)}
-        self.regions = []
+        self.regions = _NO_REGIONS
         self._parent_block = None
         self.location = location
 
@@ -116,9 +124,16 @@ class _BranchOp(CiceroInstructionOp):
     TARGET_ATTR: str
 
     def __init__(self, target=None, label=None, location=UNKNOWN_LOCATION):
-        CiceroInstructionOp.__init__(self, label, location)
+        self.name = self.OP_NAME
+        attributes = {} if label is None else {"sym_name": StringAttr(label)}
         if target is not None:
-            self.set_target(target)
+            attributes[self.TARGET_ATTR] = (
+                target if type(target) is SymbolRefAttr else SymbolRefAttr(target)
+            )
+        self.attributes = attributes
+        self.regions = _NO_REGIONS
+        self._parent_block = None
+        self.location = location
 
     @property
     def target(self) -> str:
@@ -159,12 +174,18 @@ class MatchAnyOp(CiceroInstructionOp):
 
 
 class _CharOp(CiceroInstructionOp):
-    """A match or not-match: one byte operand under ``char``."""
+    """A match or not-match: one byte operand under ``char``: a
+    :class:`CharAttr`, a byte value or a one-character string."""
 
     def __init__(self, char=None, label=None, location=UNKNOWN_LOCATION):
-        CiceroInstructionOp.__init__(self, label, location)
+        self.name = self.OP_NAME
+        attributes = {} if label is None else {"sym_name": StringAttr(label)}
         if char is not None:
-            self.attributes["char"] = CharAttr(char)
+            attributes["char"] = char if type(char) is CharAttr else CharAttr(char)
+        self.attributes = attributes
+        self.regions = _NO_REGIONS
+        self._parent_block = None
+        self.location = location
 
     @property
     def code(self) -> int:

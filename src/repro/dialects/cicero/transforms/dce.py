@@ -35,7 +35,7 @@ def _reachable_flags(program: ProgramOp) -> bytearray:
             reachable[index] = 1
             op = instructions[index]
             if isinstance(op, TARGET_CARRYING_OPS):
-                worklist.append(labels[op.target])
+                worklist.append(labels[op.attributes[op.TARGET_ATTR].name])
             if not op.falls_through:
                 break
             index += 1

@@ -15,9 +15,10 @@ sweep (see :mod:`.dce`) removes instructions no longer reachable, e.g.
 the shared acceptance once every jump to it was duplicated away.
 
 Each rule is one sweep over the program's jumps.  They share a label →
-op table that every edit keeps current, and a rule that drops or
-substitutes instructions builds the new layout as a list and installs
-it once.
+op table and the list of jumps with their positions, which every edit
+keeps current, so no iteration walks the whole program to find them;
+a rule that drops or substitutes instructions builds the new layout as
+a list and installs it once.
 
 All rules strictly reduce the instruction count or the total jump
 offset, improving the code-locality metric ``D_offset`` — never the
@@ -42,6 +43,7 @@ from ..ops import (
 
 LabelTable = Dict[str, CiceroInstructionOp]
 Jumps = List[Tuple[int, JumpOp]]  # with their positions, in layout order
+_TARGET = JumpOp.TARGET_ATTR
 
 
 def _thread_jump_chains(jumps: Jumps, labels: LabelTable) -> bool:
@@ -56,8 +58,10 @@ def _thread_jump_chains(jumps: Jumps, labels: LabelTable) -> bool:
     # being followed, so meeting it again means the chain is a cycle.
     finals: Dict[JumpOp, Operation] = {}
     for _, op in jumps:
+        first = destination = labels[op.attributes[_TARGET].name]
+        if not isinstance(destination, JumpOp):
+            continue
         chain: List[JumpOp] = []
-        first = destination = labels[op.target]
         while isinstance(destination, JumpOp):
             if destination in finals:
                 destination = finals[destination]
@@ -87,7 +91,7 @@ def _duplicate_acceptance_targets(
     layout = None
     kept: Jumps = []
     for index, op in jumps:
-        destination = labels.get(op.target)
+        destination = labels.get(op.attributes[_TARGET].name)
         if not isinstance(destination, ACCEPTANCE_OPS):
             kept.append((index, op))
             continue
@@ -117,16 +121,21 @@ def _duplicate_acceptance_targets(
 def _remove_jumps_to_next(
     program: ProgramOp, jumps: Jumps, labels: LabelTable
 ) -> bool:
-    """Rule 1: drop jumps that target the very next instruction."""
+    """Rule 1: drop jumps that target the very next instruction.
+
+    The jumps that stay are renumbered in ``jumps``: each moves up by
+    the number of dropped jumps before it.
+    """
     instructions = program.instructions
+    last = len(instructions) - 1
     removed = set()
     # Label of a dropped jump → the label its references now mean.
     renamed: Dict[str, str] = {}
     for index, op in jumps:
-        if index + 1 == len(instructions):
+        if index == last:
             continue
         successor = instructions[index + 1]
-        if labels.get(op.target) is not successor:
+        if labels.get(op.attributes[_TARGET].name) is not successor:
             continue
         removed.add(index)
         own_label = op.attributes.get("sym_name")
@@ -140,8 +149,18 @@ def _remove_jumps_to_next(
                 successor.attributes["sym_name"] = own_label
     if not removed:
         return False
-    layout = [op for index, op in enumerate(instructions) if index not in removed]
+    layout = list(instructions)
+    for index in sorted(removed, reverse=True):
+        del layout[index]
     program.regions[0].entry_block.replace_operations(layout)
+    kept: Jumps = []
+    dropped = 0
+    for index, op in jumps:
+        if index in removed:
+            dropped += 1
+        else:
+            kept.append((index - dropped, op))
+    jumps[:] = kept
     if renamed:
         for label in renamed:
             del labels[label]
@@ -162,12 +181,12 @@ class JumpSimplificationPass(Pass):
     def run(self, root: Operation) -> None:
         for program in programs_under(root):
             labels = program.labelled_ops()
+            jumps = [
+                (index, op)
+                for index, op in enumerate(program.instructions)
+                if isinstance(op, JumpOp)
+            ]
             for _ in range(len(program.instructions) + 1):
-                jumps = [
-                    (index, op)
-                    for index, op in enumerate(program.instructions)
-                    if isinstance(op, JumpOp)
-                ]
                 changed = _thread_jump_chains(jumps, labels)
                 changed |= _duplicate_acceptance_targets(program, jumps, labels)
                 changed |= _remove_jumps_to_next(program, jumps, labels)

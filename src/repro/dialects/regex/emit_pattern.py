@@ -44,26 +44,28 @@ def _escape(code: int, inside_class: bool = False) -> str:
     return "\\" + char if char in _META else char
 
 
+#: Every byte value's rendering, outside and inside a character class.
+_ESCAPED = tuple(_escape(code) for code in range(256))
+_CLASS_ESCAPED = tuple(_escape(code, True) for code in range(256))
+
+_QUANTIFIERS = {(1, 1): "", (0, UNBOUNDED): "*", (1, UNBOUNDED): "+", (0, 1): "?"}
+
+
 def _emit_class(op: GroupOp) -> str:
-    parts: List[str] = []
+    parts: List[str] = ["[^" if op.negated else "["]
     for low, high in op.charset.ranges():
         if high - low >= 2:
-            parts.append(f"{_escape(low, True)}-{_escape(high, True)}")
+            parts.append(f"{_CLASS_ESCAPED[low]}-{_CLASS_ESCAPED[high]}")
         else:
-            parts.extend(_escape(code, True) for code in range(low, high + 1))
-    negation = "^" if op.negated else ""
-    return f"[{negation}{''.join(parts)}]"
+            parts.extend(_CLASS_ESCAPED[low:high + 1])
+    parts.append("]")
+    return "".join(parts)
 
 
 def _emit_quantifier(minimum: int, maximum: int) -> str:
-    if (minimum, maximum) == (1, 1):
-        return ""
-    if (minimum, maximum) == (0, UNBOUNDED):
-        return "*"
-    if (minimum, maximum) == (1, UNBOUNDED):
-        return "+"
-    if (minimum, maximum) == (0, 1):
-        return "?"
+    text = _QUANTIFIERS.get((minimum, maximum))
+    if text is not None:
+        return text
     if maximum == UNBOUNDED:
         return f"{{{minimum},}}"
     if minimum == maximum:
@@ -73,11 +75,11 @@ def _emit_quantifier(minimum: int, maximum: int) -> str:
 
 def _emit_atom(op: Operation) -> str:
     if isinstance(op, MatchCharOp):
-        return _escape(op.code)
-    if isinstance(op, MatchAnyCharOp):
-        return "."
+        return _ESCAPED[op.attributes["char"].value]
     if isinstance(op, GroupOp):
         return _emit_class(op)
+    if isinstance(op, MatchAnyCharOp):
+        return "."
     if isinstance(op, SubRegexOp):
         return "(" + _emit_alternation(op) + ")"
     if isinstance(op, DollarOp):
@@ -92,17 +94,16 @@ def emit_piece(op: PieceOp) -> str:
     each top-level piece onto the instructions emitted for it, so the
     profiler can attribute execution back to sub-patterns.
     """
-    minimum, maximum = op.bounds
     # A quantified multi-char construct needs no extra parens: atoms are
     # single chars, classes, or already-parenthesized sub-regexes.
-    return _emit_atom(op.atom) + _emit_quantifier(minimum, maximum)
+    return _emit_atom(op.atom) + _emit_quantifier(*op.bounds)
 
 
 def _emit_alternation(op) -> str:
-    branches = []
-    for concat in op.alternatives:
-        branches.append("".join(emit_piece(piece) for piece in concat.pieces))
-    return "|".join(branches)
+    return "|".join(
+        "".join([emit_piece(piece) for piece in concat.pieces])
+        for concat in op.alternatives
+    )
 
 
 def emit_pattern(root: RootOp) -> str:

@@ -39,7 +39,7 @@ from typing import Iterable, Optional
 
 from ...ir.attributes import BoolAttr, CharAttr, CharSetAttr, IntegerAttr
 from ...ir.context import Dialect
-from ...ir.diagnostics import VerificationError
+from ...ir.diagnostics import UNKNOWN_LOCATION, Location, VerificationError
 from ...ir.operation import Operation
 
 UNBOUNDED = -1
@@ -64,11 +64,16 @@ class RootOp(Operation):
 
     OP_NAME = "regex.root"
 
-    def __init__(self, has_prefix: bool = True, has_suffix: bool = True, **kwargs):
-        super().__init__(
-            attributes={"hasPrefix": has_prefix, "hasSuffix": has_suffix},
-            num_regions=1,
-            **kwargs,
+    def __init__(
+        self,
+        has_prefix: bool = True,
+        has_suffix: bool = True,
+        location: Location = UNKNOWN_LOCATION,
+    ):
+        self._init_slots(
+            {"hasPrefix": BoolAttr(has_prefix), "hasSuffix": BoolAttr(has_suffix)},
+            location,
+            body=True,
         )
 
     @property
@@ -106,8 +111,8 @@ class ConcatenationOp(Operation):
 
     OP_NAME = "regex.concatenation"
 
-    def __init__(self, **kwargs):
-        super().__init__(num_regions=1, **kwargs)
+    def __init__(self, location: Location = UNKNOWN_LOCATION):
+        self._init_slots({}, location, body=True)
 
     @property
     def pieces(self):
@@ -135,16 +140,16 @@ class PieceOp(Operation):
 
     OP_NAME = "regex.piece"
 
-    def __init__(self, **kwargs):
-        super().__init__(num_regions=1, **kwargs)
+    def __init__(self, location: Location = UNKNOWN_LOCATION):
+        self._init_slots({}, location, body=True)
 
     @property
     def atom(self) -> Operation:
-        return self.body_ops()[0]
+        return self.regions[0].blocks[0].operations[0]
 
     @property
     def quantifier(self) -> Optional["QuantifierOp"]:
-        ops = self.body_ops()
+        ops = self.regions[0].blocks[0].operations
         if len(ops) == 2:
             return ops[1]
         return None
@@ -152,10 +157,11 @@ class PieceOp(Operation):
     @property
     def bounds(self):
         """(min, max) applied to the atom; (1, 1) when unquantified."""
-        quantifier = self.quantifier
-        if quantifier is None:
+        ops = self.regions[0].blocks[0].operations
+        if len(ops) != 2:
             return (1, 1)
-        return (quantifier.minimum, quantifier.maximum)
+        attributes = ops[1].attributes
+        return (attributes["min"].value, attributes["max"].value)
 
     def set_bounds(self, minimum: int, maximum: int) -> None:
         """Set/replace/remove the quantifier to encode ``(min, max)``."""
@@ -197,8 +203,12 @@ class QuantifierOp(Operation):
 
     OP_NAME = "regex.quantifier"
 
-    def __init__(self, minimum: int = 1, maximum: int = 1, **kwargs):
-        super().__init__(attributes={"min": minimum, "max": maximum}, **kwargs)
+    def __init__(
+        self, minimum: int = 1, maximum: int = 1, location: Location = UNKNOWN_LOCATION
+    ):
+        self._init_slots(
+            {"min": IntegerAttr(minimum), "max": IntegerAttr(maximum)}, location
+        )
 
     @property
     def minimum(self) -> int:
@@ -224,11 +234,8 @@ class MatchCharOp(Operation):
 
     OP_NAME = "regex.match_char"
 
-    def __init__(self, char=None, **kwargs):
-        attributes = {}
-        if char is not None:
-            attributes["char"] = CharAttr(char)
-        super().__init__(attributes=attributes, **kwargs)
+    def __init__(self, char=None, location: Location = UNKNOWN_LOCATION):
+        self._init_slots({} if char is None else {"char": CharAttr(char)}, location)
 
     @property
     def code(self) -> int:
@@ -245,6 +252,9 @@ class MatchAnyCharOp(Operation):
 
     OP_NAME = "regex.match_any_char"
 
+    def __init__(self, location: Location = UNKNOWN_LOCATION):
+        self._init_slots({}, location)
+
     def verify_op(self) -> None:
         self.expect_num_regions(0)
 
@@ -255,10 +265,15 @@ class GroupOp(Operation):
 
     OP_NAME = "regex.group"
 
-    def __init__(self, chars: Iterable = (), negated: bool = False, **kwargs):
+    def __init__(
+        self,
+        chars: Iterable = (),
+        negated: bool = False,
+        location: Location = UNKNOWN_LOCATION,
+    ):
         charset = chars if isinstance(chars, CharSetAttr) else CharSetAttr(chars)
-        super().__init__(
-            attributes={"targetChars": charset, "negated": negated}, **kwargs
+        self._init_slots(
+            {"targetChars": charset, "negated": BoolAttr(negated)}, location
         )
 
     @property
@@ -287,8 +302,8 @@ class SubRegexOp(Operation):
 
     OP_NAME = "regex.sub_regex"
 
-    def __init__(self, **kwargs):
-        super().__init__(num_regions=1, **kwargs)
+    def __init__(self, location: Location = UNKNOWN_LOCATION):
+        self._init_slots({}, location, body=True)
 
     @property
     def alternatives(self):
@@ -308,6 +323,9 @@ class DollarOp(Operation):
     """Match the end of the input string."""
 
     OP_NAME = "regex.dollar"
+
+    def __init__(self, location: Location = UNKNOWN_LOCATION):
+        self._init_slots({}, location)
 
     def verify_op(self) -> None:
         self.expect_num_regions(0)

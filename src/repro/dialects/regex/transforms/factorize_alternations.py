@@ -76,15 +76,16 @@ class FactorizeCommonPrefix(RewritePattern):
     piece and factors their longest common prefix.  The greedy driver
     iterates this (and re-offers the new inner sub-regex) to a fixpoint,
     so ``this|that|those`` converges to ``th(is|at|ose)`` and
-    ``bc|bd`` inside a group converges to ``b(c|d)``.
+    ``bc|bd`` inside a group converges to ``b(c|d)``.  One instance
+    anchors on ``regex.root``, one on ``regex.sub_regex``.
     """
 
-    op_name = None  # anchors on regex.root and regex.sub_regex
     benefit = 1
 
+    def __init__(self, op_name: str):
+        self.op_name = op_name
+
     def match_and_rewrite(self, op: Operation) -> bool:
-        if not isinstance(op, (RootOp, SubRegexOp)):
-            return False
         block = op.regions[0].entry_block
         branches = list(block.operations)
         if len(branches) < 2:
@@ -122,4 +123,7 @@ class FactorizeCommonPrefix(RewritePattern):
 
 
 def factorize_patterns() -> List[RewritePattern]:
-    return [FactorizeCommonPrefix()]
+    return [
+        FactorizeCommonPrefix(RootOp.OP_NAME),
+        FactorizeCommonPrefix(SubRegexOp.OP_NAME),
+    ]

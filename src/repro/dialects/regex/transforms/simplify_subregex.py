@@ -41,10 +41,8 @@ class InlineUnquantifiedSubRegex(RewritePattern):
     benefit = 2
 
     def match_and_rewrite(self, op: Operation) -> bool:
-        if op.bounds != (1, 1):
-            return False
         atom = op.atom
-        if not isinstance(atom, SubRegexOp):
+        if not isinstance(atom, SubRegexOp) or op.bounds != (1, 1):
             return False
         branch = _single_branch(atom)
         if branch is None:
@@ -63,11 +61,11 @@ class HoistQuantifierIntoSubRegex(RewritePattern):
     benefit = 2
 
     def match_and_rewrite(self, op: Operation) -> bool:
-        if op.bounds == (1, 1):
-            return False  # handled by InlineUnquantifiedSubRegex
         atom = op.atom
         if not isinstance(atom, SubRegexOp):
             return False
+        if op.bounds == (1, 1):
+            return False  # handled by InlineUnquantifiedSubRegex
         branch = _single_branch(atom)
         if branch is None or len(branch.pieces) != 1:
             return False
@@ -84,15 +82,16 @@ class SpliceAlternationSubRegex(RewritePattern):
     """``(a|b)`` alone in a branch → hoist its branches to the parent.
 
     Matches on the *parent* alternation container so replacing whole
-    branches is a local rewrite.
+    branches is a local rewrite; one instance anchors on ``regex.root``,
+    one on ``regex.sub_regex``.
     """
 
-    op_name = None  # anchors on regex.root and regex.sub_regex
     benefit = 1
 
+    def __init__(self, op_name: str):
+        self.op_name = op_name
+
     def match_and_rewrite(self, op: Operation) -> bool:
-        if not isinstance(op, (RootOp, SubRegexOp)):
-            return False
         block = op.regions[0].entry_block
         for branch in list(block.operations):
             pieces = branch.pieces
@@ -118,5 +117,6 @@ def simplify_subregex_patterns() -> List[RewritePattern]:
     return [
         InlineUnquantifiedSubRegex(),
         HoistQuantifierIntoSubRegex(),
-        SpliceAlternationSubRegex(),
+        SpliceAlternationSubRegex(RootOp.OP_NAME),
+        SpliceAlternationSubRegex(SubRegexOp.OP_NAME),
     ]

@@ -607,6 +607,10 @@ class _Supervisor:
                         self.core.send_failed(time.monotonic(), slot)
                     )
 
+    def _holds(self, slot: int, conn) -> bool:
+        """Is ``conn`` the open pipe of the worker in ``slot``?"""
+        return self.workers[slot].conn is conn and not conn.closed
+
     def run(self) -> ScanReport:
         tracer = self.core.tracer
         if tracer.enabled:
@@ -635,17 +639,22 @@ class _Supervisor:
                 now = time.monotonic()
                 for key, _ in ready:
                     slot = key.data
-                    conn = self.workers[slot].conn
-                    if conn is not key.fileobj:
-                        continue  # replaced since the select
-                    try:
-                        tag, value, counters = conn.recv()
-                    except (EOFError, OSError):
-                        self._apply(core.eof(now, slot))
-                    else:
+                    conn = key.fileobj
+                    # A worker answers a whole batch: read every answer
+                    # already queued on its pipe before selecting again,
+                    # while the slot still holds that pipe.
+                    while self._holds(slot, conn):
+                        try:
+                            tag, value, counters = conn.recv()
+                        except (EOFError, OSError):
+                            self._apply(core.eof(now, slot))
+                            break
                         self._apply(
                             core.answer(now, slot, tag, value, counters)
                         )
+                        if not (self._holds(slot, conn) and conn.poll(0)):
+                            break
+                        now = time.monotonic()
                 if wake is not None and now >= wake:
                     self._apply(core.tick(now))
         finally:

@@ -117,6 +117,9 @@ class CharAttr(Attribute):
     __slots__ = ("value",)
 
     def __new__(cls, value):
+        shared = _CHAR_ATTRS.get(value)
+        if shared is not None:  # ``value`` is a byte value seen before
+            return shared
         if isinstance(value, str):
             if len(value) != 1:
                 raise IRError(f"CharAttr expects one character, got {value!r}")

@@ -100,14 +100,16 @@ class Block:
         return None if link is None else link()
 
     def append(self, op: "Operation") -> "Operation":
-        if op.parent_block is not None:
+        held = op._parent_block
+        if held is not None and held() is not None:
             raise IRError("operation already belongs to a block")
         op._parent_block = _ref(self)
         self.operations.append(op)
         return op
 
     def insert(self, index: int, op: "Operation") -> "Operation":
-        if op.parent_block is not None:
+        held = op._parent_block
+        if held is not None and held() is not None:
             raise IRError("operation already belongs to a block")
         op._parent_block = _ref(self)
         self.operations.insert(index, op)
@@ -150,6 +152,17 @@ class Block:
         return len(self.operations)
 
 
+def _region_of(op: "Operation") -> Region:
+    """A new region of ``op`` holding one new, empty block."""
+    region = Region.__new__(Region)
+    region._parent_op = _ref(op)
+    block = Block.__new__(Block)
+    block._parent_region = _ref(region)
+    block.operations = []
+    region.blocks = [block]
+    return region
+
+
 class Operation:
     """A generic IR operation.
 
@@ -180,11 +193,23 @@ class Operation:
                 self.attributes[key] = (
                     value if isinstance(value, Attribute) else wrap_attribute(value)
                 )
-        self.regions: List[Region] = []
-        for _ in range(num_regions):
-            region = Region(parent_op=self)
-            region.add_block()
-            self.regions.append(region)
+        self.regions: List[Region] = [_region_of(self) for _ in range(num_regions)]
+        self._parent_block = None
+        self.location = location
+
+    def _init_slots(
+        self,
+        attributes: Dict[str, Attribute],
+        location: Location = UNKNOWN_LOCATION,
+        body: bool = False,
+    ) -> None:
+        """Fill every slot of a freshly built op: ``attributes`` ready-made,
+        and with ``body`` one region holding one empty block.  Dialect
+        constructors call this in place of the generic ``__init__``,
+        which wraps values and builds any number of regions."""
+        self.name = self.OP_NAME
+        self.attributes = attributes
+        self.regions = [_region_of(self)] if body else []
         self._parent_block = None
         self.location = location
 
@@ -217,8 +242,7 @@ class Operation:
     # Region helpers
     # ------------------------------------------------------------------
     def add_region(self) -> Region:
-        region = Region(parent_op=self)
-        region.add_block()
+        region = _region_of(self)
         self.regions.append(region)
         return region
 

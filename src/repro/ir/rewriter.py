@@ -89,15 +89,21 @@ class GreedyRewriteDriver:
         iteration budget ended the run instead of a fixpoint.
         """
         stats = RewriteStatistics()
+        by_name = self._by_op_name
         for _ in range(self.max_iterations):
             stats.iterations += 1
             changed = False
             # Post-order so children are simplified before their parents,
             # which lets parent patterns assume canonical children.
             for op in root.walk_post_order():
+                patterns = by_name.get(op.name)
+                if patterns is None:
+                    patterns = self._patterns_for(op)
+                if not patterns:
+                    continue
                 if op is not root and op.parent_block is None:
                     continue  # erased by an earlier rewrite this sweep
-                for pattern in self._patterns_for(op):
+                for pattern in patterns:
                     if pattern.match_and_rewrite(op):
                         stats.record(pattern)
                         changed = True

@@ -154,6 +154,12 @@ class Instruction:
 #: The one :class:`Instruction` per ``(opcode, operand)``, filled on first use.
 _INSTRUCTIONS: dict = {}
 
+#: ``shared_instruction((opcode, operand))`` is that instruction if it has
+#: been built before, else ``None``: one dict lookup where calling
+#: :class:`Instruction` costs a constructor call, for code generators
+#: that encode the same few instructions over and over.
+shared_instruction = _INSTRUCTIONS.get
+
 
 def _check_operand_type(operand) -> int:
     """An ``int`` subclass other than ``bool`` as a plain ``int``."""

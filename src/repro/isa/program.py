@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional
 
 from ..ir.diagnostics import CodegenError
@@ -10,6 +12,15 @@ from .instructions import Instruction, MAX_PROGRAM_LENGTH, Opcode
 
 if TYPE_CHECKING:  # circular at runtime: prefilter executes programs
     from ..prefilter.analysis import PrefilterAnalysis
+
+_opcode_of = attrgetter("opcode")
+_operand_of = attrgetter("operand")
+_BRANCHES = frozenset({Opcode.SPLIT, Opcode.JMP})
+_ACCEPTANCES = frozenset({Opcode.ACCEPT, Opcode.ACCEPT_PARTIAL})
+#: Opcodes that continue at PC+1 (a split forks to it).
+_FALLS_THROUGH = frozenset(
+    {Opcode.MATCH_ANY, Opcode.MATCH, Opcode.NOT_MATCH, Opcode.SPLIT}
+)
 
 
 @dataclass
@@ -74,24 +85,27 @@ class Program:
                 f"program of {len(self.instructions)} instructions exceeds "
                 f"the {MAX_PROGRAM_LENGTH}-entry address space"
             )
-        length = len(self.instructions)
-        has_acceptance = False
-        for address, instruction in enumerate(self.instructions):
-            opcode = instruction.opcode
-            if opcode is Opcode.SPLIT or opcode is Opcode.JMP:
-                if instruction.operand >= length:
+        # Whole-list passes in C: opcodes are tested by set membership,
+        # and only a failing program is walked in Python for the message.
+        instructions = self.instructions
+        length = len(instructions)
+        opcodes = list(map(_opcode_of, instructions))
+        targets = compress(
+            map(_operand_of, instructions), map(_BRANCHES.__contains__, opcodes)
+        )
+        if max(targets, default=-1) >= length:
+            for address, instruction in enumerate(instructions):
+                if instruction.opcode in _BRANCHES and instruction.operand >= length:
                     raise CodegenError(
                         f"instruction {address} targets address "
                         f"{instruction.operand} beyond program end"
                     )
-            elif opcode is Opcode.ACCEPT or opcode is Opcode.ACCEPT_PARTIAL:
-                has_acceptance = True
-        if not has_acceptance:
+        if _ACCEPTANCES.isdisjoint(opcodes):
             raise CodegenError("program has no acceptance instruction")
         # MATCH/NOT_MATCH/MATCH_ANY continue at PC+1 and SPLIT forks to
         # it; at the last address that successor does not exist.
-        last = self.instructions[-1]
-        if last.opcode.is_match or last.opcode is Opcode.SPLIT:
+        last = instructions[-1]
+        if last.opcode in _FALLS_THROUGH:
             raise CodegenError(
                 f"last instruction {last.opcode.mnemonic} falls through "
                 "past program end"

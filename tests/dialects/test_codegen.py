@@ -5,6 +5,7 @@ import pytest
 from repro.compiler import CompileOptions, compile_regex
 from repro.dialects.cicero.codegen import generate_program, program_to_dialect
 from repro.dialects.cicero.ops import (
+    AcceptOp,
     AcceptPartialOp,
     JumpOp,
     MatchCharOp,
@@ -41,6 +42,22 @@ def test_undefined_label_fails_verification():
     program_op.regions[0].entry_block.append(JumpOp("ghost"))
     with pytest.raises(VerificationError):
         program_op.verify()
+
+
+def test_undefined_label_is_a_codegen_error():
+    """A pass that drops a labelled op without renaming its references
+    leaves a dangling target: codegen names the op, its address and the
+    label, in the typed taxonomy, rather than leaking a KeyError."""
+    program_op = ProgramOp()
+    block = program_op.regions[0].entry_block
+    block.append(JumpOp("nowhere"))
+    block.append(AcceptOp())
+    with pytest.raises(CodegenError) as caught:
+        generate_program(program_op)
+    message = str(caught.value)
+    assert "cicero.jump" in message and "at 0" in message
+    assert "'nowhere'" in message
+    assert caught.value.code == "REPRO-CODEGEN"
 
 
 def test_duplicate_label_rejected():

@@ -17,11 +17,13 @@ import pytest
 import repro.compiler as compiler_module
 import repro.dialects.cicero.lowering as lowering_module
 import repro.ir.attributes as attributes_module
+import repro.dialects.cicero.ops as cicero_ops
 from repro.compiler import CompileOptions, NewCompiler
-from repro.dialects.cicero.ops import ACCEPTANCE_OPS, CiceroInstructionOp, ProgramOp
+from repro.dialects.cicero.ops import ACCEPTANCE_OPS, ProgramOp
 from repro.dialects.cicero.transforms import jump_simplification
-from repro.dialects.regex.ops import DollarOp, GroupOp
-from repro.ir.operation import Block
+from repro.dialects.regex.ops import DollarOp, GroupOp, PieceOp
+from repro.ir.operation import Block, Operation
+from repro.isa.program import Program
 
 PATTERNS = [
     "a(b|c)d*e",
@@ -52,6 +54,17 @@ def counting(counts: Counter, owner, name: str, key: str, when=lambda: True):
     return patched(owner, name, wrapper)
 
 
+def counting_reads(counts: Counter, owner, name: str, key: str):
+    """Patch the property ``owner.name`` to count its reads under ``key``."""
+    getter = getattr(owner, name).fget
+
+    def wrapper(self):
+        counts[key] += 1
+        return getter(self)
+
+    return patched(owner, name, property(wrapper))
+
+
 def counted_compile(pattern: str):
     """``NewCompiler().compile(pattern)`` plus how often it did what."""
     counts = Counter()
@@ -77,10 +90,19 @@ def counted_compile(pattern: str):
             (ProgramOp, "_label_table", "label tables"),
             (lowering_module, "emit_piece", "emit_piece"),
             (attributes_module, "_set_bits", "mask decodes"),
-            (CiceroInstructionOp, "__init__", "cicero ops built"),
+            # Each instruction op's constructor fills its own slots.
+            (cicero_ops.CiceroInstructionOp, "__init__", "cicero ops built"),
+            (cicero_ops._BranchOp, "__init__", "cicero ops built"),
+            (cicero_ops._CharOp, "__init__", "cicero ops built"),
             (jump_simplification, "_thread_jump_chains", "jump sweeps"),
+            (Program, "validate", "program validations"),
         ]:
             stack.enter_context(counting(counts, owner, name, key))
+        for owner, name, key in [
+            (PieceOp, "bounds", "bounds reads"),
+            (Operation, "parent_block", "parent_block reads"),
+        ]:
+            stack.enter_context(counting_reads(counts, owner, name, key))
         for name in ("index_of", "remove"):
             stack.enter_context(
                 counting(counts, Block, name, "block scans", in_cicero_passes)
@@ -103,6 +125,11 @@ def group_ops(result) -> int:
     return sum(isinstance(op, GroupOp) for op in result.regex_module.walk())
 
 
+def piece_ops(result) -> int:
+    """Pieces of the optimized module, nested ones included."""
+    return sum(isinstance(op, PieceOp) for op in result.regex_module.walk())
+
+
 def acceptance_duplicates(pattern: str, lowered_acceptances: int) -> int:
     """Acceptances Jump Simplification adds, read off a compile without DCE."""
     no_dce = CompileOptions(cicero_pipeline=("cicero-jump-simplification",))
@@ -117,10 +144,20 @@ def acceptance_duplicates(pattern: str, lowered_acceptances: int) -> int:
 @pytest.mark.parametrize("pattern", PATTERNS)
 def test_one_compile_does_each_piece_of_work_once(pattern):
     counts, lowered, result = counted_compile(pattern)
-    # Label tables: one for Jump Simplification (label → op), one each
-    # for DCE and codegen (label → address) — never one per erased jump.
-    assert counts["label_map"] <= 2
-    assert counts["label tables"] == 3
+    # Label tables: one for Jump Simplification (label → op), one for
+    # DCE (label → address) — never one per erased jump.  Codegen finds
+    # the labels in the walk that encodes the ops.
+    assert counts["label_map"] == 1
+    assert counts["label tables"] == 2
+    # The finished program is checked once, as it is built.
+    assert counts["program validations"] == 1
+    # A piece's bounds are read once by each stage that needs them — the
+    # prefilter analysis, the lowering and its provenance rendering — and
+    # by the rewrite patterns only for sub-regex and boundary pieces.
+    assert counts["bounds reads"] <= 4 * piece_ops(result)
+    # The rewrite driver asks whether an op was erased only of the ops a
+    # pattern anchors on.
+    assert counts["parent_block reads"] < 3 * piece_ops(result)
     # Provenance is rendered for the outermost pieces only.
     assert counts["emit_piece"] == top_level_pieces(result)
     # A character class is decoded once, however many copies {m,n} makes
@@ -150,7 +187,10 @@ def test_work_counts_do_not_grow_with_the_program():
     small_counts, small_lowered, small = counted_compile(alternation(50))
     large_counts, large_lowered, large = counted_compile(alternation(400))
     assert large_lowered["ops"] > 7 * small_lowered["ops"]
-    for key in ("label_map", "label tables", "block scans", "jump sweeps"):
+    for key in (
+        "label_map", "label tables", "block scans", "jump sweeps",
+        "program validations",
+    ):
         assert large_counts[key] == small_counts[key], key
     for counts, lowered, result in (
         (small_counts, small_lowered, small),
