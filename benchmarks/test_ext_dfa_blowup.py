@@ -13,31 +13,46 @@ bounded-gap motifs of Protomata are alternated.
 from collections import deque
 
 from repro.compiler import compile_regex
+from repro.prefilter.lazydfa import branch_components
 from repro.vm.kernel import DispatchTables
 
 from common import benchmark_data, format_table, print_banner
 
-DFA_BUDGET = 3000
+DFA_BUDGET = 20_000
 
 
-def dfa_states(program):
-    """The reachable work-PC masks of ``program``'s step table (a state
-    per mask; firing and dead transitions intern none, as in the lazy
-    DFA), or ``None`` past :data:`DFA_BUDGET`."""
-    tables = DispatchTables(program)
-    seen = {tables.entry}
+def dfa_states(tables, keep=None, budget=DFA_BUDGET):
+    """The reachable work-PC masks of the step table (a state per mask;
+    firing and dead transitions intern none, as in the lazy DFA), or
+    ``None`` past ``budget``.  ``keep`` restricts the masks to one
+    branch DFA's PCs."""
+    next_mask = tables.next_mask if keep is None else keep | tables.fires
+    entry = tables.entry & next_mask
+    seen = {entry}
     queue = deque(seen)
     while queue:
         state = queue.popleft()
         for byte_class in range(tables.num_classes):
-            successor = tables.step(state, byte_class) & tables.next_mask
+            successor = tables.step(state, byte_class) & next_mask
             if successor in seen or not successor or successor >= tables.fires:
                 continue
-            if len(seen) == DFA_BUDGET:
+            if len(seen) == budget:
                 return None
             seen.add(successor)
             queue.append(successor)
     return len(seen)
+
+
+def branch_states(tables):
+    """Each branch DFA's states when the program splits, else ``None``;
+    the branches share one :data:`DFA_BUDGET` between them."""
+    counts = []
+    for keep in branch_components(tables):
+        states = dfa_states(tables, keep, DFA_BUDGET - sum(counts))
+        if states is None:
+            return None
+        counts.append(states)
+    return counts or None
 
 
 def test_ext_dfa_blowup(benchmark):
@@ -49,9 +64,10 @@ def test_ext_dfa_blowup(benchmark):
         for group, patterns in (("protomata", protomata), ("protomata4", protomata4)):
             for index, pattern in enumerate(patterns):
                 program = compile_regex(pattern).program
+                tables = DispatchTables(program)
                 rows.append(
                     (f"{group}[{index}]", len(pattern), len(program),
-                     dfa_states(program))
+                     dfa_states(tables), branch_states(tables))
                 )
         return rows
 
@@ -59,21 +75,26 @@ def test_ext_dfa_blowup(benchmark):
 
     print_banner(f"Extension — DFA blow-up (§1), budget {DFA_BUDGET} states")
     print(format_table(
-        ["pattern", "Cicero instr", "DFA states", "blow-up"],
+        ["pattern", "Cicero instr", "DFA states", "blow-up", "per-branch DFAs"],
         [
             (name, instr,
              states if states is not None else f">{DFA_BUDGET}",
-             "no" if states is not None else "yes")
-            for name, _length, instr, states in rows
+             "no" if states is not None else "yes",
+             "-" if branches is None
+             else " + ".join(map(str, branches)) + f" = {sum(branches)}")
+            for name, _length, instr, states, branches in rows
         ],
     ))
 
     # Cicero programs stay linear in the pattern...
-    for name, length, instr, _states in rows:
+    for name, length, instr, _states, _branches in rows:
         assert instr <= 2 * length, name
-    # ...while both alternated patterns blow the DFA budget.
-    assert all(row[3] is None for row in rows if row[0].startswith("protomata4"))
+    # ...while both alternated patterns blow the DFA budget, and their
+    # branches, one DFA each, fit it together: a sum, not a product.
+    alternated = [row for row in rows if row[0].startswith("protomata4")]
+    assert all(states is None for _n, _l, _i, states, _b in alternated)
+    assert all(branches is not None for _n, _l, _i, _s, branches in alternated)
     # Every DFA that did fit is still larger than its program.
-    for name, _length, instr, states in rows:
+    for name, _length, instr, states, _branches in rows:
         if states is not None:
             assert states > instr, name

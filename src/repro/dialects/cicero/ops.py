@@ -263,9 +263,14 @@ class ProgramOp(Operation):
         labels = self.label_map()
         for op in self.instructions:
             if isinstance(op, TARGET_CARRYING_OPS) and op.target not in labels:
-                raise VerificationError(
-                    f"'{op.name}' targets undefined label '{op.target}'", self
-                )
+                raise undefined_label(op, self)
+
+
+def undefined_label(op: Operation, where: Operation) -> VerificationError:
+    """The typed error for ``op``, whose target no instruction carries."""
+    return VerificationError(
+        f"'{op.name}' targets undefined label '{op.target}'", where
+    )
 
 
 def programs_under(root: Operation) -> List[ProgramOp]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ....ir.operation import Operation
 from ....ir.pass_manager import Pass, register_pass
-from ..ops import ProgramOp, TARGET_CARRYING_OPS, programs_under
+from ..ops import ProgramOp, TARGET_CARRYING_OPS, programs_under, undefined_label
 
 
 def _reachable_flags(program: ProgramOp) -> bytearray:
@@ -35,7 +35,10 @@ def _reachable_flags(program: ProgramOp) -> bytearray:
             reachable[index] = 1
             op = instructions[index]
             if isinstance(op, TARGET_CARRYING_OPS):
-                worklist.append(labels[op.attributes[op.TARGET_ATTR].name])
+                target = labels.get(op.attributes[op.TARGET_ATTR].name)
+                if target is None:
+                    raise undefined_label(op, program)
+                worklist.append(target)
             if not op.falls_through:
                 break
             index += 1

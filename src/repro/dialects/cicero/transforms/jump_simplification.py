@@ -39,6 +39,7 @@ from ..ops import (
     ProgramOp,
     TARGET_CARRYING_OPS,
     programs_under,
+    undefined_label,
 )
 
 LabelTable = Dict[str, CiceroInstructionOp]
@@ -58,7 +59,9 @@ def _thread_jump_chains(jumps: Jumps, labels: LabelTable) -> bool:
     # being followed, so meeting it again means the chain is a cycle.
     finals: Dict[JumpOp, Operation] = {}
     for _, op in jumps:
-        first = destination = labels[op.attributes[_TARGET].name]
+        first = destination = labels.get(op.attributes[_TARGET].name)
+        if destination is None:
+            raise undefined_label(op, op)
         if not isinstance(destination, JumpOp):
             continue
         chain: List[JumpOp] = []
@@ -70,7 +73,9 @@ def _thread_jump_chains(jumps: Jumps, labels: LabelTable) -> bool:
                 break
             finals[destination] = None
             chain.append(destination)
-            destination = labels[destination.target]
+            hop, destination = destination, labels.get(destination.target)
+            if destination is None:
+                raise undefined_label(hop, hop)
         for hop in chain:
             finals[hop] = destination
         if destination is not first:

@@ -33,32 +33,39 @@ loop one identity test per byte.
 
 The construction is strictly bounded, without a lock: interning a
 state beyond ``max_states`` raises :class:`LazyDFABlowup` with the
-blown state's mask and the byte's offset, and :class:`LazyDFAMatcher`
-continues on the kernel from there — permanently, for that pattern.  Blowup is a
-performance event, never a correctness event (acceptance criterion:
-pathological ``(a|aa){n}`` patterns degrade with a
-``repro_lazydfa_fallback_total`` increment, never an error or a wrong
+blown state's mask and the byte's offset.  A DFA over a root
+alternation is the *product* of its branches' automata, and that is
+where it blows; :class:`LazyDFAMatcher` then releases the product's
+rows and continues from the blown byte on one DFA per branch
+(:func:`branch_components`) — a sum of states, not their product — and
+on the kernel only when the program has no such split or the branch
+DFAs blow the same budget too; either step is permanent, for that
+pattern.  Blowup is a performance event, never a correctness event
+(acceptance criterion: pathological ``(a|aa){n}`` patterns degrade with
+a ``repro_lazydfa_fallback_total`` increment, never an error or a wrong
 verdict).
 
 :meth:`LazyDFAMatcher.match` runs one text on :meth:`LazyDFA.run`;
 :meth:`~LazyDFAMatcher.feed` and :meth:`~LazyDFAMatcher.finish` advance
 one stream's :class:`~repro.vm.kernel.Enumeration` on
 :meth:`LazyDFA.walk` (:class:`~repro.vm.streaming.StreamingMatcher`
-wraps them).  One budget rule holds for both: DFA bytes are free, and
-``max_vm_steps`` counts kernel steps from the byte the kernel takes
-over at (byte 0 once the matcher has fallen back).
+wraps them).  One budget rule holds for both: DFA bytes (branch DFAs'
+included) are free, and ``max_vm_steps`` counts kernel steps from the
+byte the kernel takes over at (byte 0 once the matcher has fallen
+back).
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+import sys
 import threading
 from functools import cached_property
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..isa.program import Program
-from ..vm.kernel import Enumeration, run_once
+from ..vm.kernel import DispatchTables, Enumeration, mask_pcs
 from ..vm.thompson import MatchResult, ThompsonVM, _as_bytes
 
 #: Default cap on interned DFA states (also the `Budget.max_dfa_states`
@@ -128,13 +135,21 @@ class LazyDFA:
         program: Program,
         max_states: Optional[int] = DEFAULT_MAX_DFA_STATES,
         vm: Optional[ThompsonVM] = None,
+        keep: Optional[int] = None,
+        tickets: Optional[Iterator[int]] = None,
     ):
         self._rows: Dict[int, list] = {}
         self.program = program
         #: ``None`` disables the cap (Budget.unlimited() semantics).
         self.max_states = max_states
-        self._tables = (vm if vm is not None else ThompsonVM(program)).tables
-        self.num_classes = self._tables.num_classes
+        tables = self._tables = (vm if vm is not None else ThompsonVM(program)).tables
+        self.num_classes = tables.num_classes
+        #: The work PCs the states hold: all of them, or one branch's
+        #: and the search prefix's (:func:`branch_components`).  Nothing
+        #: else differs between the product DFA and a branch DFA.
+        self.keep = tables.next_mask ^ tables.fires if keep is None else keep
+        self.entry = tables.entry & self.keep
+        self.next_mask = self.keep | tables.fires
         #: Transitions built so far (the miss path; cached ones are free).
         #: Each call adds its own count once, under ``_counting``, so
         #: threads that share the DFA lose no increment.
@@ -144,23 +159,54 @@ class LazyDFA:
         # interning takes no lock: a row is built whole, then takes a
         # ticket (a lost race burns one, so the cap may trip early but is
         # never exceeded), then is published with ``dict.setdefault``.
-        # The entry row holds ticket 0.
-        self._tickets = itertools.count(1)
-        #: The entry state's row; ``None`` when ``max_states <= 0``
-        #: cannot hold even that, and every :meth:`run` reports the
-        #: blowup.
+        # Branch DFAs draw from one shared counter, so the cap bounds
+        # their rows together.  The entry row takes the first ticket.
+        self._tickets = itertools.count() if tickets is None else tickets
+        #: The entry state's row; ``None`` when the cap cannot hold even
+        #: that (or the rows were released), and every :meth:`run`
+        #: reports the blowup.
         self._entry_row: Optional[list] = None
-        if max_states is None or max_states > 0:
-            entry = self._tables.entry
+        if max_states is None or next(self._tickets) < max_states:
             row = [_UNBUILT] * (self.num_classes + 2)
-            row[self.num_classes] = entry
-            self._entry_row = self._rows[entry] = row
+            row[self.num_classes] = self.entry
+            self._entry_row = self._rows[self.entry] = row
 
     def __del__(self):
         # Transitions point at rows, so the rows form cycles: unlink them
         # and a dropped DFA is freed at once, not at a full collection.
         for row in self._rows.values():
             row.clear()
+
+    def release(self) -> None:
+        """Drop every row once the budget has blown.
+
+        A thread still walking a row finds its transitions unbuilt, and
+        the successor it builds is no longer in the table it interns
+        into, so that walk blows at once and hands off too (the rows
+        keep their length: no such walk indexes past one).  A row it
+        took its ticket for before the budget blew lands in the dropped
+        table, not in the live one.
+        """
+        rows, self._rows = self._rows, {}
+        self._entry_row = None
+        unbuilt = [_UNBUILT] * self.num_classes
+        for row in list(rows.values()):
+            row[: self.num_classes] = unbuilt
+        rows.clear()
+
+    def row_of(self, mask: int) -> list:
+        """The row of state ``mask``, interned as :meth:`_walk` interns
+        a successor if it is new (raising :class:`LazyDFABlowup` when
+        the budget has no ticket left for it)."""
+        row = self._rows.get(mask)
+        if row is None:
+            row = [_UNBUILT] * (self.num_classes + 2)
+            row[self.num_classes] = mask
+            cap = self.max_states
+            if cap is not None and next(self._tickets) >= cap:
+                raise LazyDFABlowup(cap, self.program.source_pattern)
+            row = self._rows.setdefault(mask, row)
+        return row
 
     @cached_property
     def _stop_search(self):
@@ -170,9 +216,9 @@ class LazyDFA:
         interned, so it cannot blow ``max_states`` on a byte the input
         never holds."""
         tables = self._tables
-        entry = tables.entry
+        entry = self.entry
         loops = [
-            tables.step(entry, byte_class) & tables.next_mask == entry != 0
+            tables.step(entry, byte_class) & self.next_mask == entry != 0
             for byte_class in range(self.num_classes)
         ]
         stop_bytes = [
@@ -200,14 +246,17 @@ class LazyDFA:
         """
         data = text if isinstance(text, bytes) else _as_bytes(text)
         if self._entry_row is None:
-            raise LazyDFABlowup(self.max_states, self.program.source_pattern)
+            raise _blown_at(self, self.entry, 0)
         verdict, offset, row = self._walk(data, self._entry_row, None)
         if verdict is None:
             verdict = row[self.num_classes] & self._tables.accept_mask != 0
         return MatchResult(True, offset) if verdict else MatchResult(False, None)
 
-    def walk(self, data: bytes, row: list) -> Tuple[Optional[bool], int, list]:
-        """Resume at ``row`` over ``data``: :meth:`run` for a stream.
+    def walk(
+        self, data: bytes, row: list, start: int = 0
+    ) -> Tuple[Optional[bool], int, list]:
+        """Resume at ``row`` over ``data[start:]``: :meth:`run` for a
+        stream.
 
         Returns ``(verdict, offset, row)``: ``True`` when the match
         fires on the byte at ``offset``; ``False`` when no suffix can
@@ -219,9 +268,9 @@ class LazyDFA:
         stop_search = self._stop_search
         if stop_search is False:  # state 0 is the only state
             return None, len(data), row
-        return self._walk(data, row, stop_search)
+        return self._walk(data, row, stop_search, start)
 
-    def _walk(self, data: bytes, row: list, stop_search):
+    def _walk(self, data: bytes, row: list, stop_search, start: int = 0):
         """The one loop over the rows, and the one miss path.
 
         A miss is one kernel position, inlined: the row's cached blind
@@ -237,7 +286,7 @@ class LazyDFA:
         blind, blind_mask = tables.blind, tables.blind_mask
         blind_column, or_entries = tables.blind_column, tables._or_entries
         sighted, sighted_memo = tables.sighted, tables.sighted_memo
-        steps, next_mask, fires = tables.steps, tables.next_mask, tables.fires
+        steps, next_mask, fires = tables.steps, self.next_mask, tables.fires
         rows = self._rows
         classes = self.num_classes
         blind_slot = classes + 1
@@ -247,6 +296,8 @@ class LazyDFA:
         # The offset of the byte in hand is ``length`` minus what the
         # iterator has left, minus one: only an exit and a skip need it.
         iterator = iter(translated)
+        if start:
+            iterator.__setstate__(start)
         bytes_left = iterator.__length_hint__
         built = 0
         try:
@@ -309,16 +360,101 @@ class LazyDFA:
         return None, length, row
 
 
-class LazyDFAMatcher:
-    """Lazy DFA with a permanent, metered fallback to the kernel.
+def branch_components(tables: DispatchTables) -> List[int]:
+    """The state masks of the program's independent branches, or ``[]``.
 
-    The first :class:`LazyDFABlowup` flips the matcher onto the kernel
-    for good — a pattern that blows the state budget once will do so
-    again, and half-built caches are not worth re-probing per call.
-    :meth:`_hand_off` is the one place the blown walk continues on the
-    kernel, for :meth:`match` and for streams alike.  The fallback is
-    observable (``repro_lazydfa_fallback_total``) but never behavioral:
-    both paths return identical :class:`MatchResult` verdicts.
+    A component is a set of work PCs whose successors stay inside it;
+    the *prefix* is every other reachable work PC — for an unanchored
+    search, the ``.*?`` loop in front of the root alternation.  Starting
+    from the PCs that reach every entry PC (the loop reaches them all),
+    the rest splits into weakly connected components; one that steps
+    back into the prefix is not closed and joins it, until every
+    component is.  Each returned mask is the prefix plus one component:
+    a branch DFA's ``keep``.
+
+    Why a split is exact: a kernel step is a union over PCs, the prefix
+    PCs step identically in every branch DFA, and a component's PCs
+    step only into the component (and ``fires``).  So each branch DFA's
+    state is the product state restricted to its ``keep``, and the OR of
+    the branch states is the product state.  ``[]`` when fewer than two
+    components remain (no root alternation, or branches sharing a PC
+    such as one accept).
+    """
+    successors = tables.successors
+    reachable = todo = tables.entry
+    while todo:
+        stepped = 0
+        for pc in mask_pcs(todo):
+            stepped |= successors[pc]
+        todo = stepped & ~reachable
+        reachable |= todo
+    pcs = mask_pcs(reachable)
+    predecessors = dict.fromkeys(pcs, 0)
+    for pc in pcs:
+        for successor in mask_pcs(successors[pc]):
+            predecessors[successor] |= 1 << pc
+
+    def reaching(pc: int) -> int:
+        """The PCs with a path of one step or more to ``pc``."""
+        found = todo = predecessors[pc]
+        while todo:
+            stepped = 0
+            for source in mask_pcs(todo):
+                stepped |= predecessors[source]
+            todo = stepped & ~found
+            found |= todo
+        return found
+
+    prefix = reachable
+    for pc in mask_pcs(tables.entry):
+        prefix &= reaching(pc)
+        if not prefix:
+            break
+    while True:
+        components = []
+        rest = reachable & ~prefix
+        leaked = 0
+        while rest:
+            component = todo = rest & -rest
+            while todo:
+                stepped = 0
+                for pc in mask_pcs(todo):
+                    stepped |= successors[pc] | predecessors[pc]
+                todo = stepped & rest & ~component
+                component |= todo
+            rest &= ~component
+            steps_to = 0
+            for pc in mask_pcs(component):
+                steps_to |= successors[pc]
+            if steps_to & ~component:  # into the prefix: not closed
+                leaked |= component
+            else:
+                components.append(component)
+        if not leaked:
+            break
+        prefix |= leaked
+    if len(components) < 2:
+        return []
+    return [prefix | component for component in components]
+
+
+class LazyDFAMatcher:
+    """Lazy DFA that splits per branch, then falls back to the kernel.
+
+    The first :class:`LazyDFABlowup` of the product DFA (:attr:`dfa`)
+    sets :attr:`blown` for good — a pattern that blows the state budget
+    once will do so again, and half-built caches are not worth
+    re-probing per call.  When the program splits into independent
+    branches (:func:`branch_components`), the matcher releases the
+    product's rows and continues on :attr:`split`, one :class:`LazyDFA`
+    per branch over the same dispatch tables, drawing from one shared
+    ``max_states`` budget; otherwise, or once that budget blows too, it
+    is :attr:`on_kernel` for good.  Every hand-off continues at the
+    blown byte with the blown frontier, for :meth:`match` and for
+    streams alike.  The split and the fallback are observable
+    (``repro_lazydfa_split_total``, ``repro_lazydfa_fallback_total``)
+    but never behavioral: every path returns identical
+    :class:`MatchResult` verdicts.
     """
 
     def __init__(
@@ -332,10 +468,17 @@ class LazyDFAMatcher:
         self.vm = vm if vm is not None else ThompsonVM(program)
         self.dfa = LazyDFA(program, max_states=max_states, vm=self.vm)
         self.max_vm_steps = max_vm_steps
+        #: The product DFA blew its state budget.
         self.blown = False
+        #: The branch DFAs the matcher continues on once :attr:`blown`;
+        #: ``None`` when the program does not split.
+        self.split: Optional[Tuple[LazyDFA, ...]] = None
+        #: Every byte goes to the kernel.
+        self.on_kernel = False
         self._metrics = metrics if metrics is not None and metrics.enabled else None
         self._runs = None
         self._fallbacks = None
+        self._splits = None
         self._states_gauge = None
         self._transitions = None
         self._published = 0
@@ -348,6 +491,10 @@ class LazyDFAMatcher:
                 "repro_lazydfa_fallback_total",
                 help_text="lazy-DFA state-budget blowups degraded to the NFA VM",
             )
+            self._splits = metrics.counter(
+                "repro_lazydfa_split_total",
+                help_text="lazy-DFA state-budget blowups continued on one DFA per branch",
+            )
             self._states_gauge = metrics.gauge(
                 "repro_lazydfa_states",
                 help_text="DFA states interned for the current pattern",
@@ -359,82 +506,300 @@ class LazyDFAMatcher:
         if not self.dfa.state_count:  # the cap cannot hold the entry state
             self._fall_back()
 
-    def _publish(self) -> None:
+    @property
+    def state_count(self) -> int:
+        """Rows interned and live: the product's, or the branch DFAs'."""
+        return self._counts()[0]
+
+    def _counts(self) -> Tuple[int, int]:
+        """Live rows and transitions built, over the product and the
+        branch DFAs."""
         dfa = self.dfa
-        self._states_gauge.set(dfa.state_count)
-        if dfa.transitions_built != self._published:  # a warm run builds none
-            # Under the lock the DFA counts under: two threads publishing
-            # at once must not both ship the same delta.
-            with dfa._counting:
-                self._transitions.inc(dfa.transitions_built - self._published)
-                self._published = dfa.transitions_built
+        states, built = dfa.state_count, dfa.transitions_built
+        for branch in self.split or ():
+            states += branch.state_count
+            built += branch.transitions_built
+        return states, built
+
+    def _publish(self) -> None:
+        states, built = self._counts()
+        self._states_gauge.set(states)
+        if built != self._published:  # a warm run builds none
+            # Under the lock the product DFA counts under: two threads
+            # publishing at once must not both ship the same delta.
+            with self.dfa._counting:
+                built = self._counts()[1]
+                self._transitions.inc(built - self._published)
+                self._published = built
 
     def _fall_back(self) -> None:
+        """The product DFA blew: split it, or go to the kernel."""
         with self.dfa._counting:  # two threads that blow meter one fallback
             if self.blown:
                 return
+            split = self._split()
+            if split is None:
+                self.on_kernel = True
+            self.split = split
             self.blown = True
+        if self._fallbacks is not None:
+            (self._fallbacks if split is None else self._splits).inc()
+            self._publish()
+
+    def _split(self) -> Optional[Tuple[LazyDFA, ...]]:
+        """One branch DFA per component, each holding its entry row, in
+        place of the product's released rows; ``None`` when the program
+        does not split or the budget cannot hold the branches' entries."""
+        dfa = self.dfa
+        cap = dfa.max_states
+        if cap is None or cap < 2:
+            return None
+        keeps = branch_components(self.vm.tables)
+        if not 2 <= len(keeps) <= cap:
+            return None
+        dfa.release()
+        tickets = itertools.count()
+        return tuple(
+            LazyDFA(dfa.program, cap, self.vm, keep=keep, tickets=tickets)
+            for keep in keeps
+        )
+
+    def _split_blew(self) -> None:
+        """The branch DFAs blew the shared budget: the kernel, for good."""
+        with self.dfa._counting:
+            if self.on_kernel:
+                return
+            self.on_kernel = True
         if self._fallbacks is not None:
             self._fallbacks.inc()
             self._publish()
 
-    def _hand_off(self, state: Enumeration, blowup: LazyDFABlowup) -> Enumeration:
-        """Meter the fallback and seed ``state`` where the DFA blew: its
-        frontier is the blown state's mask, its next byte the one the
-        walk could not take.  Feeding it from ``blowup.offset`` of the
-        same data continues on the kernel, steps counted from there."""
-        self._fall_back()
-        state.frontier = blowup.state
-        state.consumed += blowup.offset
-        return state
+    def _split_walk(
+        self, split, data: bytes, frontier: int, start: int, streaming: bool
+    ) -> Tuple[Optional[bool], int, int]:
+        """Walk ``data[start:]`` from ``frontier`` on every branch DFA.
+
+        Returns ``(verdict, offset, frontier)`` as :meth:`LazyDFA.walk`
+        does, with the OR of the branches' masks as the frontier: the
+        verdict is any branch firing, at the earliest offset, and a
+        branch walks only up to the best offset found so far.  A walk
+        that runs out of tickets is settled by :meth:`_lockstep`.
+        """
+        held = [dfa.state_count for dfa in split]
+        best = length = len(data)
+        ends = 0
+        try:
+            for dfa in split:
+                mask = frontier & dfa.keep
+                if not mask:  # the branch is dead
+                    continue
+                piece = data if best == length else data[:best]
+                row = dfa.row_of(mask)
+                if streaming:
+                    verdict, offset, row = dfa.walk(piece, row, start)
+                else:
+                    verdict, offset, row = dfa._walk(piece, row, None, start)
+                if verdict:
+                    best = offset
+                elif verdict is None:
+                    ends |= row[dfa.num_classes]
+        except LazyDFABlowup:
+            return self._lockstep(split, data, frontier, start, held)
+        finally:
+            if self._transitions is not None:
+                self._publish()
+        if best < length:
+            return True, best, 0
+        return (None, length, ends) if ends else (False, length, 0)
+
+    def _lockstep(
+        self, split, data: bytes, frontier: int, start: int, held: List[int]
+    ) -> Tuple[Optional[bool], int, int]:
+        """What a walk of all branches in lockstep gives, ``held`` being
+        their row counts when the walk began.
+
+        Position by position, branch by branch, the first row a branch
+        needs that it did not hold then takes one unit of the room the
+        budget had left; the budget blows at the first position where
+        the room runs out, with the OR of the branches' masks there.
+        A branch-by-branch walk that fits the room interns a superset of
+        these rows, so it agrees; one that does not fit comes here.
+        Where the budget blows therefore does not depend on how a
+        stream was chunked.  Only masks are stepped here; nothing is
+        interned.
+        """
+        tables = self.vm.tables
+        step, fires = tables.step, tables.fires
+        room = self.dfa.max_states - sum(held)
+        new_rows = [set(list(dfa._rows)[count:]) for dfa, count in zip(split, held)]
+        counted = [set() for _ in split]
+
+        def takes_room(index: int, mask: int) -> bool:
+            rows = split[index]._rows
+            if (mask in rows and mask not in new_rows[index]) or mask in counted[index]:
+                return False
+            counted[index].add(mask)
+            return True
+
+        masks = [frontier & dfa.keep for dfa in split]
+        for index, mask in enumerate(masks):
+            if mask and takes_room(index, mask):
+                room -= 1
+        if room < 0:
+            raise _blown_at(self.dfa, frontier, start)
+        classes = data.translate(tables.class_table)
+        for offset in range(start, len(data)):
+            byte_class = classes[offset]
+            stepped = []
+            for index, dfa in enumerate(split):
+                successor = masks[index]
+                if successor:
+                    successor = step(successor, byte_class) & dfa.next_mask
+                    if successor >= fires:
+                        return True, offset, 0
+                    if successor and takes_room(index, successor):
+                        room -= 1
+                        if room < 0:
+                            raise _blown_at(self.dfa, _or(masks), offset)
+                stepped.append(successor)
+            masks = stepped
+            if not any(masks):
+                return False, len(data), 0
+        return None, len(data), _or(masks)
+
+    def _kernel(self, data: bytes, frontier: int, start: int) -> MatchResult:
+        """Run the kernel from ``data[start]`` and ``frontier``.
+
+        With a metrics registry, the run is counted from the
+        enumeration's own step count (the step budget's, which skips
+        the accepting position); no per-position observer is attached.
+        """
+        state = Enumeration(self.vm.tables, self.max_vm_steps)
+        state.frontier = frontier
+        state.consumed = start
+        metrics = self._metrics
+        if metrics is None:
+            state.feed(data, start)
+            state.finish()
+        else:
+            if state.max_steps is None:
+                state.max_steps = sys.maxsize  # count the steps
+            try:
+                state.feed(data, start)
+                state.finish()
+            finally:
+                metrics.counter(
+                    "repro_vm_runs_total", help_text="ThompsonVM fast-path executions"
+                ).inc()
+                metrics.counter(
+                    "repro_vm_steps_total",
+                    help_text="work instructions executed by the VM",
+                ).inc(state.executed)
+        return MatchResult(state.position is not None, state.position)
 
     def match(self, text: Union[str, bytes]) -> MatchResult:
         data = text if isinstance(text, bytes) else _as_bytes(text)
         if self.blown:
-            return self.vm.run(data, self.max_vm_steps, metrics=self._metrics)
-        try:
-            result = self.dfa.run(data)
-        except LazyDFABlowup as blowup:
-            state = self._hand_off(
-                Enumeration(self.vm.tables, self.max_vm_steps), blowup
-            )
-            run_once(state, data, "vm.run", None, self._metrics, None,
-                     start=blowup.offset)
-            return MatchResult(state.position is not None, state.position)
-        if self._runs is not None:
-            self._runs.inc()
-            self._publish()
-        return result
+            frontier, start = self.vm.tables.entry, 0
+        else:
+            try:
+                result = self.dfa.run(data)
+            except LazyDFABlowup as blowup:
+                self._fall_back()
+                frontier, start = blowup.state, blowup.offset
+            else:
+                if self._runs is not None:
+                    self._runs.inc()
+                    self._publish()
+                return result
+        if not self.on_kernel:
+            try:
+                verdict, offset, frontier_end = self._split_walk(
+                    self.split, data, frontier, start, streaming=False
+                )
+            except LazyDFABlowup as blowup:
+                self._split_blew()
+                frontier, start = blowup.state, blowup.offset
+            else:
+                if self._runs is not None:
+                    self._runs.inc()
+                if verdict is None:
+                    verdict = frontier_end & self.vm.tables.accept_mask != 0
+                return MatchResult(True, offset) if verdict else MatchResult(False, None)
+        return self._kernel(data, frontier, start)
 
     # ------------------------------------------------------------------
-    # Streams: one Enumeration per stream, the DFA shared
+    # Streams: one Enumeration per stream, the DFAs shared
     # ------------------------------------------------------------------
     def feed(self, state: Enumeration, data: bytes) -> None:
         """Advance one stream's ``state`` (an enumeration over
         ``self.vm.tables`` with ``max_vm_steps``) over its next chunk.
-        While the DFA walks, the frontier is the stream's DFA state's
-        mask, so the kernel can take over wherever the matcher falls
-        back."""
-        if self.blown or state.settled:  # a tripped budget implies blown
+        While a DFA walks, the frontier is the stream's DFA state's
+        mask (the OR of the branch states' once split), so the kernel
+        can take over wherever the matcher falls back."""
+        if self.on_kernel or state.settled:  # a tripped budget implies it
             return state.feed(data)
-        dfa = self.dfa
-        try:
-            verdict, offset, row = dfa.walk(data, dfa._rows[state.frontier])
-        except LazyDFABlowup as blowup:
-            return self._hand_off(state, blowup).feed(data, blowup.offset)
-        if self._transitions is not None:
-            self._publish()
-        state.consumed += offset
-        if verdict is None:
-            state.frontier = row[dfa.num_classes]
-        else:
-            state.settle(verdict)
+        if not self.blown:
+            dfa = self.dfa
+            row = dfa._rows.get(state.frontier)  # ``None`` once released
+            if row is not None:
+                try:
+                    verdict, offset, row = dfa.walk(data, row)
+                except LazyDFABlowup as blowup:
+                    self._fall_back()
+                    state.frontier = blowup.state
+                    state.consumed += blowup.offset
+                    return self._resume(state, data, blowup.offset)
+                if self._transitions is not None:
+                    self._publish()
+                state.consumed += offset
+                if verdict is None:
+                    state.frontier = row[dfa.num_classes]
+                else:
+                    state.settle(verdict)
+                return
+        self._resume(state, data, 0)
+
+    def _resume(self, state: Enumeration, data: bytes, start: int) -> None:
+        """Continue ``state``, whose frontier and ``consumed`` offset are
+        at ``data[start]``, on the branch DFAs or the kernel."""
+        split = self.split
+        if split is not None and not self.on_kernel:
+            try:
+                verdict, offset, frontier = self._split_walk(
+                    split, data, state.frontier, start, streaming=True
+                )
+            except LazyDFABlowup as blowup:
+                self._split_blew()
+                state.frontier = blowup.state
+                state.consumed += blowup.offset - start
+                return state.feed(data, blowup.offset)
+            state.consumed += offset - start
+            if verdict is None:
+                state.frontier = frontier
+            else:
+                state.settle(verdict)
+            return
+        state.feed(data, start)
 
     def finish(self, state: Enumeration) -> None:
         """Run the end-of-input position of one stream's ``state``."""
-        if not (self.blown or state.settled):  # free on the DFA
+        if not (self.on_kernel or state.settled):  # free on the DFAs
             state.settle(state.frontier & self.vm.tables.accept_mask != 0)
         state.finish()
+
+
+def _or(masks: Iterable[int]) -> int:
+    union = 0
+    for mask in masks:
+        union |= mask
+    return union
+
+
+def _blown_at(dfa: LazyDFA, frontier: int, offset: int) -> LazyDFABlowup:
+    blowup = LazyDFABlowup(dfa.max_states, dfa.program.source_pattern)
+    blowup.state, blowup.offset = frontier, offset
+    return blowup
 
 
 __all__ = [
@@ -442,5 +807,6 @@ __all__ = [
     "LazyDFA",
     "LazyDFABlowup",
     "LazyDFAMatcher",
+    "branch_components",
     "byte_class_pattern",
 ]

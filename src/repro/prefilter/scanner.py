@@ -97,8 +97,9 @@ class PrefilteredMatcher:
 
     The one matcher the engine builds per pattern: the chunk filter
     (when the analysis is not inert) in front of a
-    :class:`~repro.prefilter.lazydfa.LazyDFAMatcher`, which falls back
-    to the bare VM for good when the DFA state budget blows.  Same
+    :class:`~repro.prefilter.lazydfa.LazyDFAMatcher`, which splits into
+    per-branch DFAs or falls back to the bare VM for good when the DFA
+    state budget blows.  Same
     input handling and :class:`MatchResult` verdicts as the bare VM
     (property-tested), plus ``repro_prefilter_*`` counters when a
     metrics registry is supplied.
@@ -133,9 +134,10 @@ class PrefilteredMatcher:
     def plan(self) -> dict:
         """The stages a chunk goes through now (``prefilter.plan`` attrs).
 
-        The last stage is ``vm`` once the lazy DFA has fallen back — at
-        construction already when the state cap cannot hold the entry
-        state.
+        The last stage is ``lazy-dfa``, ``lazy-dfa×k`` once the lazy
+        DFA has split into ``k`` branch DFAs, and ``vm`` once it has
+        fallen back to the kernel — at construction already when the
+        state cap cannot hold the entry state.
         """
         analysis = self.analysis
         stages: List[str] = []
@@ -146,7 +148,13 @@ class PrefilteredMatcher:
                 stages.append(f"literal({len(analysis.literals)})")
             elif analysis.first_bytes:
                 stages.append(f"first-bytes({len(analysis.first_bytes)})")
-        stages.append("vm" if self.dfa_matcher.blown else "lazy-dfa")
+        dfa_matcher = self.dfa_matcher
+        if dfa_matcher.on_kernel:
+            stages.append("vm")
+        elif dfa_matcher.split:
+            stages.append(f"lazy-dfa×{len(dfa_matcher.split)}")
+        else:
+            stages.append("lazy-dfa")
         return {
             "stages": stages,
             "inert": analysis.inert,

@@ -21,7 +21,8 @@ further ``feed`` calls are no-ops returning the verdict.
 one, so every stream of a pattern shares the lazy DFA its other traffic
 warms.  While the DFA walks, the enumeration's frontier is the mask of
 its DFA state; where the DFA blows its state cap, the matcher hands the
-stream to the kernel at that byte.  Step budgets follow the matcher's
+stream at that byte to its per-branch DFAs (the frontier is then the OR
+of their states) or to the kernel.  Step budgets follow the matcher's
 one rule (:mod:`repro.prefilter.lazydfa`), so a stream is charged
 exactly what one-shot ``match`` over the joined input is.
 """
@@ -87,8 +88,9 @@ class StreamingMatcher:
 
     @property
     def accelerated(self) -> bool:
-        """True while the shared matcher walks its lazy DFA."""
-        return not self.matcher.blown
+        """True while the shared matcher walks a lazy DFA (the product
+        or, once that blew, its per-branch DFAs)."""
+        return not self.matcher.on_kernel
 
     # ------------------------------------------------------------------
     # Feeding

@@ -4,10 +4,12 @@ import pytest
 
 from repro.compiler import CompileOptions, compile_regex
 from repro.dialects.cicero.codegen import generate_program, program_to_dialect
+from repro.dialects.cicero.ops import AcceptOp, JumpOp, ProgramOp
 from repro.dialects.cicero.transforms.dce import DeadCodeEliminationPass
 from repro.dialects.cicero.transforms.jump_simplification import (
     JumpSimplificationPass,
 )
+from repro.ir.diagnostics import VerificationError
 from repro.isa.instructions import Opcode, accept_partial, jmp, match, split
 from repro.isa.metrics import d_offset
 from repro.isa.program import Program
@@ -135,3 +137,30 @@ class TestInvariants:
         )
         twice = optimize_program(once)
         assert list(once) == list(twice)
+
+
+def _dangling(*ops):
+    program_op = ProgramOp()
+    for op in ops:
+        program_op.regions[0].entry_block.append(op)
+    return program_op
+
+
+@pytest.mark.parametrize(
+    "pass_type, ops",
+    [
+        (JumpSimplificationPass, lambda: [JumpOp("nowhere"), AcceptOp()]),
+        # Rule 3 follows a chain into the dangling jump.
+        (JumpSimplificationPass,
+         lambda: [JumpOp("mid"), JumpOp("nowhere", label="mid"), AcceptOp()]),
+        (DeadCodeEliminationPass, lambda: [JumpOp("nowhere"), AcceptOp()]),
+    ],
+    ids=["jump-simplification", "jump-simplification-chain", "dce"],
+)
+def test_undefined_label_is_a_typed_error(pass_type, ops):
+    """``jump @nowhere`` through a pass names the label in the typed
+    taxonomy, as verification and codegen do, not as a KeyError."""
+    with pytest.raises(VerificationError) as caught:
+        pass_type().run(_dangling(*ops()))
+    assert "undefined label 'nowhere'" in str(caught.value)
+    assert caught.value.code == "REPRO-IR-VERIFY"

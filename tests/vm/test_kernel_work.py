@@ -9,7 +9,10 @@ most one per PC and byte class) and the two step memos, which share
 a memo past its room, would keep memory per distinct frontier; these
 counts and the bytes per memo entry see that in milliseconds.  The rule
 and input are ``test_lazydfa_work.py``'s third, whose DFA — had it not
-blown — fills exactly the same step-table and blind-memo entries.
+blown — fills exactly the same step-table and blind-memo entries.  Its
+cap of 3 rows cannot hold the entry rows of its four branch DFAs, so the
+matcher does not split and every byte after the blown one goes to the
+kernel.
 """
 
 import tracemalloc
@@ -25,10 +28,11 @@ from repro.vm.thompson import ThompsonVM
 from repro.workloads import protomata, sample_and_alternate
 
 #: Step-table entries (all columns), blind-memo keys, sighted-memo keys
-#: (all classes) after the fallback scan, and the steps it executed.
-#: The blowing chunk is charged from its blown byte (21) on: the 660
-#: steps of its first 21 bytes are the DFA's, and free.
-PINNED = (179, 1427, 273, 177_623)
+#: (all classes) after the fallback scan, and the steps it executed, as
+#: the step budget counts them (the accepting position excluded).  The
+#: blowing chunk is charged from its blown byte (2) on: the 44 steps of
+#: its first 2 bytes are the DFA's, and free.
+PINNED = (179, 1427, 273, 178_200)
 
 #: A kept memo entry is a key mask, a value mask and a dict slot:
 #: 184 B measured here.
@@ -55,10 +59,10 @@ def scanned():
     vm = ThompsonVM(program)
     registry = MetricsRegistry()
     matcher = LazyDFAMatcher(
-        program, max_states=20, max_vm_steps=10**9, vm=vm, metrics=registry
+        program, max_states=3, max_vm_steps=10**9, vm=vm, metrics=registry
     )
     matcher.match(chunks[0])
-    assert matcher.blown
+    assert matcher.on_kernel and matcher.split is None
     kept = _memo_keys(vm.tables)
     tracemalloc.start()
     try:
