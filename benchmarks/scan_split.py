@@ -8,7 +8,7 @@ end-to-end check of that path (and brill4, whose rules never blow, the
 control).  Prints the wall time of the scans; exits 1 when a verdict
 differs from ``re.search``::
 
-    python benchmarks/scan_split.py --suite protomata4 --rules 12 --kbytes 400
+    python benchmarks/scan_split.py --suite protomata4
 
 ``--summary FILE`` appends the result as a Markdown table row (CI passes
 ``$GITHUB_STEP_SUMMARY``).
@@ -28,22 +28,22 @@ from repro.engine import Engine  # noqa: E402
 from repro.workloads import brill, protomata, sample_and_alternate  # noqa: E402
 
 CHUNK_BYTES = 500
+RULES = 12
+KBYTES = 400
+SEED = 2025
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--suite", choices=("protomata4", "brill4"), default="protomata4")
-    parser.add_argument("--rules", type=int, default=12)
-    parser.add_argument("--kbytes", type=int, default=400)
-    parser.add_argument("--seed", type=int, default=2025)
     parser.add_argument("--summary", help="append a Markdown row to this file")
     args = parser.parse_args(argv)
 
     generator = protomata if args.suite == "protomata4" else brill
-    pool = generator.generate_patterns(4 * 200, args.seed)
-    rules = sample_and_alternate(pool, 200, seed=args.seed)[: args.rules]
-    data = generator.generate_input(rules, args.kbytes * 1000, seed=args.seed)
-    data = data.encode("latin-1")[: args.kbytes * 1000]
+    pool = generator.generate_patterns(4 * 200, SEED)
+    rules = sample_and_alternate(pool, 200, seed=SEED)[:RULES]
+    data = generator.generate_input(rules, KBYTES * 1000, seed=SEED)
+    data = data.encode("latin-1")[: KBYTES * 1000]
     chunks = [data[i:i + CHUNK_BYTES] for i in range(0, len(data), CHUNK_BYTES)]
 
     engine = Engine()

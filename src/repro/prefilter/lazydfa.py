@@ -65,7 +65,7 @@ from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..isa.program import Program
-from ..vm.kernel import DispatchTables, Enumeration, mask_pcs
+from ..vm.kernel import DispatchTables, Enumeration, count_run, mask_pcs
 from ..vm.thompson import MatchResult, ThompsonVM, _as_bytes
 
 #: Default cap on interned DFA states (also the `Budget.max_dfa_states`
@@ -584,6 +584,12 @@ class LazyDFAMatcher:
         verdict is any branch firing, at the earliest offset, and a
         branch walks only up to the best offset found so far.  A walk
         that runs out of tickets is settled by :meth:`_lockstep`.
+
+        A branch walked before the one that fires walks on to the end of
+        ``data``, so what a call leaves interned, and so the room a
+        later call finds, depends on how the calls were cut (a one-shot
+        call past its match holds more rows than a stream cut there).
+        Verdicts never do; only where a later call reaches the kernel.
         """
         held = [dfa.state_count for dfa in split]
         best = length = len(data)
@@ -688,13 +694,7 @@ class LazyDFAMatcher:
                 state.feed(data, start)
                 state.finish()
             finally:
-                metrics.counter(
-                    "repro_vm_runs_total", help_text="ThompsonVM fast-path executions"
-                ).inc()
-                metrics.counter(
-                    "repro_vm_steps_total",
-                    help_text="work instructions executed by the VM",
-                ).inc(state.executed)
+                count_run(metrics, state.executed)
         return MatchResult(state.position is not None, state.position)
 
     def match(self, text: Union[str, bytes]) -> MatchResult:
@@ -758,6 +758,8 @@ class LazyDFAMatcher:
                 else:
                     state.settle(verdict)
                 return
+            # Another thread is splitting: wait for it to publish.
+            self._fall_back()
         self._resume(state, data, 0)
 
     def _resume(self, state: Enumeration, data: bytes, start: int) -> None:

@@ -528,9 +528,8 @@ class Observer:
             if state.position is not None or state.matched:
                 profile.matches += 1
         if metrics is not None and metrics.enabled:
+            count_run(metrics, self.steps)
             for name, help_text, amount in (
-                ("runs", "ThompsonVM fast-path executions", 1),
-                ("steps", "work instructions executed by the VM", self.steps),
                 ("dedup_suppressed", "threads killed by per-position dedup",
                  self.dedup_suppressed),
                 ("closure_hits", "precomputed ε-closure table expansions",
@@ -539,6 +538,16 @@ class Observer:
                 metrics.counter(
                     f"repro_vm_{name}_total", help_text=help_text
                 ).inc(amount)
+
+
+def count_run(metrics, steps: int) -> None:
+    """Count one run of ``steps`` work instructions in ``repro_vm_*``."""
+    metrics.counter(
+        "repro_vm_runs_total", help_text="ThompsonVM fast-path executions"
+    ).inc()
+    metrics.counter(
+        "repro_vm_steps_total", help_text="work instructions executed by the VM"
+    ).inc(steps)
 
 
 def run_once(

@@ -13,6 +13,7 @@ import random
 import re
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,25 @@ def test_a_walk_past_the_earliest_match_does_not_blow_the_split():
         assert got == expected and streamer.accelerated, chunks
 
 
+def test_a_one_shot_walk_past_the_match_leaves_less_room_for_the_next_call():
+    # The walk above is one-shot: the ``a..b`` DFA walked on past byte 16
+    # and took the last of the 8 tickets.  A stream cut just after the
+    # match interns 7 rows.  So the next call that needs a new row sends
+    # the one-shot matcher to the kernel for good, while the streamed
+    # one stays on its branch DFAs.  What a call leaves interned depends
+    # on how it was cut; the verdicts never do.
+    program = compile_regex("a..b|c..d|z").program
+    text = "aaccaaccaaccqqq" + "z" + "acaacaaaccaccca" * 3
+    oneshot = LazyDFAMatcher(program, max_states=8)
+    assert oneshot.match(text) == MatchResult(True, 16)
+    streamed = LazyDFAMatcher(program, max_states=8)
+    assert _stream(streamed, [text[:17], text[17:]])[0] == MatchResult(True, 16)
+    assert (oneshot.state_count, streamed.state_count) == (8, 7)
+    assert oneshot.match("c") == streamed.match("c") == MatchResult(False, None)
+    assert oneshot.on_kernel and not streamed.on_kernel
+    assert streamed.state_count == 8
+
+
 def test_unsplittable_programs_fall_back_as_before():
     program = compile_regex("a(b|c)+d").program
     registry = MetricsRegistry()
@@ -289,8 +309,14 @@ def test_threads_racing_to_blow_split_once_and_fall_back_once():
         rng = random.Random(seed)
         texts = ["".join(rng.choice("abcdz") for _ in range(40)) for _ in range(12)]
         start.wait()
-        for text in texts:
-            if shared.match(text) != vm.run(text):
+        for index, text in enumerate(texts):
+            if index % 2:  # a stream, cut at random places
+                cuts = sorted(rng.sample(range(len(text) + 1), 3))
+                chunks = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+                got = _stream(shared, chunks)[0]
+            else:
+                got = shared.match(text)
+            if got != vm.run(text):
                 wrong.append(text)
 
     interval = sys.getswitchinterval()
@@ -317,3 +343,40 @@ def test_threads_racing_to_blow_split_once_and_fall_back_once():
     finally:
         sys.setswitchinterval(interval)
     assert not wrong
+
+
+def test_a_stream_fed_while_another_thread_splits_waits_for_the_split():
+    # One thread blows the product DFA; its split releases the product's
+    # rows and, slowed down here, publishes the branch DFAs only later.
+    # A stream fed meanwhile finds its row gone: it must wait for the
+    # split and walk on the branch DFAs, never on the kernel (a step
+    # budget of 0 trips on any kernel step), or it would be charged
+    # what one-shot ``match`` is not.
+    program = compile_regex(GAPPED).program
+    shared = LazyDFAMatcher(program, max_states=8, max_vm_steps=0)
+    release = shared.dfa.release
+    released = threading.Event()
+
+    def slow_release():
+        release()
+        released.set()
+        time.sleep(0.05)
+
+    shared.dfa.release = slow_release
+    streamer = StreamingMatcher(shared)
+    assert streamer.feed("z") is None  # the stream sits on a product row
+    splitter = threading.Thread(target=lambda: shared.match(TEXT))
+    splitter.start()
+    assert released.wait(timeout=60)
+    assert not shared.blown  # the split is not published yet
+    errors = []
+    try:
+        streamer.feed("zz")
+    except VMStepBudgetError as error:
+        errors.append(error)
+    splitter.join(timeout=60)
+    assert not errors and not splitter.is_alive()
+    assert shared.split is not None and not shared.on_kernel
+    streamer.feed("cxxd")
+    assert streamer.finish() == MatchResult(True, 7)
+    assert streamer.state.executed == 0
