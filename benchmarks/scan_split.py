@@ -48,7 +48,7 @@ def main(argv=None) -> int:
 
     engine = Engine()
     wrong = 0
-    split = kernel = 0
+    blown = split = kernel = 0
     seconds = 0.0
     for rule in rules:
         started = time.perf_counter()
@@ -60,19 +60,22 @@ def main(argv=None) -> int:
             wrong += sum(a != b for a, b in zip(report.chunk_matches, expected))
             print(f"verdicts differ from re.search: {rule!r}", file=sys.stderr)
         matcher = engine.matcher(rule).dfa_matcher
-        split += matcher.blown
+        blown += matcher.blown
+        split += matcher.split is not None
         kernel += matcher.on_kernel
     line = (
         f"{args.suite}: {len(rules)} rules x {len(data) // 1000} KB in "
-        f"{seconds:.2f} s; {split} lazy DFAs blew, {kernel} of them reached "
-        f"the kernel; {wrong} chunk verdicts differ from re.search"
+        f"{seconds:.2f} s; {blown} lazy DFAs blew, {split} of them split, "
+        f"{kernel} reached the kernel; {wrong} chunk verdicts differ from "
+        f"re.search"
     )
     print(line)
     if args.summary:
         with open(args.summary, "a", encoding="utf-8") as summary:
             summary.write(
                 f"| `{args.suite}` {len(rules)} rules × {len(data) // 1000} KB "
-                f"| {seconds:.2f} s | {split} split, {kernel} on the kernel "
+                f"| {seconds:.2f} s | {blown} blown, {split} split, "
+                f"{kernel} on the kernel "
                 f"| {wrong} wrong verdicts |\n"
             )
     return 1 if wrong else 0

@@ -35,24 +35,22 @@ The construction is strictly bounded, without a lock: interning a
 state beyond ``max_states`` raises :class:`LazyDFABlowup` with the
 blown state's mask and the byte's offset.  A DFA over a root
 alternation is the *product* of its branches' automata, and that is
-where it blows; :class:`LazyDFAMatcher` then releases the product's
-rows and continues from the blown byte on one DFA per branch
-(:func:`branch_components`) — a sum of states, not their product — and
-on the kernel only when the program has no such split or the branch
-DFAs blow the same budget too; either step is permanent, for that
-pattern.  Blowup is a performance event, never a correctness event
-(acceptance criterion: pathological ``(a|aa){n}`` patterns degrade with
-a ``repro_lazydfa_fallback_total`` increment, never an error or a wrong
+where it blows.  :class:`LazyDFAMatcher` walks a list of tiers — the
+product DFA, one DFA per branch (:func:`branch_components`: a sum of
+states, not their product), the kernel — and steps down one, for good,
+at each blowup, going on at the blown byte with the blown frontier.
+Blowup is a performance event, never a correctness event (acceptance
+criterion: pathological ``(a|aa){n}`` patterns degrade with a
+``repro_lazydfa_fallback_total`` increment, never an error or a wrong
 verdict).
 
-:meth:`LazyDFAMatcher.match` runs one text on :meth:`LazyDFA.run`;
-:meth:`~LazyDFAMatcher.feed` and :meth:`~LazyDFAMatcher.finish` advance
-one stream's :class:`~repro.vm.kernel.Enumeration` on
-:meth:`LazyDFA.walk` (:class:`~repro.vm.streaming.StreamingMatcher`
-wraps them).  One budget rule holds for both: DFA bytes (branch DFAs'
-included) are free, and ``max_vm_steps`` counts kernel steps from the
-byte the kernel takes over at (byte 0 once the matcher has fallen
-back).
+One loop (:meth:`LazyDFAMatcher._advance`) advances an
+:class:`~repro.vm.kernel.Enumeration` for a stream's
+:meth:`~LazyDFAMatcher.feed` (which
+:class:`~repro.vm.streaming.StreamingMatcher` wraps) and for
+:meth:`~LazyDFAMatcher.match`, a stream of one chunk.  So one budget
+rule holds for both: DFA bytes are free, and ``max_vm_steps`` counts
+kernel steps from the byte the kernel takes over at.
 """
 
 from __future__ import annotations
@@ -441,20 +439,16 @@ def branch_components(tables: DispatchTables) -> List[int]:
 class LazyDFAMatcher:
     """Lazy DFA that splits per branch, then falls back to the kernel.
 
-    The first :class:`LazyDFABlowup` of the product DFA (:attr:`dfa`)
-    sets :attr:`blown` for good — a pattern that blows the state budget
-    once will do so again, and half-built caches are not worth
-    re-probing per call.  When the program splits into independent
-    branches (:func:`branch_components`), the matcher releases the
-    product's rows and continues on :attr:`split`, one :class:`LazyDFA`
-    per branch over the same dispatch tables, drawing from one shared
-    ``max_states`` budget; otherwise, or once that budget blows too, it
-    is :attr:`on_kernel` for good.  Every hand-off continues at the
-    blown byte with the blown frontier, for :meth:`match` and for
-    streams alike.  The split and the fallback are observable
-    (``repro_lazydfa_split_total``, ``repro_lazydfa_fallback_total``)
-    but never behavioral: every path returns identical
-    :class:`MatchResult` verdicts.
+    Every byte walks on the tier :attr:`dfas`: first the product DFA
+    :attr:`dfa`; once that blows its state budget, :attr:`split`, one
+    :class:`LazyDFA` per independent branch (:func:`branch_components`)
+    over the same dispatch tables, drawing from one shared
+    ``max_states`` budget; once that blows too, or when the program
+    does not split, ``()``, the kernel.  A pattern that blows a tier
+    once will do so again, so each step down is for good.  The steps
+    are observable (``repro_lazydfa_split_total``,
+    ``repro_lazydfa_fallback_total``) but never behavioral: every tier
+    returns identical :class:`MatchResult` verdicts.
     """
 
     def __init__(
@@ -468,21 +462,17 @@ class LazyDFAMatcher:
         self.vm = vm if vm is not None else ThompsonVM(program)
         self.dfa = LazyDFA(program, max_states=max_states, vm=self.vm)
         self.max_vm_steps = max_vm_steps
-        #: The product DFA blew its state budget.
-        self.blown = False
-        #: The branch DFAs the matcher continues on once :attr:`blown`;
-        #: ``None`` when the program does not split.
+        #: The DFAs every byte walks on; ``()`` is the kernel.  A walk
+        #: reads only this, and only :meth:`_blew` replaces it.
+        self.dfas: Tuple[LazyDFA, ...] = (self.dfa,)
+        #: The branch DFAs the product DFA split into once it blew;
+        #: ``None`` while it has not, or when the program does not split.
         self.split: Optional[Tuple[LazyDFA, ...]] = None
-        #: Every byte goes to the kernel.
-        self.on_kernel = False
         self._metrics = metrics if metrics is not None and metrics.enabled else None
-        self._runs = None
-        self._fallbacks = None
-        self._splits = None
-        self._states_gauge = None
-        self._transitions = None
+        self._runs = self._fallbacks = self._splits = None
+        self._states_gauge = self._transitions = None
         self._published = 0
-        if metrics is not None and metrics.enabled:
+        if self._metrics is not None:
             self._runs = metrics.counter(
                 "repro_lazydfa_runs_total",
                 help_text="lazy-DFA executions (fallback runs excluded)",
@@ -504,7 +494,17 @@ class LazyDFAMatcher:
                 help_text="lazy-DFA transitions built (cached ones excluded)",
             )
         if not self.dfa.state_count:  # the cap cannot hold the entry state
-            self._fall_back()
+            self._blew(self.dfas)
+
+    @property
+    def blown(self) -> bool:
+        """The product DFA blew its state budget."""
+        return self.dfas != (self.dfa,)
+
+    @property
+    def on_kernel(self) -> bool:
+        """Every byte goes to the kernel."""
+        return not self.dfas
 
     @property
     def state_count(self) -> int:
@@ -532,19 +532,25 @@ class LazyDFAMatcher:
                 self._transitions.inc(built - self._published)
                 self._published = built
 
-    def _fall_back(self) -> None:
-        """The product DFA blew: split it, or go to the kernel."""
-        with self.dfa._counting:  # two threads that blow meter one fallback
-            if self.blown:
-                return
-            split = self._split()
-            if split is None:
-                self.on_kernel = True
-            self.split = split
-            self.blown = True
+    def _blew(self, dfas: Tuple[LazyDFA, ...]) -> Tuple[LazyDFA, ...]:
+        """The tier ``dfas`` blew: step down to the branch DFAs or the
+        kernel, metered once, and return the tier to go on with — the
+        one another thread stepped down to first, if it did (a stream
+        whose product row that thread released blows here too, and
+        waits for the split)."""
+        with self.dfa._counting:
+            if self.dfas is not dfas:
+                return self.dfas
+            if self.blown:  # the branch DFAs blew
+                down = ()
+            else:
+                self.split = self._split()
+                down = self.split or ()
+            self.dfas = down
         if self._fallbacks is not None:
-            (self._fallbacks if split is None else self._splits).inc()
+            (self._splits if down else self._fallbacks).inc()
             self._publish()
+        return down
 
     def _split(self) -> Optional[Tuple[LazyDFA, ...]]:
         """One branch DFA per component, each holding its entry row, in
@@ -564,26 +570,47 @@ class LazyDFAMatcher:
             for keep in keeps
         )
 
-    def _split_blew(self) -> None:
-        """The branch DFAs blew the shared budget: the kernel, for good."""
-        with self.dfa._counting:
-            if self.on_kernel:
-                return
-            self.on_kernel = True
-        if self._fallbacks is not None:
-            self._fallbacks.inc()
-            self._publish()
+    def _advance(self, state: Enumeration, data: bytes, skip: bool) -> bool:
+        """Walk ``state`` over ``data``; at every blowup step down a
+        tier and go on at the blown byte with the blown frontier, and
+        end on the kernel from the byte it takes over at.  Returns
+        whether the kernel ran.  On a DFA tier the frontier is the OR of
+        its DFAs' state masks.  ``skip`` takes the state-0 skip of
+        :meth:`LazyDFA.walk`.
+        """
+        dfas, start = self.dfas, 0
+        while dfas:
+            try:
+                verdict, offset, frontier = self._walk_all(
+                    dfas, data, state.frontier, start, skip
+                )
+            except LazyDFABlowup as blowup:
+                state.frontier = blowup.state
+                state.consumed += blowup.offset - start
+                start = blowup.offset
+                dfas = self._blew(dfas)
+                continue
+            state.consumed += offset - start
+            if verdict is None:
+                state.frontier = frontier
+            else:
+                state.settle(verdict)
+            return False
+        state.feed(data, start)
+        return True
 
-    def _split_walk(
-        self, split, data: bytes, frontier: int, start: int, streaming: bool
+    def _walk_all(
+        self, dfas, data: bytes, frontier: int, start: int, skip: bool
     ) -> Tuple[Optional[bool], int, int]:
-        """Walk ``data[start:]`` from ``frontier`` on every branch DFA.
+        """Walk ``data[start:]`` from ``frontier`` on every DFA of a tier.
 
         Returns ``(verdict, offset, frontier)`` as :meth:`LazyDFA.walk`
-        does, with the OR of the branches' masks as the frontier: the
-        verdict is any branch firing, at the earliest offset, and a
-        branch walks only up to the best offset found so far.  A walk
-        that runs out of tickets is settled by :meth:`_lockstep`.
+        does, with the OR of the DFAs' masks as the frontier: the
+        verdict is any DFA firing, at the earliest offset, and a DFA
+        walks only up to the best offset found so far.  A one-DFA tier
+        (the product) raises :class:`LazyDFABlowup` at the byte it blew
+        on; a walk of two or more that runs out of tickets is settled by
+        :meth:`_lockstep`, so both blow at one byte for every chunking.
 
         A branch walked before the one that fires walks on to the end of
         ``data``, so what a call leaves interned, and so the room a
@@ -591,17 +618,17 @@ class LazyDFAMatcher:
         call past its match holds more rows than a stream cut there).
         Verdicts never do; only where a later call reaches the kernel.
         """
-        held = [dfa.state_count for dfa in split]
+        held = [dfa.state_count for dfa in dfas] if len(dfas) > 1 else None
         best = length = len(data)
         ends = 0
         try:
-            for dfa in split:
+            for dfa in dfas:
                 mask = frontier & dfa.keep
                 if not mask:  # the branch is dead
                     continue
                 piece = data if best == length else data[:best]
                 row = dfa.row_of(mask)
-                if streaming:
+                if skip:
                     verdict, offset, row = dfa.walk(piece, row, start)
                 else:
                     verdict, offset, row = dfa._walk(piece, row, None, start)
@@ -609,8 +636,12 @@ class LazyDFAMatcher:
                     best = offset
                 elif verdict is None:
                     ends |= row[dfa.num_classes]
-        except LazyDFABlowup:
-            return self._lockstep(split, data, frontier, start, held)
+        except LazyDFABlowup as blowup:
+            if len(dfas) > 1:
+                return self._lockstep(dfas, data, frontier, start, held)
+            if blowup.state is None:  # ``row_of``: no row for the frontier
+                blowup.state, blowup.offset = frontier, start
+            raise
         finally:
             if self._transitions is not None:
                 self._publish()
@@ -673,116 +704,40 @@ class LazyDFAMatcher:
                 return False, len(data), 0
         return None, len(data), _or(masks)
 
-    def _kernel(self, data: bytes, frontier: int, start: int) -> MatchResult:
-        """Run the kernel from ``data[start]`` and ``frontier``.
-
-        With a metrics registry, the run is counted from the
-        enumeration's own step count (the step budget's, which skips
-        the accepting position); no per-position observer is attached.
-        """
-        state = Enumeration(self.vm.tables, self.max_vm_steps)
-        state.frontier = frontier
-        state.consumed = start
-        metrics = self._metrics
-        if metrics is None:
-            state.feed(data, start)
-            state.finish()
-        else:
-            if state.max_steps is None:
-                state.max_steps = sys.maxsize  # count the steps
-            try:
-                state.feed(data, start)
-                state.finish()
-            finally:
-                count_run(metrics, state.executed)
-        return MatchResult(state.position is not None, state.position)
-
     def match(self, text: Union[str, bytes]) -> MatchResult:
+        """One text as a stream of one chunk, without the state-0 skip
+        (as :meth:`LazyDFA.run`).  With a metrics registry a kernel run
+        is counted from the enumeration's own step count (the step
+        budget's, which skips the accepting position); no per-position
+        observer is attached."""
         data = text if isinstance(text, bytes) else _as_bytes(text)
-        if self.blown:
-            frontier, start = self.vm.tables.entry, 0
-        else:
-            try:
-                result = self.dfa.run(data)
-            except LazyDFABlowup as blowup:
-                self._fall_back()
-                frontier, start = blowup.state, blowup.offset
-            else:
-                if self._runs is not None:
+        state = Enumeration(self.vm.tables, self.max_vm_steps)
+        metrics = self._metrics
+        if metrics is not None and state.max_steps is None:
+            state.max_steps = sys.maxsize  # count the kernel's steps
+        kernel = True  # only the kernel raises: its step budget
+        try:
+            kernel = self._advance(state, data, False)
+            if kernel:
+                state.finish()
+            elif not state.settled:  # the end position is free on the DFAs
+                state.settle(state.frontier & self.vm.tables.accept_mask != 0)
+        finally:
+            if metrics is not None:
+                if kernel:
+                    count_run(metrics, state.executed)
+                else:
                     self._runs.inc()
-                    self._publish()
-                return result
-        if not self.on_kernel:
-            try:
-                verdict, offset, frontier_end = self._split_walk(
-                    self.split, data, frontier, start, streaming=False
-                )
-            except LazyDFABlowup as blowup:
-                self._split_blew()
-                frontier, start = blowup.state, blowup.offset
-            else:
-                if self._runs is not None:
-                    self._runs.inc()
-                if verdict is None:
-                    verdict = frontier_end & self.vm.tables.accept_mask != 0
-                return MatchResult(True, offset) if verdict else MatchResult(False, None)
-        return self._kernel(data, frontier, start)
+        return MatchResult(state.position is not None, state.position)
 
     # ------------------------------------------------------------------
     # Streams: one Enumeration per stream, the DFAs shared
     # ------------------------------------------------------------------
     def feed(self, state: Enumeration, data: bytes) -> None:
         """Advance one stream's ``state`` (an enumeration over
-        ``self.vm.tables`` with ``max_vm_steps``) over its next chunk.
-        While a DFA walks, the frontier is the stream's DFA state's
-        mask (the OR of the branch states' once split), so the kernel
-        can take over wherever the matcher falls back."""
-        if self.on_kernel or state.settled:  # a tripped budget implies it
-            return state.feed(data)
-        if not self.blown:
-            dfa = self.dfa
-            row = dfa._rows.get(state.frontier)  # ``None`` once released
-            if row is not None:
-                try:
-                    verdict, offset, row = dfa.walk(data, row)
-                except LazyDFABlowup as blowup:
-                    self._fall_back()
-                    state.frontier = blowup.state
-                    state.consumed += blowup.offset
-                    return self._resume(state, data, blowup.offset)
-                if self._transitions is not None:
-                    self._publish()
-                state.consumed += offset
-                if verdict is None:
-                    state.frontier = row[dfa.num_classes]
-                else:
-                    state.settle(verdict)
-                return
-            # Another thread is splitting: wait for it to publish.
-            self._fall_back()
-        self._resume(state, data, 0)
-
-    def _resume(self, state: Enumeration, data: bytes, start: int) -> None:
-        """Continue ``state``, whose frontier and ``consumed`` offset are
-        at ``data[start]``, on the branch DFAs or the kernel."""
-        split = self.split
-        if split is not None and not self.on_kernel:
-            try:
-                verdict, offset, frontier = self._split_walk(
-                    split, data, state.frontier, start, streaming=True
-                )
-            except LazyDFABlowup as blowup:
-                self._split_blew()
-                state.frontier = blowup.state
-                state.consumed += blowup.offset - start
-                return state.feed(data, blowup.offset)
-            state.consumed += offset - start
-            if verdict is None:
-                state.frontier = frontier
-            else:
-                state.settle(verdict)
-            return
-        state.feed(data, start)
+        ``self.vm.tables`` with ``max_vm_steps``) over its next chunk."""
+        if not state.settled:  # a tripped budget re-raises on the kernel
+            self._advance(state, data, True)
 
     def finish(self, state: Enumeration) -> None:
         """Run the end-of-input position of one stream's ``state``."""

@@ -175,6 +175,36 @@ def test_a_one_shot_walk_past_the_match_leaves_less_room_for_the_next_call():
     assert streamed.state_count == 8
 
 
+@pytest.mark.parametrize(
+    "pattern, cap, text, kernel",
+    [
+        (GAPPED, None, TEXT, False),  # the product walks it all
+        (GAPPED, 8, TEXT, False),  # the branch DFAs take over at byte 13
+        (GAPPED, 7, TEXT, True),  # ... and the kernel at byte 33
+        ("a(b|c)+d", 3, "xabcbcbcd", True),  # no split: straight to the kernel
+    ],
+)
+def test_one_shot_is_a_stream_of_one_chunk(pattern, cap, text, kernel):
+    # ``match`` walks the tiers as a one-chunk stream does: the same
+    # verdict, the same tier reached, and the same kernel steps charged,
+    # counted once as a lazy-DFA run or as a VM run.
+    program = compile_regex(pattern).program
+    registry = MetricsRegistry()
+    oneshot = LazyDFAMatcher(program, max_states=cap, max_vm_steps=10**9, metrics=registry)
+    streamed = LazyDFAMatcher(
+        program, max_states=cap, max_vm_steps=10**9, metrics=MetricsRegistry()
+    )
+    got = oneshot.match(text)
+    assert got == ThompsonVM(program).run_reference(text)
+    streamed_got, streamer = _stream(streamed, [text])
+    assert streamed_got == got
+    assert oneshot.on_kernel == streamed.on_kernel == kernel
+    assert registry.value("repro_vm_steps_total") == streamer.state.executed
+    assert (streamer.state.executed > 0) == kernel
+    runs = registry.value("repro_lazydfa_runs_total"), registry.value("repro_vm_runs_total")
+    assert runs == ((0, 1) if kernel else (1, 0))
+
+
 def test_unsplittable_programs_fall_back_as_before():
     program = compile_regex("a(b|c)+d").program
     registry = MetricsRegistry()

@@ -8,9 +8,10 @@ passes and generates code on its own, as ``backends.py`` used to — shows
 up here as a module that is not on the list.
 
 The same kind of walk keeps the lazy DFA's row format private to
-``prefilter/lazydfa.py``, keeps the instruction dispatch of the matchers
-in the kernel's step table, keeps worker processes in the scan
-supervisor, and keeps deleted subsystems deleted.
+``prefilter/lazydfa.py``, keeps one step-down site in its matcher,
+keeps the instruction dispatch of the matchers in the kernel's step
+table, keeps worker processes in the scan supervisor, and keeps
+deleted subsystems deleted.
 """
 
 import ast
@@ -390,6 +391,69 @@ def test_the_walk_sees_a_pasted_back_private_dfa():
         "            self._dfa = LazyDFA(program, max_states=cap)\n"
     )
     assert lazy_dfa_builders(shadow) == {"StreamingMatcher"}
+
+
+def lazy_dfa_matcher_hand_offs(tree: ast.Module):
+    """``(what, method)`` for every ``LazyDFAMatcher`` method that catches
+    ``LazyDFABlowup`` to step down a tier (a handler that settles a
+    multi-DFA walk by ``_lockstep`` does not) or hands a state to
+    ``Enumeration.feed`` (a ``.feed`` call on anything but ``self``)."""
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and node.name == "LazyDFAMatcher"):
+            continue
+        for method in node.body:
+            for inner in ast.walk(method):
+                if isinstance(inner, ast.ExceptHandler) and inner.type is not None:
+                    caught = {
+                        getattr(name, "id", None) or getattr(name, "attr", None)
+                        for name in ast.walk(inner.type)
+                    }
+                    if "LazyDFABlowup" in caught and "_lockstep" not in set(
+                        called_names(inner)
+                    ):
+                        yield "steps down", method.name
+                elif (
+                    isinstance(inner, ast.Call)
+                    and isinstance(inner.func, ast.Attribute)
+                    and inner.func.attr == "feed"
+                    and getattr(inner.func.value, "id", None) != "self"
+                ):
+                    yield "feeds the kernel", method.name
+
+
+def test_the_lazy_dfa_matcher_steps_down_in_one_place():
+    """The product DFA, the branch DFAs and the kernel are tiers of one
+    walk: one method steps down at a blowup and hands over to the kernel,
+    for one-shot ``match`` and streams alike."""
+    path = SOURCE / "prefilter" / "lazydfa.py"
+    found = set(lazy_dfa_matcher_hand_offs(ast.parse(path.read_text(), str(path))))
+    assert found == {("steps down", "_advance"), ("feeds the kernel", "_advance")}
+
+
+def test_the_walk_sees_a_pasted_back_resume():
+    # The deleted ``LazyDFAMatcher._resume``, abridged.
+    shadow = ast.parse(
+        "class LazyDFAMatcher:\n"
+        "    def _resume(self, state, data, start):\n"
+        "        split = self.split\n"
+        "        if split is not None and not self.on_kernel:\n"
+        "            try:\n"
+        "                verdict, offset, frontier = self._split_walk(\n"
+        "                    split, data, state.frontier, start, streaming=True\n"
+        "                )\n"
+        "            except LazyDFABlowup as blowup:\n"
+        "                self._split_blew()\n"
+        "                state.frontier = blowup.state\n"
+        "                state.consumed += blowup.offset - start\n"
+        "                return state.feed(data, blowup.offset)\n"
+        "            state.consumed += offset - start\n"
+        "            return\n"
+        "        state.feed(data, start)\n"
+    )
+    assert set(lazy_dfa_matcher_hand_offs(shadow)) == {
+        ("steps down", "_resume"),
+        ("feeds the kernel", "_resume"),
+    }
 
 
 def vm_imports_of_prefilter(path: Path, source=None):
